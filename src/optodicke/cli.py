@@ -140,9 +140,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--omega-a", dict(type=float, dest="omega_a", help="atomic frequency (default 1)")),
         ("--omega-b", dict(type=float, dest="omega_b", help="oscillator frequency (default 10)")),
         ("--n-atoms", dict(type=int, dest="n_atoms", help="atom count N (default 1)")),
-        ("--tol-root", dict(type=float, dest="tol_root")),
+        ("--tol-root", dict(type=float, dest="tol_root",
+                            help="accepted for compatibility; no effect (closed-form roots)")),
         ("--tol-curv", dict(type=float, dest="tol_curv")),
-        ("--scan-points", dict(type=int, dest="scan_points")),
+        ("--scan-points", dict(type=int, dest="scan_points",
+                               help="accepted for compatibility; no effect (no root scan)")),
         ("--tol-gt", dict(type=float, dest="tol_gt")),
         ("--config", dict(type=str, help="JSON config file; flags override it")),
         ("--output", dict(type=str, short="-o", help="output path, '-' for stdout")),
@@ -218,7 +220,11 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
 
 
 def _mapper():
-    workers = int(os.environ.get("OPTODICKE_WORKERS", "1") or "1")
+    text = os.environ.get("OPTODICKE_WORKERS", "1") or "1"
+    try:
+        workers = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"OPTODICKE_WORKERS must be an integer, got {text!r}") from exc
     if workers <= 1:
         return None
     return ProcessPoolExecutor(max_workers=workers)

@@ -105,6 +105,9 @@ class ModelParams:
     n_atoms: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("omega", "omega_a", "omega_b", "g", "zeta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("omega", "omega_a", "omega_b"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -195,7 +198,7 @@ def extremum_polynomial(params: ModelParams, branch: SpinBranch, gamma_bar):
 
 
 def extremum_polynomial_slope(params: ModelParams, branch: SpinBranch, gamma_bar):
-    """dp/dgamma_bar, used to bound p between scan nodes (p is concave in x)."""
+    """dp/dgamma_bar, used for the Newton steps that polish the roots of p."""
     A = level_splitting(params, gamma_bar)
     return (-4.0 * params.zeta**2 * gamma_bar / params.omega_b
             - branch.sign * 4.0 * params.g**4 * gamma_bar / A**3)

@@ -1,24 +1,26 @@
 """Stationary points, phase boundaries and ground-state selection.
 
-Roots of the extremum function p are located by a dense scan in x =
-gamma_bar^2 followed by bisection.  p is strictly concave in x on both
-branches, which gives two useful guarantees: each branch has at most two
-(normal) or one (inverted) positive roots, and tangent lines bound p from
-above between scan nodes, so a scan either certifies an interval root-free
-or flags it as unresolved (DegenerateBracket, raised near the fold where the
-stable and unstable roots merge).
+Every stationary point has a closed form.  With the dressed splitting
+A = sqrt(omega_a^2 + 4 g^2 x), x = gamma_bar^2, and c = zeta^2/(2 g^2 omega_b),
+multiplying p = 0 by A gives the depressed cubic
 
-The turning point g_t is found by bisection on the number of stable
-normal-branch roots (1 below the fold, 0 above), and the closure coupling
-zeta_star by bisection on the width g_t - g_c of the superradiant window.
+    c*A^3 - (omega + c*omega_a^2)*A -/+ g^2 = 0
+
+(+g^2 on the normal branch, -g^2 on the inverted one).  Its roots come from
+the trigonometric (or hyperbolic) cubic formula; a root is a positive
+stationary amplitude when A > omega_a, and x = (A - omega_a)(A + omega_a)/(4 g^2).
+Two Newton steps on p(x) polish each root.
+
+The turning point g_t is the cubic's double root.  In u = g^2 it is the one
+positive root of the quartic 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4,
+k = zeta^2 omega_a^2/(2 omega_b), solved by Ferrari's method.  The closure
+coupling zeta_star comes from bisection on the window width g_t - g_c.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .model import (
     ModelParams,
@@ -54,8 +56,7 @@ __all__ = [
     "critical_points",
 ]
 
-_BISECT_CAP = 300
-_MAX_SCAN_POINTS = 2_048_000
+_NEWTON_STEPS = 2
 
 
 class SolverError(Exception):
@@ -63,10 +64,10 @@ class SolverError(Exception):
 
 
 class DegenerateBracket(SolverError):
-    """Scan resolution could not separate a near-double root pair.
+    """A near-double root pair could not be resolved.
 
-    Raised close to the turning point, where the stable and unstable roots
-    merge; retrying with a larger ``scan_points`` resolves or certifies it.
+    The closed-form solver never raises it; it stays exported (and mapped
+    to CLI exit code 3) so that callers catching it keep working.
     """
 
 
@@ -76,12 +77,13 @@ class NotFound(SolverError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and scan resolution.
+    """Solver tolerances.
 
-    tol_root    : absolute tolerance on gamma_bar for root bisection
+    tol_root    : accepted for compatibility; unused, the roots are closed form
     tol_curv    : half-width of the marginal-stability band on the curvature
-    scan_points : number of scan intervals for bracketing
-    tol_gt      : absolute tolerance on the turning-point coupling g_t
+    scan_points : accepted for compatibility; unused, there is no scan
+    tol_gt      : tolerance on g_t; unused by turning_point, which is closed
+                  form, and kept as the contract its result meets
     """
 
     tol_root: float = 1e-10
@@ -91,8 +93,9 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for name in ("tol_root", "tol_curv", "tol_gt"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.scan_points < 100:
             raise ValueError("scan_points must be >= 100")
 
@@ -174,31 +177,46 @@ def zero_photon_point(params: ModelParams, branch: SpinBranch,
     return _point_at(params, branch, 0.0, cfg)
 
 
-def _scan_limit(params: ModelParams, branch: SpinBranch) -> float:
-    # Smallest x beyond which p < 0 is guaranteed:  p- <= omega - 2 z^2 x / w_b,
-    # p+ <= omega + g^2/omega_a - 2 z^2 x / w_b (the inverted root always lies
-    # beyond the normal-branch bound, so the bound must be branch-specific).
-    top = params.omega
-    if branch is SpinBranch.INVERTED:
-        top += params.g**2 / params.omega_a
-    return top * params.omega_b / (2.0 * params.zeta**2)
+def _cubic_roots(c: float, b: float, q: float) -> list[float]:
+    """Real roots of c*A^3 - b*A - q = 0 (c, b > 0), in descending order."""
+    r = math.sqrt(b / (3.0 * c))
+    arg = q / (2.0 * c * r**3)
+    if abs(arg) <= 1.0:
+        theta = math.acos(arg) / 3.0
+        return [2.0 * r * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    return [math.copysign(2.0 * r * math.cosh(math.acosh(abs(arg)) / 3.0), arg)]
 
 
-def _bisect_root(params: ModelParams, branch: SpinBranch, x_lo: float, x_hi: float,
-                 p_lo: float, p_hi: float, tol_gamma: float) -> float:
-    """Refine a sign-change bracket in x; returns gamma_bar of the root."""
-    for _ in range(_BISECT_CAP):
-        if math.sqrt(x_hi) - math.sqrt(x_lo) <= tol_gamma:
+def _splitting_excess(params: ModelParams, branch: SpinBranch) -> list[float]:
+    """A - omega_a for every real root A of the branch's cubic (g > 0).
+
+    A - omega_a suffers cancellation when A is close to omega_a (near g_c,
+    and at small g).  The excess roots y solve a cubic whose root product is
+    (omega*omega_a -/+ g^2)/c, so the smallest one is taken from the other
+    two; it is exactly 0 when g^2 == omega*omega_a.
+    """
+    g2, oa = params.g**2, params.omega_a
+    c = params.zeta**2 / (2.0 * g2 * params.omega_b)
+    q = branch.sign * g2
+    ys = [a - oa for a in _cubic_roots(c, params.omega + c * oa * oa, q)]
+    if len(ys) == 3:
+        i = min(range(3), key=lambda j: abs(ys[j]))
+        ys[i] = (params.omega * oa + q) / (c * math.prod(ys[:i] + ys[i + 1:]))
+    return ys
+
+
+def _newton_polish(params: ModelParams, branch: SpinBranch, x: float) -> float:
+    """Newton steps on p(x), with dp/dx = (dp/dgamma_bar) / (2 gamma_bar)."""
+    for _ in range(_NEWTON_STEPS):
+        gamma_bar = math.sqrt(x)
+        dpdx = float(extremum_polynomial_slope(params, branch, gamma_bar)) / (2.0 * gamma_bar)
+        if dpdx == 0.0:
             break
-        x_mid = 0.5 * (x_lo + x_hi)
-        p_mid = float(extremum_polynomial(params, branch, math.sqrt(x_mid)))
-        if p_mid == 0.0:
-            return math.sqrt(x_mid)
-        if p_lo * p_mid < 0.0:
-            x_hi, p_hi = x_mid, p_mid
-        else:
-            x_lo, p_lo = x_mid, p_mid
-    return 0.5 * (math.sqrt(x_lo) + math.sqrt(x_hi))
+        x_next = x - float(extremum_polynomial(params, branch, gamma_bar)) / dpdx
+        if not x_next > 0.0:
+            break
+        x = x_next
+    return x
 
 
 def find_roots(params: ModelParams, branch: SpinBranch,
@@ -207,83 +225,34 @@ def find_roots(params: ModelParams, branch: SpinBranch,
 
     With zeta = 0 the normal branch has the closed-form root
     gamma_bar^2 = g^2/(4 omega^2) - omega_a^2/(4 g^2) above g_c and the
-    inverted branch none.  Otherwise the scan covers (0, 1.2*x_max] with
-    x_max the branch-specific bound from _scan_limit.
-
-    Raises DegenerateBracket when two roots may hide between adjacent scan
-    nodes (tangent bound inconclusive); retry with larger scan_points.
+    inverted branch none.  With zeta > 0 and g = 0 both branches have the
+    root gamma_bar^2 = omega*omega_b/(2 zeta^2).  Otherwise the roots are
+    those of the depressed cubic in A with A > omega_a (see the module
+    docstring), each polished by Newton steps on p.  Never raises
+    DegenerateBracket.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     zero = zero_photon_point(params, branch, cfg)
 
+    xs: list[float] = []
     if params.zeta == 0.0:
-        roots: list[VariationalPoint] = []
         if branch is SpinBranch.NORMAL and params.g > critical_coupling(params):
-            x = params.g**2 / (4.0 * params.omega**2) - params.omega_a**2 / (4.0 * params.g**2)
-            roots.append(_point_at(params, branch, math.sqrt(x), cfg))
-        return RootSet(branch=branch, roots=tuple(roots), zero_point=zero)
-
-    x_hi = 1.2 * _scan_limit(params, branch)
-    xs = np.linspace(0.0, x_hi, cfg.scan_points + 1)
-    gammas = np.sqrt(xs)
-    ps = np.asarray(extremum_polynomial(params, branch, gammas), dtype=float)
-
-    root_gammas: list[float] = []
-    for i in range(cfg.scan_points):
-        p_l, p_r = ps[i], ps[i + 1]
-        if p_r == 0.0 and i + 1 < cfg.scan_points:
-            root_gammas.append(float(gammas[i + 1]))
-        elif p_l * p_r < 0.0:
-            root_gammas.append(
-                _bisect_root(params, branch, float(xs[i]), float(xs[i + 1]),
-                             float(p_l), float(p_r), cfg.tol_root))
-
-    if branch is SpinBranch.NORMAL:
-        _certify_no_hidden_pair(params, branch, xs, ps, cfg)
-
-    for a, b in zip(root_gammas, root_gammas[1:]):
-        if b - a <= 2.0 * cfg.tol_root:
-            raise DegenerateBracket(
-                f"roots closer than tol_root at gamma_bar ~ {a:.6g}; "
-                "parameters sit numerically at the turning point")
+            xs.append(params.g**2 / (4.0 * params.omega**2)
+                      - params.omega_a**2 / (4.0 * params.g**2))
+    elif params.g == 0.0:
+        xs.append(params.omega * params.omega_b / (2.0 * params.zeta**2))
+    else:
+        four_g2 = 4.0 * params.g**2
+        for y in _splitting_excess(params, branch):
+            if y > 0.0:
+                xs.append(_newton_polish(params, branch,
+                                         y * (y + 2.0 * params.omega_a) / four_g2))
 
     return RootSet(
         branch=branch,
-        roots=tuple(_point_at(params, branch, gb, cfg) for gb in root_gammas),
+        roots=tuple(_point_at(params, branch, math.sqrt(x), cfg) for x in sorted(xs)),
         zero_point=zero,
     )
-
-
-def _certify_no_hidden_pair(params: ModelParams, branch: SpinBranch,
-                            xs: np.ndarray, ps: np.ndarray, cfg: SolverConfig) -> None:
-    """Flag intervals that might hide a root pair around the interior maximum.
-
-    p is concave in x, so its tangents bound it from above: on an interval
-    with p < 0 at both ends and a slope sign change, the intersection of the
-    two end tangents bounds the interior maximum.  A positive bound means the
-    scan cannot tell whether a near-double root pair hides there.
-    """
-    dpdg = np.asarray(extremum_polynomial_slope(params, branch, np.sqrt(xs)), dtype=float)
-    # slope w.r.t. x: dp/dx = (dp/dgamma) / (2 gamma); sign is what matters,
-    # except at x=0 where dp/dx has the sign of the x-series coefficient
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dpdx = np.where(xs > 0.0, dpdg / (2.0 * np.sqrt(np.where(xs > 0, xs, 1.0))), 0.0)
-    dpdx[0] = 2.0 * (params.g**4 / params.omega_a**3 - params.zeta**2 / params.omega_b)
-
-    suspicious = (dpdx[:-1] > 0.0) & (dpdx[1:] <= 0.0) & (ps[:-1] < 0.0) & (ps[1:] < 0.0)
-    for i in np.nonzero(suspicious)[0]:
-        x_l, x_r = xs[i], xs[i + 1]
-        s_l, s_r = dpdx[i], dpdx[i + 1]
-        if s_l == s_r:
-            continue
-        x_cross = (ps[i + 1] - ps[i] + s_l * x_l - s_r * x_r) / (s_l - s_r)
-        x_cross = min(max(x_cross, x_l), x_r)
-        upper = ps[i] + s_l * (x_cross - x_l)
-        if upper > 0.0:
-            raise DegenerateBracket(
-                f"possible unresolved root pair in gamma_bar^2 interval "
-                f"[{x_l:.9g}, {x_r:.9g}] at g={params.g!r}, zeta={params.zeta!r}; "
-                "increase scan_points")
 
 
 def enumerate_stationary_points(params: ModelParams,
@@ -349,69 +318,55 @@ def select_ground(params: ModelParams, rootsets: dict[SpinBranch, RootSet],
     return GroundState(phase=phase, point=point, observables=observables_at(params, point))
 
 
-def _stable_count(params: ModelParams, config: SolverConfig) -> int:
-    """Stable normal-branch root count, escalating the scan when degenerate.
+def _fold_root(k: float, omega: float, alpha: float) -> float:
+    """The positive root w of k*w^4 + omega*w - alpha = 0 (k, omega, alpha > 0).
 
-    Degeneracy that survives the densest scan means the parameters sit on the
-    fold to within ~tol_root^2; counting that side as collapsed keeps the g_t
-    bisection deterministic and within tolerance.
+    Ferrari: with P = omega/k and Q = alpha/k, S = s^2 solves the resolvent
+    S^3 + 4Q*S - P^2 = 0 and w = (P/s - s^2) / (s + sqrt(2P/s - s^2)).  Both
+    differences are rewritten through P^2 - s^6 = 4Q*s^2 to avoid
+    cancellation; Newton steps on the quartic (convex and increasing for
+    w > 0) polish the result.
     """
-    scan = config.scan_points
-    while True:
-        try:
-            rs = find_roots(params, SpinBranch.NORMAL, replace(config, scan_points=scan))
-        except DegenerateBracket:
-            if scan >= _MAX_SCAN_POINTS:
-                return 0
-            scan = min(4 * scan, _MAX_SCAN_POINTS)
-            continue
-        return len(rs.stable_roots)
+    P, Q = omega / k, alpha / k
+    U = (0.5 * P * P * (1.0 + math.sqrt(1.0 + 256.0 * Q**3 / (27.0 * P**4)))) ** (1.0 / 3.0)
+    V = 4.0 * Q / (3.0 * U)
+    s = math.sqrt(P * P / (U * U + U * V + V * V))
+    excess = 4.0 * Q * s * s / (P + s**3)  # P - s^3
+    w = (excess / s) / (s + math.sqrt((P + excess) / s))
+    for _ in range(_NEWTON_STEPS):
+        w -= (k * w**4 + omega * w - alpha) / (4.0 * k * w**3 + omega)
+    return w
 
 
 def turning_point(params: ModelParams, zeta: float | None = None,
                   config: SolverConfig | None = None) -> float:
     """Fold coupling g_t where the stable and unstable SP roots merge.
 
-    Bisection on g over [g_c, g_hi] using the stable-root count (1 inside the
-    superradiant window, 0 above it), refined to config.tol_gt.  params.g is
-    ignored; zeta defaults to params.zeta.
+    u = g_t^2 is the positive root of 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4
+    with k = zeta^2 omega_a^2/(2 omega_b).  With u = v^3 and w = 1/v that is
+    the quartic k*w^4 + omega*w - (3/2)(zeta^2/omega_b)^(1/3) = 0, solved in
+    closed form.  params.g is ignored; zeta defaults to params.zeta; config
+    is accepted for call compatibility (the result is exact to rounding,
+    well within tol_gt).
 
     Raises NotFound for zeta = 0 (the superradiant region never closes) and
-    when no window is detectable (zeta at or beyond the closure coupling).
+    when the fold is not a superradiant window: u <= omega*omega_a, or the
+    merged splitting A* = (omega_b u^2/zeta^2)^(1/3) <= omega_a (zeta at or
+    beyond the closure coupling).
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
     z = params.zeta if zeta is None else zeta
-    if z <= 0.0:
+    if not z > 0.0:
         raise NotFound("no turning point: the superradiant region is unbounded at zeta=0")
-    base = replace(params, zeta=z)
-    g_c = critical_coupling(params)
-
-    lo = None
-    for delta in (1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2):
-        g_probe = g_c * (1.0 + delta)
-        if _stable_count(replace(base, g=g_probe), cfg) == 1:
-            lo = g_probe
-            break
-    if lo is None:
+    omega, omega_a, omega_b = params.omega, params.omega_a, params.omega_b
+    k = z * z * omega_a * omega_a / (2.0 * omega_b)
+    alpha = 1.5 * (z * z / omega_b) ** (1.0 / 3.0)
+    u = _fold_root(k, omega, alpha) ** -3
+    a_star = (omega_b * u * u / (z * z)) ** (1.0 / 3.0)
+    if not (u > omega * omega_a and a_star > omega_a):
         raise NotFound(
             f"no stable superradiant root above g_c at zeta={z!r}: "
             "the superradiant window is closed")
-
-    hi = 2.0 * g_c
-    while hi <= lo:
-        hi *= 2.0
-    while _stable_count(replace(base, g=hi), cfg) >= 1:
-        hi *= 2.0
-        if hi > 1e9 * g_c:
-            raise NotFound(f"no fold below g = {hi!r} at zeta={z!r}")
-
-    while hi - lo > cfg.tol_gt:
-        mid = 0.5 * (lo + hi)
-        if _stable_count(replace(base, g=mid), cfg) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return math.sqrt(u)
 
 
 def closure_estimate(params: ModelParams) -> float:
@@ -428,9 +383,10 @@ def sp_closure(params: ModelParams, config: SolverConfig | None = None,
                width_tol: float = 1e-3) -> float:
     """Smallest zeta whose superradiant window g_t - g_c is <= width_tol.
 
-    Bisection over zeta; the window width is strictly decreasing in zeta and
-    reaches zero at closure_estimate(params).  params.g and params.zeta are
-    ignored.
+    Bisection over zeta on the closed-form width turning_point(zeta) - g_c,
+    which is strictly decreasing in zeta and reaches zero at
+    closure_estimate(params); the bisection stops at a zeta step of
+    1e-6 * max(1, closure_estimate).  params.g and params.zeta are ignored.
     """
     if width_tol <= 0.0:
         raise ValueError("width_tol must be > 0")

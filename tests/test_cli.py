@@ -149,6 +149,20 @@ class TestConfig:
     def test_unknown_subcommand_exit_two(self):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["roots", "--g", "nan", "--zeta", "1"],
+        ["roots", "--g", "inf", "--zeta", "1"],
+        ["turning-point", "--zeta", "nan"],
+    ])
+    def test_non_finite_rejected(self, argv, capsys):
+        assert run(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_bad_worker_count_rejected(self, monkeypatch, capsys):
+        monkeypatch.setenv("OPTODICKE_WORKERS", "abc")
+        assert run(["sweep", "--g", "0:1:3"]) == 2
+        assert "OPTODICKE_WORKERS" in capsys.readouterr().err
+
 
 class TestJsonOutput:
     def test_round_trip_matches_quantized_values(self, tmp_path):

@@ -1,5 +1,6 @@
 """Sweeps, phase grids and boundary traces."""
 
+import csv
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from optodicke.diagram import (
     phase_grid,
     sweep_g,
 )
+from optodicke.cli import run
 from optodicke.model import PhaseLabel, Stability
 
 import oracles
@@ -179,14 +181,24 @@ class TestPhaseGrid:
             assert [c.phase for c in cells] == [r.phase for r in rows]
 
 
-def test_degenerate_bracket_names_offending_g():
-    # a sweep that lands numerically on the fold reports which g failed
-    from optodicke.solver import DegenerateBracket, SolverConfig
-
-    g_fold = GT_Z1 - 1e-5
-    spec = SweepSpec(zeta=1.0, g_min=g_fold, g_max=g_fold + 1.0, g_steps=2)
-    with pytest.raises(DegenerateBracket, match="g="):
-        sweep_g(spec, SolverConfig(scan_points=100))
+def test_shifted_grid_next_to_fold(tmp_path):
+    # a cell of this grid falls within ~1e-7 of the fold at the first zeta
+    out = tmp_path / "pd.csv"
+    assert run(["phase-diagram", "--g", "0:3.0032807507333006:61",
+                "--zeta", "1.0542561875347163:2:2", "--output", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    cells = [r for r in rows if r["kind"] == "cell"]
+    assert len(cells) == 122
+    for row in cells:
+        g, g_t = float(row["g"]), oracles.fold_gt(float(row["zeta"]))
+        expected = "NP_Nminus" if g < 1.0 else "SP" if g < g_t else "NP_Nplus"
+        assert row["phase"] == expected, row
+    bounds = [r for r in rows if r["kind"] == "boundary"]
+    assert [(b["phase"], b["phase_above"]) for b in bounds] == [
+        ("NP_Nminus", "SP"), ("SP", "NP_Nplus")] * 2
+    for b in bounds:
+        edge = 1.0 if b["phase"] == "NP_Nminus" else oracles.fold_gt(float(b["zeta"]))
+        assert float(b["g"]) == pytest.approx(edge, abs=1e-4)
 
 
 class TestBoundaryTrace:

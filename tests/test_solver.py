@@ -8,7 +8,6 @@ import pytest
 
 from optodicke.model import ModelParams, PhaseLabel, SpinBranch, Stability, extremum_polynomial
 from optodicke.solver import (
-    DegenerateBracket,
     NotFound,
     SolverConfig,
     closure_estimate,
@@ -135,14 +134,14 @@ class TestFindRoots:
                     resid = abs(float(extremum_polynomial(params, branch, gb)))
                     assert resid <= 10.0 * cfg.tol_root * max(abs(slope), 1.0)
 
-    def test_degenerate_bracket_near_fold_coarse_scan(self):
-        cfg = SolverConfig(scan_points=100)
-        with pytest.raises(DegenerateBracket):
-            find_roots(ModelParams(g=GT_ORACLE[1.0] - 1e-5, zeta=1.0), NORMAL, cfg)
-        # a denser scan separates the same pair
-        rs = find_roots(ModelParams(g=GT_ORACLE[1.0] - 1e-5, zeta=1.0), NORMAL,
-                        SolverConfig(scan_points=2000))
-        assert len(rs.roots) == 2
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0, 3.0, 3.1])
+    def test_root_count_at_fold_edge(self, zeta):
+        # 1e-9 either side of the fold: the stable/unstable pair, then nothing
+        g_t = oracles.fold_gt(zeta)
+        below = find_roots(ModelParams(g=g_t - 1e-9, zeta=zeta), NORMAL)
+        above = find_roots(ModelParams(g=g_t + 1e-9, zeta=zeta), NORMAL)
+        assert [r.stability for r in below.roots] == [Stability.STABLE, Stability.UNSTABLE]
+        assert above.roots == ()
 
     def test_certified_empty_beyond_fold(self):
         for sp in (100, 2000):
@@ -309,5 +308,7 @@ def test_solver_config_validation():
         SolverConfig(tol_root=0.0)
     with pytest.raises(ValueError):
         SolverConfig(scan_points=50)
+    with pytest.raises(ValueError):
+        SolverConfig(tol_gt=math.inf)
     cfg = SolverConfig()
     assert replace(cfg, scan_points=500).scan_points == 500
