@@ -4,8 +4,10 @@ Subcommands: roots | sweep | phase-diagram | turning-point | sp-closure |
 rabi-compare.  Data goes to stdout or --output as CSV or JSON, diagnostics
 to stderr.  Exit codes: 0 success, 2 invalid input, 3 solver failure.
 Numeric output is fixed at 9 significant digits and runs are deterministic;
-set OPTODICKE_WORKERS=<n> to evaluate grid points in a process pool (the
-output bytes do not depend on the worker count).
+set OPTODICKE_WORKERS=<n> to evaluate the grid points of sweep and
+phase-diagram in a process pool (the output bytes do not depend on the
+worker count).  rabi-compare solves its whole grid in one batch and starts
+no pool, but still rejects a non-integer OPTODICKE_WORKERS.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -116,7 +119,10 @@ def _parse_scalar(text: str, name: str) -> float:
 def _parse_range(text: str, name: str) -> np.ndarray:
     """Inclusive grid 'min:max:count'; a bare number is a one-point grid."""
     if _RANGE_SEP not in text:
-        return np.array([_parse_scalar(text, name)])
+        value = _parse_scalar(text, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {text!r}")
+        return np.array([value])
     parts = text.split(_RANGE_SEP)
     if len(parts) != 3:
         raise ConfigError(f"--{name} expects min:max:count, got {text!r}")
@@ -124,6 +130,8 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--{name} expects min:max:count, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"--{name}: grid ends must be finite, got {text!r}")
     if count < 2 or not lo < hi:
         raise ConfigError(f"--{name}: need min < max and count >= 2, got {text!r}")
     return np.linspace(lo, hi, count)
@@ -219,22 +227,19 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _mapper():
+def _workers() -> int:
     text = os.environ.get("OPTODICKE_WORKERS", "1") or "1"
     try:
-        workers = int(text)
+        return int(text)
     except ValueError as exc:
         raise ConfigError(f"OPTODICKE_WORKERS must be an integer, got {text!r}") from exc
-    if workers <= 1:
-        return None
-    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _map_rows(fn, values):
-    pool = _mapper()
-    if pool is None:
+    workers = _workers()
+    if workers <= 1:
         return [fn(v) for v in values]
-    with pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, values, chunksize=8))
 
 
@@ -368,6 +373,8 @@ def _cmd_turning_point(cfg: RunConfig) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_sp_closure(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+    if not (math.isfinite(cfg.width_tol) and cfg.width_tol > 0.0):
+        raise ConfigError(f"--width-tol must be finite and > 0, got {cfg.width_tol!r}")
     params = _model_params(cfg, 0.0, 0.0)
     star = sp_closure(params, _solver_config(cfg), width_tol=cfg.width_tol)
     row = {
@@ -387,7 +394,8 @@ def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list[dict]]:
         raise ConfigError(str(exc)) from exc
     if cfg.n_max < 2:
         raise ConfigError("n_max must be >= 2")
-    rows = _map_rows(partial(rabi.compare_point, params, n_max=cfg.n_max), grid)
+    _workers()  # validated for every command; the batch needs no pool
+    rows = rabi.compare_curve(params, grid, n_max=cfg.n_max)
     return (["g", "energy_ed", "energy_variational", "deviation"],
             [{"g": r.g, "energy_ed": r.energy_ed, "energy_variational": r.energy_variational,
               "deviation": r.deviation} for r in rows])

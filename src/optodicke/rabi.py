@@ -10,18 +10,27 @@ matrix splits into two symmetric tridiagonal blocks, one per parity sector:
 
     d_n = omega*n + parity*(omega_a/2)*(-1)^n,   t_n = (g/2)*sqrt(n+1) .
 
-The smallest eigenvalue of each block comes from Sturm-count bisection on
-the Gershgorin interval, which brackets the answer exactly and costs O(n)
-per step; the eigenpair residual is checked by inverse iteration.  This
-gives an oracle fully independent of the variational closed forms it is
-compared against.
+One batched kernel finds the smallest eigenvalue of many blocks at once;
+each column of the batch is one (g point, parity sector, truncation) block.
+It brackets the eigenvalue between the Gershgorin lower bound and min(diag),
+then shrinks every bracket by multisection: each sweep runs the LDL^T
+(Sturm count) recurrence once over n, with numpy operations across all
+columns and several trial points per column, and stops the pass early once
+the remaining rows are diagonally dominant.  A column stops with the
+relative rule of LAPACK dstebz, hi - lo <= max(tol, 2*eps*max(|lo|, |hi|),
+pivmin), so large eigenvalues converge to the spacing of doubles near them.
+The eigenpair residual is then checked by inverse iteration, shifted just
+below the eigenvalue so that the shifted block is positive definite and its
+O(n) LDL^T solve needs no pivoting.  No dense matrix is formed.  This gives
+an oracle fully independent of the variational closed forms it is compared
+against, and each column's numbers do not depend on the other columns of
+its batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +52,20 @@ __all__ = [
 # Cavity frequencies used for the red/blue detuned comparison runs.
 DETUNING_PRESETS = {"red": 0.8, "resonant": 1.0, "blue": 1.2}
 
-_MAX_BISECT = 300
+# Trial points per block and sweep: each sweep shrinks a bracket 16-fold.
+_TRIALS = 15
+# A bracket between finite doubles is one double wide after at most about
+# 2100 halvings.
+_MAX_SWEEPS = math.ceil(2100 / math.log2(_TRIALS + 1))
+# Relative margin of the diagonal-dominance test that ends a Sturm pass early.
+_DOMINANCE = 1e-8
+# Inverse-iteration shift below the eigenvalue, relative to the block norm,
+# the number of solves, and the accepted residual relative to the norm.
+_SHIFT = 1e-11
+_INVERSE_STEPS = 3
+_RESIDUAL_TOL = 1e-10
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class ConvergenceFailure(Exception):
@@ -59,6 +81,8 @@ class RabiParams:
     g: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.omega, self.omega_a, self.g)):
+            raise ValueError("omega, omega_a and g must be finite")
         if not self.omega > 0.0 or not self.omega_a > 0.0:
             raise ValueError("omega and omega_a must be > 0")
         if self.g < 0.0:
@@ -87,17 +111,24 @@ class TridiagonalBlock:
 
     def norm_bound(self) -> float:
         """Infinity-norm bound on the block, used as the residual scale."""
-        pad = np.concatenate(([0.0], np.abs(self.offdiag), [0.0]))
-        return float(np.max(np.abs(self.diag) + pad[:-1] + pad[1:]))
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
-        return out
+        return float(_norm_bounds(self.diag[:, None], self.offdiag[:, None])[0])
 
     def dense(self) -> np.ndarray:
         return (np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1))
+
+
+def _block_columns(omega: float, omega_a: float, g: np.ndarray,
+                   n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (n_max + 1, 2 len(g)) and offdiagonals (n_max, 2 len(g)).
+
+    Each column is one parity block: column i the +1 block of g[i] and
+    column len(g) + i its -1 block.
+    """
+    n = np.arange(n_max + 1)
+    offdiag = np.sqrt(n[:-1] + 1.0)[:, None] * (0.5 * np.asarray(g, dtype=float))
+    diag = np.stack([omega * n + parity * 0.5 * omega_a * (-1.0) ** n for parity in (+1, -1)],
+                    axis=1)
+    return np.repeat(diag, len(g), axis=1), np.concatenate([offdiag, offdiag], axis=1)
 
 
 def build_blocks(params: RabiParams, n_max: int) -> tuple[TridiagonalBlock, TridiagonalBlock]:
@@ -108,86 +139,161 @@ def build_blocks(params: RabiParams, n_max: int) -> tuple[TridiagonalBlock, Trid
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    n = np.arange(n_max + 1)
-    offdiag = 0.5 * params.g * np.sqrt(n[:-1] + 1.0)
-    blocks = []
-    for parity in (+1, -1):
-        diag = params.omega * n + parity * 0.5 * params.omega_a * (-1.0) ** n
-        blocks.append(TridiagonalBlock(parity=parity, diag=diag, offdiag=offdiag))
-    return blocks[0], blocks[1]
+    diag, offdiag = _block_columns(params.omega, params.omega_a, np.array([params.g]), n_max)
+    return tuple(TridiagonalBlock(parity=parity, diag=np.ascontiguousarray(diag[:, i]),
+                                  offdiag=np.ascontiguousarray(offdiag[:, i]))
+                 for i, parity in enumerate((+1, -1)))
 
 
-def _sturm_count(diag: Sequence[float], off2: Sequence[float], x: float, pivmin: float) -> int:
-    """Number of eigenvalues strictly below x (negative pivots of LDL^T)."""
-    count = 0
+def _radii(offdiag: np.ndarray) -> np.ndarray:
+    """Gershgorin radii |t_(i-1)| + |t_i| of every column's block (n, columns)."""
+    pad = np.zeros((len(offdiag) + 2, offdiag.shape[1]))
+    pad[1:-1] = np.abs(offdiag)
+    return pad[:-1] + pad[1:]
+
+
+def _norm_bounds(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    """Infinity-norm bound max_i |d_i| + |t_(i-1)| + |t_i| of every column's block."""
+    return np.max(np.abs(diag) + _radii(offdiag), axis=0)
+
+
+def _sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: np.ndarray, pivmin: np.ndarray,
+                 tail: int) -> np.ndarray:
+    """Eigenvalues strictly below each trial point (negative pivots of LDL^T).
+
+    diag is (n, columns), offdiag (n - 1, columns) and >= 0, x the trial
+    points (k, columns) and pivmin (columns,).  As in LAPACK dstebz, the
+    pivots are q_i = (d_i - t_(i-1)^2 / q_(i-1)) - x, and a pivot smaller
+    than pivmin in magnitude (an exact 0 too) is replaced by -pivmin, so a
+    pivot counts as negative exactly when it is below pivmin.  One pass over
+    n serves every block and trial point; returns counts (k, columns).
+
+    Rows from tail on are diagonally dominant below every trial point (see
+    _dominant_tail).  Once every pivot q_i with i >= tail - 1 is at least
+    t_i, each later pivot q_j exceeds t_j + pivmin, so the pass stops there
+    with the counts of the full recurrence.
+    """
+    negpiv = -pivmin
+    off2 = offdiag * offdiag
     q = diag[0] - x
-    if q < 0.0:
-        count += 1
+    negative = np.empty((len(diag),) + q.shape, dtype=bool)
+    ratio = np.empty_like(q)
+    np.less(q, pivmin, out=negative[0])
+    np.minimum(q, negpiv, out=q, where=negative[0])
     for i in range(1, len(diag)):
-        if abs(q) < pivmin:
-            q = -pivmin
-        q = (diag[i] - x) - off2[i - 1] / q
-        if q < 0.0:
-            count += 1
-    return count
+        np.divide(off2[i - 1], q, out=ratio)
+        np.subtract(diag[i], ratio, out=q)
+        q -= x
+        np.less(q, pivmin, out=negative[i])
+        np.minimum(q, negpiv, out=q, where=negative[i])
+        if i + 1 >= tail and i + 1 < len(diag) and np.all(q >= offdiag[i]):
+            return negative[:i + 1].sum(axis=0)
+    return negative.sum(axis=0)
+
+
+def _dominant_tail(diag: np.ndarray, radii: np.ndarray, hi: np.ndarray,
+                   pivmin: np.ndarray) -> int:
+    """First row from which every block's rows are dominant below hi.
+
+    Row j is dominant when d_j - hi exceeds (1 + m)(|t_(j-1)| + |t_j|) +
+    m(|d_j| + |hi|) + pivmin with m = _DOMINANCE, a margin far above the
+    rounding of one pivot step.  Returns the largest such start over the
+    columns (n if some block's last row is not dominant).
+    """
+    dominant = (diag - hi - (1.0 + _DOMINANCE) * radii
+                - _DOMINANCE * (np.abs(diag) + np.abs(hi)) > pivmin)
+    from_here = np.logical_and.accumulate(dominant[::-1], axis=0)[::-1]
+    return len(diag) - int(from_here.sum(axis=0).min())
+
+
+def _lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray,
+                       tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of every column's block and the residual of its eigenpair.
+
+    diag is (n, columns) and offdiag (n - 1, columns), >= 0.  Multisection
+    with _TRIALS points per sweep on [Gershgorin lower bound, min(diag)]; a
+    column's bracket freezes once hi - lo <= max(tol, 2*eps*max(|lo|, |hi|),
+    pivmin).  Returns (values, residuals), one per column.
+    """
+    radii = _radii(offdiag)
+    lo = np.min(diag - radii, axis=0)
+    hi = np.min(diag, axis=0)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ConvergenceFailure("non-finite Gershgorin interval; block is malformed")
+
+    pivmin = np.max(offdiag * offdiag, axis=0, initial=1.0) * _TINY
+    tail = _dominant_tail(diag, radii, hi, pivmin)
+    fractions = (np.arange(1, _TRIALS + 1) / (_TRIALS + 1))[:, None]
+    columns = np.arange(diag.shape[1])
+    for _ in range(_MAX_SWEEPS):
+        stop = np.maximum(np.maximum(tol, pivmin),
+                          2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+        moving = hi - lo > stop
+        if not moving.any():
+            break
+        points = np.concatenate([lo[None], lo + (hi - lo) * fractions, hi[None]])
+        counts = _sturm_count(diag, offdiag, points[1:-1], pivmin, tail)
+        # The first trial point with an eigenvalue below it is the new upper
+        # end, the point before it the new lower end.
+        hit = counts >= 1
+        first = np.where(hit.any(axis=0), hit.argmax(axis=0), _TRIALS)
+        lo = np.where(moving, points[first, columns], lo)
+        hi = np.where(moving, points[first + 1, columns], hi)
+    else:
+        raise ConvergenceFailure(
+            f"multisection exceeded {_MAX_SWEEPS} sweeps; block is malformed")
+    values = 0.5 * (lo + hi)
+    return values, _eigenpair_residual(diag, offdiag, values)
+
+
+def _eigenpair_residual(diag: np.ndarray, offdiag: np.ndarray,
+                        values: np.ndarray) -> np.ndarray:
+    """Inverse-iteration residuals ||T v - value v||, one per column's block.
+
+    Each block is shifted by _SHIFT times its norm bound below its value, so
+    T - shift is positive definite and its LDL^T factorization needs no
+    pivoting; each solve then costs O(n).  Raises ConvergenceFailure unless
+    every block reaches 1e-10 times its scale within _INVERSE_STEPS solves.
+    """
+    scale = np.maximum(_norm_bounds(diag, offdiag), 1.0)
+    shift = values - _SHIFT * scale
+    pivots = np.empty_like(diag)
+    pivots[0] = diag[0] - shift
+    for i in range(1, len(diag)):
+        pivots[i] = (diag[i] - shift) - offdiag[i - 1] * offdiag[i - 1] / pivots[i - 1]
+    lower = offdiag / pivots[:-1]
+
+    start = np.random.default_rng(1905).standard_normal(len(diag))
+    v = np.repeat(start[:, None], diag.shape[1], axis=1)
+    residuals = np.full(diag.shape[1], np.inf)
+    for _ in range(_INVERSE_STEPS):
+        for i in range(1, len(v)):
+            v[i] -= lower[i - 1] * v[i - 1]
+        v /= pivots
+        for i in range(len(v) - 2, -1, -1):
+            v[i] -= lower[i] * v[i + 1]
+        v /= np.sqrt(np.sum(v * v, axis=0))
+        r = (diag - values) * v
+        r[:-1] += offdiag * v[1:]
+        r[1:] += offdiag * v[:-1]
+        step = np.sqrt(np.sum(np.square(r, out=r), axis=0))
+        newly = np.isinf(residuals) & (step <= _RESIDUAL_TOL * scale)
+        residuals[newly] = step[newly]
+        if not np.isinf(residuals).any():
+            return residuals
+    raise ConvergenceFailure("inverse iteration did not reach the residual target")
 
 
 def smallest_eigenvalue(block: TridiagonalBlock, tol: float = 1e-12) -> tuple[float, float]:
     """Minimal eigenvalue of a block and the residual of its eigenpair.
 
-    Sturm bisection to ``tol`` (absolute) on the Gershgorin interval, then
-    inverse iteration for the eigenvector; returns (value, ||H v - E v||).
+    A batch of one for the multisection kernel: the bracket stops at
+    max(tol, 2*eps*|value|, pivmin); returns (value, ||H v - E v||).
     """
-    d = [float(v) for v in block.diag]
-    e = [float(v) for v in block.offdiag]
-    pad = [0.0] + [abs(v) for v in e] + [0.0]
-    radii = [pad[i] + pad[i + 1] for i in range(len(d))]
-    lo = min(di - ri for di, ri in zip(d, radii))
-    hi = max(di + ri for di, ri in zip(d, radii))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConvergenceFailure("non-finite Gershgorin interval; block is malformed")
-
-    off2 = [v * v for v in e]
-    pivmin = max(off2, default=1.0)
-    pivmin = max(pivmin, 1.0) * np.finfo(float).tiny
-
-    iterations = 0
-    while hi - lo > tol:
-        iterations += 1
-        if iterations > _MAX_BISECT:
-            raise ConvergenceFailure(
-                f"bisection exceeded {_MAX_BISECT} iterations; block is malformed")
-        mid = 0.5 * (lo + hi)
-        if _sturm_count(d, off2, mid, pivmin) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    value = 0.5 * (lo + hi)
-
-    residual = _eigenpair_residual(block, value)
-    return value, residual
-
-
-def _eigenpair_residual(block: TridiagonalBlock, value: float) -> float:
-    """Inverse-iteration residual check for the computed eigenvalue."""
-    scale = max(block.norm_bound(), 1.0)
-    dense = block.dense()
-    rng = np.random.default_rng(1905)
-    v = rng.standard_normal(len(block.diag))
-    v /= np.linalg.norm(v)
-    shift = value
-    for attempt in range(6):
-        try:
-            w = np.linalg.solve(dense - shift * np.eye(len(v)), v)
-        except np.linalg.LinAlgError:
-            shift = value + (attempt + 1) * 1e-13 * scale
-            continue
-        v = w / np.linalg.norm(w)
-        residual = float(np.linalg.norm(block.matvec(v) - value * v))
-        if residual <= 1e-10 * scale:
-            return residual
-        shift = value + (attempt + 1) * 1e-13 * scale
-    raise ConvergenceFailure("inverse iteration did not reach the residual target")
+    values, residuals = _lowest_eigenpairs(np.asarray(block.diag, dtype=float)[:, None],
+                                           np.asarray(block.offdiag, dtype=float)[:, None],
+                                           tol)
+    return float(values[0]), float(residuals[0])
 
 
 @dataclass(frozen=True)
@@ -204,23 +310,38 @@ class EDResult:
     truncation_gap: float
 
 
-def _sector_minimum(params: RabiParams, n_max: int) -> tuple[float, int, float]:
-    best: tuple[float, int, float] | None = None
-    for block in build_blocks(params, n_max):
-        value, residual = smallest_eigenvalue(block)
-        if best is None or value < best[0]:
-            best = (value, block.parity, residual)
-    return best
+def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int) -> list[EDResult]:
+    """Ground energies at every g of a grid, from one kernel call.
+
+    The batch holds the +1 and -1 blocks at n_max and at half = n_max // 2
+    (at least 2).  A half-truncation block keeps the length of the full
+    ones: past index half its offdiagonals are 0 and its diagonal is its
+    own largest diagonal entry, which leaves its smallest eigenvalue,
+    bracket, pivmin and norm bound those of the half block.  Ties between
+    the parity sectors go to +1.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    half = max(2, n_max // 2)
+    diag, offdiag = (np.concatenate([a, a], axis=1)
+                     for a in _block_columns(omega, omega_a, g, n_max))
+    halves = slice(diag.shape[1] // 2, None)
+    diag[half + 1:, halves] = np.max(diag[:half + 1, halves], axis=0)
+    offdiag[half:, halves] = 0.0
+    values, residuals = _lowest_eigenpairs(diag, offdiag)
+    plus, minus, plus_half, minus_half = values.reshape(4, len(g))
+    odd = minus < plus
+    energy = np.where(odd, minus, plus)
+    residual = np.where(odd, residuals[len(g):2 * len(g)], residuals[:len(g)])
+    gap = np.abs(energy - np.where(minus_half < plus_half, minus_half, plus_half))
+    return [EDResult(energy=float(e), parity=-1 if o else 1, n_max=n_max, residual=float(r),
+                     truncation_gap=float(d))
+            for e, o, r, d in zip(energy, odd, residual, gap)]
 
 
 def ground_energy(params: RabiParams, n_max: int = 300) -> EDResult:
     """Truncated-basis ground energy, with parity, residual and convergence gap."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    energy, parity, residual = _sector_minimum(params, n_max)
-    energy_half, _, _ = _sector_minimum(params, max(2, n_max // 2))
-    return EDResult(energy=energy, parity=parity, n_max=n_max, residual=residual,
-                    truncation_gap=abs(energy - energy_half))
+    return _ground_rows(params.omega, params.omega_a, np.array([params.g]), n_max)[0]
 
 
 def variational_energy(params: RabiParams) -> float:
@@ -246,21 +367,23 @@ class ComparisonRow:
     deviation: float  # variational minus ED; >= 0 up to truncation error
 
 
-def compare_point(params: RabiParams, g: float, n_max: int = 300) -> ComparisonRow:
-    """One comparison row; module-level so process pools can map it."""
-    p = RabiParams(omega=params.omega, omega_a=params.omega_a, g=float(g))
-    ed = ground_energy(p, n_max)
-    ev = variational_energy(p)
-    return ComparisonRow(g=float(g), energy_ed=ed.energy, energy_variational=ev,
-                         deviation=ev - ed.energy)
-
-
-def compare_curve(params: RabiParams, g_values: Sequence[float], n_max: int = 300,
-                  mapper=map) -> list[ComparisonRow]:
+def compare_curve(params: RabiParams, g_values: Sequence[float],
+                  n_max: int = 300) -> list[ComparisonRow]:
     """Variational energy against exact diagonalization over a g grid.
 
-    params.g is ignored; rows are ordered by the given grid.  The deviation
-    column stays >= 0 up to the truncation and bisection error because the
-    variational energy is an upper bound on the true ground energy.
+    params.g is ignored; rows are ordered by the given grid, and the whole
+    grid is one batch (each row's numbers do not depend on the others).
+    The deviation column stays >= 0 up to the truncation and bisection
+    error because the variational energy is an upper bound on the true
+    ground energy.
     """
-    return list(mapper(partial(compare_point, params, n_max=n_max), g_values))
+    grid = [RabiParams(omega=params.omega, omega_a=params.omega_a, g=float(g)) for g in g_values]
+    if not grid:
+        return []
+    results = _ground_rows(params.omega, params.omega_a, np.array([p.g for p in grid]), n_max)
+    rows = []
+    for p, ed in zip(grid, results):
+        ev = variational_energy(p)
+        rows.append(ComparisonRow(g=p.g, energy_ed=ed.energy, energy_variational=ev,
+                                  deviation=ev - ed.energy))
+    return rows

@@ -8,6 +8,8 @@ import pytest
 
 from optodicke.cli import run
 
+import oracles
+
 
 def read_csv(path):
     text = path.read_text()
@@ -153,6 +155,9 @@ class TestConfig:
         ["roots", "--g", "nan", "--zeta", "1"],
         ["roots", "--g", "inf", "--zeta", "1"],
         ["turning-point", "--zeta", "nan"],
+        ["rabi-compare", "--g", "nan"],
+        ["rabi-compare", "--g", "1", "--omega", "inf"],
+        ["rabi-compare", "--g", "0:inf:3"],
     ])
     def test_non_finite_rejected(self, argv, capsys):
         assert run(argv) == 2
@@ -221,6 +226,28 @@ class TestRabiCompare:
         rows = read_csv(out)
         assert float(rows[-1]["energy_variational"]) == -0.5
 
+    def test_independent_of_worker_count(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["rabi-compare", "--g", "0:3:61"]
+        monkeypatch.setenv("OPTODICKE_WORKERS", "1")
+        assert run(argv + ["--output", str(a)]) == 0
+        monkeypatch.setenv("OPTODICKE_WORKERS", "2")
+        assert run(argv + ["--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_bad_worker_count_rejected(self, monkeypatch, capsys):
+        monkeypatch.setenv("OPTODICKE_WORKERS", "abc")
+        assert run(["rabi-compare", "--g", "1"]) == 2
+        assert "OPTODICKE_WORKERS" in capsys.readouterr().err
+
+    def test_strong_coupling_converges(self, tmp_path):
+        # about g^2/4 photons, far beyond n_max: only the dense matrix can judge it
+        out = tmp_path / "strong.csv"
+        assert run(["rabi-compare", "--g", "1e4", "--n-max", "50", "--output", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert float(row["energy_ed"]) == pytest.approx(
+            oracles.rabi_dense_ground(1.0, 1.0, 1e4, 50), rel=1e-9)
+
 
 class TestSpClosure:
     def test_coarse_width(self, tmp_path):
@@ -230,6 +257,11 @@ class TestSpClosure:
         star = float(row["zeta_star"])
         assert 2.0 < star < 2.5
         assert float(row["zeta_estimate"]) == pytest.approx(math.sqrt(10.0), rel=1e-9)
+
+    @pytest.mark.parametrize("width_tol", ["0", "nan", "-1", "inf"])
+    def test_bad_width_tol_rejected(self, width_tol, capsys):
+        assert run(["sp-closure", "--width-tol", width_tol]) == 2
+        assert "--width-tol must be finite and > 0" in capsys.readouterr().err
 
 
 def test_stdout_default(capsys):

@@ -9,6 +9,11 @@ from optodicke.model import ModelParams, SpinBranch
 from optodicke.rabi import (
     ComparisonRow,
     ConvergenceFailure,
+    _block_columns,
+    _dominant_tail,
+    _eigenpair_residual,
+    _radii,
+    _sturm_count,
     RabiParams,
     TridiagonalBlock,
     build_blocks,
@@ -69,6 +74,12 @@ class TestBlocks:
             TridiagonalBlock(parity=1, diag=np.zeros(3), offdiag=np.zeros(3))
         with pytest.raises(ValueError):
             TridiagonalBlock(parity=1, diag=np.zeros(3), offdiag=np.array([-1.0, 0.0]))
+
+    @pytest.mark.parametrize("field", ["omega", "omega_a", "g"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            RabiParams(**{field: value})
 
 
 class TestSmallestEigenvalue:
@@ -186,3 +197,58 @@ class TestCompareCurve:
         (row,) = compare_curve(RabiParams(), [1.0], n_max=100)
         assert isinstance(row, ComparisonRow)
         assert row.energy_ed == pytest.approx(ED_REFERENCE[(1.0, 1.0)], abs=1e-8)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("g,n_max", [(1e4, 50), (1e3, 300)])
+    def test_strong_coupling_matches_dense_oracle(self, g, n_max):
+        # an absolute 1e-12 stop is below the spacing of doubles here
+        res = ground_energy(RabiParams(g=g), n_max)
+        ref = oracles.rabi_dense_ground(1.0, 1.0, g, n_max)
+        assert res.energy == pytest.approx(ref, rel=1e-12)
+
+    def test_rows_independent_of_batch(self):
+        grid = np.linspace(0.0, 3.0, 61)
+        rows = compare_curve(RabiParams(), grid, n_max=300)
+        for g, row in zip(grid, rows):
+            assert compare_curve(RabiParams(), [g], n_max=300) == [row]
+
+    def test_within_dense_oracle_over_grid(self):
+        for omega in (0.8, 1.2):
+            for row in compare_curve(RabiParams(omega=omega), np.linspace(0.0, 3.0, 7), 60):
+                ref = oracles.rabi_dense_ground(omega, 1.0, row.g, 60)
+                assert abs(row.energy_ed - ref) <= 1e-10
+
+    def test_exact_zero_pivot_counts_as_negative(self):
+        # g = 1.5, parity -1: at x = -3/4 the second LDL^T pivot is exactly 0
+        _, minus = build_blocks(RabiParams(g=1.5), 10)
+        count = _sturm_count(minus.diag[:, None], minus.offdiag[:, None],
+                             np.array([[-0.75]]), np.array([np.finfo(float).tiny]), 11)
+        below = np.sum(np.linalg.eigvalsh(minus.dense()) < -0.75)
+        assert below == 1 and count.tolist() == [[below]]
+
+    def test_counts_match_dense_spectrum(self):
+        # the pass ends early at the diagonally dominant tail; the counts must
+        # still be those of the whole block at every point up to min(diag)
+        diag, off = _block_columns(1.0, 1.0, np.array([0.5, 1.5, 3.0]), 80)
+        hi = diag.min(axis=0)
+        lo = (diag - _radii(off)).min(axis=0)
+        pivmin = np.max(off * off, axis=0, initial=1.0) * np.finfo(float).tiny
+        tail = _dominant_tail(diag, _radii(off), hi, pivmin)
+        assert tail < 20
+        x = lo + (hi - lo) * np.linspace(0.0, 1.0, 41)[:, None]
+        counts = _sturm_count(diag, off, x, pivmin, tail)
+        for j in range(diag.shape[1]):
+            block = np.diag(diag[:, j]) + np.diag(off[:, j], 1) + np.diag(off[:, j], -1)
+            eig = np.linalg.eigvalsh(block)
+            assert counts[:, j].tolist() == [int(np.sum(eig < v)) for v in x[:, j]]
+
+    @pytest.mark.parametrize("error", [1e-6, -1e-6])
+    def test_residual_rejects_wrong_eigenvalue(self, error):
+        diag, off = _block_columns(1.0, 1.0, np.array([2.0]), 60)
+        diag, off = diag[:, :1], off[:, :1]
+        dense = TridiagonalBlock(1, diag[:, 0], off[:, 0]).dense()
+        exact = np.linalg.eigvalsh(dense)[:1]
+        assert _eigenpair_residual(diag, off, exact)[0] <= 1e-10
+        with pytest.raises(ConvergenceFailure):
+            _eigenpair_residual(diag, off, exact + error)
