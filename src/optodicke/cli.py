@@ -6,8 +6,8 @@ to stderr.  Exit codes: 0 success, 2 invalid input, 3 solver failure.
 Numeric output is fixed at 9 significant digits and runs are deterministic;
 set OPTODICKE_WORKERS=<n> to evaluate the grid points of sweep and
 phase-diagram in a process pool (the output bytes do not depend on the
-worker count).  rabi-compare solves its whole grid in one batch and starts
-no pool, but still rejects a non-integer OPTODICKE_WORKERS.
+worker count).  rabi-compare solves its grid in batches in one process and
+starts no pool, but still rejects a non-integer OPTODICKE_WORKERS.
 """
 
 from __future__ import annotations

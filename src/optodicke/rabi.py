@@ -66,6 +66,9 @@ _INVERSE_STEPS = 3
 _RESIDUAL_TOL = 1e-10
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# Entries of one (n, columns) array of a kernel call; compare_curve splits a
+# longer grid into batches of this size, so memory does not grow with it.
+_BATCH_ENTRIES = 2**18
 
 
 class ConvergenceFailure(Exception):
@@ -371,8 +374,9 @@ def compare_curve(params: RabiParams, g_values: Sequence[float],
                   n_max: int = 300) -> list[ComparisonRow]:
     """Variational energy against exact diagonalization over a g grid.
 
-    params.g is ignored; rows are ordered by the given grid, and the whole
-    grid is one batch (each row's numbers do not depend on the others).
+    params.g is ignored; rows are ordered by the given grid, which is solved
+    in batches of _BATCH_ENTRIES // (4 (n_max + 1)) points (each row's
+    numbers do not depend on the others).
     The deviation column stays >= 0 up to the truncation and bisection
     error because the variational energy is an upper bound on the true
     ground energy.
@@ -380,7 +384,10 @@ def compare_curve(params: RabiParams, g_values: Sequence[float],
     grid = [RabiParams(omega=params.omega, omega_a=params.omega_a, g=float(g)) for g in g_values]
     if not grid:
         return []
-    results = _ground_rows(params.omega, params.omega_a, np.array([p.g for p in grid]), n_max)
+    g = np.array([p.g for p in grid])
+    step = max(1, _BATCH_ENTRIES // (4 * (n_max + 1)))
+    results = [ed for start in range(0, len(g), step)
+               for ed in _ground_rows(params.omega, params.omega_a, g[start:start + step], n_max)]
     rows = []
     for p, ed in zip(grid, results):
         ev = variational_energy(p)

@@ -8,8 +8,6 @@ import pytest
 
 from optodicke.cli import run
 
-import oracles
-
 
 def read_csv(path):
     text = path.read_text()
@@ -239,14 +237,6 @@ class TestRabiCompare:
         monkeypatch.setenv("OPTODICKE_WORKERS", "abc")
         assert run(["rabi-compare", "--g", "1"]) == 2
         assert "OPTODICKE_WORKERS" in capsys.readouterr().err
-
-    def test_strong_coupling_converges(self, tmp_path):
-        # about g^2/4 photons, far beyond n_max: only the dense matrix can judge it
-        out = tmp_path / "strong.csv"
-        assert run(["rabi-compare", "--g", "1e4", "--n-max", "50", "--output", str(out)]) == 0
-        (row,) = read_csv(out)
-        assert float(row["energy_ed"]) == pytest.approx(
-            oracles.rabi_dense_ground(1.0, 1.0, 1e4, 50), rel=1e-9)
 
 
 class TestSpClosure:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from optodicke import rabi
 from optodicke.model import ModelParams, SpinBranch
 from optodicke.rabi import (
     ComparisonRow,
@@ -212,6 +213,13 @@ class TestBatchedKernel:
         rows = compare_curve(RabiParams(), grid, n_max=300)
         for g, row in zip(grid, rows):
             assert compare_curve(RabiParams(), [g], n_max=300) == [row]
+
+    def test_long_grid_split_into_batches(self, monkeypatch):
+        # 7 g points per batch: 9 batches, the last one short
+        grid = np.linspace(0.0, 3.0, 61)
+        rows = compare_curve(RabiParams(), grid, n_max=300)
+        monkeypatch.setattr(rabi, "_BATCH_ENTRIES", 7 * 4 * 301)
+        assert compare_curve(RabiParams(), grid, n_max=300) == rows
 
     def test_within_dense_oracle_over_grid(self):
         for omega in (0.8, 1.2):
