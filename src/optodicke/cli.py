@@ -3,11 +3,10 @@
 Subcommands: roots | sweep | phase-diagram | turning-point | sp-closure |
 rabi-compare.  Data goes to stdout or --output as CSV or JSON, diagnostics
 to stderr.  Exit codes: 0 success, 2 invalid input, 3 solver failure.
-Numeric output is fixed at 9 significant digits and runs are deterministic;
-set OPTODICKE_WORKERS=<n> to evaluate the grid points of sweep and
-phase-diagram in a process pool (the output bytes do not depend on the
-worker count).  rabi-compare solves its grid in batches in one process and
-starts no pool, but still rejects a non-integer OPTODICKE_WORKERS.
+Numeric output is fixed at 9 significant digits and runs are deterministic,
+in one process.  OPTODICKE_WORKERS has no effect; sweep, phase-diagram and
+rabi-compare still reject a non-integer value.  Grid counts, phase-diagram
+cell counts and --n-max are capped (exit 2 above the cap).
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -41,6 +38,12 @@ from .solver import (
 UNITS_NOTE = "all quantities in units of omega_a"
 
 _RANGE_SEP = ":"
+
+# Input caps, checked before any grid is allocated: points of one grid axis,
+# cells of a phase diagram, and the Fock truncation of rabi-compare.
+MAX_GRID_COUNT = 100_000
+MAX_GRID_CELLS = 1_000_000
+MAX_N_MAX = 100_000
 
 
 class ConfigError(Exception):
@@ -116,13 +119,13 @@ def _parse_scalar(text: str, name: str) -> float:
         raise ConfigError(f"--{name} expects a number, got {text!r}") from exc
 
 
-def _parse_range(text: str, name: str) -> np.ndarray:
-    """Inclusive grid 'min:max:count'; a bare number is a one-point grid."""
+def _parse_range(text: str, name: str) -> tuple[float, float, int]:
+    """Inclusive grid 'min:max:count' as (min, max, count); a bare number is (v, v, 1)."""
     if _RANGE_SEP not in text:
         value = _parse_scalar(text, name)
         if not math.isfinite(value):
             raise ConfigError(f"--{name} must be finite, got {text!r}")
-        return np.array([value])
+        return value, value, 1
     parts = text.split(_RANGE_SEP)
     if len(parts) != 3:
         raise ConfigError(f"--{name} expects min:max:count, got {text!r}")
@@ -134,7 +137,9 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         raise ConfigError(f"--{name}: grid ends must be finite, got {text!r}")
     if count < 2 or not lo < hi:
         raise ConfigError(f"--{name}: need min < max and count >= 2, got {text!r}")
-    return np.linspace(lo, hi, count)
+    if count > MAX_GRID_COUNT:
+        raise ConfigError(f"--{name}: count {count} exceeds the cap of {MAX_GRID_COUNT}")
+    return lo, hi, count
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -227,20 +232,13 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _workers() -> int:
+def _check_workers() -> None:
+    """OPTODICKE_WORKERS has no effect, but a non-integer value is invalid input."""
     text = os.environ.get("OPTODICKE_WORKERS", "1") or "1"
     try:
-        return int(text)
+        int(text)
     except ValueError as exc:
         raise ConfigError(f"OPTODICKE_WORKERS must be an integer, got {text!r}") from exc
-
-
-def _map_rows(fn, values):
-    workers = _workers()
-    if workers <= 1:
-        return [fn(v) for v in values]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values, chunksize=8))
 
 
 def _fmt(value) -> str:
@@ -325,40 +323,37 @@ def _sweep_row_dict(row: diagram.SweepRow) -> dict:
 
 
 def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    grid = _parse_range(cfg.g, "g")
+    g_min, g_max, g_steps = _parse_range(cfg.g, "g")
     try:
         spec = diagram.SweepSpec(omega=cfg.omega, omega_a=cfg.omega_a, omega_b=cfg.omega_b,
                                  n_atoms=cfg.n_atoms, zeta=_parse_scalar(cfg.zeta, "zeta"),
-                                 g_min=float(grid[0]), g_max=float(grid[-1]),
-                                 g_steps=len(grid))
+                                 g_min=g_min, g_max=g_max, g_steps=g_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = _map_rows(partial(diagram.sweep_row, spec, config=_solver_config(cfg)), grid)
+    _check_workers()
+    rows = diagram.sweep_g(spec, _solver_config(cfg))
     return _sweep_fieldnames(), [_sweep_row_dict(r) for r in rows]
 
 
 def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    g_grid = _parse_range(cfg.g, "g")
-    z_grid = _parse_range(cfg.zeta, "zeta")
+    g_min, g_max, g_steps = _parse_range(cfg.g, "g")
+    zeta_min, zeta_max, zeta_steps = _parse_range(cfg.zeta, "zeta")
+    if g_steps * zeta_steps > MAX_GRID_CELLS:
+        raise ConfigError(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
+                          f"the cap of {MAX_GRID_CELLS}")
     try:
         spec = diagram.GridSpec(omega=cfg.omega, omega_a=cfg.omega_a, omega_b=cfg.omega_b,
-                                n_atoms=cfg.n_atoms,
-                                g_min=float(g_grid[0]), g_max=float(g_grid[-1]),
-                                g_steps=len(g_grid),
-                                zeta_min=float(z_grid[0]), zeta_max=float(z_grid[-1]),
-                                zeta_steps=len(z_grid))
+                                n_atoms=cfg.n_atoms, g_min=g_min, g_max=g_max, g_steps=g_steps,
+                                zeta_min=zeta_min, zeta_max=zeta_max, zeta_steps=zeta_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    results = _map_rows(partial(diagram.grid_row, spec, config=_solver_config(cfg)),
-                        spec.zeta_grid())
-    rows: list[dict] = []
-    for cells, _ in results:
-        rows += [{"kind": "cell", "zeta": c.zeta, "g": c.g, "phase": c.phase.value,
-                  "phase_above": None} for c in cells]
-    for _, bounds in results:
-        rows += [{"kind": "boundary", "zeta": b.zeta, "g": b.g_refined,
-                  "phase": b.phase_below.value, "phase_above": b.phase_above.value}
-                 for b in bounds]
+    _check_workers()
+    grid = diagram.phase_grid(spec, _solver_config(cfg))
+    rows = [{"kind": "cell", "zeta": c.zeta, "g": c.g, "phase": c.phase.value,
+             "phase_above": None} for c in grid.cells]
+    rows += [{"kind": "boundary", "zeta": b.zeta, "g": b.g_refined,
+              "phase": b.phase_below.value, "phase_above": b.phase_above.value}
+             for b in grid.boundaries]
     return ["kind", "zeta", "g", "phase", "phase_above"], rows
 
 
@@ -387,15 +382,15 @@ def _cmd_sp_closure(cfg: RunConfig) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    grid = _parse_range(cfg.g, "g")
+    if not 2 <= cfg.n_max <= MAX_N_MAX:
+        raise ConfigError(f"n_max must be in [2, {MAX_N_MAX}], got {cfg.n_max}")
+    g_min, g_max, count = _parse_range(cfg.g, "g")
     try:
         params = rabi.RabiParams(omega=cfg.omega, omega_a=cfg.omega_a, g=0.0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.n_max < 2:
-        raise ConfigError("n_max must be >= 2")
-    _workers()  # validated for every command; the batch needs no pool
-    rows = rabi.compare_curve(params, grid, n_max=cfg.n_max)
+    _check_workers()
+    rows = rabi.compare_curve(params, np.linspace(g_min, g_max, count), n_max=cfg.n_max)
     return (["g", "energy_ed", "energy_variational", "deviation"],
             [{"g": r.g, "energy_ed": r.energy_ed, "energy_variational": r.energy_variational,
               "deviation": r.deviation} for r in rows])

@@ -1,27 +1,30 @@
 """Parameter sweeps and phase-diagram grids, emitted as plain data tables.
 
-Each row/cell is computed independently from its (g, zeta) pair, so callers
-may parallelize freely; assembly order is always the grid order.  No file
-I/O happens here, the CLI layer owns serialization.
+A sweep solves every g point for all its stationary points.  A phase grid
+needs only the two closed-form boundaries of each zeta row, g_c and the
+fold g_t, and labels its cells by comparing g with them; its boundaries are
+those exact couplings.  Rows come back in grid order.  No file I/O happens
+here, the CLI layer owns serialization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .model import ModelParams, Observables, PhaseLabel, SpinBranch, Stability, observables_at
 from .solver import (
     DEFAULT_CONFIG,
-    DegenerateBracket,
     NotFound,
     SolverConfig,
+    _is_local_minimum,
     critical_coupling,
     enumerate_stationary_points,
     select_ground,
     turning_point,
+    zero_photon_point,
 )
 
 __all__ = [
@@ -49,7 +52,8 @@ BRANCH_TAGS = ("N-", "N+", "gs-", "gus-", "gus+")
 # with a narrow window, and one past the collapse of the superradiant phase.
 SWEEP_ZETA_PRESETS = (0.0, 1.0, 2.0, 3.0)
 
-_BOUNDARY_RESOLUTION = 1e-4
+# Grid labels in the order they occur along a zeta row.
+_ROW_PHASES = (PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.NP_NPLUS)
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ class SweepSpec:
             raise ValueError("g_min must be < g_max")
         if self.g_steps < 2:
             raise ValueError("g_steps must be >= 2")
-        self.params_at(max(self.g_min, 0.0))  # validates the fixed parameters
+        self.params_at(self.g_min)  # validates the fixed parameters and g_min >= 0
 
     def params_at(self, g: float) -> ModelParams:
         return ModelParams(omega=self.omega, omega_a=self.omega_a, omega_b=self.omega_b,
@@ -105,7 +109,7 @@ class GridSpec:
             raise ValueError("zeta_min must be < zeta_max")
         if self.g_steps < 2 or self.zeta_steps < 2:
             raise ValueError("step counts must be >= 2")
-        self.params_at(max(self.g_min, 0.0), max(self.zeta_min, 0.0))
+        self.params_at(self.g_min, self.zeta_min)
 
     def params_at(self, g: float, zeta: float) -> ModelParams:
         return ModelParams(omega=self.omega, omega_a=self.omega_a, omega_b=self.omega_b,
@@ -142,7 +146,7 @@ class GridCell:
 
 @dataclass(frozen=True)
 class BoundarySample:
-    """A refined phase boundary between two adjacent grid cells."""
+    """The exact phase boundary (g_c or g_t) between two adjacent grid cells."""
 
     zeta: float
     g_refined: float
@@ -184,75 +188,76 @@ def _row_at(params: ModelParams, g: float, config: SolverConfig) -> SweepRow:
 
 
 def sweep_row(spec: SweepSpec, g: float, config: SolverConfig | None = None) -> SweepRow:
-    """One sweep row; module-level so process pools can map it."""
+    """One sweep row; a module global, so that callers look it up by name."""
     cfg = config if config is not None else DEFAULT_CONFIG
-    try:
-        return _row_at(spec.params_at(g), float(g), cfg)
-    except DegenerateBracket as exc:
-        raise DegenerateBracket(f"sweep row at g={g!r}: {exc}") from exc
+    return _row_at(spec.params_at(g), float(g), cfg)
 
 
-def sweep_g(spec: SweepSpec, config: SolverConfig | None = None,
-            mapper=map) -> list[SweepRow]:
-    """Ground state plus all coexisting branches for each g of the sweep.
-
-    ``mapper`` may be an order-preserving parallel map (the mapped callable
-    is picklable); rows come back in grid order either way.
-    """
+def sweep_g(spec: SweepSpec, config: SolverConfig | None = None) -> list[SweepRow]:
+    """Ground state plus all coexisting branches for each g of the sweep."""
     cfg = config if config is not None else DEFAULT_CONFIG
-    return list(mapper(partial(sweep_row, spec, config=cfg), spec.grid()))
-
-
-def _phase_at(spec: GridSpec, g: float, zeta: float, config: SolverConfig) -> PhaseLabel:
-    params = spec.params_at(g, zeta)
-    try:
-        return select_ground(params, enumerate_stationary_points(params, config), config).phase
-    except DegenerateBracket as exc:
-        raise DegenerateBracket(f"grid cell at g={g!r}, zeta={zeta!r}: {exc}") from exc
+    return [sweep_row(spec, g, cfg) for g in spec.grid()]
 
 
 def grid_row(spec: GridSpec, zeta: float, config: SolverConfig | None = None
              ) -> tuple[list[GridCell], list[BoundarySample]]:
-    """All cells of one zeta row plus refined boundaries between them."""
+    """All cells of one zeta row plus the exact boundaries between them.
+
+    NP_Nminus below g_c, SP on (g_c, g_t), NP_Nplus from g_t up; g_t is
+    infinite at zeta = 0 and g_c when the window is closed.  Cells where the
+    N- zero point is marginal (such as one exactly at g_c) get ground_state's
+    label.  A label change gives one BoundarySample: at g_t when leaving SP,
+    otherwise at g_c with phase_above SP whenever the window is open, even
+    when it is narrower than the grid step.
+    """
     cfg = config if config is not None else DEFAULT_CONFIG
     zeta = float(zeta)
-    gs = spec.g_grid()
-    labels = [_phase_at(spec, float(g), zeta, cfg) for g in gs]
-    cells = [GridCell(g=float(g), zeta=zeta, phase=lab) for g, lab in zip(gs, labels)]
+    g_c = critical_coupling(spec.params_at(0.0, zeta))
+    g_t = math.inf
+    if zeta > 0.0:
+        try:
+            g_t = turning_point(spec.params_at(g_c, zeta), zeta=zeta, config=cfg)
+        except NotFound:
+            g_t = g_c
 
-    boundaries: list[BoundarySample] = []
-    for i in range(len(gs) - 1):
-        if labels[i] is labels[i + 1]:
+    gs = spec.g_grid()
+    index = np.where(gs < g_t, 1, 2)  # the label above g_c
+    index[gs < g_c] = 0
+    # Cells where N- is marginal take the solver's label; this prefilter is
+    # twice as wide as that band, |curvature| <= tol_curv.
+    for i in np.flatnonzero(np.abs(spec.omega - gs * gs / spec.omega_a) <= cfg.tol_curv).tolist():
+        params = spec.params_at(float(gs[i]), zeta)
+        if zero_photon_point(params, SpinBranch.NORMAL, cfg).stability is not Stability.MARGINAL:
             continue
-        lo, hi = float(gs[i]), float(gs[i + 1])
-        lab_lo, lab_hi = labels[i], labels[i + 1]
-        while hi - lo > _BOUNDARY_RESOLUTION:
-            mid = 0.5 * (lo + hi)
-            lab_mid = _phase_at(spec, mid, zeta, cfg)
-            if lab_mid is lab_lo:
-                lo = mid
-            else:
-                hi, lab_hi = mid, lab_mid
-        boundaries.append(BoundarySample(zeta=zeta, g_refined=0.5 * (lo + hi),
-                                         phase_below=lab_lo, phase_above=lab_hi))
+        if _is_local_minimum(params, SpinBranch.NORMAL, 0.0):
+            index[i] = 0  # as in select_ground, whose tie rule favours gamma_bar = 0
+        else:
+            ground = select_ground(params, enumerate_stationary_points(params, cfg), cfg)
+            index[i] = _ROW_PHASES.index(ground.phase)
+    labels = [_ROW_PHASES[i] for i in index.tolist()]
+    cells = [GridCell(g=g, zeta=zeta, phase=lab) for g, lab in zip(gs.tolist(), labels)]
+
+    boundaries = []
+    for i in np.flatnonzero(index[:-1] != index[1:]).tolist():
+        below, above = labels[i], labels[i + 1]
+        if below is PhaseLabel.SP:
+            g_b = g_t
+        else:
+            g_b, above = g_c, (PhaseLabel.SP if g_t > g_c else above)
+        boundaries.append(BoundarySample(zeta=zeta, g_refined=g_b,
+                                         phase_below=below, phase_above=above))
     return cells, boundaries
 
 
-def phase_grid(spec: GridSpec, config: SolverConfig | None = None,
-               mapper=map) -> PhaseGrid:
+def phase_grid(spec: GridSpec, config: SolverConfig | None = None) -> PhaseGrid:
     """Label every grid cell by its ground-state phase.
 
     Cells are ordered by (zeta, g).  Wherever the label changes between two
-    g-adjacent cells, the boundary coupling is refined by bisection to 1e-4
-    and emitted as a BoundarySample.
+    g-adjacent cells, the exact boundary (g_c or g_t) is a BoundarySample.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
-    cells: list[GridCell] = []
-    boundaries: list[BoundarySample] = []
-    for row_cells, row_bounds in mapper(partial(grid_row, spec, config=cfg), spec.zeta_grid()):
-        cells.extend(row_cells)
-        boundaries.extend(row_bounds)
-    return PhaseGrid(cells=tuple(cells), boundaries=tuple(boundaries))
+    rows = [grid_row(spec, zeta, config) for zeta in spec.zeta_grid()]
+    return PhaseGrid(cells=tuple(c for cells, _ in rows for c in cells),
+                     boundaries=tuple(b for _, bounds in rows for b in bounds))
 
 
 def boundary_trace(spec: GridSpec, config: SolverConfig | None = None) -> list[BoundaryRow]:

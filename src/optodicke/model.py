@@ -217,14 +217,12 @@ def curvature(params: ModelParams, branch: SpinBranch, gamma_bar):
                   + branch.sign * params.g**2 * params.omega_a**2 / A**3)
 
 
-def scs_angles(params: ModelParams, gamma_bar: float,
-               branch: SpinBranch = SpinBranch.NORMAL) -> ScsAngles:
+def scs_angles(params: ModelParams, gamma_bar: float) -> ScsAngles:
     """Closed-form stationary angles at amplitude gamma_bar.
 
     The stationary angles solve the same eigenvalue conditions for both
     pseudospin branches (only the sign of the spin projection differs), so
-    ``branch`` does not enter the returned values; it is accepted so callers
-    carrying branch context can pass it through.
+    they do not depend on the branch.
     """
     if gamma_bar < 0.0:
         raise ValueError("gamma_bar must be >= 0")

@@ -13,7 +13,8 @@ Two Newton steps on p(x) polish each root.
 
 The turning point g_t is the cubic's double root.  In u = g^2 it is the one
 positive root of the quartic 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4,
-k = zeta^2 omega_a^2/(2 omega_b), solved by Ferrari's method.  The closure
+k = zeta^2 omega_a^2/(2 omega_b), which a change of variable turns into
+(tau*t)^4 + t - 1 = 0, solved by monotone Newton steps.  The closure
 coupling zeta_star comes from bisection on the window width g_t - g_c.
 """
 
@@ -193,7 +194,8 @@ def _splitting_excess(params: ModelParams, branch: SpinBranch) -> list[float]:
     A - omega_a suffers cancellation when A is close to omega_a (near g_c,
     and at small g).  The excess roots y solve a cubic whose root product is
     (omega*omega_a -/+ g^2)/c, so the smallest one is taken from the other
-    two; it is exactly 0 when g^2 == omega*omega_a.
+    two (unless one of them is 0 too: the triple root at g_c and closure);
+    it is exactly 0 when g^2 == omega*omega_a.
     """
     g2, oa = params.g**2, params.omega_a
     c = params.zeta**2 / (2.0 * g2 * params.omega_b)
@@ -201,7 +203,9 @@ def _splitting_excess(params: ModelParams, branch: SpinBranch) -> list[float]:
     ys = [a - oa for a in _cubic_roots(c, params.omega + c * oa * oa, q)]
     if len(ys) == 3:
         i = min(range(3), key=lambda j: abs(ys[j]))
-        ys[i] = (params.omega * oa + q) / (c * math.prod(ys[:i] + ys[i + 1:]))
+        rest = math.prod(ys[:i] + ys[i + 1:])
+        if rest != 0.0:
+            ys[i] = (params.omega * oa + q) / (c * rest)
     return ys
 
 
@@ -318,24 +322,20 @@ def select_ground(params: ModelParams, rootsets: dict[SpinBranch, RootSet],
     return GroundState(phase=phase, point=point, observables=observables_at(params, point))
 
 
-def _fold_root(k: float, omega: float, alpha: float) -> float:
-    """The positive root w of k*w^4 + omega*w - alpha = 0 (k, omega, alpha > 0).
+def _fold_root(tau: float) -> float:
+    """The root t in (0, 1] of (tau*t)^4 + t - 1 = 0 (tau >= 0).
 
-    Ferrari: with P = omega/k and Q = alpha/k, S = s^2 solves the resolvent
-    S^3 + 4Q*S - P^2 = 0 and w = (P/s - s^2) / (s + sqrt(2P/s - s^2)).  Both
-    differences are rewritten through P^2 - s^6 = 4Q*s^2 to avoid
-    cancellation; Newton steps on the quartic (convex and increasing for
-    w > 0) polish the result.
+    The left side is convex and increasing for t > 0 and positive at t = 1,
+    so Newton steps from 1 decrease monotonically to the root; they stop
+    once a step no longer decreases t.
     """
-    P, Q = omega / k, alpha / k
-    U = (0.5 * P * P * (1.0 + math.sqrt(1.0 + 256.0 * Q**3 / (27.0 * P**4)))) ** (1.0 / 3.0)
-    V = 4.0 * Q / (3.0 * U)
-    s = math.sqrt(P * P / (U * U + U * V + V * V))
-    excess = 4.0 * Q * s * s / (P + s**3)  # P - s^3
-    w = (excess / s) / (s + math.sqrt((P + excess) / s))
-    for _ in range(_NEWTON_STEPS):
-        w -= (k * w**4 + omega * w - alpha) / (4.0 * k * w**3 + omega)
-    return w
+    t = 1.0
+    while True:
+        tt = tau * t
+        t_next = t - (tt**4 + t - 1.0) / (4.0 * tau * tt**3 + 1.0)
+        if not t_next < t:
+            return t
+        t = t_next
 
 
 def turning_point(params: ModelParams, zeta: float | None = None,
@@ -343,30 +343,28 @@ def turning_point(params: ModelParams, zeta: float | None = None,
     """Fold coupling g_t where the stable and unstable SP roots merge.
 
     u = g_t^2 is the positive root of 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4
-    with k = zeta^2 omega_a^2/(2 omega_b).  With u = v^3 and w = 1/v that is
-    the quartic k*w^4 + omega*w - (3/2)(zeta^2/omega_b)^(1/3) = 0, solved in
-    closed form.  params.g is ignored; zeta defaults to params.zeta; config
-    is accepted for call compatibility (the result is exact to rounding,
-    well within tol_gt).
+    with k = zeta^2 omega_a^2/(2 omega_b).  With sigma = zeta/sqrt(omega_b),
+    u = (omega/(1.5 t))^3 / sigma^2 turns it into (tau*t)^4 + t - 1 = 0,
+    tau = (27/16)^(1/4) zeta/closure_estimate.  Nothing overflows: g_t is inf
+    only where it exceeds every double.  params.g is ignored; zeta defaults
+    to params.zeta; config is accepted for call compatibility.
 
     Raises NotFound for zeta = 0 (the superradiant region never closes) and
-    when the fold is not a superradiant window: u <= omega*omega_a, or the
-    merged splitting A* = (omega_b u^2/zeta^2)^(1/3) <= omega_a (zeta at or
-    beyond the closure coupling).
+    when the fold is not a superradiant window: zeta >= closure_estimate,
+    g_t <= g_c, or the merged splitting A* = (g_t^4/sigma^2)^(1/3) <= omega_a.
     """
     z = params.zeta if zeta is None else zeta
     if not z > 0.0:
         raise NotFound("no turning point: the superradiant region is unbounded at zeta=0")
-    omega, omega_a, omega_b = params.omega, params.omega_a, params.omega_b
-    k = z * z * omega_a * omega_a / (2.0 * omega_b)
-    alpha = 1.5 * (z * z / omega_b) ** (1.0 / 3.0)
-    u = _fold_root(k, omega, alpha) ** -3
-    a_star = (omega_b * u * u / (z * z)) ** (1.0 / 3.0)
-    if not (u > omega * omega_a and a_star > omega_a):
-        raise NotFound(
-            f"no stable superradiant root above g_c at zeta={z!r}: "
-            "the superradiant window is closed")
-    return math.sqrt(u)
+    ratio = z / closure_estimate(params)
+    if ratio < 1.0:
+        root_wb = math.sqrt(params.omega_b)
+        t = _fold_root((27.0 / 16.0) ** 0.25 * ratio)
+        g_t = (params.omega / (1.5 * t)) ** 1.5 * root_wb / z
+        if g_t > critical_coupling(params) and g_t * g_t > z / root_wb * params.omega_a**1.5:
+            return g_t
+    raise NotFound(f"no stable superradiant root above g_c at zeta={z!r}: "
+                   "the superradiant window is closed")
 
 
 def closure_estimate(params: ModelParams) -> float:

@@ -4,8 +4,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from optodicke import cli
 from optodicke.cli import run
 
 
@@ -165,6 +167,57 @@ class TestConfig:
         monkeypatch.setenv("OPTODICKE_WORKERS", "abc")
         assert run(["sweep", "--g", "0:1:3"]) == 2
         assert "OPTODICKE_WORKERS" in capsys.readouterr().err
+
+    def test_bad_worker_count_rejected_by_phase_diagram(self, monkeypatch, capsys):
+        monkeypatch.setenv("OPTODICKE_WORKERS", "abc")
+        assert run(["phase-diagram", "--g", "0:1:3", "--zeta", "0:1:2"]) == 2
+        assert "OPTODICKE_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["phase-diagram", "--g=-1:3:5", "--zeta", "0:1:2"],
+        ["phase-diagram", "--g", "0:3:5", "--zeta=-1:1:2"],
+        ["sweep", "--g=-1:3:5", "--zeta", "1"],
+    ])
+    def test_negative_grid_start_rejected(self, argv, capsys):
+        assert run(argv) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+
+class TestGridCaps:
+    """Counts above the caps exit 2 before any grid array is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_grids(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+        monkeypatch.setattr(np, "linspace", refuse)
+
+    @pytest.mark.parametrize("command", ["sweep", "rabi-compare"])
+    def test_grid_count(self, command, capsys):
+        assert run([command, "--g", f"0:1:{cli.MAX_GRID_COUNT + 1}"]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_zeta_count(self, capsys):
+        assert run(["phase-diagram", "--g", "0:1:3",
+                    "--zeta", f"0:1:{cli.MAX_GRID_COUNT + 1}"]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_phase_diagram_cells(self, capsys):
+        side = math.isqrt(cli.MAX_GRID_CELLS)
+        assert side * (side + 1) > cli.MAX_GRID_CELLS and side + 1 <= cli.MAX_GRID_COUNT
+        assert run(["phase-diagram", "--g", f"0:3:{side}", "--zeta", f"0:3:{side + 1}"]) == 2
+        assert "cells exceed the cap" in capsys.readouterr().err
+
+    def test_n_max(self, capsys):
+        assert run(["rabi-compare", "--g", "0:1:3", "--n-max", str(cli.MAX_N_MAX + 1)]) == 2
+        assert "n_max must be in" in capsys.readouterr().err
+
+    def test_at_the_caps(self, monkeypatch):
+        # the caps themselves are accepted (checked without solving anything)
+        empty = cli.diagram.PhaseGrid(cells=(), boundaries=())
+        monkeypatch.setattr(cli.diagram, "phase_grid", lambda spec, cfg: empty)
+        side = math.isqrt(cli.MAX_GRID_CELLS)
+        assert run(["phase-diagram", "--g", f"0:3:{side}", "--zeta", f"0:3:{side}"]) == 0
 
 
 class TestJsonOutput:

@@ -5,17 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optodicke.diagram import (
     BRANCH_TAGS,
     GridSpec,
     SweepSpec,
     boundary_trace,
+    grid_row,
     phase_grid,
     sweep_g,
 )
 from optodicke.cli import run
-from optodicke.model import PhaseLabel, Stability
+from optodicke.model import ModelParams, PhaseLabel, Stability
+from optodicke.solver import closure_estimate, critical_coupling, ground_state, turning_point
 
 import oracles
 
@@ -199,6 +202,118 @@ def test_shifted_grid_next_to_fold(tmp_path):
     for b in bounds:
         edge = 1.0 if b["phase"] == "NP_Nminus" else oracles.fold_gt(float(b["zeta"]))
         assert float(b["g"]) == pytest.approx(edge, abs=1e-4)
+
+
+class TestGridReferee:
+    """Grid labels and boundaries against the scalar solver and the fold oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(omega=st.floats(0.3, 3.0), omega_a=st.floats(0.3, 3.0), omega_b=st.floats(1.0, 40.0),
+           g_lo=st.one_of(st.just(0.0), st.floats(1e-6, 1.5)), g_span=st.floats(0.05, 3.0),
+           g_steps=st.integers(2, 25), z_lo=st.one_of(st.just(0.0), st.floats(1e-6, 1.2)),
+           z_span=st.floats(0.01, 0.5), z_steps=st.integers(2, 5))
+    def test_matches_ground_state_and_fold(self, omega, omega_a, omega_b, g_lo, g_span, g_steps,
+                                           z_lo, z_span, z_steps):
+        # Grid ends in units of g_c and of the closure coupling, so that every
+        # draw spans the interesting region whatever the frequencies.  g and
+        # zeta start at 0 or at least 1e-6 of their unit: the referee's cubic
+        # fails where g^2 underflows (g < ~1e-160) or zeta/g < ~1e-100.
+        base = ModelParams(omega=omega, omega_a=omega_a, omega_b=omega_b)
+        g_c, closure = critical_coupling(base), closure_estimate(base)
+        spec = GridSpec(omega=omega, omega_a=omega_a, omega_b=omega_b,
+                        g_min=g_lo * g_c, g_max=(g_lo + g_span) * g_c, g_steps=g_steps,
+                        zeta_min=z_lo * closure, zeta_max=(z_lo + z_span) * closure,
+                        zeta_steps=z_steps)
+        grid = phase_grid(spec)
+        assert len(grid.cells) == g_steps * z_steps
+        changes = []
+        for k in range(z_steps):
+            row = grid.cells[k * g_steps:(k + 1) * g_steps]
+            for cell in row:
+                assert cell.phase is ground_state(spec.params_at(cell.g, cell.zeta)).phase, cell
+            changes += [(lo, hi) for lo, hi in zip(row, row[1:]) if lo.phase is not hi.phase]
+        assert ([(b.zeta, b.phase_below) for b in grid.boundaries]
+                == [(lo.zeta, lo.phase) for lo, _ in changes])
+        for b, (_, hi) in zip(grid.boundaries, changes):
+            if b.phase_above is not hi.phase:  # an SP window inside one g step
+                assert (b.phase_below, b.phase_above, hi.phase) == (
+                    PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.NP_NPLUS)
+            if b.phase_below is PhaseLabel.NP_NMINUS:
+                edge = g_c
+            else:
+                assert b.phase_below is PhaseLabel.SP
+                try:
+                    edge = oracles.fold_gt(b.zeta, omega, omega_a, omega_b)
+                except ValueError:  # the oracle resolves no window below 1e-12 g_c
+                    edge = g_c
+            assert b.g_refined == pytest.approx(edge, rel=1e-9), b
+
+    # omega = 2 puts g_c = sqrt(2) on a double whose square is not omega*omega_a
+    @pytest.mark.parametrize("omega", [1.0, 2.0])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_cell_exactly_at_critical_coupling(self, omega, side):
+        base = ModelParams(omega=omega)
+        g_c = critical_coupling(base)
+        zeta = closure_estimate(base) * (1.0 + 0.01 * side)
+        spec = GridSpec(omega=omega, g_min=0.0, g_max=2.0 * g_c, g_steps=3)
+        cells, bounds = grid_row(spec, zeta)
+        assert cells[1].g == g_c
+        want = ground_state(spec.params_at(g_c, zeta)).phase
+        assert cells[1].phase is want
+        if side < 0:
+            assert want is PhaseLabel.NP_NMINUS
+        elif side > 0:
+            assert want is PhaseLabel.NP_NPLUS
+        assert [b.g_refined for b in bounds] == [g_c]
+        assert bounds[0].phase_below is PhaseLabel.NP_NMINUS
+
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0, 3.0])
+    def test_cell_exactly_at_turning_point(self, zeta):
+        g_t = turning_point(ModelParams(), zeta=zeta)
+        spec = GridSpec(g_min=0.0, g_max=2.0 * g_t, g_steps=9)
+        cells, bounds = grid_row(spec, zeta)
+        assert cells[4].g == g_t
+        assert cells[4].phase is PhaseLabel.NP_NPLUS
+        assert [b.g_refined for b in bounds if b.phase_below is PhaseLabel.SP] in ([g_t], [])
+        # The solver's own label at the computed g_t itself depends on the
+        # last bits of g_t (the stable root's curvature there is ~1e-8); a
+        # relative 1e-14 to either side it agrees with the grid.
+        assert ground_state(spec.params_at(g_t * (1 - 1e-14), zeta)).phase is PhaseLabel.SP
+        assert ground_state(spec.params_at(g_t * (1 + 1e-14), zeta)).phase is PhaseLabel.NP_NPLUS
+
+    @pytest.mark.parametrize("zeta, above", [(1e-120, PhaseLabel.SP), (1e300, PhaseLabel.NP_NPLUS)])
+    def test_extreme_zeta_rows(self, zeta, above):
+        # far below and far above the closure coupling, where the scalar
+        # solver's cubic overflows; g_t is then ~1.7e120, or absent
+        cells, bounds = grid_row(GridSpec(g_min=0.5, g_max=3.5, g_steps=4), zeta)
+        assert [c.phase for c in cells] == [PhaseLabel.NP_NMINUS] + [above] * 3
+        assert [(b.g_refined, b.phase_above) for b in bounds] == [(1.0, above)]
+
+    def test_window_narrower_than_grid_step(self, tmp_path):
+        assert 1.0 < oracles.fold_gt(3.135) < 1.25
+        out = tmp_path / "pd.csv"
+        assert run(["phase-diagram", "--g", "0:3:13", "--zeta", "3.135:3.2:2",
+                    "--output", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        for row in rows:
+            if row["kind"] == "cell":
+                # g = g_c = 1 is a minimum of N- below the closure coupling only
+                g, zeta = float(row["g"]), float(row["zeta"])
+                below = g < 1.0 or (g == 1.0 and zeta < math.sqrt(10.0))
+                assert row["phase"] == ("NP_Nminus" if below else "NP_Nplus"), row
+        bounds = [(r["zeta"], r["g"], r["phase"], r["phase_above"])
+                  for r in rows if r["kind"] == "boundary"]
+        # one boundary per label change; the open window shows as phase_above
+        assert bounds == [("3.135", "1", "NP_Nminus", "SP"),
+                          ("3.2", "1", "NP_Nminus", "NP_Nplus")]
+
+    def test_negative_grid_start_rejected(self):
+        with pytest.raises(ValueError, match="g must be >= 0"):
+            GridSpec(g_min=-1.0)
+        with pytest.raises(ValueError, match="zeta must be >= 0"):
+            GridSpec(zeta_min=-1.0)
+        with pytest.raises(ValueError, match="g must be >= 0"):
+            SweepSpec(g_min=-1.0)
 
 
 class TestBoundaryTrace:

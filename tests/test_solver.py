@@ -150,6 +150,20 @@ class TestFindRoots:
             assert rs.roots == ()
 
 
+def test_triple_root_at_critical_coupling_and_closure():
+    # g = g_c and zeta = closure_estimate: the normal-branch cubic has the
+    # triple root A = omega_a, so two of its excesses are 0 at once
+    # (p < 0 for every x > 0 there; the sign scan would report the rounding
+    # of p(0) as a root)
+    base = ModelParams(omega=1.2)
+    params = replace(base, g=critical_coupling(base), zeta=closure_estimate(base))
+    assert find_roots(params, NORMAL).roots == ()
+    x_inv = [r.amplitude**2 for r in find_roots(params, INVERTED).roots]
+    assert x_inv == pytest.approx(
+        oracles.scan_roots(+1, params.g, params.zeta, 1.2, 1.0, 10.0), rel=1e-9)
+    assert ground_state(params).phase is PhaseLabel.NP_NMINUS
+
+
 def test_brute_force_equivalence_grid():
     # root count and location match an independent 1e5-point sign-scan oracle
     cfg = SolverConfig()
@@ -200,6 +214,15 @@ class TestTurningPoint:
         above = find_roots(ModelParams(g=g_t + 2 * cfg.tol_gt, zeta=1.0), NORMAL, cfg)
         assert len(below.stable_roots) == 1
         assert len(above.stable_roots) == 0
+
+    @pytest.mark.parametrize("zeta", [1e-8, 1e-45, 1e-200])
+    def test_small_zeta_no_overflow(self, zeta):
+        # for zeta -> 0 the fold quartic gives g_t -> sqrt(8 omega^3 omega_b / 27) / zeta
+        g_t = turning_point(ModelParams(), zeta=zeta)
+        assert g_t == pytest.approx(math.sqrt(8.0 * 10.0 / 27.0) / zeta, rel=1e-12)
+
+    def test_fold_beyond_largest_double_is_inf(self):
+        assert turning_point(ModelParams(), zeta=5e-324) == math.inf
 
     def test_zeta_zero_absent(self):
         with pytest.raises(NotFound):
