@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -27,6 +28,7 @@ from .model import ModelParams, SpinBranch, observables_at
 from .solver import (
     DegenerateBracket,
     NotFound,
+    OutOfRange,
     SolverConfig,
     closure_estimate,
     critical_coupling,
@@ -142,7 +144,9 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused by every run."""
     parser = argparse.ArgumentParser(
         prog="optodicke",
         description="Variational phases of atoms in an optomechanical cavity",
@@ -241,34 +245,27 @@ def _check_workers() -> None:
         raise ConfigError(f"OPTODICKE_WORKERS must be an integer, got {text!r}") from exc
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
 def _quantize(value):
     if isinstance(value, float):
         return float(f"{value:.9g}")
     return value
 
 
-def _emit(cfg: RunConfig, fieldnames: list[str], rows: list[dict]) -> None:
+def _emit(cfg: RunConfig, fieldnames: list[str], rows: list[list]) -> None:
+    """Write rows, each a list of values in fieldnames order, as CSV or JSON."""
     if cfg.format == "json":
         payload = {
             "units": UNITS_NOTE,
-            "rows": [{k: _quantize(row.get(k)) for k in fieldnames} for row in rows],
+            "rows": [dict(zip(fieldnames, map(_quantize, row))) for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
         buf.write(f"# {UNITS_NOTE}\r\n")
-        writer = csv.DictWriter(buf, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
+        writer = csv.writer(buf)
+        writer.writerow(fieldnames)
+        # csv writes None as an empty field and other values through str()
+        writer.writerows([f"{v:.9g}" if isinstance(v, float) else v for v in row] for row in rows)
         text = buf.getvalue()
     if cfg.output == "-":
         sys.stdout.write(text)
@@ -277,7 +274,7 @@ def _emit(cfg: RunConfig, fieldnames: list[str], rows: list[dict]) -> None:
             fh.write(text)
 
 
-def _cmd_roots(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _cmd_roots(cfg: RunConfig) -> tuple[list[str], list[list]]:
     params = _model_params(cfg, _parse_scalar(cfg.g, "g"), _parse_scalar(cfg.zeta, "zeta"))
     solver_cfg = _solver_config(cfg)
     rows = []
@@ -285,44 +282,28 @@ def _cmd_roots(cfg: RunConfig) -> tuple[list[str], list[dict]]:
         rs = find_roots(params, branch, solver_cfg)
         for point in (rs.zero_point, *rs.roots):
             obs = observables_at(params, point)
-            rows.append({
-                "branch": branch.name.lower(),
-                "gamma_bar": point.amplitude,
-                "np": obs.n_p,
-                "delta_na": obs.delta_n_a,
-                "nb": obs.n_b,
-                "energy": point.energy,
-                "curvature": point.curvature,
-                "stability": point.stability.value,
-            })
+            rows.append([branch.name.lower(), point.amplitude, obs.n_p, obs.delta_n_a, obs.n_b,
+                         point.energy, point.curvature, point.stability.value])
     names = ["branch", "gamma_bar", "np", "delta_na", "nb", "energy", "curvature", "stability"]
     return names, rows
 
 
-def _sweep_fieldnames() -> list[str]:
-    names = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_ground"]
-    for tag in diagram.BRANCH_TAGS:
-        names += [f"np_{tag}", f"eps_{tag}", f"stability_{tag}"]
-    return names
+_SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_ground"] + [
+    f"{kind}_{tag}" for tag in diagram.BRANCH_TAGS for kind in ("np", "eps", "stability")]
+_TAG_OFFSETS = {tag: 6 + 3 * i for i, tag in enumerate(diagram.BRANCH_TAGS)}
 
 
-def _sweep_row_dict(row: diagram.SweepRow) -> dict:
-    out = {
-        "g": row.g,
-        "phase": row.phase.value,
-        "np_ground": row.ground.n_p,
-        "dna_ground": row.ground.delta_n_a,
-        "nb_ground": row.ground.n_b,
-        "eps_ground": row.ground.energy,
-    }
+def _sweep_row_values(row: diagram.SweepRow) -> list:
+    ground = row.ground
+    out = [row.g, row.phase.value, ground.n_p, ground.delta_n_a, ground.n_b, ground.energy]
+    out += [None] * (3 * len(diagram.BRANCH_TAGS))
     for entry in row.branches:
-        out[f"np_{entry.tag}"] = entry.observables.n_p
-        out[f"eps_{entry.tag}"] = entry.observables.energy
-        out[f"stability_{entry.tag}"] = entry.stability.value
+        i = _TAG_OFFSETS[entry.tag]
+        out[i:i + 3] = entry.observables.n_p, entry.observables.energy, entry.stability.value
     return out
 
 
-def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list[list]]:
     g_min, g_max, g_steps = _parse_range(cfg.g, "g")
     try:
         spec = diagram.SweepSpec(omega=cfg.omega, omega_a=cfg.omega_a, omega_b=cfg.omega_b,
@@ -332,10 +313,10 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
         raise ConfigError(str(exc)) from exc
     _check_workers()
     rows = diagram.sweep_g(spec, _solver_config(cfg))
-    return _sweep_fieldnames(), [_sweep_row_dict(r) for r in rows]
+    return list(_SWEEP_FIELDS), [_sweep_row_values(r) for r in rows]
 
 
-def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
     g_min, g_max, g_steps = _parse_range(cfg.g, "g")
     zeta_min, zeta_max, zeta_steps = _parse_range(cfg.zeta, "zeta")
     if g_steps * zeta_steps > MAX_GRID_CELLS:
@@ -349,39 +330,31 @@ def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[dict]]:
         raise ConfigError(str(exc)) from exc
     _check_workers()
     grid = diagram.phase_grid(spec, _solver_config(cfg))
-    rows = [{"kind": "cell", "zeta": c.zeta, "g": c.g, "phase": c.phase.value,
-             "phase_above": None} for c in grid.cells]
-    rows += [{"kind": "boundary", "zeta": b.zeta, "g": b.g_refined,
-              "phase": b.phase_below.value, "phase_above": b.phase_above.value}
+    rows = [["cell", c.zeta, c.g, c.phase.value, None] for c in grid.cells]
+    rows += [["boundary", b.zeta, b.g_refined, b.phase_below.value, b.phase_above.value]
              for b in grid.boundaries]
     return ["kind", "zeta", "g", "phase", "phase_above"], rows
 
 
-def _cmd_turning_point(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _cmd_turning_point(cfg: RunConfig) -> tuple[list[str], list[list]]:
     zeta = _parse_scalar(cfg.zeta, "zeta")
     if zeta < 0.0:
         raise ConfigError("zeta must be >= 0")
     params = _model_params(cfg, 0.0, zeta)
     g_t = turning_point(params, zeta=zeta, config=_solver_config(cfg))
-    row = {"zeta": zeta, "g_c": critical_coupling(params), "g_t": g_t}
-    return ["zeta", "g_c", "g_t"], [row]
+    return ["zeta", "g_c", "g_t"], [[zeta, critical_coupling(params), g_t]]
 
 
-def _cmd_sp_closure(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _cmd_sp_closure(cfg: RunConfig) -> tuple[list[str], list[list]]:
     if not (math.isfinite(cfg.width_tol) and cfg.width_tol > 0.0):
         raise ConfigError(f"--width-tol must be finite and > 0, got {cfg.width_tol!r}")
     params = _model_params(cfg, 0.0, 0.0)
     star = sp_closure(params, _solver_config(cfg), width_tol=cfg.width_tol)
-    row = {
-        "zeta_star": star,
-        "zeta_estimate": closure_estimate(params),
-        "width_tol": cfg.width_tol,
-        "g_c": critical_coupling(params),
-    }
+    row = [star, closure_estimate(params), cfg.width_tol, critical_coupling(params)]
     return ["zeta_star", "zeta_estimate", "width_tol", "g_c"], [row]
 
 
-def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list[list]]:
     if not 2 <= cfg.n_max <= MAX_N_MAX:
         raise ConfigError(f"n_max must be in [2, {MAX_N_MAX}], got {cfg.n_max}")
     g_min, g_max, count = _parse_range(cfg.g, "g")
@@ -392,8 +365,7 @@ def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     _check_workers()
     rows = rabi.compare_curve(params, np.linspace(g_min, g_max, count), n_max=cfg.n_max)
     return (["g", "energy_ed", "energy_variational", "deviation"],
-            [{"g": r.g, "energy_ed": r.energy_ed, "energy_variational": r.energy_variational,
-              "deviation": r.deviation} for r in rows])
+            [[r.g, r.energy_ed, r.energy_variational, r.deviation] for r in rows])
 
 
 _COMMANDS = {
@@ -417,7 +389,7 @@ def run(argv=None) -> int:
     try:
         cfg = _effective(args)
         fieldnames, rows = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, OutOfRange) as exc:
         print(f"optodicke: invalid input: {exc}", file=sys.stderr)
         return 2
     except (DegenerateBracket, NotFound, rabi.ConvergenceFailure) as exc:

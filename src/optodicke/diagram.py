@@ -1,6 +1,6 @@
 """Parameter sweeps and phase-diagram grids, emitted as plain data tables.
 
-A sweep solves every g point for all its stationary points.  A phase grid
+A sweep solves all its g points in one array pass per branch.  A phase grid
 needs only the two closed-form boundaries of each zeta row, g_c and the
 fold g_t, and labels its cells by comparing g with them; its boundaries are
 those exact couplings.  Rows come back in grid order.  No file I/O happens
@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .model import ModelParams, Observables, PhaseLabel, SpinBranch, Stability, observables_at
+from .model import ModelParams, Observables, PhaseLabel, SpinBranch, Stability, observable_terms
 from .solver import (
     DEFAULT_CONFIG,
     NotFound,
     SolverConfig,
     _is_local_minimum,
+    branch_points,
     critical_coupling,
-    enumerate_stationary_points,
+    ground_state,
+    root_set,
     select_ground,
     turning_point,
     zero_photon_point,
@@ -54,6 +57,11 @@ SWEEP_ZETA_PRESETS = (0.0, 1.0, 2.0, 3.0)
 
 # Grid labels in the order they occur along a zeta row.
 _ROW_PHASES = (PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.NP_NPLUS)
+
+# Tag and ground-state label of each column of _sweep_rows; a normal root is
+# tagged by its stability.
+_COLUMN_TAGS = ("N-", None, None, "N+", "gus+")
+_COLUMN_PHASES = (PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.SP, PhaseLabel.NP_NPLUS, None)
 
 
 @dataclass(frozen=True)
@@ -167,36 +175,66 @@ class BoundaryRow:
     g_t: float | None
 
 
-def _row_at(params: ModelParams, g: float, config: SolverConfig) -> SweepRow:
-    rootsets = enumerate_stationary_points(params, config)
-    gs = select_ground(params, rootsets, config)
+def _sweep_rows(spec: SweepSpec, gs: np.ndarray, config: SolverConfig | None,
+                one_point: bool = False) -> list[SweepRow]:
+    """Rows of sweep_g, or with one_point every ground state from select_ground."""
+    cfg = config if config is not None else DEFAULT_CONFIG
+    params = spec.params_at(spec.g_min)
+    points = [branch_points(params, branch, gs, cfg) for branch in SpinBranch]
+    rows = SimpleNamespace(omega_a=spec.omega_a, omega_b=spec.omega_b, zeta=spec.zeta,
+                           g=gs[:, None])
+    # Columns N- zero point, normal roots, N+ zero point, inverted root: the
+    # candidate order of select_ground.
+    cols = [np.hstack(pair) for pair in zip(*(
+        (pts.x, pts.energy, pts.stability, *observable_terms(rows, pts.branch, np.sqrt(pts.x)))
+        for pts in points))]
+    x, energy, stability, n_p, delta_n_a, n_b = cols
+    stable = stability == Stability.STABLE
+    e_min = np.where(stable, energy, np.inf).min(axis=1, keepdims=True)
+    choice = np.argmin(np.where(stable & (energy <= e_min + 1e-12), x, np.inf), axis=1)
+    marginal = (stability == Stability.MARGINAL).any(axis=1)
 
-    entries: list[BranchEntry] = []
-    for branch, zero_tag in ((SpinBranch.NORMAL, "N-"), (SpinBranch.INVERTED, "N+")):
-        rs = rootsets[branch]
-        entries.append(BranchEntry(zero_tag, observables_at(params, rs.zero_point),
-                                   rs.zero_point.stability))
-        for root in rs.roots:
-            if branch is SpinBranch.NORMAL:
-                tag = "gus-" if root.stability is Stability.UNSTABLE else "gs-"
-            else:
-                tag = "gus+"
-            entries.append(BranchEntry(tag, observables_at(params, root), root.stability))
-
-    entries.sort(key=lambda e: BRANCH_TAGS.index(e.tag))
-    return SweepRow(g=g, phase=gs.phase, ground=gs.observables, branches=tuple(entries))
+    out = []
+    for i, (g, k, row) in enumerate(zip(gs.tolist(), choice.tolist(),
+                                        zip(*(c.tolist() for c in cols)))):
+        _, energy_i, stability_i, n_p_i, delta_n_a_i, n_b_i = row
+        if one_point:
+            ground = select_ground(spec.params_at(g), {pts.branch: root_set(pts, i)
+                                                       for pts in points}, cfg)
+            phase, observables = ground.phase, ground.observables
+        elif marginal[i]:
+            out.append(sweep_row(spec, g, cfg))
+            continue
+        else:  # the inverted root is never stable: p decreases on that branch
+            phase = _COLUMN_PHASES[k]
+            observables = Observables(n_p_i[k], delta_n_a_i[k], n_b_i[k], energy_i[k])
+        # BRANCH_TAGS order: p is concave on the normal branch, so its smaller
+        # root is the stable one (or marginal, tagged gs- as well)
+        entries = tuple(
+            BranchEntry(_COLUMN_TAGS[j] or ("gus-" if stab is Stability.UNSTABLE else "gs-"),
+                        Observables(n_p_i[j], delta_n_a_i[j], n_b_i[j], energy_i[j]), stab)
+            for j in (0, 3, 1, 2, 4) if (stab := stability_i[j]) is not None)
+        out.append(SweepRow(g=g, phase=phase, ground=observables, branches=entries))
+    return out
 
 
 def sweep_row(spec: SweepSpec, g: float, config: SolverConfig | None = None) -> SweepRow:
-    """One sweep row; a module global, so that callers look it up by name."""
-    cfg = config if config is not None else DEFAULT_CONFIG
-    return _row_at(spec.params_at(g), float(g), cfg)
+    """One sweep row, its ground state from select_ground, which probes marginal points.
+
+    A module global: callers look it up by name at call time.
+    """
+    return _sweep_rows(spec, np.array([float(g)]), config, one_point=True)[0]
 
 
 def sweep_g(spec: SweepSpec, config: SolverConfig | None = None) -> list[SweepRow]:
-    """Ground state plus all coexisting branches for each g of the sweep."""
-    cfg = config if config is not None else DEFAULT_CONFIG
-    return [sweep_row(spec, g, cfg) for g in spec.grid()]
+    """Ground state plus all coexisting branches for each g of the sweep.
+
+    One branch_points call per branch covers the whole grid.  The ground
+    state is the lowest-energy stable point, ties within 1e-12 going to the
+    smaller amplitude, as in select_ground.  Rows with a marginal point
+    (|curvature| <= tol_curv, such as g exactly at g_c) go through sweep_row.
+    """
+    return _sweep_rows(spec, spec.grid(), config)
 
 
 def grid_row(spec: GridSpec, zeta: float, config: SolverConfig | None = None
@@ -232,7 +270,7 @@ def grid_row(spec: GridSpec, zeta: float, config: SolverConfig | None = None
         if _is_local_minimum(params, SpinBranch.NORMAL, 0.0):
             index[i] = 0  # as in select_ground, whose tie rule favours gamma_bar = 0
         else:
-            ground = select_ground(params, enumerate_stationary_points(params, cfg), cfg)
+            ground = ground_state(params, cfg)
             index[i] = _ROW_PHASES.index(ground.phase)
     labels = [_ROW_PHASES[i] for i in index.tolist()]
     cells = [GridCell(g=g, zeta=zeta, phase=lab) for g, lab in zip(gs.tolist(), labels)]

@@ -18,6 +18,8 @@ branch, the plus sign to the population-inverted branch.  All quantities are
 per atom and expressed in units of omega_a; none of them depends on N.
 
 Every function here is pure and accepts scalar or ndarray ``gamma_bar``.
+The solver's array kernel also passes parameters whose ``g`` is an ndarray
+column, one coupling per row, which broadcasts against ``gamma_bar``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "extremum_polynomial_slope",
     "curvature",
     "scs_angles",
+    "observable_terms",
     "observables_at",
     "classify_stability",
     "raw_amplitude",
@@ -181,7 +184,7 @@ def level_splitting(params: ModelParams, gamma_bar):
 def scaled_energy(params: ModelParams, branch: SpinBranch, gamma_bar):
     """Scaled variational energy eps of one branch at amplitude gamma_bar."""
     x = gamma_bar * gamma_bar
-    quartic = params.omega * x - params.zeta**2 * x * x / params.omega_b
+    quartic = params.omega * x - (params.zeta * params.zeta) * x * x / params.omega_b
     return quartic + branch.sign * level_splitting(params, gamma_bar) / 2.0
 
 
@@ -194,13 +197,14 @@ def extremum_polynomial(params: ModelParams, branch: SpinBranch, gamma_bar):
     """
     x = gamma_bar * gamma_bar
     A = level_splitting(params, gamma_bar)
-    return params.omega - 2.0 * params.zeta**2 * x / params.omega_b + branch.sign * params.g**2 / A
+    return (params.omega - 2.0 * (params.zeta * params.zeta) * x / params.omega_b
+            + branch.sign * (params.g * params.g) / A)
 
 
 def extremum_polynomial_slope(params: ModelParams, branch: SpinBranch, gamma_bar):
     """dp/dgamma_bar, used for the Newton steps that polish the roots of p."""
     A = level_splitting(params, gamma_bar)
-    return (-4.0 * params.zeta**2 * gamma_bar / params.omega_b
+    return (-4.0 * (params.zeta * params.zeta) * gamma_bar / params.omega_b
             - branch.sign * 4.0 * params.g**4 * gamma_bar / A**3)
 
 
@@ -213,8 +217,8 @@ def curvature(params: ModelParams, branch: SpinBranch, gamma_bar):
     """
     x = gamma_bar * gamma_bar
     A = level_splitting(params, gamma_bar)
-    return 2.0 * (params.omega - 6.0 * params.zeta**2 * x / params.omega_b
-                  + branch.sign * params.g**2 * params.omega_a**2 / A**3)
+    return 2.0 * (params.omega - 6.0 * (params.zeta * params.zeta) * x / params.omega_b
+                  + branch.sign * (params.g * params.g) * params.omega_a**2 / A**3)
 
 
 def scs_angles(params: ModelParams, gamma_bar: float) -> ScsAngles:
@@ -231,13 +235,18 @@ def scs_angles(params: ModelParams, gamma_bar: float) -> ScsAngles:
     return ScsAngles(theta=theta, phi=math.pi, eta=0.0, xi=0.0, rho_bar=rho_bar)
 
 
+def observable_terms(params: ModelParams, branch: SpinBranch, gamma_bar):
+    """n_p, delta_n_a and n_b at amplitude gamma_bar (scalar or ndarray)."""
+    n_p = gamma_bar * gamma_bar
+    delta_n_a = branch.sign * params.omega_a / (2.0 * level_splitting(params, gamma_bar))
+    n_b = params.zeta * n_p / params.omega_b
+    return n_p, delta_n_a, n_b * n_b
+
+
 def observables_at(params: ModelParams, point: VariationalPoint) -> Observables:
     """Observables of a stationary point: n_p, delta_n_a, n_b and eps."""
-    n_p = point.amplitude * point.amplitude
-    A = float(level_splitting(params, point.amplitude))
-    delta_n_a = point.branch.sign * params.omega_a / (2.0 * A)
-    n_b = (params.zeta * n_p / params.omega_b) ** 2
-    return Observables(n_p=n_p, delta_n_a=delta_n_a, n_b=n_b, energy=point.energy)
+    n_p, delta_n_a, n_b = observable_terms(params, point.branch, point.amplitude)
+    return Observables(n_p=n_p, delta_n_a=float(delta_n_a), n_b=n_b, energy=point.energy)
 
 
 def classify_stability(curv: float, tol_curv: float) -> Stability:

@@ -1,15 +1,18 @@
 """Stationary points, phase boundaries and ground-state selection.
 
-Every stationary point has a closed form.  With the dressed splitting
-A = sqrt(omega_a^2 + 4 g^2 x), x = gamma_bar^2, and c = zeta^2/(2 g^2 omega_b),
-multiplying p = 0 by A gives the depressed cubic
+Every stationary point has a closed form, evaluated for every g of a sweep at
+once by one array kernel, branch_points; find_roots is its one-point call.
+With the dressed splitting A = sqrt(omega_a^2 + 4 g^2 x), x = gamma_bar^2, and
+c = zeta^2/(2 g^2 omega_b), multiplying p = 0 by A gives the depressed cubic
 
     c*A^3 - (omega + c*omega_a^2)*A -/+ g^2 = 0
 
 (+g^2 on the normal branch, -g^2 on the inverted one).  Its roots come from
 the trigonometric (or hyperbolic) cubic formula; a root is a positive
 stationary amplitude when A > omega_a, and x = (A - omega_a)(A + omega_a)/(4 g^2).
-Two Newton steps on p(x) polish each root.
+Two Newton steps on p(x) polish each root.  At zeta = 0 the normal branch has
+x = g^2/(4 omega^2) - omega_a^2/(4 g^2) above g_c and the inverted one none; for
+g^2 <= 2^-60 omega*omega_a both have x = omega*omega_b/(2 zeta^2), exact to rounding.
 
 The turning point g_t is the cubic's double root.  In u = g^2 it is the one
 positive root of the quartic 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4,
@@ -22,6 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 from .model import (
     ModelParams,
@@ -43,13 +49,16 @@ __all__ = [
     "SolverError",
     "DegenerateBracket",
     "NotFound",
+    "OutOfRange",
     "RootSet",
+    "BranchPoints",
     "GroundState",
     "CriticalPoints",
     "critical_coupling",
     "zero_photon_point",
+    "branch_points",
     "find_roots",
-    "enumerate_stationary_points",
+    "root_set",
     "ground_state",
     "turning_point",
     "sp_closure",
@@ -58,6 +67,12 @@ __all__ = [
 ]
 
 _NEWTON_STEPS = 2
+_THIRDS = np.array([2.0 * math.pi * k / 3.0 for k in range(3)])
+# by code: 1 curvature > tol_curv, 2 curvature < -tol_curv, 0 in between, 3 no point
+_STABILITY = np.array([Stability.MARGINAL, Stability.STABLE, Stability.UNSTABLE, None])
+_OUT_OF_RANGE = ("is outside the supported range, where every stationary point fits in doubles "
+                 "(at omega = omega_a = 1, omega_b = 10: about 1e-153 < zeta < 5e153, "
+                 "with g < 1e77 at zeta = 0 and g < 1e115 at zeta = 1)")
 
 
 class SolverError(Exception):
@@ -74,6 +89,10 @@ class DegenerateBracket(SolverError):
 
 class NotFound(SolverError):
     """The requested critical point does not exist in the search window."""
+
+
+class OutOfRange(SolverError):
+    """A stationary point at the given (g, zeta) does not fit in doubles."""
 
 
 @dataclass(frozen=True)
@@ -126,6 +145,22 @@ class RootSet:
 
 
 @dataclass(frozen=True)
+class BranchPoints:
+    """Stationary points of one branch, row i at the i-th g of an array.
+
+    Column 0 is gamma_bar = 0, then the positive roots ascending (2 columns on
+    the normal branch, 1 on the inverted), x = gamma_bar^2 NaN and stability
+    None where absent.
+    """
+
+    branch: SpinBranch
+    x: np.ndarray
+    energy: np.ndarray
+    curvature: np.ndarray
+    stability: np.ndarray
+
+
+@dataclass(frozen=True)
 class GroundState:
     """Lowest local minimum of the scaled energy over both branches."""
 
@@ -155,18 +190,6 @@ def critical_coupling(params: ModelParams) -> float:
     return math.sqrt(params.omega * params.omega_a)
 
 
-def _point_at(params: ModelParams, branch: SpinBranch, gamma_bar: float,
-              config: SolverConfig) -> VariationalPoint:
-    curv = float(curvature(params, branch, gamma_bar))
-    return VariationalPoint(
-        amplitude=gamma_bar,
-        branch=branch,
-        energy=float(scaled_energy(params, branch, gamma_bar)),
-        curvature=curv,
-        stability=classify_stability(curv, config.tol_curv),
-    )
-
-
 def zero_photon_point(params: ModelParams, branch: SpinBranch,
                       config: SolverConfig | None = None) -> VariationalPoint:
     """The gamma_bar = 0 stationary point of a branch.
@@ -175,96 +198,115 @@ def zero_photon_point(params: ModelParams, branch: SpinBranch,
     below g_c, the inverted point N+ is stable for every g.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    return _point_at(params, branch, 0.0, cfg)
+    curv = float(curvature(params, branch, 0.0))
+    return VariationalPoint(amplitude=0.0, branch=branch,
+                            energy=float(scaled_energy(params, branch, 0.0)), curvature=curv,
+                            stability=classify_stability(curv, cfg.tol_curv))
 
 
-def _cubic_roots(c: float, b: float, q: float) -> list[float]:
-    """Real roots of c*A^3 - b*A - q = 0 (c, b > 0), in descending order."""
-    r = math.sqrt(b / (3.0 * c))
-    arg = q / (2.0 * c * r**3)
-    if abs(arg) <= 1.0:
-        theta = math.acos(arg) / 3.0
-        return [2.0 * r * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    return [math.copysign(2.0 * r * math.cosh(math.acosh(abs(arg)) / 3.0), arg)]
+def _cubic_x(rows: SimpleNamespace, branch: SpinBranch, g2: np.ndarray) -> np.ndarray:
+    """x of the roots of c*A^3 - b*A - q = 0 with A > omega_a (NaN if none), per g^2 > 0.
 
-
-def _splitting_excess(params: ModelParams, branch: SpinBranch) -> list[float]:
-    """A - omega_a for every real root A of the branch's cubic (g > 0).
-
-    A - omega_a suffers cancellation when A is close to omega_a (near g_c,
-    and at small g).  The excess roots y solve a cubic whose root product is
-    (omega*omega_a -/+ g^2)/c, so the smallest one is taken from the other
-    two (unless one of them is 0 too: the triple root at g_c and closure);
-    it is exactly 0 when g^2 == omega*omega_a.
+    inf marks a row whose coefficients do not fit in doubles.  The excess
+    A - omega_a nearest 0 comes from the excesses' root product
+    (omega*omega_a + q)/c (exactly 0 at g_c), unless another excess is within
+    1e-4 r of 0 too (next to the triple root at g_c and closure).
     """
-    g2, oa = params.g**2, params.omega_a
-    c = params.zeta**2 / (2.0 * g2 * params.omega_b)
+    oa = rows.omega_a
+    c = (rows.zeta * rows.zeta) / (2.0 * g2 * rows.omega_b)
     q = branch.sign * g2
-    ys = [a - oa for a in _cubic_roots(c, params.omega + c * oa * oa, q)]
-    if len(ys) == 3:
-        i = min(range(3), key=lambda j: abs(ys[j]))
-        rest = math.prod(ys[:i] + ys[i + 1:])
-        if rest != 0.0:
-            ys[i] = (params.omega * oa + q) / (c * rest)
-    return ys
+    b = rows.omega + c * oa * oa
+    r = np.sqrt(b / (3.0 * c))
+    arg = q / (2.0 * c * r**3)
+    if np.isinf(r**3).any():
+        arg = np.where(np.isinf(r**3), 1.5 * q / (b * r), arg)
+    ys = 2.0 * r[:, None] * np.cos(np.arccos(arg)[:, None] / 3.0 - _THIRDS) - oa
+    n = np.arange(g2.size)
+    i = np.argmin(np.abs(ys), axis=1)
+    y_j, y_k = ys[n, (i + 1) % 3], ys[n, (i + 2) % 3]
+    apart = np.minimum(np.abs(y_j), np.abs(y_k)) > 1e-4 * r
+    ys[n, i] = np.where(apart, (rows.omega * oa + q) / (c * (y_j * y_k)), ys[n, i])
+    one = ~(np.abs(arg) <= 1.0)
+    if one.any():
+        ys[one] = -np.inf
+        ys[one, 0] = np.copysign(2.0 * r * np.cosh(np.arccosh(np.abs(arg)) / 3.0), arg)[one] - oa
+    x = np.where(ys > 0.0, ys * (ys + 2.0 * oa) / (4.0 * g2[:, None]), np.nan)
 
-
-def _newton_polish(params: ModelParams, branch: SpinBranch, x: float) -> float:
-    """Newton steps on p(x), with dp/dx = (dp/dgamma_bar) / (2 gamma_bar)."""
+    # Newton steps on p(x), dp/dx = (dp/dgamma_bar)/(2 gamma_bar).  A root stops at the
+    # first step with slope 0, a result <= 0, or a larger |p| (from a double root).
+    active = ~np.isnan(x)
+    gamma_bar = np.sqrt(x)
+    p = extremum_polynomial(rows, branch, gamma_bar)
     for _ in range(_NEWTON_STEPS):
-        gamma_bar = math.sqrt(x)
-        dpdx = float(extremum_polynomial_slope(params, branch, gamma_bar)) / (2.0 * gamma_bar)
-        if dpdx == 0.0:
-            break
-        x_next = x - float(extremum_polynomial(params, branch, gamma_bar)) / dpdx
-        if not x_next > 0.0:
-            break
-        x = x_next
+        dpdx = extremum_polynomial_slope(rows, branch, gamma_bar) / (2.0 * gamma_bar)
+        x_next = x - p / dpdx
+        p_next = extremum_polynomial(rows, branch, np.sqrt(x_next))
+        active &= (dpdx != 0.0) & (x_next > 0.0) & (np.abs(p_next) <= np.abs(p))
+        x, p = np.where(active, x_next, x), np.where(active, p_next, p)
+        gamma_bar = np.sqrt(x)
+
+    x[~((c > 0.0) & np.isfinite(2.0 * r)) | np.isnan(ys).any(axis=1)] = [np.inf, np.nan, np.nan]
     return x
+
+
+def branch_points(params: ModelParams, branch: SpinBranch, g,
+                  config: SolverConfig | None = None) -> BranchPoints:
+    """Every stationary point of a branch at each coupling of the array g.
+
+    The one root kernel (see the module docstring); params fixes omega,
+    omega_a, omega_b and zeta, and params.g is ignored.  Raises OutOfRange
+    where a point does not fit in doubles.
+    """
+    cfg = config if config is not None else DEFAULT_CONFIG
+    g = np.asarray(g, dtype=float).reshape(-1)
+    rows = SimpleNamespace(omega=params.omega, omega_a=params.omega_a,
+                           omega_b=params.omega_b, zeta=params.zeta, g=g[:, None])
+    with np.errstate(all="ignore"):
+        g2 = g * g
+        if params.zeta == 0.0:
+            x = np.full((g.size, 3), np.nan)
+            if branch is SpinBranch.NORMAL:
+                x[:, 0] = np.where(g > critical_coupling(params), g2 / (4.0 * params.omega**2)
+                                   - params.omega_a**2 / (4.0 * g2), np.nan)
+        else:
+            x = _cubic_x(rows, branch, g2)
+            x[g2 <= params.omega * params.omega_a * 2.0**-60] = [
+                np.float64(params.omega * params.omega_b) / (2.0 * params.zeta * params.zeta),
+                np.nan, np.nan]
+        # at most 2 positive roots on the normal branch (A_2 < 0), 1 on the inverted (A_1, A_2 < 0)
+        limit = 2 if branch is SpinBranch.NORMAL else 1
+        x = np.hstack([np.zeros((g.size, 1)), np.sort(x, axis=1)[:, :limit]])
+        gamma_bar = np.sqrt(x)
+        energy = scaled_energy(rows, branch, gamma_bar)
+        curv = curvature(rows, branch, gamma_bar)
+
+    present = ~np.isnan(x)
+    fits = np.isfinite(energy) & np.isfinite(curv) & np.isfinite(x)
+    fits[:, 1:] &= x[:, 1:] > 0.0
+    bad = (present & ~fits).any(axis=1)
+    if bad.any():
+        raise OutOfRange(f"g={float(g[bad][0])!r}, zeta={params.zeta!r} {_OUT_OF_RANGE}")
+    stability = _STABILITY[(curv > cfg.tol_curv) + 2 * (curv < -cfg.tol_curv) + 3 * ~present]
+    return BranchPoints(branch=branch, x=x, energy=energy, curvature=curv, stability=stability)
 
 
 def find_roots(params: ModelParams, branch: SpinBranch,
                config: SolverConfig | None = None) -> RootSet:
-    """Locate and classify every positive stationary amplitude of a branch.
+    """Every positive stationary amplitude of a branch, classified.
 
-    With zeta = 0 the normal branch has the closed-form root
-    gamma_bar^2 = g^2/(4 omega^2) - omega_a^2/(4 g^2) above g_c and the
-    inverted branch none.  With zeta > 0 and g = 0 both branches have the
-    root gamma_bar^2 = omega*omega_b/(2 zeta^2).  Otherwise the roots are
-    those of the depressed cubic in A with A > omega_a (see the module
-    docstring), each polished by Newton steps on p.  Never raises
-    DegenerateBracket.
+    The one-point call of branch_points at params.g.  Never raises DegenerateBracket.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
-    zero = zero_photon_point(params, branch, cfg)
-
-    xs: list[float] = []
-    if params.zeta == 0.0:
-        if branch is SpinBranch.NORMAL and params.g > critical_coupling(params):
-            xs.append(params.g**2 / (4.0 * params.omega**2)
-                      - params.omega_a**2 / (4.0 * params.g**2))
-    elif params.g == 0.0:
-        xs.append(params.omega * params.omega_b / (2.0 * params.zeta**2))
-    else:
-        four_g2 = 4.0 * params.g**2
-        for y in _splitting_excess(params, branch):
-            if y > 0.0:
-                xs.append(_newton_polish(params, branch,
-                                         y * (y + 2.0 * params.omega_a) / four_g2))
-
-    return RootSet(
-        branch=branch,
-        roots=tuple(_point_at(params, branch, math.sqrt(x), cfg) for x in sorted(xs)),
-        zero_point=zero,
-    )
+    return root_set(branch_points(params, branch, [params.g], config), 0)
 
 
-def enumerate_stationary_points(params: ModelParams,
-                                config: SolverConfig | None = None
-                                ) -> dict[SpinBranch, RootSet]:
-    """RootSets of both branches (shared by ground_state and the sweeps)."""
-    cfg = config if config is not None else DEFAULT_CONFIG
-    return {branch: find_roots(params, branch, cfg) for branch in SpinBranch}
+def root_set(pts: BranchPoints, i: int) -> RootSet:
+    """The RootSet of row i of a branch_points result."""
+    points = [VariationalPoint(amplitude=math.sqrt(x), branch=pts.branch, energy=e, curvature=k,
+                               stability=s)
+              for x, e, k, s in zip(pts.x[i].tolist(), pts.energy[i].tolist(),
+                                    pts.curvature[i].tolist(), pts.stability[i].tolist())
+              if s is not None]
+    return RootSet(branch=pts.branch, roots=tuple(points[1:]), zero_point=points[0])
 
 
 def _is_local_minimum(params: ModelParams, branch: SpinBranch, gamma_bar: float) -> bool:
@@ -293,8 +335,7 @@ def ground_state(params: ModelParams, config: SolverConfig | None = None) -> Gro
     ground state always exists.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    rootsets = enumerate_stationary_points(params, cfg)
-    return select_ground(params, rootsets, cfg)
+    return select_ground(params, {b: find_roots(params, b, cfg) for b in SpinBranch}, cfg)
 
 
 def select_ground(params: ModelParams, rootsets: dict[SpinBranch, RootSet],

@@ -52,21 +52,23 @@ def scan_roots(sign, g, zeta, omega, omega_a, omega_b, n_points=100_000):
     x_hi = 1.2 * top * omega_b / (2.0 * zeta**2)
     xs = np.linspace(0.0, x_hi, n_points + 1)
     ps = p_of_x(xs, sign, g, zeta, omega, omega_a, omega_b)
-    roots = []
+    roots = [xs[i] for i in np.nonzero(ps[1:-1] == 0.0)[0] + 1]  # exact zeros on the grid
     for i in np.nonzero(ps[:-1] * ps[1:] < 0.0)[0]:
         lo, hi = xs[i], xs[i + 1]
         flo = ps[i]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             fm = p_of_x(mid, sign, g, zeta, omega, omega_a, omega_b)
-            if flo * fm < 0:
+            if fm == 0.0:
+                lo = hi = mid
+            elif flo * fm < 0:
                 hi = mid
             else:
                 lo, flo = mid, fm
             if hi - lo < 1e-14 * max(1.0, hi):
                 break
         roots.append(0.5 * (lo + hi))
-    return roots
+    return sorted(roots)
 
 
 def fold_gt(zeta, omega=1.0, omega_a=1.0, omega_b=10.0):

@@ -3,6 +3,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,3 +317,79 @@ def test_stdout_default(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# all quantities in units of omega_a")
     assert "branch" in out.splitlines()[1]
+
+
+def _run_captured(argv, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_parser_reuse_leaks_nothing(capsys):
+    # the parser is built once per process; flags and defaults of one call
+    # must not carry over into the next
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    calls = [["sweep", "--zeta", "1", "--g", "0:3:7"], ["turning-point", "--omega-b", "5"],
+             ["sweep", "--g", "0:3:7"]]
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "optodicke.cli", *argv], env=env,
+                               capture_output=True)
+        assert _run_captured(argv, capsys) == (fresh.returncode, fresh.stdout.decode(),
+                                               fresh.stderr.decode())
+
+
+# g or zeta at the edge of double range.  The finite cases are checked against
+# the closed forms of their limits: the g -> 0 root omega*omega_b/(2 zeta^2) on
+# both branches, and for zeta -> 0 the Dicke root g^2/4 - 1/(4 g^2) next to it.
+EXTREME = {
+    ("1e-170", "1"): {"normal": [5.0], "inverted": [5.0]},
+    ("2", "1e-103"): {"normal": [0.9375, 5e206], "inverted": [5e206]},
+    ("1", "1e200"): None,  # zeta^2 overflows
+    ("2", "1e-160"): None,  # the root omega*omega_b/(2 zeta^2) overflows
+}
+
+
+def _check_extreme(argv, expected, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run_captured(argv, capsys)
+    if expected is None:
+        assert code == 2 and out == ""
+        assert "outside the supported range" in err and "Traceback" not in err
+        return None
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert all(math.isfinite(float(v)) for row in rows for k, v in row.items()
+               if v and k not in ("branch", "phase") and not k.startswith("stability"))
+    return rows
+
+
+@pytest.mark.parametrize("g, zeta", list(EXTREME))
+def test_roots_at_extreme_g_and_zeta(g, zeta, capsys):
+    expected = EXTREME[(g, zeta)]
+    rows = _check_extreme(["roots", "--g", g, "--zeta", zeta], expected, capsys)
+    if rows is not None:
+        for branch, xs in expected.items():
+            got = [float(r["np"]) for r in rows if r["branch"] == branch][1:]
+            assert got == pytest.approx(xs, rel=1e-8)
+
+
+@pytest.mark.parametrize("g, zeta", list(EXTREME))
+def test_sweep_at_extreme_g_and_zeta(g, zeta, capsys):
+    expected = EXTREME[(g, zeta)]
+    rows = _check_extreme(["sweep", "--g", f"0:{g}:2", "--zeta", zeta], expected, capsys)
+    if rows is not None:
+        row = rows[1]
+        normal = [float(row[f"np_{t}"]) for t in ("gs-", "gus-") if row[f"np_{t}"]]
+        assert sorted(normal) == pytest.approx(expected["normal"], rel=1e-8)
+        assert float(row["np_gus+"]) == pytest.approx(expected["inverted"][0], rel=1e-8)
+
+
+def test_phase_diagram_zeta_past_double_range(capsys):
+    # the cell at g_c goes to the scalar solver, where zeta^2 does not fit in a double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["phase-diagram", "--g", "0:3:4", "--zeta", "3:1e200:2"]) == 2
+    assert "outside the supported range" in capsys.readouterr().err

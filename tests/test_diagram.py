@@ -1,6 +1,8 @@
 """Sweeps, phase grids and boundary traces."""
 
+import contextlib
 import csv
+import io
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from optodicke.diagram import (
     grid_row,
     phase_grid,
     sweep_g,
+    sweep_row,
 )
 from optodicke.cli import run
 from optodicke.model import ModelParams, PhaseLabel, Stability
@@ -209,15 +212,15 @@ class TestGridReferee:
 
     @settings(max_examples=80, deadline=None)
     @given(omega=st.floats(0.3, 3.0), omega_a=st.floats(0.3, 3.0), omega_b=st.floats(1.0, 40.0),
-           g_lo=st.one_of(st.just(0.0), st.floats(1e-6, 1.5)), g_span=st.floats(0.05, 3.0),
-           g_steps=st.integers(2, 25), z_lo=st.one_of(st.just(0.0), st.floats(1e-6, 1.2)),
+           g_lo=st.one_of(st.just(0.0), st.floats(1e-100, 1.5)), g_span=st.floats(0.05, 3.0),
+           g_steps=st.integers(2, 25), z_lo=st.one_of(st.just(0.0), st.floats(1e-100, 1.2)),
            z_span=st.floats(0.01, 0.5), z_steps=st.integers(2, 5))
     def test_matches_ground_state_and_fold(self, omega, omega_a, omega_b, g_lo, g_span, g_steps,
                                            z_lo, z_span, z_steps):
         # Grid ends in units of g_c and of the closure coupling, so that every
         # draw spans the interesting region whatever the frequencies.  g and
-        # zeta start at 0 or at least 1e-6 of their unit: the referee's cubic
-        # fails where g^2 underflows (g < ~1e-160) or zeta/g < ~1e-100.
+        # zeta start at 0 or at least 1e-100 of their unit, well inside the
+        # range where every stationary point fits in doubles.
         base = ModelParams(omega=omega, omega_a=omega_a, omega_b=omega_b)
         g_c, closure = critical_coupling(base), closure_estimate(base)
         spec = GridSpec(omega=omega, omega_a=omega_a, omega_b=omega_b,
@@ -336,3 +339,84 @@ class TestBoundaryTrace:
         for wb in (5.0, 10.0, 40.0):
             rows = boundary_trace(GridSpec(omega_b=wb, zeta_min=0.5, zeta_max=2.5, zeta_steps=3))
             assert all(r.g_c == 1.0 for r in rows)
+
+
+class TestSweepReferee:
+    """The array sweep against the sign-scan oracle and one-point solves."""
+
+    @staticmethod
+    def _stability(slope):
+        return Stability.STABLE if slope > 0.0 else Stability.UNSTABLE
+
+    def _check_row(self, spec, row, g_c, g_t):
+        args = (row.g, spec.zeta, spec.omega, spec.omega_a, spec.omega_b)
+        by_tag = {e.tag: e for e in row.branches}
+        for tag, sign in (("N-", -1), ("N+", +1)):
+            if by_tag[tag].stability is not Stability.MARGINAL:
+                p0 = oracles.p_of_x(0.0, sign, *args)
+                assert by_tag[tag].stability is self._stability(p0), (row.g, tag)
+        for sign, tags in ((-1, ("gs-", "gus-")), (+1, ("gus+",))):
+            got = [(by_tag[t].observables.n_p, by_tag[t]) for t in tags if t in by_tag]
+            if sign < 0 and abs(row.g - g_t) <= 1e-9 * g_t:
+                # within rounding of the fold the pair may or may not split;
+                # roots, if reported, sit at the merged root A^3 = omega_b g^4/zeta^2
+                a_star = (spec.omega_b * row.g**4 / spec.zeta**2) ** (1.0 / 3.0)
+                x_star = (a_star**2 - spec.omega_a**2) / (4.0 * row.g**2)
+                assert [x for x, _ in got] == pytest.approx([x_star] * len(got), rel=1e-6)
+                continue
+            expected = oracles.scan_roots(sign, *args, n_points=20_000)
+            if row.g == g_c:
+                # at g_c a root within rounding of the zero point is no root
+                floor = 1e-6 * max([1.0, *expected])
+                got = [(x, e) for x, e in got if x > floor]
+                expected = [x for x in expected if x > floor]
+            assert len(got) == len(expected), (row.g, sign, got, expected)
+            for (x, entry), x_ref in zip(got, expected):
+                assert x == pytest.approx(x_ref, rel=1e-6, abs=1e-12)
+                h = 1e-6 * x
+                slope = oracles.p_of_x(x + h, sign, *args) - oracles.p_of_x(x - h, sign, *args)
+                assert entry.stability is self._stability(slope), (row.g, sign, x)
+
+    @settings(max_examples=15, deadline=None)
+    @given(omega=st.floats(0.3, 3.0), omega_a=st.floats(0.3, 3.0), omega_b=st.floats(1.0, 40.0),
+           z_unit=st.floats(0.05, 0.95), z_over=st.floats(0.0, 0.5), k=st.integers(2, 4))
+    def test_rows_match_scan_oracle_and_one_point_rows(self, omega, omega_a, omega_b, z_unit,
+                                                        z_over, k):
+        # g grids in units of g_c, 0 to 4 g_c in 2^k steps so that g_c is a grid
+        # point, at zeta = 0, inside the window and at or past the closure
+        # estimate; and the computed g_t with its neighbouring doubles
+        base = ModelParams(omega=omega, omega_a=omega_a, omega_b=omega_b)
+        g_c, closure = critical_coupling(base), closure_estimate(base)
+        zeta = z_unit * closure
+        g_t = turning_point(base, zeta=zeta)
+        common = dict(omega=omega, omega_a=omega_a, omega_b=omega_b)
+        specs = [SweepSpec(**common, zeta=z, g_min=0.0, g_max=4.0 * g_c, g_steps=2**k + 1)
+                 for z in (0.0, zeta, closure * (1.0 + z_over))]
+        specs.append(SweepSpec(**common, zeta=zeta, g_min=math.nextafter(g_t, 0.0),
+                               g_max=math.nextafter(g_t, math.inf), g_steps=3))
+        for spec in specs:
+            rows = sweep_g(spec)
+            assert [r.g for r in rows] == spec.grid().tolist()
+            assert g_c in [r.g for r in rows] or spec.g_steps == 3
+            assert rows == [sweep_row(spec, g) for g in spec.grid().tolist()]
+            for row in rows:
+                self._check_row(spec, row, g_c, g_t)
+
+        # a roots call prints the values of the sweep row at the same g
+        spec = specs[1]
+        flags = ["--omega", repr(omega), "--omega-a", repr(omega_a), "--omega-b", repr(omega_b),
+                 "--zeta", repr(spec.zeta)]
+        g = float(spec.grid()[1])
+        sweep_out, roots_out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(sweep_out):
+            assert run(["sweep", "--g", f"{g!r}:{spec.g_max!r}:2", *flags]) == 0
+        with contextlib.redirect_stdout(roots_out):
+            assert run(["roots", "--g", repr(g), *flags]) == 0
+        sweep_out, roots_out = sweep_out.getvalue(), roots_out.getvalue()
+        row = next(csv.DictReader(sweep_out.splitlines()[1:]))
+        printed = {(r["branch"], r["np"], r["energy"], r["stability"])
+                   for r in csv.DictReader(roots_out.splitlines()[1:])}
+        expected = {("normal" if tag in ("N-", "gs-", "gus-") else "inverted",
+                     row[f"np_{tag}"], row[f"eps_{tag}"], row[f"stability_{tag}"])
+                    for tag in BRANCH_TAGS if row[f"np_{tag}"]}
+        assert printed == expected
