@@ -12,9 +12,7 @@ cell counts and --n-max are capped (exit 2 above the cap).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -24,8 +22,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import diagram, rabi
-from .model import ModelParams, SpinBranch, observables_at
+from .model import ModelParams, SpinBranch, Stability, observables_at
 from .solver import (
+    PHASES,
     DegenerateBracket,
     NotFound,
     OutOfRange,
@@ -245,28 +244,44 @@ def _check_workers() -> None:
         raise ConfigError(f"OPTODICKE_WORKERS must be an integer, got {text!r}") from exc
 
 
-def _quantize(value):
-    if isinstance(value, float):
-        return float(f"{value:.9g}")
-    return value
+_PHASE_TEXT = np.array([phase.value for phase in PHASES])
 
 
-def _emit(cfg: RunConfig, fieldnames: list[str], rows: list[list]) -> None:
-    """Write rows, each a list of values in fieldnames order, as CSV or JSON."""
+def _stability_text(column: np.ndarray) -> list:
+    """Stability members as their values, None staying None."""
+    text = np.full(column.shape, None)
+    for member in Stability:
+        text[column == member] = member.value
+    return text.tolist()
+
+
+def _fields(column) -> list[str]:
+    """A column as CSV fields: a float array at 9 significant digits, with NaN, like None, as ''."""
+    if not isinstance(column, np.ndarray):
+        return ["" if v is None else v for v in column]
+    text = list(map("{:.9g}".format, column.tolist()))
+    if np.isnan(column).any():
+        text = ["" if t == "nan" else t for t in text]
+    return text
+
+
+def _emit(cfg: RunConfig, fieldnames: list[str], columns: list) -> None:
+    """Write columns, one per field name, as CSV or JSON.
+
+    A column is a float ndarray (NaN where a value is absent), formatted once,
+    or a list of labels (None where absent).  Absent values are empty CSV
+    fields and JSON nulls.
+    """
+    fields = [_fields(c) for c in columns]
     if cfg.format == "json":
-        payload = {
-            "units": UNITS_NOTE,
-            "rows": [dict(zip(fieldnames, map(_quantize, row))) for row in rows],
-        }
+        values = [[float(t) if t else None for t in f] if isinstance(c, np.ndarray) else c
+                  for c, f in zip(columns, fields)]
+        payload = {"units": UNITS_NOTE,
+                   "rows": [dict(zip(fieldnames, row)) for row in zip(*values)]}
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        buf.write(f"# {UNITS_NOTE}\r\n")
-        writer = csv.writer(buf)
-        writer.writerow(fieldnames)
-        # csv writes None as an empty field and other values through str()
-        writer.writerows([f"{v:.9g}" if isinstance(v, float) else v for v in row] for row in rows)
-        text = buf.getvalue()
+        text = "\r\n".join([f"# {UNITS_NOTE}", ",".join(fieldnames),
+                             *map(",".join, zip(*fields))]) + "\r\n"
     if cfg.output == "-":
         sys.stdout.write(text)
     else:
@@ -274,7 +289,7 @@ def _emit(cfg: RunConfig, fieldnames: list[str], rows: list[list]) -> None:
             fh.write(text)
 
 
-def _cmd_roots(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def _cmd_roots(cfg: RunConfig) -> tuple[list[str], list]:
     params = _model_params(cfg, _parse_scalar(cfg.g, "g"), _parse_scalar(cfg.zeta, "zeta"))
     solver_cfg = _solver_config(cfg)
     rows = []
@@ -285,25 +300,15 @@ def _cmd_roots(cfg: RunConfig) -> tuple[list[str], list[list]]:
             rows.append([branch.name.lower(), point.amplitude, obs.n_p, obs.delta_n_a, obs.n_b,
                          point.energy, point.curvature, point.stability.value])
     names = ["branch", "gamma_bar", "np", "delta_na", "nb", "energy", "curvature", "stability"]
-    return names, rows
+    branches, *numbers, stability = zip(*rows)
+    return names, [list(branches), *map(np.array, numbers), list(stability)]
 
 
 _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_ground"] + [
     f"{kind}_{tag}" for tag in diagram.BRANCH_TAGS for kind in ("np", "eps", "stability")]
-_TAG_OFFSETS = {tag: 6 + 3 * i for i, tag in enumerate(diagram.BRANCH_TAGS)}
 
 
-def _sweep_row_values(row: diagram.SweepRow) -> list:
-    ground = row.ground
-    out = [row.g, row.phase.value, ground.n_p, ground.delta_n_a, ground.n_b, ground.energy]
-    out += [None] * (3 * len(diagram.BRANCH_TAGS))
-    for entry in row.branches:
-        i = _TAG_OFFSETS[entry.tag]
-        out[i:i + 3] = entry.observables.n_p, entry.observables.energy, entry.stability.value
-    return out
-
-
-def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list]:
     g_min, g_max, g_steps = _parse_range(cfg.g, "g")
     try:
         spec = diagram.SweepSpec(omega=cfg.omega, omega_a=cfg.omega_a, omega_b=cfg.omega_b,
@@ -312,11 +317,19 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list[list]]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _check_workers()
-    rows = diagram.sweep_g(spec, _solver_config(cfg))
-    return list(_SWEEP_FIELDS), [_sweep_row_values(r) for r in rows]
+    sweep = diagram.sweep_g(spec, _solver_config(cfg))
+    rows, k = np.arange(len(sweep)), sweep.ground
+    columns = [sweep.g, _PHASE_TEXT[sweep.phase].tolist(), sweep.n_p[rows, k],
+               sweep.delta_n_a[rows, k], sweep.n_b[rows, k], sweep.energy[rows, k]]
+    for j in sweep.source.T:
+        found = j >= 0
+        columns += [np.where(found, sweep.n_p[rows, j], np.nan),
+                    np.where(found, sweep.energy[rows, j], np.nan),
+                    _stability_text(np.where(found, sweep.stability[rows, j], None))]
+    return list(_SWEEP_FIELDS), columns
 
 
-def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list]:
     g_min, g_max, g_steps = _parse_range(cfg.g, "g")
     zeta_min, zeta_max, zeta_steps = _parse_range(cfg.zeta, "zeta")
     if g_steps * zeta_steps > MAX_GRID_CELLS:
@@ -330,33 +343,38 @@ def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list[list]]:
         raise ConfigError(str(exc)) from exc
     _check_workers()
     grid = diagram.phase_grid(spec, _solver_config(cfg))
-    rows = [["cell", c.zeta, c.g, c.phase.value, None] for c in grid.cells]
-    rows += [["boundary", b.zeta, b.g_refined, b.phase_below.value, b.phase_above.value]
-             for b in grid.boundaries]
-    return ["kind", "zeta", "g", "phase", "phase_above"], rows
+    cells, bounds = grid.g.size, grid.boundaries
+    columns = [["cell"] * cells + ["boundary"] * len(bounds),
+               np.concatenate([grid.zeta, [b.zeta for b in bounds]]),
+               np.concatenate([grid.g, [b.g_refined for b in bounds]]),
+               _PHASE_TEXT[grid.phase].tolist() + [b.phase_below.value for b in bounds],
+               [None] * cells + [b.phase_above.value for b in bounds]]
+    return ["kind", "zeta", "g", "phase", "phase_above"], columns
 
 
-def _cmd_turning_point(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def _cmd_turning_point(cfg: RunConfig) -> tuple[list[str], list]:
     zeta = _parse_scalar(cfg.zeta, "zeta")
     if zeta < 0.0:
         raise ConfigError("zeta must be >= 0")
     params = _model_params(cfg, 0.0, zeta)
     g_t = turning_point(params, zeta=zeta, config=_solver_config(cfg))
-    return ["zeta", "g_c", "g_t"], [[zeta, critical_coupling(params), g_t]]
+    return ["zeta", "g_c", "g_t"], [np.array([v]) for v in (zeta, critical_coupling(params), g_t)]
 
 
-def _cmd_sp_closure(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def _cmd_sp_closure(cfg: RunConfig) -> tuple[list[str], list]:
     if not (math.isfinite(cfg.width_tol) and cfg.width_tol > 0.0):
         raise ConfigError(f"--width-tol must be finite and > 0, got {cfg.width_tol!r}")
     params = _model_params(cfg, 0.0, 0.0)
     star = sp_closure(params, _solver_config(cfg), width_tol=cfg.width_tol)
-    row = [star, closure_estimate(params), cfg.width_tol, critical_coupling(params)]
-    return ["zeta_star", "zeta_estimate", "width_tol", "g_c"], [row]
+    row = (star, closure_estimate(params), cfg.width_tol, critical_coupling(params))
+    return ["zeta_star", "zeta_estimate", "width_tol", "g_c"], [np.array([v]) for v in row]
 
 
-def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list]:
     if not 2 <= cfg.n_max <= MAX_N_MAX:
         raise ConfigError(f"n_max must be in [2, {MAX_N_MAX}], got {cfg.n_max}")
+    if cfg.n_atoms < 1:  # unused by the ED, but invalid input all the same
+        raise ConfigError(f"n_atoms must be a positive integer, got {cfg.n_atoms!r}")
     g_min, g_max, count = _parse_range(cfg.g, "g")
     try:
         params = rabi.RabiParams(omega=cfg.omega, omega_a=cfg.omega_a, g=0.0)
@@ -364,8 +382,8 @@ def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list[list]]:
         raise ConfigError(str(exc)) from exc
     _check_workers()
     rows = rabi.compare_curve(params, np.linspace(g_min, g_max, count), n_max=cfg.n_max)
-    return (["g", "energy_ed", "energy_variational", "deviation"],
-            [[r.g, r.energy_ed, r.energy_variational, r.deviation] for r in rows])
+    columns = np.array([[r.g, r.energy_ed, r.energy_variational, r.deviation] for r in rows])
+    return ["g", "energy_ed", "energy_variational", "deviation"], list(columns.T)
 
 
 _COMMANDS = {
@@ -388,7 +406,7 @@ def run(argv=None) -> int:
 
     try:
         cfg = _effective(args)
-        fieldnames, rows = _COMMANDS[args.command](cfg)
+        fieldnames, columns = _COMMANDS[args.command](cfg)
     except (ConfigError, OutOfRange) as exc:
         print(f"optodicke: invalid input: {exc}", file=sys.stderr)
         return 2
@@ -397,7 +415,7 @@ def run(argv=None) -> int:
         return 3
 
     try:
-        _emit(cfg, fieldnames, rows)
+        _emit(cfg, fieldnames, columns)
     except OSError as exc:
         print(f"optodicke: cannot write output: {exc}", file=sys.stderr)
         return 2

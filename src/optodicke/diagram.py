@@ -1,33 +1,34 @@
-"""Parameter sweeps and phase-diagram grids, emitted as plain data tables.
+"""Parameter sweeps and phase-diagram grids, as numpy columns in grid order.
 
 A sweep solves all its g points in one array pass per branch.  A phase grid
 needs only the two closed-form boundaries of each zeta row, g_c and the
 fold g_t, and labels its cells by comparing g with them; its boundaries are
-those exact couplings.  Rows come back in grid order.  No file I/O happens
-here, the CLI layer owns serialization.
+those exact couplings.  Row objects (SweepRow, GridCell) are built only on
+request.  No file I/O happens here, the CLI layer owns serialization.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import cached_property
 
 import numpy as np
 
-from .model import ModelParams, Observables, PhaseLabel, SpinBranch, Stability, observable_terms
+from .model import (ModelParams, Observables, PhaseLabel, SpinBranch, Stability, curvature,
+                    observable_terms)
 from .solver import (
+    COLUMN_PHASE,
     DEFAULT_CONFIG,
+    PHASES,
     NotFound,
     SolverConfig,
-    _is_local_minimum,
-    branch_points,
     critical_coupling,
-    ground_state,
-    root_set,
-    select_ground,
+    is_minimum,
+    param_rows,
+    solve_ground,
     turning_point,
-    zero_photon_point,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "GridSpec",
     "BranchEntry",
     "SweepRow",
+    "Sweep",
     "GridCell",
     "BoundarySample",
     "PhaseGrid",
@@ -55,13 +57,11 @@ BRANCH_TAGS = ("N-", "N+", "gs-", "gus-", "gus+")
 # with a narrow window, and one past the collapse of the superradiant phase.
 SWEEP_ZETA_PRESETS = (0.0, 1.0, 2.0, 3.0)
 
-# Grid labels in the order they occur along a zeta row.
-_ROW_PHASES = (PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.NP_NPLUS)
-
-# Tag and ground-state label of each column of _sweep_rows; a normal root is
-# tagged by its stability.
-_COLUMN_TAGS = ("N-", None, None, "N+", "gus+")
-_COLUMN_PHASES = (PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.SP, PhaseLabel.NP_NPLUS, None)
+# BRANCH_TAGS index of each point column of a Sweep; an unstable normal root
+# takes the next tag, gus-.  p is concave on the normal branch, so its smaller
+# root is the stable one (or marginal, tagged gs- as well).
+_COLUMN_TAGS = np.array([0, 2, 2, 1, 4])
+_NORMAL_ROOTS = np.array([0, 1, 1, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,41 @@ class SweepRow:
     branches: tuple[BranchEntry, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """The columns of sweep_g, row i at coupling g[i]; indexing builds SweepRow objects.
+
+    Point columns: those of solver.solve_ground, then the inverted root; n_p,
+    delta_n_a, n_b and energy NaN and stability None where a point is absent.
+    ground is the ground state's column and phase its index into
+    solver.PHASES; source[:, t] is the column tagged BRANCH_TAGS[t], -1 if none.
+    """
+
+    g: np.ndarray
+    phase: np.ndarray
+    ground: np.ndarray
+    n_p: np.ndarray
+    delta_n_a: np.ndarray
+    n_b: np.ndarray
+    energy: np.ndarray
+    stability: np.ndarray
+    source: np.ndarray
+
+    def __len__(self) -> int:
+        return self.g.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        points = [Observables(*values) for values in zip(
+            *(c[i].tolist() for c in (self.n_p, self.delta_n_a, self.n_b, self.energy)))]
+        entries = tuple(BranchEntry(tag, points[j], self.stability[i, j])
+                        for tag, j in zip(BRANCH_TAGS, self.source[i].tolist()) if j >= 0)
+        return SweepRow(g=float(self.g[i]), phase=PHASES[self.phase[i]],
+                        ground=points[self.ground[i]], branches=entries)
+
+
 @dataclass(frozen=True)
 class GridCell:
     g: float
@@ -162,10 +197,20 @@ class BoundarySample:
     phase_above: PhaseLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseGrid:
-    cells: tuple[GridCell, ...]
+    """Cell columns in (zeta, g) order, phase an index into solver.PHASES, and the boundaries."""
+
+    g: np.ndarray
+    zeta: np.ndarray
+    phase: np.ndarray
     boundaries: tuple[BoundarySample, ...]
+
+    @cached_property
+    def cells(self) -> tuple[GridCell, ...]:
+        """The cells as GridCell objects, built on first use."""
+        return tuple(map(GridCell, self.g.tolist(), self.zeta.tolist(),
+                         [PHASES[k] for k in self.phase.tolist()]))
 
 
 @dataclass(frozen=True)
@@ -175,116 +220,85 @@ class BoundaryRow:
     g_t: float | None
 
 
-def _sweep_rows(spec: SweepSpec, gs: np.ndarray, config: SolverConfig | None,
-                one_point: bool = False) -> list[SweepRow]:
-    """Rows of sweep_g, or with one_point every ground state from select_ground."""
-    cfg = config if config is not None else DEFAULT_CONFIG
+def _sweep(spec: SweepSpec, gs: np.ndarray, config: SolverConfig | None) -> Sweep:
     params = spec.params_at(spec.g_min)
-    points = [branch_points(params, branch, gs, cfg) for branch in SpinBranch]
-    rows = SimpleNamespace(omega_a=spec.omega_a, omega_b=spec.omega_b, zeta=spec.zeta,
-                           g=gs[:, None])
-    # Columns N- zero point, normal roots, N+ zero point, inverted root: the
-    # candidate order of select_ground.
-    cols = [np.hstack(pair) for pair in zip(*(
-        (pts.x, pts.energy, pts.stability, *observable_terms(rows, pts.branch, np.sqrt(pts.x)))
-        for pts in points))]
-    x, energy, stability, n_p, delta_n_a, n_b = cols
-    stable = stability == Stability.STABLE
-    e_min = np.where(stable, energy, np.inf).min(axis=1, keepdims=True)
-    choice = np.argmin(np.where(stable & (energy <= e_min + 1e-12), x, np.inf), axis=1)
-    marginal = (stability == Stability.MARGINAL).any(axis=1)
-
-    out = []
-    for i, (g, k, row) in enumerate(zip(gs.tolist(), choice.tolist(),
-                                        zip(*(c.tolist() for c in cols)))):
-        _, energy_i, stability_i, n_p_i, delta_n_a_i, n_b_i = row
-        if one_point:
-            ground = select_ground(spec.params_at(g), {pts.branch: root_set(pts, i)
-                                                       for pts in points}, cfg)
-            phase, observables = ground.phase, ground.observables
-        elif marginal[i]:
-            out.append(sweep_row(spec, g, cfg))
-            continue
-        else:  # the inverted root is never stable: p decreases on that branch
-            phase = _COLUMN_PHASES[k]
-            observables = Observables(n_p_i[k], delta_n_a_i[k], n_b_i[k], energy_i[k])
-        # BRANCH_TAGS order: p is concave on the normal branch, so its smaller
-        # root is the stable one (or marginal, tagged gs- as well)
-        entries = tuple(
-            BranchEntry(_COLUMN_TAGS[j] or ("gus-" if stab is Stability.UNSTABLE else "gs-"),
-                        Observables(n_p_i[j], delta_n_a_i[j], n_b_i[j], energy_i[j]), stab)
-            for j in (0, 3, 1, 2, 4) if (stab := stability_i[j]) is not None)
-        out.append(SweepRow(g=g, phase=phase, ground=observables, branches=entries))
-    return out
+    ground, *points = solve_ground(params, gs, config)
+    n_p, delta_n_a, n_b = (np.hstack(pair) for pair in zip(*(observable_terms(
+        param_rows(params, gs[:, None]), pts.branch, np.sqrt(pts.x)) for pts in points)))
+    stability = np.hstack([pts.stability for pts in points])
+    tag = _COLUMN_TAGS + _NORMAL_ROOTS * (stability == Stability.UNSTABLE)
+    source = np.full(tag.shape, -1)
+    for j in range(tag.shape[1]):  # of two normal roots with one tag, the larger
+        i = np.flatnonzero(~np.isnan(n_p[:, j]))
+        source[i, tag[i, j]] = j
+    return Sweep(g=gs, phase=COLUMN_PHASE[ground], ground=ground, n_p=n_p, delta_n_a=delta_n_a,
+                 n_b=n_b, energy=np.hstack([pts.energy for pts in points]),
+                 stability=stability, source=source)
 
 
 def sweep_row(spec: SweepSpec, g: float, config: SolverConfig | None = None) -> SweepRow:
-    """One sweep row, its ground state from select_ground, which probes marginal points.
+    """The sweep row at one g.  A module global: callers look it up at call time."""
+    return _sweep(spec, np.array([float(g)]), config)[0]
 
-    A module global: callers look it up by name at call time.
+
+def sweep_g(spec: SweepSpec, config: SolverConfig | None = None) -> Sweep:
+    """Ground state plus all coexisting branches for each g of the sweep, as columns.
+
+    One branch_points call per branch covers the whole grid, and
+    solver.solve_ground picks every ground state by its one rule.
     """
-    return _sweep_rows(spec, np.array([float(g)]), config, one_point=True)[0]
-
-
-def sweep_g(spec: SweepSpec, config: SolverConfig | None = None) -> list[SweepRow]:
-    """Ground state plus all coexisting branches for each g of the sweep.
-
-    One branch_points call per branch covers the whole grid.  The ground
-    state is the lowest-energy stable point, ties within 1e-12 going to the
-    smaller amplitude, as in select_ground.  Rows with a marginal point
-    (|curvature| <= tol_curv, such as g exactly at g_c) go through sweep_row.
-    """
-    return _sweep_rows(spec, spec.grid(), config)
+    return _sweep(spec, spec.grid(), config)
 
 
 def grid_row(spec: GridSpec, zeta: float, config: SolverConfig | None = None
-             ) -> tuple[list[GridCell], list[BoundarySample]]:
-    """All cells of one zeta row plus the exact boundaries between them.
+             ) -> tuple[np.ndarray, list[BoundarySample]]:
+    """The labels of one zeta row, as indices into solver.PHASES, and its exact boundaries.
 
     NP_Nminus below g_c, SP on (g_c, g_t), NP_Nplus from g_t up; g_t is
-    infinite at zeta = 0 and g_c when the window is closed.  Cells where the
-    N- zero point is marginal (such as one exactly at g_c) get ground_state's
-    label.  A label change gives one BoundarySample: at g_t when leaving SP,
-    otherwise at g_c with phase_above SP whenever the window is open, even
-    when it is narrower than the grid step.
+    infinite at zeta = 0 and g_c when the window is closed.  A cell where N-
+    is marginal (such as one exactly at g_c) takes solve_ground's label: N-
+    where the slope probe shows a minimum (its tie rule favours gamma_bar = 0),
+    else from solving those cells.  A label change gives one BoundarySample:
+    at g_t when leaving SP, otherwise at g_c with phase_above SP whenever the
+    window is open, even when it is narrower than the grid step.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     zeta = float(zeta)
-    g_c = critical_coupling(spec.params_at(0.0, zeta))
+    params = spec.params_at(0.0, zeta)
+    g_c = critical_coupling(params)
     g_t = math.inf
     if zeta > 0.0:
         try:
-            g_t = turning_point(spec.params_at(g_c, zeta), zeta=zeta, config=cfg)
+            g_t = turning_point(params, zeta=zeta, config=cfg)
         except NotFound:
             g_t = g_c
 
     gs = spec.g_grid()
     index = np.where(gs < g_t, 1, 2)  # the label above g_c
     index[gs < g_c] = 0
-    # Cells where N- is marginal take the solver's label; this prefilter is
-    # twice as wide as that band, |curvature| <= tol_curv.
-    for i in np.flatnonzero(np.abs(spec.omega - gs * gs / spec.omega_a) <= cfg.tol_curv).tolist():
-        params = spec.params_at(float(gs[i]), zeta)
-        if zero_photon_point(params, SpinBranch.NORMAL, cfg).stability is not Stability.MARGINAL:
-            continue
-        if _is_local_minimum(params, SpinBranch.NORMAL, 0.0):
-            index[i] = 0  # as in select_ground, whose tie rule favours gamma_bar = 0
-        else:
-            ground = ground_state(params, cfg)
-            index[i] = _ROW_PHASES.index(ground.phase)
-    labels = [_ROW_PHASES[i] for i in index.tolist()]
-    cells = [GridCell(g=g, zeta=zeta, phase=lab) for g, lab in zip(gs.tolist(), labels)]
+    # twice as wide as the marginal band; a g whose square overflows is far outside it
+    with np.errstate(over="ignore"):
+        near = np.flatnonzero(np.abs(spec.omega - gs * gs / spec.omega_a) <= cfg.tol_curv)
+    if near.size:
+        rows = param_rows(params, gs[near])
+        # a NaN curvature (zeta^2 overflows) is marginal, as in branch_points
+        near = near[~(np.abs(curvature(rows, SpinBranch.NORMAL, 0.0)) > cfg.tol_curv)]
+        minimum = is_minimum(params, SpinBranch.NORMAL, gs[near], np.zeros(near.size))
+        index[near[minimum]] = 0
+        rest = near[~minimum]
+        if rest.size:
+            index[rest] = COLUMN_PHASE[solve_ground(params, gs[rest], cfg)[0]]
 
     boundaries = []
     for i in np.flatnonzero(index[:-1] != index[1:]).tolist():
-        below, above = labels[i], labels[i + 1]
+        below, above = PHASES[index[i]], PHASES[index[i + 1]]
         if below is PhaseLabel.SP:
             g_b = g_t
         else:
             g_b, above = g_c, (PhaseLabel.SP if g_t > g_c else above)
         boundaries.append(BoundarySample(zeta=zeta, g_refined=g_b,
                                          phase_below=below, phase_above=above))
-    return cells, boundaries
+    return index, boundaries
 
 
 def phase_grid(spec: GridSpec, config: SolverConfig | None = None) -> PhaseGrid:
@@ -293,8 +307,10 @@ def phase_grid(spec: GridSpec, config: SolverConfig | None = None) -> PhaseGrid:
     Cells are ordered by (zeta, g).  Wherever the label changes between two
     g-adjacent cells, the exact boundary (g_c or g_t) is a BoundarySample.
     """
-    rows = [grid_row(spec, zeta, config) for zeta in spec.zeta_grid()]
-    return PhaseGrid(cells=tuple(c for cells, _ in rows for c in cells),
+    gs, zetas = spec.g_grid(), spec.zeta_grid()
+    rows = [grid_row(spec, zeta, config) for zeta in zetas]
+    return PhaseGrid(g=np.tile(gs, zetas.size), zeta=np.repeat(zetas, gs.size),
+                     phase=np.concatenate([index for index, _ in rows]),
                      boundaries=tuple(b for _, bounds in rows for b in bounds))
 
 

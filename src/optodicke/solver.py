@@ -17,12 +17,14 @@ g^2 <= 2^-60 omega*omega_a both have x = omega*omega_b/(2 zeta^2), exact to roun
 The turning point g_t is the cubic's double root.  In u = g^2 it is the one
 positive root of the quartic 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4,
 k = zeta^2 omega_a^2/(2 omega_b), which a change of variable turns into
-(tau*t)^4 + t - 1 = 0, solved by monotone Newton steps.  The closure
-coupling zeta_star comes from bisection on the window width g_t - g_c.
+(tau*t)^4 + t - 1 = 0, solved by monotone Newton steps, as is the cubic in t
+that gives the closure coupling zeta_star.  solve_ground picks the ground
+state of every g of an array by one rule; ground_state is its one-point call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -59,6 +61,11 @@ __all__ = [
     "branch_points",
     "find_roots",
     "root_set",
+    "PHASES",
+    "COLUMN_PHASE",
+    "param_rows",
+    "is_minimum",
+    "solve_ground",
     "ground_state",
     "turning_point",
     "sp_closure",
@@ -73,6 +80,11 @@ _STABILITY = np.array([Stability.MARGINAL, Stability.STABLE, Stability.UNSTABLE,
 _OUT_OF_RANGE = ("is outside the supported range, where every stationary point fits in doubles "
                  "(at omega = omega_a = 1, omega_b = 10: about 1e-153 < zeta < 5e153, "
                  "with g < 1e77 at zeta = 0 and g < 1e115 at zeta = 1)")
+
+# Ground-state labels in the order they occur along g, and the label (an index
+# into PHASES) of each candidate column of solve_ground.
+PHASES = (PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.NP_NPLUS)
+COLUMN_PHASE = np.array([0, 1, 1, 2])
 
 
 class SolverError(Exception):
@@ -204,6 +216,12 @@ def zero_photon_point(params: ModelParams, branch: SpinBranch,
                             stability=classify_stability(curv, cfg.tol_curv))
 
 
+def param_rows(params: ModelParams, g: np.ndarray) -> SimpleNamespace:
+    """params with g replaced by an array of couplings, for the model's array forms."""
+    return SimpleNamespace(omega=params.omega, omega_a=params.omega_a,
+                           omega_b=params.omega_b, zeta=params.zeta, g=g)
+
+
 def _cubic_x(rows: SimpleNamespace, branch: SpinBranch, g2: np.ndarray) -> np.ndarray:
     """x of the roots of c*A^3 - b*A - q = 0 with A > omega_a (NaN if none), per g^2 > 0.
 
@@ -259,15 +277,15 @@ def branch_points(params: ModelParams, branch: SpinBranch, g,
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     g = np.asarray(g, dtype=float).reshape(-1)
-    rows = SimpleNamespace(omega=params.omega, omega_a=params.omega_a,
-                           omega_b=params.omega_b, zeta=params.zeta, g=g[:, None])
+    rows = param_rows(params, g[:, None])
     with np.errstate(all="ignore"):
         g2 = g * g
         if params.zeta == 0.0:
             x = np.full((g.size, 3), np.nan)
             if branch is SpinBranch.NORMAL:
-                x[:, 0] = np.where(g > critical_coupling(params), g2 / (4.0 * params.omega**2)
-                                   - params.omega_a**2 / (4.0 * g2), np.nan)
+                # a product, not **, so that a huge omega gives inf and OutOfRange
+                x[:, 0] = np.where(g > critical_coupling(params), g2 / (4.0 * (params.omega
+                                   * params.omega)) - params.omega_a**2 / (4.0 * g2), np.nan)
         else:
             x = _cubic_x(rows, branch, g2)
             x[g2 <= params.omega * params.omega_a * 2.0**-60] = [
@@ -309,71 +327,77 @@ def root_set(pts: BranchPoints, i: int) -> RootSet:
     return RootSet(branch=pts.branch, roots=tuple(points[1:]), zero_point=points[0])
 
 
-def _is_local_minimum(params: ModelParams, branch: SpinBranch, gamma_bar: float) -> bool:
-    # Marginal points need a probe beyond the curvature: the energy slope is
-    # 2*gamma_bar*p, so p's sign next to the point decides minimality.  At the
-    # fold p <= 0 on both sides (inflection); at g = g_c the zero point stays
-    # a minimum as long as p > 0 just above it.
-    h = 1e-6 * max(1.0, gamma_bar)
-    right = float(extremum_polynomial(params, branch, gamma_bar + h))
-    if right < 0.0:
-        return False
-    if gamma_bar > h:
-        left = float(extremum_polynomial(params, branch, gamma_bar - h))
-        if left > 0.0:
-            return False
-    return True
+def is_minimum(params: ModelParams, branch: SpinBranch, g: np.ndarray,
+               gamma_bar: np.ndarray) -> np.ndarray:
+    """Slope probe: whether each marginal stationary point (g[i], gamma_bar[i]) is a minimum.
+
+    The energy slope is 2*gamma_bar*p, so p's sign next to the point decides.
+    At the fold p <= 0 on both sides (an inflection); at g = g_c the zero
+    point stays a minimum as long as p >= 0 just above it.
+    """
+    rows = param_rows(params, g)
+    h = 1e-6 * np.maximum(1.0, gamma_bar)
+    right = extremum_polynomial(rows, branch, gamma_bar + h)
+    left = extremum_polynomial(rows, branch, gamma_bar - h)
+    return ~(right < 0.0) & ~((gamma_bar > h) & (left > 0.0))
+
+
+def _minima(params: ModelParams, pts: BranchPoints, g: np.ndarray) -> np.ndarray:
+    """Stable points of a branch, and marginal ones that is_minimum confirms."""
+    keep = pts.stability == Stability.STABLE
+    i, j = np.nonzero(pts.stability == Stability.MARGINAL)
+    if i.size:
+        keep[i, j] = is_minimum(params, pts.branch, g[i], np.sqrt(pts.x[i, j]))
+    return keep
+
+
+def solve_ground(params: ModelParams, g, config: SolverConfig | None = None
+                 ) -> tuple[np.ndarray, BranchPoints, BranchPoints]:
+    """The ground state's column at each coupling of g, and both branches' points.
+
+    Columns: 0 the N- zero point, 1 and 2 the normal roots, 3 the N+ zero
+    point (labelled by COLUMN_PHASE).  Candidates are the stable points and
+    the marginal ones is_minimum confirms, but no normal root from the
+    computed g_t up; the lowest energy wins, ties within 1e-12 going to the
+    smaller amplitude.  A g without candidates (omega <= tol_curv/2) raises
+    NotFound.  params.g is ignored.
+    """
+    cfg = config if config is not None else DEFAULT_CONFIG
+    g = np.asarray(g, dtype=float).reshape(-1)
+    normal, inverted = (branch_points(params, branch, g, cfg) for branch in SpinBranch)
+    # p decreases along the inverted branch, so its root is never a minimum
+    candidate = np.hstack([_minima(params, normal, g), _minima(params, inverted, g)[:, :1]])
+    with contextlib.suppress(NotFound):  # no fold at zeta = 0 or in a closed window
+        candidate[g >= turning_point(params, config=cfg), 1:3] = False
+    none = ~candidate.any(axis=1)
+    if none.any():
+        raise NotFound(f"no local minimum of the energy at g={float(g[none][0])!r}, "
+                       f"zeta={params.zeta!r}")
+    x = np.hstack([normal.x, inverted.x[:, :1]])
+    energy = np.hstack([normal.energy, inverted.energy[:, :1]])
+    e_min = np.where(candidate, energy, np.inf).min(axis=1, keepdims=True)
+    column = np.argmin(np.where(candidate & (energy <= e_min + 1e-12), x, np.inf), axis=1)
+    return column, normal, inverted
 
 
 def ground_state(params: ModelParams, config: SolverConfig | None = None) -> GroundState:
-    """Pick the lowest local minimum over both branches and label the phase.
-
-    Candidates are all stable stationary points, plus marginal ones that a
-    one-sided slope probe confirms as minima (this keeps the energy curve
-    continuous when a grid lands exactly on g_c).  Ties within 1e-12 in
-    energy resolve to the smaller amplitude.  N+ is always stable, so a
-    ground state always exists.
-    """
-    cfg = config if config is not None else DEFAULT_CONFIG
-    return select_ground(params, {b: find_roots(params, b, cfg) for b in SpinBranch}, cfg)
+    """The lowest local minimum at params.g, labelled by phase: solve_ground at one g."""
+    column, *points = solve_ground(params, [params.g], config)
+    k = int(column[0])
+    rs = root_set(points[k // 3], 0)  # columns 0-2 are the normal branch's, 3 is N+
+    point = (rs.zero_point, *rs.roots)[k % 3]
+    return GroundState(PHASES[COLUMN_PHASE[k]], point, observables_at(params, point))
 
 
-def select_ground(params: ModelParams, rootsets: dict[SpinBranch, RootSet],
-                  config: SolverConfig) -> GroundState:
-    """Ground-state selection from already-enumerated stationary points."""
-    candidates: list[VariationalPoint] = []
-    for rs in rootsets.values():
-        for point in (rs.zero_point, *rs.roots):
-            if point.stability is Stability.STABLE:
-                candidates.append(point)
-            elif (point.stability is Stability.MARGINAL
-                  and _is_local_minimum(params, point.branch, point.amplitude)):
-                candidates.append(point)
+def _newton_down(step) -> float:
+    """The root below t = 1 of an increasing convex function; step(t) gives value and slope.
 
-    e_min = min(p.energy for p in candidates)
-    pool = [p for p in candidates if p.energy <= e_min + 1e-12]
-    point = min(pool, key=lambda p: p.amplitude)
-
-    if point.amplitude == 0.0:
-        phase = PhaseLabel.NP_NMINUS if point.branch is SpinBranch.NORMAL else PhaseLabel.NP_NPLUS
-    elif point.branch is SpinBranch.NORMAL:
-        phase = PhaseLabel.SP
-    else:
-        raise SolverError("stable nonzero root on the inverted branch should not exist")
-    return GroundState(phase=phase, point=point, observables=observables_at(params, point))
-
-
-def _fold_root(tau: float) -> float:
-    """The root t in (0, 1] of (tau*t)^4 + t - 1 = 0 (tau >= 0).
-
-    The left side is convex and increasing for t > 0 and positive at t = 1,
-    so Newton steps from 1 decrease monotonically to the root; they stop
-    once a step no longer decreases t.
+    Newton steps from 1 decrease monotonically; they stop once t no longer falls.
     """
     t = 1.0
     while True:
-        tt = tau * t
-        t_next = t - (tt**4 + t - 1.0) / (4.0 * tau * tt**3 + 1.0)
+        value, slope = step(t)
+        t_next = t - value / slope
         if not t_next < t:
             return t
         t = t_next
@@ -397,10 +421,12 @@ def turning_point(params: ModelParams, zeta: float | None = None,
     z = params.zeta if zeta is None else zeta
     if not z > 0.0:
         raise NotFound("no turning point: the superradiant region is unbounded at zeta=0")
-    ratio = z / closure_estimate(params)
+    estimate = closure_estimate(params)
+    ratio = z / estimate if estimate > 0.0 else math.inf
     if ratio < 1.0:
         root_wb = math.sqrt(params.omega_b)
-        t = _fold_root((27.0 / 16.0) ** 0.25 * ratio)
+        tau = (27.0 / 16.0) ** 0.25 * ratio  # t in (0, 1]; the left side is convex for t > 0
+        t = _newton_down(lambda t: ((tau * t)**4 + t - 1.0, 4.0 * tau * (tau * t)**3 + 1.0))
         g_t = (params.omega / (1.5 * t)) ** 1.5 * root_wb / z
         if g_t > critical_coupling(params) and g_t * g_t > z / root_wb * params.omega_a**1.5:
             return g_t
@@ -422,39 +448,24 @@ def sp_closure(params: ModelParams, config: SolverConfig | None = None,
                width_tol: float = 1e-3) -> float:
     """Smallest zeta whose superradiant window g_t - g_c is <= width_tol.
 
-    Bisection over zeta on the closed-form width turning_point(zeta) - g_c,
-    which is strictly decreasing in zeta and reaches zero at
-    closure_estimate(params); the bisection stops at a zeta step of
-    1e-6 * max(1, closure_estimate).  params.g and params.zeta are ignored.
+    The window narrows as zeta grows, so g_t = G = g_c + width_tol there.  In
+    turning_point's t that is t^3 - t^2 + C^4 = 0, C = (27/16)^(1/4) sqrt(omega_b)
+    (omega/1.5)^(3/2) / (closure_estimate G), with its root in [2/3, 1] reached by
+    Newton steps from 1; zeta_star = sqrt(omega_b) (omega/(1.5 t))^(3/2) / G.  params.g,
+    params.zeta and config are ignored.  OutOfRange where closure_estimate underflows.
     """
-    if width_tol <= 0.0:
+    if not width_tol > 0.0:
         raise ValueError("width_tol must be > 0")
-    cfg = config if config is not None else DEFAULT_CONFIG
-    g_c = critical_coupling(params)
-
-    def width(z: float) -> float:
-        try:
-            return turning_point(params, zeta=z, config=cfg) - g_c
-        except NotFound:
-            return 0.0
-
-    hi = closure_estimate(params)
-    lo = hi / 2.0
-    for _ in range(60):
-        if width(lo) > width_tol:
-            break
-        lo /= 2.0
-    else:
-        raise SolverError("could not bracket the closure coupling from below")
-
-    tol_z = 1e-6 * max(1.0, hi)
-    while hi - lo > tol_z:
-        mid = 0.5 * (lo + hi)
-        if width(mid) <= width_tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    estimate = closure_estimate(params)
+    if not estimate > 0.0:
+        raise OutOfRange(f"omega={params.omega!r}, omega_a={params.omega_a!r}, "
+                         f"omega_b={params.omega_b!r}: the closure coupling "
+                         "sqrt(omega_b*omega^2/omega_a) underflows to 0")
+    root_wb = math.sqrt(params.omega_b)
+    g_top = critical_coupling(params) + width_tol
+    c4 = ((27.0 / 16.0) ** 0.25 * root_wb * (params.omega / 1.5) ** 1.5 / (estimate * g_top))**4
+    t = _newton_down(lambda t: (t * t * (t - 1.0) + c4, t * (3.0 * t - 2.0)))
+    return root_wb * (params.omega / (1.5 * t)) ** 1.5 / g_top
 
 
 def critical_points(params: ModelParams, config: SolverConfig | None = None,

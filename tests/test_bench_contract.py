@@ -63,9 +63,8 @@ def test_install_and_unpatch():
 
     calls = tracer.aggregate(0, len(tracer.spans))["calls"]
     assert calls["diagram.grid_row"] == 5
-    # sweep_g solves its grid in one array pass; only the marginal row g = 1 = g_c
-    # goes through sweep_row
-    assert calls["diagram.sweep_row"] == 1
+    # sweep_g solves its grid in one array pass, the marginal row g = 1 = g_c included
+    assert calls["diagram.sweep_row"] == 0
     assert calls["cli.solve"] == 2 and calls["cli.emit"] == 2
     # the phase grid solves one fold per nonzero zeta row and no stationary points
     assert tracer.calls_under("solver.turning_point", "diagram.grid_row", 0, len(tracer.spans)) == 4

@@ -1,6 +1,8 @@
 """CLI behavior: subcommands, config handling, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -11,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from optodicke import cli
+from optodicke import cli, diagram, model, solver
 from optodicke.cli import run
+from optodicke.model import PhaseLabel, Stability
 
 
 def read_csv(path):
@@ -219,7 +223,8 @@ class TestGridCaps:
 
     def test_at_the_caps(self, monkeypatch):
         # the caps themselves are accepted (checked without solving anything)
-        empty = cli.diagram.PhaseGrid(cells=(), boundaries=())
+        empty = cli.diagram.PhaseGrid(g=np.empty(0), zeta=np.empty(0),
+                                      phase=np.empty(0, dtype=int), boundaries=())
         monkeypatch.setattr(cli.diagram, "phase_grid", lambda spec, cfg: empty)
         side = math.isqrt(cli.MAX_GRID_CELLS)
         assert run(["phase-diagram", "--g", f"0:3:{side}", "--zeta", f"0:3:{side}"]) == 0
@@ -297,6 +302,12 @@ class TestRabiCompare:
         assert "OPTODICKE_WORKERS" in capsys.readouterr().err
 
 
+    def test_zero_atoms_rejected(self, capsys):
+        # the ED does not use n_atoms, but 0 atoms is invalid input as elsewhere
+        assert run(["rabi-compare", "--g", "0:1:3", "--n-atoms", "0"]) == 2
+        assert "n_atoms must be a positive integer" in capsys.readouterr().err
+
+
 class TestSpClosure:
     def test_coarse_width(self, tmp_path):
         out = tmp_path / "closure.csv"
@@ -305,6 +316,18 @@ class TestSpClosure:
         star = float(row["zeta_star"])
         assert 2.0 < star < 2.5
         assert float(row["zeta_estimate"]) == pytest.approx(math.sqrt(10.0), rel=1e-9)
+
+    def test_huge_width_tol(self, tmp_path):
+        # the window is that wide only where zeta is tiny: g_t ~ sqrt(omega_b) (omega/1.5)^1.5 / zeta
+        out = tmp_path / "closure.csv"
+        assert run(["sp-closure", "--width-tol", "1e300", "--output", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert float(row["zeta_star"]) == pytest.approx(
+            math.sqrt(10.0) * (1.0 / 1.5) ** 1.5 / 1e300, rel=1e-8)
+
+    def test_underflowing_closure_estimate_rejected(self, capsys):
+        assert run(["sp-closure", "--omega", "1e-300"]) == 2
+        assert "underflows to 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("width_tol", ["0", "nan", "-1", "inf"])
     def test_bad_width_tol_rejected(self, width_tol, capsys):
@@ -388,8 +411,79 @@ def test_sweep_at_extreme_g_and_zeta(g, zeta, capsys):
 
 
 def test_phase_diagram_zeta_past_double_range(capsys):
-    # the cell at g_c goes to the scalar solver, where zeta^2 does not fit in a double
+    # the cell at g_c fails the slope probe and goes to the solver, where zeta^2
+    # does not fit in a double
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["phase-diagram", "--g", "0:3:4", "--zeta", "3:1e200:2"]) == 2
     assert "outside the supported range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # every point fits in doubles: g < g_c = 1e150, so N- throughout
+    (["sweep", "--g", "0:3:5", "--omega", "1e300"], 0, ""),
+    # omega^2 overflows in the superradiant root above g_c
+    (["sweep", "--g", "1e151:1e152:3", "--omega", "1e300"], 2, "outside the supported range"),
+    (["phase-diagram", "--g", "0:1e300:3", "--zeta", "0:1:2"], 0, ""),
+    # omega below tol_curv/2 leaves no local minimum at g = 0
+    (["sweep", "--g", "0:3:5", "--omega", "1e-300", "--zeta", "1"], 3, "no local minimum"),
+])
+def test_huge_and_tiny_parameters(argv, code, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == code
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-row object was built")
+
+    for module in (model, solver, diagram):
+        for name in ("SweepRow", "BranchEntry", "Observables", "GridCell"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        # g = 1 = g_c is a marginal row, and a marginal cell of every zeta row
+        assert run(["sweep", "--g", "0:3:301", "--zeta", "1"]) == 0
+        assert run(["phase-diagram", "--g", "0:3:61", "--zeta", "0:3:61"]) == 0
+
+
+_LABELS = ([p.value for p in PhaseLabel] + [s.value for s in Stability]
+           + ["normal", "inverted", "cell", "boundary"])
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf,
+                                     -math.inf]),
+                    st.integers(-10**12, 10**12).map(float), st.floats(allow_nan=False))
+
+
+def _per_row_writer(fmt, fieldnames, rows):
+    """The writer the column writer replaced: csv.writer fed f"{v:.9g}" per float value."""
+    if fmt == "json":
+        def quantize(v):
+            return float(f"{v:.9g}") if isinstance(v, float) else v
+        rows = [dict(zip(fieldnames, map(quantize, row))) for row in rows]
+        return json.dumps({"units": cli.UNITS_NOTE, "rows": rows}, indent=2) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# {cli.UNITS_NOTE}\r\n")
+    writer = csv.writer(buf)
+    writer.writerow(fieldnames)
+    writer.writerows([f"{v:.9g}" if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
+def test_column_writer_matches_per_row_writer(data, fmt):
+    # every command emits at least two columns; None is an absent value, NaN
+    # in a float column
+    is_float = data.draw(st.lists(st.booleans(), min_size=2, max_size=6))
+    n_rows = data.draw(st.integers(0, 6))
+    values = [data.draw(st.lists(st.one_of(st.none(), _FLOATS if f else st.sampled_from(_LABELS)),
+                                 min_size=n_rows, max_size=n_rows)) for f in is_float]
+    columns = [np.array([math.nan if v is None else v for v in col], dtype=float) if f else col
+               for f, col in zip(is_float, values)]
+    fieldnames = [f"c{i}" for i in range(len(columns))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(cli.RunConfig(format=fmt), fieldnames, columns)
+    assert out.getvalue() == _per_row_writer(fmt, fieldnames, [list(r) for r in zip(*values)])

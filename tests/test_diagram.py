@@ -21,7 +21,14 @@ from optodicke.diagram import (
 )
 from optodicke.cli import run
 from optodicke.model import ModelParams, PhaseLabel, Stability
-from optodicke.solver import closure_estimate, critical_coupling, ground_state, turning_point
+from optodicke.solver import (
+    PHASES,
+    NotFound,
+    closure_estimate,
+    critical_coupling,
+    ground_state,
+    turning_point,
+)
 
 import oracles
 
@@ -259,10 +266,10 @@ class TestGridReferee:
         g_c = critical_coupling(base)
         zeta = closure_estimate(base) * (1.0 + 0.01 * side)
         spec = GridSpec(omega=omega, g_min=0.0, g_max=2.0 * g_c, g_steps=3)
-        cells, bounds = grid_row(spec, zeta)
-        assert cells[1].g == g_c
+        index, bounds = grid_row(spec, zeta)
+        assert spec.g_grid()[1] == g_c
         want = ground_state(spec.params_at(g_c, zeta)).phase
-        assert cells[1].phase is want
+        assert PHASES[index[1]] is want
         if side < 0:
             assert want is PhaseLabel.NP_NMINUS
         elif side > 0:
@@ -274,13 +281,13 @@ class TestGridReferee:
     def test_cell_exactly_at_turning_point(self, zeta):
         g_t = turning_point(ModelParams(), zeta=zeta)
         spec = GridSpec(g_min=0.0, g_max=2.0 * g_t, g_steps=9)
-        cells, bounds = grid_row(spec, zeta)
-        assert cells[4].g == g_t
-        assert cells[4].phase is PhaseLabel.NP_NPLUS
+        index, bounds = grid_row(spec, zeta)
+        assert spec.g_grid()[4] == g_t
+        assert PHASES[index[4]] is PhaseLabel.NP_NPLUS
         assert [b.g_refined for b in bounds if b.phase_below is PhaseLabel.SP] in ([g_t], [])
-        # The solver's own label at the computed g_t itself depends on the
-        # last bits of g_t (the stable root's curvature there is ~1e-8); a
-        # relative 1e-14 to either side it agrees with the grid.
+        # The fold rule: no superradiant root is a ground-state candidate from
+        # the computed g_t up, so the solver agrees with the grid there too.
+        assert ground_state(spec.params_at(g_t, zeta)).phase is PhaseLabel.NP_NPLUS
         assert ground_state(spec.params_at(g_t * (1 - 1e-14), zeta)).phase is PhaseLabel.SP
         assert ground_state(spec.params_at(g_t * (1 + 1e-14), zeta)).phase is PhaseLabel.NP_NPLUS
 
@@ -288,8 +295,8 @@ class TestGridReferee:
     def test_extreme_zeta_rows(self, zeta, above):
         # far below and far above the closure coupling, where the scalar
         # solver's cubic overflows; g_t is then ~1.7e120, or absent
-        cells, bounds = grid_row(GridSpec(g_min=0.5, g_max=3.5, g_steps=4), zeta)
-        assert [c.phase for c in cells] == [PhaseLabel.NP_NMINUS] + [above] * 3
+        index, bounds = grid_row(GridSpec(g_min=0.5, g_max=3.5, g_steps=4), zeta)
+        assert [PHASES[k] for k in index] == [PhaseLabel.NP_NMINUS] + [above] * 3
         assert [(b.g_refined, b.phase_above) for b in bounds] == [(1.0, above)]
 
     def test_window_narrower_than_grid_step(self, tmp_path):
@@ -317,6 +324,30 @@ class TestGridReferee:
             GridSpec(zeta_min=-1.0)
         with pytest.raises(ValueError, match="g must be >= 0"):
             SweepSpec(g_min=-1.0)
+
+
+class TestFoldRule:
+    """Sweep rows, ground_state and phase-diagram cells at g_c, at the computed g_t and at closure."""
+
+    @pytest.mark.parametrize("omega, omega_a, omega_b", [(1.0, 1.0, 10.0), (2.0, 0.7, 25.0)])
+    def test_sweep_ground_state_and_grid_agree(self, omega, omega_a, omega_b):
+        common = dict(omega=omega, omega_a=omega_a, omega_b=omega_b)
+        base = ModelParams(**common)
+        g_c, closure = critical_coupling(base), closure_estimate(base)
+        for zeta in [*(np.linspace(0.02, 0.999, 40) * closure).tolist(), closure]:
+            couplings = [g_c]
+            with contextlib.suppress(NotFound):
+                couplings.append(turning_point(base, zeta=zeta))
+            for g in couplings:
+                # the middle point of a 3-point grid from 0 to 2 g is g itself
+                sweep = SweepSpec(**common, zeta=zeta, g_min=0.0, g_max=2.0 * g, g_steps=3)
+                assert sweep.grid()[1] == g
+                want = ground_state(sweep.params_at(g)).phase
+                assert sweep_g(sweep)[1].phase is want, (zeta, g)
+                index, _ = grid_row(GridSpec(**common, g_min=0.0, g_max=2.0 * g, g_steps=3), zeta)
+                assert PHASES[index[1]] is want, (zeta, g)
+                if g != g_c:  # no superradiant root is a candidate from g_t up
+                    assert want is PhaseLabel.NP_NPLUS, zeta
 
 
 class TestBoundaryTrace:
@@ -398,7 +429,7 @@ class TestSweepReferee:
             rows = sweep_g(spec)
             assert [r.g for r in rows] == spec.grid().tolist()
             assert g_c in [r.g for r in rows] or spec.g_steps == 3
-            assert rows == [sweep_row(spec, g) for g in spec.grid().tolist()]
+            assert list(rows) == [sweep_row(spec, g) for g in spec.grid().tolist()]
             for row in rows:
                 self._check_row(spec, row, g_c, g_t)
 

@@ -260,6 +260,18 @@ class TestClosure:
         with pytest.raises(NotFound):
             turning_point(ModelParams(), zeta=math.sqrt(10.0) + 0.01)
 
+    @pytest.mark.parametrize("omega, omega_a, omega_b",
+                             [(1.0, 1.0, 5.0), (1.0, 1.0, 10.0), (1.0, 1.0, 20.0),
+                              (0.6, 1.4, 30.0)])
+    @pytest.mark.parametrize("width_tol", [1e-6, 1e-3, 0.3])
+    def test_window_at_closure_is_width_tol(self, omega, omega_a, omega_b, width_tol):
+        # the closed form against the fold oracle: the window at zeta_star is
+        # width_tol wide, and it narrows with zeta, so zeta_star is the smallest
+        base = ModelParams(omega=omega, omega_a=omega_a, omega_b=omega_b)
+        star = sp_closure(base, width_tol=width_tol)
+        width = oracles.fold_gt(star, omega, omega_a, omega_b) - critical_coupling(base)
+        assert width == pytest.approx(width_tol, rel=1e-8)
+
     def test_grows_with_oscillator_frequency(self):
         stars = [sp_closure(ModelParams(omega_b=wb), width_tol=0.01) for wb in (10.0, 40.0, 90.0)]
         assert stars[0] < stars[1] < stars[2]
