@@ -376,8 +376,9 @@ def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list]:
     if cfg.n_atoms < 1:  # unused by the ED, but invalid input all the same
         raise ConfigError(f"n_atoms must be a positive integer, got {cfg.n_atoms!r}")
     g_min, g_max, count = _parse_range(cfg.g, "g")
-    try:
-        params = rabi.RabiParams(omega=cfg.omega, omega_a=cfg.omega_a, g=0.0)
+    try:  # the grid lies between its ends, so checking them checks every point
+        params, _ = (rabi.RabiParams(omega=cfg.omega, omega_a=cfg.omega_a, g=g)
+                     for g in (g_min, g_max))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _check_workers()

@@ -49,7 +49,13 @@ __all__ = [
     "observables_at",
     "classify_stability",
     "raw_amplitude",
+    "SQUARE_LIMIT",
 ]
+
+# Largest omega_a, and largest omega where the closure coupling
+# sqrt(omega_b*omega^2/omega_a) is formed: the closed forms square them with
+# Python's float power, which raises OverflowError from about 1.3e154 on.
+SQUARE_LIMIT = 1e150
 
 
 class SpinBranch(Enum):
@@ -92,8 +98,8 @@ class ModelParams:
     """Physical parameters, all frequencies in units of omega_a.
 
     omega    : cavity frequency (> 0)
-    omega_a  : atomic transition frequency (> 0, default 1; keep 1 unless a
-               detuned run should re-express units)
+    omega_a  : atomic transition frequency (> 0 and <= SQUARE_LIMIT, default
+               1; keep 1 unless a detuned run should re-express units)
     omega_b  : mechanical oscillator frequency (> 0)
     g        : collective atom-field coupling (>= 0)
     zeta     : photon-phonon (radiation pressure) coupling (>= 0)
@@ -114,6 +120,9 @@ class ModelParams:
         for name in ("omega", "omega_a", "omega_b"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if self.omega_a > SQUARE_LIMIT:
+            raise ValueError(f"omega_a must be <= {SQUARE_LIMIT:g}, where its square fits in "
+                             f"a double, got {self.omega_a!r}")
         if self.g < 0.0:
             raise ValueError(f"g must be >= 0, got {self.g!r}")
         if self.zeta < 0.0:

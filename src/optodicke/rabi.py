@@ -11,20 +11,32 @@ matrix splits into two symmetric tridiagonal blocks, one per parity sector:
     d_n = omega*n + parity*(omega_a/2)*(-1)^n,   t_n = (g/2)*sqrt(n+1) .
 
 One batched kernel finds the smallest eigenvalue of many blocks at once;
-each column of the batch is one (g point, parity sector, truncation) block.
-It brackets the eigenvalue between the Gershgorin lower bound and min(diag),
-then shrinks every bracket by multisection: each sweep runs the LDL^T
-(Sturm count) recurrence once over n, with numpy operations across all
-columns and several trial points per column, and stops the pass early once
-the remaining rows are diagonally dominant.  A column stops with the
-relative rule of LAPACK dstebz, hi - lo <= max(tol, 2*eps*max(|lo|, |hi|),
-pivmin), so large eigenvalues converge to the spacing of doubles near them.
+each column of the batch is one (g point, parity sector) block, solved at
+the truncation n_max.  It brackets the eigenvalue between the Gershgorin
+lower bound and min(diag), then shrinks every bracket by multisection: each
+sweep runs the LDL^T (Sturm count) recurrence once over n, with numpy
+operations across all columns and several trial points per column, and
+stops the pass early once the remaining rows are diagonally dominant.  A
+column stops with the relative rule of LAPACK dstebz, hi - lo <= max(tol,
+2*eps*max(|lo|, |hi|), pivmin), so large eigenvalues converge to the spacing
+of doubles near them.
+
+The truncation gap compares with the blocks at n_max // 2, which are the
+leading rows of the n_max blocks.  Where no pass reads past row
+n_max // 2 + 1, both truncations give the same counts and the gap is 0.
+Otherwise the half blocks are solved too: in the same batch when the n_max
+blocks are not dominant from that row on, else in a second call.
+
 The eigenpair residual is then checked by inverse iteration, shifted just
 below the eigenvalue so that the shifted block is positive definite and its
-O(n) LDL^T solve needs no pivoting.  No dense matrix is formed.  This gives
-an oracle fully independent of the variational closed forms it is compared
-against, and each column's numbers do not depend on the other columns of
-its batch.
+O(n) LDL^T solve needs no pivoting.  It runs on the leading 2*reach rows,
+where the eigenvector lives (reach: the last row a Sturm pass read, n if one
+read them all), and doubles them up to n until the residual meets its
+target.  The coupling out of the last of those rows joins the residual, so
+it is the residual of a unit vector against the whole block.  No dense
+matrix is formed.  This gives an oracle fully independent of the
+variational closed forms it is compared against, and each column's
+eigenvalue does not depend on the other columns of its batch.
 """
 
 from __future__ import annotations
@@ -66,6 +78,9 @@ _INVERSE_STEPS = 3
 _RESIDUAL_TOL = 1e-10
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# Bounds of the frequencies and of g (see RabiParams).
+DOMAIN_MIN = 1e-50
+DOMAIN_MAX = 1e50
 # Entries of one (n, columns) array of a kernel call; compare_curve splits a
 # longer grid into batches of this size, so memory does not grow with it.
 _BATCH_ENTRIES = 2**18
@@ -77,7 +92,12 @@ class ConvergenceFailure(Exception):
 
 @dataclass(frozen=True)
 class RabiParams:
-    """Rabi-limit parameters; the sigma_x coupling strength is g/2."""
+    """Rabi-limit parameters; the sigma_x coupling strength is g/2.
+
+    The domain of the ED and of variational_energy: omega and omega_a in
+    [DOMAIN_MIN, DOMAIN_MAX], g in [0, DOMAIN_MAX].  There every block entry
+    and its square (for n_max up to 1e5), and g^2/omega^2, fit in doubles.
+    """
 
     omega: float = 1.0
     omega_a: float = 1.0
@@ -86,10 +106,12 @@ class RabiParams:
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in (self.omega, self.omega_a, self.g)):
             raise ValueError("omega, omega_a and g must be finite")
-        if not self.omega > 0.0 or not self.omega_a > 0.0:
-            raise ValueError("omega and omega_a must be > 0")
-        if self.g < 0.0:
-            raise ValueError("g must be >= 0")
+        for name in ("omega", "omega_a"):
+            if not DOMAIN_MIN <= getattr(self, name) <= DOMAIN_MAX:
+                raise ValueError(f"{name} must be in [{DOMAIN_MIN:g}, {DOMAIN_MAX:g}], "
+                                 f"got {getattr(self, name)!r}")
+        if not 0.0 <= self.g <= DOMAIN_MAX:
+            raise ValueError(f"g must be in [0, {DOMAIN_MAX:g}], got {self.g!r}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +183,7 @@ def _norm_bounds(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
 
 
 def _sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: np.ndarray, pivmin: np.ndarray,
-                 tail: int) -> np.ndarray:
+                 tail: int) -> tuple[np.ndarray, int]:
     """Eigenvalues strictly below each trial point (negative pivots of LDL^T).
 
     diag is (n, columns), offdiag (n - 1, columns) and >= 0, x the trial
@@ -169,12 +191,14 @@ def _sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: np.ndarray, pivmin: n
     pivots are q_i = (d_i - t_(i-1)^2 / q_(i-1)) - x, and a pivot smaller
     than pivmin in magnitude (an exact 0 too) is replaced by -pivmin, so a
     pivot counts as negative exactly when it is below pivmin.  One pass over
-    n serves every block and trial point; returns counts (k, columns).
+    n serves every block and trial point; returns counts (k, columns) and
+    the pass's reach: the row it stopped at, or n if it read every row.
 
     Rows from tail on are diagonally dominant below every trial point (see
     _dominant_tail).  Once every pivot q_i with i >= tail - 1 is at least
     t_i, each later pivot q_j exceeds t_j + pivmin, so the pass stops there
-    with the counts of the full recurrence.
+    with the counts of the full recurrence; the pivots of row i and of every
+    row after it are then non-negative.
     """
     negpiv = -pivmin
     off2 = offdiag * offdiag
@@ -190,8 +214,8 @@ def _sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: np.ndarray, pivmin: n
         np.less(q, pivmin, out=negative[i])
         np.minimum(q, negpiv, out=q, where=negative[i])
         if i + 1 >= tail and i + 1 < len(diag) and np.all(q >= offdiag[i]):
-            return negative[:i + 1].sum(axis=0)
-    return negative.sum(axis=0)
+            return negative[:i + 1].sum(axis=0), i
+    return negative.sum(axis=0), len(diag)
 
 
 def _dominant_tail(diag: np.ndarray, radii: np.ndarray, hi: np.ndarray,
@@ -209,25 +233,38 @@ def _dominant_tail(diag: np.ndarray, radii: np.ndarray, hi: np.ndarray,
     return len(diag) - int(from_here.sum(axis=0).min())
 
 
-def _lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray,
-                       tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest eigenvalue of every column's block and the residual of its eigenpair.
+def _bracket(diag: np.ndarray, offdiag: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Start of the multisection: (lo, hi, pivmin, tail) of a batch.
 
-    diag is (n, columns) and offdiag (n - 1, columns), >= 0.  Multisection
-    with _TRIALS points per sweep on [Gershgorin lower bound, min(diag)]; a
-    column's bracket freezes once hi - lo <= max(tol, 2*eps*max(|lo|, |hi|),
-    pivmin).  Returns (values, residuals), one per column.
+    [lo, hi] is [Gershgorin lower bound, min(diag)] of every column's block,
+    pivmin max_i t_i^2 times the smallest normal double, and tail the
+    batch's _dominant_tail below hi.
     """
     radii = _radii(offdiag)
     lo = np.min(diag - radii, axis=0)
     hi = np.min(diag, axis=0)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ConvergenceFailure("non-finite Gershgorin interval; block is malformed")
-
     pivmin = np.max(offdiag * offdiag, axis=0, initial=1.0) * _TINY
-    tail = _dominant_tail(diag, radii, hi, pivmin)
+    return lo, hi, pivmin, _dominant_tail(diag, radii, hi, pivmin)
+
+
+def _lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-12,
+                       bracket: tuple | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Smallest eigenvalue of every column's block, the residual of its eigenpair, and reach.
+
+    diag is (n, columns) and offdiag (n - 1, columns), >= 0.  Multisection
+    with _TRIALS points per sweep on [Gershgorin lower bound, min(diag)]; a
+    column's bracket freezes once hi - lo <= max(tol, 2*eps*max(|lo|, |hi|),
+    pivmin).  bracket is _bracket(diag, offdiag) when the caller has it.
+    reach is the largest reach of any Sturm pass (0 if no pass ran): no
+    count depends on a row after it.  Returns (values, residuals, reach).
+    """
+    lo, hi, pivmin, tail = _bracket(diag, offdiag) if bracket is None else bracket
     fractions = (np.arange(1, _TRIALS + 1) / (_TRIALS + 1))[:, None]
     columns = np.arange(diag.shape[1])
+    reach = 0
     for _ in range(_MAX_SWEEPS):
         stop = np.maximum(np.maximum(tol, pivmin),
                           2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
@@ -235,7 +272,8 @@ def _lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray,
         if not moving.any():
             break
         points = np.concatenate([lo[None], lo + (hi - lo) * fractions, hi[None]])
-        counts = _sturm_count(diag, offdiag, points[1:-1], pivmin, tail)
+        counts, last = _sturm_count(diag, offdiag, points[1:-1], pivmin, tail)
+        reach = max(reach, last)
         # The first trial point with an eigenvalue below it is the new upper
         # end, the point before it the new lower end.
         hit = counts >= 1
@@ -246,19 +284,49 @@ def _lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray,
         raise ConvergenceFailure(
             f"multisection exceeded {_MAX_SWEEPS} sweeps; block is malformed")
     values = 0.5 * (lo + hi)
-    return values, _eigenpair_residual(diag, offdiag, values)
+    return values, _eigenpair_residual(diag, offdiag, values, reach), reach
 
 
-def _eigenpair_residual(diag: np.ndarray, offdiag: np.ndarray,
-                        values: np.ndarray) -> np.ndarray:
+def _eigenpair_residual(diag: np.ndarray, offdiag: np.ndarray, values: np.ndarray,
+                        reach: int | None = None) -> np.ndarray:
     """Inverse-iteration residuals ||T v - value v||, one per column's block.
 
-    Each block is shifted by _SHIFT times its norm bound below its value, so
-    T - shift is positive definite and its LDL^T factorization needs no
-    pivoting; each solve then costs O(n).  Raises ConvergenceFailure unless
-    every block reaches 1e-10 times its scale within _INVERSE_STEPS solves.
+    v is a unit vector of the whole space that is 0 past the leading m rows:
+    inverse iteration runs on the leading m x m block, m = min(n, 2 reach)
+    (at least 2; m = n when reach is None), and the coupling t_(m-1) v_(m-1)
+    into row m joins the residual, so it is the residual of v against the
+    whole block.  Each block is shifted by _SHIFT times its norm bound below its
+    value; the leading block minus the shift is then positive definite (its
+    smallest eigenvalue is at least the whole block's), so its LDL^T
+    factorization needs no pivoting and each solve costs O(m).  A block
+    that misses 1e-10 times its scale within _INVERSE_STEPS solves is
+    solved again with m doubled, up to n; ConvergenceFailure if it misses
+    at m = n.
     """
+    n = len(diag)
+    m = n if reach is None else min(n, max(2, 2 * reach))
     scale = np.maximum(_norm_bounds(diag, offdiag), 1.0)
+    residuals = np.full(diag.shape[1], np.inf)
+    missing = slice(None)  # the columns without an accepted residual
+    while True:
+        coupling = offdiag[m - 1, missing] if m < n else 0.0
+        residuals[missing] = _inverse_iteration(diag[:m, missing], offdiag[:m - 1, missing],
+                                                coupling, values[missing], scale[missing])
+        missing = np.flatnonzero(np.isinf(residuals))
+        if not missing.size:
+            return residuals
+        if m == n:
+            raise ConvergenceFailure("inverse iteration did not reach the residual target")
+        m = min(n, 2 * m)
+
+
+def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, coupling, values: np.ndarray,
+                       scale: np.ndarray) -> np.ndarray:
+    """The first residual within _RESIDUAL_TOL * scale over _INVERSE_STEPS solves (inf if none).
+
+    Runs on the blocks diag (m, columns), offdiag (m - 1, columns); coupling
+    is the offdiagonal entry out of row m - 1 (0 for a whole block).
+    """
     shift = values - _SHIFT * scale
     pivots = np.empty_like(diag)
     pivots[0] = diag[0] - shift
@@ -279,12 +347,12 @@ def _eigenpair_residual(diag: np.ndarray, offdiag: np.ndarray,
         r = (diag - values) * v
         r[:-1] += offdiag * v[1:]
         r[1:] += offdiag * v[:-1]
-        step = np.sqrt(np.sum(np.square(r, out=r), axis=0))
+        step = np.sqrt(np.sum(np.square(r, out=r), axis=0) + np.square(coupling * v[-1]))
         newly = np.isinf(residuals) & (step <= _RESIDUAL_TOL * scale)
         residuals[newly] = step[newly]
         if not np.isinf(residuals).any():
-            return residuals
-    raise ConvergenceFailure("inverse iteration did not reach the residual target")
+            break
+    return residuals
 
 
 def smallest_eigenvalue(block: TridiagonalBlock, tol: float = 1e-12) -> tuple[float, float]:
@@ -293,9 +361,9 @@ def smallest_eigenvalue(block: TridiagonalBlock, tol: float = 1e-12) -> tuple[fl
     A batch of one for the multisection kernel: the bracket stops at
     max(tol, 2*eps*|value|, pivmin); returns (value, ||H v - E v||).
     """
-    values, residuals = _lowest_eigenpairs(np.asarray(block.diag, dtype=float)[:, None],
-                                           np.asarray(block.offdiag, dtype=float)[:, None],
-                                           tol)
+    values, residuals, _ = _lowest_eigenpairs(np.asarray(block.diag, dtype=float)[:, None],
+                                              np.asarray(block.offdiag, dtype=float)[:, None],
+                                              tol)
     return float(values[0]), float(residuals[0])
 
 
@@ -303,7 +371,9 @@ def smallest_eigenvalue(block: TridiagonalBlock, tol: float = 1e-12) -> tuple[fl
 class EDResult:
     """Ground energy over both parity sectors of the truncated Rabi matrix.
 
-    truncation_gap is |E(n_max) - E(n_max // 2)|, a convergence indicator.
+    truncation_gap is |E(n_max) - E(n_max // 2)|, a convergence indicator;
+    it is 0 where the two agree to the bisection stop (no Sturm pass read
+    past row n_max // 2 + 1).
     """
 
     energy: float
@@ -314,28 +384,45 @@ class EDResult:
 
 
 def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int) -> list[EDResult]:
-    """Ground energies at every g of a grid, from one kernel call.
+    """Ground energies at every g of a grid, from one kernel call (two if the gap needs it).
 
-    The batch holds the +1 and -1 blocks at n_max and at half = n_max // 2
-    (at least 2).  A half-truncation block keeps the length of the full
-    ones: past index half its offdiagonals are 0 and its diagonal is its
-    own largest diagonal entry, which leaves its smallest eigenvalue,
-    bracket, pivmin and norm bound those of the half block.  Ties between
-    the parity sectors go to +1.
+    The kernel solves the +1 and -1 blocks at n_max.  The blocks at half =
+    n_max // 2 (at least 2) are the leading rows of those, so where no Sturm
+    pass reads past row half + 1 they give the same count at every trial
+    point, and their eigenvalues lie in the same final brackets: the gap is
+    0.  Where the n_max blocks are not dominant from row half + 1 on, every
+    pass reads that far anyway, and the half blocks join the same batch: a
+    half block there keeps the length of the full ones, with offdiagonals 0
+    past index half and its own largest diagonal entry on the diagonal,
+    which leaves its smallest eigenvalue, bracket, pivmin and norm bound
+    those of the half block.  Otherwise, if a pass still reads past row
+    half + 1, a second kernel call solves the half blocks.  Ties between the
+    parity sectors go to +1.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     half = max(2, n_max // 2)
-    diag, offdiag = (np.concatenate([a, a], axis=1)
-                     for a in _block_columns(omega, omega_a, g, n_max))
-    halves = slice(diag.shape[1] // 2, None)
-    diag[half + 1:, halves] = np.max(diag[:half + 1, halves], axis=0)
-    offdiag[half:, halves] = 0.0
-    values, residuals = _lowest_eigenpairs(diag, offdiag)
-    plus, minus, plus_half, minus_half = values.reshape(4, len(g))
+    diag, offdiag = _block_columns(omega, omega_a, g, n_max)
+    bracket = _bracket(diag, offdiag)
+    together = bracket[3] > half + 1  # the n_max blocks' dominant tail
+    if together:
+        diag, offdiag = (np.concatenate([a, a], axis=1) for a in (diag, offdiag))
+        halves = slice(diag.shape[1] // 2, None)
+        diag[half + 1:, halves] = np.max(diag[:half + 1, halves], axis=0)
+        offdiag[half:, halves] = 0.0
+        bracket = None
+    values, residuals, reach = _lowest_eigenpairs(diag, offdiag, bracket=bracket)
+    plus, minus = values[:len(g)], values[len(g):2 * len(g)]
     odd = minus < plus
     energy = np.where(odd, minus, plus)
     residual = np.where(odd, residuals[len(g):2 * len(g)], residuals[:len(g)])
+    if together:
+        half_values = values[2 * len(g):]
+    elif reach > half + 1:
+        half_values = _lowest_eigenpairs(diag[:half + 1], offdiag[:half])[0]
+    else:
+        half_values = values
+    plus_half, minus_half = half_values.reshape(2, len(g))
     gap = np.abs(energy - np.where(minus_half < plus_half, minus_half, plus_half))
     return [EDResult(energy=float(e), parity=-1 if o else 1, n_max=n_max, residual=float(r),
                      truncation_gap=float(d))

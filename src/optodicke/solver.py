@@ -32,13 +32,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import (
+    SQUARE_LIMIT,
     ModelParams,
     Observables,
     PhaseLabel,
     SpinBranch,
     Stability,
     VariationalPoint,
-    classify_stability,
     curvature,
     extremum_polynomial,
     extremum_polynomial_slope,
@@ -204,16 +204,13 @@ def critical_coupling(params: ModelParams) -> float:
 
 def zero_photon_point(params: ModelParams, branch: SpinBranch,
                       config: SolverConfig | None = None) -> VariationalPoint:
-    """The gamma_bar = 0 stationary point of a branch.
+    """The gamma_bar = 0 stationary point of a branch: find_roots' zero_point.
 
     Curvature 2*(omega -/+ g^2/omega_a): the normal point N- is stable only
-    below g_c, the inverted point N+ is stable for every g.
+    below g_c, the inverted point N+ is stable for every g.  Column 0 of
+    the one-point branch_points call, so it is bitwise the kernel's.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
-    curv = float(curvature(params, branch, 0.0))
-    return VariationalPoint(amplitude=0.0, branch=branch,
-                            energy=float(scaled_energy(params, branch, 0.0)), curvature=curv,
-                            stability=classify_stability(curv, cfg.tol_curv))
+    return find_roots(params, branch, config).zero_point
 
 
 def param_rows(params: ModelParams, g: np.ndarray) -> SimpleNamespace:
@@ -411,7 +408,8 @@ def turning_point(params: ModelParams, zeta: float | None = None,
     with k = zeta^2 omega_a^2/(2 omega_b).  With sigma = zeta/sqrt(omega_b),
     u = (omega/(1.5 t))^3 / sigma^2 turns it into (tau*t)^4 + t - 1 = 0,
     tau = (27/16)^(1/4) zeta/closure_estimate.  Nothing overflows: g_t is inf
-    only where it exceeds every double.  params.g is ignored; zeta defaults
+    only where it exceeds every double (closure_estimate raises OutOfRange
+    for omega > SQUARE_LIMIT).  params.g is ignored; zeta defaults
     to params.zeta; config is accepted for call compatibility.
 
     Raises NotFound for zeta = 0 (the superradiant region never closes) and
@@ -440,7 +438,11 @@ def closure_estimate(params: ModelParams) -> float:
     Expanding p on the normal branch to first order in gamma_bar^2 at g = g_c
     gives the coefficient 2*(omega^2/omega_a - zeta^2/omega_b); the window
     closes exactly where it changes sign, zeta = sqrt(omega_b*omega^2/omega_a).
+    OutOfRange for omega > SQUARE_LIMIT, where omega^2 does not fit in a double.
     """
+    if params.omega > SQUARE_LIMIT:
+        raise OutOfRange(f"omega={params.omega!r} is outside the range of the closure coupling "
+                         f"sqrt(omega_b*omega^2/omega_a), omega <= {SQUARE_LIMIT:g}")
     return math.sqrt(params.omega_b * params.omega**2 / params.omega_a)
 
 

@@ -435,6 +435,48 @@ def test_huge_and_tiny_parameters(argv, code, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the ED's domain, stated in RabiParams
+    (["rabi-compare", "--g", "0:3:3", "--omega", "1e-300", "--n-max", "20"], "omega must be in"),
+    (["rabi-compare", "--g", "1e300", "--n-max", "50"], "g must be in"),
+    (["rabi-compare", "--g", "0:1e300:3", "--n-max", "50"], "g must be in"),
+    (["rabi-compare", "--g=-1:1:3", "--n-max", "50"], "g must be in"),
+    (["rabi-compare", "--g", "1", "--omega", "1e300", "--n-max", "50"], "omega must be in"),
+    (["rabi-compare", "--g", "1", "--omega-a", "1e300", "--n-max", "50"], "omega_a must be in"),
+    # omega_a**2 in the model's closed forms, stated in ModelParams
+    (["roots", "--g", "1", "--omega-a", "1e300", "--zeta", "1"], "omega_a must be <= 1e+150"),
+    (["sweep", "--g", "0:3:5", "--omega-a", "1e300", "--zeta", "1"], "omega_a must be <= 1e+150"),
+    # omega**2 in the closure coupling
+    (["sp-closure", "--omega", "1e300"], "outside the range of the closure coupling"),
+    (["turning-point", "--omega", "1e300", "--zeta", "1"], "outside the range of the closure"),
+])
+def test_outside_the_domain(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("optodicke: invalid input: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rabi-compare", "--g", "1e4", "--n-max", "50"],
+    ["rabi-compare", "--g", "0:1e50:3", "--omega", "1e-50", "--omega-a", "1e50", "--n-max", "50"],
+    ["rabi-compare", "--g", "0:1e50:3", "--omega", "1e50", "--omega-a", "1e-50", "--n-max", "50"],
+    ["roots", "--g", "1", "--omega-a", "1e150", "--zeta", "1"],
+    ["sp-closure", "--omega", "1e150"],
+])
+def test_edges_of_the_domain(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    body = out.splitlines()[2:]
+    assert body and all(math.isfinite(float(v)) for line in body for v in line.split(",")
+                        if v not in ("normal", "inverted", "stable", "unstable", "marginal"))
+
+
 def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a per-row object was built")

@@ -50,7 +50,7 @@ class TestParams:
         dict(omega=0.0), dict(omega_a=-1.0), dict(omega_b=0.0),
         dict(g=-0.1), dict(zeta=-2.0), dict(n_atoms=0), dict(n_atoms=1.5),
         dict(g=math.nan), dict(g=math.inf), dict(zeta=math.nan), dict(zeta=math.inf),
-        dict(omega_b=math.inf),
+        dict(omega_b=math.inf), dict(omega_a=1.0000000000000002e150), dict(omega_a=1e300),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tridiagonal exact diagonalization of the Rabi limit and its closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ class TestBlocks:
     def test_non_finite_params_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             RabiParams(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("omega", 0.0), ("omega", 1e-51), ("omega", 1e51), ("omega_a", 1e-300),
+        ("omega_a", 1e300), ("g", -1e-300), ("g", 1.0000000000000002e50),
+    ])
+    def test_outside_domain_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be in \[.*1e\+50\]"):
+            RabiParams(**{field: value})
+
+    @pytest.mark.parametrize("omega", [rabi.DOMAIN_MIN, rabi.DOMAIN_MAX])
+    @pytest.mark.parametrize("omega_a", [rabi.DOMAIN_MIN, rabi.DOMAIN_MAX])
+    def test_domain_corners_solve(self, omega, omega_a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = compare_curve(RabiParams(omega=omega, omega_a=omega_a),
+                                 [0.0, 1e-300, 1.0, rabi.DOMAIN_MAX], n_max=40)
+        assert all(math.isfinite(v) for r in rows
+                   for v in (r.energy_ed, r.energy_variational, r.deviation))
 
 
 class TestSmallestEigenvalue:
@@ -230,10 +249,11 @@ class TestBatchedKernel:
     def test_exact_zero_pivot_counts_as_negative(self):
         # g = 1.5, parity -1: at x = -3/4 the second LDL^T pivot is exactly 0
         _, minus = build_blocks(RabiParams(g=1.5), 10)
-        count = _sturm_count(minus.diag[:, None], minus.offdiag[:, None],
-                             np.array([[-0.75]]), np.array([np.finfo(float).tiny]), 11)
+        count, reach = _sturm_count(minus.diag[:, None], minus.offdiag[:, None],
+                                    np.array([[-0.75]]), np.array([np.finfo(float).tiny]), 11)
         below = np.sum(np.linalg.eigvalsh(minus.dense()) < -0.75)
         assert below == 1 and count.tolist() == [[below]]
+        assert reach == 11  # tail = n: no early stop, every row read
 
     def test_counts_match_dense_spectrum(self):
         # the pass ends early at the diagonally dominant tail; the counts must
@@ -245,7 +265,8 @@ class TestBatchedKernel:
         tail = _dominant_tail(diag, _radii(off), hi, pivmin)
         assert tail < 20
         x = lo + (hi - lo) * np.linspace(0.0, 1.0, 41)[:, None]
-        counts = _sturm_count(diag, off, x, pivmin, tail)
+        counts, reach = _sturm_count(diag, off, x, pivmin, tail)
+        assert tail - 1 <= reach < len(diag)
         for j in range(diag.shape[1]):
             block = np.diag(diag[:, j]) + np.diag(off[:, j], 1) + np.diag(off[:, j], -1)
             eig = np.linalg.eigvalsh(block)
@@ -260,3 +281,100 @@ class TestBatchedKernel:
         assert _eigenpair_residual(diag, off, exact)[0] <= 1e-10
         with pytest.raises(ConvergenceFailure):
             _eigenpair_residual(diag, off, exact + error)
+
+
+def _record_kernel_calls(monkeypatch):
+    """Column count of every _lowest_eigenpairs call, with its reach."""
+    calls = []
+    kernel = rabi._lowest_eigenpairs
+
+    def recording(diag, offdiag, *args, **kwargs):
+        values, residuals, reach = kernel(diag, offdiag, *args, **kwargs)
+        calls.append((diag.shape[1], reach))
+        return values, residuals, reach
+
+    monkeypatch.setattr(rabi, "_lowest_eigenpairs", recording)
+    return calls
+
+
+class TestHalfBlocks:
+    """The n_max // 2 blocks are solved only where the truncation can show."""
+
+    def test_grid_solves_only_the_full_blocks(self, monkeypatch):
+        # no pass reads past row ~30 here, so half and full blocks count alike
+        calls = _record_kernel_calls(monkeypatch)
+        rows = rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), 300)
+        assert [columns for columns, _ in calls] == [122]
+        assert calls[0][1] <= 151
+        assert all(r.truncation_gap == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("g,n_max", [(1e4, 50), (1e3, 300)])
+    def test_gap_at_strong_coupling(self, monkeypatch, g, n_max):
+        # the blocks are not dominant past half + 1: one call holds all four
+        calls = _record_kernel_calls(monkeypatch)
+        res = ground_energy(RabiParams(g=g), n_max)
+        ref = abs(oracles.rabi_dense_ground(1.0, 1.0, g, n_max)
+                  - oracles.rabi_dense_ground(1.0, 1.0, g, n_max // 2))
+        assert [columns for columns, _ in calls] == [4]
+        assert res.truncation_gap == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("g,n_max", [(0.5, 4), (1.5, 20), (3.0, 40)])
+    def test_gap_from_second_call(self, monkeypatch, g, n_max):
+        # dominant from half + 1 on, but a pass still reads past it
+        calls = _record_kernel_calls(monkeypatch)
+        res = ground_energy(RabiParams(g=g), n_max)
+        ref = abs(oracles.rabi_dense_ground(1.0, 1.0, g, n_max)
+                  - oracles.rabi_dense_ground(1.0, 1.0, g, n_max // 2))
+        assert [columns for columns, _ in calls] == [2, 2]
+        assert calls[0][1] > max(2, n_max // 2) + 1
+        assert res.truncation_gap == pytest.approx(ref, abs=1e-11)
+
+    def test_zero_gap_means_same_brackets(self):
+        # where the gap is reported 0 the dense gap is below the bisection stop
+        for g in (0.0, 0.5, 1.0, 2.0, 3.0):
+            res = ground_energy(RabiParams(g=g), 60)
+            assert res.truncation_gap == 0.0
+            ref = abs(oracles.rabi_dense_ground(1.0, 1.0, g, 60)
+                      - oracles.rabi_dense_ground(1.0, 1.0, g, 30))
+            assert ref <= 1e-11
+
+
+class TestResidualCut:
+    def _block(self, g, n_max):
+        diag, off = _block_columns(1.0, 1.0, np.array([g]), n_max)
+        diag, off = diag[:, :1], off[:, :1]
+        exact = np.linalg.eigvalsh(TridiagonalBlock(1, diag[:, 0], off[:, 0]).dense())[:1]
+        return diag, off, exact
+
+    def test_small_reach_grows_the_rows(self, monkeypatch):
+        diag, off, exact = self._block(2.0, 300)
+        rows = []
+        inverse = rabi._inverse_iteration
+        monkeypatch.setattr(rabi, "_inverse_iteration",
+                            lambda d, *args: rows.append(len(d)) or inverse(d, *args))
+        residual = _eigenpair_residual(diag, off, exact, reach=1)
+        assert rows[0] == 2 and rows == sorted(rows) and len(rows) >= 3
+        assert rows[-1] < 301
+        scale = max(TridiagonalBlock(1, diag[:, 0], off[:, 0]).norm_bound(), 1.0)
+        assert residual[0] <= 1e-10 * scale
+
+    def test_eigenvalue_of_the_leading_rows_only_is_rejected(self):
+        # the leading 8 x 8 block's eigenpair leaves no residual inside those
+        # rows, but as a vector of the whole space it leaks t_7 v_7 into row 8
+        diag, off, exact = self._block(2.0, 300)
+        lead = np.linalg.eigvalsh(TridiagonalBlock(1, diag[:8, 0], off[:7, 0]).dense())[:1]
+        assert lead[0] - exact[0] > 1e-5
+        assert rabi._inverse_iteration(diag[:8], off[:7], 0.0, lead, np.ones(1))[0] <= 1e-10
+        with pytest.raises(ConvergenceFailure):
+            _eigenpair_residual(diag, off, lead, reach=4)
+
+    def test_cut_meets_the_target_of_the_whole_block(self):
+        diag, off, exact = self._block(2.0, 300)
+        assert _eigenpair_residual(diag, off, exact, reach=20)[0] <= 1e-10
+        assert _eigenpair_residual(diag, off, exact)[0] <= 1e-10
+
+    @pytest.mark.parametrize("error", [1e-6, -1e-6])
+    def test_wrong_eigenvalue_fails_at_every_reach(self, error):
+        diag, off, exact = self._block(2.0, 60)
+        with pytest.raises(ConvergenceFailure):
+            _eigenpair_residual(diag, off, exact + error, reach=3)

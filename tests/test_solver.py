@@ -75,6 +75,15 @@ class TestZeroPhotonPoint:
         pt = zero_photon_point(ModelParams(g=1.0, zeta=1.0), NORMAL)
         assert pt.stability is Stability.MARGINAL
 
+    def test_bitwise_the_kernel_zero_point(self):
+        # scalar and array powers differ in the last bit for some omega_a, so
+        # only the kernel's own column 0 classifies alike at |curvature| = tol_curv
+        rng = np.random.default_rng(8)
+        for omega_a in rng.uniform(0.3, 3.0, 400):
+            params = ModelParams(omega_a=float(omega_a), g=0.7, zeta=0.5)
+            for branch in (NORMAL, INVERTED):
+                assert zero_photon_point(params, branch) == find_roots(params, branch).zero_point
+
 
 class TestFindRoots:
     def test_dicke_limit_closed_form(self):
