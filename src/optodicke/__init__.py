@@ -21,8 +21,6 @@ from .model import (
     scs_angles,
 )
 from .solver import (
-    CriticalPoints,
-    DegenerateBracket,
     GroundState,
     NotFound,
     RootSet,
@@ -30,14 +28,12 @@ from .solver import (
     SolverError,
     closure_estimate,
     critical_coupling,
-    critical_points,
     find_roots,
     ground_state,
     sp_closure,
     turning_point,
-    zero_photon_point,
 )
-from .diagram import GridSpec, SweepSpec, boundary_trace, phase_grid, sweep_g
+from .diagram import GridSpec, SweepSpec, phase_grid, sweep_g
 from .rabi import (
     ComparisonRow,
     ConvergenceFailure,
@@ -57,11 +53,10 @@ __all__ = [
     "ModelParams", "Observables", "PhaseLabel", "ScsAngles", "SpinBranch",
     "Stability", "VariationalPoint", "curvature", "extremum_polynomial",
     "level_splitting", "observables_at", "scaled_energy", "scs_angles",
-    "CriticalPoints", "DegenerateBracket", "GroundState", "NotFound",
-    "RootSet", "SolverConfig", "SolverError", "closure_estimate",
-    "critical_coupling", "critical_points", "find_roots", "ground_state",
-    "sp_closure", "turning_point", "zero_photon_point",
-    "GridSpec", "SweepSpec", "boundary_trace", "phase_grid", "sweep_g",
+    "GroundState", "NotFound", "RootSet", "SolverConfig", "SolverError",
+    "closure_estimate", "critical_coupling", "find_roots", "ground_state",
+    "sp_closure", "turning_point",
+    "GridSpec", "SweepSpec", "phase_grid", "sweep_g",
     "ComparisonRow", "ConvergenceFailure", "EDResult", "RabiParams",
     "TridiagonalBlock", "build_blocks", "compare_curve", "ground_energy",
     "smallest_eigenvalue", "variational_energy",

@@ -25,7 +25,6 @@ from . import diagram, rabi
 from .model import ModelParams, SpinBranch, Stability, observables_at
 from .solver import (
     PHASES,
-    DegenerateBracket,
     NotFound,
     OutOfRange,
     SolverConfig,
@@ -63,17 +62,14 @@ class RunConfig:
     g: str = "0"
     n_max: int = 300
     width_tol: float = 1e-3
-    tol_root: float = 1e-10
     tol_curv: float = 1e-9
-    scan_points: int = 2000
-    tol_gt: float = 1e-6
     output: str = "-"
     format: str = "csv"
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-_NUMERIC_KEYS = _CONFIG_KEYS - {"zeta", "g", "output", "format", "n_atoms", "scan_points", "n_max"}
-_INT_KEYS = {"n_atoms", "scan_points", "n_max"}
+_NUMERIC_KEYS = _CONFIG_KEYS - {"zeta", "g", "output", "format", "n_atoms", "n_max"}
+_INT_KEYS = {"n_atoms", "n_max"}
 
 
 def load_config(path: str) -> dict:
@@ -156,12 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--omega-a", dict(type=float, dest="omega_a", help="atomic frequency (default 1)")),
         ("--omega-b", dict(type=float, dest="omega_b", help="oscillator frequency (default 10)")),
         ("--n-atoms", dict(type=int, dest="n_atoms", help="atom count N (default 1)")),
-        ("--tol-root", dict(type=float, dest="tol_root",
-                            help="accepted for compatibility; no effect (closed-form roots)")),
         ("--tol-curv", dict(type=float, dest="tol_curv")),
-        ("--scan-points", dict(type=int, dest="scan_points",
-                               help="accepted for compatibility; no effect (no root scan)")),
-        ("--tol-gt", dict(type=float, dest="tol_gt")),
         ("--config", dict(type=str, help="JSON config file; flags override it")),
         ("--output", dict(type=str, short="-o", help="output path, '-' for stdout")),
         ("--format", dict(type=str, choices=["csv", "json"])),
@@ -229,8 +220,7 @@ def _model_params(cfg: RunConfig, g: float, zeta: float) -> ModelParams:
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
     try:
-        return SolverConfig(tol_root=cfg.tol_root, tol_curv=cfg.tol_curv,
-                            scan_points=cfg.scan_points, tol_gt=cfg.tol_gt)
+        return SolverConfig(tol_curv=cfg.tol_curv)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -310,10 +300,9 @@ _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_grou
 
 def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list]:
     g_min, g_max, g_steps = _parse_range(cfg.g, "g")
+    params = _model_params(cfg, 0.0, _parse_scalar(cfg.zeta, "zeta"))
     try:
-        spec = diagram.SweepSpec(omega=cfg.omega, omega_a=cfg.omega_a, omega_b=cfg.omega_b,
-                                 n_atoms=cfg.n_atoms, zeta=_parse_scalar(cfg.zeta, "zeta"),
-                                 g_min=g_min, g_max=g_max, g_steps=g_steps)
+        spec = diagram.SweepSpec(params, g_min=g_min, g_max=g_max, g_steps=g_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _check_workers()
@@ -335,9 +324,9 @@ def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list]:
     if g_steps * zeta_steps > MAX_GRID_CELLS:
         raise ConfigError(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
                           f"the cap of {MAX_GRID_CELLS}")
+    params = _model_params(cfg, 0.0, 0.0)
     try:
-        spec = diagram.GridSpec(omega=cfg.omega, omega_a=cfg.omega_a, omega_b=cfg.omega_b,
-                                n_atoms=cfg.n_atoms, g_min=g_min, g_max=g_max, g_steps=g_steps,
+        spec = diagram.GridSpec(params, g_min=g_min, g_max=g_max, g_steps=g_steps,
                                 zeta_min=zeta_min, zeta_max=zeta_max, zeta_steps=zeta_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -357,7 +346,8 @@ def _cmd_turning_point(cfg: RunConfig) -> tuple[list[str], list]:
     if zeta < 0.0:
         raise ConfigError("zeta must be >= 0")
     params = _model_params(cfg, 0.0, zeta)
-    g_t = turning_point(params, zeta=zeta, config=_solver_config(cfg))
+    _solver_config(cfg)  # unused by the closed form, but a bad --tol-curv is invalid input
+    g_t = turning_point(params, zeta=zeta)
     return ["zeta", "g_c", "g_t"], [np.array([v]) for v in (zeta, critical_coupling(params), g_t)]
 
 
@@ -365,7 +355,8 @@ def _cmd_sp_closure(cfg: RunConfig) -> tuple[list[str], list]:
     if not (math.isfinite(cfg.width_tol) and cfg.width_tol > 0.0):
         raise ConfigError(f"--width-tol must be finite and > 0, got {cfg.width_tol!r}")
     params = _model_params(cfg, 0.0, 0.0)
-    star = sp_closure(params, _solver_config(cfg), width_tol=cfg.width_tol)
+    _solver_config(cfg)  # unused by the closed form, but a bad --tol-curv is invalid input
+    star = sp_closure(params, width_tol=cfg.width_tol)
     row = (star, closure_estimate(params), cfg.width_tol, critical_coupling(params))
     return ["zeta_star", "zeta_estimate", "width_tol", "g_c"], [np.array([v]) for v in row]
 
@@ -411,7 +402,7 @@ def run(argv=None) -> int:
     except (ConfigError, OutOfRange) as exc:
         print(f"optodicke: invalid input: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateBracket, NotFound, rabi.ConvergenceFailure) as exc:
+    except (NotFound, rabi.ConvergenceFailure) as exc:
         print(f"optodicke: solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,12 +40,10 @@ __all__ = [
     "GridCell",
     "BoundarySample",
     "PhaseGrid",
-    "BoundaryRow",
     "BRANCH_TAGS",
     "SWEEP_ZETA_PRESETS",
     "sweep_g",
     "phase_grid",
-    "boundary_trace",
 ]
 
 # Branch tags, in emission order: the two zero-photon states, the stable
@@ -66,16 +64,12 @@ _NORMAL_ROOTS = np.array([0, 1, 1, 0, 0])
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep over g at fixed zeta.
+    """A sweep over g at the fixed parameters params; params.g is ignored.
 
     Grid endpoints are inclusive; g_steps is the number of samples.
     """
 
-    omega: float = 1.0
-    omega_a: float = 1.0
-    omega_b: float = 10.0
-    n_atoms: int = 1
-    zeta: float = 0.0
+    params: ModelParams = ModelParams()
     g_min: float = 0.0
     g_max: float = 3.0
     g_steps: int = 301
@@ -85,11 +79,7 @@ class SweepSpec:
             raise ValueError("g_min must be < g_max")
         if self.g_steps < 2:
             raise ValueError("g_steps must be >= 2")
-        self.params_at(self.g_min)  # validates the fixed parameters and g_min >= 0
-
-    def params_at(self, g: float) -> ModelParams:
-        return ModelParams(omega=self.omega, omega_a=self.omega_a, omega_b=self.omega_b,
-                           g=g, zeta=self.zeta, n_atoms=self.n_atoms)
+        replace(self.params, g=self.g_min)  # validates g_min >= 0
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.g_min, self.g_max, self.g_steps)
@@ -97,12 +87,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A rectangular grid in the g-zeta plane."""
+    """A rectangular grid in the g-zeta plane; params.g and params.zeta are ignored."""
 
-    omega: float = 1.0
-    omega_a: float = 1.0
-    omega_b: float = 10.0
-    n_atoms: int = 1
+    params: ModelParams = ModelParams()
     g_min: float = 0.0
     g_max: float = 3.0
     g_steps: int = 61
@@ -117,11 +104,7 @@ class GridSpec:
             raise ValueError("zeta_min must be < zeta_max")
         if self.g_steps < 2 or self.zeta_steps < 2:
             raise ValueError("step counts must be >= 2")
-        self.params_at(self.g_min, self.zeta_min)
-
-    def params_at(self, g: float, zeta: float) -> ModelParams:
-        return ModelParams(omega=self.omega, omega_a=self.omega_a, omega_b=self.omega_b,
-                           g=g, zeta=zeta, n_atoms=self.n_atoms)
+        replace(self.params, g=self.g_min, zeta=self.zeta_min)  # validates both >= 0
 
     def g_grid(self) -> np.ndarray:
         return np.linspace(self.g_min, self.g_max, self.g_steps)
@@ -213,15 +196,8 @@ class PhaseGrid:
                          [PHASES[k] for k in self.phase.tolist()]))
 
 
-@dataclass(frozen=True)
-class BoundaryRow:
-    zeta: float
-    g_c: float
-    g_t: float | None
-
-
 def _sweep(spec: SweepSpec, gs: np.ndarray, config: SolverConfig | None) -> Sweep:
-    params = spec.params_at(spec.g_min)
+    params = spec.params
     ground, *points = solve_ground(params, gs, config)
     n_p, delta_n_a, n_b = (np.hstack(pair) for pair in zip(*(observable_terms(
         param_rows(params, gs[:, None]), pts.branch, np.sqrt(pts.x)) for pts in points)))
@@ -264,12 +240,12 @@ def grid_row(spec: GridSpec, zeta: float, config: SolverConfig | None = None
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     zeta = float(zeta)
-    params = spec.params_at(0.0, zeta)
+    params = replace(spec.params, zeta=zeta)
     g_c = critical_coupling(params)
     g_t = math.inf
     if zeta > 0.0:
         try:
-            g_t = turning_point(params, zeta=zeta, config=cfg)
+            g_t = turning_point(params)
         except NotFound:
             g_t = g_c
 
@@ -278,7 +254,7 @@ def grid_row(spec: GridSpec, zeta: float, config: SolverConfig | None = None
     index[gs < g_c] = 0
     # twice as wide as the marginal band; a g whose square overflows is far outside it
     with np.errstate(over="ignore"):
-        near = np.flatnonzero(np.abs(spec.omega - gs * gs / spec.omega_a) <= cfg.tol_curv)
+        near = np.flatnonzero(np.abs(params.omega - gs * gs / params.omega_a) <= cfg.tol_curv)
     if near.size:
         rows = param_rows(params, gs[near])
         # a NaN curvature (zeta^2 overflows) is marginal, as in branch_points
@@ -312,22 +288,3 @@ def phase_grid(spec: GridSpec, config: SolverConfig | None = None) -> PhaseGrid:
     return PhaseGrid(g=np.tile(gs, zetas.size), zeta=np.repeat(zetas, gs.size),
                      phase=np.concatenate([index for index, _ in rows]),
                      boundaries=tuple(b for _, bounds in rows for b in bounds))
-
-
-def boundary_trace(spec: GridSpec, config: SolverConfig | None = None) -> list[BoundaryRow]:
-    """(zeta, g_c, g_t) rows over the zeta grid; g_t is None where absent.
-
-    g_c does not depend on zeta or omega_b; g_t comes from the fold search
-    and is absent for zeta = 0 and beyond the closure coupling.
-    """
-    cfg = config if config is not None else DEFAULT_CONFIG
-    params = spec.params_at(0.0, 0.0)
-    g_c = critical_coupling(params)
-    rows: list[BoundaryRow] = []
-    for zeta in spec.zeta_grid():
-        try:
-            g_t: float | None = turning_point(params, zeta=float(zeta), config=cfg)
-        except NotFound:
-            g_t = None
-        rows.append(BoundaryRow(zeta=float(zeta), g_c=g_c, g_t=g_t))
-    return rows

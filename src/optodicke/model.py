@@ -47,7 +47,6 @@ __all__ = [
     "scs_angles",
     "observable_terms",
     "observables_at",
-    "classify_stability",
     "raw_amplitude",
     "SQUARE_LIMIT",
 ]
@@ -256,15 +255,6 @@ def observables_at(params: ModelParams, point: VariationalPoint) -> Observables:
     """Observables of a stationary point: n_p, delta_n_a, n_b and eps."""
     n_p, delta_n_a, n_b = observable_terms(params, point.branch, point.amplitude)
     return Observables(n_p=n_p, delta_n_a=float(delta_n_a), n_b=n_b, energy=point.energy)
-
-
-def classify_stability(curv: float, tol_curv: float) -> Stability:
-    """Stable / unstable by the sign of the curvature, with a marginal band."""
-    if curv > tol_curv:
-        return Stability.STABLE
-    if curv < -tol_curv:
-        return Stability.UNSTABLE
-    return Stability.MARGINAL
 
 
 def raw_amplitude(params: ModelParams, gamma_bar: float) -> float:

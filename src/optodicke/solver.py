@@ -49,15 +49,12 @@ from .model import (
 __all__ = [
     "SolverConfig",
     "SolverError",
-    "DegenerateBracket",
     "NotFound",
     "OutOfRange",
     "RootSet",
     "BranchPoints",
     "GroundState",
-    "CriticalPoints",
     "critical_coupling",
-    "zero_photon_point",
     "branch_points",
     "find_roots",
     "root_set",
@@ -70,14 +67,14 @@ __all__ = [
     "turning_point",
     "sp_closure",
     "closure_estimate",
-    "critical_points",
 ]
 
 _NEWTON_STEPS = 2
 _THIRDS = np.array([2.0 * math.pi * k / 3.0 for k in range(3)])
 # by code: 1 curvature > tol_curv, 2 curvature < -tol_curv, 0 in between, 3 no point
 _STABILITY = np.array([Stability.MARGINAL, Stability.STABLE, Stability.UNSTABLE, None])
-_OUT_OF_RANGE = ("is outside the supported range, where every stationary point fits in doubles "
+_OUT_OF_RANGE = ("is outside the supported range, where every stationary point and its "
+                 "phonon number fit in doubles "
                  "(at omega = omega_a = 1, omega_b = 10: about 1e-153 < zeta < 5e153, "
                  "with g < 1e77 at zeta = 0 and g < 1e115 at zeta = 1)")
 
@@ -92,11 +89,7 @@ class SolverError(Exception):
 
 
 class DegenerateBracket(SolverError):
-    """A near-double root pair could not be resolved.
-
-    The closed-form solver never raises it; it stays exported (and mapped
-    to CLI exit code 3) so that callers catching it keep working.
-    """
+    """Never raised.  Kept only because the benchmark's tracer (bench/tracing.py) reads it."""
 
 
 class NotFound(SolverError):
@@ -104,32 +97,18 @@ class NotFound(SolverError):
 
 
 class OutOfRange(SolverError):
-    """A stationary point at the given (g, zeta) does not fit in doubles."""
+    """A stationary point, or the closure coupling, does not fit in doubles."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver tolerances.
+    """tol_curv: half-width of the marginal-stability band on the curvature."""
 
-    tol_root    : accepted for compatibility; unused, the roots are closed form
-    tol_curv    : half-width of the marginal-stability band on the curvature
-    scan_points : accepted for compatibility; unused, there is no scan
-    tol_gt      : tolerance on g_t; unused by turning_point, which is closed
-                  form, and kept as the contract its result meets
-    """
-
-    tol_root: float = 1e-10
     tol_curv: float = 1e-9
-    scan_points: int = 2000
-    tol_gt: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("tol_root", "tol_curv", "tol_gt"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.scan_points < 100:
-            raise ValueError("scan_points must be >= 100")
+        if not (self.tol_curv > 0.0 and math.isfinite(self.tol_curv)):
+            raise ValueError(f"tol_curv must be finite and > 0, got {self.tol_curv!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -181,18 +160,6 @@ class GroundState:
     observables: Observables
 
 
-@dataclass(frozen=True)
-class CriticalPoints:
-    """Phase boundaries for one (omega, omega_a, omega_b) triple.
-
-    g_t is None when absent (zeta = 0, or zeta at/beyond closure).
-    """
-
-    g_c: float
-    g_t: float | None
-    zeta_star: float
-
-
 def critical_coupling(params: ModelParams) -> float:
     """Boundary g_c = sqrt(omega*omega_a) between NP(N-) and SP.
 
@@ -200,17 +167,6 @@ def critical_coupling(params: ModelParams) -> float:
     normal-phase boundary.
     """
     return math.sqrt(params.omega * params.omega_a)
-
-
-def zero_photon_point(params: ModelParams, branch: SpinBranch,
-                      config: SolverConfig | None = None) -> VariationalPoint:
-    """The gamma_bar = 0 stationary point of a branch: find_roots' zero_point.
-
-    Curvature 2*(omega -/+ g^2/omega_a): the normal point N- is stable only
-    below g_c, the inverted point N+ is stable for every g.  Column 0 of
-    the one-point branch_points call, so it is bitwise the kernel's.
-    """
-    return find_roots(params, branch, config).zero_point
 
 
 def param_rows(params: ModelParams, g: np.ndarray) -> SimpleNamespace:
@@ -270,7 +226,7 @@ def branch_points(params: ModelParams, branch: SpinBranch, g,
 
     The one root kernel (see the module docstring); params fixes omega,
     omega_a, omega_b and zeta, and params.g is ignored.  Raises OutOfRange
-    where a point does not fit in doubles.
+    where a point, its energy, curvature or phonon number does not fit in doubles.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     g = np.asarray(g, dtype=float).reshape(-1)
@@ -294,9 +250,11 @@ def branch_points(params: ModelParams, branch: SpinBranch, g,
         gamma_bar = np.sqrt(x)
         energy = scaled_energy(rows, branch, gamma_bar)
         curv = curvature(rows, branch, gamma_bar)
+        n_b = params.zeta * (gamma_bar * gamma_bar) / params.omega_b  # as observable_terms does
+        fits = (np.isfinite(energy) & np.isfinite(curv) & np.isfinite(x)
+                & np.isfinite(n_b * n_b))
 
     present = ~np.isnan(x)
-    fits = np.isfinite(energy) & np.isfinite(curv) & np.isfinite(x)
     fits[:, 1:] &= x[:, 1:] > 0.0
     bad = (present & ~fits).any(axis=1)
     if bad.any():
@@ -309,7 +267,7 @@ def find_roots(params: ModelParams, branch: SpinBranch,
                config: SolverConfig | None = None) -> RootSet:
     """Every positive stationary amplitude of a branch, classified.
 
-    The one-point call of branch_points at params.g.  Never raises DegenerateBracket.
+    The one-point call of branch_points at params.g.
     """
     return root_set(branch_points(params, branch, [params.g], config), 0)
 
@@ -359,13 +317,12 @@ def solve_ground(params: ModelParams, g, config: SolverConfig | None = None
     smaller amplitude.  A g without candidates (omega <= tol_curv/2) raises
     NotFound.  params.g is ignored.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
     g = np.asarray(g, dtype=float).reshape(-1)
-    normal, inverted = (branch_points(params, branch, g, cfg) for branch in SpinBranch)
+    normal, inverted = (branch_points(params, branch, g, config) for branch in SpinBranch)
     # p decreases along the inverted branch, so its root is never a minimum
     candidate = np.hstack([_minima(params, normal, g), _minima(params, inverted, g)[:, :1]])
     with contextlib.suppress(NotFound):  # no fold at zeta = 0 or in a closed window
-        candidate[g >= turning_point(params, config=cfg), 1:3] = False
+        candidate[g >= turning_point(params), 1:3] = False
     none = ~candidate.any(axis=1)
     if none.any():
         raise NotFound(f"no local minimum of the energy at g={float(g[none][0])!r}, "
@@ -400,8 +357,7 @@ def _newton_down(step) -> float:
         t = t_next
 
 
-def turning_point(params: ModelParams, zeta: float | None = None,
-                  config: SolverConfig | None = None) -> float:
+def turning_point(params: ModelParams, zeta: float | None = None) -> float:
     """Fold coupling g_t where the stable and unstable SP roots merge.
 
     u = g_t^2 is the positive root of 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4
@@ -409,8 +365,8 @@ def turning_point(params: ModelParams, zeta: float | None = None,
     u = (omega/(1.5 t))^3 / sigma^2 turns it into (tau*t)^4 + t - 1 = 0,
     tau = (27/16)^(1/4) zeta/closure_estimate.  Nothing overflows: g_t is inf
     only where it exceeds every double (closure_estimate raises OutOfRange
-    for omega > SQUARE_LIMIT).  params.g is ignored; zeta defaults
-    to params.zeta; config is accepted for call compatibility.
+    where omega_b*omega^2/omega_a does not fit in a double).  params.g is
+    ignored; zeta defaults to params.zeta.
 
     Raises NotFound for zeta = 0 (the superradiant region never closes) and
     when the fold is not a superradiant window: zeta >= closure_estimate,
@@ -438,23 +394,26 @@ def closure_estimate(params: ModelParams) -> float:
     Expanding p on the normal branch to first order in gamma_bar^2 at g = g_c
     gives the coefficient 2*(omega^2/omega_a - zeta^2/omega_b); the window
     closes exactly where it changes sign, zeta = sqrt(omega_b*omega^2/omega_a).
-    OutOfRange for omega > SQUARE_LIMIT, where omega^2 does not fit in a double.
+    OutOfRange where omega_b*omega^2/omega_a does not fit in a double.
     """
-    if params.omega > SQUARE_LIMIT:
-        raise OutOfRange(f"omega={params.omega!r} is outside the range of the closure coupling "
-                         f"sqrt(omega_b*omega^2/omega_a), omega <= {SQUARE_LIMIT:g}")
-    return math.sqrt(params.omega_b * params.omega**2 / params.omega_a)
+    if params.omega <= SQUARE_LIMIT:
+        square = params.omega_b * params.omega**2 / params.omega_a
+        if math.isfinite(square):
+            return math.sqrt(square)
+    raise OutOfRange(f"omega={params.omega!r}, omega_a={params.omega_a!r}, "
+                     f"omega_b={params.omega_b!r} is outside the range of the closure coupling "
+                     f"sqrt(omega_b*omega^2/omega_a), which needs omega <= {SQUARE_LIMIT:g} and "
+                     "omega_b*omega^2/omega_a below the largest double")
 
 
-def sp_closure(params: ModelParams, config: SolverConfig | None = None,
-               width_tol: float = 1e-3) -> float:
+def sp_closure(params: ModelParams, width_tol: float = 1e-3) -> float:
     """Smallest zeta whose superradiant window g_t - g_c is <= width_tol.
 
     The window narrows as zeta grows, so g_t = G = g_c + width_tol there.  In
     turning_point's t that is t^3 - t^2 + C^4 = 0, C = (27/16)^(1/4) sqrt(omega_b)
     (omega/1.5)^(3/2) / (closure_estimate G), with its root in [2/3, 1] reached by
-    Newton steps from 1; zeta_star = sqrt(omega_b) (omega/(1.5 t))^(3/2) / G.  params.g,
-    params.zeta and config are ignored.  OutOfRange where closure_estimate underflows.
+    Newton steps from 1; zeta_star = sqrt(omega_b) (omega/(1.5 t))^(3/2) / G.  params.g
+    and params.zeta are ignored.  OutOfRange where closure_estimate under- or overflows.
     """
     if not width_tol > 0.0:
         raise ValueError("width_tol must be > 0")
@@ -468,18 +427,3 @@ def sp_closure(params: ModelParams, config: SolverConfig | None = None,
     c4 = ((27.0 / 16.0) ** 0.25 * root_wb * (params.omega / 1.5) ** 1.5 / (estimate * g_top))**4
     t = _newton_down(lambda t: (t * t * (t - 1.0) + c4, t * (3.0 * t - 2.0)))
     return root_wb * (params.omega / (1.5 * t)) ** 1.5 / g_top
-
-
-def critical_points(params: ModelParams, config: SolverConfig | None = None,
-                    width_tol: float = 1e-3) -> CriticalPoints:
-    """g_c, g_t (None when absent) and zeta_star for the given frequencies."""
-    cfg = config if config is not None else DEFAULT_CONFIG
-    try:
-        g_t: float | None = turning_point(params, config=cfg)
-    except NotFound:
-        g_t = None
-    return CriticalPoints(
-        g_c=critical_coupling(params),
-        g_t=g_t,
-        zeta_star=sp_closure(params, cfg, width_tol=width_tol),
-    )

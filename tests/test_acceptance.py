@@ -54,7 +54,7 @@ def test_critical_coupling():
     # the refined boundary of the NP(N-) region must not move with zeta or
     # omega_b (the state above it may be SP or, past closure, NP(N+))
     for omega_b in (5.0, 10.0, 40.0):
-        spec = GridSpec(omega_b=omega_b, g_min=0.8, g_max=1.2, g_steps=3,
+        spec = GridSpec(ModelParams(omega_b=omega_b), g_min=0.8, g_max=1.2, g_steps=3,
                         zeta_min=0.5, zeta_max=2.5, zeta_steps=3)
         grid = phase_grid(spec)
         exits = [b for b in grid.boundaries if b.phase_below is PhaseLabel.NP_NMINUS]
@@ -92,7 +92,8 @@ def test_dicke_reduction():
 
     rows_by_n = {}
     for n_atoms in (1, 100):
-        rows = sweep_g(SweepSpec(zeta=0.0, g_min=0.0, g_max=3.0, g_steps=301, n_atoms=n_atoms))
+        rows = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=n_atoms), g_min=0.0, g_max=3.0,
+                                 g_steps=301))
         rows_by_n[n_atoms] = rows
         for row in rows:
             assert row.ground.n_p == pytest.approx(np_exact(row.g), abs=1e-10)
@@ -126,7 +127,7 @@ def test_observable_identities():
 @criterion(6, "multi-transition energy and population curves at zeta=1")
 def test_multi_transition_curve():
     g_t = 1.763026785  # fold oracle
-    rows = sweep_g(SweepSpec(zeta=1.0, g_min=0.0, g_max=3.0, g_steps=301))
+    rows = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.0, g_max=3.0, g_steps=301))
     sp_rows = [r for r in rows if r.phase is PhaseLabel.SP]
     for row in rows:
         if row.g < 1.0:

@@ -152,6 +152,18 @@ class TestConfig:
         cfg.write_text("{not json")
         assert run(["roots", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--tol-root", "tol_root", "1e-10"), ("--scan-points", "scan_points", "2000"),
+        ("--tol-gt", "tol_gt", "1e-6")])
+    def test_retired_knobs_rejected(self, flag, key, value, tmp_path, capsys):
+        # the solver is closed form: no root tolerance, root scan or g_t tolerance
+        assert run(["turning-point", "--zeta", "1", flag, value]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value)}))
+        assert run(["turning-point", "--zeta", "1", "--config", str(cfg)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
     def test_bad_flag_value(self):
         assert run(["sweep", "--g", "3:0:10"]) == 2
         assert run(["sweep", "--g", "abc"]) == 2
@@ -449,6 +461,16 @@ def test_huge_and_tiny_parameters(argv, code, message, capsys):
     # omega**2 in the closure coupling
     (["sp-closure", "--omega", "1e300"], "outside the range of the closure coupling"),
     (["turning-point", "--omega", "1e300", "--zeta", "1"], "outside the range of the closure"),
+    # omega_b*omega^2/omega_a overflows with omega inside its range: the closure
+    # coupling was inf, and with it zeta_star and g_t
+    (["sp-closure", "--omega", "1e150", "--omega-b", "1e300"], "outside the range of the closure"),
+    (["turning-point", "--zeta", "1e-300", "--omega", "1e150", "--omega-a", "1e-50"],
+     "outside the range of the closure"),
+    # the phonon number (zeta*n_p/omega_b)^2 overflows where n_p itself fits
+    (["roots", "--omega-b", "4.046207997021028e-185", "--g", "1e50",
+      "--zeta", "7.326211170790973e-157"], "outside the supported range"),
+    (["sweep", "--omega", "1e150", "--omega-b", "1e-300", "--g", "0:4.4613934136508984e+73:3",
+      "--zeta", "1e-50"], "outside the supported range"),
 ])
 def test_outside_the_domain(argv, message, capsys):
     with warnings.catch_warnings():

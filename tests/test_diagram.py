@@ -1,9 +1,10 @@
-"""Sweeps, phase grids and boundary traces."""
+"""Sweeps, phase grids and the fold coupling along zeta."""
 
 import contextlib
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from optodicke.diagram import (
     BRANCH_TAGS,
     GridSpec,
     SweepSpec,
-    boundary_trace,
     grid_row,
     phase_grid,
     sweep_g,
@@ -60,20 +60,20 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(g_steps=1)
         with pytest.raises(ValueError):
-            SweepSpec(omega_b=-1.0)
+            SweepSpec(ModelParams(omega_b=-1.0))
 
 
 class TestDickeSweep:
     def test_photon_number_closed_form(self):
-        rows = sweep_g(SweepSpec(zeta=0.0, g_min=0.0, g_max=3.0, g_steps=301))
+        rows = sweep_g(SweepSpec(ModelParams(zeta=0.0), g_min=0.0, g_max=3.0, g_steps=301))
         for row in rows:
             assert row.ground.n_p == pytest.approx(dicke_np(row.g), abs=1e-10)
             assert row.ground.energy == pytest.approx(dicke_energy(row.g), abs=1e-10)
             assert row.ground.n_b == 0.0
 
     def test_n_independent(self):
-        rows_1 = sweep_g(SweepSpec(zeta=0.0, g_steps=61, n_atoms=1))
-        rows_100 = sweep_g(SweepSpec(zeta=0.0, g_steps=61, n_atoms=100))
+        rows_1 = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=1), g_steps=61))
+        rows_100 = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=100), g_steps=61))
         for a, b in zip(rows_1, rows_100):
             assert a.ground == b.ground
             assert a.phase == b.phase
@@ -81,13 +81,13 @@ class TestDickeSweep:
 
 class TestBranchContents:
     def test_inside_superradiant_window(self):
-        (row,) = sweep_g(SweepSpec(zeta=1.0, g_min=1.5, g_max=3.0, g_steps=2))[:1]
+        (row,) = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=1.5, g_max=3.0, g_steps=2))[:1]
         tags = [e.tag for e in row.branches]
         assert tags == list(BRANCH_TAGS)
         assert row.phase is PhaseLabel.SP
 
     def test_beyond_fold(self):
-        rows = sweep_g(SweepSpec(zeta=1.0, g_min=2.0, g_max=2.5, g_steps=2))
+        rows = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=2.0, g_max=2.5, g_steps=2))
         row = rows[0]
         tags = [e.tag for e in row.branches]
         # the nonzero normal-branch pair no longer exists past the fold
@@ -98,7 +98,7 @@ class TestBranchContents:
     def test_unstable_branch_ordering(self):
         # where both unstable nonzero states exist, the inverted one has the
         # larger photon number and energy
-        rows = sweep_g(SweepSpec(zeta=1.0, g_min=0.4, g_max=1.7, g_steps=14))
+        rows = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.4, g_max=1.7, g_steps=14))
         seen = 0
         for row in rows:
             by_tag = {e.tag: e for e in row.branches}
@@ -109,7 +109,7 @@ class TestBranchContents:
         assert seen == len(rows)
 
     def test_branch_tags_unique(self):
-        for row in sweep_g(SweepSpec(zeta=1.5, g_min=0.1, g_max=2.9, g_steps=15)):
+        for row in sweep_g(SweepSpec(ModelParams(zeta=1.5), g_min=0.1, g_max=2.9, g_steps=15)):
             tags = [e.tag for e in row.branches]
             assert len(tags) == len(set(tags))
             assert {"N-", "N+"} <= set(tags)
@@ -117,7 +117,7 @@ class TestBranchContents:
 
 class TestMultiTransition:
     def test_energy_curve_zeta_one(self):
-        rows = sweep_g(SweepSpec(zeta=1.0, g_min=0.0, g_max=3.0, g_steps=301))
+        rows = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.0, g_max=3.0, g_steps=301))
         for row in rows:
             if row.g < 1.0:
                 assert row.phase is PhaseLabel.NP_NMINUS
@@ -132,14 +132,14 @@ class TestMultiTransition:
         assert all(a > b for a, b in zip(sp_energies, sp_energies[1:]))
 
     def test_population_transfer_zeta_three(self):
-        rows = sweep_g(SweepSpec(zeta=3.0, g_min=0.0, g_max=3.0, g_steps=301))
+        rows = sweep_g(SweepSpec(ModelParams(zeta=3.0), g_min=0.0, g_max=3.0, g_steps=301))
         assert all(row.phase is not PhaseLabel.SP for row in rows)
         dna = {row.g: row.ground.delta_n_a for row in rows}
         assert dna[0.99] == -0.5 and dna[1.0] == -0.5
         assert dna[1.01] == +0.5 and dna[3.0] == +0.5
 
     def test_order_parameter_jumps(self):
-        rows = sweep_g(SweepSpec(zeta=1.0, g_min=0.9, g_max=2.0, g_steps=111))
+        rows = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.9, g_max=2.0, g_steps=111))
         nps = [r.ground.n_p for r in rows]
         jumps = [abs(b - a) for a, b in zip(nps, nps[1:])]
         # continuous onset at g_c, first-order collapse at g_t
@@ -189,7 +189,8 @@ class TestPhaseGrid:
         spec = GridSpec(g_min=0.3, g_max=2.7, g_steps=9, zeta_min=0.7, zeta_max=2.1, zeta_steps=3)
         grid = phase_grid(spec)
         for zeta in spec.zeta_grid():
-            rows = sweep_g(SweepSpec(zeta=float(zeta), g_min=0.3, g_max=2.7, g_steps=9))
+            rows = sweep_g(SweepSpec(replace(spec.params, zeta=float(zeta)), g_min=0.3, g_max=2.7,
+                                     g_steps=9))
             cells = [c for c in grid.cells if c.zeta == zeta]
             assert [c.phase for c in cells] == [r.phase for r in rows]
 
@@ -230,8 +231,7 @@ class TestGridReferee:
         # range where every stationary point fits in doubles.
         base = ModelParams(omega=omega, omega_a=omega_a, omega_b=omega_b)
         g_c, closure = critical_coupling(base), closure_estimate(base)
-        spec = GridSpec(omega=omega, omega_a=omega_a, omega_b=omega_b,
-                        g_min=g_lo * g_c, g_max=(g_lo + g_span) * g_c, g_steps=g_steps,
+        spec = GridSpec(base, g_min=g_lo * g_c, g_max=(g_lo + g_span) * g_c, g_steps=g_steps,
                         zeta_min=z_lo * closure, zeta_max=(z_lo + z_span) * closure,
                         zeta_steps=z_steps)
         grid = phase_grid(spec)
@@ -240,7 +240,8 @@ class TestGridReferee:
         for k in range(z_steps):
             row = grid.cells[k * g_steps:(k + 1) * g_steps]
             for cell in row:
-                assert cell.phase is ground_state(spec.params_at(cell.g, cell.zeta)).phase, cell
+                params = replace(base, g=cell.g, zeta=cell.zeta)
+                assert cell.phase is ground_state(params).phase, cell
             changes += [(lo, hi) for lo, hi in zip(row, row[1:]) if lo.phase is not hi.phase]
         assert ([(b.zeta, b.phase_below) for b in grid.boundaries]
                 == [(lo.zeta, lo.phase) for lo, _ in changes])
@@ -265,10 +266,10 @@ class TestGridReferee:
         base = ModelParams(omega=omega)
         g_c = critical_coupling(base)
         zeta = closure_estimate(base) * (1.0 + 0.01 * side)
-        spec = GridSpec(omega=omega, g_min=0.0, g_max=2.0 * g_c, g_steps=3)
+        spec = GridSpec(base, g_min=0.0, g_max=2.0 * g_c, g_steps=3)
         index, bounds = grid_row(spec, zeta)
         assert spec.g_grid()[1] == g_c
-        want = ground_state(spec.params_at(g_c, zeta)).phase
+        want = ground_state(replace(base, g=g_c, zeta=zeta)).phase
         assert PHASES[index[1]] is want
         if side < 0:
             assert want is PhaseLabel.NP_NMINUS
@@ -287,9 +288,12 @@ class TestGridReferee:
         assert [b.g_refined for b in bounds if b.phase_below is PhaseLabel.SP] in ([g_t], [])
         # The fold rule: no superradiant root is a ground-state candidate from
         # the computed g_t up, so the solver agrees with the grid there too.
-        assert ground_state(spec.params_at(g_t, zeta)).phase is PhaseLabel.NP_NPLUS
-        assert ground_state(spec.params_at(g_t * (1 - 1e-14), zeta)).phase is PhaseLabel.SP
-        assert ground_state(spec.params_at(g_t * (1 + 1e-14), zeta)).phase is PhaseLabel.NP_NPLUS
+        def phase_at(g):
+            return ground_state(ModelParams(g=g, zeta=zeta)).phase
+
+        assert phase_at(g_t) is PhaseLabel.NP_NPLUS
+        assert phase_at(g_t * (1 - 1e-14)) is PhaseLabel.SP
+        assert phase_at(g_t * (1 + 1e-14)) is PhaseLabel.NP_NPLUS
 
     @pytest.mark.parametrize("zeta, above", [(1e-120, PhaseLabel.SP), (1e300, PhaseLabel.NP_NPLUS)])
     def test_extreme_zeta_rows(self, zeta, above):
@@ -331,8 +335,7 @@ class TestFoldRule:
 
     @pytest.mark.parametrize("omega, omega_a, omega_b", [(1.0, 1.0, 10.0), (2.0, 0.7, 25.0)])
     def test_sweep_ground_state_and_grid_agree(self, omega, omega_a, omega_b):
-        common = dict(omega=omega, omega_a=omega_a, omega_b=omega_b)
-        base = ModelParams(**common)
+        base = ModelParams(omega=omega, omega_a=omega_a, omega_b=omega_b)
         g_c, closure = critical_coupling(base), closure_estimate(base)
         for zeta in [*(np.linspace(0.02, 0.999, 40) * closure).tolist(), closure]:
             couplings = [g_c]
@@ -340,36 +343,41 @@ class TestFoldRule:
                 couplings.append(turning_point(base, zeta=zeta))
             for g in couplings:
                 # the middle point of a 3-point grid from 0 to 2 g is g itself
-                sweep = SweepSpec(**common, zeta=zeta, g_min=0.0, g_max=2.0 * g, g_steps=3)
+                sweep = SweepSpec(replace(base, zeta=zeta), g_min=0.0, g_max=2.0 * g, g_steps=3)
                 assert sweep.grid()[1] == g
-                want = ground_state(sweep.params_at(g)).phase
+                want = ground_state(replace(base, g=g, zeta=zeta)).phase
                 assert sweep_g(sweep)[1].phase is want, (zeta, g)
-                index, _ = grid_row(GridSpec(**common, g_min=0.0, g_max=2.0 * g, g_steps=3), zeta)
+                index, _ = grid_row(GridSpec(base, g_min=0.0, g_max=2.0 * g, g_steps=3), zeta)
                 assert PHASES[index[1]] is want, (zeta, g)
                 if g != g_c:  # no superradiant root is a candidate from g_t up
                     assert want is PhaseLabel.NP_NPLUS, zeta
 
 
 class TestBoundaryTrace:
+    """g_c and turning_point along a zeta grid."""
+
     def test_reference_rows(self):
         spec = GridSpec(zeta_min=0.0, zeta_max=3.0, zeta_steps=4)
-        rows = boundary_trace(spec)
-        assert [r.zeta for r in rows] == [0.0, 1.0, 2.0, 3.0]
-        assert all(r.g_c == 1.0 for r in rows)
-        assert rows[0].g_t is None
-        assert rows[1].g_t == pytest.approx(GT_Z1, abs=5e-6)
-        assert rows[2].g_t == pytest.approx(1.087827300, abs=5e-6)
-        assert rows[3].g_t is not None and rows[3].g_t <= 1.01
+        zetas = spec.zeta_grid().tolist()
+        assert zetas == [0.0, 1.0, 2.0, 3.0]
+        assert critical_coupling(spec.params) == 1.0
+        with pytest.raises(NotFound):
+            turning_point(spec.params, zeta=zetas[0])
+        g_t = [turning_point(spec.params, zeta=z) for z in zetas[1:]]
+        assert g_t[0] == pytest.approx(GT_Z1, abs=5e-6)
+        assert g_t[1] == pytest.approx(1.087827300, abs=5e-6)
+        assert g_t[2] <= 1.01
 
     def test_monotone_window(self):
         spec = GridSpec(zeta_min=0.5, zeta_max=2.5, zeta_steps=5)
-        gts = [r.g_t for r in boundary_trace(spec)]
+        gts = [turning_point(spec.params, zeta=z) for z in spec.zeta_grid().tolist()]
         assert all(a > b for a, b in zip(gts, gts[1:]))
 
     def test_critical_line_flat_in_oscillator(self):
         for wb in (5.0, 10.0, 40.0):
-            rows = boundary_trace(GridSpec(omega_b=wb, zeta_min=0.5, zeta_max=2.5, zeta_steps=3))
-            assert all(r.g_c == 1.0 for r in rows)
+            spec = GridSpec(ModelParams(omega_b=wb), zeta_min=0.5, zeta_max=2.5, zeta_steps=3)
+            for zeta in spec.zeta_grid().tolist():
+                assert critical_coupling(replace(spec.params, zeta=zeta)) == 1.0
 
 
 class TestSweepReferee:
@@ -380,7 +388,8 @@ class TestSweepReferee:
         return Stability.STABLE if slope > 0.0 else Stability.UNSTABLE
 
     def _check_row(self, spec, row, g_c, g_t):
-        args = (row.g, spec.zeta, spec.omega, spec.omega_a, spec.omega_b)
+        p = spec.params
+        args = (row.g, p.zeta, p.omega, p.omega_a, p.omega_b)
         by_tag = {e.tag: e for e in row.branches}
         for tag, sign in (("N-", -1), ("N+", +1)):
             if by_tag[tag].stability is not Stability.MARGINAL:
@@ -391,8 +400,8 @@ class TestSweepReferee:
             if sign < 0 and abs(row.g - g_t) <= 1e-9 * g_t:
                 # within rounding of the fold the pair may or may not split;
                 # roots, if reported, sit at the merged root A^3 = omega_b g^4/zeta^2
-                a_star = (spec.omega_b * row.g**4 / spec.zeta**2) ** (1.0 / 3.0)
-                x_star = (a_star**2 - spec.omega_a**2) / (4.0 * row.g**2)
+                a_star = (p.omega_b * row.g**4 / p.zeta**2) ** (1.0 / 3.0)
+                x_star = (a_star**2 - p.omega_a**2) / (4.0 * row.g**2)
                 assert [x for x, _ in got] == pytest.approx([x_star] * len(got), rel=1e-6)
                 continue
             expected = oracles.scan_roots(sign, *args, n_points=20_000)
@@ -420,10 +429,9 @@ class TestSweepReferee:
         g_c, closure = critical_coupling(base), closure_estimate(base)
         zeta = z_unit * closure
         g_t = turning_point(base, zeta=zeta)
-        common = dict(omega=omega, omega_a=omega_a, omega_b=omega_b)
-        specs = [SweepSpec(**common, zeta=z, g_min=0.0, g_max=4.0 * g_c, g_steps=2**k + 1)
+        specs = [SweepSpec(replace(base, zeta=z), g_min=0.0, g_max=4.0 * g_c, g_steps=2**k + 1)
                  for z in (0.0, zeta, closure * (1.0 + z_over))]
-        specs.append(SweepSpec(**common, zeta=zeta, g_min=math.nextafter(g_t, 0.0),
+        specs.append(SweepSpec(replace(base, zeta=zeta), g_min=math.nextafter(g_t, 0.0),
                                g_max=math.nextafter(g_t, math.inf), g_steps=3))
         for spec in specs:
             rows = sweep_g(spec)
@@ -436,7 +444,7 @@ class TestSweepReferee:
         # a roots call prints the values of the sweep row at the same g
         spec = specs[1]
         flags = ["--omega", repr(omega), "--omega-a", repr(omega_a), "--omega-b", repr(omega_b),
-                 "--zeta", repr(spec.zeta)]
+                 "--zeta", repr(spec.params.zeta)]
         g = float(spec.grid()[1])
         sweep_out, roots_out = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(sweep_out):

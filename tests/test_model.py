@@ -10,7 +10,6 @@ from optodicke.model import (
     SpinBranch,
     Stability,
     VariationalPoint,
-    classify_stability,
     curvature,
     extremum_polynomial,
     level_splitting,
@@ -33,12 +32,13 @@ EPS_S = -0.701017167434
 REF = ModelParams(omega=1.0, omega_a=1.0, omega_b=10.0, g=1.5, zeta=1.0)
 
 
-def point_at(params, branch, gamma_bar, tol_curv=1e-9):
+def point_at(params, branch, gamma_bar):
+    # observables_at does not read the stability; the curvature's sign fills it in
     curv = float(curvature(params, branch, gamma_bar))
     return VariationalPoint(
         amplitude=gamma_bar, branch=branch,
         energy=float(scaled_energy(params, branch, gamma_bar)),
-        curvature=curv, stability=classify_stability(curv, tol_curv))
+        curvature=curv, stability=Stability.STABLE if curv > 0.0 else Stability.UNSTABLE)
 
 
 class TestParams:
@@ -216,10 +216,3 @@ class TestObservables:
 
 def test_tilt_ratio_matches_theta():
     assert tilt_ratio(REF, 0.4) == pytest.approx(math.tan(scs_angles(REF, 0.4).theta), rel=1e-14)
-
-
-def test_classify_stability_band():
-    assert classify_stability(1e-3, 1e-9) is Stability.STABLE
-    assert classify_stability(-1e-3, 1e-9) is Stability.UNSTABLE
-    assert classify_stability(5e-10, 1e-9) is Stability.MARGINAL
-    assert classify_stability(-5e-10, 1e-9) is Stability.MARGINAL

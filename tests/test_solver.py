@@ -10,14 +10,13 @@ from optodicke.model import ModelParams, PhaseLabel, SpinBranch, Stability, extr
 from optodicke.solver import (
     NotFound,
     SolverConfig,
+    branch_points,
     closure_estimate,
     critical_coupling,
-    critical_points,
     find_roots,
     ground_state,
     sp_closure,
     turning_point,
-    zero_photon_point,
 )
 
 import oracles
@@ -55,34 +54,39 @@ class TestCriticalCoupling:
 
 class TestZeroPhotonPoint:
     def test_normal_below_critical(self):
-        pt = zero_photon_point(ModelParams(g=0.8, zeta=1.0), NORMAL)
+        pt = find_roots(ModelParams(g=0.8, zeta=1.0), NORMAL).zero_point
         assert pt.stability is Stability.STABLE
         assert pt.energy == -0.5
         assert pt.amplitude == 0.0
 
     def test_normal_above_critical(self):
-        pt = zero_photon_point(ModelParams(g=1.5, zeta=1.0), NORMAL)
+        pt = find_roots(ModelParams(g=1.5, zeta=1.0), NORMAL).zero_point
         assert pt.stability is Stability.UNSTABLE
         assert pt.curvature == pytest.approx(2 * (1 - 2.25), rel=1e-15)
 
     def test_inverted_always_stable(self):
         for g in (0.0, 1.0, 3.0, 10.0):
-            pt = zero_photon_point(ModelParams(g=g, zeta=2.0), INVERTED)
+            pt = find_roots(ModelParams(g=g, zeta=2.0), INVERTED).zero_point
             assert pt.stability is Stability.STABLE
             assert pt.energy == +0.5
 
     def test_marginal_exactly_at_critical(self):
-        pt = zero_photon_point(ModelParams(g=1.0, zeta=1.0), NORMAL)
+        pt = find_roots(ModelParams(g=1.0, zeta=1.0), NORMAL).zero_point
         assert pt.stability is Stability.MARGINAL
 
     def test_bitwise_the_kernel_zero_point(self):
         # scalar and array powers differ in the last bit for some omega_a, so
-        # only the kernel's own column 0 classifies alike at |curvature| = tol_curv
+        # the one-point call must be the array kernel's own column 0, bit for
+        # bit, for it to classify alike at |curvature| = tol_curv
         rng = np.random.default_rng(8)
+        gs = np.array([0.3, 0.7, 1.9])
         for omega_a in rng.uniform(0.3, 3.0, 400):
             params = ModelParams(omega_a=float(omega_a), g=0.7, zeta=0.5)
             for branch in (NORMAL, INVERTED):
-                assert zero_photon_point(params, branch) == find_roots(params, branch).zero_point
+                pts = branch_points(params, branch, gs)
+                zero = find_roots(params, branch).zero_point
+                assert (zero.energy, zero.curvature, zero.stability) == (
+                    pts.energy[1, 0], pts.curvature[1, 0], pts.stability[1, 0])
 
 
 class TestFindRoots:
@@ -131,17 +135,16 @@ class TestFindRoots:
         assert rs.zero_point.stability is Stability.UNSTABLE
 
     def test_residual_bound(self):
-        # |p(root)| <= 10 * tol_root * |dp/dgamma| at every refined root
-        cfg = SolverConfig()
+        # |p(root)| <= 10 * 1e-10 * |dp/dgamma| at every refined root
         for params in (REF, ModelParams(g=0.8, zeta=1.0), ModelParams(g=1.2, zeta=2.0)):
             for branch in SpinBranch:
-                for root in find_roots(params, branch, cfg).roots:
+                for root in find_roots(params, branch).roots:
                     gb = root.amplitude
                     h = 1e-7
                     slope = (float(extremum_polynomial(params, branch, gb + h))
                              - float(extremum_polynomial(params, branch, gb - h))) / (2 * h)
                     resid = abs(float(extremum_polynomial(params, branch, gb)))
-                    assert resid <= 10.0 * cfg.tol_root * max(abs(slope), 1.0)
+                    assert resid <= 10.0 * 1e-10 * max(abs(slope), 1.0)
 
     @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0, 3.0, 3.1])
     def test_root_count_at_fold_edge(self, zeta):
@@ -153,10 +156,8 @@ class TestFindRoots:
         assert above.roots == ()
 
     def test_certified_empty_beyond_fold(self):
-        for sp in (100, 2000):
-            rs = find_roots(ModelParams(g=GT_ORACLE[1.0] + 1e-4, zeta=1.0), NORMAL,
-                            SolverConfig(scan_points=sp))
-            assert rs.roots == ()
+        rs = find_roots(ModelParams(g=GT_ORACLE[1.0] + 1e-4, zeta=1.0), NORMAL)
+        assert rs.roots == ()
 
 
 def test_triple_root_at_critical_coupling_and_closure():
@@ -175,7 +176,6 @@ def test_triple_root_at_critical_coupling_and_closure():
 
 def test_brute_force_equivalence_grid():
     # root count and location match an independent 1e5-point sign-scan oracle
-    cfg = SolverConfig()
     gs = np.linspace(0.07, 2.93, 50)
     zs = np.linspace(0.06, 2.94, 50)
     checked = 0
@@ -184,7 +184,7 @@ def test_brute_force_equivalence_grid():
             params = ModelParams(g=float(g), zeta=float(z))
             for branch, sign in ((NORMAL, -1), (INVERTED, +1)):
                 expected = oracles.scan_roots(sign, float(g), float(z), 1.0, 1.0, 10.0)
-                got = find_roots(params, branch, cfg).roots
+                got = find_roots(params, branch).roots
                 assert len(got) == len(expected), (g, z, branch)
                 for root, x_ref in zip(got, expected):
                     assert root.amplitude == pytest.approx(math.sqrt(x_ref), abs=1e-6)
@@ -217,10 +217,9 @@ class TestTurningPoint:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_stable_count_flips_across_fold(self):
-        cfg = SolverConfig()
-        g_t = turning_point(ModelParams(), zeta=1.0, config=cfg)
-        below = find_roots(ModelParams(g=g_t - 2 * cfg.tol_gt, zeta=1.0), NORMAL, cfg)
-        above = find_roots(ModelParams(g=g_t + 2 * cfg.tol_gt, zeta=1.0), NORMAL, cfg)
+        g_t = turning_point(ModelParams(), zeta=1.0)
+        below = find_roots(ModelParams(g=g_t - 2e-6, zeta=1.0), NORMAL)
+        above = find_roots(ModelParams(g=g_t + 2e-6, zeta=1.0), NORMAL)
         assert len(below.stable_roots) == 1
         assert len(above.stable_roots) == 0
 
@@ -339,20 +338,36 @@ class TestGroundState:
 
 
 def test_critical_points_summary():
-    cp = critical_points(REF)
-    assert cp.g_c == 1.0
-    assert cp.g_t == pytest.approx(GT_ORACLE[1.0], abs=5e-6)
-    assert cp.zeta_star == pytest.approx(2.995724246, abs=2e-4)
-    cp0 = critical_points(ModelParams(g=1.5, zeta=0.0))
-    assert cp0.g_t is None
+    # g_c, g_t and zeta_star of one frequency triple, from the three public calls
+    assert critical_coupling(REF) == 1.0
+    assert turning_point(REF) == pytest.approx(GT_ORACLE[1.0], abs=5e-6)
+    assert sp_closure(REF) == pytest.approx(2.995724246, abs=2e-4)
+    with pytest.raises(NotFound):  # no fold at zeta = 0
+        turning_point(ModelParams(g=1.5, zeta=0.0))
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol_root=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(scan_points=50)
-    with pytest.raises(ValueError):
-        SolverConfig(tol_gt=math.inf)
+    for bad in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol_curv must be finite and > 0"):
+            SolverConfig(tol_curv=bad)
     cfg = SolverConfig()
-    assert replace(cfg, scan_points=500).scan_points == 500
+    assert replace(cfg, tol_curv=1e-6).tol_curv == 1e-6
+    with pytest.raises(TypeError):  # the retired knobs are gone
+        SolverConfig(tol_root=1e-10)
+
+
+@pytest.mark.parametrize("g, curv", [(0.0, 2.0), (2.0, -6.0)])
+def test_stability_band_edges(g, curv):
+    # the one stability rule, on branch_points' column: the N- zero point has
+    # curvature 2(omega - g^2/omega_a), exact in doubles here, and is marginal
+    # while |curvature| <= tol_curv, stable or unstable by its sign beyond
+    pts = branch_points(ModelParams(), NORMAL, [g], SolverConfig(tol_curv=abs(curv)))
+    assert (pts.curvature[0, 0], pts.stability[0, 0]) == (curv, Stability.MARGINAL)
+    beyond = Stability.STABLE if curv > 0.0 else Stability.UNSTABLE
+    pts = branch_points(ModelParams(), NORMAL, [g],
+                        SolverConfig(tol_curv=float(np.nextafter(abs(curv), 0.0))))
+    assert pts.stability[0, 0] is beyond
+    # far outside the band, and a curvature well inside it
+    assert branch_points(ModelParams(), NORMAL, [g]).stability[0, 0] is beyond
+    pts = branch_points(ModelParams(), NORMAL, [g], SolverConfig(tol_curv=2.0 * abs(curv)))
+    assert pts.stability[0, 0] is Stability.MARGINAL
