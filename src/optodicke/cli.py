@@ -246,13 +246,17 @@ def _stability_text(column: np.ndarray) -> list:
 
 
 def _fields(column) -> list[str]:
-    """A column as CSV fields: a float array at 9 significant digits, with NaN, like None, as ''."""
+    """A column as CSV fields: a float array at 9 significant digits, with NaN, like None, as ''.
+
+    Each distinct bit pattern is formatted once; patterns, not values, so that
+    -0.0 keeps its sign.
+    """
     if not isinstance(column, np.ndarray):
         return ["" if v is None else v for v in column]
-    text = list(map("{:.9g}".format, column.tolist()))
-    if np.isnan(column).any():
-        text = ["" if t == "nan" else t for t in text]
-    return text
+    _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
+    text = np.array(["" if t == "nan" else t for t in map("{:.9g}".format,
+                                                          column[first].tolist())], dtype=object)
+    return text[inverse].tolist()
 
 
 def _emit(cfg: RunConfig, fieldnames: list[str], columns: list) -> None:
@@ -348,6 +352,8 @@ def _cmd_turning_point(cfg: RunConfig) -> tuple[list[str], list]:
     params = _model_params(cfg, 0.0, zeta)
     _solver_config(cfg)  # unused by the closed form, but a bad --tol-curv is invalid input
     g_t = turning_point(params, zeta=zeta)
+    if math.isinf(g_t):
+        raise OutOfRange(f"zeta={zeta!r}: the fold coupling g_t exceeds the largest double")
     return ["zeta", "g_c", "g_t"], [np.array([v]) for v in (zeta, critical_coupling(params), g_t)]
 
 
@@ -366,6 +372,7 @@ def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list]:
         raise ConfigError(f"n_max must be in [2, {MAX_N_MAX}], got {cfg.n_max}")
     if cfg.n_atoms < 1:  # unused by the ED, but invalid input all the same
         raise ConfigError(f"n_atoms must be a positive integer, got {cfg.n_atoms!r}")
+    _solver_config(cfg)  # unused by the ED, but a bad --tol-curv is invalid input
     g_min, g_max, count = _parse_range(cfg.g, "g")
     try:  # the grid lies between its ends, so checking them checks every point
         params, _ = (rabi.RabiParams(omega=cfg.omega, omega_a=cfg.omega_a, g=g)

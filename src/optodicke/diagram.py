@@ -226,55 +226,57 @@ def sweep_g(spec: SweepSpec, config: SolverConfig | None = None) -> Sweep:
     return _sweep(spec, spec.grid(), config)
 
 
-def grid_row(spec: GridSpec, zeta: float, config: SolverConfig | None = None
+def grid_row(spec: GridSpec, zetas, config: SolverConfig | None = None
              ) -> tuple[np.ndarray, list[BoundarySample]]:
-    """The labels of one zeta row, as indices into solver.PHASES, and its exact boundaries.
+    """The labels of a block of zeta rows, shape (rows, g), and their exact boundaries.
 
-    NP_Nminus below g_c, SP on (g_c, g_t), NP_Nplus from g_t up; g_t is
-    infinite at zeta = 0 and g_c when the window is closed.  A cell where N-
-    is marginal (such as one exactly at g_c) takes solve_ground's label: N-
-    where the slope probe shows a minimum (its tie rule favours gamma_bar = 0),
-    else from solving those cells.  A label change gives one BoundarySample:
-    at g_t when leaving SP, otherwise at g_c with phase_above SP whenever the
+    Labels are indices into solver.PHASES: NP_Nminus below g_c, SP on
+    (g_c, g_t), NP_Nplus from g_t up; g_t is infinite at zeta = 0 and g_c
+    when the window is closed.  A cell where N- is marginal (such as one
+    exactly at g_c) takes solve_ground's label: N- where the slope probe shows
+    a minimum (its tie rule favours gamma_bar = 0), else from solving those
+    cells.  Each label change gives one BoundarySample, in (zeta, g) order: at
+    g_t when leaving SP, otherwise at g_c with phase_above SP whenever the
     window is open, even when it is narrower than the grid step.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    zeta = float(zeta)
-    params = replace(spec.params, zeta=zeta)
+    params, gs = spec.params, spec.g_grid()
+    zetas = np.asarray(zetas, dtype=float).reshape(-1)
     g_c = critical_coupling(params)
-    g_t = math.inf
-    if zeta > 0.0:
-        try:
-            g_t = turning_point(params)
-        except NotFound:
-            g_t = g_c
+    g_t = np.full(zetas.size, math.inf)
+    for row, zeta in enumerate(zetas.tolist()):
+        if zeta > 0.0:
+            try:
+                g_t[row] = turning_point(params, zeta=zeta)
+            except NotFound:
+                g_t[row] = g_c
 
-    gs = spec.g_grid()
-    index = np.where(gs < g_t, 1, 2)  # the label above g_c
-    index[gs < g_c] = 0
-    # twice as wide as the marginal band; a g whose square overflows is far outside it
-    with np.errstate(over="ignore"):
+    index = np.where(gs < g_t[:, None], 1, 2)  # the label above g_c
+    index[:, gs < g_c] = 0
+    # The zero point's curvature depends on g alone, unless zeta^2 overflows
+    # (a NaN curvature, marginal as in branch_points): find its band once, twice
+    # as wide as the marginal band, then probe every (zeta, g) pair in it at once.
+    with np.errstate(all="ignore"):
         near = np.flatnonzero(np.abs(params.omega - gs * gs / params.omega_a) <= cfg.tol_curv)
-    if near.size:
-        rows = param_rows(params, gs[near])
-        # a NaN curvature (zeta^2 overflows) is marginal, as in branch_points
-        near = near[~(np.abs(curvature(rows, SpinBranch.NORMAL, 0.0)) > cfg.tol_curv)]
-        minimum = is_minimum(params, SpinBranch.NORMAL, gs[near], np.zeros(near.size))
-        index[near[minimum]] = 0
-        rest = near[~minimum]
-        if rest.size:
-            index[rest] = COLUMN_PHASE[solve_ground(params, gs[rest], cfg)[0]]
+        k, i = np.repeat(np.arange(zetas.size), near.size), np.tile(near, zetas.size)
+        curv = curvature(param_rows(params, gs[i], zetas[k]), SpinBranch.NORMAL, 0.0)
+        marginal = ~(np.abs(curv) > cfg.tol_curv)
+        k, i = k[marginal], i[marginal]
+        minimum = is_minimum(params, SpinBranch.NORMAL, gs[i], np.zeros(i.size), zetas[k])
+    index[k[minimum], i[minimum]] = 0
+    k, i = k[~minimum], i[~minimum]
+    for row in np.unique(k).tolist():
+        cols = i[k == row]
+        row_params = replace(params, zeta=float(zetas[row]))
+        index[row, cols] = COLUMN_PHASE[solve_ground(row_params, gs[cols], cfg)[0]]
 
-    boundaries = []
-    for i in np.flatnonzero(index[:-1] != index[1:]).tolist():
-        below, above = PHASES[index[i]], PHASES[index[i + 1]]
-        if below is PhaseLabel.SP:
-            g_b = g_t
-        else:
-            g_b, above = g_c, (PhaseLabel.SP if g_t > g_c else above)
-        boundaries.append(BoundarySample(zeta=zeta, g_refined=g_b,
-                                         phase_below=below, phase_above=above))
-    return index, boundaries
+    k, i = np.nonzero(index[:, :-1] != index[:, 1:])
+    below, above = index[k, i], index[k, i + 1]
+    leaving_sp = below == 1
+    g_b = np.where(leaving_sp, g_t[k], g_c)
+    above = np.where(~leaving_sp & (g_t[k] > g_c), 1, above)
+    return index, [BoundarySample(zeta, g, PHASES[b], PHASES[a]) for zeta, g, b, a in zip(
+        zetas[k].tolist(), g_b.tolist(), below.tolist(), above.tolist())]
 
 
 def phase_grid(spec: GridSpec, config: SolverConfig | None = None) -> PhaseGrid:
@@ -284,7 +286,6 @@ def phase_grid(spec: GridSpec, config: SolverConfig | None = None) -> PhaseGrid:
     g-adjacent cells, the exact boundary (g_c or g_t) is a BoundarySample.
     """
     gs, zetas = spec.g_grid(), spec.zeta_grid()
-    rows = [grid_row(spec, zeta, config) for zeta in zetas]
+    index, boundaries = grid_row(spec, zetas, config)  # the module global: one pass
     return PhaseGrid(g=np.tile(gs, zetas.size), zeta=np.repeat(zetas, gs.size),
-                     phase=np.concatenate([index for index, _ in rows]),
-                     boundaries=tuple(b for _, bounds in rows for b in bounds))
+                     phase=index.reshape(-1), boundaries=tuple(boundaries))

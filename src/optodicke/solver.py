@@ -169,10 +169,13 @@ def critical_coupling(params: ModelParams) -> float:
     return math.sqrt(params.omega * params.omega_a)
 
 
-def param_rows(params: ModelParams, g: np.ndarray) -> SimpleNamespace:
-    """params with g replaced by an array of couplings, for the model's array forms."""
-    return SimpleNamespace(omega=params.omega, omega_a=params.omega_a,
-                           omega_b=params.omega_b, zeta=params.zeta, g=g)
+def param_rows(params: ModelParams, g: np.ndarray, zeta=None) -> SimpleNamespace:
+    """params with g replaced by an array of couplings, for the model's array forms.
+
+    zeta, if given, replaces params.zeta: a scalar, or an array that broadcasts with g.
+    """
+    return SimpleNamespace(omega=params.omega, omega_a=params.omega_a, omega_b=params.omega_b,
+                           zeta=params.zeta if zeta is None else zeta, g=g)
 
 
 def _cubic_x(rows: SimpleNamespace, branch: SpinBranch, g2: np.ndarray) -> np.ndarray:
@@ -283,14 +286,15 @@ def root_set(pts: BranchPoints, i: int) -> RootSet:
 
 
 def is_minimum(params: ModelParams, branch: SpinBranch, g: np.ndarray,
-               gamma_bar: np.ndarray) -> np.ndarray:
+               gamma_bar: np.ndarray, zeta=None) -> np.ndarray:
     """Slope probe: whether each marginal stationary point (g[i], gamma_bar[i]) is a minimum.
 
     The energy slope is 2*gamma_bar*p, so p's sign next to the point decides.
     At the fold p <= 0 on both sides (an inflection); at g = g_c the zero
-    point stays a minimum as long as p >= 0 just above it.
+    point stays a minimum as long as p >= 0 just above it.  zeta, if given,
+    replaces params.zeta, as in param_rows.
     """
-    rows = param_rows(params, g)
+    rows = param_rows(params, g, zeta)
     h = 1e-6 * np.maximum(1.0, gamma_bar)
     right = extremum_polynomial(rows, branch, gamma_bar + h)
     left = extremum_polynomial(rows, branch, gamma_bar - h)
@@ -393,17 +397,18 @@ def closure_estimate(params: ModelParams) -> float:
 
     Expanding p on the normal branch to first order in gamma_bar^2 at g = g_c
     gives the coefficient 2*(omega^2/omega_a - zeta^2/omega_b); the window
-    closes exactly where it changes sign, zeta = sqrt(omega_b*omega^2/omega_a).
-    OutOfRange where omega_b*omega^2/omega_a does not fit in a double.
+    closes exactly where it changes sign, zeta = sqrt(omega_b/omega_a)*omega,
+    formed so that it overflows only where the estimate itself does not fit in
+    a double.  OutOfRange there, and where omega > SQUARE_LIMIT.
     """
     if params.omega <= SQUARE_LIMIT:
-        square = params.omega_b * params.omega**2 / params.omega_a
-        if math.isfinite(square):
-            return math.sqrt(square)
+        estimate = math.sqrt(params.omega_b / params.omega_a) * params.omega
+        if math.isfinite(estimate):
+            return estimate
     raise OutOfRange(f"omega={params.omega!r}, omega_a={params.omega_a!r}, "
                      f"omega_b={params.omega_b!r} is outside the range of the closure coupling "
-                     f"sqrt(omega_b*omega^2/omega_a), which needs omega <= {SQUARE_LIMIT:g} and "
-                     "omega_b*omega^2/omega_a below the largest double")
+                     f"sqrt(omega_b/omega_a)*omega, which needs omega <= {SQUARE_LIMIT:g} and "
+                     "the coupling below the largest double")
 
 
 def sp_closure(params: ModelParams, width_tol: float = 1e-3) -> float:
@@ -413,17 +418,21 @@ def sp_closure(params: ModelParams, width_tol: float = 1e-3) -> float:
     turning_point's t that is t^3 - t^2 + C^4 = 0, C = (27/16)^(1/4) sqrt(omega_b)
     (omega/1.5)^(3/2) / (closure_estimate G), with its root in [2/3, 1] reached by
     Newton steps from 1; zeta_star = sqrt(omega_b) (omega/(1.5 t))^(3/2) / G.  params.g
-    and params.zeta are ignored.  OutOfRange where closure_estimate under- or overflows.
+    and params.zeta are ignored.  OutOfRange where closure_estimate overflows, and where
+    the closed form under- or overflows (zeta_star is 0 or not finite).
     """
     if not width_tol > 0.0:
         raise ValueError("width_tol must be > 0")
     estimate = closure_estimate(params)
-    if not estimate > 0.0:
-        raise OutOfRange(f"omega={params.omega!r}, omega_a={params.omega_a!r}, "
-                         f"omega_b={params.omega_b!r}: the closure coupling "
-                         "sqrt(omega_b*omega^2/omega_a) underflows to 0")
-    root_wb = math.sqrt(params.omega_b)
-    g_top = critical_coupling(params) + width_tol
-    c4 = ((27.0 / 16.0) ** 0.25 * root_wb * (params.omega / 1.5) ** 1.5 / (estimate * g_top))**4
-    t = _newton_down(lambda t: (t * t * (t - 1.0) + c4, t * (3.0 * t - 2.0)))
-    return root_wb * (params.omega / (1.5 * t)) ** 1.5 / g_top
+    if estimate > 0.0:
+        root_wb = math.sqrt(params.omega_b)
+        g_top = critical_coupling(params) + width_tol
+        c4 = ((27.0 / 16.0) ** 0.25 * root_wb * (params.omega / 1.5) ** 1.5
+              / (estimate * g_top))**4
+        t = _newton_down(lambda t: (t * t * (t - 1.0) + c4, t * (3.0 * t - 2.0)))
+        star = root_wb * (params.omega / (1.5 * t)) ** 1.5 / g_top
+        if star > 0.0 and math.isfinite(c4) and math.isfinite(star):
+            return star
+    raise OutOfRange(f"omega={params.omega!r}, omega_a={params.omega_a!r}, "
+                     f"omega_b={params.omega_b!r}, width_tol={width_tol!r} is outside the range "
+                     "of the closure coupling's closed form, which underflows to 0 or overflows")

@@ -62,7 +62,7 @@ def test_install_and_unpatch():
     assert optodicke.cli._COMMANDS == commands
 
     calls = tracer.aggregate(0, len(tracer.spans))["calls"]
-    assert calls["diagram.grid_row"] == 5
+    assert calls["diagram.grid_row"] == 1  # one pass labels every zeta row of the grid
     # sweep_g solves its grid in one array pass, the marginal row g = 1 = g_c included
     assert calls["diagram.sweep_row"] == 0
     assert calls["cli.solve"] == 2 and calls["cli.emit"] == 2

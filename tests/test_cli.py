@@ -461,16 +461,24 @@ def test_huge_and_tiny_parameters(argv, code, message, capsys):
     # omega**2 in the closure coupling
     (["sp-closure", "--omega", "1e300"], "outside the range of the closure coupling"),
     (["turning-point", "--omega", "1e300", "--zeta", "1"], "outside the range of the closure"),
-    # omega_b*omega^2/omega_a overflows with omega inside its range: the closure
-    # coupling was inf, and with it zeta_star and g_t
+    # the closure coupling sqrt(omega_b/omega_a)*omega = 1e300 fits, but the closed
+    # form of zeta_star overflows; then sqrt(omega_b/omega_a) itself overflows
     (["sp-closure", "--omega", "1e150", "--omega-b", "1e300"], "outside the range of the closure"),
-    (["turning-point", "--zeta", "1e-300", "--omega", "1e150", "--omega-a", "1e-50"],
-     "outside the range of the closure"),
+    (["turning-point", "--zeta", "1e-300", "--omega", "1e150", "--omega-a", "1e-50",
+      "--omega-b", "1e300"], "outside the range of the closure"),
     # the phonon number (zeta*n_p/omega_b)^2 overflows where n_p itself fits
     (["roots", "--omega-b", "4.046207997021028e-185", "--g", "1e50",
       "--zeta", "7.326211170790973e-157"], "outside the supported range"),
     (["sweep", "--omega", "1e150", "--omega-b", "1e-300", "--g", "0:4.4613934136508984e+73:3",
       "--zeta", "1e-50"], "outside the supported range"),
+    # the closure coupling fits, g_t does not
+    (["turning-point", "--zeta", "1e-300", "--omega", "1e150", "--omega-a", "1e-50"],
+     "g_t exceeds the largest double"),
+    (["turning-point", "--zeta", "1e-310"], "g_t exceeds the largest double"),
+    # zeta^2 overflows, and at g = 0 the zero point's curvature is 0/0 (g^2 over an
+    # A^3 = omega_a^3 that underflows): the marginal prefilter must not warn
+    (["phase-diagram", "--omega", "2.3773359643333753e-39", "--omega-a", "1e-150",
+      "--g", "0:1e50:3", "--zeta", "0:1e50:2"], "outside the supported range"),
 ])
 def test_outside_the_domain(argv, message, capsys):
     with warnings.catch_warnings():
@@ -487,6 +495,9 @@ def test_outside_the_domain(argv, message, capsys):
     ["rabi-compare", "--g", "0:1e50:3", "--omega", "1e50", "--omega-a", "1e-50", "--n-max", "50"],
     ["roots", "--g", "1", "--omega-a", "1e150", "--zeta", "1"],
     ["sp-closure", "--omega", "1e150"],
+    # omega_b*omega^2/omega_a overflows, the closure coupling and g_t do not
+    ["turning-point", "--zeta", "1", "--omega", "1e150", "--omega-a", "1e-50"],
+    ["sp-closure", "--omega", "1e150", "--omega-a", "1e-50"],
 ])
 def test_edges_of_the_domain(argv, capsys):
     with warnings.catch_warnings():
@@ -497,6 +508,25 @@ def test_edges_of_the_domain(argv, capsys):
     body = out.splitlines()[2:]
     assert body and all(math.isfinite(float(v)) for line in body for v in line.split(",")
                         if v not in ("normal", "inverted", "stable", "unstable", "marginal"))
+
+
+def test_closure_coupling_formed_without_its_square(capsys):
+    # omega_b*omega^2/omega_a = 1e351 does not fit in a double; the fold does
+    flags = ["--omega", "1e150", "--omega-a", "1e-50"]
+    assert run(["turning-point", "--zeta", "1", *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "1,1e+50,1.72132593e+225"
+    assert run(["sweep", "--g", "0:3:3", "--zeta", "1", *flags]) == 0
+
+
+@pytest.mark.parametrize("command", [["roots", "--g", "1", "--zeta", "1"],
+                                     ["sweep", "--g", "0:1:3"],
+                                     ["phase-diagram", "--g", "0:1:3", "--zeta", "0:1:2"],
+                                     ["turning-point", "--zeta", "1"], ["sp-closure"],
+                                     ["rabi-compare", "--g", "0:1:3", "--n-max", "10"]])
+def test_bad_tol_curv_rejected(command, capsys):
+    # rabi-compare does not use it either, but rejects it like every other command
+    assert run([*command, "--tol-curv", "0"]) == 2
+    assert "tol_curv must be finite and > 0" in capsys.readouterr().err
 
 
 def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):
@@ -515,7 +545,12 @@ def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):
 
 _LABELS = ([p.value for p in PhaseLabel] + [s.value for s in Stability]
            + ["normal", "inverted", "cell", "boundary"])
-_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf,
+# A small pool drawn often, so that columns repeat values: the writer formats
+# each distinct bit pattern once.  1.0 and the next double print alike.
+_REPEATED = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0,
+                             math.nextafter(1.0, 2.0), 0.1, -2.5e-7])
+_FLOATS = st.one_of(_REPEATED,
+                    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf,
                                      -math.inf]),
                     st.integers(-10**12, 10**12).map(float), st.floats(allow_nan=False))
 
@@ -546,6 +581,8 @@ def test_column_writer_matches_per_row_writer(data, fmt):
                                  min_size=n_rows, max_size=n_rows)) for f in is_float]
     columns = [np.array([math.nan if v is None else v for v in col], dtype=float) if f else col
                for f, col in zip(is_float, values)]
+    values = [[None if isinstance(v, float) and math.isnan(v) else v for v in col]
+              for col in values]
     fieldnames = [f"c{i}" for i in range(len(columns))]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from optodicke import diagram
 from optodicke.diagram import (
     BRANCH_TAGS,
     GridSpec,
@@ -27,6 +28,7 @@ from optodicke.solver import (
     closure_estimate,
     critical_coupling,
     ground_state,
+    solve_ground,
     turning_point,
 )
 
@@ -259,6 +261,28 @@ class TestGridReferee:
                     edge = g_c
             assert b.g_refined == pytest.approx(edge, rel=1e-9), b
 
+    def test_marginal_cells_of_every_row(self, monkeypatch):
+        # g_c is the middle g of every zeta row, so each row has a marginal N- cell.
+        # At zeta exactly closure_estimate the slope probe finds no minimum there
+        # (the solver has an SP root of rounding size), and only that cell is solved.
+        base = ModelParams(omega=0.75, omega_a=1.2964465672968557, omega_b=36.75)
+        g_c, closure = critical_coupling(base), closure_estimate(base)
+        spec = GridSpec(base, g_min=0.0, g_max=2.0 * g_c, g_steps=3, zeta_min=0.0,
+                        zeta_max=closure, zeta_steps=5)
+        assert spec.g_grid()[1] == g_c and spec.zeta_grid()[-1] == closure
+        solved = []
+
+        def spy(params, g, config=None):
+            solved.append((params.zeta, g.tolist()))
+            return solve_ground(params, g, config)
+
+        monkeypatch.setattr(diagram, "solve_ground", spy)
+        grid = phase_grid(spec)
+        assert solved == [(closure, [g_c])]
+        for cell in grid.cells:
+            assert cell.phase is ground_state(replace(base, g=cell.g, zeta=cell.zeta)).phase, cell
+        assert grid.cells[-2].phase is PhaseLabel.SP
+
     # omega = 2 puts g_c = sqrt(2) on a double whose square is not omega*omega_a
     @pytest.mark.parametrize("omega", [1.0, 2.0])
     @pytest.mark.parametrize("side", [-1, 0, 1])
@@ -267,7 +291,7 @@ class TestGridReferee:
         g_c = critical_coupling(base)
         zeta = closure_estimate(base) * (1.0 + 0.01 * side)
         spec = GridSpec(base, g_min=0.0, g_max=2.0 * g_c, g_steps=3)
-        index, bounds = grid_row(spec, zeta)
+        (index,), bounds = grid_row(spec, [zeta])
         assert spec.g_grid()[1] == g_c
         want = ground_state(replace(base, g=g_c, zeta=zeta)).phase
         assert PHASES[index[1]] is want
@@ -282,7 +306,7 @@ class TestGridReferee:
     def test_cell_exactly_at_turning_point(self, zeta):
         g_t = turning_point(ModelParams(), zeta=zeta)
         spec = GridSpec(g_min=0.0, g_max=2.0 * g_t, g_steps=9)
-        index, bounds = grid_row(spec, zeta)
+        (index,), bounds = grid_row(spec, [zeta])
         assert spec.g_grid()[4] == g_t
         assert PHASES[index[4]] is PhaseLabel.NP_NPLUS
         assert [b.g_refined for b in bounds if b.phase_below is PhaseLabel.SP] in ([g_t], [])
@@ -299,7 +323,7 @@ class TestGridReferee:
     def test_extreme_zeta_rows(self, zeta, above):
         # far below and far above the closure coupling, where the scalar
         # solver's cubic overflows; g_t is then ~1.7e120, or absent
-        index, bounds = grid_row(GridSpec(g_min=0.5, g_max=3.5, g_steps=4), zeta)
+        (index,), bounds = grid_row(GridSpec(g_min=0.5, g_max=3.5, g_steps=4), [zeta])
         assert [PHASES[k] for k in index] == [PhaseLabel.NP_NMINUS] + [above] * 3
         assert [(b.g_refined, b.phase_above) for b in bounds] == [(1.0, above)]
 
@@ -347,7 +371,8 @@ class TestFoldRule:
                 assert sweep.grid()[1] == g
                 want = ground_state(replace(base, g=g, zeta=zeta)).phase
                 assert sweep_g(sweep)[1].phase is want, (zeta, g)
-                index, _ = grid_row(GridSpec(base, g_min=0.0, g_max=2.0 * g, g_steps=3), zeta)
+                (index,), _ = grid_row(GridSpec(base, g_min=0.0, g_max=2.0 * g, g_steps=3),
+                                        [zeta])
                 assert PHASES[index[1]] is want, (zeta, g)
                 if g != g_c:  # no superradiant root is a candidate from g_t up
                     assert want is PhaseLabel.NP_NPLUS, zeta
