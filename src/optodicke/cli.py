@@ -245,17 +245,31 @@ def _stability_text(column: np.ndarray) -> list:
     return text.tolist()
 
 
-def _fields(column) -> list[str]:
-    """A column as CSV fields: a float array at 9 significant digits, with NaN, like None, as ''.
+def _json_number(value: float) -> str:
+    """The JSON number json.dumps writes for a float at 9 significant digits; NaN as null."""
+    text = f"{value:.9g}"
+    if text == "nan":
+        return "null"
+    number = float(text)  # json.dumps writes a finite float as its repr
+    return repr(number) if math.isfinite(number) else json.dumps(number)
 
-    Each distinct bit pattern is formatted once; patterns, not values, so that
-    -0.0 keeps its sign.
+
+def _fields(column, json_text: bool = False) -> list[str]:
+    """A column as CSV fields, or as JSON values if json_text.
+
+    A float array is formatted at 9 significant digits, NaN as absent, and
+    each distinct bit pattern once; patterns, not values, so that -0.0 keeps
+    its sign.  A list holds labels; None is absent: '' in CSV, null in JSON.
     """
     if not isinstance(column, np.ndarray):
-        return ["" if v is None else v for v in column]
+        if not json_text:
+            return ["" if v is None else v for v in column]
+        text = {v: "null" if v is None else json.dumps(v) for v in set(column)}
+        return [text[v] for v in column]
     _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
-    text = np.array(["" if t == "nan" else t for t in map("{:.9g}".format,
-                                                          column[first].tolist())], dtype=object)
+    values = column[first].tolist()
+    text = np.array([_json_number(v) for v in values] if json_text else
+                    ["" if t == "nan" else t for t in map("{:.9g}".format, values)], dtype=object)
     return text[inverse].tolist()
 
 
@@ -264,18 +278,18 @@ def _emit(cfg: RunConfig, fieldnames: list[str], columns: list) -> None:
 
     A column is a float ndarray (NaN where a value is absent), formatted once,
     or a list of labels (None where absent).  Absent values are empty CSV
-    fields and JSON nulls.
+    fields and JSON nulls.  The JSON text is that of json.dumps(payload,
+    indent=2), written directly.
     """
-    fields = [_fields(c) for c in columns]
     if cfg.format == "json":
-        values = [[float(t) if t else None for t in f] if isinstance(c, np.ndarray) else c
-                  for c, f in zip(columns, fields)]
-        payload = {"units": UNITS_NOTE,
-                   "rows": [dict(zip(fieldnames, row)) for row in zip(*values)]}
-        text = json.dumps(payload, indent=2) + "\n"
+        keys = [f"      {json.dumps(name)}: " for name in fieldnames]
+        rows = ["    {\n" + ",\n".join(map(str.__add__, keys, row)) + "\n    }"
+                for row in zip(*(_fields(c, json_text=True) for c in columns))]
+        body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        text = f'{{\n  "units": {json.dumps(UNITS_NOTE)},\n  "rows": {body}\n}}\n'
     else:
         text = "\r\n".join([f"# {UNITS_NOTE}", ",".join(fieldnames),
-                             *map(",".join, zip(*fields))]) + "\r\n"
+                             *map(",".join, zip(*map(_fields, columns)))]) + "\r\n"
     if cfg.output == "-":
         sys.stdout.write(text)
     else:
@@ -380,9 +394,8 @@ def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _check_workers()
-    rows = rabi.compare_curve(params, np.linspace(g_min, g_max, count), n_max=cfg.n_max)
-    columns = np.array([[r.g, r.energy_ed, r.energy_variational, r.deviation] for r in rows])
-    return ["g", "energy_ed", "energy_variational", "deviation"], list(columns.T)
+    columns = rabi.compare_columns(params, np.linspace(g_min, g_max, count), n_max=cfg.n_max)
+    return ["g", "energy_ed", "energy_variational", "deviation"], list(columns)
 
 
 _COMMANDS = {

@@ -10,33 +10,32 @@ matrix splits into two symmetric tridiagonal blocks, one per parity sector:
 
     d_n = omega*n + parity*(omega_a/2)*(-1)^n,   t_n = (g/2)*sqrt(n+1) .
 
-One batched kernel finds the smallest eigenvalue of many blocks at once;
-each column of the batch is one (g point, parity sector) block, solved at
-the truncation n_max.  It brackets the eigenvalue between the Gershgorin
-lower bound and min(diag), then shrinks every bracket by multisection: each
-sweep runs the LDL^T (Sturm count) recurrence once over n, with numpy
-operations across all columns and several trial points per column, and
-stops the pass early once the remaining rows are diagonally dominant.  A
-column stops with the relative rule of LAPACK dstebz, hi - lo <= max(tol,
-2*eps*max(|lo|, |hi|), pivmin), so large eigenvalues converge to the spacing
-of doubles near them.
+One batched kernel finds the smallest eigenvalue of many blocks at once,
+one (g point, parity sector) block per column.  Each Sturm pass runs the
+LDL^T count recurrence once over n for all columns and 15 trial points per
+column, and ends early once the remaining rows are diagonally dominant.
+A column first bisects [Gershgorin lower bound, min(diag)] uniformly until
+its bracket is 1e-3 of its size; it then anchors a lattice of points on
+that bracket, with cells narrower than the stop of LAPACK dstebz,
+max(tol, 2*eps*max(|lo|, |hi|), pivmin), and every later trial point is a
+lattice point.  A Rayleigh-quotient guess from a few shifted inverse-
+iteration steps picks the next pass's points, nested around it (+-1,
++-16, +-256, ...); a column that pass leaves wider than one cell goes on
+bisecting its lattice uniformly.  The result is the lattice cell whose
+Sturm counts hold the eigenvalue: the certificate of plain multisection,
+and independent of the guess and of the other columns, to the bit.
 
-The truncation gap compares with the blocks at n_max // 2, which are the
-leading rows of the n_max blocks.  Where no pass reads past row
-n_max // 2 + 1, both truncations give the same counts and the gap is 0.
-Otherwise the half blocks are solved too: in the same batch when the n_max
-blocks are not dominant from that row on, else in a second call.
+The truncation gap compares with the blocks at n_max // 2, the leading
+rows of the n_max blocks: 0 where no pass reads past row n_max // 2 + 1,
+else from the half blocks, solved in the same batch or a second call.
 
-The eigenpair residual is then checked by inverse iteration, shifted just
-below the eigenvalue so that the shifted block is positive definite and its
-O(n) LDL^T solve needs no pivoting.  It runs on the leading 2*reach rows,
-where the eigenvector lives (reach: the last row a Sturm pass read, n if one
-read them all), and doubles them up to n until the residual meets its
-target.  The coupling out of the last of those rows joins the residual, so
-it is the residual of a unit vector against the whole block.  No dense
-matrix is formed.  This gives an oracle fully independent of the
-variational closed forms it is compared against, and each column's
-eigenvalue does not depend on the other columns of its batch.
+The eigenpair residual is checked on the guess vectors, then by inverse
+iteration shifted just below the eigenvalue (positive definite, so its
+O(n) LDL^T solve needs no pivoting) on the leading 2*reach rows, doubled
+up to n until it meets its target; reach is the last row a Sturm pass
+read.  Both count the coupling out of their rows, so they are residuals
+against the whole block.  No dense matrix is formed: an oracle fully
+independent of the variational closed forms it is compared against.
 """
 
 from __future__ import annotations
@@ -66,6 +65,12 @@ DETUNING_PRESETS = {"red": 0.8, "resonant": 1.0, "blue": 1.2}
 
 # Trial points per block and sweep: each sweep shrinks a bracket 16-fold.
 _TRIALS = 15
+_NUMERATORS = np.arange(1, _TRIALS + 1)[:, None]
+_FRACTIONS = _NUMERATORS / (_TRIALS + 1)
+# Relative bracket width at which a column anchors its lattice and guesses,
+# and the lattice indices of its ladder pass around the guess.
+_COARSE = 1e-3
+_LADDER = np.array(sorted([0] + [s * 16**k for k in range(7) for s in (-1, 1)]))[:, None]
 # A bracket between finite doubles is one double wide after at most about
 # 2100 halvings.
 _MAX_SWEEPS = math.ceil(2100 / math.log2(_TRIALS + 1))
@@ -75,6 +80,9 @@ _DOMINANCE = 1e-8
 # the number of solves, and the accepted residual relative to the norm.
 _SHIFT = 1e-11
 _INVERSE_STEPS = 3
+# Inverse-iteration solves behind the guess: with 3, about one column of a
+# 61-point grid missed the residual target and was solved again.
+_GUESS_STEPS = 4
 _RESIDUAL_TOL = 1e-10
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -177,9 +185,10 @@ def _radii(offdiag: np.ndarray) -> np.ndarray:
     return pad[:-1] + pad[1:]
 
 
-def _norm_bounds(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+def _norm_bounds(diag: np.ndarray, offdiag: np.ndarray, radii: np.ndarray | None = None
+                 ) -> np.ndarray:
     """Infinity-norm bound max_i |d_i| + |t_(i-1)| + |t_i| of every column's block."""
-    return np.max(np.abs(diag) + _radii(offdiag), axis=0)
+    return np.max(np.abs(diag) + (_radii(offdiag) if radii is None else radii), axis=0)
 
 
 def _sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: np.ndarray, pivmin: np.ndarray,
@@ -224,22 +233,22 @@ def _dominant_tail(diag: np.ndarray, radii: np.ndarray, hi: np.ndarray,
 
     Row j is dominant when d_j - hi exceeds (1 + m)(|t_(j-1)| + |t_j|) +
     m(|d_j| + |hi|) + pivmin with m = _DOMINANCE, a margin far above the
-    rounding of one pivot step.  Returns the largest such start over the
-    columns (n if some block's last row is not dominant).
+    rounding of one pivot step.  Returns 1 plus the last row that is not
+    dominant in some column (n if that is the last row, 0 if there is none).
     """
     dominant = (diag - hi - (1.0 + _DOMINANCE) * radii
                 - _DOMINANCE * (np.abs(diag) + np.abs(hi)) > pivmin)
-    from_here = np.logical_and.accumulate(dominant[::-1], axis=0)[::-1]
-    return len(diag) - int(from_here.sum(axis=0).min())
+    weak = np.flatnonzero(~dominant.all(axis=1))
+    return int(weak[-1]) + 1 if weak.size else 0
 
 
 def _bracket(diag: np.ndarray, offdiag: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Start of the multisection: (lo, hi, pivmin, tail) of a batch.
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Start of the multisection: (lo, hi, pivmin, tail, scale) of a batch.
 
     [lo, hi] is [Gershgorin lower bound, min(diag)] of every column's block,
-    pivmin max_i t_i^2 times the smallest normal double, and tail the
-    batch's _dominant_tail below hi.
+    pivmin max_i t_i^2 times the smallest normal double, tail the batch's
+    _dominant_tail below hi and scale the residual scale, max(1, norm bound).
     """
     radii = _radii(offdiag)
     lo = np.min(diag - radii, axis=0)
@@ -247,77 +256,183 @@ def _bracket(diag: np.ndarray, offdiag: np.ndarray
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ConvergenceFailure("non-finite Gershgorin interval; block is malformed")
     pivmin = np.max(offdiag * offdiag, axis=0, initial=1.0) * _TINY
-    return lo, hi, pivmin, _dominant_tail(diag, radii, hi, pivmin)
+    scale = np.maximum(_norm_bounds(diag, offdiag, radii), 1.0)
+    return lo, hi, pivmin, _dominant_tail(diag, radii, hi, pivmin), scale
+
+
+def _lattice_depth(lo: np.ndarray, hi: np.ndarray, tol: float,
+                   pivmin: np.ndarray) -> np.ndarray:
+    """Smallest K with (hi - lo) 2^-K <= S/2 - eps (hi - lo) for brackets [lo, hi].
+
+    S = max(tol, pivmin, 2 eps (max(|lo|, |hi|) - (hi - lo))) is at most the
+    stop of any bracket inside [lo, hi], so each lattice cell, rounding of
+    its points included, meets the stop of its own ends.
+    """
+    width = hi - lo
+    span = np.maximum(np.abs(lo), np.abs(hi))
+    stop = np.maximum(np.maximum(tol, pivmin), 2.0 * _EPS * np.maximum(span - width, 0.0))
+    target = 0.5 * stop - _EPS * width
+    depth = np.ceil(np.log2(width / target)).astype(np.int64)
+    depth -= np.ldexp(width, 1 - depth) <= target
+    return depth + (np.ldexp(width, -depth) > target)
 
 
 def _lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-12,
                        bracket: tuple | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Smallest eigenvalue of every column's block, the residual of its eigenpair, and reach.
 
-    diag is (n, columns) and offdiag (n - 1, columns), >= 0.  Multisection
-    with _TRIALS points per sweep on [Gershgorin lower bound, min(diag)]; a
-    column's bracket freezes once hi - lo <= max(tol, 2*eps*max(|lo|, |hi|),
-    pivmin).  bracket is _bracket(diag, offdiag) when the caller has it.
-    reach is the largest reach of any Sturm pass (0 if no pass ran): no
-    count depends on a row after it.  Returns (values, residuals, reach).
+    diag is (n, columns) and offdiag (n - 1, columns), >= 0.  A column's
+    _TRIALS points per pass follow from its own state: coarse, uniform in
+    [lo, hi] until hi - lo <= _COARSE max(1, |lo|, |hi|); then on the
+    lattice anchored there, lo + (hi - lo) i 2^-K (K from _lattice_depth),
+    uniform in its index bracket (the fallback) except for one ladder pass,
+    floor(theta) + _LADDER.  theta is the Rayleigh quotient of _GUESS_STEPS
+    inverse-iteration steps shifted below lo on the leading 2 reach rows,
+    computed for every column at once when no moving column is coarse.  A
+    column stops at hi - lo <= max(tol, 2 eps max(|lo|, |hi|), pivmin) or
+    at one lattice cell, which is no wider; that cell depends on the
+    column's counts alone, not on theta or the batch.  bracket is
+    _bracket(diag, offdiag) if the caller has it.  reach is the largest
+    reach of any pass (0 if none ran).  Returns (values, residuals, reach).
     """
-    lo, hi, pivmin, tail = _bracket(diag, offdiag) if bracket is None else bracket
-    fractions = (np.arange(1, _TRIALS + 1) / (_TRIALS + 1))[:, None]
-    columns = np.arange(diag.shape[1])
+    lo, hi, pivmin, tail, scale = _bracket(diag, offdiag) if bracket is None else bracket
+    n, width = diag.shape
+    columns = np.arange(width)
+    lattice = np.zeros(width, dtype=bool)
+    anchor, cell = np.zeros(width), np.zeros(width)  # a and w 2^-K of each lattice
+    # Index brackets on the lattice; index 0 is lo itself and 2^K stands for
+    # hi, which no pass counts again, so lo and hi keep their own values.
+    ilo, ihi = np.zeros(width, dtype=np.int64), np.zeros(width, dtype=np.int64)
+    vectors = None  # the guess vectors, once there are any
     reach = 0
     for _ in range(_MAX_SWEEPS):
         stop = np.maximum(np.maximum(tol, pivmin),
                           2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
-        moving = hi - lo > stop
+        moving = np.where(lattice, ihi - ilo > 1, hi - lo > stop)
         if not moving.any():
             break
-        points = np.concatenate([lo[None], lo + (hi - lo) * fractions, hi[None]])
-        counts, last = _sturm_count(diag, offdiag, points[1:-1], pivmin, tail)
+        index = ilo + (ihi - ilo) * _NUMERATORS // (_TRIALS + 1)
+        enter = moving & ~lattice & (
+            hi - lo <= _COARSE * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+        if enter.any():
+            depth = _lattice_depth(lo[enter], hi[enter], tol, pivmin[enter])
+            anchor[enter] = lo[enter]
+            cell[enter] = np.ldexp(hi[enter] - lo[enter], -depth)
+            ilo[enter], ihi[enter] = 0, np.left_shift(1, depth)
+            lattice |= enter
+        if vectors is None and lattice.any() and not np.any(moving & ~lattice):
+            m = min(n, max(2, 2 * reach))
+            theta, guess = _rayleigh_guess(diag[:m], offdiag[:m - 1], lo - _SHIFT * scale)
+            vectors = np.zeros((min(n, m + 1), width))  # row m: the coupling out of the guess
+            vectors[:m] = guess
+            # fmax and fmin drop a NaN guess for the bracket's lower end.
+            at = np.fmin(np.fmax((theta[moving] - anchor[moving]) / cell[moving], ilo[moving]),
+                         ihi[moving])
+            index[:, moving] = np.clip(np.floor(at).astype(np.int64) + _LADDER,
+                                       ilo[moving] + 1, ihi[moving] - 1)
+        points = np.where(lattice, anchor + cell * index, lo + (hi - lo) * _FRACTIONS)
+        counts, last = _sturm_count(diag, offdiag, points, pivmin, tail)
         reach = max(reach, last)
         # The first trial point with an eigenvalue below it is the new upper
         # end, the point before it the new lower end.
         hit = counts >= 1
         first = np.where(hit.any(axis=0), hit.argmax(axis=0), _TRIALS)
+        points = np.concatenate([lo[None], points, hi[None]])
+        index = np.concatenate([ilo[None], index, ihi[None]])
         lo = np.where(moving, points[first, columns], lo)
         hi = np.where(moving, points[first + 1, columns], hi)
+        ilo = np.where(moving, index[first, columns], ilo)
+        ihi = np.where(moving, index[first + 1, columns], ihi)
     else:
         raise ConvergenceFailure(
             f"multisection exceeded {_MAX_SWEEPS} sweeps; block is malformed")
     values = 0.5 * (lo + hi)
-    return values, _eigenpair_residual(diag, offdiag, values, reach), reach
+    return values, _eigenpair_residual(diag, offdiag, values, reach, vectors, scale), reach
 
 
 def _eigenpair_residual(diag: np.ndarray, offdiag: np.ndarray, values: np.ndarray,
-                        reach: int | None = None) -> np.ndarray:
-    """Inverse-iteration residuals ||T v - value v||, one per column's block.
+                        reach: int | None = None, vectors: np.ndarray | None = None,
+                        scale: np.ndarray | None = None) -> np.ndarray:
+    """Residuals ||T v - value v||, one per column's block, within 1e-10 times its scale.
 
-    v is a unit vector of the whole space that is 0 past the leading m rows:
-    inverse iteration runs on the leading m x m block, m = min(n, 2 reach)
-    (at least 2; m = n when reach is None), and the coupling t_(m-1) v_(m-1)
-    into row m joins the residual, so it is the residual of v against the
-    whole block.  Each block is shifted by _SHIFT times its norm bound below its
-    value; the leading block minus the shift is then positive definite (its
-    smallest eigenvalue is at least the whole block's), so its LDL^T
-    factorization needs no pivoting and each solve costs O(m).  A block
-    that misses 1e-10 times its scale within _INVERSE_STEPS solves is
-    solved again with m doubled, up to n; ConvergenceFailure if it misses
-    at m = n.
+    vectors, if given, holds the leading rows of a unit vector per column,
+    0 in its last row unless it has all n; a column whose vector meets the
+    target keeps that residual.  The others run inverse iteration on the
+    leading m x m block, m = min(n, 2 reach) (at least 2; n when reach is
+    None), shifted _SHIFT scale below the value, so that the shifted block
+    is positive definite and its LDL^T solve needs no pivoting; the
+    coupling t_(m-1) v_(m-1) into row m joins the residual, so it is that
+    of a unit vector against the whole block.  A block that misses within
+    _INVERSE_STEPS solves is solved again with m doubled, up to n;
+    ConvergenceFailure if it misses at m = n.  scale is max(1, norm bound).
     """
     n = len(diag)
     m = n if reach is None else min(n, max(2, 2 * reach))
-    scale = np.maximum(_norm_bounds(diag, offdiag), 1.0)
+    if scale is None:
+        scale = np.maximum(_norm_bounds(diag, offdiag), 1.0)
     residuals = np.full(diag.shape[1], np.inf)
-    missing = slice(None)  # the columns without an accepted residual
-    while True:
+    if vectors is not None:
+        k = len(vectors)
+        direct = np.sqrt(np.sum(np.square(_apply(diag[:k] - values, offdiag[:k - 1], vectors)),
+                                axis=0))
+        met = direct <= _RESIDUAL_TOL * scale
+        residuals[met] = direct[met]
+    missing = np.flatnonzero(np.isinf(residuals))  # the columns without an accepted residual
+    while missing.size:
         coupling = offdiag[m - 1, missing] if m < n else 0.0
         residuals[missing] = _inverse_iteration(diag[:m, missing], offdiag[:m - 1, missing],
                                                 coupling, values[missing], scale[missing])
         missing = np.flatnonzero(np.isinf(residuals))
         if not missing.size:
-            return residuals
+            break
         if m == n:
             raise ConvergenceFailure("inverse iteration did not reach the residual target")
         m = min(n, 2 * m)
+    return residuals
+
+
+def _apply(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T v for every column's tridiagonal block T (diag, offdiag)."""
+    r = diag * v
+    r[:-1] += offdiag * v[1:]
+    r[1:] += offdiag * v[:-1]
+    return r
+
+
+def _shifted_ldl(diag: np.ndarray, offdiag: np.ndarray,
+                 shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots and unit lower multipliers of T - shift = L D L^T, without pivoting."""
+    pivots = diag - shift
+    off2 = offdiag * offdiag
+    for i in range(1, len(pivots)):
+        pivots[i] -= off2[i - 1] / pivots[i - 1]
+    return pivots, offdiag / pivots[:-1]
+
+
+def _inverse_steps(pivots: np.ndarray, lower: np.ndarray, steps: int):
+    """Unit vectors of successive solves with L D L^T, from the fixed random start."""
+    start = np.random.default_rng(1905).standard_normal(len(pivots))
+    v = np.repeat(start[:, None], pivots.shape[1], axis=1)
+    rows, lows, term = list(v), list(lower), np.empty_like(v[0])
+    for _ in range(steps):
+        for i in range(1, len(rows)):
+            rows[i] -= np.multiply(lows[i - 1], rows[i - 1], out=term)
+        v /= pivots
+        for i in range(len(rows) - 2, -1, -1):
+            rows[i] -= np.multiply(lows[i], rows[i + 1], out=term)
+        v /= np.sqrt(np.sum(v * v, axis=0))
+        yield v
+
+
+def _rayleigh_guess(diag: np.ndarray, offdiag: np.ndarray,
+                    shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rayleigh quotient and unit vector after _GUESS_STEPS solves with T - shift.
+
+    shift lies below every block's smallest eigenvalue, so no pivoting is needed.
+    """
+    for v in _inverse_steps(*_shifted_ldl(diag, offdiag, shift), _GUESS_STEPS):
+        pass
+    return np.sum(v * _apply(diag, offdiag, v), axis=0), v
 
 
 def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, coupling, values: np.ndarray,
@@ -327,26 +442,10 @@ def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, coupling, values: 
     Runs on the blocks diag (m, columns), offdiag (m - 1, columns); coupling
     is the offdiagonal entry out of row m - 1 (0 for a whole block).
     """
-    shift = values - _SHIFT * scale
-    pivots = np.empty_like(diag)
-    pivots[0] = diag[0] - shift
-    for i in range(1, len(diag)):
-        pivots[i] = (diag[i] - shift) - offdiag[i - 1] * offdiag[i - 1] / pivots[i - 1]
-    lower = offdiag / pivots[:-1]
-
-    start = np.random.default_rng(1905).standard_normal(len(diag))
-    v = np.repeat(start[:, None], diag.shape[1], axis=1)
     residuals = np.full(diag.shape[1], np.inf)
-    for _ in range(_INVERSE_STEPS):
-        for i in range(1, len(v)):
-            v[i] -= lower[i - 1] * v[i - 1]
-        v /= pivots
-        for i in range(len(v) - 2, -1, -1):
-            v[i] -= lower[i] * v[i + 1]
-        v /= np.sqrt(np.sum(v * v, axis=0))
-        r = (diag - values) * v
-        r[:-1] += offdiag * v[1:]
-        r[1:] += offdiag * v[:-1]
+    pivots, lower = _shifted_ldl(diag, offdiag, values - _SHIFT * scale)
+    for v in _inverse_steps(pivots, lower, _INVERSE_STEPS):
+        r = _apply(diag - values, offdiag, v)
         step = np.sqrt(np.sum(np.square(r, out=r), axis=0) + np.square(coupling * v[-1]))
         newly = np.isinf(residuals) & (step <= _RESIDUAL_TOL * scale)
         residuals[newly] = step[newly]
@@ -383,21 +482,23 @@ class EDResult:
     truncation_gap: float
 
 
-def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int) -> list[EDResult]:
+def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Ground energies at every g of a grid, from one kernel call (two if the gap needs it).
 
-    The kernel solves the +1 and -1 blocks at n_max.  The blocks at half =
-    n_max // 2 (at least 2) are the leading rows of those, so where no Sturm
-    pass reads past row half + 1 they give the same count at every trial
-    point, and their eigenvalues lie in the same final brackets: the gap is
-    0.  Where the n_max blocks are not dominant from row half + 1 on, every
-    pass reads that far anyway, and the half blocks join the same batch: a
-    half block there keeps the length of the full ones, with offdiagonals 0
-    past index half and its own largest diagonal entry on the diagonal,
-    which leaves its smallest eigenvalue, bracket, pivmin and norm bound
-    those of the half block.  Otherwise, if a pass still reads past row
-    half + 1, a second kernel call solves the half blocks.  Ties between the
-    parity sectors go to +1.
+    Returns the arrays (energy, parity, residual, truncation gap), one entry
+    per g.  The kernel solves the +1 and -1 blocks at n_max.  The blocks at
+    half = n_max // 2 (at least 2) are the leading rows of those, so where
+    no Sturm pass reads past row half + 1 they give the same count at every
+    trial point, and their eigenvalues lie in the same final brackets: the
+    gap is 0.  Where the n_max blocks are not dominant from row half + 1 on,
+    every pass reads that far anyway, and the half blocks join the same
+    batch: a half block there keeps the length of the full ones, with
+    offdiagonals 0 past index half and its own largest diagonal entry on the
+    diagonal, which leaves its smallest eigenvalue, bracket, pivmin and norm
+    bound those of the half block.  Otherwise, if a pass still reads past
+    row half + 1, a second kernel call solves the half blocks.  Ties between
+    the parity sectors go to +1.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -424,14 +525,15 @@ def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int) -> lis
         half_values = values
     plus_half, minus_half = half_values.reshape(2, len(g))
     gap = np.abs(energy - np.where(minus_half < plus_half, minus_half, plus_half))
-    return [EDResult(energy=float(e), parity=-1 if o else 1, n_max=n_max, residual=float(r),
-                     truncation_gap=float(d))
-            for e, o, r, d in zip(energy, odd, residual, gap)]
+    return energy, np.where(odd, -1, 1), residual, gap
 
 
 def ground_energy(params: RabiParams, n_max: int = 300) -> EDResult:
     """Truncated-basis ground energy, with parity, residual and convergence gap."""
-    return _ground_rows(params.omega, params.omega_a, np.array([params.g]), n_max)[0]
+    energy, parity, residual, gap = _ground_rows(params.omega, params.omega_a,
+                                                 np.array([params.g]), n_max)
+    return EDResult(energy=float(energy[0]), parity=int(parity[0]), n_max=n_max,
+                    residual=float(residual[0]), truncation_gap=float(gap[0]))
 
 
 def variational_energy(params: RabiParams) -> float:
@@ -442,11 +544,31 @@ def variational_energy(params: RabiParams) -> float:
     to the scaled cavity-model energy at its normal-branch minimum with
     zeta = 0, for any atom number.
     """
-    g_c = math.sqrt(params.omega * params.omega_a)
-    if params.g <= g_c:
-        return -params.omega_a / 2.0
-    return -(params.omega / 4.0) * (params.g**2 / params.omega**2
-                                    + params.omega_a**2 / params.g**2)
+    return float(_variational_energies(params.omega, params.omega_a, np.array([params.g]))[0])
+
+
+def _variational_energies(omega: float, omega_a: float, g: np.ndarray) -> np.ndarray:
+    """variational_energy at every g of an array."""
+    energy = np.full(g.shape, -omega_a / 2.0)
+    above = g > math.sqrt(omega * omega_a)
+    g2 = g[above] ** 2
+    energy[above] = -(omega / 4.0) * (g2 / omega**2 + omega_a**2 / g2)
+    return energy
+
+
+def _grid(g_values: Sequence[float]) -> np.ndarray:
+    """g_values as a float array, with the checks and messages of RabiParams.g.
+
+    The first point outside [0, DOMAIN_MAX] (not finite included) decides the message.
+    """
+    g = np.array(g_values, dtype=float).reshape(-1)
+    outside = ~((g >= 0.0) & (g <= DOMAIN_MAX))
+    if outside.any():
+        first = float(g[outside.argmax()])
+        if not math.isfinite(first):
+            raise ValueError("omega, omega_a and g must be finite")
+        raise ValueError(f"g must be in [0, {DOMAIN_MAX:g}], got {first!r}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -461,23 +583,27 @@ def compare_curve(params: RabiParams, g_values: Sequence[float],
                   n_max: int = 300) -> list[ComparisonRow]:
     """Variational energy against exact diagonalization over a g grid.
 
-    params.g is ignored; rows are ordered by the given grid, which is solved
-    in batches of _BATCH_ENTRIES // (4 (n_max + 1)) points (each row's
-    numbers do not depend on the others).
+    params.g is ignored; rows are ordered by the given grid (see compare_columns).
     The deviation column stays >= 0 up to the truncation and bisection
     error because the variational energy is an upper bound on the true
     ground energy.
     """
-    grid = [RabiParams(omega=params.omega, omega_a=params.omega_a, g=float(g)) for g in g_values]
-    if not grid:
-        return []
-    g = np.array([p.g for p in grid])
+    return [ComparisonRow(*row)
+            for row in zip(*(c.tolist() for c in compare_columns(params, g_values, n_max)))]
+
+
+def compare_columns(params: RabiParams, g_values: Sequence[float], n_max: int = 300
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """compare_curve as the arrays (g, energy_ed, energy_variational, deviation).
+
+    The grid is checked like RabiParams.g and solved in batches of
+    _BATCH_ENTRIES // (4 (n_max + 1)) points; each row's numbers do not
+    depend on the others.
+    """
+    g = _grid(g_values)
     step = max(1, _BATCH_ENTRIES // (4 * (n_max + 1)))
-    results = [ed for start in range(0, len(g), step)
-               for ed in _ground_rows(params.omega, params.omega_a, g[start:start + step], n_max)]
-    rows = []
-    for p, ed in zip(grid, results):
-        ev = variational_energy(p)
-        rows.append(ComparisonRow(g=p.g, energy_ed=ed.energy, energy_variational=ev,
-                                  deviation=ev - ed.energy))
-    return rows
+    energy = np.concatenate(
+        [_ground_rows(params.omega, params.omega_a, g[start:start + step], n_max)[0]
+         for start in range(0, len(g), step)] or [g])
+    variational = _variational_energies(params.omega, params.omega_a, g)
+    return g, energy, variational, variational - energy

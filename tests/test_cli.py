@@ -588,3 +588,39 @@ def test_column_writer_matches_per_row_writer(data, fmt):
     with contextlib.redirect_stdout(out):
         cli._emit(cli.RunConfig(format=fmt), fieldnames, columns)
     assert out.getvalue() == _per_row_writer(fmt, fieldnames, [list(r) for r in zip(*values)])
+
+
+def _json_reference(fieldnames, columns):
+    """json.dumps of the payload: 9-digit floats, None for NaN and absent labels."""
+    values = [[None if math.isnan(v) else float(f"{v:.9g}") for v in c.tolist()]
+              if isinstance(c, np.ndarray) else c for c in columns]
+    payload = {"units": cli.UNITS_NOTE,
+               "rows": [dict(zip(fieldnames, row)) for row in zip(*values)]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--g", "1.5", "--zeta", "1"],
+    ["sweep", "--g", "0:3:31", "--zeta", "1"],  # NaN and None cells of absent branches
+    ["phase-diagram", "--g", "0:3:13", "--zeta", "0:3:7"],  # phase_above: labels and None
+    ["turning-point", "--zeta", "1"],
+    ["sp-closure"],
+    ["rabi-compare", "--g", "0:3:13", "--n-max", "40"],  # g = 3 prints as 3.0
+])
+def test_json_text_is_that_of_json_dumps(argv, capsys):
+    args = cli._build_parser().parse_args(argv + ["--format", "json"])
+    cfg = cli._effective(args)
+    fieldnames, columns = cli._COMMANDS[args.command](cfg)
+    cli._emit(cfg, fieldnames, columns)
+    assert capsys.readouterr().out == _json_reference(fieldnames, columns)
+
+
+def test_json_text_of_edge_values(capsys):
+    columns = [np.array([-0.0, 3.0, math.nan, math.inf, -math.inf, 1e-320, 0.1 + 0.2]),
+               ["cell", None, "a \"quoted\" label", "é", None, "boundary", "cell"]]
+    cli._emit(cli.RunConfig(format="json"), ["x", "phase_above"], columns)
+    text = capsys.readouterr().out
+    assert text == _json_reference(["x", "phase_above"], columns)
+    assert '"x": -0.0' in text and '"x": 3.0' in text and '"x": null' in text
+    cli._emit(cli.RunConfig(format="json"), ["x", "label"], [np.array([]), []])
+    assert capsys.readouterr().out == _json_reference(["x", "label"], [np.array([]), []])

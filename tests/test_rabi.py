@@ -213,6 +213,33 @@ class TestCompareCurve:
             rows = compare_curve(RabiParams(omega=omega), np.linspace(0.0, 3.0, 16), n_max=300)
             assert all(r.deviation >= -1e-8 for r in rows)
 
+    @pytest.mark.parametrize("omega,omega_a", [(1.0, 1.0), (0.8, 1.0), (1.2, 1.0), (0.7, 1.3),
+                                               (rabi.DOMAIN_MIN, rabi.DOMAIN_MAX)])
+    def test_variational_column_matches_scalar_closed_form(self, omega, omega_a):
+        # numpy squares g with a multiply, Python's g**2 calls pow: same bits
+        grid = np.concatenate([np.linspace(0.0, 3.0, 61), [math.sqrt(omega * omega_a), 1e-300,
+                                                           1e4, rabi.DOMAIN_MAX]])
+        rows = compare_curve(RabiParams(omega=omega, omega_a=omega_a), grid, n_max=20)
+        g_c = math.sqrt(omega * omega_a)
+        for g, row in zip(grid.tolist(), rows):
+            ev = (-omega_a / 2.0 if g <= g_c
+                  else -(omega / 4.0) * (g**2 / omega**2 + omega_a**2 / g**2))
+            assert row.g == g and row.energy_variational == ev
+            assert row.deviation == ev - row.energy_ed
+
+    @pytest.mark.parametrize("grid", [[0.0, -1.0, math.nan], [1.0, math.nan, -1.0],
+                                      [math.inf], [2e50, 1.0], [0.0, -1e-300]])
+    def test_grid_checked_like_rabi_params(self, grid):
+        with pytest.raises(ValueError) as per_point:
+            for g in grid:
+                RabiParams(g=g)
+        with pytest.raises(ValueError) as column:
+            compare_curve(RabiParams(), grid, n_max=10)
+        assert str(column.value) == str(per_point.value)
+
+    def test_empty_grid(self):
+        assert compare_curve(RabiParams(), [], n_max=10) == []
+
     def test_row_type(self):
         (row,) = compare_curve(RabiParams(), [1.0], n_max=100)
         assert isinstance(row, ComparisonRow)
@@ -228,17 +255,27 @@ class TestBatchedKernel:
         assert res.energy == pytest.approx(ref, rel=1e-12)
 
     def test_rows_independent_of_batch(self):
+        # each g alone, in the grid, in the reversed grid and next to the
+        # strong-coupling point gives the same row, to the bit
         grid = np.linspace(0.0, 3.0, 61)
-        rows = compare_curve(RabiParams(), grid, n_max=300)
-        for g, row in zip(grid, rows):
-            assert compare_curve(RabiParams(), [g], n_max=300) == [row]
+        for omega in (1.0, 0.8, 1.2):
+            params = RabiParams(omega=omega)
+            rows = compare_curve(params, grid, n_max=300)
+            for g, row in zip(grid, rows):
+                assert compare_curve(params, [g], n_max=300) == [row]
+            assert compare_curve(params, grid[::-1], n_max=300) == rows[::-1]
+            mixed = compare_curve(params, [1e4, *grid[::7], 1e4], n_max=300)
+            assert mixed[1:-1] == rows[::7]
+            assert mixed[0] == mixed[-1] == compare_curve(params, [1e4], n_max=300)[0]
 
     def test_long_grid_split_into_batches(self, monkeypatch):
         # 7 g points per batch: 9 batches, the last one short
         grid = np.linspace(0.0, 3.0, 61)
-        rows = compare_curve(RabiParams(), grid, n_max=300)
+        rows = {omega: compare_curve(RabiParams(omega=omega), grid, n_max=300)
+                for omega in (1.0, 0.8, 1.2)}
         monkeypatch.setattr(rabi, "_BATCH_ENTRIES", 7 * 4 * 301)
-        assert compare_curve(RabiParams(), grid, n_max=300) == rows
+        for omega, expected in rows.items():
+            assert compare_curve(RabiParams(omega=omega), grid, n_max=300) == expected
 
     def test_within_dense_oracle_over_grid(self):
         for omega in (0.8, 1.2):
@@ -283,6 +320,120 @@ class TestBatchedKernel:
             _eigenpair_residual(diag, off, exact + error)
 
 
+def _record_sturm_passes(monkeypatch):
+    """Trial points and counts of every _sturm_count call."""
+    passes = []
+    count = rabi._sturm_count
+
+    def recording(diag, offdiag, x, pivmin, tail):
+        counts, reach = count(diag, offdiag, x, pivmin, tail)
+        passes.append((x.copy(), counts))
+        return counts, reach
+
+    monkeypatch.setattr(rabi, "_sturm_count", recording)
+    return passes
+
+
+_DETUNING_GRIDS = [(omega, np.linspace(0.0, 3.0, 61), 300) for omega in (0.8, 1.0, 1.2)]
+
+
+class TestGuess:
+    """The Rayleigh-quotient guess decides the number of Sturm passes, not the result."""
+
+    @pytest.mark.parametrize("omega,g,n_max", _DETUNING_GRIDS + [(1.0, np.array([1e4]), 50)])
+    @pytest.mark.parametrize("poor", ["below", "nan", "far"])
+    def test_poor_guess_gives_the_same_bits(self, monkeypatch, omega, g, n_max, poor):
+        passes = _record_sturm_passes(monkeypatch)
+        good = rabi._ground_rows(omega, 1.0, g, n_max)
+        good_passes = len(passes)
+        guess = rabi._rayleigh_guess
+
+        def poor_guess(diag, offdiag, shift):
+            theta, v = guess(diag, offdiag, shift)
+            # below: the bracket's lower end; far: past its upper end
+            return {"below": shift, "nan": np.full_like(theta, np.nan),
+                    "far": theta + 1e3 * (1.0 + np.abs(theta))}[poor], v
+
+        monkeypatch.setattr(rabi, "_rayleigh_guess", poor_guess)
+        passes.clear()
+        bad = rabi._ground_rows(omega, 1.0, g, n_max)
+        for a, b in zip(good, bad):
+            assert np.array_equal(a[:, None].view(np.int64), b[:, None].view(np.int64))
+        assert len(passes) > good_passes
+
+    def test_pass_counts(self, monkeypatch):
+        # 11 and 13 passes with uniform multisection alone
+        passes = _record_sturm_passes(monkeypatch)
+        rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), 300)
+        assert len(passes) <= 5
+        passes.clear()
+        ground_energy(RabiParams(g=1e4), 50)
+        assert len(passes) <= 8
+
+    @pytest.mark.parametrize("omega,g,n_max", _DETUNING_GRIDS + [
+        (1.0, np.array([1e4]), 50), (1.0, np.array([1e3, 1e8]), 300),
+        (1e-50, np.array([0.0, 1e-300, 1.0, 1e50]), 40), (1e50, np.array([1.0, 1e50]), 40)])
+    def test_certified_bracket(self, monkeypatch, omega, g, n_max):
+        # every value is the midpoint of the tightest bracket the counts
+        # certify, and that bracket meets the stop of its ends
+        passes = _record_sturm_passes(monkeypatch)
+        diag, off = _block_columns(omega, 1.0, g, n_max)
+        lo, hi, pivmin = rabi._bracket(diag, off)[:3]
+        values, _, _ = rabi._lowest_eigenpairs(diag, off)
+        for x, counts in passes:
+            lo = np.maximum(lo, np.max(np.where(counts == 0, x, -np.inf), axis=0))
+            hi = np.minimum(hi, np.min(np.where(counts >= 1, x, np.inf), axis=0))
+        stop = np.maximum(np.maximum(1e-12, pivmin), 2.0 * np.finfo(float).eps
+                          * np.maximum(np.abs(lo), np.abs(hi)))
+        assert np.all(hi - lo <= stop)
+        assert np.array_equal(0.5 * (lo + hi), values)
+
+    def test_dense_value_within_the_stop(self):
+        rng = np.random.default_rng(20170)
+        for _ in range(40):
+            omega, omega_a = rng.uniform(0.3, 2.0, size=2)
+            n_max = int(rng.integers(2, 80))
+            g = rng.uniform(0.0, 4.0, size=3)
+            diag, off = _block_columns(omega, omega_a, g, n_max)
+            values, _, _ = rabi._lowest_eigenpairs(diag, off)
+            for j, value in enumerate(values):
+                block = TridiagonalBlock(1, diag[:, j], off[:, j]).dense()
+                dense = np.linalg.eigvalsh(block)[0]
+                assert abs(dense - value) <= max(1e-12, 2.0 * np.finfo(float).eps * abs(value))
+
+
+class TestDominantTail:
+    @staticmethod
+    def _loop_tail(diag, radii, hi, pivmin):
+        m = rabi._DOMINANCE
+        tail = 0
+        for i in range(diag.shape[0]):
+            for j in range(diag.shape[1]):
+                d, h = float(diag[i, j]), float(hi[j])
+                if not d - h - (1.0 + m) * float(radii[i, j]) - m * (abs(d) + abs(h)) > pivmin[j]:
+                    tail = i + 1
+        return tail
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        omega, omega_a = rng.uniform(0.2, 3.0, size=2)
+        g = rng.uniform(0.0, [3.0, 3.0, 30.0, 1e4][seed % 4], size=int(rng.integers(1, 6)))
+        diag, off = _block_columns(omega, omega_a, g, int(rng.integers(2, 120)))
+        radii = _radii(off)
+        hi = diag.min(axis=0)
+        pivmin = np.max(off * off, axis=0, initial=1.0) * np.finfo(float).tiny
+        assert _dominant_tail(diag, radii, hi, pivmin) == self._loop_tail(diag, radii, hi, pivmin)
+
+    def test_edges(self):
+        diag = np.array([[0.0], [10.0], [20.0]])
+        radii = np.array([[1.0], [2.0], [1.0]])
+        pivmin = np.array([1e-300])
+        assert _dominant_tail(diag, radii, np.array([0.0]), pivmin) == 1
+        assert _dominant_tail(diag, radii, np.array([-5.0]), pivmin) == 0
+        assert _dominant_tail(diag, radii, np.array([19.5]), pivmin) == 3
+
+
 def _record_kernel_calls(monkeypatch):
     """Column count of every _lowest_eigenpairs call, with its reach."""
     calls = []
@@ -303,10 +454,10 @@ class TestHalfBlocks:
     def test_grid_solves_only_the_full_blocks(self, monkeypatch):
         # no pass reads past row ~30 here, so half and full blocks count alike
         calls = _record_kernel_calls(monkeypatch)
-        rows = rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), 300)
+        _, _, _, gap = rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), 300)
         assert [columns for columns, _ in calls] == [122]
         assert calls[0][1] <= 151
-        assert all(r.truncation_gap == 0.0 for r in rows)
+        assert np.all(gap == 0.0)
 
     @pytest.mark.parametrize("g,n_max", [(1e4, 50), (1e3, 300)])
     def test_gap_at_strong_coupling(self, monkeypatch, g, n_max):
