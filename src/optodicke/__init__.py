@@ -35,13 +35,11 @@ from .solver import (
 )
 from .diagram import GridSpec, SweepSpec, phase_grid, sweep_g
 from .rabi import (
-    ComparisonRow,
     ConvergenceFailure,
-    EDResult,
     RabiParams,
     TridiagonalBlock,
     build_blocks,
-    compare_curve,
+    compare_columns,
     ground_energy,
     smallest_eigenvalue,
     variational_energy,
@@ -57,7 +55,6 @@ __all__ = [
     "closure_estimate", "critical_coupling", "find_roots", "ground_state",
     "sp_closure", "turning_point",
     "GridSpec", "SweepSpec", "phase_grid", "sweep_g",
-    "ComparisonRow", "ConvergenceFailure", "EDResult", "RabiParams",
-    "TridiagonalBlock", "build_blocks", "compare_curve", "ground_energy",
-    "smallest_eigenvalue", "variational_energy",
+    "ConvergenceFailure", "RabiParams", "TridiagonalBlock", "build_blocks",
+    "compare_columns", "ground_energy", "smallest_eigenvalue", "variational_energy",
 ]

@@ -105,7 +105,7 @@ def _coerce(key: str, value, where: str):
                 raise ValueError("format must be 'csv' or 'json'")
             return text
         return str(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise ConfigError(f"bad value for {where}: {exc}") from exc
 
 
@@ -325,7 +325,7 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list]:
         raise ConfigError(str(exc)) from exc
     _check_workers()
     sweep = diagram.sweep_g(spec, _solver_config(cfg))
-    rows, k = np.arange(len(sweep)), sweep.ground
+    rows, k = np.arange(sweep.g.size), sweep.ground
     columns = [sweep.g, _PHASE_TEXT[sweep.phase].tolist(), sweep.n_p[rows, k],
                sweep.delta_n_a[rows, k], sweep.n_b[rows, k], sweep.energy[rows, k]]
     for j in sweep.source.T:
@@ -350,12 +350,12 @@ def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list]:
         raise ConfigError(str(exc)) from exc
     _check_workers()
     grid = diagram.phase_grid(spec, _solver_config(cfg))
-    cells, bounds = grid.g.size, grid.boundaries
-    columns = [["cell"] * cells + ["boundary"] * len(bounds),
-               np.concatenate([grid.zeta, [b.zeta for b in bounds]]),
-               np.concatenate([grid.g, [b.g_refined for b in bounds]]),
-               _PHASE_TEXT[grid.phase].tolist() + [b.phase_below.value for b in bounds],
-               [None] * cells + [b.phase_above.value for b in bounds]]
+    cells, bounds = grid.g.size, grid.boundary_g.size
+    columns = [["cell"] * cells + ["boundary"] * bounds,
+               np.concatenate([grid.zeta, grid.boundary_zeta]),
+               np.concatenate([grid.g, grid.boundary_g]),
+               _PHASE_TEXT[np.concatenate([grid.phase, grid.boundary_below])].tolist(),
+               [None] * cells + _PHASE_TEXT[grid.boundary_above].tolist()]
     return ["kind", "zeta", "g", "phase", "phase_above"], columns
 
 
@@ -384,8 +384,9 @@ def _cmd_sp_closure(cfg: RunConfig) -> tuple[list[str], list]:
 def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list]:
     if not 2 <= cfg.n_max <= MAX_N_MAX:
         raise ConfigError(f"n_max must be in [2, {MAX_N_MAX}], got {cfg.n_max}")
-    if cfg.n_atoms < 1:  # unused by the ED, but invalid input all the same
-        raise ConfigError(f"n_atoms must be a positive integer, got {cfg.n_atoms!r}")
+    if cfg.n_atoms != 1:  # until a finite-N ED exists
+        raise ConfigError(f"n_atoms must be a positive integer, and 1 for the one-atom (Rabi) "
+                          f"ED of rabi-compare, got {cfg.n_atoms!r}")
     _solver_config(cfg)  # unused by the ED, but a bad --tol-curv is invalid input
     g_min, g_max, count = _parse_range(cfg.g, "g")
     try:  # the grid lies between its ends, so checking them checks every point

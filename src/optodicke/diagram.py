@@ -3,25 +3,21 @@
 A sweep solves all its g points in one array pass per branch.  A phase grid
 needs only the two closed-form boundaries of each zeta row, g_c and the
 fold g_t, and labels its cells by comparing g with them; its boundaries are
-those exact couplings.  Row objects (SweepRow, GridCell) are built only on
-request.  No file I/O happens here, the CLI layer owns serialization.
+those exact couplings, in four boundary columns.  No file I/O happens here,
+the CLI layer owns serialization.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
-from .model import (ModelParams, Observables, PhaseLabel, SpinBranch, Stability, curvature,
-                    observable_terms)
+from .model import ModelParams, SpinBranch, Stability, curvature, observable_terms
 from .solver import (
     COLUMN_PHASE,
     DEFAULT_CONFIG,
-    PHASES,
     NotFound,
     SolverConfig,
     critical_coupling,
@@ -34,11 +30,7 @@ from .solver import (
 __all__ = [
     "SweepSpec",
     "GridSpec",
-    "BranchEntry",
-    "SweepRow",
     "Sweep",
-    "GridCell",
-    "BoundarySample",
     "PhaseGrid",
     "BRANCH_TAGS",
     "SWEEP_ZETA_PRESETS",
@@ -113,24 +105,9 @@ class GridSpec:
         return np.linspace(self.zeta_min, self.zeta_max, self.zeta_steps)
 
 
-@dataclass(frozen=True)
-class BranchEntry:
-    tag: str  # one of BRANCH_TAGS
-    observables: Observables
-    stability: Stability
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    g: float
-    phase: PhaseLabel
-    ground: Observables
-    branches: tuple[BranchEntry, ...]
-
-
 @dataclass(frozen=True, eq=False)
-class Sweep(Sequence):
-    """The columns of sweep_g, row i at coupling g[i]; indexing builds SweepRow objects.
+class Sweep:
+    """The columns of sweep_g, row i at coupling g[i].
 
     Point columns: those of solver.solve_ground, then the inverted root; n_p,
     delta_n_a, n_b and energy NaN and stability None where a point is absent.
@@ -148,52 +125,22 @@ class Sweep(Sequence):
     stability: np.ndarray
     source: np.ndarray
 
-    def __len__(self) -> int:
-        return self.g.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        i = range(len(self))[i]
-        points = [Observables(*values) for values in zip(
-            *(c[i].tolist() for c in (self.n_p, self.delta_n_a, self.n_b, self.energy)))]
-        entries = tuple(BranchEntry(tag, points[j], self.stability[i, j])
-                        for tag, j in zip(BRANCH_TAGS, self.source[i].tolist()) if j >= 0)
-        return SweepRow(g=float(self.g[i]), phase=PHASES[self.phase[i]],
-                        ground=points[self.ground[i]], branches=entries)
-
-
-@dataclass(frozen=True)
-class GridCell:
-    g: float
-    zeta: float
-    phase: PhaseLabel
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    """The exact phase boundary (g_c or g_t) between two adjacent grid cells."""
-
-    zeta: float
-    g_refined: float
-    phase_below: PhaseLabel
-    phase_above: PhaseLabel
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseGrid:
-    """Cell columns in (zeta, g) order, phase an index into solver.PHASES, and the boundaries."""
+    """Cell columns in (zeta, g) order, phase an index into solver.PHASES, and the boundaries.
+
+    Boundary columns, in (zeta, g) order: zeta, the exact coupling (g_c or g_t),
+    and the labels below and above it, also indices into solver.PHASES.
+    """
 
     g: np.ndarray
     zeta: np.ndarray
     phase: np.ndarray
-    boundaries: tuple[BoundarySample, ...]
-
-    @cached_property
-    def cells(self) -> tuple[GridCell, ...]:
-        """The cells as GridCell objects, built on first use."""
-        return tuple(map(GridCell, self.g.tolist(), self.zeta.tolist(),
-                         [PHASES[k] for k in self.phase.tolist()]))
+    boundary_zeta: np.ndarray
+    boundary_g: np.ndarray
+    boundary_below: np.ndarray
+    boundary_above: np.ndarray
 
 
 def _sweep(spec: SweepSpec, gs: np.ndarray, config: SolverConfig | None) -> Sweep:
@@ -212,9 +159,9 @@ def _sweep(spec: SweepSpec, gs: np.ndarray, config: SolverConfig | None) -> Swee
                  stability=stability, source=source)
 
 
-def sweep_row(spec: SweepSpec, g: float, config: SolverConfig | None = None) -> SweepRow:
-    """The sweep row at one g.  A module global: callers look it up at call time."""
-    return _sweep(spec, np.array([float(g)]), config)[0]
+def sweep_row(spec: SweepSpec, g: float, config: SolverConfig | None = None) -> Sweep:
+    """The one-row Sweep at g.  A module global: callers look it up at call time."""
+    return _sweep(spec, np.array([float(g)]), config)
 
 
 def sweep_g(spec: SweepSpec, config: SolverConfig | None = None) -> Sweep:
@@ -227,7 +174,7 @@ def sweep_g(spec: SweepSpec, config: SolverConfig | None = None) -> Sweep:
 
 
 def grid_row(spec: GridSpec, zetas, config: SolverConfig | None = None
-             ) -> tuple[np.ndarray, list[BoundarySample]]:
+             ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The labels of a block of zeta rows, shape (rows, g), and their exact boundaries.
 
     Labels are indices into solver.PHASES: NP_Nminus below g_c, SP on
@@ -235,9 +182,9 @@ def grid_row(spec: GridSpec, zetas, config: SolverConfig | None = None
     when the window is closed.  A cell where N- is marginal (such as one
     exactly at g_c) takes solve_ground's label: N- where the slope probe shows
     a minimum (its tie rule favours gamma_bar = 0), else from solving those
-    cells.  Each label change gives one BoundarySample, in (zeta, g) order: at
-    g_t when leaving SP, otherwise at g_c with phase_above SP whenever the
-    window is open, even when it is narrower than the grid step.
+    cells.  Each label change gives one boundary of PhaseGrid's columns: at
+    g_t when leaving SP, otherwise at g_c with the label above SP whenever
+    the window is open, even when it is narrower than the grid step.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     params, gs = spec.params, spec.g_grid()
@@ -275,17 +222,17 @@ def grid_row(spec: GridSpec, zetas, config: SolverConfig | None = None
     leaving_sp = below == 1
     g_b = np.where(leaving_sp, g_t[k], g_c)
     above = np.where(~leaving_sp & (g_t[k] > g_c), 1, above)
-    return index, [BoundarySample(zeta, g, PHASES[b], PHASES[a]) for zeta, g, b, a in zip(
-        zetas[k].tolist(), g_b.tolist(), below.tolist(), above.tolist())]
+    return index, (zetas[k], g_b, below, above)
 
 
 def phase_grid(spec: GridSpec, config: SolverConfig | None = None) -> PhaseGrid:
     """Label every grid cell by its ground-state phase.
 
     Cells are ordered by (zeta, g).  Wherever the label changes between two
-    g-adjacent cells, the exact boundary (g_c or g_t) is a BoundarySample.
+    g-adjacent cells, the exact boundary (g_c or g_t) is one entry of the
+    boundary columns.
     """
     gs, zetas = spec.g_grid(), spec.zeta_grid()
     index, boundaries = grid_row(spec, zetas, config)  # the module global: one pass
-    return PhaseGrid(g=np.tile(gs, zetas.size), zeta=np.repeat(zetas, gs.size),
-                     phase=index.reshape(-1), boundaries=tuple(boundaries))
+    return PhaseGrid(np.tile(gs, zetas.size), np.repeat(zetas, gs.size), index.reshape(-1),
+                     *boundaries)

@@ -49,14 +49,12 @@ import numpy as np
 __all__ = [
     "RabiParams",
     "TridiagonalBlock",
-    "EDResult",
-    "ComparisonRow",
     "ConvergenceFailure",
     "build_blocks",
     "smallest_eigenvalue",
     "ground_energy",
     "variational_energy",
-    "compare_curve",
+    "compare_columns",
     "DETUNING_PRESETS",
 ]
 
@@ -89,7 +87,7 @@ _TINY = np.finfo(float).tiny
 # Bounds of the frequencies and of g (see RabiParams).
 DOMAIN_MIN = 1e-50
 DOMAIN_MAX = 1e50
-# Entries of one (n, columns) array of a kernel call; compare_curve splits a
+# Entries of one (n, columns) array of a kernel call; compare_columns splits a
 # longer grid into batches of this size, so memory does not grow with it.
 _BATCH_ENTRIES = 2**18
 
@@ -466,22 +464,6 @@ def smallest_eigenvalue(block: TridiagonalBlock, tol: float = 1e-12) -> tuple[fl
     return float(values[0]), float(residuals[0])
 
 
-@dataclass(frozen=True)
-class EDResult:
-    """Ground energy over both parity sectors of the truncated Rabi matrix.
-
-    truncation_gap is |E(n_max) - E(n_max // 2)|, a convergence indicator;
-    it is 0 where the two agree to the bisection stop (no Sturm pass read
-    past row n_max // 2 + 1).
-    """
-
-    energy: float
-    parity: int
-    n_max: int
-    residual: float
-    truncation_gap: float
-
-
 def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Ground energies at every g of a grid, from one kernel call (two if the gap needs it).
@@ -528,12 +510,16 @@ def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
     return energy, np.where(odd, -1, 1), residual, gap
 
 
-def ground_energy(params: RabiParams, n_max: int = 300) -> EDResult:
-    """Truncated-basis ground energy, with parity, residual and convergence gap."""
+def ground_energy(params: RabiParams, n_max: int = 300) -> tuple[float, int, float, float]:
+    """The tuple (energy, parity, residual, truncation_gap) of _ground_rows at params.g.
+
+    parity is the ground state's sector (+1 on a tie), residual ||H v - E v|| of
+    its eigenpair, and truncation_gap |E(n_max) - E(n_max // 2)|, a convergence
+    indicator: 0 where no Sturm pass read past row n_max // 2 + 1.
+    """
     energy, parity, residual, gap = _ground_rows(params.omega, params.omega_a,
                                                  np.array([params.g]), n_max)
-    return EDResult(energy=float(energy[0]), parity=int(parity[0]), n_max=n_max,
-                    residual=float(residual[0]), truncation_gap=float(gap[0]))
+    return float(energy[0]), int(parity[0]), float(residual[0]), float(gap[0])
 
 
 def variational_energy(params: RabiParams) -> float:
@@ -571,31 +557,13 @@ def _grid(g_values: Sequence[float]) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    g: float
-    energy_ed: float
-    energy_variational: float
-    deviation: float  # variational minus ED; >= 0 up to truncation error
-
-
-def compare_curve(params: RabiParams, g_values: Sequence[float],
-                  n_max: int = 300) -> list[ComparisonRow]:
-    """Variational energy against exact diagonalization over a g grid.
-
-    params.g is ignored; rows are ordered by the given grid (see compare_columns).
-    The deviation column stays >= 0 up to the truncation and bisection
-    error because the variational energy is an upper bound on the true
-    ground energy.
-    """
-    return [ComparisonRow(*row)
-            for row in zip(*(c.tolist() for c in compare_columns(params, g_values, n_max)))]
-
-
 def compare_columns(params: RabiParams, g_values: Sequence[float], n_max: int = 300
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """compare_curve as the arrays (g, energy_ed, energy_variational, deviation).
+    """Variational energy against exact diagonalization over a g grid, as columns.
 
+    The arrays (g, energy_ed, energy_variational, deviation) in grid order;
+    params.g is ignored.  deviation, variational minus ED, stays >= 0 up to the
+    truncation and bisection error: the variational energy is an upper bound.
     The grid is checked like RabiParams.g and solved in batches of
     _BATCH_ENTRIES // (4 (n_max + 1)) points; each row's numbers do not
     depend on the others.

@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 _NEWTON_STEPS = 2
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 _THIRDS = np.array([2.0 * math.pi * k / 3.0 for k in range(3)])
 # by code: 1 curvature > tol_curv, 2 curvature < -tol_curv, 0 in between, 3 no point
 _STABILITY = np.array([Stability.MARGINAL, Stability.STABLE, Stability.UNSTABLE, None])
@@ -296,8 +297,9 @@ def is_minimum(params: ModelParams, branch: SpinBranch, g: np.ndarray,
     """
     rows = param_rows(params, g, zeta)
     h = 1e-6 * np.maximum(1.0, gamma_bar)
-    right = extremum_polynomial(rows, branch, gamma_bar + h)
-    left = extremum_polynomial(rows, branch, gamma_bar - h)
+    with np.errstate(all="ignore"):  # a term that overflows next to the point sets p's sign
+        right = extremum_polynomial(rows, branch, gamma_bar + h)
+        left = extremum_polynomial(rows, branch, gamma_bar - h)
     return ~(right < 0.0) & ~((gamma_bar > h) & (left > 0.0))
 
 
@@ -418,21 +420,25 @@ def sp_closure(params: ModelParams, width_tol: float = 1e-3) -> float:
     turning_point's t that is t^3 - t^2 + C^4 = 0, C = (27/16)^(1/4) sqrt(omega_b)
     (omega/1.5)^(3/2) / (closure_estimate G), with its root in [2/3, 1] reached by
     Newton steps from 1; zeta_star = sqrt(omega_b) (omega/(1.5 t))^(3/2) / G.  params.g
-    and params.zeta are ignored.  OutOfRange where closure_estimate overflows, and where
-    the closed form under- or overflows (zeta_star is 0 or not finite).
+    and params.zeta are ignored.  The closed form holds in doubles where g_c^2 = omega
+    omega_a and the numerator and denominator of C are normal doubles (C is then
+    (4/27)^(1/4) g_c/G to rounding) and zeta_star is positive and finite; OutOfRange
+    elsewhere, and where closure_estimate overflows.
     """
     if not width_tol > 0.0:
         raise ValueError("width_tol must be > 0")
-    estimate = closure_estimate(params)
-    if estimate > 0.0:
-        root_wb = math.sqrt(params.omega_b)
-        g_top = critical_coupling(params) + width_tol
-        c4 = ((27.0 / 16.0) ** 0.25 * root_wb * (params.omega / 1.5) ** 1.5
-              / (estimate * g_top))**4
+    estimate = closure_estimate(params)  # first: it bounds omega, so omega^1.5 fits
+    root_wb = math.sqrt(params.omega_b)
+    g_top = critical_coupling(params) + width_tol
+    numerator = (27.0 / 16.0) ** 0.25 * root_wb * (params.omega / 1.5) ** 1.5
+    denominator = estimate * g_top
+    if all(_TINY <= x <= _HUGE for x in (params.omega * params.omega_a, numerator, denominator)):
+        c4 = (numerator / denominator)**4
         t = _newton_down(lambda t: (t * t * (t - 1.0) + c4, t * (3.0 * t - 2.0)))
         star = root_wb * (params.omega / (1.5 * t)) ** 1.5 / g_top
-        if star > 0.0 and math.isfinite(c4) and math.isfinite(star):
+        if star > 0.0 and math.isfinite(star):
             return star
     raise OutOfRange(f"omega={params.omega!r}, omega_a={params.omega_a!r}, "
                      f"omega_b={params.omega_b!r}, width_tol={width_tol!r} is outside the range "
-                     "of the closure coupling's closed form, which underflows to 0 or overflows")
+                     "of the closure coupling's closed form: a term of it underflows to 0, "
+                     "becomes subnormal or overflows")

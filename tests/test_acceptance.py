@@ -22,8 +22,8 @@ from optodicke.model import (
     curvature,
     extremum_polynomial,
 )
-from optodicke.rabi import RabiParams, build_blocks, compare_curve, ground_energy
-from optodicke.solver import NotFound, critical_coupling, ground_state, turning_point
+from optodicke.rabi import RabiParams, build_blocks, compare_columns, ground_energy
+from optodicke.solver import PHASES, NotFound, critical_coupling, ground_state, turning_point
 
 import oracles
 
@@ -57,10 +57,10 @@ def test_critical_coupling():
         spec = GridSpec(ModelParams(omega_b=omega_b), g_min=0.8, g_max=1.2, g_steps=3,
                         zeta_min=0.5, zeta_max=2.5, zeta_steps=3)
         grid = phase_grid(spec)
-        exits = [b for b in grid.boundaries if b.phase_below is PhaseLabel.NP_NMINUS]
+        exits = grid.boundary_g[grid.boundary_below == PHASES.index(PhaseLabel.NP_NMINUS)]
         assert len(exits) == 3
-        for b in exits:
-            assert b.g_refined == pytest.approx(1.0, abs=2e-4)
+        for g_b in exits.tolist():
+            assert g_b == pytest.approx(1.0, abs=2e-4)
 
 
 @criterion(2, "turning points g_t(1.0) = 1.763 +- 0.005 and g_t(1.203) = 1.500 +- 0.005")
@@ -90,16 +90,19 @@ def test_dicke_reduction():
     def eps_exact(g):
         return -0.5 if g <= 1.0 else -0.25 * (g * g + 1.0 / (g * g))
 
-    rows_by_n = {}
+    ground_by_n = {}
     for n_atoms in (1, 100):
-        rows = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=n_atoms), g_min=0.0, g_max=3.0,
-                                 g_steps=301))
-        rows_by_n[n_atoms] = rows
-        for row in rows:
-            assert row.ground.n_p == pytest.approx(np_exact(row.g), abs=1e-10)
-            assert row.ground.energy == pytest.approx(eps_exact(row.g), abs=1e-10)
-    for a, b in zip(rows_by_n[1], rows_by_n[100]):
-        assert a.ground == b.ground and a.phase is b.phase
+        sweep = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=n_atoms), g_min=0.0, g_max=3.0,
+                                  g_steps=301))
+        rows = np.arange(sweep.g.size)
+        ground = [c[rows, sweep.ground] for c in (sweep.n_p, sweep.delta_n_a, sweep.n_b,
+                                                  sweep.energy)]
+        ground_by_n[n_atoms] = ground + [sweep.phase]
+        for g, n_p, energy in zip(sweep.g.tolist(), ground[0].tolist(), ground[3].tolist()):
+            assert n_p == pytest.approx(np_exact(g), abs=1e-10)
+            assert energy == pytest.approx(eps_exact(g), abs=1e-10)
+    for a, b in zip(ground_by_n[1], ground_by_n[100]):
+        assert np.array_equal(a, b)
 
 
 @criterion(5, "observable identities over a 1000-point random parameter sample")
@@ -127,48 +130,49 @@ def test_observable_identities():
 @criterion(6, "multi-transition energy and population curves at zeta=1")
 def test_multi_transition_curve():
     g_t = 1.763026785  # fold oracle
-    rows = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.0, g_max=3.0, g_steps=301))
-    sp_rows = [r for r in rows if r.phase is PhaseLabel.SP]
-    for row in rows:
-        if row.g < 1.0:
-            assert row.ground.energy == -0.5
-        elif row.g > g_t:
-            assert row.ground.energy == +0.5
-            assert row.ground.delta_n_a == +0.5
+    sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.0, g_max=3.0, g_steps=301))
+    rows = np.arange(sweep.g.size)
+    energy, dna = sweep.energy[rows, sweep.ground], sweep.delta_n_a[rows, sweep.ground]
+    for g, e, d in zip(sweep.g.tolist(), energy.tolist(), dna.tolist()):
+        if g < 1.0:
+            assert e == -0.5
+        elif g > g_t:
+            assert e == +0.5
+            assert d == +0.5
     # continuous decrease across the superradiant window
-    energies = [r.ground.energy for r in sp_rows]
+    sp = np.flatnonzero(sweep.phase == PHASES.index(PhaseLabel.SP))
+    energies = energy[sp].tolist()
     assert energies[0] == pytest.approx(-0.5, abs=5e-3)
     assert all(a > b for a, b in zip(energies, energies[1:]))
     assert energies[-1] == pytest.approx(-0.941436898, abs=5e-3)  # fold-point energy
     # population difference jumps from approx. -0.109 (oracle value at the
     # fold) to +0.5; magnitude >= 0.6
-    last_sp = sp_rows[-1]
-    assert -0.20 < last_sp.ground.delta_n_a < -0.10
-    first_np = next(r for r in rows if r.g > last_sp.g)
-    assert first_np.ground.delta_n_a - last_sp.ground.delta_n_a >= 0.6
+    last_sp = sp[-1]
+    assert -0.20 < dna[last_sp] < -0.10
+    first_np = np.flatnonzero(sweep.g > sweep.g[last_sp])[0]
+    assert dna[first_np] - dna[last_sp] >= 0.6
 
 
 @criterion(7, "Rabi limit: variational bound over 61 points, derived deviation envelope")
 def test_rabi_cross_validation():
     grid = np.linspace(0.0, 3.0, 61)
-    by_omega = {}
+    deviation = {}
     for omega in (1.0, 0.8, 1.2):
-        rows = compare_curve(RabiParams(omega=omega), grid, n_max=300)
-        by_omega[omega] = rows
-        assert all(r.deviation >= -1e-8 for r in rows)
+        g, _, _, deviation[omega] = compare_columns(RabiParams(omega=omega), grid, n_max=300)
+        assert np.all(deviation[omega] >= -1e-8)
 
-    resonant = by_omega[1.0]
-    assert abs(resonant[0].deviation) <= 1e-10
-    assert resonant[1].deviation <= 5e-4  # g = 0.05: deviation has left zero quadratically
-    deep = [r for r in resonant if r.g >= 2.0]
+    resonant = deviation[1.0]
+    assert abs(resonant[0]) <= 1e-10
+    assert resonant[1] <= 5e-4  # g = 0.05: deviation has left zero quadratically
+    deep = resonant[g >= 2.0].tolist()
     for a, b in zip(deep, deep[1:]):
-        assert b.deviation < a.deviation
+        assert b < a
     # Deep-coupling envelope derived from the dense oracle: 0.085446 at g=2
     # shrinking to 0.010123 at g=3.  (A 0.02 cap at g=2 is not attainable by
     # any diagonalization consistent with the dense spectrum.)
-    assert deep[0].deviation == pytest.approx(0.085446, abs=1e-4)
-    assert all(r.deviation <= 0.086 for r in deep)
-    assert deep[-1].deviation <= 0.02
+    assert deep[0] == pytest.approx(0.085446, abs=1e-4)
+    assert all(d <= 0.086 for d in deep)
+    assert deep[-1] <= 0.02
 
 
 @criterion(8, "eigensolver: parity blocks match dense spectra, residuals, truncation")
@@ -183,12 +187,12 @@ def test_eigensolver_correctness():
         np.testing.assert_allclose(union, dense, atol=1e-12)
 
     for g in (0.5, 2.0):
-        res = ground_energy(RabiParams(g=g), 300)
+        _, _, residual, _ = ground_energy(RabiParams(g=g), 300)
         plus, minus = build_blocks(RabiParams(g=g), 300)
         scale = max(plus.norm_bound(), minus.norm_bound())
-        assert res.residual <= 1e-10 * scale
+        assert residual <= 1e-10 * scale
 
-    energies = [ground_energy(RabiParams(g=3.0), n).energy for n in (50, 100, 200, 300)]
+    energies = [ground_energy(RabiParams(g=3.0), n)[0] for n in (50, 100, 200, 300)]
     for a, b in zip(energies, energies[1:]):
         assert b <= a + 5e-12
     assert abs(energies[-1] - energies[-2]) <= 1e-8

@@ -164,10 +164,15 @@ class TestConfig:
         assert run(["turning-point", "--zeta", "1", "--config", str(cfg)]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
-    def test_bad_flag_value(self):
+    def test_bad_flag_value(self, tmp_path):
         assert run(["sweep", "--g", "3:0:10"]) == 2
         assert run(["sweep", "--g", "abc"]) == 2
         assert run(["roots", "--g", "abc"]) == 2
+        # integers beyond the range of a double, from a flag and from a config file
+        assert run(["rabi-compare", "--g", "1", "--n-max", "1" + "0" * 400]) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_atoms": 1e400}')
+        assert run(["roots", "--config", str(cfg)]) == 2
 
     def test_unknown_subcommand_exit_two(self):
         assert run(["frobnicate"]) == 2
@@ -235,8 +240,10 @@ class TestGridCaps:
 
     def test_at_the_caps(self, monkeypatch):
         # the caps themselves are accepted (checked without solving anything)
-        empty = cli.diagram.PhaseGrid(g=np.empty(0), zeta=np.empty(0),
-                                      phase=np.empty(0, dtype=int), boundaries=())
+        none, no_labels = np.empty(0), np.empty(0, dtype=int)
+        empty = cli.diagram.PhaseGrid(g=none, zeta=none, phase=no_labels, boundary_zeta=none,
+                                      boundary_g=none, boundary_below=no_labels,
+                                      boundary_above=no_labels)
         monkeypatch.setattr(cli.diagram, "phase_grid", lambda spec, cfg: empty)
         side = math.isqrt(cli.MAX_GRID_CELLS)
         assert run(["phase-diagram", "--g", f"0:3:{side}", "--zeta", f"0:3:{side}"]) == 0
@@ -315,9 +322,15 @@ class TestRabiCompare:
 
 
     def test_zero_atoms_rejected(self, capsys):
-        # the ED does not use n_atoms, but 0 atoms is invalid input as elsewhere
+        # 0 atoms is invalid input as elsewhere
         assert run(["rabi-compare", "--g", "0:1:3", "--n-atoms", "0"]) == 2
         assert "n_atoms must be a positive integer" in capsys.readouterr().err
+
+    def test_many_atoms_rejected(self, capsys):
+        # the ED is that of one atom; it must not print the N = 1 table for N = 16
+        assert run(["rabi-compare", "--g", "0:1:3", "--n-atoms", "16"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "1 for the one-atom (Rabi) ED of rabi-compare, got 16" in err
 
 
 class TestSpClosure:
@@ -439,6 +452,9 @@ def test_phase_diagram_zeta_past_double_range(capsys):
     (["phase-diagram", "--g", "0:1e300:3", "--zeta", "0:1:2"], 0, ""),
     # omega below tol_curv/2 leaves no local minimum at g = 0
     (["sweep", "--g", "0:3:5", "--omega", "1e-300", "--zeta", "1"], 3, "no local minimum"),
+    # every point is marginal, and the slope probe's phonon term overflows next to it
+    (["phase-diagram", "--g", "1:10:2", "--zeta", "1:10:2", "--tol-curv", "1e151",
+      "--omega", "1e150", "--omega-b", "5e-324"], 3, "no local minimum"),
 ])
 def test_huge_and_tiny_parameters(argv, code, message, capsys):
     with warnings.catch_warnings():
@@ -479,6 +495,11 @@ def test_huge_and_tiny_parameters(argv, code, message, capsys):
     # A^3 = omega_a^3 that underflows): the marginal prefilter must not warn
     (["phase-diagram", "--omega", "2.3773359643333753e-39", "--omega-a", "1e-150",
       "--g", "0:1e50:3", "--zeta", "0:1e50:2"], "outside the supported range"),
+    # the closed form of zeta_star: its denominator underflows to 0, and g_c^2 underflows
+    (["sp-closure", "--omega", "1.3713377659722352e-295", "--width-tol",
+      "1.4149466218321612e-36"], "outside the range of the closure coupling's closed form"),
+    (["sp-closure", "--omega", "9.498801589929211e-140", "--omega-a", "1.3802052338300373e-287",
+      "--width-tol", "5e-324"], "outside the range of the closure coupling's closed form"),
 ])
 def test_outside_the_domain(argv, message, capsys):
     with warnings.catch_warnings():
@@ -534,7 +555,7 @@ def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):
         raise AssertionError("a per-row object was built")
 
     for module in (model, solver, diagram):
-        for name in ("SweepRow", "BranchEntry", "Observables", "GridCell"):
+        for name in ("VariationalPoint", "RootSet", "Observables"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -624,3 +645,55 @@ def test_json_text_of_edge_values(capsys):
     assert '"x": -0.0' in text and '"x": 3.0' in text and '"x": null' in text
     cli._emit(cli.RunConfig(format="json"), ["x", "label"], [np.array([]), []])
     assert capsys.readouterr().out == _json_reference(["x", "label"], [np.array([]), []])
+
+
+# The fuzz referee: every numeric flag of every command is drawn log-uniformly
+# in [1e-300, 1e300], or is one of 0, 1, the smallest subnormal and the powers of
+# 1e150, or is left out.  Grids are always given (a bare default is no grid), with
+# two distinct sorted ends and 2 to 4 points; n_max and n_atoms are small integers.
+_FUZZ_NUMBER = st.one_of(st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e)),
+                         st.sampled_from(["0", "1", "5e-324", "1e-300", "1e-150", "1e150",
+                                          "1e300"]))
+_FUZZ_GRID = st.tuples(st.lists(_FUZZ_NUMBER.map(float), min_size=2, max_size=2, unique=True),
+                       st.integers(2, 4)).map(lambda t: f"{min(t[0])!r}:{max(t[0])!r}:{t[1]}")
+_FUZZ_COMMON = {"--omega": _FUZZ_NUMBER, "--omega-a": _FUZZ_NUMBER, "--omega-b": _FUZZ_NUMBER,
+                "--tol-curv": _FUZZ_NUMBER, "--n-atoms": st.sampled_from(["0", "1", "2", "16"])}
+_FUZZ_FLAGS = {  # (flags always given, flags that may be left out)
+    "roots": ({}, {"--g": _FUZZ_NUMBER, "--zeta": _FUZZ_NUMBER}),
+    "sweep": ({"--g": _FUZZ_GRID}, {"--zeta": _FUZZ_NUMBER}),
+    "phase-diagram": ({"--g": _FUZZ_GRID, "--zeta": _FUZZ_GRID}, {}),
+    "turning-point": ({}, {"--zeta": _FUZZ_NUMBER}),
+    "sp-closure": ({}, {"--width-tol": _FUZZ_NUMBER}),
+    "rabi-compare": ({"--g": _FUZZ_GRID}, {
+        "--n-max": st.integers(0, 60).map(str),
+        "--detuning": st.sampled_from(sorted(cli.rabi.DETUNING_PRESETS))}),
+}
+_FUZZ_ARGV = {command: st.fixed_dictionaries(given, optional={**_FUZZ_COMMON, **optional}).map(
+    lambda flags, command=command: [command, *(x for item in flags.items() for x in item)])
+    for command, (given, optional) in _FUZZ_FLAGS.items()}
+
+
+@pytest.mark.parametrize("command", list(_FUZZ_FLAGS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzz_referee(command, data):
+    argv = data.draw(_FUZZ_ARGV[command], label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, code, err)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert sum(line.startswith("optodicke:") for line in err.splitlines()) <= 1, (argv, err)
+    if code != 0:
+        assert out == "", argv
+        return
+    for line in out.splitlines()[2:]:
+        for field in line.split(","):
+            try:
+                value = float(field)
+            except ValueError:  # a label or an absent value
+                continue
+            assert math.isfinite(value), (argv, line)

@@ -4,7 +4,7 @@ import contextlib
 import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from optodicke import diagram
 from optodicke.diagram import (
     BRANCH_TAGS,
     GridSpec,
+    Sweep,
     SweepSpec,
     grid_row,
     phase_grid,
@@ -50,6 +51,20 @@ def dicke_energy(g, omega=1.0, omega_a=1.0):
     return -(omega / 4.0) * (g**2 / omega**2 + omega_a**2 / g**2)
 
 
+def at_ground(sweep, column):
+    """The entries of a point column (n_p, energy, ...) at each row's ground state."""
+    return column[np.arange(sweep.g.size), sweep.ground]
+
+
+def tags_at(sweep, i):
+    """The BRANCH_TAGS present at row i, in tag order."""
+    return [tag for tag, j in zip(BRANCH_TAGS, sweep.source[i].tolist()) if j >= 0]
+
+
+SP, N_MINUS, N_PLUS = (PHASES.index(p) for p in
+                       (PhaseLabel.SP, PhaseLabel.NP_NMINUS, PhaseLabel.NP_NPLUS))
+
+
 class TestSweepSpec:
     def test_grid_inclusive(self):
         spec = SweepSpec(g_min=0.0, g_max=3.0, g_steps=301)
@@ -67,85 +82,86 @@ class TestSweepSpec:
 
 class TestDickeSweep:
     def test_photon_number_closed_form(self):
-        rows = sweep_g(SweepSpec(ModelParams(zeta=0.0), g_min=0.0, g_max=3.0, g_steps=301))
-        for row in rows:
-            assert row.ground.n_p == pytest.approx(dicke_np(row.g), abs=1e-10)
-            assert row.ground.energy == pytest.approx(dicke_energy(row.g), abs=1e-10)
-            assert row.ground.n_b == 0.0
+        sweep = sweep_g(SweepSpec(ModelParams(zeta=0.0), g_min=0.0, g_max=3.0, g_steps=301))
+        for g, n_p, energy, n_b in zip(sweep.g.tolist(), *(at_ground(sweep, c).tolist() for c in
+                                                            (sweep.n_p, sweep.energy, sweep.n_b))):
+            assert n_p == pytest.approx(dicke_np(g), abs=1e-10)
+            assert energy == pytest.approx(dicke_energy(g), abs=1e-10)
+            assert n_b == 0.0
 
     def test_n_independent(self):
-        rows_1 = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=1), g_steps=61))
-        rows_100 = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=100), g_steps=61))
-        for a, b in zip(rows_1, rows_100):
-            assert a.ground == b.ground
-            assert a.phase == b.phase
+        sweep_1 = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=1), g_steps=61))
+        sweep_100 = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=100), g_steps=61))
+        for name in ("n_p", "delta_n_a", "n_b", "energy"):
+            assert np.array_equal(at_ground(sweep_1, getattr(sweep_1, name)),
+                                  at_ground(sweep_100, getattr(sweep_100, name)))
+        assert np.array_equal(sweep_1.phase, sweep_100.phase)
 
 
 class TestBranchContents:
     def test_inside_superradiant_window(self):
-        (row,) = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=1.5, g_max=3.0, g_steps=2))[:1]
-        tags = [e.tag for e in row.branches]
-        assert tags == list(BRANCH_TAGS)
-        assert row.phase is PhaseLabel.SP
+        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=1.5, g_max=3.0, g_steps=2))
+        assert tags_at(sweep, 0) == list(BRANCH_TAGS)
+        assert PHASES[sweep.phase[0]] is PhaseLabel.SP
 
     def test_beyond_fold(self):
-        rows = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=2.0, g_max=2.5, g_steps=2))
-        row = rows[0]
-        tags = [e.tag for e in row.branches]
+        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=2.0, g_max=2.5, g_steps=2))
         # the nonzero normal-branch pair no longer exists past the fold
-        assert tags == ["N-", "N+", "gus+"]
-        assert row.phase is PhaseLabel.NP_NPLUS
-        assert (row.ground.n_p, row.ground.delta_n_a, row.ground.energy) == (0.0, 0.5, 0.5)
+        assert tags_at(sweep, 0) == ["N-", "N+", "gus+"]
+        assert PHASES[sweep.phase[0]] is PhaseLabel.NP_NPLUS
+        ground = [at_ground(sweep, c)[0] for c in (sweep.n_p, sweep.delta_n_a, sweep.energy)]
+        assert ground == [0.0, 0.5, 0.5]
 
     def test_unstable_branch_ordering(self):
         # where both unstable nonzero states exist, the inverted one has the
         # larger photon number and energy
-        rows = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.4, g_max=1.7, g_steps=14))
-        seen = 0
-        for row in rows:
-            by_tag = {e.tag: e for e in row.branches}
-            if "gus-" in by_tag and "gus+" in by_tag:
-                seen += 1
-                assert by_tag["gus+"].observables.n_p >= by_tag["gus-"].observables.n_p
-                assert by_tag["gus+"].observables.energy >= by_tag["gus-"].observables.energy
-        assert seen == len(rows)
+        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.4, g_max=1.7, g_steps=14))
+        rows = np.arange(sweep.g.size)
+        minus, plus = (sweep.source[:, BRANCH_TAGS.index(tag)] for tag in ("gus-", "gus+"))
+        both = (minus >= 0) & (plus >= 0)
+        assert np.all(sweep.n_p[rows, plus][both] >= sweep.n_p[rows, minus][both])
+        assert np.all(sweep.energy[rows, plus][both] >= sweep.energy[rows, minus][both])
+        assert both.sum() == sweep.g.size
 
     def test_branch_tags_unique(self):
-        for row in sweep_g(SweepSpec(ModelParams(zeta=1.5), g_min=0.1, g_max=2.9, g_steps=15)):
-            tags = [e.tag for e in row.branches]
-            assert len(tags) == len(set(tags))
-            assert {"N-", "N+"} <= set(tags)
+        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.5), g_min=0.1, g_max=2.9, g_steps=15))
+        for i, columns in enumerate(sweep.source.tolist()):
+            # no point is listed under two tags
+            columns = [j for j in columns if j >= 0]
+            assert len(columns) == len(set(columns))
+            assert {"N-", "N+"} <= set(tags_at(sweep, i))
 
 
 class TestMultiTransition:
     def test_energy_curve_zeta_one(self):
-        rows = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.0, g_max=3.0, g_steps=301))
-        for row in rows:
-            if row.g < 1.0:
-                assert row.phase is PhaseLabel.NP_NMINUS
-                assert row.ground.energy == -0.5
-            elif 1.0 < row.g < GT_Z1:
-                assert row.phase is PhaseLabel.SP
-                assert row.ground.energy < -0.5
-            elif row.g > GT_Z1:
-                assert row.phase is PhaseLabel.NP_NPLUS
-                assert row.ground.energy == +0.5
-        sp_energies = [r.ground.energy for r in rows if r.phase is PhaseLabel.SP]
+        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.0, g_max=3.0, g_steps=301))
+        energies = at_ground(sweep, sweep.energy)
+        for g, phase, energy in zip(sweep.g.tolist(), sweep.phase.tolist(), energies.tolist()):
+            if g < 1.0:
+                assert PHASES[phase] is PhaseLabel.NP_NMINUS
+                assert energy == -0.5
+            elif 1.0 < g < GT_Z1:
+                assert PHASES[phase] is PhaseLabel.SP
+                assert energy < -0.5
+            elif g > GT_Z1:
+                assert PHASES[phase] is PhaseLabel.NP_NPLUS
+                assert energy == +0.5
+        sp_energies = energies[sweep.phase == SP].tolist()
         assert all(a > b for a, b in zip(sp_energies, sp_energies[1:]))
 
     def test_population_transfer_zeta_three(self):
-        rows = sweep_g(SweepSpec(ModelParams(zeta=3.0), g_min=0.0, g_max=3.0, g_steps=301))
-        assert all(row.phase is not PhaseLabel.SP for row in rows)
-        dna = {row.g: row.ground.delta_n_a for row in rows}
+        sweep = sweep_g(SweepSpec(ModelParams(zeta=3.0), g_min=0.0, g_max=3.0, g_steps=301))
+        assert not np.any(sweep.phase == SP)
+        dna = dict(zip(sweep.g.tolist(), at_ground(sweep, sweep.delta_n_a).tolist()))
         assert dna[0.99] == -0.5 and dna[1.0] == -0.5
         assert dna[1.01] == +0.5 and dna[3.0] == +0.5
 
     def test_order_parameter_jumps(self):
-        rows = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.9, g_max=2.0, g_steps=111))
-        nps = [r.ground.n_p for r in rows]
+        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.9, g_max=2.0, g_steps=111))
+        nps = at_ground(sweep, sweep.n_p).tolist()
         jumps = [abs(b - a) for a, b in zip(nps, nps[1:])]
         # continuous onset at g_c, first-order collapse at g_t
-        onset = max(j for j, r in zip(jumps, rows[1:]) if r.g <= 1.3)
+        onset = max(j for j, g in zip(jumps, sweep.g[1:].tolist()) if g <= 1.3)
         assert onset < 0.05
         assert max(jumps) > 0.1
 
@@ -154,7 +170,8 @@ class TestPhaseGrid:
     def test_example_cells(self):
         spec = GridSpec(g_min=0.5, g_max=1.3, g_steps=2, zeta_min=1.0, zeta_max=2.5, zeta_steps=4)
         grid = phase_grid(spec)
-        labels = {(c.g, c.zeta): c.phase for c in grid.cells}
+        labels = {(g, zeta): PHASES[k] for g, zeta, k in
+                  zip(grid.g.tolist(), grid.zeta.tolist(), grid.phase.tolist())}
         assert labels[(0.5, 1.5)] is PhaseLabel.NP_NMINUS
         assert labels[(1.3, 1.0)] is PhaseLabel.SP
         assert labels[(1.3, 2.5)] is PhaseLabel.NP_NPLUS
@@ -162,30 +179,28 @@ class TestPhaseGrid:
     def test_partition_and_window(self):
         spec = GridSpec(g_min=0.2, g_max=2.8, g_steps=14, zeta_min=0.4, zeta_max=2.8, zeta_steps=7)
         grid = phase_grid(spec)
-        assert len(grid.cells) == 14 * 7
-        for cell in grid.cells:
-            if cell.phase is PhaseLabel.SP:
-                assert 1.0 < cell.g < oracles.fold_gt(cell.zeta) + 1e-9
+        assert grid.g.size == grid.zeta.size == grid.phase.size == 14 * 7
+        sp = grid.phase == SP
+        for g, zeta in zip(grid.g[sp].tolist(), grid.zeta[sp].tolist()):
+            assert 1.0 < g < oracles.fold_gt(zeta) + 1e-9
 
     def test_cells_ordered(self):
         spec = GridSpec(g_steps=5, zeta_steps=4, g_min=0.5, g_max=2.5, zeta_min=0.5, zeta_max=2.0)
         grid = phase_grid(spec)
-        coords = [(c.zeta, c.g) for c in grid.cells]
+        coords = list(zip(grid.zeta.tolist(), grid.g.tolist()))
         assert coords == sorted(coords)
 
     def test_boundaries_refined(self):
         spec = GridSpec(g_min=0.5, g_max=2.5, g_steps=11, zeta_min=1.0, zeta_max=1.0 + 1e-9,
                         zeta_steps=2)
         grid = phase_grid(spec)
-        bounds = [b for b in grid.boundaries if b.zeta == 1.0]
-        assert len(bounds) == 2
-        onset, collapse = bounds
-        assert onset.phase_below is PhaseLabel.NP_NMINUS
-        assert onset.phase_above is PhaseLabel.SP
-        assert onset.g_refined == pytest.approx(1.0, abs=2e-4)
-        assert collapse.phase_below is PhaseLabel.SP
-        assert collapse.phase_above is PhaseLabel.NP_NPLUS
-        assert collapse.g_refined == pytest.approx(GT_Z1, abs=2e-4)
+        at = grid.boundary_zeta == 1.0
+        assert at.sum() == 2
+        (g_onset, g_collapse) = grid.boundary_g[at].tolist()
+        assert grid.boundary_below[at].tolist() == [N_MINUS, SP]
+        assert grid.boundary_above[at].tolist() == [SP, N_PLUS]
+        assert g_onset == pytest.approx(1.0, abs=2e-4)
+        assert g_collapse == pytest.approx(GT_Z1, abs=2e-4)
 
     def test_consistent_with_sweep(self):
         spec = GridSpec(g_min=0.3, g_max=2.7, g_steps=9, zeta_min=0.7, zeta_max=2.1, zeta_steps=3)
@@ -193,8 +208,7 @@ class TestPhaseGrid:
         for zeta in spec.zeta_grid():
             rows = sweep_g(SweepSpec(replace(spec.params, zeta=float(zeta)), g_min=0.3, g_max=2.7,
                                      g_steps=9))
-            cells = [c for c in grid.cells if c.zeta == zeta]
-            assert [c.phase for c in cells] == [r.phase for r in rows]
+            assert grid.phase[grid.zeta == zeta].tolist() == rows.phase.tolist()
 
 
 def test_shifted_grid_next_to_fold(tmp_path):
@@ -237,29 +251,30 @@ class TestGridReferee:
                         zeta_min=z_lo * closure, zeta_max=(z_lo + z_span) * closure,
                         zeta_steps=z_steps)
         grid = phase_grid(spec)
-        assert len(grid.cells) == g_steps * z_steps
-        changes = []
+        assert grid.g.size == grid.zeta.size == grid.phase.size == g_steps * z_steps
+        changes = []  # (zeta, label below, label above) of each label change
         for k in range(z_steps):
-            row = grid.cells[k * g_steps:(k + 1) * g_steps]
-            for cell in row:
-                params = replace(base, g=cell.g, zeta=cell.zeta)
-                assert cell.phase is ground_state(params).phase, cell
-            changes += [(lo, hi) for lo, hi in zip(row, row[1:]) if lo.phase is not hi.phase]
-        assert ([(b.zeta, b.phase_below) for b in grid.boundaries]
-                == [(lo.zeta, lo.phase) for lo, _ in changes])
-        for b, (_, hi) in zip(grid.boundaries, changes):
-            if b.phase_above is not hi.phase:  # an SP window inside one g step
-                assert (b.phase_below, b.phase_above, hi.phase) == (
-                    PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.NP_NPLUS)
-            if b.phase_below is PhaseLabel.NP_NMINUS:
+            row = slice(k * g_steps, (k + 1) * g_steps)
+            zs, labels = grid.zeta[row].tolist(), grid.phase[row].tolist()
+            for g, zeta, label in zip(grid.g[row].tolist(), zs, labels):
+                params = replace(base, g=g, zeta=zeta)
+                assert PHASES[label] is ground_state(params).phase, (g, zeta)
+            changes += [(zeta, lo, hi) for zeta, lo, hi in zip(zs, labels, labels[1:]) if lo != hi]
+        bounds = list(zip(grid.boundary_zeta.tolist(), grid.boundary_g.tolist(),
+                          grid.boundary_below.tolist(), grid.boundary_above.tolist()))
+        assert [(zeta, below) for zeta, _, below, _ in bounds] == [(z, lo) for z, lo, _ in changes]
+        for (zeta, g_b, below, above), (_, _, hi) in zip(bounds, changes):
+            if above != hi:  # an SP window inside one g step
+                assert (below, above, hi) == (N_MINUS, SP, N_PLUS)
+            if below == N_MINUS:
                 edge = g_c
             else:
-                assert b.phase_below is PhaseLabel.SP
+                assert below == SP
                 try:
-                    edge = oracles.fold_gt(b.zeta, omega, omega_a, omega_b)
+                    edge = oracles.fold_gt(zeta, omega, omega_a, omega_b)
                 except ValueError:  # the oracle resolves no window below 1e-12 g_c
                     edge = g_c
-            assert b.g_refined == pytest.approx(edge, rel=1e-9), b
+            assert g_b == pytest.approx(edge, rel=1e-9), (zeta, g_b, below, above)
 
     def test_marginal_cells_of_every_row(self, monkeypatch):
         # g_c is the middle g of every zeta row, so each row has a marginal N- cell.
@@ -279,9 +294,9 @@ class TestGridReferee:
         monkeypatch.setattr(diagram, "solve_ground", spy)
         grid = phase_grid(spec)
         assert solved == [(closure, [g_c])]
-        for cell in grid.cells:
-            assert cell.phase is ground_state(replace(base, g=cell.g, zeta=cell.zeta)).phase, cell
-        assert grid.cells[-2].phase is PhaseLabel.SP
+        for g, zeta, label in zip(grid.g.tolist(), grid.zeta.tolist(), grid.phase.tolist()):
+            assert PHASES[label] is ground_state(replace(base, g=g, zeta=zeta)).phase, (g, zeta)
+        assert PHASES[grid.phase[-2]] is PhaseLabel.SP
 
     # omega = 2 puts g_c = sqrt(2) on a double whose square is not omega*omega_a
     @pytest.mark.parametrize("omega", [1.0, 2.0])
@@ -291,7 +306,7 @@ class TestGridReferee:
         g_c = critical_coupling(base)
         zeta = closure_estimate(base) * (1.0 + 0.01 * side)
         spec = GridSpec(base, g_min=0.0, g_max=2.0 * g_c, g_steps=3)
-        (index,), bounds = grid_row(spec, [zeta])
+        (index,), (_, g_b, below, _) = grid_row(spec, [zeta])
         assert spec.g_grid()[1] == g_c
         want = ground_state(replace(base, g=g_c, zeta=zeta)).phase
         assert PHASES[index[1]] is want
@@ -299,17 +314,17 @@ class TestGridReferee:
             assert want is PhaseLabel.NP_NMINUS
         elif side > 0:
             assert want is PhaseLabel.NP_NPLUS
-        assert [b.g_refined for b in bounds] == [g_c]
-        assert bounds[0].phase_below is PhaseLabel.NP_NMINUS
+        assert g_b.tolist() == [g_c]
+        assert PHASES[below[0]] is PhaseLabel.NP_NMINUS
 
     @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0, 3.0])
     def test_cell_exactly_at_turning_point(self, zeta):
         g_t = turning_point(ModelParams(), zeta=zeta)
         spec = GridSpec(g_min=0.0, g_max=2.0 * g_t, g_steps=9)
-        (index,), bounds = grid_row(spec, [zeta])
+        (index,), (_, g_b, below, _) = grid_row(spec, [zeta])
         assert spec.g_grid()[4] == g_t
         assert PHASES[index[4]] is PhaseLabel.NP_NPLUS
-        assert [b.g_refined for b in bounds if b.phase_below is PhaseLabel.SP] in ([g_t], [])
+        assert g_b[below == SP].tolist() in ([g_t], [])
         # The fold rule: no superradiant root is a ground-state candidate from
         # the computed g_t up, so the solver agrees with the grid there too.
         def phase_at(g):
@@ -323,9 +338,9 @@ class TestGridReferee:
     def test_extreme_zeta_rows(self, zeta, above):
         # far below and far above the closure coupling, where the scalar
         # solver's cubic overflows; g_t is then ~1.7e120, or absent
-        (index,), bounds = grid_row(GridSpec(g_min=0.5, g_max=3.5, g_steps=4), [zeta])
+        (index,), (_, g_b, _, b_above) = grid_row(GridSpec(g_min=0.5, g_max=3.5, g_steps=4), [zeta])
         assert [PHASES[k] for k in index] == [PhaseLabel.NP_NMINUS] + [above] * 3
-        assert [(b.g_refined, b.phase_above) for b in bounds] == [(1.0, above)]
+        assert [(g, PHASES[k]) for g, k in zip(g_b.tolist(), b_above.tolist())] == [(1.0, above)]
 
     def test_window_narrower_than_grid_step(self, tmp_path):
         assert 1.0 < oracles.fold_gt(3.135) < 1.25
@@ -370,7 +385,7 @@ class TestFoldRule:
                 sweep = SweepSpec(replace(base, zeta=zeta), g_min=0.0, g_max=2.0 * g, g_steps=3)
                 assert sweep.grid()[1] == g
                 want = ground_state(replace(base, g=g, zeta=zeta)).phase
-                assert sweep_g(sweep)[1].phase is want, (zeta, g)
+                assert PHASES[sweep_g(sweep).phase[1]] is want, (zeta, g)
                 (index,), _ = grid_row(GridSpec(base, g_min=0.0, g_max=2.0 * g, g_steps=3),
                                         [zeta])
                 assert PHASES[index[1]] is want, (zeta, g)
@@ -412,35 +427,38 @@ class TestSweepReferee:
     def _stability(slope):
         return Stability.STABLE if slope > 0.0 else Stability.UNSTABLE
 
-    def _check_row(self, spec, row, g_c, g_t):
+    def _check_row(self, spec, sweep, i, g_c, g_t):
         p = spec.params
-        args = (row.g, p.zeta, p.omega, p.omega_a, p.omega_b)
-        by_tag = {e.tag: e for e in row.branches}
+        g = float(sweep.g[i])
+        args = (g, p.zeta, p.omega, p.omega_a, p.omega_b)
+        column = {tag: j for tag, j in zip(BRANCH_TAGS, sweep.source[i].tolist()) if j >= 0}
         for tag, sign in (("N-", -1), ("N+", +1)):
-            if by_tag[tag].stability is not Stability.MARGINAL:
+            stability = sweep.stability[i, column[tag]]
+            if stability is not Stability.MARGINAL:
                 p0 = oracles.p_of_x(0.0, sign, *args)
-                assert by_tag[tag].stability is self._stability(p0), (row.g, tag)
+                assert stability is self._stability(p0), (g, tag)
         for sign, tags in ((-1, ("gs-", "gus-")), (+1, ("gus+",))):
-            got = [(by_tag[t].observables.n_p, by_tag[t]) for t in tags if t in by_tag]
-            if sign < 0 and abs(row.g - g_t) <= 1e-9 * g_t:
+            got = [(float(sweep.n_p[i, column[t]]), sweep.stability[i, column[t]])
+                   for t in tags if t in column]
+            if sign < 0 and abs(g - g_t) <= 1e-9 * g_t:
                 # within rounding of the fold the pair may or may not split;
                 # roots, if reported, sit at the merged root A^3 = omega_b g^4/zeta^2
-                a_star = (p.omega_b * row.g**4 / p.zeta**2) ** (1.0 / 3.0)
-                x_star = (a_star**2 - p.omega_a**2) / (4.0 * row.g**2)
+                a_star = (p.omega_b * g**4 / p.zeta**2) ** (1.0 / 3.0)
+                x_star = (a_star**2 - p.omega_a**2) / (4.0 * g**2)
                 assert [x for x, _ in got] == pytest.approx([x_star] * len(got), rel=1e-6)
                 continue
             expected = oracles.scan_roots(sign, *args, n_points=20_000)
-            if row.g == g_c:
+            if g == g_c:
                 # at g_c a root within rounding of the zero point is no root
                 floor = 1e-6 * max([1.0, *expected])
-                got = [(x, e) for x, e in got if x > floor]
+                got = [(x, s) for x, s in got if x > floor]
                 expected = [x for x in expected if x > floor]
-            assert len(got) == len(expected), (row.g, sign, got, expected)
-            for (x, entry), x_ref in zip(got, expected):
+            assert len(got) == len(expected), (g, sign, got, expected)
+            for (x, stability), x_ref in zip(got, expected):
                 assert x == pytest.approx(x_ref, rel=1e-6, abs=1e-12)
                 h = 1e-6 * x
                 slope = oracles.p_of_x(x + h, sign, *args) - oracles.p_of_x(x - h, sign, *args)
-                assert entry.stability is self._stability(slope), (row.g, sign, x)
+                assert stability is self._stability(slope), (g, sign, x)
 
     @settings(max_examples=15, deadline=None)
     @given(omega=st.floats(0.3, 3.0), omega_a=st.floats(0.3, 3.0), omega_b=st.floats(1.0, 40.0),
@@ -459,12 +477,16 @@ class TestSweepReferee:
         specs.append(SweepSpec(replace(base, zeta=zeta), g_min=math.nextafter(g_t, 0.0),
                                g_max=math.nextafter(g_t, math.inf), g_steps=3))
         for spec in specs:
-            rows = sweep_g(spec)
-            assert [r.g for r in rows] == spec.grid().tolist()
-            assert g_c in [r.g for r in rows] or spec.g_steps == 3
-            assert list(rows) == [sweep_row(spec, g) for g in spec.grid().tolist()]
-            for row in rows:
-                self._check_row(spec, row, g_c, g_t)
+            sweep = sweep_g(spec)
+            assert sweep.g.tolist() == spec.grid().tolist()
+            assert g_c in sweep.g.tolist() or spec.g_steps == 3
+            for i, g in enumerate(spec.grid().tolist()):
+                one = sweep_row(spec, g)
+                for name in (f.name for f in fields(Sweep)):
+                    full, single = getattr(sweep, name)[i], getattr(one, name)
+                    assert single.shape[0] == 1 and np.array_equal(
+                        full, single[0], equal_nan=full.dtype.kind == "f"), (g, name)
+                self._check_row(spec, sweep, i, g_c, g_t)
 
         # a roots call prints the values of the sweep row at the same g
         spec = specs[1]

@@ -9,7 +9,6 @@ import pytest
 from optodicke import rabi
 from optodicke.model import ModelParams, SpinBranch
 from optodicke.rabi import (
-    ComparisonRow,
     ConvergenceFailure,
     _block_columns,
     _dominant_tail,
@@ -19,7 +18,7 @@ from optodicke.rabi import (
     RabiParams,
     TridiagonalBlock,
     build_blocks,
-    compare_curve,
+    compare_columns,
     ground_energy,
     smallest_eigenvalue,
     variational_energy,
@@ -96,10 +95,9 @@ class TestBlocks:
     def test_domain_corners_solve(self, omega, omega_a):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = compare_curve(RabiParams(omega=omega, omega_a=omega_a),
-                                 [0.0, 1e-300, 1.0, rabi.DOMAIN_MAX], n_max=40)
-        assert all(math.isfinite(v) for r in rows
-                   for v in (r.energy_ed, r.energy_variational, r.deviation))
+            _, *columns = compare_columns(RabiParams(omega=omega, omega_a=omega_a),
+                                          [0.0, 1e-300, 1.0, rabi.DOMAIN_MAX], n_max=40)
+        assert all(np.isfinite(c).all() for c in columns)
 
 
 class TestSmallestEigenvalue:
@@ -129,34 +127,37 @@ class TestSmallestEigenvalue:
 
 class TestGroundEnergy:
     def test_decoupled(self):
-        res = ground_energy(RabiParams(g=0.0), 50)
-        assert res.energy == pytest.approx(-0.5, abs=1e-12)
-        assert res.parity == -1
+        energy, parity, _, _ = ground_energy(RabiParams(g=0.0), 50)
+        assert energy == pytest.approx(-0.5, abs=1e-12)
+        assert parity == -1
 
     @pytest.mark.parametrize("omega,g", sorted(ED_REFERENCE))
     def test_frozen_dense_references(self, omega, g):
-        res = ground_energy(RabiParams(omega=omega, g=g), 300)
-        assert res.energy == pytest.approx(ED_REFERENCE[(omega, g)], abs=1e-10)
-        assert res.residual <= 1e-10 * max(abs(res.energy), 300.0 * omega + g * 20)
+        energy, _, residual, _ = ground_energy(RabiParams(omega=omega, g=g), 300)
+        assert energy == pytest.approx(ED_REFERENCE[(omega, g)], abs=1e-10)
+        assert residual <= 1e-10 * max(abs(energy), 300.0 * omega + g * 20)
 
     def test_perturbative_bracket(self):
         # second-order perturbation (-0.625) and the variational bound (-0.5)
         # bracket the resonant g=1 answer
-        res = ground_energy(RabiParams(g=1.0), 300)
-        assert -0.70 <= res.energy <= -0.55
-        assert res.energy <= -0.5
+        energy = ground_energy(RabiParams(g=1.0), 300)[0]
+        assert -0.70 <= energy <= -0.55
+        assert energy <= -0.5
 
     def test_monotone_in_truncation(self):
-        energies = [ground_energy(RabiParams(g=3.0), n).energy for n in (50, 100, 200, 300)]
+        energies = [ground_energy(RabiParams(g=3.0), n)[0] for n in (50, 100, 200, 300)]
         for a, b in zip(energies, energies[1:]):
             assert b <= a + 5e-12
         assert abs(energies[-1] - energies[-2]) <= 1e-8
 
     def test_truncation_gap_reported(self):
-        res = ground_energy(RabiParams(g=2.0), 300)
-        assert res.n_max == 300
-        assert res.truncation_gap >= 0.0
-        assert res.truncation_gap <= 1e-10
+        result = ground_energy(RabiParams(g=2.0), 300)
+        # the plain tuple (energy, parity, residual, truncation_gap) of the n_max = 300 solve
+        columns = rabi._ground_rows(1.0, 1.0, np.array([2.0]), 300)
+        assert result == tuple(c[0] for c in columns)
+        gap = result[3]
+        assert gap >= 0.0
+        assert gap <= 1e-10
 
 
 class TestVariationalEnergy:
@@ -188,21 +189,19 @@ class TestVariationalEnergy:
 
 class TestCompareCurve:
     def test_bound_property_and_order(self):
-        rows = compare_curve(RabiParams(), np.linspace(0.0, 3.0, 31), n_max=300)
-        assert [r.g for r in rows] == sorted(r.g for r in rows)
-        for row in rows:
-            assert row.deviation >= -1e-8
-            assert row.deviation == row.energy_variational - row.energy_ed
+        g, ed, ev, dev = compare_columns(RabiParams(), np.linspace(0.0, 3.0, 31), n_max=300)
+        assert g.tolist() == sorted(g.tolist())
+        assert np.all(dev >= -1e-8)
+        assert np.array_equal(dev, ev - ed)
 
     def test_deviation_vanishes_at_weak_coupling(self):
-        rows = compare_curve(RabiParams(), [0.0, 0.05, 0.1], n_max=200)
-        assert abs(rows[0].deviation) <= 1e-10
-        assert rows[0].deviation <= rows[1].deviation <= rows[2].deviation
-        assert rows[1].deviation <= 5e-4
+        dev = compare_columns(RabiParams(), [0.0, 0.05, 0.1], n_max=200)[3]
+        assert abs(dev[0]) <= 1e-10
+        assert dev[0] <= dev[1] <= dev[2]
+        assert dev[1] <= 5e-4
 
     def test_deep_coupling_regime(self):
-        rows = compare_curve(RabiParams(), np.linspace(2.0, 3.0, 11), n_max=300)
-        devs = [r.deviation for r in rows]
+        devs = compare_columns(RabiParams(), np.linspace(2.0, 3.0, 11), n_max=300)[3].tolist()
         # frozen dense-oracle extremes: 0.085446 at g=2 down to 0.010123 at g=3
         assert devs[0] == pytest.approx(0.085446, abs=1e-5)
         assert devs[-1] == pytest.approx(0.010123, abs=1e-5)
@@ -210,8 +209,8 @@ class TestCompareCurve:
 
     def test_detuned_presets_keep_bound(self):
         for omega in (0.8, 1.2):
-            rows = compare_curve(RabiParams(omega=omega), np.linspace(0.0, 3.0, 16), n_max=300)
-            assert all(r.deviation >= -1e-8 for r in rows)
+            dev = compare_columns(RabiParams(omega=omega), np.linspace(0.0, 3.0, 16), n_max=300)[3]
+            assert np.all(dev >= -1e-8)
 
     @pytest.mark.parametrize("omega,omega_a", [(1.0, 1.0), (0.8, 1.0), (1.2, 1.0), (0.7, 1.3),
                                                (rabi.DOMAIN_MIN, rabi.DOMAIN_MAX)])
@@ -219,13 +218,13 @@ class TestCompareCurve:
         # numpy squares g with a multiply, Python's g**2 calls pow: same bits
         grid = np.concatenate([np.linspace(0.0, 3.0, 61), [math.sqrt(omega * omega_a), 1e-300,
                                                            1e4, rabi.DOMAIN_MAX]])
-        rows = compare_curve(RabiParams(omega=omega, omega_a=omega_a), grid, n_max=20)
+        columns = compare_columns(RabiParams(omega=omega, omega_a=omega_a), grid, n_max=20)
         g_c = math.sqrt(omega * omega_a)
-        for g, row in zip(grid.tolist(), rows):
+        for g, (g_row, ed, ev_row, dev) in zip(grid.tolist(), zip(*(c.tolist() for c in columns))):
             ev = (-omega_a / 2.0 if g <= g_c
                   else -(omega / 4.0) * (g**2 / omega**2 + omega_a**2 / g**2))
-            assert row.g == g and row.energy_variational == ev
-            assert row.deviation == ev - row.energy_ed
+            assert g_row == g and ev_row == ev
+            assert dev == ev - ed
 
     @pytest.mark.parametrize("grid", [[0.0, -1.0, math.nan], [1.0, math.nan, -1.0],
                                       [math.inf], [2e50, 1.0], [0.0, -1e-300]])
@@ -234,25 +233,26 @@ class TestCompareCurve:
             for g in grid:
                 RabiParams(g=g)
         with pytest.raises(ValueError) as column:
-            compare_curve(RabiParams(), grid, n_max=10)
+            compare_columns(RabiParams(), grid, n_max=10)
         assert str(column.value) == str(per_point.value)
 
     def test_empty_grid(self):
-        assert compare_curve(RabiParams(), [], n_max=10) == []
+        columns = compare_columns(RabiParams(), [], n_max=10)
+        assert len(columns) == 4 and all(c.shape == (0,) for c in columns)
 
     def test_row_type(self):
-        (row,) = compare_curve(RabiParams(), [1.0], n_max=100)
-        assert isinstance(row, ComparisonRow)
-        assert row.energy_ed == pytest.approx(ED_REFERENCE[(1.0, 1.0)], abs=1e-8)
+        g, ed, ev, dev = compare_columns(RabiParams(), [1.0], n_max=100)
+        assert all(c.dtype == np.float64 and c.shape == (1,) for c in (g, ed, ev, dev))
+        assert ed[0] == pytest.approx(ED_REFERENCE[(1.0, 1.0)], abs=1e-8)
 
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("g,n_max", [(1e4, 50), (1e3, 300)])
     def test_strong_coupling_matches_dense_oracle(self, g, n_max):
         # an absolute 1e-12 stop is below the spacing of doubles here
-        res = ground_energy(RabiParams(g=g), n_max)
+        energy = ground_energy(RabiParams(g=g), n_max)[0]
         ref = oracles.rabi_dense_ground(1.0, 1.0, g, n_max)
-        assert res.energy == pytest.approx(ref, rel=1e-12)
+        assert energy == pytest.approx(ref, rel=1e-12)
 
     def test_rows_independent_of_batch(self):
         # each g alone, in the grid, in the reversed grid and next to the
@@ -260,28 +260,35 @@ class TestBatchedKernel:
         grid = np.linspace(0.0, 3.0, 61)
         for omega in (1.0, 0.8, 1.2):
             params = RabiParams(omega=omega)
-            rows = compare_curve(params, grid, n_max=300)
-            for g, row in zip(grid, rows):
-                assert compare_curve(params, [g], n_max=300) == [row]
-            assert compare_curve(params, grid[::-1], n_max=300) == rows[::-1]
-            mixed = compare_curve(params, [1e4, *grid[::7], 1e4], n_max=300)
-            assert mixed[1:-1] == rows[::7]
-            assert mixed[0] == mixed[-1] == compare_curve(params, [1e4], n_max=300)[0]
+
+            def table(g_values):  # (4, len(g_values)): columns g, ED, variational, deviation
+                return np.stack(compare_columns(params, g_values, n_max=300))
+
+            rows = table(grid)
+            for k, g in enumerate(grid):
+                assert np.array_equal(table([g])[:, 0], rows[:, k])
+            assert np.array_equal(table(grid[::-1]), rows[:, ::-1])
+            mixed = table([1e4, *grid[::7], 1e4])
+            assert np.array_equal(mixed[:, 1:-1], rows[:, ::7])
+            strong = table([1e4])[:, 0]
+            assert np.array_equal(mixed[:, 0], strong) and np.array_equal(mixed[:, -1], strong)
 
     def test_long_grid_split_into_batches(self, monkeypatch):
         # 7 g points per batch: 9 batches, the last one short
         grid = np.linspace(0.0, 3.0, 61)
-        rows = {omega: compare_curve(RabiParams(omega=omega), grid, n_max=300)
-                for omega in (1.0, 0.8, 1.2)}
+        columns = {omega: compare_columns(RabiParams(omega=omega), grid, n_max=300)
+                   for omega in (1.0, 0.8, 1.2)}
         monkeypatch.setattr(rabi, "_BATCH_ENTRIES", 7 * 4 * 301)
-        for omega, expected in rows.items():
-            assert compare_curve(RabiParams(omega=omega), grid, n_max=300) == expected
+        for omega, expected in columns.items():
+            got = compare_columns(RabiParams(omega=omega), grid, n_max=300)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     def test_within_dense_oracle_over_grid(self):
         for omega in (0.8, 1.2):
-            for row in compare_curve(RabiParams(omega=omega), np.linspace(0.0, 3.0, 7), 60):
-                ref = oracles.rabi_dense_ground(omega, 1.0, row.g, 60)
-                assert abs(row.energy_ed - ref) <= 1e-10
+            g, ed, _, _ = compare_columns(RabiParams(omega=omega), np.linspace(0.0, 3.0, 7), 60)
+            for g_row, ed_row in zip(g.tolist(), ed.tolist()):
+                ref = oracles.rabi_dense_ground(omega, 1.0, g_row, 60)
+                assert abs(ed_row - ref) <= 1e-10
 
     def test_exact_zero_pivot_counts_as_negative(self):
         # g = 1.5, parity -1: at x = -3/4 the second LDL^T pivot is exactly 0
@@ -463,28 +470,28 @@ class TestHalfBlocks:
     def test_gap_at_strong_coupling(self, monkeypatch, g, n_max):
         # the blocks are not dominant past half + 1: one call holds all four
         calls = _record_kernel_calls(monkeypatch)
-        res = ground_energy(RabiParams(g=g), n_max)
+        gap = ground_energy(RabiParams(g=g), n_max)[3]
         ref = abs(oracles.rabi_dense_ground(1.0, 1.0, g, n_max)
                   - oracles.rabi_dense_ground(1.0, 1.0, g, n_max // 2))
         assert [columns for columns, _ in calls] == [4]
-        assert res.truncation_gap == pytest.approx(ref, rel=1e-12)
+        assert gap == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("g,n_max", [(0.5, 4), (1.5, 20), (3.0, 40)])
     def test_gap_from_second_call(self, monkeypatch, g, n_max):
         # dominant from half + 1 on, but a pass still reads past it
         calls = _record_kernel_calls(monkeypatch)
-        res = ground_energy(RabiParams(g=g), n_max)
+        gap = ground_energy(RabiParams(g=g), n_max)[3]
         ref = abs(oracles.rabi_dense_ground(1.0, 1.0, g, n_max)
                   - oracles.rabi_dense_ground(1.0, 1.0, g, n_max // 2))
         assert [columns for columns, _ in calls] == [2, 2]
         assert calls[0][1] > max(2, n_max // 2) + 1
-        assert res.truncation_gap == pytest.approx(ref, abs=1e-11)
+        assert gap == pytest.approx(ref, abs=1e-11)
 
     def test_zero_gap_means_same_brackets(self):
         # where the gap is reported 0 the dense gap is below the bisection stop
         for g in (0.0, 0.5, 1.0, 2.0, 3.0):
-            res = ground_energy(RabiParams(g=g), 60)
-            assert res.truncation_gap == 0.0
+            gap = ground_energy(RabiParams(g=g), 60)[3]
+            assert gap == 0.0
             ref = abs(oracles.rabi_dense_ground(1.0, 1.0, g, 60)
                       - oracles.rabi_dense_ground(1.0, 1.0, g, 30))
             assert ref <= 1e-11
