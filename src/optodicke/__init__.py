@@ -7,23 +7,17 @@ exact-diagonalization check of the N = 1, zeta = 0 (quantum Rabi) limit.
 
 from .model import (
     ModelParams,
-    Observables,
     PhaseLabel,
-    ScsAngles,
     SpinBranch,
     Stability,
-    VariationalPoint,
     curvature,
     extremum_polynomial,
     level_splitting,
-    observables_at,
     scaled_energy,
     scs_angles,
 )
 from .solver import (
-    GroundState,
     NotFound,
-    RootSet,
     SolverConfig,
     SolverError,
     closure_estimate,
@@ -48,10 +42,9 @@ from .rabi import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "Observables", "PhaseLabel", "ScsAngles", "SpinBranch",
-    "Stability", "VariationalPoint", "curvature", "extremum_polynomial",
-    "level_splitting", "observables_at", "scaled_energy", "scs_angles",
-    "GroundState", "NotFound", "RootSet", "SolverConfig", "SolverError",
+    "ModelParams", "PhaseLabel", "SpinBranch", "Stability", "curvature",
+    "extremum_polynomial", "level_splitting", "scaled_energy", "scs_angles",
+    "NotFound", "SolverConfig", "SolverError",
     "closure_estimate", "critical_coupling", "find_roots", "ground_state",
     "sp_closure", "turning_point",
     "GridSpec", "SweepSpec", "phase_grid", "sweep_g",

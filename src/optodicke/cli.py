@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import diagram, rabi
-from .model import ModelParams, SpinBranch, Stability, observables_at
+from .model import ModelParams, SpinBranch, Stability, observable_terms
 from .solver import (
     PHASES,
     NotFound,
@@ -300,16 +300,17 @@ def _emit(cfg: RunConfig, fieldnames: list[str], columns: list) -> None:
 def _cmd_roots(cfg: RunConfig) -> tuple[list[str], list]:
     params = _model_params(cfg, _parse_scalar(cfg.g, "g"), _parse_scalar(cfg.zeta, "zeta"))
     solver_cfg = _solver_config(cfg)
-    rows = []
+    parts = []  # per branch: its present points, as the columns below
     for branch in SpinBranch:
-        rs = find_roots(params, branch, solver_cfg)
-        for point in (rs.zero_point, *rs.roots):
-            obs = observables_at(params, point)
-            rows.append([branch.name.lower(), point.amplitude, obs.n_p, obs.delta_n_a, obs.n_b,
-                         point.energy, point.curvature, point.stability.value])
+        pts = find_roots(params, branch, solver_cfg)
+        present = pts.stability[0] != None  # noqa: E711 (elementwise)
+        gamma_bar = np.sqrt(pts.x[0, present])
+        parts.append([[branch.name.lower()] * gamma_bar.size, gamma_bar,
+                      *observable_terms(params, branch, gamma_bar), pts.energy[0, present],
+                      pts.curvature[0, present], _stability_text(pts.stability[0, present])])
     names = ["branch", "gamma_bar", "np", "delta_na", "nb", "energy", "curvature", "stability"]
-    branches, *numbers, stability = zip(*rows)
-    return names, [list(branches), *map(np.array, numbers), list(stability)]
+    branches, *numbers, stability = zip(*parts)
+    return names, [sum(branches, []), *map(np.concatenate, numbers), sum(stability, [])]
 
 
 _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_ground"] + [

@@ -20,6 +20,9 @@ per atom and expressed in units of omega_a; none of them depends on N.
 Every function here is pure and accepts scalar or ndarray ``gamma_bar``.
 The solver's array kernel also passes parameters whose ``g`` is an ndarray
 column, one coupling per row, which broadcasts against ``gamma_bar``.
+observable_terms gives the per-atom observables (n_p, delta_n_a, n_b) and
+scs_angles the stationary angles (theta, rho_bar), as tuples of numbers or
+of columns shaped like gamma_bar.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ __all__ = [
     "SpinBranch",
     "Stability",
     "PhaseLabel",
-    "ScsAngles",
-    "VariationalPoint",
-    "Observables",
     "level_splitting",
     "tilt_ratio",
     "scaled_energy",
@@ -46,7 +46,6 @@ __all__ = [
     "curvature",
     "scs_angles",
     "observable_terms",
-    "observables_at",
     "raw_amplitude",
     "SQUARE_LIMIT",
 ]
@@ -126,56 +125,8 @@ class ModelParams:
             raise ValueError(f"g must be >= 0, got {self.g!r}")
         if self.zeta < 0.0:
             raise ValueError(f"zeta must be >= 0, got {self.zeta!r}")
-        if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
+        if not (self.n_atoms >= 1 and self.n_atoms % 1 == 0):  # False for NaN and inf too
             raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
-
-
-@dataclass(frozen=True)
-class ScsAngles:
-    """Stationary spin-coherent-state angles and boson phases.
-
-    theta   : polar angle of the spin unit vector, theta = arctan(f)
-    phi     : azimuthal angle (pi for the ground convention)
-    eta     : photon coherent-state phase (0)
-    xi      : phonon coherent-state phase (0)
-    rho_bar : scaled phonon displacement rho/sqrt(N) = zeta*gamma_bar^2/omega_b
-
-    The convention eta = 0, phi = pi fixes cos(eta)*cos(phi) = -1 so that the
-    dressed splitting A comes out as the positive root.
-    """
-
-    theta: float
-    phi: float
-    eta: float
-    xi: float
-    rho_bar: float
-
-
-@dataclass(frozen=True)
-class VariationalPoint:
-    """A stationary point of the scaled energy on one pseudospin branch."""
-
-    amplitude: float  # gamma_bar >= 0
-    branch: SpinBranch
-    energy: float  # eps, units of omega_a
-    curvature: float  # d^2 eps / d gamma_bar^2
-    stability: Stability
-
-
-@dataclass(frozen=True)
-class Observables:
-    """Per-atom ground-state observables, units of omega_a.
-
-    n_p       : mean photon number per atom, gamma_bar^2
-    delta_n_a : atomic population difference per atom, in [-1/2, +1/2]
-    n_b       : mean phonon number per atom, (zeta*n_p/omega_b)^2
-    energy    : scaled energy eps
-    """
-
-    n_p: float
-    delta_n_a: float
-    n_b: float
-    energy: float
 
 
 def tilt_ratio(params: ModelParams, gamma_bar):
@@ -229,18 +180,20 @@ def curvature(params: ModelParams, branch: SpinBranch, gamma_bar):
                   + branch.sign * (params.g * params.g) * params.omega_a**2 / A**3)
 
 
-def scs_angles(params: ModelParams, gamma_bar: float) -> ScsAngles:
-    """Closed-form stationary angles at amplitude gamma_bar.
+def scs_angles(params: ModelParams, gamma_bar):
+    """Closed-form stationary angles (theta, rho_bar) at amplitude gamma_bar >= 0.
 
-    The stationary angles solve the same eigenvalue conditions for both
-    pseudospin branches (only the sign of the spin projection differs), so
-    they do not depend on the branch.
+    theta = arctan(f) is the polar angle of the spin unit vector and rho_bar =
+    zeta*gamma_bar^2/omega_b the scaled phonon displacement rho/sqrt(N).  The
+    azimuth and the boson phases are fixed, phi = pi and eta = xi = 0, so that
+    cos(eta)*cos(phi) = -1 and the dressed splitting A comes out as the
+    positive root.  The angles solve the same eigenvalue conditions on both
+    pseudospin branches (only the sign of the spin projection differs).
     """
-    if gamma_bar < 0.0:
+    if np.any(np.asarray(gamma_bar) < 0.0):
         raise ValueError("gamma_bar must be >= 0")
-    theta = math.atan(tilt_ratio(params, gamma_bar))
-    rho_bar = params.zeta * gamma_bar * gamma_bar / params.omega_b
-    return ScsAngles(theta=theta, phi=math.pi, eta=0.0, xi=0.0, rho_bar=rho_bar)
+    theta = np.arctan(tilt_ratio(params, gamma_bar))
+    return theta, params.zeta * gamma_bar * gamma_bar / params.omega_b
 
 
 def observable_terms(params: ModelParams, branch: SpinBranch, gamma_bar):
@@ -249,12 +202,6 @@ def observable_terms(params: ModelParams, branch: SpinBranch, gamma_bar):
     delta_n_a = branch.sign * params.omega_a / (2.0 * level_splitting(params, gamma_bar))
     n_b = params.zeta * n_p / params.omega_b
     return n_p, delta_n_a, n_b * n_b
-
-
-def observables_at(params: ModelParams, point: VariationalPoint) -> Observables:
-    """Observables of a stationary point: n_p, delta_n_a, n_b and eps."""
-    n_p, delta_n_a, n_b = observable_terms(params, point.branch, point.amplitude)
-    return Observables(n_p=n_p, delta_n_a=float(delta_n_a), n_b=n_b, energy=point.energy)
 
 
 def raw_amplitude(params: ModelParams, gamma_bar: float) -> float:

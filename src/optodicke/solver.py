@@ -34,15 +34,13 @@ import numpy as np
 from .model import (
     SQUARE_LIMIT,
     ModelParams,
-    Observables,
     PhaseLabel,
     SpinBranch,
     Stability,
-    VariationalPoint,
     curvature,
     extremum_polynomial,
     extremum_polynomial_slope,
-    observables_at,
+    observable_terms,
     scaled_energy,
 )
 
@@ -51,13 +49,10 @@ __all__ = [
     "SolverError",
     "NotFound",
     "OutOfRange",
-    "RootSet",
     "BranchPoints",
-    "GroundState",
     "critical_coupling",
     "branch_points",
     "find_roots",
-    "root_set",
     "PHASES",
     "COLUMN_PHASE",
     "param_rows",
@@ -116,27 +111,6 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
-class RootSet:
-    """All stationary points of one branch: positive roots plus gamma_bar=0."""
-
-    branch: SpinBranch
-    roots: tuple[VariationalPoint, ...]
-    zero_point: VariationalPoint
-
-    def __post_init__(self) -> None:
-        amps = [r.amplitude for r in self.roots]
-        if any(a <= 0.0 for a in amps) or amps != sorted(amps):
-            raise ValueError("roots must have positive amplitude, sorted ascending")
-        limit = 2 if self.branch is SpinBranch.NORMAL else 1
-        if len(amps) > limit:
-            raise ValueError(f"{self.branch.name} branch admits at most {limit} positive roots")
-
-    @property
-    def stable_roots(self) -> tuple[VariationalPoint, ...]:
-        return tuple(r for r in self.roots if r.stability is Stability.STABLE)
-
-
-@dataclass(frozen=True)
 class BranchPoints:
     """Stationary points of one branch, row i at the i-th g of an array.
 
@@ -150,15 +124,6 @@ class BranchPoints:
     energy: np.ndarray
     curvature: np.ndarray
     stability: np.ndarray
-
-
-@dataclass(frozen=True)
-class GroundState:
-    """Lowest local minimum of the scaled energy over both branches."""
-
-    phase: PhaseLabel
-    point: VariationalPoint
-    observables: Observables
 
 
 def critical_coupling(params: ModelParams) -> float:
@@ -268,22 +233,12 @@ def branch_points(params: ModelParams, branch: SpinBranch, g,
 
 
 def find_roots(params: ModelParams, branch: SpinBranch,
-               config: SolverConfig | None = None) -> RootSet:
-    """Every positive stationary amplitude of a branch, classified.
+               config: SolverConfig | None = None) -> BranchPoints:
+    """Every stationary point of a branch at params.g, classified.
 
-    The one-point call of branch_points at params.g.
+    The one-row BranchPoints of branch_points at [params.g].
     """
-    return root_set(branch_points(params, branch, [params.g], config), 0)
-
-
-def root_set(pts: BranchPoints, i: int) -> RootSet:
-    """The RootSet of row i of a branch_points result."""
-    points = [VariationalPoint(amplitude=math.sqrt(x), branch=pts.branch, energy=e, curvature=k,
-                               stability=s)
-              for x, e, k, s in zip(pts.x[i].tolist(), pts.energy[i].tolist(),
-                                    pts.curvature[i].tolist(), pts.stability[i].tolist())
-              if s is not None]
-    return RootSet(branch=pts.branch, roots=tuple(points[1:]), zero_point=points[0])
+    return branch_points(params, branch, [params.g], config)
 
 
 def is_minimum(params: ModelParams, branch: SpinBranch, g: np.ndarray,
@@ -340,13 +295,17 @@ def solve_ground(params: ModelParams, g, config: SolverConfig | None = None
     return column, normal, inverted
 
 
-def ground_state(params: ModelParams, config: SolverConfig | None = None) -> GroundState:
-    """The lowest local minimum at params.g, labelled by phase: solve_ground at one g."""
+def ground_state(params: ModelParams, config: SolverConfig | None = None
+                 ) -> tuple[PhaseLabel, float, float, float, float]:
+    """The lowest local minimum at params.g: solve_ground at one g.
+
+    Returns (phase, n_p, delta_n_a, n_b, energy), the sweep's ground columns at params.g.
+    """
     column, *points = solve_ground(params, [params.g], config)
     k = int(column[0])
-    rs = root_set(points[k // 3], 0)  # columns 0-2 are the normal branch's, 3 is N+
-    point = (rs.zero_point, *rs.roots)[k % 3]
-    return GroundState(PHASES[COLUMN_PHASE[k]], point, observables_at(params, point))
+    pts, j = points[k // 3], k % 3  # columns 0-2 are the normal branch's, 3 is N+
+    n_p, delta_n_a, n_b = observable_terms(params, pts.branch, math.sqrt(pts.x[0, j]))
+    return (PHASES[COLUMN_PHASE[k]], *map(float, (n_p, delta_n_a, n_b, pts.energy[0, j])))
 
 
 def _newton_down(step) -> float:

@@ -112,19 +112,18 @@ def test_observable_identities():
         p = ModelParams(omega=rng.uniform(0.5, 2.0), omega_a=1.0,
                         omega_b=rng.uniform(2.0, 20.0), g=rng.uniform(0.0, 3.0),
                         zeta=rng.uniform(0.0, 3.0), n_atoms=int(rng.integers(1, 100)))
-        gs = ground_state(p)
-        obs = gs.observables
-        lhs, rhs = obs.n_b * p.omega_b**2, p.zeta**2 * obs.n_p**2
+        phase, n_p, delta_n_a, n_b, _ = ground_state(p)
+        lhs, rhs = n_b * p.omega_b**2, p.zeta**2 * n_p**2
         if rhs == 0.0:
             assert lhs == 0.0
         else:
             assert lhs == pytest.approx(rhs, rel=1e-12)
-        if gs.phase is PhaseLabel.NP_NMINUS:
-            assert obs.delta_n_a == -0.5
-        elif gs.phase is PhaseLabel.NP_NPLUS:
-            assert obs.delta_n_a == +0.5
+        if phase is PhaseLabel.NP_NMINUS:
+            assert delta_n_a == -0.5
+        elif phase is PhaseLabel.NP_NPLUS:
+            assert delta_n_a == +0.5
         else:
-            assert -0.5 <= obs.delta_n_a < 0.0
+            assert -0.5 <= delta_n_a < 0.0
 
 
 @criterion(6, "multi-transition energy and population curves at zeta=1")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optodicke import cli, diagram, model, solver
+from optodicke import cli, solver
 from optodicke.cli import run
 from optodicke.model import PhaseLabel, Stability
 
@@ -551,17 +551,24 @@ def test_bad_tol_curv_rejected(command, capsys):
 
 
 def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a per-row object was built")
+    # Results are columns: one BranchPoints per branch for a whole sweep or a
+    # roots call, none for a phase diagram, whose cells are labelled from g_c and g_t
+    built = []
 
-    for module in (model, solver, diagram):
-        for name in ("VariationalPoint", "RootSet", "Observables"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
-    with contextlib.redirect_stdout(io.StringIO()):
-        # g = 1 = g_c is a marginal row, and a marginal cell of every zeta row
-        assert run(["sweep", "--g", "0:3:301", "--zeta", "1"]) == 0
-        assert run(["phase-diagram", "--g", "0:3:61", "--zeta", "0:3:61"]) == 0
+    def counting(*args, **kwargs):
+        built.append(kwargs["branch"])
+        return branch_points_class(*args, **kwargs)
+
+    branch_points_class = solver.BranchPoints
+    monkeypatch.setattr(solver, "BranchPoints", counting)
+    # g = 1 = g_c is a marginal row, and a marginal cell of every zeta row
+    for argv, count in ((["sweep", "--g", "0:3:301", "--zeta", "1"], 2),
+                        (["phase-diagram", "--g", "0:3:61", "--zeta", "0:3:61"], 0),
+                        (["roots", "--g", "1", "--zeta", "1"], 2)):
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0
+        assert len(built) == count, argv
 
 
 _LABELS = ([p.value for p in PhaseLabel] + [s.value for s in Stability]

@@ -258,7 +258,7 @@ class TestGridReferee:
             zs, labels = grid.zeta[row].tolist(), grid.phase[row].tolist()
             for g, zeta, label in zip(grid.g[row].tolist(), zs, labels):
                 params = replace(base, g=g, zeta=zeta)
-                assert PHASES[label] is ground_state(params).phase, (g, zeta)
+                assert PHASES[label] is ground_state(params)[0], (g, zeta)
             changes += [(zeta, lo, hi) for zeta, lo, hi in zip(zs, labels, labels[1:]) if lo != hi]
         bounds = list(zip(grid.boundary_zeta.tolist(), grid.boundary_g.tolist(),
                           grid.boundary_below.tolist(), grid.boundary_above.tolist()))
@@ -295,7 +295,7 @@ class TestGridReferee:
         grid = phase_grid(spec)
         assert solved == [(closure, [g_c])]
         for g, zeta, label in zip(grid.g.tolist(), grid.zeta.tolist(), grid.phase.tolist()):
-            assert PHASES[label] is ground_state(replace(base, g=g, zeta=zeta)).phase, (g, zeta)
+            assert PHASES[label] is ground_state(replace(base, g=g, zeta=zeta))[0], (g, zeta)
         assert PHASES[grid.phase[-2]] is PhaseLabel.SP
 
     # omega = 2 puts g_c = sqrt(2) on a double whose square is not omega*omega_a
@@ -308,7 +308,7 @@ class TestGridReferee:
         spec = GridSpec(base, g_min=0.0, g_max=2.0 * g_c, g_steps=3)
         (index,), (_, g_b, below, _) = grid_row(spec, [zeta])
         assert spec.g_grid()[1] == g_c
-        want = ground_state(replace(base, g=g_c, zeta=zeta)).phase
+        want = ground_state(replace(base, g=g_c, zeta=zeta))[0]
         assert PHASES[index[1]] is want
         if side < 0:
             assert want is PhaseLabel.NP_NMINUS
@@ -328,7 +328,7 @@ class TestGridReferee:
         # The fold rule: no superradiant root is a ground-state candidate from
         # the computed g_t up, so the solver agrees with the grid there too.
         def phase_at(g):
-            return ground_state(ModelParams(g=g, zeta=zeta)).phase
+            return ground_state(ModelParams(g=g, zeta=zeta))[0]
 
         assert phase_at(g_t) is PhaseLabel.NP_NPLUS
         assert phase_at(g_t * (1 - 1e-14)) is PhaseLabel.SP
@@ -384,8 +384,14 @@ class TestFoldRule:
                 # the middle point of a 3-point grid from 0 to 2 g is g itself
                 sweep = SweepSpec(replace(base, zeta=zeta), g_min=0.0, g_max=2.0 * g, g_steps=3)
                 assert sweep.grid()[1] == g
-                want = ground_state(replace(base, g=g, zeta=zeta)).phase
-                assert PHASES[sweep_g(sweep).phase[1]] is want, (zeta, g)
+                # all five values of the one-point call are the sweep row's, bit for bit
+                want, *values = ground_state(replace(base, g=g, zeta=zeta))
+                rows = sweep_g(sweep)
+                assert PHASES[rows.phase[1]] is want, (zeta, g)
+                ground = [at_ground(rows, c)[1] for c in (rows.n_p, rows.delta_n_a, rows.n_b,
+                                                         rows.energy)]
+                assert np.array_equal(np.array(values).view(np.int64),
+                                      np.array(ground).view(np.int64)), (zeta, g)
                 (index,), _ = grid_row(GridSpec(base, g_min=0.0, g_max=2.0 * g, g_steps=3),
                                         [zeta])
                 assert PHASES[index[1]] is want, (zeta, g)

@@ -8,12 +8,10 @@ import pytest
 from optodicke.model import (
     ModelParams,
     SpinBranch,
-    Stability,
-    VariationalPoint,
     curvature,
     extremum_polynomial,
     level_splitting,
-    observables_at,
+    observable_terms,
     raw_amplitude,
     scaled_energy,
     scs_angles,
@@ -32,15 +30,6 @@ EPS_S = -0.701017167434
 REF = ModelParams(omega=1.0, omega_a=1.0, omega_b=10.0, g=1.5, zeta=1.0)
 
 
-def point_at(params, branch, gamma_bar):
-    # observables_at does not read the stability; the curvature's sign fills it in
-    curv = float(curvature(params, branch, gamma_bar))
-    return VariationalPoint(
-        amplitude=gamma_bar, branch=branch,
-        energy=float(scaled_energy(params, branch, gamma_bar)),
-        curvature=curv, stability=Stability.STABLE if curv > 0.0 else Stability.UNSTABLE)
-
-
 class TestParams:
     def test_defaults(self):
         p = ModelParams()
@@ -49,11 +38,12 @@ class TestParams:
     @pytest.mark.parametrize("kw", [
         dict(omega=0.0), dict(omega_a=-1.0), dict(omega_b=0.0),
         dict(g=-0.1), dict(zeta=-2.0), dict(n_atoms=0), dict(n_atoms=1.5),
+        dict(n_atoms=math.inf), dict(n_atoms=-math.inf), dict(n_atoms=math.nan),
         dict(g=math.nan), dict(g=math.inf), dict(zeta=math.nan), dict(zeta=math.inf),
         dict(omega_b=math.inf), dict(omega_a=1.0000000000000002e150), dict(omega_a=1e300),
     ])
     def test_invalid(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             ModelParams(**kw)
 
     def test_raw_amplitude(self):
@@ -145,59 +135,75 @@ def test_gradient_consistency_random_grid():
 
 
 class TestScsAngles:
+    # scs_angles gives (theta, rho_bar); phi = pi and eta = xi = 0 are fixed
     def test_zero_amplitude(self):
-        a = scs_angles(ModelParams(g=2.0), 0.0)
-        assert a.theta == 0.0
-        assert a.rho_bar == 0.0
+        theta, rho_bar = scs_angles(ModelParams(g=2.0), 0.0)
+        assert theta == 0.0
+        assert rho_bar == 0.0
 
     def test_quarter_turn(self):
-        a = scs_angles(ModelParams(g=0.5), 1.0)
-        assert a.theta == pytest.approx(math.pi / 4, rel=1e-15)
+        theta, _ = scs_angles(ModelParams(g=0.5), 1.0)
+        assert theta == pytest.approx(math.pi / 4, rel=1e-15)
 
     def test_reference_point(self):
-        a = scs_angles(ModelParams(g=1.5, zeta=1.0), math.sqrt(0.622))
-        assert a.theta == pytest.approx(math.atan(2 * 1.5 * math.sqrt(0.622)), rel=1e-15)
-        assert a.theta == pytest.approx(1.170, abs=1e-3)
+        theta, rho_bar = scs_angles(ModelParams(g=1.5, zeta=1.0), math.sqrt(0.622))
+        assert theta == pytest.approx(math.atan(2 * 1.5 * math.sqrt(0.622)), rel=1e-15)
+        assert theta == pytest.approx(1.170, abs=1e-3)
         # phonon displacement carries the 1/omega_b factor of the
         # phonon-elimination stationarity condition
-        assert a.rho_bar == pytest.approx(1.0 * 0.622 / 10.0, rel=1e-15)
-
-    def test_phase_convention(self):
-        a = scs_angles(REF, 0.7)
-        assert math.cos(a.eta) * math.cos(a.phi) == -1.0
-        assert a.xi == 0.0
+        assert rho_bar == pytest.approx(1.0 * 0.622 / 10.0, rel=1e-15)
 
     def test_reconstructs_level_splitting(self):
         # A(alpha, theta, phi) = omega_a cos(theta) - 2 g gb cos(eta) cos(phi) sin(theta)
+        eta, phi = 0.0, math.pi
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = ModelParams(omega_a=rng.uniform(0.5, 2.0), g=rng.uniform(0.0, 3.0))
             gb = rng.uniform(0.0, 3.0)
-            a = scs_angles(p, gb)
-            rebuilt = (p.omega_a * math.cos(a.theta)
-                       - 2.0 * p.g * gb * math.cos(a.eta) * math.cos(a.phi) * math.sin(a.theta))
+            theta, _ = scs_angles(p, gb)
+            rebuilt = (p.omega_a * math.cos(theta)
+                       - 2.0 * p.g * gb * math.cos(eta) * math.cos(phi) * math.sin(theta))
             assert rebuilt == pytest.approx(float(level_splitting(p, gb)), rel=1e-12)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             scs_angles(REF, -0.1)
 
+    def test_array_matches_scalar_bitwise(self):
+        rng = np.random.default_rng(5)
+        gb = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 500),
+                             10.0 ** rng.uniform(-150.0, 150.0, 500)])
+        for p in (REF, ModelParams(omega_a=0.7, omega_b=3.0, g=2.3, zeta=0.4)):
+            theta, rho_bar = scs_angles(p, gb)
+            assert theta.shape == rho_bar.shape == gb.shape
+            one = np.array([scs_angles(p, v) for v in gb.tolist()])
+            assert np.array_equal(np.stack([theta, rho_bar], axis=1).view(np.int64),
+                                  one.view(np.int64))
+
+    def test_negative_entry_of_an_array_rejected(self):
+        for i in (0, 3, 6):
+            gb = np.linspace(0.0, 3.0, 7)
+            gb[i] = -1e-300
+            with pytest.raises(ValueError, match="gamma_bar must be >= 0"):
+                scs_angles(REF, gb)
+
 
 class TestObservables:
+    # observable_terms gives (n_p, delta_n_a, n_b); the energy is scaled_energy
     def test_normal_zero_point(self):
-        obs = observables_at(REF, point_at(REF, NORMAL, 0.0))
-        assert (obs.n_p, obs.delta_n_a, obs.n_b, obs.energy) == (0.0, -0.5, 0.0, -0.5)
+        obs = (*observable_terms(REF, NORMAL, 0.0), scaled_energy(REF, NORMAL, 0.0))
+        assert obs == (0.0, -0.5, 0.0, -0.5)
 
     def test_inverted_zero_point(self):
-        obs = observables_at(REF, point_at(REF, INVERTED, 0.0))
-        assert (obs.n_p, obs.delta_n_a, obs.n_b, obs.energy) == (0.0, +0.5, 0.0, +0.5)
+        obs = (*observable_terms(REF, INVERTED, 0.0), scaled_energy(REF, INVERTED, 0.0))
+        assert obs == (0.0, +0.5, 0.0, +0.5)
 
     def test_superradiant_point(self):
-        obs = observables_at(REF, point_at(REF, NORMAL, math.sqrt(X_S)))
-        assert obs.n_p == pytest.approx(X_S, rel=1e-9)
-        assert obs.delta_n_a == pytest.approx(-0.194539251098, abs=1e-9)
-        assert obs.n_b == pytest.approx(0.00387963113196, rel=1e-8)
-        assert obs.energy == pytest.approx(EPS_S, abs=1e-9)
+        n_p, delta_n_a, n_b = observable_terms(REF, NORMAL, math.sqrt(X_S))
+        assert n_p == pytest.approx(X_S, rel=1e-9)
+        assert delta_n_a == pytest.approx(-0.194539251098, abs=1e-9)
+        assert n_b == pytest.approx(0.00387963113196, rel=1e-8)
+        assert scaled_energy(REF, NORMAL, math.sqrt(X_S)) == pytest.approx(EPS_S, abs=1e-9)
 
     def test_phonon_photon_identity(self):
         rng = np.random.default_rng(11)
@@ -205,14 +211,13 @@ class TestObservables:
             p = ModelParams(omega=rng.uniform(0.5, 2), omega_a=rng.uniform(0.5, 2),
                             omega_b=rng.uniform(1, 20), g=rng.uniform(0, 3),
                             zeta=rng.uniform(0, 3))
-            obs = observables_at(p, point_at(p, NORMAL, rng.uniform(0, 3)))
-            assert obs.n_b * p.omega_b**2 == pytest.approx(p.zeta**2 * obs.n_p**2, rel=1e-12)
+            n_p, _, n_b = observable_terms(p, NORMAL, rng.uniform(0, 3))
+            assert n_b * p.omega_b**2 == pytest.approx(p.zeta**2 * n_p**2, rel=1e-12)
 
     def test_zeta_zero_has_no_phonons(self):
         p = ModelParams(g=2.0, zeta=0.0)
-        obs = observables_at(p, point_at(p, NORMAL, 1.3))
-        assert obs.n_b == 0.0
+        assert observable_terms(p, NORMAL, 1.3)[2] == 0.0
 
 
 def test_tilt_ratio_matches_theta():
-    assert tilt_ratio(REF, 0.4) == pytest.approx(math.tan(scs_angles(REF, 0.4).theta), rel=1e-14)
+    assert tilt_ratio(REF, 0.4) == pytest.approx(math.tan(scs_angles(REF, 0.4)[0]), rel=1e-14)

@@ -181,9 +181,9 @@ class TestVariationalEnergy:
         # same number as the zeta=0 normal-branch minimum of the N-atom model
         for g in (0.4, 1.2, 2.0, 2.8):
             params = ModelParams(g=g, zeta=0.0, n_atoms=1)
-            rs = find_roots(params, SpinBranch.NORMAL)
-            best = min((p.energy for p in (rs.zero_point, *rs.roots)
-                        if p.stability.value != "unstable"), default=None)
+            pts = find_roots(params, SpinBranch.NORMAL)
+            best = min((e for e, s in zip(pts.energy[0].tolist(), pts.stability[0].tolist())
+                        if s is not None and s.value != "unstable"), default=None)
             assert variational_energy(RabiParams(g=g)) == pytest.approx(best, abs=1e-12)
 
 

@@ -15,6 +15,7 @@ from optodicke.solver import (
     critical_coupling,
     find_roots,
     ground_state,
+    solve_ground,
     sp_closure,
     turning_point,
 )
@@ -52,27 +53,33 @@ class TestCriticalCoupling:
             assert critical_coupling(p) == critical_coupling(ModelParams(omega=1.3))
 
 
+def no_roots(pts):
+    """Whether a one-row find_roots result has no positive root (only its zero point)."""
+    return bool(np.isnan(pts.x[0, 1:]).all())
+
+
 class TestZeroPhotonPoint:
+    # column 0 of find_roots is the zero point gamma_bar = 0
     def test_normal_below_critical(self):
-        pt = find_roots(ModelParams(g=0.8, zeta=1.0), NORMAL).zero_point
-        assert pt.stability is Stability.STABLE
-        assert pt.energy == -0.5
-        assert pt.amplitude == 0.0
+        pts = find_roots(ModelParams(g=0.8, zeta=1.0), NORMAL)
+        assert pts.stability[0, 0] is Stability.STABLE
+        assert pts.energy[0, 0] == -0.5
+        assert math.sqrt(pts.x[0, 0]) == 0.0
 
     def test_normal_above_critical(self):
-        pt = find_roots(ModelParams(g=1.5, zeta=1.0), NORMAL).zero_point
-        assert pt.stability is Stability.UNSTABLE
-        assert pt.curvature == pytest.approx(2 * (1 - 2.25), rel=1e-15)
+        pts = find_roots(ModelParams(g=1.5, zeta=1.0), NORMAL)
+        assert pts.stability[0, 0] is Stability.UNSTABLE
+        assert pts.curvature[0, 0] == pytest.approx(2 * (1 - 2.25), rel=1e-15)
 
     def test_inverted_always_stable(self):
         for g in (0.0, 1.0, 3.0, 10.0):
-            pt = find_roots(ModelParams(g=g, zeta=2.0), INVERTED).zero_point
-            assert pt.stability is Stability.STABLE
-            assert pt.energy == +0.5
+            pts = find_roots(ModelParams(g=g, zeta=2.0), INVERTED)
+            assert pts.stability[0, 0] is Stability.STABLE
+            assert pts.energy[0, 0] == +0.5
 
     def test_marginal_exactly_at_critical(self):
-        pt = find_roots(ModelParams(g=1.0, zeta=1.0), NORMAL).zero_point
-        assert pt.stability is Stability.MARGINAL
+        pts = find_roots(ModelParams(g=1.0, zeta=1.0), NORMAL)
+        assert pts.stability[0, 0] is Stability.MARGINAL
 
     def test_bitwise_the_kernel_zero_point(self):
         # scalar and array powers differ in the last bit for some omega_a, so
@@ -84,62 +91,58 @@ class TestZeroPhotonPoint:
             params = ModelParams(omega_a=float(omega_a), g=0.7, zeta=0.5)
             for branch in (NORMAL, INVERTED):
                 pts = branch_points(params, branch, gs)
-                zero = find_roots(params, branch).zero_point
-                assert (zero.energy, zero.curvature, zero.stability) == (
+                one = find_roots(params, branch)
+                assert (one.energy[0, 0], one.curvature[0, 0], one.stability[0, 0]) == (
                     pts.energy[1, 0], pts.curvature[1, 0], pts.stability[1, 0])
 
 
 class TestFindRoots:
+    # columns 1 on are the positive roots, ascending; x NaN and stability None where absent
     def test_dicke_limit_closed_form(self):
-        rs = find_roots(ModelParams(g=1.5, zeta=0.0), NORMAL)
-        assert len(rs.roots) == 1
-        root = rs.roots[0]
-        assert root.amplitude**2 == pytest.approx(0.45139, abs=1e-5)
-        assert root.stability is Stability.STABLE
-        assert not find_roots(ModelParams(g=0.9, zeta=0.0), NORMAL).roots
-        assert not find_roots(ModelParams(g=1.5, zeta=0.0), INVERTED).roots
-        assert not find_roots(ModelParams(g=1.0, zeta=0.0), NORMAL).roots
+        pts = find_roots(ModelParams(g=1.5, zeta=0.0), NORMAL)
+        assert pts.stability[0, 1:].tolist() == [Stability.STABLE, None]
+        assert pts.x[0, 1] == pytest.approx(0.45139, abs=1e-5)
+        assert no_roots(find_roots(ModelParams(g=0.9, zeta=0.0), NORMAL))
+        assert no_roots(find_roots(ModelParams(g=1.5, zeta=0.0), INVERTED))
+        assert no_roots(find_roots(ModelParams(g=1.0, zeta=0.0), NORMAL))
 
     def test_two_roots_reference_point(self):
-        rs = find_roots(REF, NORMAL)
-        assert [r.stability for r in rs.roots] == [Stability.STABLE, Stability.UNSTABLE]
-        assert rs.roots[0].amplitude**2 == pytest.approx(0.622866850294, abs=1e-8)
-        assert rs.roots[1].amplitude**2 == pytest.approx(2.803420852626, abs=1e-8)
-        assert rs.roots[0].energy == pytest.approx(-0.701017167434, abs=1e-9)
-        assert rs.roots[1].energy == pytest.approx(-0.543296049428, abs=1e-9)
+        pts = find_roots(REF, NORMAL)
+        assert pts.stability[0, 1:].tolist() == [Stability.STABLE, Stability.UNSTABLE]
+        assert pts.x[0, 1] == pytest.approx(0.622866850294, abs=1e-8)
+        assert pts.x[0, 2] == pytest.approx(2.803420852626, abs=1e-8)
+        assert pts.energy[0, 1] == pytest.approx(-0.701017167434, abs=1e-9)
+        assert pts.energy[0, 2] == pytest.approx(-0.543296049428, abs=1e-9)
 
     def test_single_unstable_root_below_critical(self):
-        rs = find_roots(ModelParams(g=0.8, zeta=1.0), NORMAL)
-        assert len(rs.roots) == 1
-        assert rs.roots[0].stability is Stability.UNSTABLE
-        assert rs.roots[0].amplitude**2 == pytest.approx(4.051017519835, abs=1e-8)
+        pts = find_roots(ModelParams(g=0.8, zeta=1.0), NORMAL)
+        assert pts.stability[0, 1:].tolist() == [Stability.UNSTABLE, None]
+        assert pts.x[0, 1] == pytest.approx(4.051017519835, abs=1e-8)
 
     def test_inverted_root_beyond_normal_scan_bound(self):
         # the inverted-branch root lies past omega*omega_b/(2 zeta^2)
-        rs = find_roots(REF, INVERTED)
-        assert len(rs.roots) == 1
-        assert rs.roots[0].stability is Stability.UNSTABLE
-        assert rs.roots[0].amplitude**2 == pytest.approx(6.462601185968, abs=1e-8)
-        assert rs.roots[0].amplitude**2 > REF.omega * REF.omega_b / (2 * REF.zeta**2)
+        pts = find_roots(REF, INVERTED)
+        assert pts.stability[0, 1:].tolist() == [Stability.UNSTABLE]
+        assert pts.x[0, 1] == pytest.approx(6.462601185968, abs=1e-8)
+        assert pts.x[0, 1] > REF.omega * REF.omega_b / (2 * REF.zeta**2)
 
     def test_no_normal_roots_beyond_fold(self):
-        rs = find_roots(ModelParams(g=2.0, zeta=1.0), NORMAL)
-        assert rs.roots == ()
-        ri = find_roots(ModelParams(g=2.0, zeta=1.0), INVERTED)
-        assert len(ri.roots) == 1
-        assert ri.roots[0].amplitude**2 == pytest.approx(6.895515378286, abs=1e-8)
+        assert no_roots(find_roots(ModelParams(g=2.0, zeta=1.0), NORMAL))
+        pts = find_roots(ModelParams(g=2.0, zeta=1.0), INVERTED)
+        assert pts.stability[0, 1:].tolist() == [Stability.UNSTABLE]
+        assert pts.x[0, 1] == pytest.approx(6.895515378286, abs=1e-8)
 
     def test_zero_point_always_reported(self):
-        rs = find_roots(REF, NORMAL)
-        assert rs.zero_point.amplitude == 0.0
-        assert rs.zero_point.stability is Stability.UNSTABLE
+        pts = find_roots(REF, NORMAL)
+        assert pts.x[0, 0] == 0.0
+        assert pts.stability[0, 0] is Stability.UNSTABLE
 
     def test_residual_bound(self):
         # |p(root)| <= 10 * 1e-10 * |dp/dgamma| at every refined root
         for params in (REF, ModelParams(g=0.8, zeta=1.0), ModelParams(g=1.2, zeta=2.0)):
             for branch in SpinBranch:
-                for root in find_roots(params, branch).roots:
-                    gb = root.amplitude
+                x = find_roots(params, branch).x[0, 1:]
+                for gb in np.sqrt(x[~np.isnan(x)]).tolist():
                     h = 1e-7
                     slope = (float(extremum_polynomial(params, branch, gb + h))
                              - float(extremum_polynomial(params, branch, gb - h))) / (2 * h)
@@ -152,12 +155,11 @@ class TestFindRoots:
         g_t = oracles.fold_gt(zeta)
         below = find_roots(ModelParams(g=g_t - 1e-9, zeta=zeta), NORMAL)
         above = find_roots(ModelParams(g=g_t + 1e-9, zeta=zeta), NORMAL)
-        assert [r.stability for r in below.roots] == [Stability.STABLE, Stability.UNSTABLE]
-        assert above.roots == ()
+        assert below.stability[0, 1:].tolist() == [Stability.STABLE, Stability.UNSTABLE]
+        assert no_roots(above)
 
     def test_certified_empty_beyond_fold(self):
-        rs = find_roots(ModelParams(g=GT_ORACLE[1.0] + 1e-4, zeta=1.0), NORMAL)
-        assert rs.roots == ()
+        assert no_roots(find_roots(ModelParams(g=GT_ORACLE[1.0] + 1e-4, zeta=1.0), NORMAL))
 
 
 def test_triple_root_at_critical_coupling_and_closure():
@@ -167,11 +169,11 @@ def test_triple_root_at_critical_coupling_and_closure():
     # of p(0) as a root)
     base = ModelParams(omega=1.2)
     params = replace(base, g=critical_coupling(base), zeta=closure_estimate(base))
-    assert find_roots(params, NORMAL).roots == ()
-    x_inv = [r.amplitude**2 for r in find_roots(params, INVERTED).roots]
-    assert x_inv == pytest.approx(
+    assert no_roots(find_roots(params, NORMAL))
+    x_inv = find_roots(params, INVERTED).x[0, 1:]
+    assert x_inv[~np.isnan(x_inv)].tolist() == pytest.approx(
         oracles.scan_roots(+1, params.g, params.zeta, 1.2, 1.0, 10.0), rel=1e-9)
-    assert ground_state(params).phase is PhaseLabel.NP_NMINUS
+    assert ground_state(params)[0] is PhaseLabel.NP_NMINUS
 
 
 def test_brute_force_equivalence_grid():
@@ -184,10 +186,11 @@ def test_brute_force_equivalence_grid():
             params = ModelParams(g=float(g), zeta=float(z))
             for branch, sign in ((NORMAL, -1), (INVERTED, +1)):
                 expected = oracles.scan_roots(sign, float(g), float(z), 1.0, 1.0, 10.0)
-                got = find_roots(params, branch).roots
+                x = find_roots(params, branch).x[0, 1:]
+                got = np.sqrt(x[~np.isnan(x)]).tolist()
                 assert len(got) == len(expected), (g, z, branch)
-                for root, x_ref in zip(got, expected):
-                    assert root.amplitude == pytest.approx(math.sqrt(x_ref), abs=1e-6)
+                for amplitude, x_ref in zip(got, expected):
+                    assert amplitude == pytest.approx(math.sqrt(x_ref), abs=1e-6)
                 checked += 1
     assert checked == 5000
 
@@ -220,8 +223,8 @@ class TestTurningPoint:
         g_t = turning_point(ModelParams(), zeta=1.0)
         below = find_roots(ModelParams(g=g_t - 2e-6, zeta=1.0), NORMAL)
         above = find_roots(ModelParams(g=g_t + 2e-6, zeta=1.0), NORMAL)
-        assert len(below.stable_roots) == 1
-        assert len(above.stable_roots) == 0
+        assert np.count_nonzero(below.stability[0, 1:] == Stability.STABLE) == 1
+        assert np.count_nonzero(above.stability[0, 1:] == Stability.STABLE) == 0
 
     @pytest.mark.parametrize("zeta", [1e-8, 1e-45, 1e-200])
     def test_small_zeta_no_overflow(self, zeta):
@@ -289,52 +292,58 @@ class TestClosure:
 
 
 class TestGroundState:
+    # ground_state is (phase, n_p, delta_n_a, n_b, energy)
     def test_normal_phase(self):
-        gs = ground_state(ModelParams(g=0.8, zeta=1.0))
-        assert gs.phase is PhaseLabel.NP_NMINUS
-        assert gs.observables.energy == -0.5
-        assert gs.point.stability is Stability.STABLE
+        params = ModelParams(g=0.8, zeta=1.0)
+        phase, *_, energy = ground_state(params)
+        assert phase is PhaseLabel.NP_NMINUS
+        assert energy == -0.5
+        # the ground point is N-'s zero point, column 0 of solve_ground
+        column, normal, _ = solve_ground(params, [params.g])
+        assert column[0] == 0 and normal.stability[0, 0] is Stability.STABLE
 
     def test_superradiant_phase(self):
-        gs = ground_state(REF)
-        assert gs.phase is PhaseLabel.SP
-        assert gs.observables.energy == pytest.approx(-0.701017167434, abs=1e-9)
-        assert gs.observables.n_p == pytest.approx(0.622866850294, abs=1e-8)
+        phase, n_p, _, _, energy = ground_state(REF)
+        assert phase is PhaseLabel.SP
+        assert energy == pytest.approx(-0.701017167434, abs=1e-9)
+        assert n_p == pytest.approx(0.622866850294, abs=1e-8)
 
     def test_inverted_phase_beyond_fold(self):
-        gs = ground_state(ModelParams(g=2.0, zeta=1.0))
-        assert gs.phase is PhaseLabel.NP_NPLUS
-        assert gs.observables.energy == +0.5
-        assert gs.observables.delta_n_a == +0.5
+        phase, _, delta_n_a, _, energy = ground_state(ModelParams(g=2.0, zeta=1.0))
+        assert phase is PhaseLabel.NP_NPLUS
+        assert energy == +0.5
+        assert delta_n_a == +0.5
 
     def test_energy_ordering_inside_window(self):
         for g in (1.1, 1.3, 1.5, 1.7):
-            gs = ground_state(ModelParams(g=g, zeta=1.0))
-            assert gs.phase is PhaseLabel.SP
-            assert gs.observables.energy < 0.5
+            phase, *_, energy = ground_state(ModelParams(g=g, zeta=1.0))
+            assert phase is PhaseLabel.SP
+            assert energy < 0.5
 
     def test_boundary_emergence(self):
         # stable amplitude -> 0 continuously as g -> g_c from above
         xs = []
         for delta in (1e-2, 1e-3, 1e-4):
-            gs = ground_state(ModelParams(g=1.0 + delta, zeta=1.0))
-            assert gs.phase is PhaseLabel.SP
-            xs.append(gs.observables.n_p)
+            phase, n_p, *_ = ground_state(ModelParams(g=1.0 + delta, zeta=1.0))
+            assert phase is PhaseLabel.SP
+            xs.append(n_p)
         assert xs[0] > xs[1] > xs[2] > 0.0
         assert xs[2] < 3e-4
 
     def test_marginal_zero_point_at_exact_critical(self):
         # grids landing exactly on g_c must keep the energy curve continuous
-        gs = ground_state(ModelParams(g=1.0, zeta=1.0))
-        assert gs.phase is PhaseLabel.NP_NMINUS
-        assert gs.observables.energy == -0.5
-        assert gs.point.stability is Stability.MARGINAL
+        params = ModelParams(g=1.0, zeta=1.0)
+        phase, *_, energy = ground_state(params)
+        assert phase is PhaseLabel.NP_NMINUS
+        assert energy == -0.5
+        column, normal, _ = solve_ground(params, [params.g])
+        assert column[0] == 0 and normal.stability[0, 0] is Stability.MARGINAL
 
     def test_dicke_reduction(self):
         # zeta = 0: single transition at g_c, superradiant forever after
         for g, phase in ((0.5, PhaseLabel.NP_NMINUS), (1.2, PhaseLabel.SP),
                          (5.0, PhaseLabel.SP), (50.0, PhaseLabel.SP)):
-            assert ground_state(ModelParams(g=g, zeta=0.0)).phase is phase
+            assert ground_state(ModelParams(g=g, zeta=0.0))[0] is phase
 
 
 def test_critical_points_summary():
