@@ -553,13 +553,12 @@ def test_bad_tol_curv_rejected(command, capsys):
 def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):
     # Results are columns: one BranchPoints per branch for a whole sweep or a
     # roots call, none for a phase diagram, whose cells are labelled from g_c and g_t
-    built = []
+    built, branch_points_class = [], solver.BranchPoints
 
     def counting(*args, **kwargs):
-        built.append(kwargs["branch"])
+        built.append(None)
         return branch_points_class(*args, **kwargs)
 
-    branch_points_class = solver.BranchPoints
     monkeypatch.setattr(solver, "BranchPoints", counting)
     # g = 1 = g_c is a marginal row, and a marginal cell of every zeta row
     for argv, count in ((["sweep", "--g", "0:3:301", "--zeta", "1"], 2),
