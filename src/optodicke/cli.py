@@ -22,9 +22,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import diagram, rabi
-from .model import ModelParams, SpinBranch, Stability, observable_terms
+from .model import ModelParams, observable_terms
 from .solver import (
+    ABSENT,
     PHASES,
+    STABILITIES,
     NotFound,
     OutOfRange,
     SolverConfig,
@@ -235,42 +237,37 @@ def _check_workers() -> None:
 
 
 _PHASE_TEXT = np.array([phase.value for phase in PHASES])
-
-
-def _stability_text(column: np.ndarray) -> list:
-    """Stability members as their values, None staying None."""
-    text = np.full(column.shape, None)
-    for member in Stability:
-        text[column == member] = member.value
-    return text.tolist()
+_STABILITY_TEXT = np.array([None if s is None else s.value for s in STABILITIES], dtype=object)
 
 
 def _json_number(value: float) -> str:
-    """The JSON number json.dumps writes for a float at 9 significant digits; NaN as null."""
-    text = f"{value:.9g}"
-    if text == "nan":
-        return "null"
-    number = float(text)  # json.dumps writes a finite float as its repr
+    """The JSON number json.dumps writes for a float, not NaN, at 9 significant digits."""
+    number = float(f"{value:.9g}")  # json.dumps writes a finite float as its repr
     return repr(number) if math.isfinite(number) else json.dumps(number)
 
 
-def _fields(column, json_text: bool = False) -> list[str]:
-    """A column as CSV fields, or as JSON values if json_text.
+def _fields(columns: list, json_text: bool = False) -> list[list[str]]:
+    """Each column as CSV fields, or as JSON values if json_text.
 
-    A float array is formatted at 9 significant digits, NaN as absent, and
-    each distinct bit pattern once; patterns, not values, so that -0.0 keeps
-    its sign.  A list holds labels; None is absent: '' in CSV, null in JSON.
+    Float arrays are formatted at 9 significant digits, NaN as absent, each
+    distinct bit pattern once over all of them; patterns, not values, so that
+    -0.0 keeps its sign.  A list holds labels; None is absent: '' in CSV, null in JSON.
     """
-    if not isinstance(column, np.ndarray):
-        if not json_text:
-            return ["" if v is None else v for v in column]
-        text = {v: "null" if v is None else json.dumps(v) for v in set(column)}
-        return [text[v] for v in column]
-    _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
-    values = column[first].tolist()
-    text = np.array([_json_number(v) for v in values] if json_text else
-                    ["" if t == "nan" else t for t in map("{:.9g}".format, values)], dtype=object)
-    return text[inverse].tolist()
+    floats = [c for c in columns if isinstance(c, np.ndarray)]
+    stacked = np.concatenate(floats) if floats else np.empty(0)
+    _, first, inverse = np.unique(stacked.view(np.int64), return_index=True, return_inverse=True)
+    values = stacked[first]
+    text = np.array(list(map(_json_number if json_text else "%.9g".__mod__, values.tolist())),
+                    dtype=object)
+    text[np.isnan(values)] = "null" if json_text else ""
+    pieces = iter(np.split(text[inverse], np.cumsum([c.size for c in floats])[:-1]))
+
+    def labels(column):
+        if json_text:  # each distinct label dumped once, None as null
+            dumped = {v: json.dumps(v) for v in set(column)}
+            return [dumped[v] for v in column]
+        return ["" if v is None else v for v in column]
+    return [next(pieces).tolist() if isinstance(c, np.ndarray) else labels(c) for c in columns]
 
 
 def _emit(cfg: RunConfig, fieldnames: list[str], columns: list) -> None:
@@ -284,12 +281,12 @@ def _emit(cfg: RunConfig, fieldnames: list[str], columns: list) -> None:
     if cfg.format == "json":
         keys = [f"      {json.dumps(name)}: " for name in fieldnames]
         rows = ["    {\n" + ",\n".join(map(str.__add__, keys, row)) + "\n    }"
-                for row in zip(*(_fields(c, json_text=True) for c in columns))]
+                for row in zip(*_fields(columns, json_text=True))]
         body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
         text = f'{{\n  "units": {json.dumps(UNITS_NOTE)},\n  "rows": {body}\n}}\n'
     else:
         text = "\r\n".join([f"# {UNITS_NOTE}", ",".join(fieldnames),
-                             *map(",".join, zip(*map(_fields, columns)))]) + "\r\n"
+                             *map(",".join, zip(*_fields(columns)))]) + "\r\n"
     if cfg.output == "-":
         sys.stdout.write(text)
     else:
@@ -299,18 +296,16 @@ def _emit(cfg: RunConfig, fieldnames: list[str], columns: list) -> None:
 
 def _cmd_roots(cfg: RunConfig) -> tuple[list[str], list]:
     params = _model_params(cfg, _parse_scalar(cfg.g, "g"), _parse_scalar(cfg.zeta, "zeta"))
-    solver_cfg = _solver_config(cfg)
     parts = []  # per branch: its present points, as the columns below
-    for branch in SpinBranch:
-        pts = find_roots(params, branch, solver_cfg)
-        present = pts.stability[0] != None  # noqa: E711 (elementwise)
+    for pts in find_roots(params, _solver_config(cfg)):
+        present = pts.stability[0] != ABSENT
         gamma_bar = np.sqrt(pts.x[0, present])
-        parts.append([[branch.name.lower()] * gamma_bar.size, gamma_bar,
-                      *observable_terms(params, branch, gamma_bar), pts.energy[0, present],
-                      pts.curvature[0, present], _stability_text(pts.stability[0, present])])
+        parts.append([[pts.branch.name.lower()] * gamma_bar.size, gamma_bar,
+                      *observable_terms(params, pts.branch, gamma_bar), pts.energy[0, present],
+                      pts.curvature[0, present], _STABILITY_TEXT[pts.stability[0, present]]])
     names = ["branch", "gamma_bar", "np", "delta_na", "nb", "energy", "curvature", "stability"]
     branches, *numbers, stability = zip(*parts)
-    return names, [sum(branches, []), *map(np.concatenate, numbers), sum(stability, [])]
+    return names, [sum(branches, []), *map(np.concatenate, numbers), sum(map(list, stability), [])]
 
 
 _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_ground"] + [
@@ -333,7 +328,7 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list]:
         found = j >= 0
         columns += [np.where(found, sweep.n_p[rows, j], np.nan),
                     np.where(found, sweep.energy[rows, j], np.nan),
-                    _stability_text(np.where(found, sweep.stability[rows, j], None))]
+                    _STABILITY_TEXT[np.where(found, sweep.stability[rows, j], ABSENT)].tolist()]
     return list(_SWEEP_FIELDS), columns
 
 

@@ -1,6 +1,6 @@
 """Parameter sweeps and phase-diagram grids, as numpy columns in grid order.
 
-A sweep solves all its g points in one array pass per branch.  A phase grid
+A sweep solves all its g points, on both branches, in one array pass.  A phase grid
 needs only the two closed-form boundaries of each zeta row, g_c and the
 fold g_t, and labels its cells by comparing g with them; its boundaries are
 those exact couplings, in four boundary columns.  No file I/O happens here,
@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .model import ModelParams, SpinBranch, Stability, curvature, observable_terms
+from .model import ModelParams, SpinBranch, curvature, observable_terms
 from .solver import (
     COLUMN_PHASE,
     DEFAULT_CONFIG,
+    UNSTABLE,
     NotFound,
     SolverConfig,
     critical_coupling,
@@ -52,6 +54,8 @@ SWEEP_ZETA_PRESETS = (0.0, 1.0, 2.0, 3.0)
 # root is the stable one (or marginal, tagged gs- as well).
 _COLUMN_TAGS = np.array([0, 2, 2, 1, 4])
 _NORMAL_ROOTS = np.array([0, 1, 1, 0, 0])
+# The branch of each point column of a Sweep, for the model's array forms.
+_COLUMN_BRANCH = SimpleNamespace(sign=np.repeat([branch.sign for branch in SpinBranch], [3, 2]))
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,8 @@ class Sweep:
     """The columns of sweep_g, row i at coupling g[i].
 
     Point columns: those of solver.solve_ground, then the inverted root; n_p,
-    delta_n_a, n_b and energy NaN and stability None where a point is absent.
+    delta_n_a, n_b and energy NaN where a point is absent.  stability is an
+    index into solver.STABILITIES, solver.ABSENT where a point is absent.
     ground is the ground state's column and phase its index into
     solver.PHASES; source[:, t] is the column tagged BRANCH_TAGS[t], -1 if none.
     """
@@ -146,10 +151,10 @@ class PhaseGrid:
 def _sweep(spec: SweepSpec, gs: np.ndarray, config: SolverConfig | None) -> Sweep:
     params = spec.params
     ground, *points = solve_ground(params, gs, config)
-    n_p, delta_n_a, n_b = (np.hstack(pair) for pair in zip(*(observable_terms(
-        param_rows(params, gs[:, None]), pts.branch, np.sqrt(pts.x)) for pts in points)))
+    n_p, delta_n_a, n_b = observable_terms(param_rows(params, gs[:, None]), _COLUMN_BRANCH,
+                                           np.sqrt(np.hstack([pts.x for pts in points])))
     stability = np.hstack([pts.stability for pts in points])
-    tag = _COLUMN_TAGS + _NORMAL_ROOTS * (stability == Stability.UNSTABLE)
+    tag = _COLUMN_TAGS + _NORMAL_ROOTS * (stability == UNSTABLE)
     source = np.full(tag.shape, -1)
     for j in range(tag.shape[1]):  # of two normal roots with one tag, the larger
         i = np.flatnonzero(~np.isnan(n_p[:, j]))
@@ -167,7 +172,7 @@ def sweep_row(spec: SweepSpec, g: float, config: SolverConfig | None = None) -> 
 def sweep_g(spec: SweepSpec, config: SolverConfig | None = None) -> Sweep:
     """Ground state plus all coexisting branches for each g of the sweep, as columns.
 
-    One branch_points call per branch covers the whole grid, and
+    One branch_points call covers both branches on the whole grid, and
     solver.solve_ground picks every ground state by its one rule.
     """
     return _sweep(spec, spec.grid(), config)

@@ -1,7 +1,8 @@
 """Stationary points, phase boundaries and ground-state selection.
 
-Every stationary point has a closed form, evaluated for every g of a sweep at
-once by one array kernel, branch_points; find_roots is its one-point call.
+Every stationary point has a closed form, evaluated by one array kernel over
+rows (g, sign), sign -1 on the normal branch and +1 on the inverted: one call of
+branch_points gives both branches at every g of an array, find_roots at one g.
 With the dressed splitting A = sqrt(omega_a^2 + 4 g^2 x), x = gamma_bar^2, and
 c = zeta^2/(2 g^2 omega_b), multiplying p = 0 by A gives the depressed cubic
 
@@ -50,6 +51,8 @@ __all__ = [
     "NotFound",
     "OutOfRange",
     "BranchPoints",
+    "STABILITIES",
+    "ABSENT",
     "critical_coupling",
     "branch_points",
     "find_roots",
@@ -67,8 +70,6 @@ __all__ = [
 _NEWTON_STEPS = 2
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 _THIRDS = np.array([2.0 * math.pi * k / 3.0 for k in range(3)])
-# by code: 1 curvature > tol_curv, 2 curvature < -tol_curv, 0 in between, 3 no point
-_STABILITY = np.array([Stability.MARGINAL, Stability.STABLE, Stability.UNSTABLE, None])
 _OUT_OF_RANGE = ("is outside the supported range, where every stationary point and its "
                  "phonon number fit in doubles "
                  "(at omega = omega_a = 1, omega_b = 10: about 1e-153 < zeta < 5e153, "
@@ -78,6 +79,9 @@ _OUT_OF_RANGE = ("is outside the supported range, where every stationary point a
 # into PHASES) of each candidate column of solve_ground.
 PHASES = (PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.NP_NPLUS)
 COLUMN_PHASE = np.array([0, 1, 1, 2])
+# A point's stability as an index into STABILITIES, ABSENT where there is no point.
+STABILITIES = (Stability.MARGINAL, Stability.STABLE, Stability.UNSTABLE, None)
+MARGINAL, STABLE, UNSTABLE, ABSENT = range(len(STABILITIES))
 
 
 class SolverError(Exception):
@@ -115,8 +119,8 @@ class BranchPoints:
     """Stationary points of one branch, row i at the i-th g of an array.
 
     Column 0 is gamma_bar = 0, then the positive roots ascending (2 columns on
-    the normal branch, 1 on the inverted), x = gamma_bar^2 NaN and stability
-    None where absent.
+    the normal branch, 1 on the inverted), x = gamma_bar^2 NaN where absent.
+    stability is an index into STABILITIES, ABSENT where a point is absent.
     """
 
     branch: SpinBranch
@@ -144,17 +148,18 @@ def param_rows(params: ModelParams, g: np.ndarray, zeta=None) -> SimpleNamespace
                            zeta=params.zeta if zeta is None else zeta, g=g)
 
 
-def _cubic_x(rows: SimpleNamespace, branch: SpinBranch, g2: np.ndarray) -> np.ndarray:
+def _cubic_x(rows: SimpleNamespace, branch: SimpleNamespace, g2: np.ndarray) -> np.ndarray:
     """x of the roots of c*A^3 - b*A - q = 0 with A > omega_a (NaN if none), per g^2 > 0.
 
-    inf marks a row whose coefficients do not fit in doubles.  The excess
-    A - omega_a nearest 0 comes from the excesses' root product
-    (omega*omega_a + q)/c (exactly 0 at g_c), unless another excess is within
-    1e-4 r of 0 too (next to the triple root at g_c and closure).
+    branch.sign is a column, each row's sign.  inf marks a row whose
+    coefficients do not fit in doubles.  The excess A - omega_a nearest 0 comes
+    from the excesses' root product (omega*omega_a + q)/c (exactly 0 at g_c),
+    unless another excess is within 1e-4 r of 0 too (next to the triple root
+    at g_c and closure).
     """
     oa = rows.omega_a
     c = (rows.zeta * rows.zeta) / (2.0 * g2 * rows.omega_b)
-    q = branch.sign * g2
+    q = branch.sign[:, 0] * g2
     b = rows.omega + c * oa * oa
     r = np.sqrt(b / (3.0 * c))
     arg = q / (2.0 * c * r**3)
@@ -189,56 +194,63 @@ def _cubic_x(rows: SimpleNamespace, branch: SpinBranch, g2: np.ndarray) -> np.nd
     return x
 
 
-def branch_points(params: ModelParams, branch: SpinBranch, g,
-                  config: SolverConfig | None = None) -> BranchPoints:
-    """Every stationary point of a branch at each coupling of the array g.
+def _points(params: ModelParams, g: np.ndarray, sign: np.ndarray, cfg: SolverConfig) -> tuple:
+    """The root kernel: x, energy, curvature and stability at each row (g[i], sign[i]).
 
-    The one root kernel (see the module docstring); params fixes omega,
-    omega_a, omega_b and zeta, and params.g is ignored.  Raises OutOfRange
-    where a point, its energy, curvature or phonon number does not fit in doubles.
+    Columns as in BranchPoints, 2 roots per row: at most 2 on the normal branch
+    (A_2 < 0), and 1 on the inverted (A_1, A_2 < 0), whose second is NaN.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
-    g = np.asarray(g, dtype=float).reshape(-1)
-    rows = param_rows(params, g[:, None])
+    rows, branch = param_rows(params, g[:, None]), SimpleNamespace(sign=sign[:, None])
     with np.errstate(all="ignore"):
         g2 = g * g
         if params.zeta == 0.0:
             x = np.full((g.size, 3), np.nan)
-            if branch is SpinBranch.NORMAL:
-                # a product, not **, so that a huge omega gives inf and OutOfRange
-                x[:, 0] = np.where(g > critical_coupling(params), g2 / (4.0 * (params.omega
-                                   * params.omega)) - params.omega_a**2 / (4.0 * g2), np.nan)
+            # a product, not **, so that a huge omega gives inf and OutOfRange
+            x[:, 0] = np.where((sign < 0.0) & (g > critical_coupling(params)), g2 / (4.0 * (
+                params.omega * params.omega)) - params.omega_a**2 / (4.0 * g2), np.nan)
         else:
             x = _cubic_x(rows, branch, g2)
             x[g2 <= params.omega * params.omega_a * 2.0**-60] = [
                 np.float64(params.omega * params.omega_b) / (2.0 * params.zeta * params.zeta),
                 np.nan, np.nan]
-        # at most 2 positive roots on the normal branch (A_2 < 0), 1 on the inverted (A_1, A_2 < 0)
-        limit = 2 if branch is SpinBranch.NORMAL else 1
-        x = np.hstack([np.zeros((g.size, 1)), np.sort(x, axis=1)[:, :limit]])
+        x = np.hstack([np.zeros((g.size, 1)), np.sort(x, axis=1)[:, :2]])
+        x[sign > 0.0, 2] = np.nan
         gamma_bar = np.sqrt(x)
         energy = scaled_energy(rows, branch, gamma_bar)
         curv = curvature(rows, branch, gamma_bar)
         n_b = params.zeta * (gamma_bar * gamma_bar) / params.omega_b  # as observable_terms does
-        fits = (np.isfinite(energy) & np.isfinite(curv) & np.isfinite(x)
-                & np.isfinite(n_b * n_b))
+        fits = np.isfinite(energy) & np.isfinite(curv) & np.isfinite(x) & np.isfinite(n_b * n_b)
 
     present = ~np.isnan(x)
     fits[:, 1:] &= x[:, 1:] > 0.0
     bad = (present & ~fits).any(axis=1)
     if bad.any():
         raise OutOfRange(f"g={float(g[bad][0])!r}, zeta={params.zeta!r} {_OUT_OF_RANGE}")
-    stability = _STABILITY[(curv > cfg.tol_curv) + 2 * (curv < -cfg.tol_curv) + 3 * ~present]
-    return BranchPoints(branch=branch, x=x, energy=energy, curvature=curv, stability=stability)
+    stability = STABLE * (curv > cfg.tol_curv) + UNSTABLE * (curv < -cfg.tol_curv)
+    stability[~present] = ABSENT
+    return x, energy, curv, stability
 
 
-def find_roots(params: ModelParams, branch: SpinBranch,
-               config: SolverConfig | None = None) -> BranchPoints:
-    """Every stationary point of a branch at params.g, classified.
+def branch_points(params: ModelParams, g, config: SolverConfig | None = None
+                  ) -> tuple[BranchPoints, BranchPoints]:
+    """Every stationary point of both branches at each coupling of the array g.
 
-    The one-row BranchPoints of branch_points at [params.g].
+    (normal, inverted), from one call of the root kernel over the normal rows
+    and then the inverted ones (see the module docstring); params fixes omega,
+    omega_a, omega_b and zeta, and params.g is ignored.  Raises OutOfRange
+    where a point, its energy, curvature or phonon number does not fit in doubles.
     """
-    return branch_points(params, branch, [params.g], config)
+    cfg = config if config is not None else DEFAULT_CONFIG
+    g = np.asarray(g, dtype=float).reshape(-1)
+    columns = _points(params, np.tile(g, 2), np.repeat([-1.0, 1.0], g.size), cfg)
+    return (BranchPoints(SpinBranch.NORMAL, *(column[:g.size] for column in columns)),
+            BranchPoints(SpinBranch.INVERTED, *(column[g.size:, :2] for column in columns)))
+
+
+def find_roots(params: ModelParams, config: SolverConfig | None = None
+               ) -> tuple[BranchPoints, BranchPoints]:
+    """Every stationary point of both branches at params.g: branch_points at [params.g]."""
+    return branch_points(params, [params.g], config)
 
 
 def is_minimum(params: ModelParams, branch: SpinBranch, g: np.ndarray,
@@ -260,8 +272,8 @@ def is_minimum(params: ModelParams, branch: SpinBranch, g: np.ndarray,
 
 def _minima(params: ModelParams, pts: BranchPoints, g: np.ndarray) -> np.ndarray:
     """Stable points of a branch, and marginal ones that is_minimum confirms."""
-    keep = pts.stability == Stability.STABLE
-    i, j = np.nonzero(pts.stability == Stability.MARGINAL)
+    keep = pts.stability == STABLE
+    i, j = np.nonzero(pts.stability == MARGINAL)
     if i.size:
         keep[i, j] = is_minimum(params, pts.branch, g[i], np.sqrt(pts.x[i, j]))
     return keep
@@ -279,7 +291,7 @@ def solve_ground(params: ModelParams, g, config: SolverConfig | None = None
     NotFound.  params.g is ignored.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
-    normal, inverted = (branch_points(params, branch, g, config) for branch in SpinBranch)
+    normal, inverted = branch_points(params, g, config)
     # p decreases along the inverted branch, so its root is never a minimum
     candidate = np.hstack([_minima(params, normal, g), _minima(params, inverted, g)[:, :1]])
     with contextlib.suppress(NotFound):  # no fold at zeta = 0 or in a closed window

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from optodicke import cli, solver
 from optodicke.cli import run
-from optodicke.model import PhaseLabel, Stability
+from optodicke.model import ModelParams, PhaseLabel, Stability
 
 
 def read_csv(path):
@@ -552,22 +552,34 @@ def test_bad_tol_curv_rejected(command, capsys):
 
 def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):
     # Results are columns: one BranchPoints per branch for a whole sweep or a
-    # roots call, none for a phase diagram, whose cells are labelled from g_c and g_t
-    built, branch_points_class = [], solver.BranchPoints
+    # roots call, both from one call of the root kernel, and none for a phase
+    # diagram, whose cells are labelled from g_c and g_t
+    built, kernel_calls = [], []
+    branch_points_class, kernel = solver.BranchPoints, solver._points
 
     def counting(*args, **kwargs):
         built.append(None)
         return branch_points_class(*args, **kwargs)
 
+    def counting_kernel(*args, **kwargs):
+        kernel_calls.append(None)
+        return kernel(*args, **kwargs)
+
     monkeypatch.setattr(solver, "BranchPoints", counting)
+    monkeypatch.setattr(solver, "_points", counting_kernel)
     # g = 1 = g_c is a marginal row, and a marginal cell of every zeta row
-    for argv, count in ((["sweep", "--g", "0:3:301", "--zeta", "1"], 2),
-                        (["phase-diagram", "--g", "0:3:61", "--zeta", "0:3:61"], 0),
-                        (["roots", "--g", "1", "--zeta", "1"], 2)):
+    for argv, count, calls in ((["sweep", "--g", "0:3:301", "--zeta", "1"], 2, 1),
+                               (["phase-diagram", "--g", "0:3:61", "--zeta", "0:3:61"], 0, 0),
+                               (["roots", "--g", "1", "--zeta", "1"], 2, 1)):
         built.clear()
+        kernel_calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(argv) == 0
-        assert len(built) == count, argv
+        assert (len(built), len(kernel_calls)) == (count, calls), argv
+    for g, zeta in ((0.5, 0.0), (1.0, 1.0), (1.5, 1.0), (2.0, 1.0)):
+        kernel_calls.clear()
+        solver.ground_state(ModelParams(g=g, zeta=zeta))
+        assert len(kernel_calls) == 1, (g, zeta)
 
 
 _LABELS = ([p.value for p in PhaseLabel] + [s.value for s in Stability]

@@ -25,6 +25,7 @@ from optodicke.cli import run
 from optodicke.model import ModelParams, PhaseLabel, Stability
 from optodicke.solver import (
     PHASES,
+    STABILITIES,
     NotFound,
     closure_estimate,
     critical_coupling,
@@ -439,12 +440,12 @@ class TestSweepReferee:
         args = (g, p.zeta, p.omega, p.omega_a, p.omega_b)
         column = {tag: j for tag, j in zip(BRANCH_TAGS, sweep.source[i].tolist()) if j >= 0}
         for tag, sign in (("N-", -1), ("N+", +1)):
-            stability = sweep.stability[i, column[tag]]
+            stability = STABILITIES[sweep.stability[i, column[tag]]]
             if stability is not Stability.MARGINAL:
                 p0 = oracles.p_of_x(0.0, sign, *args)
                 assert stability is self._stability(p0), (g, tag)
         for sign, tags in ((-1, ("gs-", "gus-")), (+1, ("gus+",))):
-            got = [(float(sweep.n_p[i, column[t]]), sweep.stability[i, column[t]])
+            got = [(float(sweep.n_p[i, column[t]]), STABILITIES[sweep.stability[i, column[t]]])
                    for t in tags if t in column]
             if sign < 0 and abs(g - g_t) <= 1e-9 * g_t:
                 # within rounding of the fold the pair may or may not split;

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from optodicke import rabi
-from optodicke.model import ModelParams, SpinBranch
+from optodicke.model import ModelParams
 from optodicke.rabi import (
     ConvergenceFailure,
     _block_columns,
@@ -23,7 +23,7 @@ from optodicke.rabi import (
     smallest_eigenvalue,
     variational_energy,
 )
-from optodicke.solver import find_roots
+from optodicke.solver import STABILITIES, find_roots
 
 import oracles
 
@@ -181,9 +181,10 @@ class TestVariationalEnergy:
         # same number as the zeta=0 normal-branch minimum of the N-atom model
         for g in (0.4, 1.2, 2.0, 2.8):
             params = ModelParams(g=g, zeta=0.0, n_atoms=1)
-            pts = find_roots(params, SpinBranch.NORMAL)
+            pts = find_roots(params)[0]
             best = min((e for e, s in zip(pts.energy[0].tolist(), pts.stability[0].tolist())
-                        if s is not None and s.value != "unstable"), default=None)
+                        if STABILITIES[s] is not None and STABILITIES[s].value != "unstable"),
+                       default=None)
             assert variational_energy(RabiParams(g=g)) == pytest.approx(best, abs=1e-12)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from optodicke.model import ModelParams, PhaseLabel, SpinBranch, Stability, extremum_polynomial
 from optodicke.solver import (
+    STABILITIES,
     NotFound,
     SolverConfig,
     branch_points,
@@ -22,7 +23,6 @@ from optodicke.solver import (
 
 import oracles
 
-NORMAL, INVERTED = SpinBranch.NORMAL, SpinBranch.INVERTED
 REF = ModelParams(omega=1.0, omega_a=1.0, omega_b=10.0, g=1.5, zeta=1.0)
 
 # Frozen from the closed-form fold condition (oracles.fold_gt, bisected to
@@ -53,6 +53,11 @@ class TestCriticalCoupling:
             assert critical_coupling(p) == critical_coupling(ModelParams(omega=1.3))
 
 
+def members(column):
+    """The Stability members of a column of indices into STABILITIES, None where absent."""
+    return [STABILITIES[k] for k in column]
+
+
 def no_roots(pts):
     """Whether a one-row find_roots result has no positive root (only its zero point)."""
     return bool(np.isnan(pts.x[0, 1:]).all())
@@ -61,25 +66,25 @@ def no_roots(pts):
 class TestZeroPhotonPoint:
     # column 0 of find_roots is the zero point gamma_bar = 0
     def test_normal_below_critical(self):
-        pts = find_roots(ModelParams(g=0.8, zeta=1.0), NORMAL)
-        assert pts.stability[0, 0] is Stability.STABLE
+        pts = find_roots(ModelParams(g=0.8, zeta=1.0))[0]
+        assert STABILITIES[pts.stability[0, 0]] is Stability.STABLE
         assert pts.energy[0, 0] == -0.5
         assert math.sqrt(pts.x[0, 0]) == 0.0
 
     def test_normal_above_critical(self):
-        pts = find_roots(ModelParams(g=1.5, zeta=1.0), NORMAL)
-        assert pts.stability[0, 0] is Stability.UNSTABLE
+        pts = find_roots(ModelParams(g=1.5, zeta=1.0))[0]
+        assert STABILITIES[pts.stability[0, 0]] is Stability.UNSTABLE
         assert pts.curvature[0, 0] == pytest.approx(2 * (1 - 2.25), rel=1e-15)
 
     def test_inverted_always_stable(self):
         for g in (0.0, 1.0, 3.0, 10.0):
-            pts = find_roots(ModelParams(g=g, zeta=2.0), INVERTED)
-            assert pts.stability[0, 0] is Stability.STABLE
+            pts = find_roots(ModelParams(g=g, zeta=2.0))[1]
+            assert STABILITIES[pts.stability[0, 0]] is Stability.STABLE
             assert pts.energy[0, 0] == +0.5
 
     def test_marginal_exactly_at_critical(self):
-        pts = find_roots(ModelParams(g=1.0, zeta=1.0), NORMAL)
-        assert pts.stability[0, 0] is Stability.MARGINAL
+        pts = find_roots(ModelParams(g=1.0, zeta=1.0))[0]
+        assert STABILITIES[pts.stability[0, 0]] is Stability.MARGINAL
 
     def test_bitwise_the_kernel_zero_point(self):
         # scalar and array powers differ in the last bit for some omega_a, so
@@ -89,9 +94,7 @@ class TestZeroPhotonPoint:
         gs = np.array([0.3, 0.7, 1.9])
         for omega_a in rng.uniform(0.3, 3.0, 400):
             params = ModelParams(omega_a=float(omega_a), g=0.7, zeta=0.5)
-            for branch in (NORMAL, INVERTED):
-                pts = branch_points(params, branch, gs)
-                one = find_roots(params, branch)
+            for pts, one in zip(branch_points(params, gs), find_roots(params)):
                 assert (one.energy[0, 0], one.curvature[0, 0], one.stability[0, 0]) == (
                     pts.energy[1, 0], pts.curvature[1, 0], pts.stability[1, 0])
 
@@ -99,49 +102,55 @@ class TestZeroPhotonPoint:
 class TestFindRoots:
     # columns 1 on are the positive roots, ascending; x NaN and stability None where absent
     def test_dicke_limit_closed_form(self):
-        pts = find_roots(ModelParams(g=1.5, zeta=0.0), NORMAL)
-        assert pts.stability[0, 1:].tolist() == [Stability.STABLE, None]
+        pts = find_roots(ModelParams(g=1.5, zeta=0.0))[0]
+        assert members(pts.stability[0, 1:]) == [Stability.STABLE, None]
         assert pts.x[0, 1] == pytest.approx(0.45139, abs=1e-5)
-        assert no_roots(find_roots(ModelParams(g=0.9, zeta=0.0), NORMAL))
-        assert no_roots(find_roots(ModelParams(g=1.5, zeta=0.0), INVERTED))
-        assert no_roots(find_roots(ModelParams(g=1.0, zeta=0.0), NORMAL))
+        assert no_roots(find_roots(ModelParams(g=0.9, zeta=0.0))[0])
+        assert no_roots(find_roots(ModelParams(g=1.5, zeta=0.0))[1])
+        assert no_roots(find_roots(ModelParams(g=1.0, zeta=0.0))[0])
 
     def test_two_roots_reference_point(self):
-        pts = find_roots(REF, NORMAL)
-        assert pts.stability[0, 1:].tolist() == [Stability.STABLE, Stability.UNSTABLE]
+        pts = find_roots(REF)[0]
+        assert members(pts.stability[0, 1:]) == [Stability.STABLE, Stability.UNSTABLE]
         assert pts.x[0, 1] == pytest.approx(0.622866850294, abs=1e-8)
         assert pts.x[0, 2] == pytest.approx(2.803420852626, abs=1e-8)
         assert pts.energy[0, 1] == pytest.approx(-0.701017167434, abs=1e-9)
         assert pts.energy[0, 2] == pytest.approx(-0.543296049428, abs=1e-9)
 
     def test_single_unstable_root_below_critical(self):
-        pts = find_roots(ModelParams(g=0.8, zeta=1.0), NORMAL)
-        assert pts.stability[0, 1:].tolist() == [Stability.UNSTABLE, None]
+        pts = find_roots(ModelParams(g=0.8, zeta=1.0))[0]
+        assert members(pts.stability[0, 1:]) == [Stability.UNSTABLE, None]
         assert pts.x[0, 1] == pytest.approx(4.051017519835, abs=1e-8)
 
     def test_inverted_root_beyond_normal_scan_bound(self):
         # the inverted-branch root lies past omega*omega_b/(2 zeta^2)
-        pts = find_roots(REF, INVERTED)
-        assert pts.stability[0, 1:].tolist() == [Stability.UNSTABLE]
+        pts = find_roots(REF)[1]
+        assert members(pts.stability[0, 1:]) == [Stability.UNSTABLE]
         assert pts.x[0, 1] == pytest.approx(6.462601185968, abs=1e-8)
         assert pts.x[0, 1] > REF.omega * REF.omega_b / (2 * REF.zeta**2)
 
     def test_no_normal_roots_beyond_fold(self):
-        assert no_roots(find_roots(ModelParams(g=2.0, zeta=1.0), NORMAL))
-        pts = find_roots(ModelParams(g=2.0, zeta=1.0), INVERTED)
-        assert pts.stability[0, 1:].tolist() == [Stability.UNSTABLE]
+        assert no_roots(find_roots(ModelParams(g=2.0, zeta=1.0))[0])
+        pts = find_roots(ModelParams(g=2.0, zeta=1.0))[1]
+        assert members(pts.stability[0, 1:]) == [Stability.UNSTABLE]
         assert pts.x[0, 1] == pytest.approx(6.895515378286, abs=1e-8)
 
+    def test_both_branches_in_order(self):
+        # one call gives (normal, inverted); the inverted branch has one root column
+        normal, inverted = find_roots(REF)
+        assert (normal.branch, inverted.branch) == tuple(SpinBranch)
+        assert normal.x.shape == (1, 3) and inverted.x.shape == (1, 2)
+
     def test_zero_point_always_reported(self):
-        pts = find_roots(REF, NORMAL)
+        pts = find_roots(REF)[0]
         assert pts.x[0, 0] == 0.0
-        assert pts.stability[0, 0] is Stability.UNSTABLE
+        assert STABILITIES[pts.stability[0, 0]] is Stability.UNSTABLE
 
     def test_residual_bound(self):
         # |p(root)| <= 10 * 1e-10 * |dp/dgamma| at every refined root
         for params in (REF, ModelParams(g=0.8, zeta=1.0), ModelParams(g=1.2, zeta=2.0)):
-            for branch in SpinBranch:
-                x = find_roots(params, branch).x[0, 1:]
+            for pts in find_roots(params):
+                branch, x = pts.branch, pts.x[0, 1:]
                 for gb in np.sqrt(x[~np.isnan(x)]).tolist():
                     h = 1e-7
                     slope = (float(extremum_polynomial(params, branch, gb + h))
@@ -153,13 +162,13 @@ class TestFindRoots:
     def test_root_count_at_fold_edge(self, zeta):
         # 1e-9 either side of the fold: the stable/unstable pair, then nothing
         g_t = oracles.fold_gt(zeta)
-        below = find_roots(ModelParams(g=g_t - 1e-9, zeta=zeta), NORMAL)
-        above = find_roots(ModelParams(g=g_t + 1e-9, zeta=zeta), NORMAL)
-        assert below.stability[0, 1:].tolist() == [Stability.STABLE, Stability.UNSTABLE]
+        below = find_roots(ModelParams(g=g_t - 1e-9, zeta=zeta))[0]
+        above = find_roots(ModelParams(g=g_t + 1e-9, zeta=zeta))[0]
+        assert members(below.stability[0, 1:]) == [Stability.STABLE, Stability.UNSTABLE]
         assert no_roots(above)
 
     def test_certified_empty_beyond_fold(self):
-        assert no_roots(find_roots(ModelParams(g=GT_ORACLE[1.0] + 1e-4, zeta=1.0), NORMAL))
+        assert no_roots(find_roots(ModelParams(g=GT_ORACLE[1.0] + 1e-4, zeta=1.0))[0])
 
 
 def test_triple_root_at_critical_coupling_and_closure():
@@ -169,8 +178,8 @@ def test_triple_root_at_critical_coupling_and_closure():
     # of p(0) as a root)
     base = ModelParams(omega=1.2)
     params = replace(base, g=critical_coupling(base), zeta=closure_estimate(base))
-    assert no_roots(find_roots(params, NORMAL))
-    x_inv = find_roots(params, INVERTED).x[0, 1:]
+    assert no_roots(find_roots(params)[0])
+    x_inv = find_roots(params)[1].x[0, 1:]
     assert x_inv[~np.isnan(x_inv)].tolist() == pytest.approx(
         oracles.scan_roots(+1, params.g, params.zeta, 1.2, 1.0, 10.0), rel=1e-9)
     assert ground_state(params)[0] is PhaseLabel.NP_NMINUS
@@ -184,11 +193,11 @@ def test_brute_force_equivalence_grid():
     for g in gs:
         for z in zs:
             params = ModelParams(g=float(g), zeta=float(z))
-            for branch, sign in ((NORMAL, -1), (INVERTED, +1)):
+            for pts, sign in zip(find_roots(params), (-1, +1)):
                 expected = oracles.scan_roots(sign, float(g), float(z), 1.0, 1.0, 10.0)
-                x = find_roots(params, branch).x[0, 1:]
+                x = pts.x[0, 1:]
                 got = np.sqrt(x[~np.isnan(x)]).tolist()
-                assert len(got) == len(expected), (g, z, branch)
+                assert len(got) == len(expected), (g, z, pts.branch)
                 for amplitude, x_ref in zip(got, expected):
                     assert amplitude == pytest.approx(math.sqrt(x_ref), abs=1e-6)
                 checked += 1
@@ -221,10 +230,10 @@ class TestTurningPoint:
 
     def test_stable_count_flips_across_fold(self):
         g_t = turning_point(ModelParams(), zeta=1.0)
-        below = find_roots(ModelParams(g=g_t - 2e-6, zeta=1.0), NORMAL)
-        above = find_roots(ModelParams(g=g_t + 2e-6, zeta=1.0), NORMAL)
-        assert np.count_nonzero(below.stability[0, 1:] == Stability.STABLE) == 1
-        assert np.count_nonzero(above.stability[0, 1:] == Stability.STABLE) == 0
+        below = find_roots(ModelParams(g=g_t - 2e-6, zeta=1.0))[0]
+        above = find_roots(ModelParams(g=g_t + 2e-6, zeta=1.0))[0]
+        assert members(below.stability[0, 1:]).count(Stability.STABLE) == 1
+        assert members(above.stability[0, 1:]).count(Stability.STABLE) == 0
 
     @pytest.mark.parametrize("zeta", [1e-8, 1e-45, 1e-200])
     def test_small_zeta_no_overflow(self, zeta):
@@ -300,7 +309,7 @@ class TestGroundState:
         assert energy == -0.5
         # the ground point is N-'s zero point, column 0 of solve_ground
         column, normal, _ = solve_ground(params, [params.g])
-        assert column[0] == 0 and normal.stability[0, 0] is Stability.STABLE
+        assert column[0] == 0 and STABILITIES[normal.stability[0, 0]] is Stability.STABLE
 
     def test_superradiant_phase(self):
         phase, n_p, _, _, energy = ground_state(REF)
@@ -337,7 +346,7 @@ class TestGroundState:
         assert phase is PhaseLabel.NP_NMINUS
         assert energy == -0.5
         column, normal, _ = solve_ground(params, [params.g])
-        assert column[0] == 0 and normal.stability[0, 0] is Stability.MARGINAL
+        assert column[0] == 0 and STABILITIES[normal.stability[0, 0]] is Stability.MARGINAL
 
     def test_dicke_reduction(self):
         # zeta = 0: single transition at g_c, superradiant forever after
@@ -370,13 +379,13 @@ def test_stability_band_edges(g, curv):
     # the one stability rule, on branch_points' column: the N- zero point has
     # curvature 2(omega - g^2/omega_a), exact in doubles here, and is marginal
     # while |curvature| <= tol_curv, stable or unstable by its sign beyond
-    pts = branch_points(ModelParams(), NORMAL, [g], SolverConfig(tol_curv=abs(curv)))
-    assert (pts.curvature[0, 0], pts.stability[0, 0]) == (curv, Stability.MARGINAL)
+    pts = branch_points(ModelParams(), [g], SolverConfig(tol_curv=abs(curv)))[0]
+    assert (pts.curvature[0, 0], STABILITIES[pts.stability[0, 0]]) == (curv, Stability.MARGINAL)
     beyond = Stability.STABLE if curv > 0.0 else Stability.UNSTABLE
-    pts = branch_points(ModelParams(), NORMAL, [g],
-                        SolverConfig(tol_curv=float(np.nextafter(abs(curv), 0.0))))
-    assert pts.stability[0, 0] is beyond
+    pts = branch_points(ModelParams(), [g],
+                        SolverConfig(tol_curv=float(np.nextafter(abs(curv), 0.0))))[0]
+    assert STABILITIES[pts.stability[0, 0]] is beyond
     # far outside the band, and a curvature well inside it
-    assert branch_points(ModelParams(), NORMAL, [g]).stability[0, 0] is beyond
-    pts = branch_points(ModelParams(), NORMAL, [g], SolverConfig(tol_curv=2.0 * abs(curv)))
-    assert pts.stability[0, 0] is Stability.MARGINAL
+    assert STABILITIES[branch_points(ModelParams(), [g])[0].stability[0, 0]] is beyond
+    pts = branch_points(ModelParams(), [g], SolverConfig(tol_curv=2.0 * abs(curv)))[0]
+    assert STABILITIES[pts.stability[0, 0]] is Stability.MARGINAL
