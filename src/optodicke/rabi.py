@@ -23,25 +23,28 @@ iteration steps picks the next pass's points, nested around it (+-1,
 +-16, +-256, ...); a column that pass leaves wider than one cell goes on
 bisecting its lattice uniformly.  The result is the lattice cell whose
 Sturm counts hold the eigenvalue: the certificate of plain multisection,
-and independent of the guess and of the other columns, to the bit.
+and independent of the guess and of the other columns, to the bit.  Only
+the leading rows that the passes, the guess and the residual read are built.
 
-The truncation gap compares with the blocks at n_max // 2, the leading
-rows of the n_max blocks: 0 where no pass reads past row n_max // 2 + 1,
-else from the half blocks, solved in the same batch or a second call.
+The truncation gap compares with the blocks at half = max(2, n_max // 2),
+the leading rows of the n_max blocks: 0 where no pass reads past row
+half + 1, else from the half blocks, solved in the same batch or a second call.
 
-The eigenpair residual is checked on the guess vectors, then by inverse
-iteration shifted just below the eigenvalue (positive definite, so its
-O(n) LDL^T solve needs no pivoting) on the leading 2*reach rows, doubled
-up to n until it meets its target; reach is the last row a Sturm pass
-read.  Both count the coupling out of their rows, so they are residuals
-against the whole block.  No dense matrix is formed: an oracle fully
-independent of the variational closed forms it is compared against.
+The eigenpair residual is checked on the guess vectors, taken on the rows
+up to 16 past the dominant tail, then by inverse iteration shifted just
+below the eigenvalue (positive definite, so its O(n) LDL^T solve needs no
+pivoting) on the leading 2*reach rows, doubled up to n until it meets its
+target; reach is the last row a Sturm pass read.  Both count the coupling
+out of their rows, so they are residuals against the whole block.  No
+dense matrix is formed: an oracle fully independent of the variational
+closed forms it is compared against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -82,6 +85,10 @@ _INVERSE_STEPS = 3
 # 61-point grid missed the residual target and was solved again.
 _GUESS_STEPS = 4
 _RESIDUAL_TOL = 1e-10
+# Rows past the dominant tail that the guess reads.  The ladder pass stops
+# about 12 rows past the tail, and 15 rows met the residual target on every
+# column of the 61-point detuning grids at n_max 300.
+_GUESS_ROWS = 16
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 # Bounds of the frequencies and of g (see RabiParams).
@@ -148,18 +155,43 @@ class TridiagonalBlock:
         return (np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1))
 
 
-def _block_columns(omega: float, omega_a: float, g: np.ndarray,
-                   n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals (n_max + 1, 2 len(g)) and offdiagonals (n_max, 2 len(g)).
+def _parity_diagonals(omega: float, omega_a: float, n: np.ndarray) -> np.ndarray:
+    """Rows n of the +1 and the -1 block's diagonal, as the rows of (2, len(n))."""
+    sign = 1.0 - 2.0 * (n % 2)  # (-1)^n
+    return np.stack([omega * n + parity * 0.5 * omega_a * sign for parity in (+1, -1)])
 
-    Each column is one parity block: column i the +1 block of g[i] and
-    column len(g) + i its -1 block.
+
+def _block_columns(omega: float, omega_a: float, g: np.ndarray, n_max: int,
+                   rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (rows, 2 len(g)) and offdiagonals (min(rows, n_max), 2 len(g)).
+
+    The leading rows (all n_max + 1 by default) of the blocks at n_max and
+    the couplings out of them.  Each column is one parity block: column i
+    the +1 block of g[i] and column len(g) + i its -1 block.
     """
-    n = np.arange(n_max + 1)
-    offdiag = np.sqrt(n[:-1] + 1.0)[:, None] * (0.5 * np.asarray(g, dtype=float))
-    diag = np.stack([omega * n + parity * 0.5 * omega_a * (-1.0) ** n for parity in (+1, -1)],
-                    axis=1)
-    return np.repeat(diag, len(g), axis=1), np.concatenate([offdiag, offdiag], axis=1)
+    n = np.arange(n_max + 1 if rows is None else rows)
+    offdiag = np.sqrt(n[:n_max] + 1.0)[:, None] * (0.5 * np.asarray(g, dtype=float))
+    return (np.repeat(_parity_diagonals(omega, omega_a, n).T, len(g), axis=1),
+            np.concatenate([offdiag, offdiag], axis=1))
+
+
+class _Blocks:
+    """The leading k rows of a batch of blocks with n rows (all n by default), one per column.
+
+    diag holds rows 0..k-1, offdiag the couplings out of them (n - 1 if
+    k = n) and off2 their squares.  grow(rows) rebuilds at least min(rows, n)
+    rows, at least doubling k, through build(k); no result depends on k.
+    """
+
+    def __init__(self, diag: np.ndarray, offdiag: np.ndarray, n: int | None = None,
+                 build=None) -> None:
+        self.diag, self.offdiag, self.off2 = diag, offdiag, offdiag * offdiag
+        self.n, self.build = len(diag) if n is None else n, build
+
+    def grow(self, rows: int) -> None:
+        if len(self.diag) < min(rows, self.n):
+            self.diag, self.offdiag = self.build(min(self.n, max(rows, 2 * len(self.diag))))
+            self.off2 = self.offdiag * self.offdiag
 
 
 def build_blocks(params: RabiParams, n_max: int) -> tuple[TridiagonalBlock, TridiagonalBlock]:
@@ -189,17 +221,18 @@ def _norm_bounds(diag: np.ndarray, offdiag: np.ndarray, radii: np.ndarray | None
     return np.max(np.abs(diag) + (_radii(offdiag) if radii is None else radii), axis=0)
 
 
-def _sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: np.ndarray, pivmin: np.ndarray,
+def _sturm_count(blocks: _Blocks, x: np.ndarray, pivmin: np.ndarray,
                  tail: int) -> tuple[np.ndarray, int]:
     """Eigenvalues strictly below each trial point (negative pivots of LDL^T).
 
-    diag is (n, columns), offdiag (n - 1, columns) and >= 0, x the trial
-    points (k, columns) and pivmin (columns,).  As in LAPACK dstebz, the
-    pivots are q_i = (d_i - t_(i-1)^2 / q_(i-1)) - x, and a pivot smaller
-    than pivmin in magnitude (an exact 0 too) is replaced by -pivmin, so a
-    pivot counts as negative exactly when it is below pivmin.  One pass over
-    n serves every block and trial point; returns counts (k, columns) and
-    the pass's reach: the row it stopped at, or n if it read every row.
+    blocks holds n rows per column, offdiagonals >= 0, and grows as the
+    pass reads on; x is the trial points (k, columns) and pivmin (columns,).
+    As in LAPACK dstebz, the pivots are q_i = (d_i - t_(i-1)^2 / q_(i-1)) - x,
+    and a pivot smaller than pivmin in magnitude (an exact 0 too) is
+    replaced by -pivmin, so a pivot counts as negative exactly when it is
+    below pivmin.  One pass over n serves every block and trial point;
+    returns counts (k, columns) and the pass's reach: the row it stopped at,
+    or n if it read every row.
 
     Rows from tail on are diagonally dominant below every trial point (see
     _dominant_tail).  Once every pivot q_i with i >= tail - 1 is at least
@@ -208,21 +241,26 @@ def _sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: np.ndarray, pivmin: n
     row after it are then non-negative.
     """
     negpiv = -pivmin
-    off2 = offdiag * offdiag
+    diag, offdiag, off2 = blocks.diag, blocks.offdiag, blocks.off2
     q = diag[0] - x
-    negative = np.empty((len(diag),) + q.shape, dtype=bool)
+    built = len(diag)
+    negative = np.empty((built,) + q.shape, dtype=bool)
     ratio = np.empty_like(q)
     np.less(q, pivmin, out=negative[0])
     np.minimum(q, negpiv, out=q, where=negative[0])
-    for i in range(1, len(diag)):
+    for i in range(1, blocks.n):
+        if i == built:
+            blocks.grow(i + 1)
+            diag, offdiag, off2, built = blocks.diag, blocks.offdiag, blocks.off2, len(blocks.diag)
+            negative = np.resize(negative, (built,) + q.shape)  # rows i on: set below
         np.divide(off2[i - 1], q, out=ratio)
         np.subtract(diag[i], ratio, out=q)
         q -= x
         np.less(q, pivmin, out=negative[i])
         np.minimum(q, negpiv, out=q, where=negative[i])
-        if i + 1 >= tail and i + 1 < len(diag) and np.all(q >= offdiag[i]):
+        if i + 1 >= tail and i + 1 < blocks.n and np.all(q >= offdiag[i]):
             return negative[:i + 1].sum(axis=0), i
-    return negative.sum(axis=0), len(diag)
+    return negative.sum(axis=0), blocks.n
 
 
 def _dominant_tail(diag: np.ndarray, radii: np.ndarray, hi: np.ndarray,
@@ -258,6 +296,51 @@ def _bracket(diag: np.ndarray, offdiag: np.ndarray
     return lo, hi, pivmin, _dominant_tail(diag, radii, hi, pivmin), scale
 
 
+def _parity_tail(omega: float, omega_a: float, g: np.ndarray,
+                 n_max: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The parity diagonals (2, n_max + 1), their minima hi, and the batch's tail.
+
+    d_i depends only on the parity, and t_i = sqrt(i + 1) g/2 grows with g,
+    so the _dominant_tail of the blocks at n_max of a g grid is that of the
+    largest g's two blocks: a row dominant there is dominant at every g.
+    """
+    n = np.arange(n_max + 1)
+    diag = _parity_diagonals(omega, omega_a, n)
+    hi = diag.min(axis=1)
+    top = np.sqrt(n[:-1] + 1.0)[:, None] * (0.5 * g.max(initial=0.0))
+    top_radii, top_pivmin = _radii(top), np.maximum(top[-1] * top[-1], 1.0) * _TINY
+    return diag, hi, max(_dominant_tail(d[:, None], top_radii, h, top_pivmin)
+                         for d, h in zip(diag, hi))
+
+
+def _ground_bracket(omega: float, omega_a: float, g: np.ndarray, n_max: int, diag: np.ndarray,
+                    hi: np.ndarray, tail: int) -> tuple[tuple, _Blocks]:
+    """_bracket of the blocks at n_max of a g grid, to the bit, and their _Blocks.
+
+    diag, hi and tail are those of _parity_tail.  pivmin comes from
+    t_(n_max - 1), as t_i grows with i.  A dominant row j has
+    d_j - r_j > hi >= lo, so lo is a minimum over the rows above the tail.
+    r_i grows with i up to n_max - 1, so the norm bound is attained at row
+    n_max or at a row whose |d_i| exceeds that of every later row below
+    n_max.  The blocks hold the rows the guess reads.
+    """
+    build = partial(_block_columns, omega, omega_a, g, n_max)
+    blocks = _Blocks(*build(min(n_max + 1, tail + _GUESS_ROWS + 1)), n_max + 1, build)
+    lo = np.min(blocks.diag[:tail] - _radii(blocks.offdiag[:tail])[:tail], axis=0)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ConvergenceFailure("non-finite Gershgorin interval; block is malformed")
+    size = np.abs(diag[:, :-1])
+    later = np.maximum.accumulate(size[:, ::-1], axis=1)[:, -2::-1]  # max |d_j|, i < j < n_max
+    rows = np.append(np.flatnonzero((size[:, :-1] > later).any(axis=0)), [n_max - 1, n_max])
+    root = np.sqrt(np.stack([rows, rows + 1]) + 0.0)  # sqrt(j + 1) of t_j, j = i - 1 and i
+    root[1, rows == n_max] = 0.0
+    t = np.abs(root[:, :, None] * (0.5 * g))  # t[0, -1] is t_(n_max - 1)
+    bound = np.abs(np.repeat(diag[:, rows].T, len(g), axis=1)) + np.tile(t[0] + t[1], 2)
+    pivmin = np.maximum(t[0, -1] * t[0, -1], 1.0) * _TINY
+    return (lo, np.repeat(hi, len(g)), np.tile(pivmin, 2), tail,
+            np.maximum(np.max(bound, axis=0), 1.0)), blocks
+
+
 def _lattice_depth(lo: np.ndarray, hi: np.ndarray, tol: float,
                    pivmin: np.ndarray) -> np.ndarray:
     """Smallest K with (hi - lo) 2^-K <= S/2 - eps (hi - lo) for brackets [lo, hi].
@@ -275,26 +358,28 @@ def _lattice_depth(lo: np.ndarray, hi: np.ndarray, tol: float,
     return depth + (np.ldexp(width, -depth) > target)
 
 
-def _lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-12,
+def _lowest_eigenpairs(blocks: _Blocks, tol: float = 1e-12,
                        bracket: tuple | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Smallest eigenvalue of every column's block, the residual of its eigenpair, and reach.
 
-    diag is (n, columns) and offdiag (n - 1, columns), >= 0.  A column's
+    blocks holds n rows per column, offdiagonals >= 0; only the rows that
+    the passes, the guess and the residual read are built.  A column's
     _TRIALS points per pass follow from its own state: coarse, uniform in
     [lo, hi] until hi - lo <= _COARSE max(1, |lo|, |hi|); then on the
     lattice anchored there, lo + (hi - lo) i 2^-K (K from _lattice_depth),
     uniform in its index bracket (the fallback) except for one ladder pass,
     floor(theta) + _LADDER.  theta is the Rayleigh quotient of _GUESS_STEPS
-    inverse-iteration steps shifted below lo on the leading 2 reach rows,
-    computed for every column at once when no moving column is coarse.  A
-    column stops at hi - lo <= max(tol, 2 eps max(|lo|, |hi|), pivmin) or
-    at one lattice cell, which is no wider; that cell depends on the
-    column's counts alone, not on theta or the batch.  bracket is
-    _bracket(diag, offdiag) if the caller has it.  reach is the largest
-    reach of any pass (0 if none ran).  Returns (values, residuals, reach).
+    inverse-iteration steps shifted below lo on the leading tail +
+    _GUESS_ROWS rows, computed for every column at once when no moving
+    column is coarse.  A column stops at hi - lo <= max(tol, 2 eps
+    max(|lo|, |hi|), pivmin) or at one lattice cell, which is no wider; that
+    cell depends on the column's counts alone, not on theta or the batch.
+    bracket is _bracket of the whole blocks; without it they must be built
+    whole.  reach is the largest reach of any pass (0 if none ran).
+    Returns (values, residuals, reach).
     """
-    lo, hi, pivmin, tail, scale = _bracket(diag, offdiag) if bracket is None else bracket
-    n, width = diag.shape
+    lo, hi, pivmin, tail, scale = bracket or _bracket(blocks.diag, blocks.offdiag)
+    n, width = blocks.n, blocks.diag.shape[1]
     columns = np.arange(width)
     lattice = np.zeros(width, dtype=bool)
     anchor, cell = np.zeros(width), np.zeros(width)  # a and w 2^-K of each lattice
@@ -319,8 +404,10 @@ def _lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-12
             ilo[enter], ihi[enter] = 0, np.left_shift(1, depth)
             lattice |= enter
         if vectors is None and lattice.any() and not np.any(moving & ~lattice):
-            m = min(n, max(2, 2 * reach))
-            theta, guess = _rayleigh_guess(diag[:m], offdiag[:m - 1], lo - _SHIFT * scale)
+            m = min(n, tail + _GUESS_ROWS)
+            blocks.grow(m)
+            theta, guess = _rayleigh_guess(blocks.diag[:m], blocks.offdiag[:m - 1],
+                                           lo - _SHIFT * scale)
             vectors = np.zeros((min(n, m + 1), width))  # row m: the coupling out of the guess
             vectors[:m] = guess
             # fmax and fmin drop a NaN guess for the bracket's lower end.
@@ -329,7 +416,7 @@ def _lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-12
             index[:, moving] = np.clip(np.floor(at).astype(np.int64) + _LADDER,
                                        ilo[moving] + 1, ihi[moving] - 1)
         points = np.where(lattice, anchor + cell * index, lo + (hi - lo) * _FRACTIONS)
-        counts, last = _sturm_count(diag, offdiag, points, pivmin, tail)
+        counts, last = _sturm_count(blocks, points, pivmin, tail)
         reach = max(reach, last)
         # The first trial point with an eigenvalue below it is the new upper
         # end, the point before it the new lower end.
@@ -345,11 +432,11 @@ def _lowest_eigenpairs(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-12
         raise ConvergenceFailure(
             f"multisection exceeded {_MAX_SWEEPS} sweeps; block is malformed")
     values = 0.5 * (lo + hi)
-    return values, _eigenpair_residual(diag, offdiag, values, reach, vectors, scale), reach
+    return values, _eigenpair_residual(blocks, values, reach, vectors, scale), reach
 
 
-def _eigenpair_residual(diag: np.ndarray, offdiag: np.ndarray, values: np.ndarray,
-                        reach: int | None = None, vectors: np.ndarray | None = None,
+def _eigenpair_residual(blocks: _Blocks, values: np.ndarray, reach: int | None = None,
+                        vectors: np.ndarray | None = None,
                         scale: np.ndarray | None = None) -> np.ndarray:
     """Residuals ||T v - value v||, one per column's block, within 1e-10 times its scale.
 
@@ -364,22 +451,25 @@ def _eigenpair_residual(diag: np.ndarray, offdiag: np.ndarray, values: np.ndarra
     _INVERSE_STEPS solves is solved again with m doubled, up to n;
     ConvergenceFailure if it misses at m = n.  scale is max(1, norm bound).
     """
-    n = len(diag)
+    n = blocks.n
     m = n if reach is None else min(n, max(2, 2 * reach))
-    if scale is None:
-        scale = np.maximum(_norm_bounds(diag, offdiag), 1.0)
-    residuals = np.full(diag.shape[1], np.inf)
+    if scale is None:  # the blocks are whole
+        scale = np.maximum(_norm_bounds(blocks.diag, blocks.offdiag), 1.0)
+    residuals = np.full(len(values), np.inf)
     if vectors is not None:
         k = len(vectors)
-        direct = np.sqrt(np.sum(np.square(_apply(diag[:k] - values, offdiag[:k - 1], vectors)),
-                                axis=0))
+        blocks.grow(k)
+        direct = np.sqrt(np.sum(np.square(_apply(blocks.diag[:k] - values,
+                                                 blocks.offdiag[:k - 1], vectors)), axis=0))
         met = direct <= _RESIDUAL_TOL * scale
         residuals[met] = direct[met]
     missing = np.flatnonzero(np.isinf(residuals))  # the columns without an accepted residual
     while missing.size:
-        coupling = offdiag[m - 1, missing] if m < n else 0.0
-        residuals[missing] = _inverse_iteration(diag[:m, missing], offdiag[:m - 1, missing],
-                                                coupling, values[missing], scale[missing])
+        blocks.grow(m)
+        coupling = blocks.offdiag[m - 1, missing] if m < n else 0.0
+        residuals[missing] = _inverse_iteration(blocks.diag[:m, missing],
+                                                blocks.offdiag[:m - 1, missing], coupling,
+                                                values[missing], scale[missing])
         missing = np.flatnonzero(np.isinf(residuals))
         if not missing.size:
             break
@@ -458,9 +548,9 @@ def smallest_eigenvalue(block: TridiagonalBlock, tol: float = 1e-12) -> tuple[fl
     A batch of one for the multisection kernel: the bracket stops at
     max(tol, 2*eps*|value|, pivmin); returns (value, ||H v - E v||).
     """
-    values, residuals, _ = _lowest_eigenpairs(np.asarray(block.diag, dtype=float)[:, None],
-                                              np.asarray(block.offdiag, dtype=float)[:, None],
-                                              tol)
+    values, residuals, _ = _lowest_eigenpairs(_Blocks(
+        np.asarray(block.diag, dtype=float)[:, None],
+        np.asarray(block.offdiag, dtype=float)[:, None]), tol)
     return float(values[0]), float(residuals[0])
 
 
@@ -469,32 +559,36 @@ def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
     """Ground energies at every g of a grid, from one kernel call (two if the gap needs it).
 
     Returns the arrays (energy, parity, residual, truncation gap), one entry
-    per g.  The kernel solves the +1 and -1 blocks at n_max.  The blocks at
-    half = n_max // 2 (at least 2) are the leading rows of those, so where
-    no Sturm pass reads past row half + 1 they give the same count at every
+    per g.  The kernel solves the +1 and -1 blocks at n_max, from the bracket
+    of _ground_bracket and building only the leading rows it reads unless
+    they join the half blocks.  The blocks
+    at half = max(2, n_max // 2) are the leading rows of those, so where no
+    Sturm pass reads past row half + 1 they give the same count at every
     trial point, and their eigenvalues lie in the same final brackets: the
     gap is 0.  Where the n_max blocks are not dominant from row half + 1 on,
     every pass reads that far anyway, and the half blocks join the same
-    batch: a half block there keeps the length of the full ones, with
-    offdiagonals 0 past index half and its own largest diagonal entry on the
-    diagonal, which leaves its smallest eigenvalue, bracket, pivmin and norm
-    bound those of the half block.  Otherwise, if a pass still reads past
-    row half + 1, a second kernel call solves the half blocks.  Ties between
-    the parity sectors go to +1.
+    batch, built on all rows: a half block there keeps the length of the
+    full ones, with offdiagonals 0 past index half and its own largest
+    diagonal entry on the diagonal, which leaves its smallest eigenvalue,
+    bracket, pivmin and norm bound those of the half block.  Otherwise, if
+    a pass still reads past row half + 1, a second kernel call solves the
+    half blocks.  Ties between the parity sectors go to +1.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     half = max(2, n_max // 2)
-    diag, offdiag = _block_columns(omega, omega_a, g, n_max)
-    bracket = _bracket(diag, offdiag)
-    together = bracket[3] > half + 1  # the n_max blocks' dominant tail
+    parity_diag, hi, tail = _parity_tail(omega, omega_a, g, n_max)
+    together = tail > half + 1
     if together:
-        diag, offdiag = (np.concatenate([a, a], axis=1) for a in (diag, offdiag))
+        diag, offdiag = (np.concatenate([a, a], axis=1)
+                         for a in _block_columns(omega, omega_a, g, n_max))
         halves = slice(diag.shape[1] // 2, None)
         diag[half + 1:, halves] = np.max(diag[:half + 1, halves], axis=0)
         offdiag[half:, halves] = 0.0
-        bracket = None
-    values, residuals, reach = _lowest_eigenpairs(diag, offdiag, bracket=bracket)
+        blocks, bracket = _Blocks(diag, offdiag), None
+    else:
+        bracket, blocks = _ground_bracket(omega, omega_a, g, n_max, parity_diag, hi, tail)
+    values, residuals, reach = _lowest_eigenpairs(blocks, bracket=bracket)
     plus, minus = values[:len(g)], values[len(g):2 * len(g)]
     odd = minus < plus
     energy = np.where(odd, minus, plus)
@@ -502,7 +596,8 @@ def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
     if together:
         half_values = values[2 * len(g):]
     elif reach > half + 1:
-        half_values = _lowest_eigenpairs(diag[:half + 1], offdiag[:half])[0]
+        blocks.grow(half + 1)
+        half_values = _lowest_eigenpairs(_Blocks(blocks.diag[:half + 1], blocks.offdiag[:half]))[0]
     else:
         half_values = values
     plus_half, minus_half = half_values.reshape(2, len(g))
@@ -514,8 +609,9 @@ def ground_energy(params: RabiParams, n_max: int = 300) -> tuple[float, int, flo
     """The tuple (energy, parity, residual, truncation_gap) of _ground_rows at params.g.
 
     parity is the ground state's sector (+1 on a tie), residual ||H v - E v|| of
-    its eigenpair, and truncation_gap |E(n_max) - E(n_max // 2)|, a convergence
-    indicator: 0 where no Sturm pass read past row n_max // 2 + 1.
+    its eigenpair, and truncation_gap |E(n_max) - E(half)| with half =
+    max(2, n_max // 2), a convergence indicator: 0 where no Sturm pass read
+    past row half + 1.
     """
     energy, parity, residual, gap = _ground_rows(params.omega, params.omega_a,
                                                  np.array([params.g]), n_max)

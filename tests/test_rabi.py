@@ -1,15 +1,18 @@
 """Tridiagonal exact diagonalization of the Rabi limit and its closed forms."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optodicke import rabi
 from optodicke.model import ModelParams
 from optodicke.rabi import (
     ConvergenceFailure,
+    _Blocks,
     _block_columns,
     _dominant_tail,
     _eigenpair_residual,
@@ -294,7 +297,7 @@ class TestBatchedKernel:
     def test_exact_zero_pivot_counts_as_negative(self):
         # g = 1.5, parity -1: at x = -3/4 the second LDL^T pivot is exactly 0
         _, minus = build_blocks(RabiParams(g=1.5), 10)
-        count, reach = _sturm_count(minus.diag[:, None], minus.offdiag[:, None],
+        count, reach = _sturm_count(_Blocks(minus.diag[:, None], minus.offdiag[:, None]),
                                     np.array([[-0.75]]), np.array([np.finfo(float).tiny]), 11)
         below = np.sum(np.linalg.eigvalsh(minus.dense()) < -0.75)
         assert below == 1 and count.tolist() == [[below]]
@@ -310,7 +313,7 @@ class TestBatchedKernel:
         tail = _dominant_tail(diag, _radii(off), hi, pivmin)
         assert tail < 20
         x = lo + (hi - lo) * np.linspace(0.0, 1.0, 41)[:, None]
-        counts, reach = _sturm_count(diag, off, x, pivmin, tail)
+        counts, reach = _sturm_count(_Blocks(diag, off), x, pivmin, tail)
         assert tail - 1 <= reach < len(diag)
         for j in range(diag.shape[1]):
             block = np.diag(diag[:, j]) + np.diag(off[:, j], 1) + np.diag(off[:, j], -1)
@@ -323,9 +326,9 @@ class TestBatchedKernel:
         diag, off = diag[:, :1], off[:, :1]
         dense = TridiagonalBlock(1, diag[:, 0], off[:, 0]).dense()
         exact = np.linalg.eigvalsh(dense)[:1]
-        assert _eigenpair_residual(diag, off, exact)[0] <= 1e-10
+        assert _eigenpair_residual(_Blocks(diag, off), exact)[0] <= 1e-10
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(diag, off, exact + error)
+            _eigenpair_residual(_Blocks(diag, off), exact + error)
 
 
 def _record_sturm_passes(monkeypatch):
@@ -333,8 +336,8 @@ def _record_sturm_passes(monkeypatch):
     passes = []
     count = rabi._sturm_count
 
-    def recording(diag, offdiag, x, pivmin, tail):
-        counts, reach = count(diag, offdiag, x, pivmin, tail)
+    def recording(blocks, x, pivmin, tail):
+        counts, reach = count(blocks, x, pivmin, tail)
         passes.append((x.copy(), counts))
         return counts, reach
 
@@ -370,13 +373,26 @@ class TestGuess:
         assert len(passes) > good_passes
 
     def test_pass_counts(self, monkeypatch):
-        # 11 and 13 passes with uniform multisection alone
+        # 11 and 13 passes with uniform multisection alone; rows built on
+        # demand add none
         passes = _record_sturm_passes(monkeypatch)
-        rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), 300)
-        assert len(passes) <= 5
+        for n_max in (300, 3000):
+            passes.clear()
+            rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), n_max)
+            assert len(passes) == 4
         passes.clear()
         ground_energy(RabiParams(g=1e4), 50)
         assert len(passes) <= 8
+
+    @pytest.mark.parametrize("omega,g,n_max", _DETUNING_GRIDS)
+    def test_guess_vectors_meet_the_residual_target(self, monkeypatch, omega, g, n_max):
+        # the guess covers the ladder pass: no column needs inverse iteration
+        calls = []
+        inverse = rabi._inverse_iteration
+        monkeypatch.setattr(rabi, "_inverse_iteration",
+                            lambda d, *args: calls.append(d.shape) or inverse(d, *args))
+        rabi._ground_rows(omega, 1.0, g, n_max)
+        assert calls == []
 
     @pytest.mark.parametrize("omega,g,n_max", _DETUNING_GRIDS + [
         (1.0, np.array([1e4]), 50), (1.0, np.array([1e3, 1e8]), 300),
@@ -387,7 +403,7 @@ class TestGuess:
         passes = _record_sturm_passes(monkeypatch)
         diag, off = _block_columns(omega, 1.0, g, n_max)
         lo, hi, pivmin = rabi._bracket(diag, off)[:3]
-        values, _, _ = rabi._lowest_eigenpairs(diag, off)
+        values, _, _ = rabi._lowest_eigenpairs(_Blocks(diag, off))
         for x, counts in passes:
             lo = np.maximum(lo, np.max(np.where(counts == 0, x, -np.inf), axis=0))
             hi = np.minimum(hi, np.min(np.where(counts >= 1, x, np.inf), axis=0))
@@ -403,7 +419,7 @@ class TestGuess:
             n_max = int(rng.integers(2, 80))
             g = rng.uniform(0.0, 4.0, size=3)
             diag, off = _block_columns(omega, omega_a, g, n_max)
-            values, _, _ = rabi._lowest_eigenpairs(diag, off)
+            values, _, _ = rabi._lowest_eigenpairs(_Blocks(diag, off))
             for j, value in enumerate(values):
                 block = TridiagonalBlock(1, diag[:, j], off[:, j]).dense()
                 dense = np.linalg.eigvalsh(block)[0]
@@ -442,14 +458,68 @@ class TestDominantTail:
         assert _dominant_tail(diag, radii, np.array([19.5]), pivmin) == 3
 
 
+_FREQUENCIES = st.one_of(st.sampled_from([rabi.DOMAIN_MIN, 1.0, rabi.DOMAIN_MAX]),
+                         st.floats(0.3, 3.0),
+                         st.floats(-50.0, 50.0).map(lambda e: min(max(10.0**e, 1e-50), 1e50)))
+_COUPLINGS = st.one_of(st.sampled_from([0.0, 1.0, rabi.DOMAIN_MAX]),
+                       st.floats(-300.0, 50.0).map(lambda e: min(10.0**e, 1e50)),
+                       st.floats(0.0, 6.0))
+
+
+class TestLeadingRows:
+    """_ground_rows reads the blocks' structure and builds only the rows it reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(omega=_FREQUENCIES, omega_a=_FREQUENCIES,
+           n_max=st.one_of(st.integers(2, 40), st.integers(2, 400)),
+           g=st.lists(_COUPLINGS, min_size=1, max_size=6), repeat=st.booleans(),
+           guess_rows=st.sampled_from([1, rabi._GUESS_ROWS]))
+    def test_matches_the_whole_blocks(self, omega, omega_a, n_max, g, repeat, guess_rows):
+        # the bracket passed to the kernel is _bracket's on all rows, and
+        # building every row gives the same bits; a guess on the tail's rows
+        # alone makes the passes and the residual grow the rows
+        g = np.array(g + g[:1] if repeat else g)
+        brackets = []
+        kernel, columns = rabi._lowest_eigenpairs, rabi._block_columns
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rabi, "_GUESS_ROWS", guess_rows)
+            patch.setattr(rabi, "_lowest_eigenpairs", lambda blocks, **kw: brackets.append(
+                kw.get("bracket")) or kernel(blocks, **kw))
+            rows = rabi._ground_rows(omega, omega_a, g, n_max)
+            patch.setattr(rabi, "_block_columns", lambda omega, omega_a, g, n_max, rows=None:
+                          columns(omega, omega_a, g, n_max))
+            whole = rabi._ground_rows(omega, omega_a, g, n_max)
+        for a, b in zip(rows, whole):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        expected = rabi._bracket(*_block_columns(omega, omega_a, g, n_max))
+        if expected[3] > max(2, n_max // 2) + 1:
+            assert brackets[0] is None  # together with the half blocks, on all rows
+        else:
+            assert brackets[0][3] == expected[3]
+            for got, want in zip(brackets[0][:3] + brackets[0][4:], expected[:3] + expected[4:]):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_memory_tracks_the_rows_read(self):
+        # every pass stops near row 30 at either truncation
+        peaks = []
+        for n_max in (300, 3000):
+            tracemalloc.start()
+            try:
+                rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), n_max)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+
 def _record_kernel_calls(monkeypatch):
     """Column count of every _lowest_eigenpairs call, with its reach."""
     calls = []
     kernel = rabi._lowest_eigenpairs
 
-    def recording(diag, offdiag, *args, **kwargs):
-        values, residuals, reach = kernel(diag, offdiag, *args, **kwargs)
-        calls.append((diag.shape[1], reach))
+    def recording(blocks, *args, **kwargs):
+        values, residuals, reach = kernel(blocks, *args, **kwargs)
+        calls.append((blocks.diag.shape[1], reach))
         return values, residuals, reach
 
     monkeypatch.setattr(rabi, "_lowest_eigenpairs", recording)
@@ -511,7 +581,7 @@ class TestResidualCut:
         inverse = rabi._inverse_iteration
         monkeypatch.setattr(rabi, "_inverse_iteration",
                             lambda d, *args: rows.append(len(d)) or inverse(d, *args))
-        residual = _eigenpair_residual(diag, off, exact, reach=1)
+        residual = _eigenpair_residual(_Blocks(diag, off), exact, reach=1)
         assert rows[0] == 2 and rows == sorted(rows) and len(rows) >= 3
         assert rows[-1] < 301
         scale = max(TridiagonalBlock(1, diag[:, 0], off[:, 0]).norm_bound(), 1.0)
@@ -525,15 +595,15 @@ class TestResidualCut:
         assert lead[0] - exact[0] > 1e-5
         assert rabi._inverse_iteration(diag[:8], off[:7], 0.0, lead, np.ones(1))[0] <= 1e-10
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(diag, off, lead, reach=4)
+            _eigenpair_residual(_Blocks(diag, off), lead, reach=4)
 
     def test_cut_meets_the_target_of_the_whole_block(self):
         diag, off, exact = self._block(2.0, 300)
-        assert _eigenpair_residual(diag, off, exact, reach=20)[0] <= 1e-10
-        assert _eigenpair_residual(diag, off, exact)[0] <= 1e-10
+        assert _eigenpair_residual(_Blocks(diag, off), exact, reach=20)[0] <= 1e-10
+        assert _eigenpair_residual(_Blocks(diag, off), exact)[0] <= 1e-10
 
     @pytest.mark.parametrize("error", [1e-6, -1e-6])
     def test_wrong_eigenvalue_fails_at_every_reach(self, error):
         diag, off, exact = self._block(2.0, 60)
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(diag, off, exact + error, reach=3)
+            _eigenpair_residual(_Blocks(diag, off), exact + error, reach=3)
