@@ -6,7 +6,9 @@ to stderr.  Exit codes: 0 success, 2 invalid input, 3 solver failure.
 Numeric output is fixed at 9 significant digits and runs are deterministic,
 in one process.  OPTODICKE_WORKERS has no effect; sweep, phase-diagram and
 rabi-compare still reject a non-integer value.  Grid counts, phase-diagram
-cell counts and --n-max are capped (exit 2 above the cap).
+cell counts and --n-max are capped (exit 2 above the cap).  A command
+returns its columns, each a float array or (codes, table), and every
+distinct value or label is formatted once per output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import diagram, rabi
-from .model import ModelParams, observable_terms
+from .model import ModelParams, SpinBranch, observable_terms
 from .solver import (
     ABSENT,
     PHASES,
@@ -236,10 +238,6 @@ def _check_workers() -> None:
         raise ConfigError(f"OPTODICKE_WORKERS must be an integer, got {text!r}") from exc
 
 
-_PHASE_TEXT = np.array([phase.value for phase in PHASES])
-_STABILITY_TEXT = np.array([None if s is None else s.value for s in STABILITIES], dtype=object)
-
-
 def _json_number(value: float) -> str:
     """The JSON number json.dumps writes for a float, not NaN, at 9 significant digits."""
     number = float(f"{value:.9g}")  # json.dumps writes a finite float as its repr
@@ -249,34 +247,38 @@ def _json_number(value: float) -> str:
 def _fields(columns: list, json_text: bool = False) -> list[list[str]]:
     """Each column as CSV fields, or as JSON values if json_text.
 
-    Float arrays are formatted at 9 significant digits, NaN as absent, each
-    distinct bit pattern once over all of them; patterns, not values, so that
-    -0.0 keeps its sign.  A list holds labels; None is absent: '' in CSV, null in JSON.
+    A column is a float array or (codes, table), whose i-th value is
+    table[codes[i]]; a table is a float array or a sequence of labels.  Each
+    table entry is written once.  Floats take 9 significant digits, NaN is
+    absent, and each distinct bit pattern over all float columns and tables
+    is formatted once; patterns, not values, so that -0.0 keeps its sign.  A
+    label is a string or an Enum member (written as its value); None is
+    absent: '' in CSV, null in JSON.
     """
-    floats = [c for c in columns if isinstance(c, np.ndarray)]
+    coded = [(slice(None), c) if isinstance(c, np.ndarray) else c for c in columns]
+    floats = [table for _, table in coded if isinstance(table, np.ndarray)]
     stacked = np.concatenate(floats) if floats else np.empty(0)
     _, first, inverse = np.unique(stacked.view(np.int64), return_index=True, return_inverse=True)
-    values = stacked[first]
+    values, absent = stacked[first], "null" if json_text else ""
     text = np.array(list(map(_json_number if json_text else "%.9g".__mod__, values.tolist())),
                     dtype=object)
-    text[np.isnan(values)] = "null" if json_text else ""
-    pieces = iter(np.split(text[inverse], np.cumsum([c.size for c in floats])[:-1]))
-
-    def labels(column):
-        if json_text:  # each distinct label dumped once, None as null
-            dumped = {v: json.dumps(v) for v in set(column)}
-            return [dumped[v] for v in column]
-        return ["" if v is None else v for v in column]
-    return [next(pieces).tolist() if isinstance(c, np.ndarray) else labels(c) for c in columns]
+    text[np.isnan(values)] = absent
+    pieces = iter(np.split(text[inverse], np.cumsum([t.size for t in floats])[:-1]))
+    label = json.dumps if json_text else str
+    out = []
+    for codes, table in coded:
+        table = next(pieces) if isinstance(table, np.ndarray) else np.array(
+            [absent if v is None else label(getattr(v, "value", v)) for v in table], dtype=object)
+        out.append(table[codes].tolist())
+    return out
 
 
 def _emit(cfg: RunConfig, fieldnames: list[str], columns: list) -> None:
     """Write columns, one per field name, as CSV or JSON.
 
-    A column is a float ndarray (NaN where a value is absent), formatted once,
-    or a list of labels (None where absent).  Absent values are empty CSV
-    fields and JSON nulls.  The JSON text is that of json.dumps(payload,
-    indent=2), written directly.
+    A column is a float array (NaN where a value is absent) or (codes, table),
+    formatted by _fields.  Absent values are empty CSV fields and JSON nulls.
+    The JSON text is that of json.dumps(payload, indent=2), written directly.
     """
     if cfg.format == "json":
         keys = [f"      {json.dumps(name)}: " for name in fieldnames]
@@ -297,15 +299,16 @@ def _emit(cfg: RunConfig, fieldnames: list[str], columns: list) -> None:
 def _cmd_roots(cfg: RunConfig) -> tuple[list[str], list]:
     params = _model_params(cfg, _parse_scalar(cfg.g, "g"), _parse_scalar(cfg.zeta, "zeta"))
     parts = []  # per branch: its present points, as the columns below
-    for pts in find_roots(params, _solver_config(cfg)):
+    for code, pts in enumerate(find_roots(params, _solver_config(cfg))):  # in SpinBranch order
         present = pts.stability[0] != ABSENT
         gamma_bar = np.sqrt(pts.x[0, present])
-        parts.append([[pts.branch.name.lower()] * gamma_bar.size, gamma_bar,
+        parts.append([np.full(gamma_bar.size, code), gamma_bar,
                       *observable_terms(params, pts.branch, gamma_bar), pts.energy[0, present],
-                      pts.curvature[0, present], _STABILITY_TEXT[pts.stability[0, present]]])
+                      pts.curvature[0, present], pts.stability[0, present]])
     names = ["branch", "gamma_bar", "np", "delta_na", "nb", "energy", "curvature", "stability"]
-    branches, *numbers, stability = zip(*parts)
-    return names, [sum(branches, []), *map(np.concatenate, numbers), sum(map(list, stability), [])]
+    branch, *numbers, stability = map(np.concatenate, zip(*parts))
+    return names, [(branch, [b.name.lower() for b in SpinBranch]), *numbers,
+                   (stability, STABILITIES)]
 
 
 _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_ground"] + [
@@ -322,13 +325,13 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list]:
     _check_workers()
     sweep = diagram.sweep_g(spec, _solver_config(cfg))
     rows, k = np.arange(sweep.g.size), sweep.ground
-    columns = [sweep.g, _PHASE_TEXT[sweep.phase].tolist(), sweep.n_p[rows, k],
+    columns = [sweep.g, (sweep.phase, PHASES), sweep.n_p[rows, k],
                sweep.delta_n_a[rows, k], sweep.n_b[rows, k], sweep.energy[rows, k]]
     for j in sweep.source.T:
         found = j >= 0
         columns += [np.where(found, sweep.n_p[rows, j], np.nan),
                     np.where(found, sweep.energy[rows, j], np.nan),
-                    _STABILITY_TEXT[np.where(found, sweep.stability[rows, j], ABSENT)].tolist()]
+                    (np.where(found, sweep.stability[rows, j], ABSENT), STABILITIES)]
     return list(_SWEEP_FIELDS), columns
 
 
@@ -346,12 +349,16 @@ def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list]:
         raise ConfigError(str(exc)) from exc
     _check_workers()
     grid = diagram.phase_grid(spec, _solver_config(cfg))
-    cells, bounds = grid.g.size, grid.boundary_g.size
-    columns = [["cell"] * cells + ["boundary"] * bounds,
-               np.concatenate([grid.zeta, grid.boundary_zeta]),
-               np.concatenate([grid.g, grid.boundary_g]),
-               _PHASE_TEXT[np.concatenate([grid.phase, grid.boundary_below])].tolist(),
-               [None] * cells + _PHASE_TEXT[grid.boundary_above].tolist()]
+    # cells are in (zeta, g) order: code both axes by row and column, boundaries appended
+    row, col = np.divmod(np.arange(grid.g.size), g_steps)
+    bound = np.arange(grid.boundary_g.size)
+    axes = [(np.concatenate([cell, axis.size + bound]), np.concatenate([axis, values]))
+            for cell, axis, values in ((row, grid.zeta[::g_steps], grid.boundary_zeta),
+                                       (col, grid.g[:g_steps], grid.boundary_g))]
+    columns = [(np.repeat([0, 1], [row.size, bound.size]), ["cell", "boundary"]), *axes,
+               (np.concatenate([grid.phase, grid.boundary_below]), PHASES),
+               (np.concatenate([np.zeros(row.size, int), grid.boundary_above + 1]),
+                (None, *PHASES))]
     return ["kind", "zeta", "g", "phase", "phase_above"], columns
 
 

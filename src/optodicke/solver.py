@@ -177,18 +177,21 @@ def _cubic_x(rows: SimpleNamespace, branch: SimpleNamespace, g2: np.ndarray) -> 
         ys[one, 0] = np.copysign(2.0 * r * np.cosh(np.arccosh(np.abs(arg)) / 3.0), arg)[one] - oa
     x = np.where(ys > 0.0, ys * (ys + 2.0 * oa) / (4.0 * g2[:, None]), np.nan)
 
-    # Newton steps on p(x), dp/dx = (dp/dgamma_bar)/(2 gamma_bar).  A root stops at the
-    # first step with slope 0, a result <= 0, or a larger |p| (from a double root).
-    active = ~np.isnan(x)
-    gamma_bar = np.sqrt(x)
-    p = extremum_polynomial(rows, branch, gamma_bar)
+    # Newton steps on p(x), dp/dx = (dp/dgamma_bar)/(2 gamma_bar), on present roots only.  A root
+    # stops at the first step with slope 0, a result <= 0, or a larger |p| (from a double root).
+    k, j = np.nonzero(~np.isnan(x))
+    at, sign = param_rows(rows, rows.g[k, 0]), SimpleNamespace(sign=branch.sign[k, 0])
+    roots, active = x[k, j], np.ones(k.size, dtype=bool)
+    gamma_bar = np.sqrt(roots)
+    p = extremum_polynomial(at, sign, gamma_bar)
     for _ in range(_NEWTON_STEPS):
-        dpdx = extremum_polynomial_slope(rows, branch, gamma_bar) / (2.0 * gamma_bar)
-        x_next = x - p / dpdx
-        p_next = extremum_polynomial(rows, branch, np.sqrt(x_next))
+        dpdx = extremum_polynomial_slope(at, sign, gamma_bar) / (2.0 * gamma_bar)
+        x_next = roots - p / dpdx
+        p_next = extremum_polynomial(at, sign, np.sqrt(x_next))
         active &= (dpdx != 0.0) & (x_next > 0.0) & (np.abs(p_next) <= np.abs(p))
-        x, p = np.where(active, x_next, x), np.where(active, p_next, p)
-        gamma_bar = np.sqrt(x)
+        roots, p = np.where(active, x_next, roots), np.where(active, p_next, p)
+        gamma_bar = np.sqrt(roots)
+    x[k, j] = roots
 
     x[~((c > 0.0) & np.isfinite(2.0 * r)) | np.isnan(ys).any(axis=1)] = [np.inf, np.nan, np.nan]
     return x

@@ -8,7 +8,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -590,7 +592,7 @@ _REPEATED = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf
                              math.nextafter(1.0, 2.0), 0.1, -2.5e-7])
 _FLOATS = st.one_of(_REPEATED,
                     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf,
-                                     -math.inf]),
+                                     -math.inf, 5e-324, -5e-324, 2.5e-310, -1e-320]),
                     st.integers(-10**12, 10**12).map(float), st.floats(allow_nan=False))
 
 
@@ -609,60 +611,128 @@ def _per_row_writer(fmt, fieldnames, rows):
     return buf.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
-def test_column_writer_matches_per_row_writer(data, fmt):
-    # every command emits at least two columns; None is an absent value, NaN
-    # in a float column
-    is_float = data.draw(st.lists(st.booleans(), min_size=2, max_size=6))
-    n_rows = data.draw(st.integers(0, 6))
-    values = [data.draw(st.lists(st.one_of(st.none(), _FLOATS if f else st.sampled_from(_LABELS)),
-                                 min_size=n_rows, max_size=n_rows)) for f in is_float]
-    columns = [np.array([math.nan if v is None else v for v in col], dtype=float) if f else col
-               for f, col in zip(is_float, values)]
-    values = [[None if isinstance(v, float) and math.isnan(v) else v for v in col]
-              for col in values]
-    fieldnames = [f"c{i}" for i in range(len(columns))]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._emit(cli.RunConfig(format=fmt), fieldnames, columns)
-    assert out.getvalue() == _per_row_writer(fmt, fieldnames, [list(r) for r in zip(*values)])
+def _rows(columns):
+    """The rows of the columns' values, NaN as None; a coded column is decoded here,
+    as table[i] for each of its codes i, and an Enum label stands for its value."""
+    values = []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column = column.tolist()
+        else:
+            codes, table = column
+            table = table.tolist() if isinstance(table, np.ndarray) else table
+            column = [table[i] for i in codes]
+        values.append([None if isinstance(v, float) and math.isnan(v) else
+                       v.value if isinstance(v, Enum) else v for v in column])
+    return [list(row) for row in zip(*values)]
 
 
 def _json_reference(fieldnames, columns):
     """json.dumps of the payload: 9-digit floats, None for NaN and absent labels."""
-    values = [[None if math.isnan(v) else float(f"{v:.9g}") for v in c.tolist()]
-              if isinstance(c, np.ndarray) else c for c in columns]
-    payload = {"units": cli.UNITS_NOTE,
-               "rows": [dict(zip(fieldnames, row)) for row in zip(*values)]}
-    return json.dumps(payload, indent=2) + "\n"
+    return _per_row_writer("json", fieldnames, _rows(columns))
 
 
-@pytest.mark.parametrize("argv", [
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
+def test_column_writer_matches_per_row_writer(data, fmt):
+    # every command emits at least two columns: float arrays, and (codes, table)
+    # columns over a float or a label table, whose codes may repeat entries or
+    # leave some unused; NaN and None are absent values
+    n_rows = data.draw(st.integers(0, 6))
+    columns = []
+    for kind in data.draw(st.lists(st.sampled_from(["floats", "float table", "label table"]),
+                                   min_size=2, max_size=6)):
+        if kind == "floats":
+            columns.append(np.array(data.draw(st.lists(_FLOATS, min_size=n_rows,
+                                                       max_size=n_rows)), dtype=float))
+            continue
+        entry = (_FLOATS if kind == "float table"
+                 else st.one_of(st.none(), st.sampled_from(_LABELS)))
+        table = data.draw(st.lists(entry, min_size=1 if n_rows else 0, max_size=5))
+        codes = data.draw(st.lists(st.integers(0, max(len(table) - 1, 0)), min_size=n_rows,
+                                   max_size=n_rows))
+        columns.append((np.array(codes, dtype=int),
+                        np.array(table, dtype=float) if kind == "float table" else table))
+    fieldnames = [f"c{i}" for i in range(len(columns))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(cli.RunConfig(format=fmt), fieldnames, columns)
+    assert out.getvalue() == _per_row_writer(fmt, fieldnames, _rows(columns))
+
+
+_COMMAND_ARGV = [
     ["roots", "--g", "1.5", "--zeta", "1"],
     ["sweep", "--g", "0:3:31", "--zeta", "1"],  # NaN and None cells of absent branches
     ["phase-diagram", "--g", "0:3:13", "--zeta", "0:3:7"],  # phase_above: labels and None
     ["turning-point", "--zeta", "1"],
     ["sp-closure"],
     ["rabi-compare", "--g", "0:3:13", "--n-max", "40"],  # g = 3 prints as 3.0
-])
-def test_json_text_is_that_of_json_dumps(argv, capsys):
-    args = cli._build_parser().parse_args(argv + ["--format", "json"])
+]
+
+
+def _command_columns(argv):
+    args = cli._build_parser().parse_args(argv)
     cfg = cli._effective(args)
-    fieldnames, columns = cli._COMMANDS[args.command](cfg)
+    return cfg, *cli._COMMANDS[args.command](cfg)
+
+
+@pytest.mark.parametrize("argv", _COMMAND_ARGV)
+def test_json_text_is_that_of_json_dumps(argv, capsys):
+    cfg, fieldnames, columns = _command_columns(argv + ["--format", "json"])
     cli._emit(cfg, fieldnames, columns)
     assert capsys.readouterr().out == _json_reference(fieldnames, columns)
 
 
+@pytest.mark.parametrize("argv", _COMMAND_ARGV)
+def test_csv_text_is_that_of_csv_writer(argv, capsys):
+    cfg, fieldnames, columns = _command_columns(argv)
+    cli._emit(cfg, fieldnames, columns)
+    assert capsys.readouterr().out == _per_row_writer("csv", fieldnames, _rows(columns))
+
+
+@pytest.mark.parametrize("argv", _COMMAND_ARGV)
+def test_every_column_is_an_array_or_coded(argv):
+    # no command builds a Python list of per-row values: a column is a float
+    # array or (codes, table), and only a table is a sequence of labels
+    _, fieldnames, columns = _command_columns(argv)
+    assert len(columns) == len(fieldnames)
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            assert column.dtype.kind == "f", argv
+            continue
+        assert isinstance(column, tuple), argv
+        codes, table = column
+        assert isinstance(codes, np.ndarray) and codes.dtype.kind == "i", argv
+        assert isinstance(table, (np.ndarray, list, tuple)), argv
+
+
+def test_phase_diagram_peak_memory():
+    # labels and axes are written once per table entry, not once per cell:
+    # a 301 x 301 map, solved and emitted, peaks at 16 MiB or less
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["phase-diagram", "--g", "0:3:301", "--zeta", "0:3:301"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak / 2**20
+
+
 def test_json_text_of_edge_values(capsys):
     columns = [np.array([-0.0, 3.0, math.nan, math.inf, -math.inf, 1e-320, 0.1 + 0.2]),
-               ["cell", None, "a \"quoted\" label", "é", None, "boundary", "cell"]]
-    cli._emit(cli.RunConfig(format="json"), ["x", "phase_above"], columns)
+               (np.array([0, 3, 1, 2, 3, 4, 0]),
+                ["cell", "a \"quoted\" label", "é", None, "boundary", "unused"]),
+               (np.array([2, 0, 0, 1, 1, 2, 3]), np.array([-0.0, math.nan, 1e-320, 5.0]))]
+    names = ["x", "phase_above", "y"]
+    cli._emit(cli.RunConfig(format="json"), names, columns)
     text = capsys.readouterr().out
-    assert text == _json_reference(["x", "phase_above"], columns)
+    assert text == _json_reference(names, columns)
     assert '"x": -0.0' in text and '"x": 3.0' in text and '"x": null' in text
-    cli._emit(cli.RunConfig(format="json"), ["x", "label"], [np.array([]), []])
-    assert capsys.readouterr().out == _json_reference(["x", "label"], [np.array([]), []])
+    assert '"y": null' in text and '"phase_above": null' in text
+    empty = [np.array([]), (np.array([], dtype=int), []), (np.array([], dtype=int), np.array([]))]
+    cli._emit(cli.RunConfig(format="json"), names, empty)
+    assert capsys.readouterr().out == _json_reference(names, empty)
 
 
 # The fuzz referee: every numeric flag of every command is drawn log-uniformly
