@@ -23,15 +23,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import diagram, rabi
+from . import diagram
 from .model import ModelParams, SpinBranch, observable_terms
 from .solver import (
     ABSENT,
     PHASES,
     STABILITIES,
-    NotFound,
     OutOfRange,
     SolverConfig,
+    SolverError,
     closure_estimate,
     critical_coupling,
     find_roots,
@@ -48,6 +48,9 @@ _RANGE_SEP = ":"
 MAX_GRID_COUNT = 100_000
 MAX_GRID_CELLS = 1_000_000
 MAX_N_MAX = 100_000
+
+# Cavity frequencies of rabi-compare --detuning: red, resonant and blue.
+DETUNING_PRESETS = {"red": 0.8, "resonant": 1.0, "blue": 1.2}
 
 
 class ConfigError(Exception):
@@ -194,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="variational energy vs exact diagonalization (N=1, zeta=0)")
     p.add_argument("--g", type=str, default=None, help="grid min:max:count")
     p.add_argument("--n-max", type=int, dest="n_max", default=None)
-    p.add_argument("--detuning", type=str, choices=sorted(rabi.DETUNING_PRESETS),
+    p.add_argument("--detuning", type=str, choices=sorted(DETUNING_PRESETS),
                    default=None, help="cavity-frequency preset; --omega overrides")
 
     return parser
@@ -206,7 +209,7 @@ def _effective(args: argparse.Namespace) -> RunConfig:
         for key, value in load_config(args.config).items():
             setattr(cfg, key, value)
     if getattr(args, "detuning", None) is not None and getattr(args, "omega", None) is None:
-        args.omega = rabi.DETUNING_PRESETS[args.detuning]
+        args.omega = DETUNING_PRESETS[args.detuning]
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -385,6 +388,8 @@ def _cmd_sp_closure(cfg: RunConfig) -> tuple[list[str], list]:
 
 
 def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list]:
+    from . import rabi  # the ED: only this command loads it
+
     if not 2 <= cfg.n_max <= MAX_N_MAX:
         raise ConfigError(f"n_max must be in [2, {MAX_N_MAX}], got {cfg.n_max}")
     if cfg.n_atoms != 1:  # until a finite-N ED exists
@@ -426,7 +431,7 @@ def run(argv=None) -> int:
     except (ConfigError, OutOfRange) as exc:
         print(f"optodicke: invalid input: {exc}", file=sys.stderr)
         return 2
-    except (NotFound, rabi.ConvergenceFailure) as exc:
+    except SolverError as exc:  # NotFound, rabi.ConvergenceFailure
         print(f"optodicke: solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

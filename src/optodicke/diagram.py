@@ -217,7 +217,7 @@ def grid_row(spec: GridSpec, zetas, config: SolverConfig | None = None
         minimum = is_minimum(params, SpinBranch.NORMAL, gs[i], np.zeros(i.size), zetas[k])
     index[k[minimum], i[minimum]] = 0
     k, i = k[~minimum], i[~minimum]
-    for row in np.unique(k).tolist():
+    for row in np.flatnonzero(np.bincount(k)).tolist():  # np.unique would load numpy.ma
         cols = i[k == row]
         row_params = replace(params, zeta=float(zetas[row]))
         index[row, cols] = COLUMN_PHASE[solve_ground(row_params, gs[cols], cfg)[0]]

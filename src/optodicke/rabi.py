@@ -35,7 +35,11 @@ up to 16 past the dominant tail, then by inverse iteration shifted just
 below the eigenvalue (positive definite, so its O(n) LDL^T solve needs no
 pivoting) on the leading 2*reach rows, doubled up to n until it meets its
 target; reach is the last row a Sturm pass read.  Both count the coupling
-out of their rows, so they are residuals against the whole block.  No
+out of their rows, so they are residuals against the whole block.  Every
+inverse iteration starts from (-1)^n: with S = diag((-1)^n), S T S has
+offdiagonals -t_n <= 0, so by Perron-Frobenius the ground vector u of a
+block, or of its leading rows, alternates in sign and overlaps the start by
+sum |u_n| >= 1 (at g = 0 the start overlaps every basis vector).  No
 dense matrix is formed: an oracle fully independent of the variational
 closed forms it is compared against.
 """
@@ -49,6 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .solver import SolverError
+
 __all__ = [
     "RabiParams",
     "TridiagonalBlock",
@@ -58,11 +64,7 @@ __all__ = [
     "ground_energy",
     "variational_energy",
     "compare_columns",
-    "DETUNING_PRESETS",
 ]
-
-# Cavity frequencies used for the red/blue detuned comparison runs.
-DETUNING_PRESETS = {"red": 0.8, "resonant": 1.0, "blue": 1.2}
 
 # Trial points per block and sweep: each sweep shrinks a bracket 16-fold.
 _TRIALS = 15
@@ -99,7 +101,7 @@ DOMAIN_MAX = 1e50
 _BATCH_ENTRIES = 2**18
 
 
-class ConvergenceFailure(Exception):
+class ConvergenceFailure(SolverError):
     """Eigenvalue bisection or inverse iteration failed; input is malformed."""
 
 
@@ -498,9 +500,8 @@ def _shifted_ldl(diag: np.ndarray, offdiag: np.ndarray,
 
 
 def _inverse_steps(pivots: np.ndarray, lower: np.ndarray, steps: int):
-    """Unit vectors of successive solves with L D L^T, from the fixed random start."""
-    start = np.random.default_rng(1905).standard_normal(len(pivots))
-    v = np.repeat(start[:, None], pivots.shape[1], axis=1)
+    """Unit vectors of successive solves with L D L^T, from the start (-1)^n."""
+    v = np.repeat((1.0 - 2.0 * (np.arange(len(pivots)) % 2))[:, None], pivots.shape[1], axis=1)
     rows, lows, term = list(v), list(lower), np.empty_like(v[0])
     for _ in range(steps):
         for i in range(1, len(rows)):
@@ -525,20 +526,18 @@ def _rayleigh_guess(diag: np.ndarray, offdiag: np.ndarray,
 
 def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, coupling, values: np.ndarray,
                        scale: np.ndarray) -> np.ndarray:
-    """The first residual within _RESIDUAL_TOL * scale over _INVERSE_STEPS solves (inf if none).
+    """The smallest residual within _RESIDUAL_TOL * scale over _INVERSE_STEPS solves (inf if none).
 
-    Runs on the blocks diag (m, columns), offdiag (m - 1, columns); coupling
-    is the offdiagonal entry out of row m - 1 (0 for a whole block).
+    Runs on the blocks diag (m, columns), offdiag (m - 1, columns), from the
+    start of _inverse_steps; coupling is the offdiagonal entry out of row
+    m - 1 (0 for a whole block).
     """
     residuals = np.full(diag.shape[1], np.inf)
     pivots, lower = _shifted_ldl(diag, offdiag, values - _SHIFT * scale)
     for v in _inverse_steps(pivots, lower, _INVERSE_STEPS):
         r = _apply(diag - values, offdiag, v)
         step = np.sqrt(np.sum(np.square(r, out=r), axis=0) + np.square(coupling * v[-1]))
-        newly = np.isinf(residuals) & (step <= _RESIDUAL_TOL * scale)
-        residuals[newly] = step[newly]
-        if not np.isinf(residuals).any():
-            break
+        np.fmin(residuals, np.where(step <= _RESIDUAL_TOL * scale, step, np.inf), out=residuals)
     return residuals
 
 

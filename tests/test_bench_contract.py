@@ -8,13 +8,12 @@ traced benchmark crash, so the tracer is installed and removed here.
 import contextlib
 import importlib.util
 import io
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import optodicke
 import optodicke.cli
+
+from fresh_interpreter import loaded_modules
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -72,10 +71,4 @@ def test_install_and_unpatch():
 
 
 def test_cli_import_starts_no_pool_machinery():
-    src = str(Path(optodicke.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, optodicke.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert "concurrent.futures" not in loaded_modules("import optodicke.cli")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optodicke import cli, solver
+from optodicke import cli, rabi, solver
 from optodicke.cli import run
 from optodicke.model import ModelParams, PhaseLabel, Stability
 
@@ -307,6 +307,15 @@ class TestRabiCompare:
                     "--omega", "1.0", "--output", str(out)]) == 0
         rows = read_csv(out)
         assert float(rows[-1]["energy_variational"]) == -0.5
+
+    def test_convergence_failure_is_solver_error(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise rabi.ConvergenceFailure("block is malformed")
+
+        monkeypatch.setattr(rabi, "compare_columns", fail)
+        assert run(["rabi-compare", "--g", "0:1:3"]) == 3
+        assert capsys.readouterr().err == (
+            "optodicke: solver failure: ConvergenceFailure: block is malformed\n")
 
     def test_independent_of_worker_count(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -754,7 +763,7 @@ _FUZZ_FLAGS = {  # (flags always given, flags that may be left out)
     "sp-closure": ({}, {"--width-tol": _FUZZ_NUMBER}),
     "rabi-compare": ({"--g": _FUZZ_GRID}, {
         "--n-max": st.integers(0, 60).map(str),
-        "--detuning": st.sampled_from(sorted(cli.rabi.DETUNING_PRESETS))}),
+        "--detuning": st.sampled_from(sorted(cli.DETUNING_PRESETS))}),
 }
 _FUZZ_ARGV = {command: st.fixed_dictionaries(given, optional={**_FUZZ_COMMON, **optional}).map(
     lambda flags, command=command: [command, *(x for item in flags.items() for x in item)])

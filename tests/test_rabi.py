@@ -607,3 +607,66 @@ class TestResidualCut:
         diag, off, exact = self._block(2.0, 60)
         with pytest.raises(ConvergenceFailure):
             _eigenpair_residual(_Blocks(diag, off), exact + error, reach=3)
+
+
+def _start_vector(m):
+    """The start of _inverse_steps on m rows, unnormalised: entries +-1, norm sqrt(m).
+
+    One solve with the identity (unit pivots, zero multipliers) returns the
+    start divided by its norm.
+    """
+    v = next(rabi._inverse_steps(np.ones((m, 1)), np.zeros((m - 1, 1)), 1))[:, 0]
+    return v * math.sqrt(m)
+
+
+def _ground_projection(diag, off, start):
+    """Norm of the projection of start onto the lowest eigenspace, from dense eigh."""
+    w, u = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    lowest = u[:, w <= w[0] + 1e-9 * max(1.0, np.abs(w).max())]
+    return np.linalg.norm(lowest.T @ start)
+
+
+class TestStartVector:
+    """Inverse iteration starts from (-1)^n, which overlaps every block's ground state.
+
+    With S = diag((-1)^n), S T S has offdiagonals -t_n <= 0, so by
+    Perron-Frobenius the lowest eigenspace holds a vector u that alternates
+    in sign, and the start overlaps it by sum |u_n| >= ||u|| = 1.
+    """
+
+    def test_start_alternates(self):
+        assert _start_vector(5) == pytest.approx([1.0, -1.0, 1.0, -1.0, 1.0], rel=1e-15)
+
+    @pytest.mark.parametrize("n_max,m", [(50, 8), (50, 30), (50, 51), (300, 301)])
+    def test_overlaps_the_lowest_eigenspace(self, n_max, m):
+        # both parities; the leading m x m blocks that a guess or a cut reads
+        # (the same at either n_max), and the whole blocks
+        g = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 3.0, 1e4])
+        start = _start_vector(m)
+        for omega in (0.8, 1.0, 1.2):
+            diag, off = _block_columns(omega, 1.0, g, n_max)
+            projections = [_ground_projection(diag[:m, j], off[:m - 1, j], start)
+                           for j in range(diag.shape[1])]
+            assert min(projections) >= 1.0 - 1e-9, omega
+
+    def test_degenerate_block_at_zero_coupling(self):
+        # g = 0, omega = omega_a: the +1 block's d_0 = d_1 = 1/2, a 2-dimensional
+        # lowest eigenspace, which the start meets in e_0 - e_1
+        diag, off = _block_columns(1.0, 1.0, np.array([0.0]), 50)
+        assert diag[0, 0] == diag[1, 0] == 0.5
+        projection = _ground_projection(diag[:, 0], off[:, 0], _start_vector(51))
+        assert projection == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("n_max", [50, 300])
+    def test_overlaps_the_padded_half_blocks(self, n_max):
+        # the half blocks of _ground_rows' together mode: n_max + 1 rows, no
+        # coupling past row half and the largest leading diagonal entry after it
+        half = max(2, n_max // 2)
+        g = np.array([1e-3, 0.5, 1.0, 2.0, 3.0, 1e3, 1e4])
+        for omega in (0.8, 1.0, 1.2):
+            diag, off = _block_columns(omega, 1.0, g, n_max)
+            diag[half + 1:] = np.max(diag[:half + 1], axis=0)
+            off[half:] = 0.0
+            start = _start_vector(n_max + 1)
+            for j in range(diag.shape[1]):
+                assert _ground_projection(diag[:, j], off[:, j], start) >= 1.0 - 1e-9
