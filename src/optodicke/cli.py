@@ -18,8 +18,10 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -200,6 +202,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detuning", type=str, choices=sorted(DETUNING_PRESETS),
                    default=None, help="cavity-frequency preset; --omega overrides")
 
+    # argparse reads only -5 and -.5 forms as values; here every argument that
+    # begins -<digit> or -.<digit>, such as the grid -1:3:5, is a value
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -263,8 +269,8 @@ def _fields(columns: list, json_text: bool = False) -> list[list[str]]:
     stacked = np.concatenate(floats) if floats else np.empty(0)
     _, first, inverse = np.unique(stacked.view(np.int64), return_index=True, return_inverse=True)
     values, absent = stacked[first], "null" if json_text else ""
-    text = np.array(list(map(_json_number if json_text else "%.9g".__mod__, values.tolist())),
-                    dtype=object)
+    text = np.array(list(map(_json_number, values.tolist()) if json_text else
+                         map(float.__format__, values.tolist(), repeat(".9g"))), dtype=object)
     text[np.isnan(values)] = absent
     pieces = iter(np.split(text[inverse], np.cumsum([t.size for t in floats])[:-1]))
     label = json.dumps if json_text else str

@@ -26,10 +26,6 @@ Sturm counts hold the eigenvalue: the certificate of plain multisection,
 and independent of the guess and of the other columns, to the bit.  Only
 the leading rows that the passes, the guess and the residual read are built.
 
-The truncation gap compares with the blocks at half = max(2, n_max // 2),
-the leading rows of the n_max blocks: 0 where no pass reads past row
-half + 1, else from the half blocks, solved in the same batch or a second call.
-
 The eigenpair residual is checked on the guess vectors, taken on the rows
 up to 16 past the dominant tail, then by inverse iteration shifted just
 below the eigenvalue (positive definite, so its O(n) LDL^T solve needs no
@@ -299,32 +295,37 @@ def _bracket(diag: np.ndarray, offdiag: np.ndarray
 
 
 def _parity_tail(omega: float, omega_a: float, g: np.ndarray,
-                 n_max: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The parity diagonals (2, n_max + 1), their minima hi, and the batch's tail.
+                 n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Rows n of the parity diagonals, those diagonals (2, len(n)), their minima hi, and the tail.
 
     d_i depends only on the parity, and t_i = sqrt(i + 1) g/2 grows with g,
     so the _dominant_tail of the blocks at n_max of a g grid is that of the
     largest g's two blocks: a row dominant there is dominant at every g.
+    Every row j >= max(4 omega_a / omega, 128 (g / omega)^2) is dominant by
+    about omega j / 2 (d_j - hi >= omega j - omega_a, r_j <= g sqrt(j + 1)
+    <= omega j / 8), so n is the rows below that, and n_max - 2 to n_max.
     """
-    n = np.arange(n_max + 1)
+    top = g.max(initial=0.0)
+    rows = min(n_max + 1, max(2, math.ceil(4.0 * omega_a / omega + 128.0 * (top / omega) ** 2)))
+    n = np.concatenate([np.arange(rows), np.arange(max(rows, n_max - 2), n_max + 1)])
     diag = _parity_diagonals(omega, omega_a, n)
-    hi = diag.min(axis=1)
-    top = np.sqrt(n[:-1] + 1.0)[:, None] * (0.5 * g.max(initial=0.0))
-    top_radii, top_pivmin = _radii(top), np.maximum(top[-1] * top[-1], 1.0) * _TINY
-    return diag, hi, max(_dominant_tail(d[:, None], top_radii, h, top_pivmin)
-                         for d, h in zip(diag, hi))
+    hi = diag.min(axis=1)  # at row 0 or 1: d_(i+2) = d_i + 2 omega
+    radii = _radii(np.sqrt(n[:min(rows, n_max)] + 1.0)[:, None] * (0.5 * top))[:rows]
+    last = math.sqrt(n_max) * (0.5 * top)  # t_(n_max - 1)
+    return n, diag, hi, _dominant_tail(diag[:, :rows].T, radii, hi, max(last * last, 1.0) * _TINY)
 
 
-def _ground_bracket(omega: float, omega_a: float, g: np.ndarray, n_max: int, diag: np.ndarray,
-                    hi: np.ndarray, tail: int) -> tuple[tuple, _Blocks]:
+def _ground_bracket(omega: float, omega_a: float, g: np.ndarray, n_max: int, n: np.ndarray,
+                    diag: np.ndarray, hi: np.ndarray, tail: int) -> tuple[tuple, _Blocks]:
     """_bracket of the blocks at n_max of a g grid, to the bit, and their _Blocks.
 
-    diag, hi and tail are those of _parity_tail.  pivmin comes from
+    n, diag, hi and tail are those of _parity_tail.  pivmin comes from
     t_(n_max - 1), as t_i grows with i.  A dominant row j has
     d_j - r_j > hi >= lo, so lo is a minimum over the rows above the tail.
     r_i grows with i up to n_max - 1, so the norm bound is attained at row
     n_max or at a row whose |d_i| exceeds that of every later row below
-    n_max.  The blocks hold the rows the guess reads.
+    n_max.  Below n_max - 2 that needs d_i < 0, as |d_(i+2)| >= d_i, so the
+    row is in n.  The blocks hold the rows the guess reads.
     """
     build = partial(_block_columns, omega, omega_a, g, n_max)
     blocks = _Blocks(*build(min(n_max + 1, tail + _GUESS_ROWS + 1)), n_max + 1, build)
@@ -332,12 +333,12 @@ def _ground_bracket(omega: float, omega_a: float, g: np.ndarray, n_max: int, dia
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ConvergenceFailure("non-finite Gershgorin interval; block is malformed")
     size = np.abs(diag[:, :-1])
-    later = np.maximum.accumulate(size[:, ::-1], axis=1)[:, -2::-1]  # max |d_j|, i < j < n_max
-    rows = np.append(np.flatnonzero((size[:, :-1] > later).any(axis=0)), [n_max - 1, n_max])
-    root = np.sqrt(np.stack([rows, rows + 1]) + 0.0)  # sqrt(j + 1) of t_j, j = i - 1 and i
-    root[1, rows == n_max] = 0.0
+    later = np.maximum.accumulate(size[:, ::-1], axis=1)[:, -2::-1]  # max |d_j|, j later in n
+    at = np.append(np.flatnonzero((size[:, :-1] > later).any(axis=0)), [len(n) - 2, len(n) - 1])
+    root = np.sqrt(np.stack([n[at], n[at] + 1]) + 0.0)  # sqrt(j + 1) of t_j, j = i - 1 and i
+    root[1, -1] = 0.0  # row n_max has no t_(n_max)
     t = np.abs(root[:, :, None] * (0.5 * g))  # t[0, -1] is t_(n_max - 1)
-    bound = np.abs(np.repeat(diag[:, rows].T, len(g), axis=1)) + np.tile(t[0] + t[1], 2)
+    bound = np.abs(np.repeat(diag[:, at].T, len(g), axis=1)) + np.tile(t[0] + t[1], 2)
     pivmin = np.maximum(t[0, -1] * t[0, -1], 1.0) * _TINY
     return (lo, np.repeat(hi, len(g)), np.tile(pivmin, 2), tail,
             np.maximum(np.max(bound, axis=0), 1.0)), blocks
@@ -361,8 +362,8 @@ def _lattice_depth(lo: np.ndarray, hi: np.ndarray, tol: float,
 
 
 def _lowest_eigenpairs(blocks: _Blocks, tol: float = 1e-12,
-                       bracket: tuple | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Smallest eigenvalue of every column's block, the residual of its eigenpair, and reach.
+                       bracket: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of every column's block and the residual of its eigenpair.
 
     blocks holds n rows per column, offdiagonals >= 0; only the rows that
     the passes, the guess and the residual read are built.  A column's
@@ -377,8 +378,7 @@ def _lowest_eigenpairs(blocks: _Blocks, tol: float = 1e-12,
     max(|lo|, |hi|), pivmin) or at one lattice cell, which is no wider; that
     cell depends on the column's counts alone, not on theta or the batch.
     bracket is _bracket of the whole blocks; without it they must be built
-    whole.  reach is the largest reach of any pass (0 if none ran).
-    Returns (values, residuals, reach).
+    whole.  The residual cut reads up to twice the largest reach of a pass.
     """
     lo, hi, pivmin, tail, scale = bracket or _bracket(blocks.diag, blocks.offdiag)
     n, width = blocks.n, blocks.diag.shape[1]
@@ -434,7 +434,7 @@ def _lowest_eigenpairs(blocks: _Blocks, tol: float = 1e-12,
         raise ConvergenceFailure(
             f"multisection exceeded {_MAX_SWEEPS} sweeps; block is malformed")
     values = 0.5 * (lo + hi)
-    return values, _eigenpair_residual(blocks, values, reach, vectors, scale), reach
+    return values, _eigenpair_residual(blocks, values, reach, vectors, scale)
 
 
 def _eigenpair_residual(blocks: _Blocks, values: np.ndarray, reach: int | None = None,
@@ -547,74 +547,43 @@ def smallest_eigenvalue(block: TridiagonalBlock, tol: float = 1e-12) -> tuple[fl
     A batch of one for the multisection kernel: the bracket stops at
     max(tol, 2*eps*|value|, pivmin); returns (value, ||H v - E v||).
     """
-    values, residuals, _ = _lowest_eigenpairs(_Blocks(
+    values, residuals = _lowest_eigenpairs(_Blocks(
         np.asarray(block.diag, dtype=float)[:, None],
         np.asarray(block.offdiag, dtype=float)[:, None]), tol)
     return float(values[0]), float(residuals[0])
 
 
 def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Ground energies at every g of a grid, from one kernel call (two if the gap needs it).
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays (energy, parity, residual) of the ground state at every g, from one kernel call.
 
-    Returns the arrays (energy, parity, residual, truncation gap), one entry
-    per g.  The kernel solves the +1 and -1 blocks at n_max, from the bracket
-    of _ground_bracket and building only the leading rows it reads unless
-    they join the half blocks.  The blocks
-    at half = max(2, n_max // 2) are the leading rows of those, so where no
-    Sturm pass reads past row half + 1 they give the same count at every
-    trial point, and their eigenvalues lie in the same final brackets: the
-    gap is 0.  Where the n_max blocks are not dominant from row half + 1 on,
-    every pass reads that far anyway, and the half blocks join the same
-    batch, built on all rows: a half block there keeps the length of the
-    full ones, with offdiagonals 0 past index half and its own largest
-    diagonal entry on the diagonal, which leaves its smallest eigenvalue,
-    bracket, pivmin and norm bound those of the half block.  Otherwise, if
-    a pass still reads past row half + 1, a second kernel call solves the
-    half blocks.  Ties between the parity sectors go to +1.
+    The kernel solves the +1 and -1 blocks at n_max from the bracket of
+    _ground_bracket, building only the leading rows it reads.  Ties between
+    the parity sectors go to +1.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    half = max(2, n_max // 2)
-    parity_diag, hi, tail = _parity_tail(omega, omega_a, g, n_max)
-    together = tail > half + 1
-    if together:
-        diag, offdiag = (np.concatenate([a, a], axis=1)
-                         for a in _block_columns(omega, omega_a, g, n_max))
-        halves = slice(diag.shape[1] // 2, None)
-        diag[half + 1:, halves] = np.max(diag[:half + 1, halves], axis=0)
-        offdiag[half:, halves] = 0.0
-        blocks, bracket = _Blocks(diag, offdiag), None
-    else:
-        bracket, blocks = _ground_bracket(omega, omega_a, g, n_max, parity_diag, hi, tail)
-    values, residuals, reach = _lowest_eigenpairs(blocks, bracket=bracket)
-    plus, minus = values[:len(g)], values[len(g):2 * len(g)]
+    bracket, blocks = _ground_bracket(omega, omega_a, g, n_max,
+                                      *_parity_tail(omega, omega_a, g, n_max))
+    (plus, minus), residuals = (a.reshape(2, len(g)) for a in _lowest_eigenpairs(
+        blocks, bracket=bracket))
     odd = minus < plus
-    energy = np.where(odd, minus, plus)
-    residual = np.where(odd, residuals[len(g):2 * len(g)], residuals[:len(g)])
-    if together:
-        half_values = values[2 * len(g):]
-    elif reach > half + 1:
-        blocks.grow(half + 1)
-        half_values = _lowest_eigenpairs(_Blocks(blocks.diag[:half + 1], blocks.offdiag[:half]))[0]
-    else:
-        half_values = values
-    plus_half, minus_half = half_values.reshape(2, len(g))
-    gap = np.abs(energy - np.where(minus_half < plus_half, minus_half, plus_half))
-    return energy, np.where(odd, -1, 1), residual, gap
+    return np.where(odd, minus, plus), np.where(odd, -1, 1), np.where(odd, *residuals[::-1])
 
 
 def ground_energy(params: RabiParams, n_max: int = 300) -> tuple[float, int, float, float]:
-    """The tuple (energy, parity, residual, truncation_gap) of _ground_rows at params.g.
+    """The ground state of _ground_rows at params.g, and its truncation gap.
 
-    parity is the ground state's sector (+1 on a tie), residual ||H v - E v|| of
-    its eigenpair, and truncation_gap |E(n_max) - E(half)| with half =
-    max(2, n_max // 2), a convergence indicator: 0 where no Sturm pass read
-    past row half + 1.
+    Returns (energy, parity, residual, truncation_gap): parity is the ground
+    state's sector (+1 on a tie), residual ||H v - E v|| of its eigenpair, and
+    truncation_gap |E(n_max) - E(half)|, a convergence indicator, from a
+    second solve at half = max(2, n_max // 2).  Where no Sturm pass reads
+    past row half + 1 the two solves see the same counts, and the gap is 0.
     """
-    energy, parity, residual, gap = _ground_rows(params.omega, params.omega_a,
-                                                 np.array([params.g]), n_max)
-    return float(energy[0]), int(parity[0]), float(residual[0]), float(gap[0])
+    g = np.array([params.g])
+    energy, parity, residual = _ground_rows(params.omega, params.omega_a, g, n_max)
+    half = _ground_rows(params.omega, params.omega_a, g, max(2, n_max // 2))[0]
+    return float(energy[0]), int(parity[0]), float(residual[0]), float(abs(energy[0] - half[0]))
 
 
 def variational_energy(params: RabiParams) -> float:
@@ -660,11 +629,16 @@ def compare_columns(params: RabiParams, g_values: Sequence[float], n_max: int = 
     params.g is ignored.  deviation, variational minus ED, stays >= 0 up to the
     truncation and bisection error: the variational energy is an upper bound.
     The grid is checked like RabiParams.g and solved in batches of
-    _BATCH_ENTRIES // (4 (n_max + 1)) points; each row's numbers do not
-    depend on the others.
+    _BATCH_ENTRIES // (2 rows) points, rows = min(n_max + 1, tail +
+    _GUESS_ROWS + 1) the rows the kernel first builds for the grid's tail
+    (the tail is not needed where n_max + 1 rows fit); each row's numbers
+    do not depend on the others.
     """
     g = _grid(g_values)
-    step = max(1, _BATCH_ENTRIES // (4 * (n_max + 1)))
+    rows = n_max + 1
+    if 2 * len(g) * rows > _BATCH_ENTRIES:
+        rows = min(rows, _parity_tail(params.omega, params.omega_a, g, n_max)[3] + _GUESS_ROWS + 1)
+    step = max(1, _BATCH_ENTRIES // (2 * rows))
     energy = np.concatenate(
         [_ground_rows(params.omega, params.omega_a, g[start:start + step], n_max)[0]
          for start in range(0, len(g), step)] or [g])

@@ -8,6 +8,7 @@ traced benchmark crash, so the tracer is installed and removed here.
 import contextlib
 import importlib.util
 import io
+from collections import Counter
 from pathlib import Path
 
 import optodicke
@@ -68,6 +69,22 @@ def test_install_and_unpatch():
     # the phase grid solves one fold per nonzero zeta row and no stationary points
     assert tracer.calls_under("solver.turning_point", "diagram.grid_row", 0, len(tracer.spans)) == 4
     assert tracer.calls_under("solver.find_roots", "diagram.grid_row", 0, len(tracer.spans)) == 0
+
+
+def test_rabi_check_ed_work(monkeypatch):
+    # the four rabi_check operations at seed 1: their Sturm passes, and no
+    # column that needs inverse iteration
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    spec = importlib.util.spec_from_file_location("bench_workloads", TRACING.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rabi, counts = optodicke.rabi, Counter()
+    for name in ("_sturm_count", "_inverse_iteration"):
+        monkeypatch.setattr(rabi, name, lambda *args, fn=getattr(rabi, name), name=name:
+                            counts.update([name]) or fn(*args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [optodicke.cli.run(op) for op in workloads.RabiCheck(1, False).ops] == [0] * 4
+    assert counts == {"_sturm_count": 17}
 
 
 def test_cli_import_starts_no_pool_machinery():

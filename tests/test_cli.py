@@ -210,6 +210,20 @@ class TestConfig:
         assert run(argv) == 2
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--g", "-1:3:5"],
+        ["roots", "--g", "-1e-3"],
+        ["phase-diagram", "--zeta", "-1:2:3"],
+        ["roots", "--omega", "-1e-3"],
+        ["rabi-compare", "--g", "-.5:1:3"],
+        ["sweep", "-o", "-", "--g", "-1:3:5"],
+    ])
+    def test_negative_value_after_a_space(self, argv, capsys):
+        # a value that begins -<digit> or -.<digit> is the flag's value, as in --flag=value
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert _run_captured(argv, capsys)[::2] == _run_captured(joined, capsys)[::2]
+        assert _run_captured(argv, capsys)[0] == 2
+
 
 class TestGridCaps:
     """Counts above the caps exit 2 before any grid array is allocated."""
@@ -273,6 +287,21 @@ class TestJsonOutput:
                     assert rc[key] == ""
                 else:
                     assert rc[key] == str(value)
+
+    def test_float_text_referee(self):
+        # random bit patterns, subnormals, signed zeros, infinities and NaN:
+        # CSV text is f"{v:.9g}", JSON text json.dumps of that value, NaN absent
+        rng = np.random.default_rng(2017)
+        values = np.concatenate([
+            rng.integers(-2**63, 2**63, size=200_000, dtype=np.int64).view(np.float64),
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+             1e-310, 1.7976931348623157e308, 0.1, 1e16, 123456789.5, 999999999.5]])
+        csv_ref = [f"{v:.9g}" for v in values.tolist()]
+        json_ref = json.dumps(list(map(float, csv_ref)))[1:-1].split(", ")
+        absent = np.isnan(values).tolist()
+        assert cli._fields([values]) == [["" if a else t for a, t in zip(absent, csv_ref)]]
+        assert cli._fields([values], json_text=True) == [
+            ["null" if a else t for a, t in zip(absent, json_ref)]]
 
     def test_roots_json(self, tmp_path):
         out = tmp_path / "roots.json"

@@ -155,9 +155,10 @@ class TestGroundEnergy:
 
     def test_truncation_gap_reported(self):
         result = ground_energy(RabiParams(g=2.0), 300)
-        # the plain tuple (energy, parity, residual, truncation_gap) of the n_max = 300 solve
-        columns = rabi._ground_rows(1.0, 1.0, np.array([2.0]), 300)
-        assert result == tuple(c[0] for c in columns)
+        # the plain tuple (energy, parity, residual) of the n_max = 300 solve,
+        # and the truncation gap to the n_max = 150 solve
+        full, half = (rabi._ground_rows(1.0, 1.0, np.array([2.0]), n) for n in (300, 150))
+        assert result == (*(c[0] for c in full), abs(full[0][0] - half[0][0]))
         gap = result[3]
         assert gap >= 0.0
         assert gap <= 1e-10
@@ -282,10 +283,28 @@ class TestBatchedKernel:
         grid = np.linspace(0.0, 3.0, 61)
         columns = {omega: compare_columns(RabiParams(omega=omega), grid, n_max=300)
                    for omega in (1.0, 0.8, 1.2)}
-        monkeypatch.setattr(rabi, "_BATCH_ENTRIES", 7 * 4 * 301)
+        calls = _record_kernel_calls(monkeypatch)
         for omega, expected in columns.items():
+            rows = rabi._parity_tail(omega, 1.0, grid, 300)[3] + rabi._GUESS_ROWS + 1
+            monkeypatch.setattr(rabi, "_BATCH_ENTRIES", 7 * 2 * rows)
+            calls.clear()
             got = compare_columns(RabiParams(omega=omega), grid, n_max=300)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert [width for width, _ in calls] == [14] * 8 + [10]
+
+    @pytest.mark.parametrize("n_max", [300, 3000, 30000])
+    def test_batches_by_rows_read(self, monkeypatch, n_max):
+        # every pass stops near row 30, so the 61-point grid is one batch at any n_max
+        calls = _record_kernel_calls(monkeypatch)
+        compare_columns(RabiParams(), np.linspace(0.0, 3.0, 61), n_max=n_max)
+        assert [columns for columns, _ in calls] == [122]
+
+    def test_strong_coupling_batches_stay_bounded(self, monkeypatch):
+        # no row is dominant: each batch builds all n_max + 1 rows of its blocks
+        calls = _record_kernel_calls(monkeypatch)
+        compare_columns(RabiParams(), np.linspace(0.0, 1e4, 61), n_max=3000)
+        assert len(calls) > 1 and sum(columns for columns, _ in calls) == 122
+        assert all(columns * 3001 <= rabi._BATCH_ENTRIES for columns, _ in calls)
 
     def test_within_dense_oracle_over_grid(self):
         for omega in (0.8, 1.2):
@@ -380,9 +399,10 @@ class TestGuess:
             passes.clear()
             rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), n_max)
             assert len(passes) == 4
-        passes.clear()
-        ground_energy(RabiParams(g=1e4), 50)
-        assert len(passes) <= 8
+        for n_max in (50, 25):  # the two solves of ground_energy(RabiParams(g=1e4), 50)
+            passes.clear()
+            rabi._ground_rows(1.0, 1.0, np.array([1e4]), n_max)
+            assert len(passes) <= 8
 
     @pytest.mark.parametrize("omega,g,n_max", _DETUNING_GRIDS)
     def test_guess_vectors_meet_the_residual_target(self, monkeypatch, omega, g, n_max):
@@ -403,7 +423,7 @@ class TestGuess:
         passes = _record_sturm_passes(monkeypatch)
         diag, off = _block_columns(omega, 1.0, g, n_max)
         lo, hi, pivmin = rabi._bracket(diag, off)[:3]
-        values, _, _ = rabi._lowest_eigenpairs(_Blocks(diag, off))
+        values, _ = rabi._lowest_eigenpairs(_Blocks(diag, off))
         for x, counts in passes:
             lo = np.maximum(lo, np.max(np.where(counts == 0, x, -np.inf), axis=0))
             hi = np.minimum(hi, np.min(np.where(counts >= 1, x, np.inf), axis=0))
@@ -419,7 +439,7 @@ class TestGuess:
             n_max = int(rng.integers(2, 80))
             g = rng.uniform(0.0, 4.0, size=3)
             diag, off = _block_columns(omega, omega_a, g, n_max)
-            values, _, _ = rabi._lowest_eigenpairs(_Blocks(diag, off))
+            values, _ = rabi._lowest_eigenpairs(_Blocks(diag, off))
             for j, value in enumerate(values):
                 block = TridiagonalBlock(1, diag[:, j], off[:, j]).dense()
                 dense = np.linalg.eigvalsh(block)[0]
@@ -492,59 +512,65 @@ class TestLeadingRows:
         for a, b in zip(rows, whole):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
         expected = rabi._bracket(*_block_columns(omega, omega_a, g, n_max))
-        if expected[3] > max(2, n_max // 2) + 1:
-            assert brackets[0] is None  # together with the half blocks, on all rows
-        else:
-            assert brackets[0][3] == expected[3]
-            for got, want in zip(brackets[0][:3] + brackets[0][4:], expected[:3] + expected[4:]):
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert brackets[0][3] == expected[3]
+        for got, want in zip(brackets[0][:3] + brackets[0][4:], expected[:3] + expected[4:]):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_memory_tracks_the_rows_read(self):
-        # every pass stops near row 30 at either truncation
+        # every pass stops near row 30 at any truncation
         peaks = []
-        for n_max in (300, 3000):
+        for n_max in (300, 3000, 30000):
             tracemalloc.start()
             try:
                 rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), n_max)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 2 * peaks[0]
+        assert max(peaks[1:]) <= 2 * peaks[0]
 
 
 def _record_kernel_calls(monkeypatch):
-    """Column count of every _lowest_eigenpairs call, with its reach."""
+    """Column count of every _lowest_eigenpairs call, with the largest reach of its passes."""
     calls = []
-    kernel = rabi._lowest_eigenpairs
+    kernel, count = rabi._lowest_eigenpairs, rabi._sturm_count
 
     def recording(blocks, *args, **kwargs):
-        values, residuals, reach = kernel(blocks, *args, **kwargs)
-        calls.append((blocks.diag.shape[1], reach))
-        return values, residuals, reach
+        calls.append([blocks.diag.shape[1], 0])
+        return kernel(blocks, *args, **kwargs)
+
+    def counting(blocks, x, pivmin, tail):
+        counts, reach = count(blocks, x, pivmin, tail)
+        calls[-1][1] = max(calls[-1][1], reach)
+        return counts, reach
 
     monkeypatch.setattr(rabi, "_lowest_eigenpairs", recording)
+    monkeypatch.setattr(rabi, "_sturm_count", counting)
     return calls
 
 
 class TestHalfBlocks:
-    """The n_max // 2 blocks are solved only where the truncation can show."""
+    """One kernel call per truncation: rabi-compare solves n_max, ground_energy also half."""
 
     def test_grid_solves_only_the_full_blocks(self, monkeypatch):
         # no pass reads past row ~30 here, so half and full blocks count alike
         calls = _record_kernel_calls(monkeypatch)
-        _, _, _, gap = rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), 300)
+        grid = np.linspace(0.0, 3.0, 61)
+        compare_columns(RabiParams(), grid, n_max=300)
         assert [columns for columns, _ in calls] == [122]
         assert calls[0][1] <= 151
-        assert np.all(gap == 0.0)
+        assert all(ground_energy(RabiParams(g=g), 300)[3] == 0.0 for g in grid)
 
     @pytest.mark.parametrize("g,n_max", [(1e4, 50), (1e3, 300)])
     def test_gap_at_strong_coupling(self, monkeypatch, g, n_max):
-        # the blocks are not dominant past half + 1: one call holds all four
+        # the blocks are not dominant past half + 1; rabi-compare solves n_max alone
         calls = _record_kernel_calls(monkeypatch)
+        compare_columns(RabiParams(), [g], n_max=n_max)
+        assert [columns for columns, _ in calls] == [2]
+        calls.clear()
         gap = ground_energy(RabiParams(g=g), n_max)[3]
         ref = abs(oracles.rabi_dense_ground(1.0, 1.0, g, n_max)
                   - oracles.rabi_dense_ground(1.0, 1.0, g, n_max // 2))
-        assert [columns for columns, _ in calls] == [4]
+        assert [columns for columns, _ in calls] == [2, 2]
         assert gap == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("g,n_max", [(0.5, 4), (1.5, 20), (3.0, 40)])
@@ -637,10 +663,10 @@ class TestStartVector:
     def test_start_alternates(self):
         assert _start_vector(5) == pytest.approx([1.0, -1.0, 1.0, -1.0, 1.0], rel=1e-15)
 
-    @pytest.mark.parametrize("n_max,m", [(50, 8), (50, 30), (50, 51), (300, 301)])
+    @pytest.mark.parametrize("n_max,m", [(50, 8), (50, 30), (50, 51), (300, 151), (300, 301)])
     def test_overlaps_the_lowest_eigenspace(self, n_max, m):
         # both parities; the leading m x m blocks that a guess or a cut reads
-        # (the same at either n_max), and the whole blocks
+        # (the same at either n_max), and the whole blocks at n_max and at half
         g = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 3.0, 1e4])
         start = _start_vector(m)
         for omega in (0.8, 1.0, 1.2):
@@ -656,17 +682,3 @@ class TestStartVector:
         assert diag[0, 0] == diag[1, 0] == 0.5
         projection = _ground_projection(diag[:, 0], off[:, 0], _start_vector(51))
         assert projection == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-    @pytest.mark.parametrize("n_max", [50, 300])
-    def test_overlaps_the_padded_half_blocks(self, n_max):
-        # the half blocks of _ground_rows' together mode: n_max + 1 rows, no
-        # coupling past row half and the largest leading diagonal entry after it
-        half = max(2, n_max // 2)
-        g = np.array([1e-3, 0.5, 1.0, 2.0, 3.0, 1e3, 1e4])
-        for omega in (0.8, 1.0, 1.2):
-            diag, off = _block_columns(omega, 1.0, g, n_max)
-            diag[half + 1:] = np.max(diag[:half + 1], axis=0)
-            off[half:] = 0.0
-            start = _start_vector(n_max + 1)
-            for j in range(diag.shape[1]):
-                assert _ground_projection(diag[:, j], off[:, j], start) >= 1.0 - 1e-9
