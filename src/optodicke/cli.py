@@ -359,11 +359,11 @@ def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list]:
     _check_workers()
     grid = diagram.phase_grid(spec, _solver_config(cfg))
     # cells are in (zeta, g) order: code both axes by row and column, boundaries appended
-    row, col = np.divmod(np.arange(grid.g.size), g_steps)
+    row, col = np.divmod(np.arange(grid.phase.size), g_steps)
     bound = np.arange(grid.boundary_g.size)
     axes = [(np.concatenate([cell, axis.size + bound]), np.concatenate([axis, values]))
-            for cell, axis, values in ((row, grid.zeta[::g_steps], grid.boundary_zeta),
-                                       (col, grid.g[:g_steps], grid.boundary_g))]
+            for cell, axis, values in ((row, grid.zeta, grid.boundary_zeta),
+                                       (col, grid.g, grid.boundary_g))]
     columns = [(np.repeat([0, 1], [row.size, bound.size]), ["cell", "boundary"]), *axes,
                (np.concatenate([grid.phase, grid.boundary_below]), PHASES),
                (np.concatenate([np.zeros(row.size, int), grid.boundary_above + 1]),

@@ -133,10 +133,12 @@ class Sweep:
 
 @dataclass(frozen=True, eq=False)
 class PhaseGrid:
-    """Cell columns in (zeta, g) order, phase an index into solver.PHASES, and the boundaries.
+    """The axes g and zeta, the cells' phase in (zeta, g) order, and the boundaries.
 
-    Boundary columns, in (zeta, g) order: zeta, the exact coupling (g_c or g_t),
-    and the labels below and above it, also indices into solver.PHASES.
+    phase[k * g.size + i] is the cell at (zeta[k], g[i]), an index into
+    solver.PHASES.  Boundary columns, in (zeta, g) order: zeta, the exact
+    coupling (g_c or g_t), and the labels below and above it, also indices
+    into solver.PHASES.
     """
 
     g: np.ndarray
@@ -239,5 +241,4 @@ def phase_grid(spec: GridSpec, config: SolverConfig | None = None) -> PhaseGrid:
     """
     gs, zetas = spec.g_grid(), spec.zeta_grid()
     index, boundaries = grid_row(spec, zetas, config)  # the module global: one pass
-    return PhaseGrid(np.tile(gs, zetas.size), np.repeat(zetas, gs.size), index.reshape(-1),
-                     *boundaries)
+    return PhaseGrid(gs, zetas, index.reshape(-1), *boundaries)

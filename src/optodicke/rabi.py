@@ -10,21 +10,22 @@ matrix splits into two symmetric tridiagonal blocks, one per parity sector:
 
     d_n = omega*n + parity*(omega_a/2)*(-1)^n,   t_n = (g/2)*sqrt(n+1) .
 
-One batched kernel finds the smallest eigenvalue of many blocks at once,
-one (g point, parity sector) block per column.  Each Sturm pass runs the
+One batched kernel, with one entry (_parity_rows), finds the smallest
+eigenvalue of both parity blocks at every g of a grid, one block per column,
+from a bracket read off the blocks' structure.  Each Sturm pass runs the
 LDL^T count recurrence once over n for all columns and 15 trial points per
 column, and ends early once the remaining rows are diagonally dominant.
 A column first bisects [Gershgorin lower bound, min(diag)] uniformly until
 its bracket is 1e-3 of its size; it then anchors a lattice of points on
 that bracket, with cells narrower than the stop of LAPACK dstebz,
-max(tol, 2*eps*max(|lo|, |hi|), pivmin), and every later trial point is a
-lattice point.  A Rayleigh-quotient guess from a few shifted inverse-
-iteration steps picks the next pass's points, nested around it (+-1,
-+-16, +-256, ...); a column that pass leaves wider than one cell goes on
-bisecting its lattice uniformly.  The result is the lattice cell whose
-Sturm counts hold the eigenvalue: the certificate of plain multisection,
-and independent of the guess and of the other columns, to the bit.  Only
-the leading rows that the passes, the guess and the residual read are built.
+max(1e-12, 2*eps*max(|lo|, |hi|), pivmin), and every later trial point is a
+lattice point.  A Rayleigh-quotient guess from a few shifted inverse-iteration
+steps picks the next pass's points, nested around it (+-1, +-16, +-256, ...);
+a column that pass leaves wider than one cell goes on bisecting its lattice
+uniformly.  The result is the lattice cell whose Sturm counts hold the
+eigenvalue: the certificate of plain multisection, and independent of the
+guess and of the other columns, to the bit.  Only the leading rows that the
+passes, the guess and the residual read are built.
 
 The eigenpair residual is checked on the guess vectors, taken on the rows
 up to 16 past the dominant tail, then by inverse iteration shifted just
@@ -53,9 +54,7 @@ from .solver import SolverError
 
 __all__ = [
     "RabiParams",
-    "TridiagonalBlock",
     "ConvergenceFailure",
-    "build_blocks",
     "smallest_eigenvalue",
     "ground_energy",
     "variational_energy",
@@ -87,6 +86,8 @@ _RESIDUAL_TOL = 1e-10
 # about 12 rows past the tail, and 15 rows met the residual target on every
 # column of the 61-point detuning grids at n_max 300.
 _GUESS_ROWS = 16
+# Absolute stop of a bracket, the abstol of LAPACK dstebz.
+_TOL = 1e-12
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 # Bounds of the frequencies and of g (see RabiParams).
@@ -123,34 +124,6 @@ class RabiParams:
                                  f"got {getattr(self, name)!r}")
         if not 0.0 <= self.g <= DOMAIN_MAX:
             raise ValueError(f"g must be in [0, {DOMAIN_MAX:g}], got {self.g!r}")
-
-
-@dataclass(frozen=True)
-class TridiagonalBlock:
-    """One parity sector: diagonal d (length n_max+1) and offdiagonal t."""
-
-    parity: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.parity not in (-1, 1):
-            raise ValueError("parity must be +1 or -1")
-        if len(self.diag) != len(self.offdiag) + 1:
-            raise ValueError("need len(diag) == len(offdiag) + 1")
-        if np.any(self.offdiag < 0.0):
-            raise ValueError("offdiagonal entries must be >= 0")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.diag) - 1
-
-    def norm_bound(self) -> float:
-        """Infinity-norm bound on the block, used as the residual scale."""
-        return float(_norm_bounds(self.diag[:, None], self.offdiag[:, None])[0])
-
-    def dense(self) -> np.ndarray:
-        return (np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1))
 
 
 def _parity_diagonals(omega: float, omega_a: float, n: np.ndarray) -> np.ndarray:
@@ -192,31 +165,11 @@ class _Blocks:
             self.off2 = self.offdiag * self.offdiag
 
 
-def build_blocks(params: RabiParams, n_max: int) -> tuple[TridiagonalBlock, TridiagonalBlock]:
-    """The two parity blocks of the Rabi matrix truncated at n_max photons.
-
-    Their direct sum is unitarily equivalent to the full two-level (x) Fock
-    matrix, so the union of the block spectra is the truncated spectrum.
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    diag, offdiag = _block_columns(params.omega, params.omega_a, np.array([params.g]), n_max)
-    return tuple(TridiagonalBlock(parity=parity, diag=np.ascontiguousarray(diag[:, i]),
-                                  offdiag=np.ascontiguousarray(offdiag[:, i]))
-                 for i, parity in enumerate((+1, -1)))
-
-
 def _radii(offdiag: np.ndarray) -> np.ndarray:
     """Gershgorin radii |t_(i-1)| + |t_i| of every column's block (n, columns)."""
     pad = np.zeros((len(offdiag) + 2, offdiag.shape[1]))
     pad[1:-1] = np.abs(offdiag)
     return pad[:-1] + pad[1:]
-
-
-def _norm_bounds(diag: np.ndarray, offdiag: np.ndarray, radii: np.ndarray | None = None
-                 ) -> np.ndarray:
-    """Infinity-norm bound max_i |d_i| + |t_(i-1)| + |t_i| of every column's block."""
-    return np.max(np.abs(diag) + (_radii(offdiag) if radii is None else radii), axis=0)
 
 
 def _sturm_count(blocks: _Blocks, x: np.ndarray, pivmin: np.ndarray,
@@ -276,24 +229,6 @@ def _dominant_tail(diag: np.ndarray, radii: np.ndarray, hi: np.ndarray,
     return int(weak[-1]) + 1 if weak.size else 0
 
 
-def _bracket(diag: np.ndarray, offdiag: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """Start of the multisection: (lo, hi, pivmin, tail, scale) of a batch.
-
-    [lo, hi] is [Gershgorin lower bound, min(diag)] of every column's block,
-    pivmin max_i t_i^2 times the smallest normal double, tail the batch's
-    _dominant_tail below hi and scale the residual scale, max(1, norm bound).
-    """
-    radii = _radii(offdiag)
-    lo = np.min(diag - radii, axis=0)
-    hi = np.min(diag, axis=0)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ConvergenceFailure("non-finite Gershgorin interval; block is malformed")
-    pivmin = np.max(offdiag * offdiag, axis=0, initial=1.0) * _TINY
-    scale = np.maximum(_norm_bounds(diag, offdiag, radii), 1.0)
-    return lo, hi, pivmin, _dominant_tail(diag, radii, hi, pivmin), scale
-
-
 def _parity_tail(omega: float, omega_a: float, g: np.ndarray,
                  n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Rows n of the parity diagonals, those diagonals (2, len(n)), their minima hi, and the tail.
@@ -317,9 +252,12 @@ def _parity_tail(omega: float, omega_a: float, g: np.ndarray,
 
 def _ground_bracket(omega: float, omega_a: float, g: np.ndarray, n_max: int, n: np.ndarray,
                     diag: np.ndarray, hi: np.ndarray, tail: int) -> tuple[tuple, _Blocks]:
-    """_bracket of the blocks at n_max of a g grid, to the bit, and their _Blocks.
+    """The kernel's bracket (lo, hi, pivmin, tail, scale) of the blocks at n_max, and their _Blocks.
 
-    n, diag, hi and tail are those of _parity_tail.  pivmin comes from
+    [lo, hi] is [Gershgorin lower bound, min(diag)] of every column's block,
+    pivmin max_i t_i^2 times the smallest normal double and scale max(1,
+    max_i |d_i| + |t_(i-1)| + |t_i|), each to the bit as over all rows; n,
+    diag, hi and tail (see _dominant_tail) are those of _parity_tail.  pivmin comes from
     t_(n_max - 1), as t_i grows with i.  A dominant row j has
     d_j - r_j > hi >= lo, so lo is a minimum over the rows above the tail.
     r_i grows with i up to n_max - 1, so the norm bound is attained at row
@@ -330,8 +268,6 @@ def _ground_bracket(omega: float, omega_a: float, g: np.ndarray, n_max: int, n: 
     build = partial(_block_columns, omega, omega_a, g, n_max)
     blocks = _Blocks(*build(min(n_max + 1, tail + _GUESS_ROWS + 1)), n_max + 1, build)
     lo = np.min(blocks.diag[:tail] - _radii(blocks.offdiag[:tail])[:tail], axis=0)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ConvergenceFailure("non-finite Gershgorin interval; block is malformed")
     size = np.abs(diag[:, :-1])
     later = np.maximum.accumulate(size[:, ::-1], axis=1)[:, -2::-1]  # max |d_j|, j later in n
     at = np.append(np.flatnonzero((size[:, :-1] > later).any(axis=0)), [len(n) - 2, len(n) - 1])
@@ -344,25 +280,23 @@ def _ground_bracket(omega: float, omega_a: float, g: np.ndarray, n_max: int, n: 
             np.maximum(np.max(bound, axis=0), 1.0)), blocks
 
 
-def _lattice_depth(lo: np.ndarray, hi: np.ndarray, tol: float,
-                   pivmin: np.ndarray) -> np.ndarray:
+def _lattice_depth(lo: np.ndarray, hi: np.ndarray, pivmin: np.ndarray) -> np.ndarray:
     """Smallest K with (hi - lo) 2^-K <= S/2 - eps (hi - lo) for brackets [lo, hi].
 
-    S = max(tol, pivmin, 2 eps (max(|lo|, |hi|) - (hi - lo))) is at most the
+    S = max(_TOL, pivmin, 2 eps (max(|lo|, |hi|) - (hi - lo))) is at most the
     stop of any bracket inside [lo, hi], so each lattice cell, rounding of
     its points included, meets the stop of its own ends.
     """
     width = hi - lo
     span = np.maximum(np.abs(lo), np.abs(hi))
-    stop = np.maximum(np.maximum(tol, pivmin), 2.0 * _EPS * np.maximum(span - width, 0.0))
+    stop = np.maximum(np.maximum(_TOL, pivmin), 2.0 * _EPS * np.maximum(span - width, 0.0))
     target = 0.5 * stop - _EPS * width
     depth = np.ceil(np.log2(width / target)).astype(np.int64)
     depth -= np.ldexp(width, 1 - depth) <= target
     return depth + (np.ldexp(width, -depth) > target)
 
 
-def _lowest_eigenpairs(blocks: _Blocks, tol: float = 1e-12,
-                       bracket: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_eigenpairs(blocks: _Blocks, bracket: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue of every column's block and the residual of its eigenpair.
 
     blocks holds n rows per column, offdiagonals >= 0; only the rows that
@@ -374,13 +308,13 @@ def _lowest_eigenpairs(blocks: _Blocks, tol: float = 1e-12,
     floor(theta) + _LADDER.  theta is the Rayleigh quotient of _GUESS_STEPS
     inverse-iteration steps shifted below lo on the leading tail +
     _GUESS_ROWS rows, computed for every column at once when no moving
-    column is coarse.  A column stops at hi - lo <= max(tol, 2 eps
+    column is coarse.  A column stops at hi - lo <= max(_TOL, 2 eps
     max(|lo|, |hi|), pivmin) or at one lattice cell, which is no wider; that
     cell depends on the column's counts alone, not on theta or the batch.
-    bracket is _bracket of the whole blocks; without it they must be built
-    whole.  The residual cut reads up to twice the largest reach of a pass.
+    bracket is (lo, hi, pivmin, tail, scale) as _ground_bracket gives it.
+    The residual cut reads up to twice the largest reach of a pass.
     """
-    lo, hi, pivmin, tail, scale = bracket or _bracket(blocks.diag, blocks.offdiag)
+    lo, hi, pivmin, tail, scale = bracket
     n, width = blocks.n, blocks.diag.shape[1]
     columns = np.arange(width)
     lattice = np.zeros(width, dtype=bool)
@@ -391,20 +325,20 @@ def _lowest_eigenpairs(blocks: _Blocks, tol: float = 1e-12,
     vectors = None  # the guess vectors, once there are any
     reach = 0
     for _ in range(_MAX_SWEEPS):
-        stop = np.maximum(np.maximum(tol, pivmin),
+        stop = np.maximum(np.maximum(_TOL, pivmin),
                           2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
         moving = np.where(lattice, ihi - ilo > 1, hi - lo > stop)
         if not moving.any():
             break
-        index = ilo + (ihi - ilo) * _NUMERATORS // (_TRIALS + 1)
         enter = moving & ~lattice & (
             hi - lo <= _COARSE * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
         if enter.any():
-            depth = _lattice_depth(lo[enter], hi[enter], tol, pivmin[enter])
+            depth = _lattice_depth(lo[enter], hi[enter], pivmin[enter])
             anchor[enter] = lo[enter]
             cell[enter] = np.ldexp(hi[enter] - lo[enter], -depth)
             ilo[enter], ihi[enter] = 0, np.left_shift(1, depth)
             lattice |= enter
+        index = ilo + (ihi - ilo) * _NUMERATORS // (_TRIALS + 1)
         if vectors is None and lattice.any() and not np.any(moving & ~lattice):
             m = min(n, tail + _GUESS_ROWS)
             blocks.grow(m)
@@ -437,26 +371,22 @@ def _lowest_eigenpairs(blocks: _Blocks, tol: float = 1e-12,
     return values, _eigenpair_residual(blocks, values, reach, vectors, scale)
 
 
-def _eigenpair_residual(blocks: _Blocks, values: np.ndarray, reach: int | None = None,
-                        vectors: np.ndarray | None = None,
-                        scale: np.ndarray | None = None) -> np.ndarray:
+def _eigenpair_residual(blocks: _Blocks, values: np.ndarray, reach: int,
+                        vectors: np.ndarray | None, scale: np.ndarray) -> np.ndarray:
     """Residuals ||T v - value v||, one per column's block, within 1e-10 times its scale.
 
-    vectors, if given, holds the leading rows of a unit vector per column,
-    0 in its last row unless it has all n; a column whose vector meets the
-    target keeps that residual.  The others run inverse iteration on the
-    leading m x m block, m = min(n, 2 reach) (at least 2; n when reach is
-    None), shifted _SHIFT scale below the value, so that the shifted block
-    is positive definite and its LDL^T solve needs no pivoting; the
-    coupling t_(m-1) v_(m-1) into row m joins the residual, so it is that
-    of a unit vector against the whole block.  A block that misses within
+    vectors holds the leading rows of a unit vector per column, 0 in its
+    last row unless it has all n (None if no column took a guess); a column
+    whose vector meets the target keeps that residual.  The others run
+    inverse iteration on the leading m x m block, m = min(n, max(2, 2 reach)),
+    shifted _SHIFT scale below the value, so that the shifted block is
+    positive definite and its LDL^T solve needs no pivoting; the coupling
+    t_(m-1) v_(m-1) into row m joins the residual, so it is that of a unit
+    vector against the whole block.  A block that misses within
     _INVERSE_STEPS solves is solved again with m doubled, up to n;
     ConvergenceFailure if it misses at m = n.  scale is max(1, norm bound).
     """
-    n = blocks.n
-    m = n if reach is None else min(n, max(2, 2 * reach))
-    if scale is None:  # the blocks are whole
-        scale = np.maximum(_norm_bounds(blocks.diag, blocks.offdiag), 1.0)
+    n, m = blocks.n, min(blocks.n, max(2, 2 * reach))
     residuals = np.full(len(values), np.inf)
     if vectors is not None:
         k = len(vectors)
@@ -541,32 +471,36 @@ def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, coupling, values: 
     return residuals
 
 
-def smallest_eigenvalue(block: TridiagonalBlock, tol: float = 1e-12) -> tuple[float, float]:
-    """Minimal eigenvalue of a block and the residual of its eigenpair.
+def _parity_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays (value, residual) of the blocks at n_max of every g, from one kernel call.
 
-    A batch of one for the multisection kernel: the bracket stops at
-    max(tol, 2*eps*|value|, pivmin); returns (value, ||H v - E v||).
-    """
-    values, residuals = _lowest_eigenpairs(_Blocks(
-        np.asarray(block.diag, dtype=float)[:, None],
-        np.asarray(block.offdiag, dtype=float)[:, None]), tol)
-    return float(values[0]), float(residuals[0])
-
-
-def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays (energy, parity, residual) of the ground state at every g, from one kernel call.
-
-    The kernel solves the +1 and -1 blocks at n_max from the bracket of
-    _ground_bracket, building only the leading rows it reads.  Ties between
-    the parity sectors go to +1.
+    Each has shape (2, len(g)): row 0 the +1 blocks and row 1 the -1 blocks.
+    The kernel starts from _ground_bracket and builds only the rows it reads.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     bracket, blocks = _ground_bracket(omega, omega_a, g, n_max,
                                       *_parity_tail(omega, omega_a, g, n_max))
-    (plus, minus), residuals = (a.reshape(2, len(g)) for a in _lowest_eigenpairs(
-        blocks, bracket=bracket))
+    return tuple(a.reshape(2, len(g)) for a in _lowest_eigenpairs(blocks, bracket))
+
+
+def smallest_eigenvalue(params: RabiParams, parity: int, n_max: int = 300) -> tuple[float, float]:
+    """Smallest eigenvalue of the parity block (+1 or -1) at n_max photons, and its residual.
+
+    Returns (value, ||H v - E v||) from the kernel call of _ground_rows, so
+    the smaller value of the two parities is ground_energy's, to the bit.
+    """
+    if parity not in (-1, 1):
+        raise ValueError("parity must be +1 or -1")
+    rows = _parity_rows(params.omega, params.omega_a, np.array([params.g]), n_max)
+    return tuple(float(a[(1 - parity) // 2, 0]) for a in rows)
+
+
+def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays (energy, parity, residual) of the ground state at every g; ties go to +1."""
+    (plus, minus), residuals = _parity_rows(omega, omega_a, g, n_max)
     odd = minus < plus
     return np.where(odd, minus, plus), np.where(odd, -1, 1), np.where(odd, *residuals[::-1])
 

@@ -114,3 +114,50 @@ def rabi_dense(omega, omega_a, g, n_max):
 
 def rabi_dense_ground(omega, omega_a, g, n_max):
     return float(np.linalg.eigvalsh(rabi_dense(omega, omega_a, g, n_max))[0])
+
+
+def rabi_parity_block(omega, omega_a, g, n_max, parity):
+    """Diagonal d_n = omega n + parity (omega_a/2) (-1)^n and offdiagonal t_n = (g/2) sqrt(n+1)."""
+    n = np.arange(n_max + 1, dtype=float)
+    return omega * n + parity * 0.5 * omega_a * (-1.0) ** n, 0.5 * g * np.sqrt(n[1:])
+
+
+def tridiagonal_dense(diag, off):
+    """The dense symmetric tridiagonal matrix with diagonal diag and offdiagonal off."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+# Relative margin of the diagonal-dominance rule (rabi._DOMINANCE).
+DOMINANCE = 1e-8
+
+
+def dominant_tail(diag, radii, hi, pivmin):
+    """1 plus the last row j of any column with d_j - hi - (1 + m) r_j - m(|d_j| + |hi|) <= pivmin.
+
+    A plain loop over rows and columns; m = DOMINANCE and r_j the Gershgorin radius.
+    """
+    m = DOMINANCE
+    tail = 0
+    for i in range(diag.shape[0]):
+        for j in range(diag.shape[1]):
+            d, h = float(diag[i, j]), float(hi[j])
+            if not d - h - (1.0 + m) * float(radii[i, j]) - m * (abs(d) + abs(h)) > pivmin[j]:
+                tail = i + 1
+    return tail
+
+
+def gershgorin_bracket(diag, off):
+    """(lo, hi, pivmin, tail, scale) of every column's whole block (diag (n, k), off (n - 1, k)).
+
+    [lo, hi] = [min_i d_i - r_i, min_i d_i] with Gershgorin radii
+    r_i = |t_(i-1)| + |t_i|, pivmin = max(1, max_i t_i^2) times the smallest
+    normal double, tail the dominant_tail below hi, and scale
+    max(1, max_i |d_i| + r_i), the residual scale.
+    """
+    radii = np.zeros(diag.shape)
+    radii[1:] += np.abs(off)
+    radii[:-1] += np.abs(off)
+    pivmin = np.max(off * off, axis=0, initial=1.0) * np.finfo(float).tiny
+    hi = diag.min(axis=0)
+    return ((diag - radii).min(axis=0), hi, pivmin, dominant_tail(diag, radii, hi, pivmin),
+            np.maximum((np.abs(diag) + radii).max(axis=0), 1.0))

@@ -22,7 +22,7 @@ from optodicke.model import (
     curvature,
     extremum_polynomial,
 )
-from optodicke.rabi import RabiParams, build_blocks, compare_columns, ground_energy
+from optodicke.rabi import RabiParams, _block_columns, compare_columns, ground_energy
 from optodicke.solver import PHASES, NotFound, critical_coupling, ground_state, turning_point
 
 import oracles
@@ -180,15 +180,16 @@ def test_eigensolver_correctness():
     for _ in range(6):
         omega, omega_a, g = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5), rng.uniform(0.0, 3.0)
         n_max = int(rng.integers(3, 9))
-        blocks = build_blocks(RabiParams(omega=omega, omega_a=omega_a, g=g), n_max)
-        union = np.sort(np.concatenate([np.linalg.eigvalsh(b.dense()) for b in blocks]))
+        diag, off = _block_columns(omega, omega_a, np.array([g]), n_max)
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(oracles.tridiagonal_dense(
+            diag[:, j], off[:, j])) for j in (0, 1)]))
         dense = np.linalg.eigvalsh(oracles.rabi_dense(omega, omega_a, g, n_max))
         np.testing.assert_allclose(union, dense, atol=1e-12)
 
     for g in (0.5, 2.0):
         _, _, residual, _ = ground_energy(RabiParams(g=g), 300)
-        plus, minus = build_blocks(RabiParams(g=g), 300)
-        scale = max(plus.norm_bound(), minus.norm_bound())
+        # the larger norm bound of the two parity blocks (both above 1 here)
+        scale = oracles.gershgorin_bracket(*_block_columns(1.0, 1.0, np.array([g]), 300))[4].max()
         assert residual <= 1e-10 * scale
 
     energies = [ground_energy(RabiParams(g=3.0), n)[0] for n in (50, 100, 200, 300)]

@@ -38,6 +38,8 @@ def _hooked():
         "cli._emit": (od.cli, "_emit"),
         "solver.find_roots": (od.solver, "find_roots"),
         "solver.extremum_polynomial": (od.solver, "extremum_polynomial"),
+        "rabi.ground_energy": (od.rabi, "ground_energy"),
+        "rabi.smallest_eigenvalue": (od.rabi, "smallest_eigenvalue"),
         "rabi._sturm_count": (od.rabi, "_sturm_count"),
         "rabi._eigenpair_residual": (od.rabi, "_eigenpair_residual"),
     }
@@ -55,6 +57,7 @@ def test_install_and_unpatch():
         with contextlib.redirect_stdout(io.StringIO()):
             assert optodicke.cli.run(["phase-diagram", "--g", "0:3:9", "--zeta", "0:3:5"]) == 0
             assert optodicke.cli.run(["sweep", "--g", "0:3:4", "--zeta", "1"]) == 0
+            assert optodicke.cli.run(["rabi-compare", "--g", "0:3:5", "--n-max", "50"]) == 0
     finally:
         tracer.unpatch()
     for name, (mod, attr) in _hooked().items():
@@ -65,7 +68,10 @@ def test_install_and_unpatch():
     assert calls["diagram.grid_row"] == 1  # one pass labels every zeta row of the grid
     # sweep_g solves its grid in one array pass, the marginal row g = 1 = g_c included
     assert calls["diagram.sweep_row"] == 0
-    assert calls["cli.solve"] == 2 and calls["cli.emit"] == 2
+    assert calls["cli.solve"] == 3 and calls["cli.emit"] == 3
+    # rabi-compare solves its grid in one kernel call, which checks its residuals once
+    assert calls["rabi.residual"] == 1 and tracer.counts["rabi.sturm_counts"] > 0
+    assert calls["rabi.ground_energy"] == calls["rabi.smallest_eigenvalue"] == 0
     # the phase grid solves one fold per nonzero zeta row and no stationary points
     assert tracer.calls_under("solver.turning_point", "diagram.grid_row", 0, len(tracer.spans)) == 4
     assert tracer.calls_under("solver.find_roots", "diagram.grid_row", 0, len(tracer.spans)) == 0

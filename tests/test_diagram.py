@@ -57,6 +57,11 @@ def at_ground(sweep, column):
     return column[np.arange(sweep.g.size), sweep.ground]
 
 
+def cells(grid):
+    """The g and the zeta of every cell of a PhaseGrid, in the (zeta, g) order of its phase."""
+    return np.tile(grid.g, grid.zeta.size), np.repeat(grid.zeta, grid.g.size)
+
+
 def tags_at(sweep, i):
     """The BRANCH_TAGS present at row i, in tag order."""
     return [tag for tag, j in zip(BRANCH_TAGS, sweep.source[i].tolist()) if j >= 0]
@@ -172,7 +177,7 @@ class TestPhaseGrid:
         spec = GridSpec(g_min=0.5, g_max=1.3, g_steps=2, zeta_min=1.0, zeta_max=2.5, zeta_steps=4)
         grid = phase_grid(spec)
         labels = {(g, zeta): PHASES[k] for g, zeta, k in
-                  zip(grid.g.tolist(), grid.zeta.tolist(), grid.phase.tolist())}
+                  zip(*(c.tolist() for c in cells(grid)), grid.phase.tolist())}
         assert labels[(0.5, 1.5)] is PhaseLabel.NP_NMINUS
         assert labels[(1.3, 1.0)] is PhaseLabel.SP
         assert labels[(1.3, 2.5)] is PhaseLabel.NP_NPLUS
@@ -180,16 +185,20 @@ class TestPhaseGrid:
     def test_partition_and_window(self):
         spec = GridSpec(g_min=0.2, g_max=2.8, g_steps=14, zeta_min=0.4, zeta_max=2.8, zeta_steps=7)
         grid = phase_grid(spec)
-        assert grid.g.size == grid.zeta.size == grid.phase.size == 14 * 7
+        assert (grid.g.size, grid.zeta.size, grid.phase.size) == (14, 7, 14 * 7)
         sp = grid.phase == SP
-        for g, zeta in zip(grid.g[sp].tolist(), grid.zeta[sp].tolist()):
+        for g, zeta in zip(*(c[sp].tolist() for c in cells(grid))):
             assert 1.0 < g < oracles.fold_gt(zeta) + 1e-9
 
     def test_cells_ordered(self):
         spec = GridSpec(g_steps=5, zeta_steps=4, g_min=0.5, g_max=2.5, zeta_min=0.5, zeta_max=2.0)
         grid = phase_grid(spec)
-        coords = list(zip(grid.zeta.tolist(), grid.g.tolist()))
-        assert coords == sorted(coords)
+        # the axes are the spec's grids, and phase[k * g_steps + i] is the cell (zeta[k], g[i])
+        assert np.array_equal(grid.g, spec.g_grid()) and np.array_equal(grid.zeta, spec.zeta_grid())
+        for k, zeta in enumerate(grid.zeta.tolist()):
+            for i, g in enumerate(grid.g.tolist()):
+                expected = ground_state(replace(spec.params, g=g, zeta=zeta))[0]
+                assert PHASES[grid.phase[k * grid.g.size + i]] is expected, (g, zeta)
 
     def test_boundaries_refined(self):
         spec = GridSpec(g_min=0.5, g_max=2.5, g_steps=11, zeta_min=1.0, zeta_max=1.0 + 1e-9,
@@ -206,10 +215,10 @@ class TestPhaseGrid:
     def test_consistent_with_sweep(self):
         spec = GridSpec(g_min=0.3, g_max=2.7, g_steps=9, zeta_min=0.7, zeta_max=2.1, zeta_steps=3)
         grid = phase_grid(spec)
-        for zeta in spec.zeta_grid():
+        for zeta, labels in zip(spec.zeta_grid(), grid.phase.reshape(grid.zeta.size, -1)):
             rows = sweep_g(SweepSpec(replace(spec.params, zeta=float(zeta)), g_min=0.3, g_max=2.7,
                                      g_steps=9))
-            assert grid.phase[grid.zeta == zeta].tolist() == rows.phase.tolist()
+            assert labels.tolist() == rows.phase.tolist()
 
 
 def test_shifted_grid_next_to_fold(tmp_path):
@@ -252,12 +261,13 @@ class TestGridReferee:
                         zeta_min=z_lo * closure, zeta_max=(z_lo + z_span) * closure,
                         zeta_steps=z_steps)
         grid = phase_grid(spec)
-        assert grid.g.size == grid.zeta.size == grid.phase.size == g_steps * z_steps
+        assert (grid.g.size, grid.zeta.size, grid.phase.size) == (g_steps, z_steps,
+                                                                   g_steps * z_steps)
         changes = []  # (zeta, label below, label above) of each label change
         for k in range(z_steps):
             row = slice(k * g_steps, (k + 1) * g_steps)
-            zs, labels = grid.zeta[row].tolist(), grid.phase[row].tolist()
-            for g, zeta, label in zip(grid.g[row].tolist(), zs, labels):
+            zs, labels = [grid.zeta[k].item()] * g_steps, grid.phase[row].tolist()
+            for g, zeta, label in zip(grid.g.tolist(), zs, labels):
                 params = replace(base, g=g, zeta=zeta)
                 assert PHASES[label] is ground_state(params)[0], (g, zeta)
             changes += [(zeta, lo, hi) for zeta, lo, hi in zip(zs, labels, labels[1:]) if lo != hi]
@@ -295,7 +305,7 @@ class TestGridReferee:
         monkeypatch.setattr(diagram, "solve_ground", spy)
         grid = phase_grid(spec)
         assert solved == [(closure, [g_c])]
-        for g, zeta, label in zip(grid.g.tolist(), grid.zeta.tolist(), grid.phase.tolist()):
+        for g, zeta, label in zip(*(c.tolist() for c in cells(grid)), grid.phase.tolist()):
             assert PHASES[label] is ground_state(replace(base, g=g, zeta=zeta))[0], (g, zeta)
         assert PHASES[grid.phase[-2]] is PhaseLabel.SP
 

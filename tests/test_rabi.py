@@ -19,8 +19,6 @@ from optodicke.rabi import (
     _radii,
     _sturm_count,
     RabiParams,
-    TridiagonalBlock,
-    build_blocks,
     compare_columns,
     ground_energy,
     smallest_eigenvalue,
@@ -44,18 +42,28 @@ ED_REFERENCE = {
 }
 
 
+def _scale(diag, off):
+    """The residual scale max(1, norm bound) of every column's block, from the oracle."""
+    return oracles.gershgorin_bracket(diag, off)[4]
+
+
+def _parity_columns(omega, omega_a, g, n_max):
+    """The +1 and the -1 block of g at n_max, each as (diag, offdiag), from _block_columns."""
+    diag, off = _block_columns(omega, omega_a, np.array([g]), n_max)
+    return [(diag[:, j], off[:, j]) for j in (0, 1)]
+
+
 class TestBlocks:
     def test_hand_values(self):
-        plus, minus = build_blocks(RabiParams(g=1.0), 3)
-        np.testing.assert_allclose(minus.diag, [-0.5, 1.5, 1.5, 3.5])
-        np.testing.assert_allclose(minus.offdiag, [0.5, 0.5 * math.sqrt(2), 0.5 * math.sqrt(3)])
-        np.testing.assert_allclose(plus.diag, [0.5, 0.5, 2.5, 2.5])
-        assert plus.parity == 1 and minus.parity == -1
+        (plus, _), (minus, minus_off) = _parity_columns(1.0, 1.0, 1.0, 3)
+        np.testing.assert_allclose(minus, [-0.5, 1.5, 1.5, 3.5])
+        np.testing.assert_allclose(minus_off, [0.5, 0.5 * math.sqrt(2), 0.5 * math.sqrt(3)])
+        np.testing.assert_allclose(plus, [0.5, 0.5, 2.5, 2.5])
 
     def test_decoupled_limit(self):
-        plus, minus = build_blocks(RabiParams(omega=1.0, omega_a=1.0, g=0.0), 10)
-        assert np.all(plus.offdiag == 0.0) and np.all(minus.offdiag == 0.0)
-        assert min(minus.diag.min(), plus.diag.min()) == -0.5
+        (plus, plus_off), (minus, minus_off) = _parity_columns(1.0, 1.0, 0.0, 10)
+        assert np.all(plus_off == 0.0) and np.all(minus_off == 0.0)
+        assert min(minus.min(), plus.min()) == -0.5
 
     @pytest.mark.parametrize("omega,omega_a,g,n_max", [
         (1.0, 1.0, 1.0, 6),
@@ -64,20 +72,24 @@ class TestBlocks:
         (1.0, 1.0, 0.0, 4),
     ])
     def test_spectrum_equals_dense_build(self, omega, omega_a, g, n_max):
-        blocks = build_blocks(RabiParams(omega=omega, omega_a=omega_a, g=g), n_max)
-        union = np.sort(np.concatenate([np.linalg.eigvalsh(b.dense()) for b in blocks]))
+        # the package's blocks are the oracle's d_n and t_n, and their
+        # spectra together are the Kronecker-built matrix's
+        blocks = _parity_columns(omega, omega_a, g, n_max)
+        for (diag, off), parity in zip(blocks, (1, -1)):
+            want = oracles.rabi_parity_block(omega, omega_a, g, n_max, parity)
+            np.testing.assert_allclose(diag, want[0], rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(off, want[1], rtol=1e-15, atol=0.0)
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(oracles.tridiagonal_dense(*b))
+                                        for b in blocks]))
         dense = np.linalg.eigvalsh(oracles.rabi_dense(omega, omega_a, g, n_max))
         np.testing.assert_allclose(union, dense, atol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            build_blocks(RabiParams(g=1.0), 1)
-        with pytest.raises(ValueError):
-            TridiagonalBlock(parity=0, diag=np.zeros(3), offdiag=np.zeros(2))
-        with pytest.raises(ValueError):
-            TridiagonalBlock(parity=1, diag=np.zeros(3), offdiag=np.zeros(3))
-        with pytest.raises(ValueError):
-            TridiagonalBlock(parity=1, diag=np.zeros(3), offdiag=np.array([-1.0, 0.0]))
+        # fewer than 3 Fock states is no truncation of the Rabi model
+        with pytest.raises(ValueError, match="n_max must be >= 2"):
+            ground_energy(RabiParams(g=1.0), 1)
+        with pytest.raises(ValueError, match="n_max must be >= 2"):
+            compare_columns(RabiParams(), [1.0], n_max=1)
 
     @pytest.mark.parametrize("field", ["omega", "omega_a", "g"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -105,27 +117,47 @@ class TestBlocks:
 
 class TestSmallestEigenvalue:
     def test_diagonal_block(self):
-        _, minus = build_blocks(RabiParams(g=0.0), 20)
-        value, residual = smallest_eigenvalue(minus)
+        value, residual = smallest_eigenvalue(RabiParams(g=0.0), -1, 20)
         assert value == pytest.approx(-0.5, abs=1e-12)
-        assert residual <= 1e-10 * minus.norm_bound()
+        diag, off = oracles.rabi_parity_block(1.0, 1.0, 0.0, 20, -1)
+        assert residual <= 1e-10 * _scale(diag[:, None], off[:, None])[0]
 
     def test_two_by_two_closed_form(self):
-        block = TridiagonalBlock(parity=1, diag=np.array([0.0, 1.0]), offdiag=np.array([1.0]))
-        value, _ = smallest_eigenvalue(block)
-        assert value == pytest.approx((1.0 - math.sqrt(5.0)) / 2.0, abs=1e-12)
+        # the kernel on a whole block, from the oracle's bracket
+        diag, off = np.array([[0.0], [1.0]]), np.array([[1.0]])
+        bracket = oracles.gershgorin_bracket(diag, off)
+        values, _ = rabi._lowest_eigenpairs(_Blocks(diag, off), bracket)
+        assert values[0] == pytest.approx((1.0 - math.sqrt(5.0)) / 2.0, abs=1e-12)
 
     def test_matches_dense_oracle(self):
-        _, minus = build_blocks(RabiParams(g=2.0), 60)
-        value, residual = smallest_eigenvalue(minus)
+        value, residual = smallest_eigenvalue(RabiParams(g=2.0), -1, 60)
         assert value == pytest.approx(oracles.rabi_dense_ground(1.0, 1.0, 2.0, 60), abs=1e-10)
-        assert residual <= 1e-10 * minus.norm_bound()
+        diag, off = oracles.rabi_parity_block(1.0, 1.0, 2.0, 60, -1)
+        assert residual <= 1e-10 * _scale(diag[:, None], off[:, None])[0]
 
-    def test_malformed_block_fails(self):
-        block = TridiagonalBlock(parity=1, diag=np.array([np.nan, 1.0, 2.0]),
-                                 offdiag=np.array([0.5, 0.5]))
-        with pytest.raises(ConvergenceFailure):
-            smallest_eigenvalue(block)
+    @pytest.mark.parametrize("omega,omega_a,g,n_max", [
+        (1.0, 1.0, 0.0, 2), (1.0, 1.0, 1.0, 3), (0.8, 1.0, 2.3, 40), (1.2, 0.7, 0.9, 25),
+        (1.0, 1.0, 3.0, 300), (0.3, 2.0, 5.0, 120), (1.0, 1.0, 1e4, 50)])
+    def test_each_parity_matches_its_dense_block(self, omega, omega_a, g, n_max):
+        params = RabiParams(omega=omega, omega_a=omega_a, g=g)
+        values = []
+        for parity in (1, -1):
+            value, residual = smallest_eigenvalue(params, parity, n_max)
+            diag, off = oracles.rabi_parity_block(omega, omega_a, g, n_max, parity)
+            dense = np.linalg.eigvalsh(oracles.tridiagonal_dense(diag, off))[0]
+            assert value == pytest.approx(dense, rel=1e-12, abs=1e-11)
+            assert residual <= 1e-10 * _scale(diag[:, None], off[:, None])[0]
+            values.append(value)
+        # the smaller parity is the ground state, to the bit
+        assert min(values) == ground_energy(params, n_max)[0]
+
+    def test_validation(self):
+        for parity in (0, 2, -2):
+            with pytest.raises(ValueError, match="parity"):
+                smallest_eigenvalue(RabiParams(g=1.0), parity, 10)
+        for n_max in (1, 0, -3):
+            with pytest.raises(ValueError, match="n_max must be >= 2"):
+                smallest_eigenvalue(RabiParams(g=1.0), 1, n_max)
 
 
 class TestGroundEnergy:
@@ -315,10 +347,10 @@ class TestBatchedKernel:
 
     def test_exact_zero_pivot_counts_as_negative(self):
         # g = 1.5, parity -1: at x = -3/4 the second LDL^T pivot is exactly 0
-        _, minus = build_blocks(RabiParams(g=1.5), 10)
-        count, reach = _sturm_count(_Blocks(minus.diag[:, None], minus.offdiag[:, None]),
+        _, (diag, off) = _parity_columns(1.0, 1.0, 1.5, 10)
+        count, reach = _sturm_count(_Blocks(diag[:, None], off[:, None]),
                                     np.array([[-0.75]]), np.array([np.finfo(float).tiny]), 11)
-        below = np.sum(np.linalg.eigvalsh(minus.dense()) < -0.75)
+        below = np.sum(np.linalg.eigvalsh(oracles.tridiagonal_dense(diag, off)) < -0.75)
         assert below == 1 and count.tolist() == [[below]]
         assert reach == 11  # tail = n: no early stop, every row read
 
@@ -335,19 +367,18 @@ class TestBatchedKernel:
         counts, reach = _sturm_count(_Blocks(diag, off), x, pivmin, tail)
         assert tail - 1 <= reach < len(diag)
         for j in range(diag.shape[1]):
-            block = np.diag(diag[:, j]) + np.diag(off[:, j], 1) + np.diag(off[:, j], -1)
-            eig = np.linalg.eigvalsh(block)
+            eig = np.linalg.eigvalsh(oracles.tridiagonal_dense(diag[:, j], off[:, j]))
             assert counts[:, j].tolist() == [int(np.sum(eig < v)) for v in x[:, j]]
 
     @pytest.mark.parametrize("error", [1e-6, -1e-6])
     def test_residual_rejects_wrong_eigenvalue(self, error):
         diag, off = _block_columns(1.0, 1.0, np.array([2.0]), 60)
         diag, off = diag[:, :1], off[:, :1]
-        dense = TridiagonalBlock(1, diag[:, 0], off[:, 0]).dense()
-        exact = np.linalg.eigvalsh(dense)[:1]
-        assert _eigenpair_residual(_Blocks(diag, off), exact)[0] <= 1e-10
+        exact = np.linalg.eigvalsh(oracles.tridiagonal_dense(diag[:, 0], off[:, 0]))[:1]
+        whole = (len(diag), None, _scale(diag, off))  # reach n: every row
+        assert _eigenpair_residual(_Blocks(diag, off), exact, *whole)[0] <= 1e-10
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(_Blocks(diag, off), exact + error)
+            _eigenpair_residual(_Blocks(diag, off), exact + error, *whole)
 
 
 def _record_sturm_passes(monkeypatch):
@@ -405,6 +436,16 @@ class TestGuess:
             assert len(passes) <= 8
 
     @pytest.mark.parametrize("omega,g,n_max", _DETUNING_GRIDS)
+    def test_no_pass_repeats_one_point(self, monkeypatch, omega, g, n_max):
+        # a column that enters its lattice while another is still coarse
+        # counts lattice points, not 15 copies of its anchor; only the g = 0
+        # columns, whose brackets are exact from the start, repeat one point
+        passes = _record_sturm_passes(monkeypatch)
+        rabi._ground_rows(omega, 1.0, g, n_max)
+        for x, _ in passes:
+            assert np.flatnonzero((x == x[0]).all(axis=0)).tolist() == [0, len(g)]
+
+    @pytest.mark.parametrize("omega,g,n_max", _DETUNING_GRIDS)
     def test_guess_vectors_meet_the_residual_target(self, monkeypatch, omega, g, n_max):
         # the guess covers the ladder pass: no column needs inverse iteration
         calls = []
@@ -421,9 +462,8 @@ class TestGuess:
         # every value is the midpoint of the tightest bracket the counts
         # certify, and that bracket meets the stop of its ends
         passes = _record_sturm_passes(monkeypatch)
-        diag, off = _block_columns(omega, 1.0, g, n_max)
-        lo, hi, pivmin = rabi._bracket(diag, off)[:3]
-        values, _ = rabi._lowest_eigenpairs(_Blocks(diag, off))
+        lo, hi, pivmin = oracles.gershgorin_bracket(*_block_columns(omega, 1.0, g, n_max))[:3]
+        values = rabi._parity_rows(omega, 1.0, g, n_max)[0].reshape(-1)
         for x, counts in passes:
             lo = np.maximum(lo, np.max(np.where(counts == 0, x, -np.inf), axis=0))
             hi = np.minimum(hi, np.min(np.where(counts >= 1, x, np.inf), axis=0))
@@ -438,25 +478,17 @@ class TestGuess:
             omega, omega_a = rng.uniform(0.3, 2.0, size=2)
             n_max = int(rng.integers(2, 80))
             g = rng.uniform(0.0, 4.0, size=3)
-            diag, off = _block_columns(omega, omega_a, g, n_max)
-            values, _ = rabi._lowest_eigenpairs(_Blocks(diag, off))
-            for j, value in enumerate(values):
-                block = TridiagonalBlock(1, diag[:, j], off[:, j]).dense()
-                dense = np.linalg.eigvalsh(block)[0]
-                assert abs(dense - value) <= max(1e-12, 2.0 * np.finfo(float).eps * abs(value))
+            values = rabi._parity_rows(omega, omega_a, g, n_max)[0]
+            for parity, row in zip((1, -1), values):
+                for g_j, value in zip(g.tolist(), row.tolist()):
+                    block = oracles.rabi_parity_block(omega, omega_a, g_j, n_max, parity)
+                    dense = np.linalg.eigvalsh(oracles.tridiagonal_dense(*block))[0]
+                    assert abs(dense - value) <= max(1e-12, 2.0 * np.finfo(float).eps * abs(value))
 
 
 class TestDominantTail:
-    @staticmethod
-    def _loop_tail(diag, radii, hi, pivmin):
-        m = rabi._DOMINANCE
-        tail = 0
-        for i in range(diag.shape[0]):
-            for j in range(diag.shape[1]):
-                d, h = float(diag[i, j]), float(hi[j])
-                if not d - h - (1.0 + m) * float(radii[i, j]) - m * (abs(d) + abs(h)) > pivmin[j]:
-                    tail = i + 1
-        return tail
+    def test_oracle_margin(self):
+        assert oracles.DOMINANCE == rabi._DOMINANCE
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_loop(self, seed):
@@ -467,7 +499,8 @@ class TestDominantTail:
         radii = _radii(off)
         hi = diag.min(axis=0)
         pivmin = np.max(off * off, axis=0, initial=1.0) * np.finfo(float).tiny
-        assert _dominant_tail(diag, radii, hi, pivmin) == self._loop_tail(diag, radii, hi, pivmin)
+        loop = oracles.dominant_tail(diag, radii, hi, pivmin)
+        assert _dominant_tail(diag, radii, hi, pivmin) == loop
 
     def test_edges(self):
         diag = np.array([[0.0], [10.0], [20.0]])
@@ -495,7 +528,7 @@ class TestLeadingRows:
            g=st.lists(_COUPLINGS, min_size=1, max_size=6), repeat=st.booleans(),
            guess_rows=st.sampled_from([1, rabi._GUESS_ROWS]))
     def test_matches_the_whole_blocks(self, omega, omega_a, n_max, g, repeat, guess_rows):
-        # the bracket passed to the kernel is _bracket's on all rows, and
+        # the bracket passed to the kernel is the oracle's on all rows, and
         # building every row gives the same bits; a guess on the tail's rows
         # alone makes the passes and the residual grow the rows
         g = np.array(g + g[:1] if repeat else g)
@@ -503,15 +536,15 @@ class TestLeadingRows:
         kernel, columns = rabi._lowest_eigenpairs, rabi._block_columns
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rabi, "_GUESS_ROWS", guess_rows)
-            patch.setattr(rabi, "_lowest_eigenpairs", lambda blocks, **kw: brackets.append(
-                kw.get("bracket")) or kernel(blocks, **kw))
+            patch.setattr(rabi, "_lowest_eigenpairs", lambda blocks, bracket: brackets.append(
+                bracket) or kernel(blocks, bracket))
             rows = rabi._ground_rows(omega, omega_a, g, n_max)
             patch.setattr(rabi, "_block_columns", lambda omega, omega_a, g, n_max, rows=None:
                           columns(omega, omega_a, g, n_max))
             whole = rabi._ground_rows(omega, omega_a, g, n_max)
         for a, b in zip(rows, whole):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
-        expected = rabi._bracket(*_block_columns(omega, omega_a, g, n_max))
+        expected = oracles.gershgorin_bracket(*_block_columns(omega, omega_a, g, n_max))
         assert brackets[0][3] == expected[3]
         for got, want in zip(brackets[0][:3] + brackets[0][4:], expected[:3] + expected[4:]):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -598,7 +631,7 @@ class TestResidualCut:
     def _block(self, g, n_max):
         diag, off = _block_columns(1.0, 1.0, np.array([g]), n_max)
         diag, off = diag[:, :1], off[:, :1]
-        exact = np.linalg.eigvalsh(TridiagonalBlock(1, diag[:, 0], off[:, 0]).dense())[:1]
+        exact = np.linalg.eigvalsh(oracles.tridiagonal_dense(diag[:, 0], off[:, 0]))[:1]
         return diag, off, exact
 
     def test_small_reach_grows_the_rows(self, monkeypatch):
@@ -607,32 +640,33 @@ class TestResidualCut:
         inverse = rabi._inverse_iteration
         monkeypatch.setattr(rabi, "_inverse_iteration",
                             lambda d, *args: rows.append(len(d)) or inverse(d, *args))
-        residual = _eigenpair_residual(_Blocks(diag, off), exact, reach=1)
+        scale = _scale(diag, off)
+        residual = _eigenpair_residual(_Blocks(diag, off), exact, 1, None, scale)
         assert rows[0] == 2 and rows == sorted(rows) and len(rows) >= 3
         assert rows[-1] < 301
-        scale = max(TridiagonalBlock(1, diag[:, 0], off[:, 0]).norm_bound(), 1.0)
-        assert residual[0] <= 1e-10 * scale
+        assert residual[0] <= 1e-10 * scale[0]
 
     def test_eigenvalue_of_the_leading_rows_only_is_rejected(self):
         # the leading 8 x 8 block's eigenpair leaves no residual inside those
         # rows, but as a vector of the whole space it leaks t_7 v_7 into row 8
         diag, off, exact = self._block(2.0, 300)
-        lead = np.linalg.eigvalsh(TridiagonalBlock(1, diag[:8, 0], off[:7, 0]).dense())[:1]
+        lead = np.linalg.eigvalsh(oracles.tridiagonal_dense(diag[:8, 0], off[:7, 0]))[:1]
         assert lead[0] - exact[0] > 1e-5
         assert rabi._inverse_iteration(diag[:8], off[:7], 0.0, lead, np.ones(1))[0] <= 1e-10
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(_Blocks(diag, off), lead, reach=4)
+            _eigenpair_residual(_Blocks(diag, off), lead, 4, None, _scale(diag, off))
 
     def test_cut_meets_the_target_of_the_whole_block(self):
         diag, off, exact = self._block(2.0, 300)
-        assert _eigenpair_residual(_Blocks(diag, off), exact, reach=20)[0] <= 1e-10
-        assert _eigenpair_residual(_Blocks(diag, off), exact)[0] <= 1e-10
+        scale = _scale(diag, off)
+        assert _eigenpair_residual(_Blocks(diag, off), exact, 20, None, scale)[0] <= 1e-10
+        assert _eigenpair_residual(_Blocks(diag, off), exact, len(diag), None, scale)[0] <= 1e-10
 
     @pytest.mark.parametrize("error", [1e-6, -1e-6])
     def test_wrong_eigenvalue_fails_at_every_reach(self, error):
         diag, off, exact = self._block(2.0, 60)
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(_Blocks(diag, off), exact + error, reach=3)
+            _eigenpair_residual(_Blocks(diag, off), exact + error, 3, None, _scale(diag, off))
 
 
 def _start_vector(m):
