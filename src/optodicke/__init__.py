@@ -19,7 +19,7 @@ _EXPORTS = {
     "solver": ["NotFound", "SolverConfig", "SolverError",
                "closure_estimate", "critical_coupling", "find_roots", "ground_state",
                "sp_closure", "turning_point"],
-    "diagram": ["GridSpec", "SweepSpec", "phase_grid", "sweep_g"],
+    "diagram": ["phase_grid", "sweep_g"],
     "rabi": ["ConvergenceFailure", "RabiParams", "compare_columns", "ground_energy",
              "smallest_eigenvalue", "variational_energy"],
 }

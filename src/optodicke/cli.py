@@ -6,9 +6,12 @@ to stderr.  Exit codes: 0 success, 2 invalid input, 3 solver failure.
 Numeric output is fixed at 9 significant digits and runs are deterministic,
 in one process.  OPTODICKE_WORKERS has no effect; sweep, phase-diagram and
 rabi-compare still reject a non-integer value.  Grid counts, phase-diagram
-cell counts and --n-max are capped (exit 2 above the cap).  A command
-returns its columns, each a float array or (codes, table), and every
-distinct value or label is formatted once per output.
+cell counts and --n-max are capped (exit 2 above the cap).  A grid
+'min:max:count' is np.linspace(min, max, count); sweep and phase-diagram
+need one (not a bare number) and pass it to the diagram layer, whose
+ValueError for a negative coupling is exit 2.  A command returns its
+columns, each a float array or (codes, table), and every distinct value or
+label is formatted once per output.
 """
 
 from __future__ import annotations
@@ -146,6 +149,15 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
     if count > MAX_GRID_COUNT:
         raise ConfigError(f"--{name}: count {count} exceeds the cap of {MAX_GRID_COUNT}")
     return lo, hi, count
+
+
+def _axis(lo: float, hi: float, count: int, name: str) -> np.ndarray:
+    """The grid of a range from _parse_range; a bare number (count 1) is no grid."""
+    if count < 2:
+        raise ConfigError(f"{name}_min must be < {name}_max")
+    if not math.isfinite(hi - lo):  # only where lo < 0; linspace would fill the grid with NaN
+        raise ConfigError(f"{name} must be >= 0, got {lo!r}")
+    return np.linspace(lo, hi, count)
 
 
 @functools.cache
@@ -325,14 +337,14 @@ _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_grou
 
 
 def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list]:
-    g_min, g_max, g_steps = _parse_range(cfg.g, "g")
+    g_range = _parse_range(cfg.g, "g")
     params = _model_params(cfg, 0.0, _parse_scalar(cfg.zeta, "zeta"))
-    try:
-        spec = diagram.SweepSpec(params, g_min=g_min, g_max=g_max, g_steps=g_steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    g = _axis(*g_range, "g")
     _check_workers()
-    sweep = diagram.sweep_g(spec, _solver_config(cfg))
+    try:
+        sweep = diagram.sweep_g(params, g, _solver_config(cfg))
+    except ValueError as exc:  # a negative coupling
+        raise ConfigError(str(exc)) from exc
     rows, k = np.arange(sweep.g.size), sweep.ground
     columns = [sweep.g, (sweep.phase, PHASES), sweep.n_p[rows, k],
                sweep.delta_n_a[rows, k], sweep.n_b[rows, k], sweep.energy[rows, k]]
@@ -345,19 +357,18 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list]:
 
 
 def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list]:
-    g_min, g_max, g_steps = _parse_range(cfg.g, "g")
-    zeta_min, zeta_max, zeta_steps = _parse_range(cfg.zeta, "zeta")
+    g_range, zeta_range = _parse_range(cfg.g, "g"), _parse_range(cfg.zeta, "zeta")
+    g_steps, zeta_steps = g_range[2], zeta_range[2]
     if g_steps * zeta_steps > MAX_GRID_CELLS:
         raise ConfigError(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
                           f"the cap of {MAX_GRID_CELLS}")
     params = _model_params(cfg, 0.0, 0.0)
-    try:
-        spec = diagram.GridSpec(params, g_min=g_min, g_max=g_max, g_steps=g_steps,
-                                zeta_min=zeta_min, zeta_max=zeta_max, zeta_steps=zeta_steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    g, zeta = _axis(*g_range, "g"), _axis(*zeta_range, "zeta")
     _check_workers()
-    grid = diagram.phase_grid(spec, _solver_config(cfg))
+    try:
+        grid = diagram.phase_grid(params, g, zeta, _solver_config(cfg))
+    except ValueError as exc:  # a negative coupling
+        raise ConfigError(str(exc)) from exc
     # cells are in (zeta, g) order: code both axes by row and column, boundaries appended
     row, col = np.divmod(np.arange(grid.phase.size), g_steps)
     bound = np.arange(grid.boundary_g.size)

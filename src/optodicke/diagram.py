@@ -1,10 +1,13 @@
 """Parameter sweeps and phase-diagram grids, as numpy columns in grid order.
 
-A sweep solves all its g points, on both branches, in one array pass.  A phase grid
-needs only the two closed-form boundaries of each zeta row, g_c and the
-fold g_t, and labels its cells by comparing g with them; its boundaries are
-those exact couplings, in four boundary columns.  No file I/O happens here,
-the CLI layer owns serialization.
+sweep_g(params, g) and phase_grid(params, g, zeta) take the couplings as
+float arrays, as solver.solve_ground does, and raise ValueError naming g or
+zeta if any coupling is negative or not finite.  A sweep solves all its g
+points, on both branches, in one array pass.  A phase grid needs only the
+two closed-form boundaries of each zeta row, g_c and the fold g_t, and
+labels its cells by comparing g with them; its boundaries are those exact
+couplings, in four boundary columns.  No file I/O happens here, the CLI
+layer owns serialization.
 """
 
 from __future__ import annotations
@@ -30,12 +33,9 @@ from .solver import (
 )
 
 __all__ = [
-    "SweepSpec",
-    "GridSpec",
     "Sweep",
     "PhaseGrid",
     "BRANCH_TAGS",
-    "SWEEP_ZETA_PRESETS",
     "sweep_g",
     "phase_grid",
 ]
@@ -44,11 +44,6 @@ __all__ = [
 # superradiant root, and the unstable nonzero roots of either branch.
 BRANCH_TAGS = ("N-", "N+", "gs-", "gus-", "gus+")
 
-# Photon-phonon couplings for the standard set of observable-vs-g sweeps:
-# the oscillator-free case, one with a clear multi-transition window, one
-# with a narrow window, and one past the collapse of the superradiant phase.
-SWEEP_ZETA_PRESETS = (0.0, 1.0, 2.0, 3.0)
-
 # BRANCH_TAGS index of each point column of a Sweep; an unstable normal root
 # takes the next tag, gus-.  p is concave on the normal branch, so its smaller
 # root is the stable one (or marginal, tagged gs- as well).
@@ -56,57 +51,6 @@ _COLUMN_TAGS = np.array([0, 2, 2, 1, 4])
 _NORMAL_ROOTS = np.array([0, 1, 1, 0, 0])
 # The branch of each point column of a Sweep, for the model's array forms.
 _COLUMN_BRANCH = SimpleNamespace(sign=np.repeat([branch.sign for branch in SpinBranch], [3, 2]))
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A sweep over g at the fixed parameters params; params.g is ignored.
-
-    Grid endpoints are inclusive; g_steps is the number of samples.
-    """
-
-    params: ModelParams = ModelParams()
-    g_min: float = 0.0
-    g_max: float = 3.0
-    g_steps: int = 301
-
-    def __post_init__(self) -> None:
-        if not self.g_min < self.g_max:
-            raise ValueError("g_min must be < g_max")
-        if self.g_steps < 2:
-            raise ValueError("g_steps must be >= 2")
-        replace(self.params, g=self.g_min)  # validates g_min >= 0
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.g_min, self.g_max, self.g_steps)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A rectangular grid in the g-zeta plane; params.g and params.zeta are ignored."""
-
-    params: ModelParams = ModelParams()
-    g_min: float = 0.0
-    g_max: float = 3.0
-    g_steps: int = 61
-    zeta_min: float = 0.0
-    zeta_max: float = 3.0
-    zeta_steps: int = 61
-
-    def __post_init__(self) -> None:
-        if not self.g_min < self.g_max:
-            raise ValueError("g_min must be < g_max")
-        if not self.zeta_min < self.zeta_max:
-            raise ValueError("zeta_min must be < zeta_max")
-        if self.g_steps < 2 or self.zeta_steps < 2:
-            raise ValueError("step counts must be >= 2")
-        replace(self.params, g=self.g_min, zeta=self.zeta_min)  # validates both >= 0
-
-    def g_grid(self) -> np.ndarray:
-        return np.linspace(self.g_min, self.g_max, self.g_steps)
-
-    def zeta_grid(self) -> np.ndarray:
-        return np.linspace(self.zeta_min, self.zeta_max, self.zeta_steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +94,26 @@ class PhaseGrid:
     boundary_above: np.ndarray
 
 
-def _sweep(spec: SweepSpec, gs: np.ndarray, config: SolverConfig | None) -> Sweep:
-    params = spec.params
+def _couplings(params: ModelParams, g, zeta=None) -> tuple[np.ndarray, np.ndarray]:
+    """g and zeta (default params.zeta) as float vectors; ValueError unless all are finite, >= 0.
+
+    ModelParams checks the smallest and the largest of each: they bound every
+    other value, and both are NaN if any value is.  An empty axis passes.
+    """
+    g = np.asarray(g, dtype=float).reshape(-1)
+    zeta = np.asarray(params.zeta if zeta is None else zeta, dtype=float).reshape(-1)
+    for end in (np.min, np.max):
+        replace(params, g=float(end(g, initial=0.0)), zeta=float(end(zeta, initial=0.0)))
+    return g, zeta
+
+
+def sweep_g(params: ModelParams, g, config: SolverConfig | None = None) -> Sweep:
+    """Ground state plus all coexisting branches at each coupling of g, as columns.
+
+    params.g is ignored.  One branch_points call covers both branches on the
+    whole grid, and solver.solve_ground picks every ground state by its one rule.
+    """
+    gs, _ = _couplings(params, g)
     ground, *points = solve_ground(params, gs, config)
     n_p, delta_n_a, n_b = observable_terms(param_rows(params, gs[:, None]), _COLUMN_BRANCH,
                                            np.sqrt(np.hstack([pts.x for pts in points])))
@@ -166,23 +128,16 @@ def _sweep(spec: SweepSpec, gs: np.ndarray, config: SolverConfig | None) -> Swee
                  stability=stability, source=source)
 
 
-def sweep_row(spec: SweepSpec, g: float, config: SolverConfig | None = None) -> Sweep:
+def sweep_row(params: ModelParams, g: float, config: SolverConfig | None = None) -> Sweep:
     """The one-row Sweep at g.  A module global: callers look it up at call time."""
-    return _sweep(spec, np.array([float(g)]), config)
+    return sweep_g(params, [float(g)], config)
 
 
-def sweep_g(spec: SweepSpec, config: SolverConfig | None = None) -> Sweep:
-    """Ground state plus all coexisting branches for each g of the sweep, as columns.
-
-    One branch_points call covers both branches on the whole grid, and
-    solver.solve_ground picks every ground state by its one rule.
-    """
-    return _sweep(spec, spec.grid(), config)
-
-
-def grid_row(spec: GridSpec, zetas, config: SolverConfig | None = None
+def grid_row(params: ModelParams, gs: np.ndarray, zetas, config: SolverConfig | None = None
              ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The labels of a block of zeta rows, shape (rows, g), and their exact boundaries.
+
+    gs and zetas are float vectors; params.g and params.zeta are ignored.
 
     Labels are indices into solver.PHASES: NP_Nminus below g_c, SP on
     (g_c, g_t), NP_Nplus from g_t up; g_t is infinite at zeta = 0 and g_c
@@ -194,8 +149,6 @@ def grid_row(spec: GridSpec, zetas, config: SolverConfig | None = None
     the window is open, even when it is narrower than the grid step.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    params, gs = spec.params, spec.g_grid()
-    zetas = np.asarray(zetas, dtype=float).reshape(-1)
     g_c = critical_coupling(params)
     g_t = np.full(zetas.size, math.inf)
     for row, zeta in enumerate(zetas.tolist()):
@@ -232,13 +185,13 @@ def grid_row(spec: GridSpec, zetas, config: SolverConfig | None = None
     return index, (zetas[k], g_b, below, above)
 
 
-def phase_grid(spec: GridSpec, config: SolverConfig | None = None) -> PhaseGrid:
-    """Label every grid cell by its ground-state phase.
+def phase_grid(params: ModelParams, g, zeta, config: SolverConfig | None = None) -> PhaseGrid:
+    """Label every cell of the grid g x zeta by its ground-state phase.
 
-    Cells are ordered by (zeta, g).  Wherever the label changes between two
-    g-adjacent cells, the exact boundary (g_c or g_t) is one entry of the
-    boundary columns.
+    params.g and params.zeta are ignored.  Cells are ordered by (zeta, g).
+    Wherever the label changes between two g-adjacent cells, the exact
+    boundary (g_c or g_t) is one entry of the boundary columns.
     """
-    gs, zetas = spec.g_grid(), spec.zeta_grid()
-    index, boundaries = grid_row(spec, zetas, config)  # the module global: one pass
+    gs, zetas = _couplings(params, g, zeta)
+    index, boundaries = grid_row(params, gs, zetas, config)  # the module global: one pass
     return PhaseGrid(gs, zetas, index.reshape(-1), *boundaries)

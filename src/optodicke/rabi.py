@@ -133,31 +133,30 @@ def _parity_diagonals(omega: float, omega_a: float, n: np.ndarray) -> np.ndarray
 
 
 def _block_columns(omega: float, omega_a: float, g: np.ndarray, n_max: int,
-                   rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals (rows, 2 len(g)) and offdiagonals (min(rows, n_max), 2 len(g)).
 
-    The leading rows (all n_max + 1 by default) of the blocks at n_max and
-    the couplings out of them.  Each column is one parity block: column i
-    the +1 block of g[i] and column len(g) + i its -1 block.
+    The leading rows (at most n_max + 1) of the blocks at n_max and the
+    couplings out of them.  Each column is one parity block: column i the
+    +1 block of g[i] and column len(g) + i its -1 block.
     """
-    n = np.arange(n_max + 1 if rows is None else rows)
+    n = np.arange(rows)
     offdiag = np.sqrt(n[:n_max] + 1.0)[:, None] * (0.5 * np.asarray(g, dtype=float))
     return (np.repeat(_parity_diagonals(omega, omega_a, n).T, len(g), axis=1),
             np.concatenate([offdiag, offdiag], axis=1))
 
 
 class _Blocks:
-    """The leading k rows of a batch of blocks with n rows (all n by default), one per column.
+    """The leading k rows of a batch of blocks with n rows, one per column.
 
     diag holds rows 0..k-1, offdiag the couplings out of them (n - 1 if
     k = n) and off2 their squares.  grow(rows) rebuilds at least min(rows, n)
     rows, at least doubling k, through build(k); no result depends on k.
     """
 
-    def __init__(self, diag: np.ndarray, offdiag: np.ndarray, n: int | None = None,
-                 build=None) -> None:
+    def __init__(self, diag: np.ndarray, offdiag: np.ndarray, n: int, build) -> None:
         self.diag, self.offdiag, self.off2 = diag, offdiag, offdiag * offdiag
-        self.n, self.build = len(diag) if n is None else n, build
+        self.n, self.build = n, build
 
     def grow(self, rows: int) -> None:
         if len(self.diag) < min(rows, self.n):

@@ -37,6 +37,42 @@ def fd_second(gamma_bar, sign, g, zeta, omega, omega_a, omega_b, h=1e-5):
         return float((4 * d_h2 - d_h) / 3)
 
 
+def product_energy(gamma_bar, beta_bar, theta, g, zeta, omega, omega_a, omega_b):
+    """Per-atom energy of the product of photon, phonon and spin coherent states, in mpmath.
+
+    E = omega gamma_bar^2 + omega_b beta_bar^2 + 2 zeta gamma_bar^2 beta_bar
+        - (omega_a/2) cos(theta) - g gamma_bar sin(theta),
+    before the phonon displacement beta_bar and the spin angle theta are
+    eliminated.  The normal branch is the theta-minimum, the inverted branch
+    the theta-maximum of this same function.
+    """
+    gamma_bar, beta_bar, theta = (mp.mpf(v) for v in (gamma_bar, beta_bar, theta))
+    x = gamma_bar * gamma_bar
+    return (omega * x + omega_b * beta_bar**2 + 2 * zeta * x * beta_bar
+            - mp.mpf(omega_a) / 2 * mp.cos(theta) - g * gamma_bar * mp.sin(theta))
+
+
+def product_stationary_point(guess, g, zeta, omega, omega_a, omega_b):
+    """The stationary point (gamma_bar, beta_bar, theta) of product_energy found from guess.
+
+    mp.findroot on the gradient, then the point, its energy and its 3x3
+    Hessian, all derivatives by mp.diff; at the working precision of the caller.
+    """
+    args = [mp.mpf(v) for v in (g, zeta, omega, omega_a, omega_b)]
+
+    def energy(*v):
+        return product_energy(*v, *args)
+
+    def derivative(point, *axes):
+        return mp.diff(energy, point, tuple(axes.count(k) for k in range(3)))
+
+    found = mp.findroot(lambda *v: [derivative(v, k) for k in range(3)],
+                        [mp.mpf(v) for v in guess])
+    point = [found[k] for k in range(3)]
+    hessian = mp.matrix([[derivative(point, i, j) for j in range(3)] for i in range(3)])
+    return point, energy(*point), hessian
+
+
 def p_of_x(x, sign, g, zeta, omega, omega_a, omega_b):
     A = np.sqrt(omega_a**2 + 4.0 * g * g * x)
     return omega - 2.0 * zeta**2 * x / omega_b + sign * g * g / A

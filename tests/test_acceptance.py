@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from optodicke.cli import run
-from optodicke.diagram import GridSpec, SweepSpec, phase_grid, sweep_g
+from optodicke.diagram import phase_grid, sweep_g
 from optodicke.model import (
     ModelParams,
     PhaseLabel,
@@ -54,9 +54,8 @@ def test_critical_coupling():
     # the refined boundary of the NP(N-) region must not move with zeta or
     # omega_b (the state above it may be SP or, past closure, NP(N+))
     for omega_b in (5.0, 10.0, 40.0):
-        spec = GridSpec(ModelParams(omega_b=omega_b), g_min=0.8, g_max=1.2, g_steps=3,
-                        zeta_min=0.5, zeta_max=2.5, zeta_steps=3)
-        grid = phase_grid(spec)
+        grid = phase_grid(ModelParams(omega_b=omega_b), np.linspace(0.8, 1.2, 3),
+                          np.linspace(0.5, 2.5, 3))
         exits = grid.boundary_g[grid.boundary_below == PHASES.index(PhaseLabel.NP_NMINUS)]
         assert len(exits) == 3
         for g_b in exits.tolist():
@@ -92,8 +91,7 @@ def test_dicke_reduction():
 
     ground_by_n = {}
     for n_atoms in (1, 100):
-        sweep = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=n_atoms), g_min=0.0, g_max=3.0,
-                                  g_steps=301))
+        sweep = sweep_g(ModelParams(zeta=0.0, n_atoms=n_atoms), np.linspace(0.0, 3.0, 301))
         rows = np.arange(sweep.g.size)
         ground = [c[rows, sweep.ground] for c in (sweep.n_p, sweep.delta_n_a, sweep.n_b,
                                                   sweep.energy)]
@@ -129,7 +127,7 @@ def test_observable_identities():
 @criterion(6, "multi-transition energy and population curves at zeta=1")
 def test_multi_transition_curve():
     g_t = 1.763026785  # fold oracle
-    sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.0, g_max=3.0, g_steps=301))
+    sweep = sweep_g(ModelParams(zeta=1.0), np.linspace(0.0, 3.0, 301))
     rows = np.arange(sweep.g.size)
     energy, dna = sweep.energy[rows, sweep.ground], sweep.delta_n_a[rows, sweep.ground]
     for g, e, d in zip(sweep.g.tolist(), energy.tolist(), dna.tolist()):
@@ -180,7 +178,7 @@ def test_eigensolver_correctness():
     for _ in range(6):
         omega, omega_a, g = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5), rng.uniform(0.0, 3.0)
         n_max = int(rng.integers(3, 9))
-        diag, off = _block_columns(omega, omega_a, np.array([g]), n_max)
+        diag, off = _block_columns(omega, omega_a, np.array([g]), n_max, n_max + 1)
         union = np.sort(np.concatenate([np.linalg.eigvalsh(oracles.tridiagonal_dense(
             diag[:, j], off[:, j])) for j in (0, 1)]))
         dense = np.linalg.eigvalsh(oracles.rabi_dense(omega, omega_a, g, n_max))
@@ -189,7 +187,8 @@ def test_eigensolver_correctness():
     for g in (0.5, 2.0):
         _, _, residual, _ = ground_energy(RabiParams(g=g), 300)
         # the larger norm bound of the two parity blocks (both above 1 here)
-        scale = oracles.gershgorin_bracket(*_block_columns(1.0, 1.0, np.array([g]), 300))[4].max()
+        blocks = _block_columns(1.0, 1.0, np.array([g]), 300, 301)
+        scale = oracles.gershgorin_bracket(*blocks)[4].max()
         assert residual <= 1e-10 * scale
 
     energies = [ground_energy(RabiParams(g=3.0), n)[0] for n in (50, 100, 200, 300)]

@@ -21,6 +21,8 @@ from optodicke import cli, rabi, solver
 from optodicke.cli import run
 from optodicke.model import ModelParams, PhaseLabel, Stability
 
+LINSPACE = np.linspace  # TestGridCaps replaces np.linspace
+
 
 def read_csv(path):
     text = path.read_text()
@@ -205,10 +207,26 @@ class TestConfig:
         ["phase-diagram", "--g=-1:3:5", "--zeta", "0:1:2"],
         ["phase-diagram", "--g", "0:3:5", "--zeta=-1:1:2"],
         ["sweep", "--g=-1:3:5", "--zeta", "1"],
+        # spans past the largest double, which np.linspace would fill with NaN
+        ["sweep", "--g=-1.7e308:1.7e308:3"],
+        ["phase-diagram", "--g", "0:1:3", "--zeta=-1e308:1e308:3"],
     ])
     def test_negative_grid_start_rejected(self, argv, capsys):
         assert run(argv) == 2
         assert "must be >= 0" in capsys.readouterr().err
+
+    def test_bad_grid_shape_rejected(self, capsys):
+        for argv, message in [
+            (["sweep", "--g", "0:1:1"], "need min < max and count >= 2"),
+            (["sweep", "--g", "2:1:3"], "need min < max and count >= 2"),
+            (["phase-diagram", "--zeta", "1:0:3"], "need min < max and count >= 2"),
+            (["phase-diagram", "--zeta", "0:1:1"], "need min < max and count >= 2"),
+            (["sweep", "--g", "1"], "g_min must be < g_max"),  # a bare number is no grid
+            (["phase-diagram", "--g", "0:1:3", "--zeta", "1"], "zeta_min must be < zeta_max"),
+            (["sweep", "--g", "0:1:3", "--omega-b", "-1"], "omega_b must be > 0"),
+        ]:
+            assert run(argv) == 2, argv
+            assert message in capsys.readouterr().err, argv
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--g", "-1:3:5"],
@@ -255,13 +273,20 @@ class TestGridCaps:
         assert "n_max must be in" in capsys.readouterr().err
 
     def test_at_the_caps(self, monkeypatch):
-        # the caps themselves are accepted (checked without solving anything)
+        # the caps themselves are accepted (checked without solving anything);
+        # np.linspace builds only the two axes, of 1000 points each
+        side = math.isqrt(cli.MAX_GRID_CELLS)
+
+        def axis(lo, hi, count):
+            assert count <= side
+            return LINSPACE(lo, hi, count)
+
+        monkeypatch.setattr(np, "linspace", axis)
         none, no_labels = np.empty(0), np.empty(0, dtype=int)
         empty = cli.diagram.PhaseGrid(g=none, zeta=none, phase=no_labels, boundary_zeta=none,
                                       boundary_g=none, boundary_below=no_labels,
                                       boundary_above=no_labels)
-        monkeypatch.setattr(cli.diagram, "phase_grid", lambda spec, cfg: empty)
-        side = math.isqrt(cli.MAX_GRID_CELLS)
+        monkeypatch.setattr(cli.diagram, "phase_grid", lambda params, g, zeta, cfg: empty)
         assert run(["phase-diagram", "--g", f"0:3:{side}", "--zeta", f"0:3:{side}"]) == 0
 
 

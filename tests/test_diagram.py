@@ -13,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 from optodicke import diagram
 from optodicke.diagram import (
     BRANCH_TAGS,
-    GridSpec,
     Sweep,
-    SweepSpec,
     grid_row,
     phase_grid,
     sweep_g,
@@ -71,24 +69,9 @@ SP, N_MINUS, N_PLUS = (PHASES.index(p) for p in
                        (PhaseLabel.SP, PhaseLabel.NP_NMINUS, PhaseLabel.NP_NPLUS))
 
 
-class TestSweepSpec:
-    def test_grid_inclusive(self):
-        spec = SweepSpec(g_min=0.0, g_max=3.0, g_steps=301)
-        grid = spec.grid()
-        assert grid[0] == 0.0 and grid[-1] == 3.0 and len(grid) == 301
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(g_min=2.0, g_max=1.0)
-        with pytest.raises(ValueError):
-            SweepSpec(g_steps=1)
-        with pytest.raises(ValueError):
-            SweepSpec(ModelParams(omega_b=-1.0))
-
-
 class TestDickeSweep:
     def test_photon_number_closed_form(self):
-        sweep = sweep_g(SweepSpec(ModelParams(zeta=0.0), g_min=0.0, g_max=3.0, g_steps=301))
+        sweep = sweep_g(ModelParams(zeta=0.0), np.linspace(0.0, 3.0, 301))
         for g, n_p, energy, n_b in zip(sweep.g.tolist(), *(at_ground(sweep, c).tolist() for c in
                                                             (sweep.n_p, sweep.energy, sweep.n_b))):
             assert n_p == pytest.approx(dicke_np(g), abs=1e-10)
@@ -96,8 +79,9 @@ class TestDickeSweep:
             assert n_b == 0.0
 
     def test_n_independent(self):
-        sweep_1 = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=1), g_steps=61))
-        sweep_100 = sweep_g(SweepSpec(ModelParams(zeta=0.0, n_atoms=100), g_steps=61))
+        gs = np.linspace(0.0, 3.0, 61)
+        sweep_1 = sweep_g(ModelParams(zeta=0.0, n_atoms=1), gs)
+        sweep_100 = sweep_g(ModelParams(zeta=0.0, n_atoms=100), gs)
         for name in ("n_p", "delta_n_a", "n_b", "energy"):
             assert np.array_equal(at_ground(sweep_1, getattr(sweep_1, name)),
                                   at_ground(sweep_100, getattr(sweep_100, name)))
@@ -106,12 +90,12 @@ class TestDickeSweep:
 
 class TestBranchContents:
     def test_inside_superradiant_window(self):
-        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=1.5, g_max=3.0, g_steps=2))
+        sweep = sweep_g(ModelParams(zeta=1.0), np.linspace(1.5, 3.0, 2))
         assert tags_at(sweep, 0) == list(BRANCH_TAGS)
         assert PHASES[sweep.phase[0]] is PhaseLabel.SP
 
     def test_beyond_fold(self):
-        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=2.0, g_max=2.5, g_steps=2))
+        sweep = sweep_g(ModelParams(zeta=1.0), np.linspace(2.0, 2.5, 2))
         # the nonzero normal-branch pair no longer exists past the fold
         assert tags_at(sweep, 0) == ["N-", "N+", "gus+"]
         assert PHASES[sweep.phase[0]] is PhaseLabel.NP_NPLUS
@@ -121,7 +105,7 @@ class TestBranchContents:
     def test_unstable_branch_ordering(self):
         # where both unstable nonzero states exist, the inverted one has the
         # larger photon number and energy
-        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.4, g_max=1.7, g_steps=14))
+        sweep = sweep_g(ModelParams(zeta=1.0), np.linspace(0.4, 1.7, 14))
         rows = np.arange(sweep.g.size)
         minus, plus = (sweep.source[:, BRANCH_TAGS.index(tag)] for tag in ("gus-", "gus+"))
         both = (minus >= 0) & (plus >= 0)
@@ -130,7 +114,7 @@ class TestBranchContents:
         assert both.sum() == sweep.g.size
 
     def test_branch_tags_unique(self):
-        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.5), g_min=0.1, g_max=2.9, g_steps=15))
+        sweep = sweep_g(ModelParams(zeta=1.5), np.linspace(0.1, 2.9, 15))
         for i, columns in enumerate(sweep.source.tolist()):
             # no point is listed under two tags
             columns = [j for j in columns if j >= 0]
@@ -140,7 +124,7 @@ class TestBranchContents:
 
 class TestMultiTransition:
     def test_energy_curve_zeta_one(self):
-        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.0, g_max=3.0, g_steps=301))
+        sweep = sweep_g(ModelParams(zeta=1.0), np.linspace(0.0, 3.0, 301))
         energies = at_ground(sweep, sweep.energy)
         for g, phase, energy in zip(sweep.g.tolist(), sweep.phase.tolist(), energies.tolist()):
             if g < 1.0:
@@ -156,14 +140,14 @@ class TestMultiTransition:
         assert all(a > b for a, b in zip(sp_energies, sp_energies[1:]))
 
     def test_population_transfer_zeta_three(self):
-        sweep = sweep_g(SweepSpec(ModelParams(zeta=3.0), g_min=0.0, g_max=3.0, g_steps=301))
+        sweep = sweep_g(ModelParams(zeta=3.0), np.linspace(0.0, 3.0, 301))
         assert not np.any(sweep.phase == SP)
         dna = dict(zip(sweep.g.tolist(), at_ground(sweep, sweep.delta_n_a).tolist()))
         assert dna[0.99] == -0.5 and dna[1.0] == -0.5
         assert dna[1.01] == +0.5 and dna[3.0] == +0.5
 
     def test_order_parameter_jumps(self):
-        sweep = sweep_g(SweepSpec(ModelParams(zeta=1.0), g_min=0.9, g_max=2.0, g_steps=111))
+        sweep = sweep_g(ModelParams(zeta=1.0), np.linspace(0.9, 2.0, 111))
         nps = at_ground(sweep, sweep.n_p).tolist()
         jumps = [abs(b - a) for a, b in zip(nps, nps[1:])]
         # continuous onset at g_c, first-order collapse at g_t
@@ -174,8 +158,7 @@ class TestMultiTransition:
 
 class TestPhaseGrid:
     def test_example_cells(self):
-        spec = GridSpec(g_min=0.5, g_max=1.3, g_steps=2, zeta_min=1.0, zeta_max=2.5, zeta_steps=4)
-        grid = phase_grid(spec)
+        grid = phase_grid(ModelParams(), np.linspace(0.5, 1.3, 2), np.linspace(1.0, 2.5, 4))
         labels = {(g, zeta): PHASES[k] for g, zeta, k in
                   zip(*(c.tolist() for c in cells(grid)), grid.phase.tolist())}
         assert labels[(0.5, 1.5)] is PhaseLabel.NP_NMINUS
@@ -183,27 +166,24 @@ class TestPhaseGrid:
         assert labels[(1.3, 2.5)] is PhaseLabel.NP_NPLUS
 
     def test_partition_and_window(self):
-        spec = GridSpec(g_min=0.2, g_max=2.8, g_steps=14, zeta_min=0.4, zeta_max=2.8, zeta_steps=7)
-        grid = phase_grid(spec)
+        grid = phase_grid(ModelParams(), np.linspace(0.2, 2.8, 14), np.linspace(0.4, 2.8, 7))
         assert (grid.g.size, grid.zeta.size, grid.phase.size) == (14, 7, 14 * 7)
         sp = grid.phase == SP
         for g, zeta in zip(*(c[sp].tolist() for c in cells(grid))):
             assert 1.0 < g < oracles.fold_gt(zeta) + 1e-9
 
     def test_cells_ordered(self):
-        spec = GridSpec(g_steps=5, zeta_steps=4, g_min=0.5, g_max=2.5, zeta_min=0.5, zeta_max=2.0)
-        grid = phase_grid(spec)
-        # the axes are the spec's grids, and phase[k * g_steps + i] is the cell (zeta[k], g[i])
-        assert np.array_equal(grid.g, spec.g_grid()) and np.array_equal(grid.zeta, spec.zeta_grid())
+        params, gs, zetas = ModelParams(), np.linspace(0.5, 2.5, 5), np.linspace(0.5, 2.0, 4)
+        grid = phase_grid(params, gs, zetas)
+        # the axes are the input grids, and phase[k * g.size + i] is the cell (zeta[k], g[i])
+        assert np.array_equal(grid.g, gs) and np.array_equal(grid.zeta, zetas)
         for k, zeta in enumerate(grid.zeta.tolist()):
             for i, g in enumerate(grid.g.tolist()):
-                expected = ground_state(replace(spec.params, g=g, zeta=zeta))[0]
+                expected = ground_state(replace(params, g=g, zeta=zeta))[0]
                 assert PHASES[grid.phase[k * grid.g.size + i]] is expected, (g, zeta)
 
     def test_boundaries_refined(self):
-        spec = GridSpec(g_min=0.5, g_max=2.5, g_steps=11, zeta_min=1.0, zeta_max=1.0 + 1e-9,
-                        zeta_steps=2)
-        grid = phase_grid(spec)
+        grid = phase_grid(ModelParams(), np.linspace(0.5, 2.5, 11), np.linspace(1.0, 1.0 + 1e-9, 2))
         at = grid.boundary_zeta == 1.0
         assert at.sum() == 2
         (g_onset, g_collapse) = grid.boundary_g[at].tolist()
@@ -213,11 +193,10 @@ class TestPhaseGrid:
         assert g_collapse == pytest.approx(GT_Z1, abs=2e-4)
 
     def test_consistent_with_sweep(self):
-        spec = GridSpec(g_min=0.3, g_max=2.7, g_steps=9, zeta_min=0.7, zeta_max=2.1, zeta_steps=3)
-        grid = phase_grid(spec)
-        for zeta, labels in zip(spec.zeta_grid(), grid.phase.reshape(grid.zeta.size, -1)):
-            rows = sweep_g(SweepSpec(replace(spec.params, zeta=float(zeta)), g_min=0.3, g_max=2.7,
-                                     g_steps=9))
+        params, gs, zetas = ModelParams(), np.linspace(0.3, 2.7, 9), np.linspace(0.7, 2.1, 3)
+        grid = phase_grid(params, gs, zetas)
+        for zeta, labels in zip(zetas, grid.phase.reshape(grid.zeta.size, -1)):
+            rows = sweep_g(replace(params, zeta=float(zeta)), np.linspace(0.3, 2.7, 9))
             assert labels.tolist() == rows.phase.tolist()
 
 
@@ -257,10 +236,8 @@ class TestGridReferee:
         # range where every stationary point fits in doubles.
         base = ModelParams(omega=omega, omega_a=omega_a, omega_b=omega_b)
         g_c, closure = critical_coupling(base), closure_estimate(base)
-        spec = GridSpec(base, g_min=g_lo * g_c, g_max=(g_lo + g_span) * g_c, g_steps=g_steps,
-                        zeta_min=z_lo * closure, zeta_max=(z_lo + z_span) * closure,
-                        zeta_steps=z_steps)
-        grid = phase_grid(spec)
+        grid = phase_grid(base, np.linspace(g_lo * g_c, (g_lo + g_span) * g_c, g_steps),
+                          np.linspace(z_lo * closure, (z_lo + z_span) * closure, z_steps))
         assert (grid.g.size, grid.zeta.size, grid.phase.size) == (g_steps, z_steps,
                                                                    g_steps * z_steps)
         changes = []  # (zeta, label below, label above) of each label change
@@ -293,9 +270,8 @@ class TestGridReferee:
         # (the solver has an SP root of rounding size), and only that cell is solved.
         base = ModelParams(omega=0.75, omega_a=1.2964465672968557, omega_b=36.75)
         g_c, closure = critical_coupling(base), closure_estimate(base)
-        spec = GridSpec(base, g_min=0.0, g_max=2.0 * g_c, g_steps=3, zeta_min=0.0,
-                        zeta_max=closure, zeta_steps=5)
-        assert spec.g_grid()[1] == g_c and spec.zeta_grid()[-1] == closure
+        gs, zetas = np.linspace(0.0, 2.0 * g_c, 3), np.linspace(0.0, closure, 5)
+        assert gs[1] == g_c and zetas[-1] == closure
         solved = []
 
         def spy(params, g, config=None):
@@ -303,7 +279,7 @@ class TestGridReferee:
             return solve_ground(params, g, config)
 
         monkeypatch.setattr(diagram, "solve_ground", spy)
-        grid = phase_grid(spec)
+        grid = phase_grid(base, gs, zetas)
         assert solved == [(closure, [g_c])]
         for g, zeta, label in zip(*(c.tolist() for c in cells(grid)), grid.phase.tolist()):
             assert PHASES[label] is ground_state(replace(base, g=g, zeta=zeta))[0], (g, zeta)
@@ -316,9 +292,9 @@ class TestGridReferee:
         base = ModelParams(omega=omega)
         g_c = critical_coupling(base)
         zeta = closure_estimate(base) * (1.0 + 0.01 * side)
-        spec = GridSpec(base, g_min=0.0, g_max=2.0 * g_c, g_steps=3)
-        (index,), (_, g_b, below, _) = grid_row(spec, [zeta])
-        assert spec.g_grid()[1] == g_c
+        gs = np.linspace(0.0, 2.0 * g_c, 3)
+        (index,), (_, g_b, below, _) = grid_row(base, gs, np.array([zeta]))
+        assert gs[1] == g_c
         want = ground_state(replace(base, g=g_c, zeta=zeta))[0]
         assert PHASES[index[1]] is want
         if side < 0:
@@ -331,9 +307,9 @@ class TestGridReferee:
     @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0, 3.0])
     def test_cell_exactly_at_turning_point(self, zeta):
         g_t = turning_point(ModelParams(), zeta=zeta)
-        spec = GridSpec(g_min=0.0, g_max=2.0 * g_t, g_steps=9)
-        (index,), (_, g_b, below, _) = grid_row(spec, [zeta])
-        assert spec.g_grid()[4] == g_t
+        gs = np.linspace(0.0, 2.0 * g_t, 9)
+        (index,), (_, g_b, below, _) = grid_row(ModelParams(), gs, np.array([zeta]))
+        assert gs[4] == g_t
         assert PHASES[index[4]] is PhaseLabel.NP_NPLUS
         assert g_b[below == SP].tolist() in ([g_t], [])
         # The fold rule: no superradiant root is a ground-state candidate from
@@ -349,7 +325,8 @@ class TestGridReferee:
     def test_extreme_zeta_rows(self, zeta, above):
         # far below and far above the closure coupling, where the scalar
         # solver's cubic overflows; g_t is then ~1.7e120, or absent
-        (index,), (_, g_b, _, b_above) = grid_row(GridSpec(g_min=0.5, g_max=3.5, g_steps=4), [zeta])
+        gs, zetas = np.linspace(0.5, 3.5, 4), np.array([zeta])
+        (index,), (_, g_b, _, b_above) = grid_row(ModelParams(), gs, zetas)
         assert [PHASES[k] for k in index] == [PhaseLabel.NP_NMINUS] + [above] * 3
         assert [(g, PHASES[k]) for g, k in zip(g_b.tolist(), b_above.tolist())] == [(1.0, above)]
 
@@ -373,11 +350,26 @@ class TestGridReferee:
 
     def test_negative_grid_start_rejected(self):
         with pytest.raises(ValueError, match="g must be >= 0"):
-            GridSpec(g_min=-1.0)
+            phase_grid(ModelParams(), np.linspace(-1.0, 3.0, 61), np.linspace(0.0, 3.0, 61))
         with pytest.raises(ValueError, match="zeta must be >= 0"):
-            GridSpec(zeta_min=-1.0)
+            phase_grid(ModelParams(), np.linspace(0.0, 3.0, 61), np.linspace(-1.0, 3.0, 61))
         with pytest.raises(ValueError, match="g must be >= 0"):
-            SweepSpec(g_min=-1.0)
+            sweep_g(ModelParams(), np.linspace(-1.0, 3.0, 301))
+
+    @pytest.mark.parametrize("axis", ["g", "zeta"])
+    @pytest.mark.parametrize("at", [0, 2, -1])
+    @pytest.mark.parametrize("bad, message", [(-1e-300, ">= 0"), (-2.0, ">= 0"),
+                                              (math.nan, "finite"), (math.inf, "finite")])
+    def test_bad_coupling_anywhere_rejected(self, axis, at, bad, message):
+        # every coupling is checked, not only the start: a NaN or inf end used
+        # to label NaN and inf cells
+        axes = {"g": np.linspace(0.5, 3.0, 5), "zeta": np.linspace(0.0, 2.0, 5)}
+        axes[axis][at] = bad
+        with pytest.raises(ValueError, match=f"^{axis} must be {message}"):
+            phase_grid(ModelParams(), axes["g"], axes["zeta"])
+        if axis == "g":
+            with pytest.raises(ValueError, match=f"^g must be {message}"):
+                sweep_g(ModelParams(zeta=1.0), axes["g"])
 
 
 class TestFoldRule:
@@ -393,18 +385,17 @@ class TestFoldRule:
                 couplings.append(turning_point(base, zeta=zeta))
             for g in couplings:
                 # the middle point of a 3-point grid from 0 to 2 g is g itself
-                sweep = SweepSpec(replace(base, zeta=zeta), g_min=0.0, g_max=2.0 * g, g_steps=3)
-                assert sweep.grid()[1] == g
+                gs = np.linspace(0.0, 2.0 * g, 3)
+                assert gs[1] == g
                 # all five values of the one-point call are the sweep row's, bit for bit
                 want, *values = ground_state(replace(base, g=g, zeta=zeta))
-                rows = sweep_g(sweep)
+                rows = sweep_g(replace(base, zeta=zeta), gs)
                 assert PHASES[rows.phase[1]] is want, (zeta, g)
                 ground = [at_ground(rows, c)[1] for c in (rows.n_p, rows.delta_n_a, rows.n_b,
                                                          rows.energy)]
                 assert np.array_equal(np.array(values).view(np.int64),
                                       np.array(ground).view(np.int64)), (zeta, g)
-                (index,), _ = grid_row(GridSpec(base, g_min=0.0, g_max=2.0 * g, g_steps=3),
-                                        [zeta])
+                (index,), _ = grid_row(base, gs, np.array([zeta]))
                 assert PHASES[index[1]] is want, (zeta, g)
                 if g != g_c:  # no superradiant root is a candidate from g_t up
                     assert want is PhaseLabel.NP_NPLUS, zeta
@@ -414,27 +405,24 @@ class TestBoundaryTrace:
     """g_c and turning_point along a zeta grid."""
 
     def test_reference_rows(self):
-        spec = GridSpec(zeta_min=0.0, zeta_max=3.0, zeta_steps=4)
-        zetas = spec.zeta_grid().tolist()
+        params, zetas = ModelParams(), np.linspace(0.0, 3.0, 4).tolist()
         assert zetas == [0.0, 1.0, 2.0, 3.0]
-        assert critical_coupling(spec.params) == 1.0
+        assert critical_coupling(params) == 1.0
         with pytest.raises(NotFound):
-            turning_point(spec.params, zeta=zetas[0])
-        g_t = [turning_point(spec.params, zeta=z) for z in zetas[1:]]
+            turning_point(params, zeta=zetas[0])
+        g_t = [turning_point(params, zeta=z) for z in zetas[1:]]
         assert g_t[0] == pytest.approx(GT_Z1, abs=5e-6)
         assert g_t[1] == pytest.approx(1.087827300, abs=5e-6)
         assert g_t[2] <= 1.01
 
     def test_monotone_window(self):
-        spec = GridSpec(zeta_min=0.5, zeta_max=2.5, zeta_steps=5)
-        gts = [turning_point(spec.params, zeta=z) for z in spec.zeta_grid().tolist()]
+        gts = [turning_point(ModelParams(), zeta=z) for z in np.linspace(0.5, 2.5, 5).tolist()]
         assert all(a > b for a, b in zip(gts, gts[1:]))
 
     def test_critical_line_flat_in_oscillator(self):
         for wb in (5.0, 10.0, 40.0):
-            spec = GridSpec(ModelParams(omega_b=wb), zeta_min=0.5, zeta_max=2.5, zeta_steps=3)
-            for zeta in spec.zeta_grid().tolist():
-                assert critical_coupling(replace(spec.params, zeta=zeta)) == 1.0
+            for zeta in np.linspace(0.5, 2.5, 3).tolist():
+                assert critical_coupling(ModelParams(omega_b=wb, zeta=zeta)) == 1.0
 
 
 class TestSweepReferee:
@@ -444,8 +432,7 @@ class TestSweepReferee:
     def _stability(slope):
         return Stability.STABLE if slope > 0.0 else Stability.UNSTABLE
 
-    def _check_row(self, spec, sweep, i, g_c, g_t):
-        p = spec.params
+    def _check_row(self, p, sweep, i, g_c, g_t):
         g = float(sweep.g[i])
         args = (g, p.zeta, p.omega, p.omega_a, p.omega_b)
         column = {tag: j for tag, j in zip(BRANCH_TAGS, sweep.source[i].tolist()) if j >= 0}
@@ -489,30 +476,30 @@ class TestSweepReferee:
         g_c, closure = critical_coupling(base), closure_estimate(base)
         zeta = z_unit * closure
         g_t = turning_point(base, zeta=zeta)
-        specs = [SweepSpec(replace(base, zeta=z), g_min=0.0, g_max=4.0 * g_c, g_steps=2**k + 1)
-                 for z in (0.0, zeta, closure * (1.0 + z_over))]
-        specs.append(SweepSpec(replace(base, zeta=zeta), g_min=math.nextafter(g_t, 0.0),
-                               g_max=math.nextafter(g_t, math.inf), g_steps=3))
-        for spec in specs:
-            sweep = sweep_g(spec)
-            assert sweep.g.tolist() == spec.grid().tolist()
-            assert g_c in sweep.g.tolist() or spec.g_steps == 3
-            for i, g in enumerate(spec.grid().tolist()):
-                one = sweep_row(spec, g)
+        runs = [(replace(base, zeta=z), np.linspace(0.0, 4.0 * g_c, 2**k + 1))
+                for z in (0.0, zeta, closure * (1.0 + z_over))]
+        runs.append((replace(base, zeta=zeta),
+                     np.linspace(math.nextafter(g_t, 0.0), math.nextafter(g_t, math.inf), 3)))
+        for params, gs in runs:
+            sweep = sweep_g(params, gs)
+            assert sweep.g.tolist() == gs.tolist()
+            assert g_c in sweep.g.tolist() or gs.size == 3
+            for i, g in enumerate(gs.tolist()):
+                one = sweep_row(params, g)
                 for name in (f.name for f in fields(Sweep)):
                     full, single = getattr(sweep, name)[i], getattr(one, name)
                     assert single.shape[0] == 1 and np.array_equal(
                         full, single[0], equal_nan=full.dtype.kind == "f"), (g, name)
-                self._check_row(spec, sweep, i, g_c, g_t)
+                self._check_row(params, sweep, i, g_c, g_t)
 
         # a roots call prints the values of the sweep row at the same g
-        spec = specs[1]
+        params, gs = runs[1]
         flags = ["--omega", repr(omega), "--omega-a", repr(omega_a), "--omega-b", repr(omega_b),
-                 "--zeta", repr(spec.params.zeta)]
-        g = float(spec.grid()[1])
+                 "--zeta", repr(params.zeta)]
+        g = float(gs[1])
         sweep_out, roots_out = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(sweep_out):
-            assert run(["sweep", "--g", f"{g!r}:{spec.g_max!r}:2", *flags]) == 0
+            assert run(["sweep", "--g", f"{g!r}:{float(gs[-1])!r}:2", *flags]) == 0
         with contextlib.redirect_stdout(roots_out):
             assert run(["roots", "--g", repr(g), *flags]) == 0
         sweep_out, roots_out = sweep_out.getvalue(), roots_out.getvalue()

@@ -43,7 +43,7 @@ def test_command_loads_only_what_it_runs(argv):
 
 
 def test_names_resolve_to_their_submodule_objects():
-    assert len(optodicke.__all__) == len(set(optodicke.__all__)) == 28
+    assert len(optodicke.__all__) == len(set(optodicke.__all__)) == 26
     for name in optodicke.__all__:
         value = getattr(optodicke, name)
         home = value.__module__

@@ -47,9 +47,14 @@ def _scale(diag, off):
     return oracles.gershgorin_bracket(diag, off)[4]
 
 
+def _whole(diag, off):
+    """_Blocks holding every row of the blocks diag, off: they never grow."""
+    return _Blocks(diag, off, len(diag), None)
+
+
 def _parity_columns(omega, omega_a, g, n_max):
     """The +1 and the -1 block of g at n_max, each as (diag, offdiag), from _block_columns."""
-    diag, off = _block_columns(omega, omega_a, np.array([g]), n_max)
+    diag, off = _block_columns(omega, omega_a, np.array([g]), n_max, n_max + 1)
     return [(diag[:, j], off[:, j]) for j in (0, 1)]
 
 
@@ -126,7 +131,7 @@ class TestSmallestEigenvalue:
         # the kernel on a whole block, from the oracle's bracket
         diag, off = np.array([[0.0], [1.0]]), np.array([[1.0]])
         bracket = oracles.gershgorin_bracket(diag, off)
-        values, _ = rabi._lowest_eigenpairs(_Blocks(diag, off), bracket)
+        values, _ = rabi._lowest_eigenpairs(_whole(diag, off), bracket)
         assert values[0] == pytest.approx((1.0 - math.sqrt(5.0)) / 2.0, abs=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -348,7 +353,7 @@ class TestBatchedKernel:
     def test_exact_zero_pivot_counts_as_negative(self):
         # g = 1.5, parity -1: at x = -3/4 the second LDL^T pivot is exactly 0
         _, (diag, off) = _parity_columns(1.0, 1.0, 1.5, 10)
-        count, reach = _sturm_count(_Blocks(diag[:, None], off[:, None]),
+        count, reach = _sturm_count(_whole(diag[:, None], off[:, None]),
                                     np.array([[-0.75]]), np.array([np.finfo(float).tiny]), 11)
         below = np.sum(np.linalg.eigvalsh(oracles.tridiagonal_dense(diag, off)) < -0.75)
         assert below == 1 and count.tolist() == [[below]]
@@ -357,14 +362,14 @@ class TestBatchedKernel:
     def test_counts_match_dense_spectrum(self):
         # the pass ends early at the diagonally dominant tail; the counts must
         # still be those of the whole block at every point up to min(diag)
-        diag, off = _block_columns(1.0, 1.0, np.array([0.5, 1.5, 3.0]), 80)
+        diag, off = _block_columns(1.0, 1.0, np.array([0.5, 1.5, 3.0]), 80, 81)
         hi = diag.min(axis=0)
         lo = (diag - _radii(off)).min(axis=0)
         pivmin = np.max(off * off, axis=0, initial=1.0) * np.finfo(float).tiny
         tail = _dominant_tail(diag, _radii(off), hi, pivmin)
         assert tail < 20
         x = lo + (hi - lo) * np.linspace(0.0, 1.0, 41)[:, None]
-        counts, reach = _sturm_count(_Blocks(diag, off), x, pivmin, tail)
+        counts, reach = _sturm_count(_whole(diag, off), x, pivmin, tail)
         assert tail - 1 <= reach < len(diag)
         for j in range(diag.shape[1]):
             eig = np.linalg.eigvalsh(oracles.tridiagonal_dense(diag[:, j], off[:, j]))
@@ -372,13 +377,13 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("error", [1e-6, -1e-6])
     def test_residual_rejects_wrong_eigenvalue(self, error):
-        diag, off = _block_columns(1.0, 1.0, np.array([2.0]), 60)
+        diag, off = _block_columns(1.0, 1.0, np.array([2.0]), 60, 61)
         diag, off = diag[:, :1], off[:, :1]
         exact = np.linalg.eigvalsh(oracles.tridiagonal_dense(diag[:, 0], off[:, 0]))[:1]
         whole = (len(diag), None, _scale(diag, off))  # reach n: every row
-        assert _eigenpair_residual(_Blocks(diag, off), exact, *whole)[0] <= 1e-10
+        assert _eigenpair_residual(_whole(diag, off), exact, *whole)[0] <= 1e-10
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(_Blocks(diag, off), exact + error, *whole)
+            _eigenpair_residual(_whole(diag, off), exact + error, *whole)
 
 
 def _record_sturm_passes(monkeypatch):
@@ -462,7 +467,8 @@ class TestGuess:
         # every value is the midpoint of the tightest bracket the counts
         # certify, and that bracket meets the stop of its ends
         passes = _record_sturm_passes(monkeypatch)
-        lo, hi, pivmin = oracles.gershgorin_bracket(*_block_columns(omega, 1.0, g, n_max))[:3]
+        lo, hi, pivmin = oracles.gershgorin_bracket(
+            *_block_columns(omega, 1.0, g, n_max, n_max + 1))[:3]
         values = rabi._parity_rows(omega, 1.0, g, n_max)[0].reshape(-1)
         for x, counts in passes:
             lo = np.maximum(lo, np.max(np.where(counts == 0, x, -np.inf), axis=0))
@@ -495,7 +501,8 @@ class TestDominantTail:
         rng = np.random.default_rng(seed)
         omega, omega_a = rng.uniform(0.2, 3.0, size=2)
         g = rng.uniform(0.0, [3.0, 3.0, 30.0, 1e4][seed % 4], size=int(rng.integers(1, 6)))
-        diag, off = _block_columns(omega, omega_a, g, int(rng.integers(2, 120)))
+        n_max = int(rng.integers(2, 120))
+        diag, off = _block_columns(omega, omega_a, g, n_max, n_max + 1)
         radii = _radii(off)
         hi = diag.min(axis=0)
         pivmin = np.max(off * off, axis=0, initial=1.0) * np.finfo(float).tiny
@@ -539,12 +546,13 @@ class TestLeadingRows:
             patch.setattr(rabi, "_lowest_eigenpairs", lambda blocks, bracket: brackets.append(
                 bracket) or kernel(blocks, bracket))
             rows = rabi._ground_rows(omega, omega_a, g, n_max)
-            patch.setattr(rabi, "_block_columns", lambda omega, omega_a, g, n_max, rows=None:
-                          columns(omega, omega_a, g, n_max))
+            patch.setattr(rabi, "_block_columns", lambda omega, omega_a, g, n_max, rows:
+                          columns(omega, omega_a, g, n_max, n_max + 1))
             whole = rabi._ground_rows(omega, omega_a, g, n_max)
         for a, b in zip(rows, whole):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
-        expected = oracles.gershgorin_bracket(*_block_columns(omega, omega_a, g, n_max))
+        expected = oracles.gershgorin_bracket(
+            *_block_columns(omega, omega_a, g, n_max, n_max + 1))
         assert brackets[0][3] == expected[3]
         for got, want in zip(brackets[0][:3] + brackets[0][4:], expected[:3] + expected[4:]):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -629,7 +637,7 @@ class TestHalfBlocks:
 
 class TestResidualCut:
     def _block(self, g, n_max):
-        diag, off = _block_columns(1.0, 1.0, np.array([g]), n_max)
+        diag, off = _block_columns(1.0, 1.0, np.array([g]), n_max, n_max + 1)
         diag, off = diag[:, :1], off[:, :1]
         exact = np.linalg.eigvalsh(oracles.tridiagonal_dense(diag[:, 0], off[:, 0]))[:1]
         return diag, off, exact
@@ -641,7 +649,7 @@ class TestResidualCut:
         monkeypatch.setattr(rabi, "_inverse_iteration",
                             lambda d, *args: rows.append(len(d)) or inverse(d, *args))
         scale = _scale(diag, off)
-        residual = _eigenpair_residual(_Blocks(diag, off), exact, 1, None, scale)
+        residual = _eigenpair_residual(_whole(diag, off), exact, 1, None, scale)
         assert rows[0] == 2 and rows == sorted(rows) and len(rows) >= 3
         assert rows[-1] < 301
         assert residual[0] <= 1e-10 * scale[0]
@@ -654,19 +662,19 @@ class TestResidualCut:
         assert lead[0] - exact[0] > 1e-5
         assert rabi._inverse_iteration(diag[:8], off[:7], 0.0, lead, np.ones(1))[0] <= 1e-10
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(_Blocks(diag, off), lead, 4, None, _scale(diag, off))
+            _eigenpair_residual(_whole(diag, off), lead, 4, None, _scale(diag, off))
 
     def test_cut_meets_the_target_of_the_whole_block(self):
         diag, off, exact = self._block(2.0, 300)
         scale = _scale(diag, off)
-        assert _eigenpair_residual(_Blocks(diag, off), exact, 20, None, scale)[0] <= 1e-10
-        assert _eigenpair_residual(_Blocks(diag, off), exact, len(diag), None, scale)[0] <= 1e-10
+        assert _eigenpair_residual(_whole(diag, off), exact, 20, None, scale)[0] <= 1e-10
+        assert _eigenpair_residual(_whole(diag, off), exact, len(diag), None, scale)[0] <= 1e-10
 
     @pytest.mark.parametrize("error", [1e-6, -1e-6])
     def test_wrong_eigenvalue_fails_at_every_reach(self, error):
         diag, off, exact = self._block(2.0, 60)
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(_Blocks(diag, off), exact + error, 3, None, _scale(diag, off))
+            _eigenpair_residual(_whole(diag, off), exact + error, 3, None, _scale(diag, off))
 
 
 def _start_vector(m):
@@ -704,7 +712,7 @@ class TestStartVector:
         g = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 3.0, 1e4])
         start = _start_vector(m)
         for omega in (0.8, 1.0, 1.2):
-            diag, off = _block_columns(omega, 1.0, g, n_max)
+            diag, off = _block_columns(omega, 1.0, g, n_max, n_max + 1)
             projections = [_ground_projection(diag[:m, j], off[:m - 1, j], start)
                            for j in range(diag.shape[1])]
             assert min(projections) >= 1.0 - 1e-9, omega
@@ -712,7 +720,7 @@ class TestStartVector:
     def test_degenerate_block_at_zero_coupling(self):
         # g = 0, omega = omega_a: the +1 block's d_0 = d_1 = 1/2, a 2-dimensional
         # lowest eigenspace, which the start meets in e_0 - e_1
-        diag, off = _block_columns(1.0, 1.0, np.array([0.0]), 50)
+        diag, off = _block_columns(1.0, 1.0, np.array([0.0]), 50, 51)
         assert diag[0, 0] == diag[1, 0] == 0.5
         projection = _ground_projection(diag[:, 0], off[:, 0], _start_vector(51))
         assert projection == pytest.approx(math.sqrt(2.0), rel=1e-12)

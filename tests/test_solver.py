@@ -3,11 +3,13 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from optodicke.model import ModelParams, PhaseLabel, SpinBranch, Stability, extremum_polynomial
 from optodicke.solver import (
+    ABSENT,
     STABILITIES,
     NotFound,
     SolverConfig,
@@ -169,6 +171,55 @@ class TestFindRoots:
 
     def test_certified_empty_beyond_fold(self):
         assert no_roots(find_roots(ModelParams(g=GT_ORACLE[1.0] + 1e-4, zeta=1.0))[0])
+
+
+class TestProductStateReferee:
+    """find_roots against the stationary points of the unreduced product-state energy."""
+
+    def test_roots_are_stationary_points(self):
+        # The reduced energy eliminates beta_bar (a minimum) and theta (a
+        # minimum on the normal branch, a maximum on the inverted one), so a
+        # root's stability is the sign of the Hessian's lowest eigenvalue on
+        # the normal branch, and of its Schur complement onto gamma_bar on the
+        # inverted branch.  The fold is where two normal roots meet.
+        omega, omega_a, omega_b = 1.0, 1.0, 10.0
+        g_t = turning_point(ModelParams(), zeta=1.0)
+        cases = [(zeta, g) for zeta in (0.5, 1.0) for g in (1.2, 1.5, 1.7)]
+        cases += [(2.0, g) for g in (0.7, 1.05, 1.5)]
+        cases += [(1.0, g_t - 1e-4), (1.0, g_t + 1e-4), (1.0, 1.0)]
+        checked = []
+        with mp.workdps(30):
+            for zeta, g in cases:
+                for pts in find_roots(ModelParams(g=g, zeta=zeta)):
+                    for j in np.flatnonzero(pts.stability[0] != ABSENT).tolist():
+                        x, energy = float(pts.x[0, j]), float(pts.energy[0, j])
+                        gamma_bar = math.sqrt(x)
+                        theta = math.atan(2.0 * g * gamma_bar / omega_a)
+                        if pts.branch is SpinBranch.INVERTED:
+                            theta += math.pi
+                        (found, _, _), e, hess = oracles.product_stationary_point(
+                            (gamma_bar, -zeta * x / omega_b, theta), g, zeta, omega, omega_a,
+                            omega_b)
+                        where = (zeta, g, pts.branch, j)
+                        assert float(found**2) == pytest.approx(x, rel=1e-12, abs=1e-30), where
+                        assert float(e) == pytest.approx(energy, rel=1e-12, abs=1e-12), where
+                        assert (hess[2, 2] > 0) == (pts.branch is SpinBranch.NORMAL), where
+                        if pts.branch is SpinBranch.NORMAL:
+                            mode = min(mp.eigsy(hess)[0])
+                        else:
+                            rest = mp.matrix([[hess[1, 1], hess[1, 2]], [hess[2, 1], hess[2, 2]]])
+                            couple = mp.matrix([hess[0, 1], hess[0, 2]])
+                            mode = hess[0, 0] - (couple.T * mp.lu_solve(rest, couple))[0]
+                        stability = STABILITIES[pts.stability[0, j]]
+                        if stability is Stability.MARGINAL:
+                            assert abs(mode) < 1e-12, where
+                        else:
+                            assert (mode > 0) == (stability is Stability.STABLE), (where, mode)
+                        checked.append(where[:3])
+        # the fold: the stable and unstable normal roots 1e-4 below g_t, none above
+        assert checked.count((1.0, g_t - 1e-4, SpinBranch.NORMAL)) == 3
+        assert checked.count((1.0, g_t + 1e-4, SpinBranch.NORMAL)) == 1
+        assert len(checked) == 54
 
 
 def test_triple_root_at_critical_coupling_and_closure():
