@@ -20,8 +20,7 @@ _EXPORTS = {
                "closure_estimate", "critical_coupling", "find_roots", "ground_state",
                "sp_closure", "turning_point"],
     "diagram": ["phase_grid", "sweep_g"],
-    "rabi": ["ConvergenceFailure", "RabiParams", "compare_columns", "ground_energy",
-             "smallest_eigenvalue", "variational_energy"],
+    "rabi": ["ConvergenceFailure", "compare_columns", "ground_energy"],
 }
 _SUBMODULES = (*_EXPORTS, "cli")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

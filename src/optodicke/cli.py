@@ -8,8 +8,10 @@ in one process.  OPTODICKE_WORKERS has no effect; sweep, phase-diagram and
 rabi-compare still reject a non-integer value.  Grid counts, phase-diagram
 cell counts and --n-max are capped (exit 2 above the cap).  A grid
 'min:max:count' is np.linspace(min, max, count); sweep and phase-diagram
-need one (not a bare number) and pass it to the diagram layer, whose
-ValueError for a negative coupling is exit 2.  A command returns its
+need one (not a bare number).  A command checks its grid's two ends before
+the solve, through ModelParams and, in rabi-compare, the ED's domain check:
+an invalid coupling is exit 2, and a ValueError raised by a solve is not
+taken for invalid input.  A command returns its
 columns, each a float array or (codes, table), and every distinct value or
 label is formatted once per output.
 """
@@ -151,12 +153,16 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def _axis(lo: float, hi: float, count: int, name: str) -> np.ndarray:
-    """The grid of a range from _parse_range; a bare number (count 1) is no grid."""
+def _axis(cfg: RunConfig, lo: float, hi: float, count: int, name: str) -> np.ndarray:
+    """The grid of a range from _parse_range, its two ends checked by ModelParams.
+
+    A bare number (count 1) is no grid.  The grid lies between its ends, so
+    checking them checks every point.
+    """
     if count < 2:
         raise ConfigError(f"{name}_min must be < {name}_max")
-    if not math.isfinite(hi - lo):  # only where lo < 0; linspace would fill the grid with NaN
-        raise ConfigError(f"{name} must be >= 0, got {lo!r}")
+    for end in (lo, hi):
+        _model_params(cfg, **{"g": 0.0, "zeta": 0.0, name: end})
     return np.linspace(lo, hi, count)
 
 
@@ -339,12 +345,9 @@ _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_grou
 def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list]:
     g_range = _parse_range(cfg.g, "g")
     params = _model_params(cfg, 0.0, _parse_scalar(cfg.zeta, "zeta"))
-    g = _axis(*g_range, "g")
+    g = _axis(cfg, *g_range, "g")
     _check_workers()
-    try:
-        sweep = diagram.sweep_g(params, g, _solver_config(cfg))
-    except ValueError as exc:  # a negative coupling
-        raise ConfigError(str(exc)) from exc
+    sweep = diagram.sweep_g(params, g, _solver_config(cfg))
     rows, k = np.arange(sweep.g.size), sweep.ground
     columns = [sweep.g, (sweep.phase, PHASES), sweep.n_p[rows, k],
                sweep.delta_n_a[rows, k], sweep.n_b[rows, k], sweep.energy[rows, k]]
@@ -363,12 +366,9 @@ def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list]:
         raise ConfigError(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
                           f"the cap of {MAX_GRID_CELLS}")
     params = _model_params(cfg, 0.0, 0.0)
-    g, zeta = _axis(*g_range, "g"), _axis(*zeta_range, "zeta")
+    g, zeta = _axis(cfg, *g_range, "g"), _axis(cfg, *zeta_range, "zeta")
     _check_workers()
-    try:
-        grid = diagram.phase_grid(params, g, zeta, _solver_config(cfg))
-    except ValueError as exc:  # a negative coupling
-        raise ConfigError(str(exc)) from exc
+    grid = diagram.phase_grid(params, g, zeta, _solver_config(cfg))
     # cells are in (zeta, g) order: code both axes by row and column, boundaries appended
     row, col = np.divmod(np.arange(grid.phase.size), g_steps)
     bound = np.arange(grid.boundary_g.size)
@@ -409,14 +409,11 @@ def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list]:
 
     if not 2 <= cfg.n_max <= MAX_N_MAX:
         raise ConfigError(f"n_max must be in [2, {MAX_N_MAX}], got {cfg.n_max}")
-    if cfg.n_atoms != 1:  # until a finite-N ED exists
-        raise ConfigError(f"n_atoms must be a positive integer, and 1 for the one-atom (Rabi) "
-                          f"ED of rabi-compare, got {cfg.n_atoms!r}")
     _solver_config(cfg)  # unused by the ED, but a bad --tol-curv is invalid input
     g_min, g_max, count = _parse_range(cfg.g, "g")
+    params = _model_params(cfg, 0.0, zeta=0.0)
     try:  # the grid lies between its ends, so checking them checks every point
-        params, _ = (rabi.RabiParams(omega=cfg.omega, omega_a=cfg.omega_a, g=g)
-                     for g in (g_min, g_max))
+        rabi.ed_couplings(params, [g_min, g_max])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _check_workers()

@@ -25,6 +25,7 @@ from .solver import (
     UNSTABLE,
     NotFound,
     SolverConfig,
+    couplings,
     critical_coupling,
     is_minimum,
     param_rows,
@@ -94,26 +95,13 @@ class PhaseGrid:
     boundary_above: np.ndarray
 
 
-def _couplings(params: ModelParams, g, zeta=None) -> tuple[np.ndarray, np.ndarray]:
-    """g and zeta (default params.zeta) as float vectors; ValueError unless all are finite, >= 0.
-
-    ModelParams checks the smallest and the largest of each: they bound every
-    other value, and both are NaN if any value is.  An empty axis passes.
-    """
-    g = np.asarray(g, dtype=float).reshape(-1)
-    zeta = np.asarray(params.zeta if zeta is None else zeta, dtype=float).reshape(-1)
-    for end in (np.min, np.max):
-        replace(params, g=float(end(g, initial=0.0)), zeta=float(end(zeta, initial=0.0)))
-    return g, zeta
-
-
 def sweep_g(params: ModelParams, g, config: SolverConfig | None = None) -> Sweep:
     """Ground state plus all coexisting branches at each coupling of g, as columns.
 
     params.g is ignored.  One branch_points call covers both branches on the
     whole grid, and solver.solve_ground picks every ground state by its one rule.
     """
-    gs, _ = _couplings(params, g)
+    gs, _ = couplings(params, g)
     ground, *points = solve_ground(params, gs, config)
     n_p, delta_n_a, n_b = observable_terms(param_rows(params, gs[:, None]), _COLUMN_BRANCH,
                                            np.sqrt(np.hstack([pts.x for pts in points])))
@@ -192,6 +180,6 @@ def phase_grid(params: ModelParams, g, zeta, config: SolverConfig | None = None)
     Wherever the label changes between two g-adjacent cells, the exact
     boundary (g_c or g_t) is one entry of the boundary columns.
     """
-    gs, zetas = _couplings(params, g, zeta)
+    gs, zetas = couplings(params, g, zeta)
     index, boundaries = grid_row(params, gs, zetas, config)  # the module global: one pass
     return PhaseGrid(gs, zetas, index.reshape(-1), *boundaries)

@@ -39,25 +39,25 @@ block, or of its leading rows, alternates in sign and overlaps the start by
 sum |u_n| >= 1 (at g = 0 the start overlaps every basis vector).  No
 dense matrix is formed: an oracle fully independent of the variational
 closed forms it is compared against.
+
+Every entry takes ModelParams, and ed_couplings is the whole check of its
+input: the ED is that of one atom at zeta = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
-from .solver import SolverError
+from .model import ModelParams
+from .solver import SolverError, couplings
 
 __all__ = [
-    "RabiParams",
     "ConvergenceFailure",
-    "smallest_eigenvalue",
+    "ed_couplings",
     "ground_energy",
-    "variational_energy",
     "compare_columns",
 ]
 
@@ -90,7 +90,7 @@ _GUESS_ROWS = 16
 _TOL = 1e-12
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# Bounds of the frequencies and of g (see RabiParams).
+# Bounds of the frequencies and of g (see ed_couplings).
 DOMAIN_MIN = 1e-50
 DOMAIN_MAX = 1e50
 # Entries of one (n, columns) array of a kernel call; compare_columns splits a
@@ -102,28 +102,26 @@ class ConvergenceFailure(SolverError):
     """Eigenvalue bisection or inverse iteration failed; input is malformed."""
 
 
-@dataclass(frozen=True)
-class RabiParams:
-    """Rabi-limit parameters; the sigma_x coupling strength is g/2.
+def ed_couplings(params: ModelParams, g) -> np.ndarray:
+    """g as a float vector; ValueError unless params and every g lie in the ED's domain.
 
-    The domain of the ED and of variational_energy: omega and omega_a in
-    [DOMAIN_MIN, DOMAIN_MAX], g in [0, DOMAIN_MAX].  There every block entry
-    and its square (for n_max up to 1e5), and g^2/omega^2, fit in doubles.
+    The domain: one atom, zeta = 0, omega and omega_a in [DOMAIN_MIN,
+    DOMAIN_MAX] and g in [0, DOMAIN_MAX].  There every block entry and its
+    square (for n_max up to 1e5), and g^2/omega^2, fit in doubles.  g is
+    checked by its smallest and largest value, through solver.couplings.
     """
-
-    omega: float = 1.0
-    omega_a: float = 1.0
-    g: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.omega, self.omega_a, self.g)):
-            raise ValueError("omega, omega_a and g must be finite")
-        for name in ("omega", "omega_a"):
-            if not DOMAIN_MIN <= getattr(self, name) <= DOMAIN_MAX:
-                raise ValueError(f"{name} must be in [{DOMAIN_MIN:g}, {DOMAIN_MAX:g}], "
-                                 f"got {getattr(self, name)!r}")
-        if not 0.0 <= self.g <= DOMAIN_MAX:
-            raise ValueError(f"g must be in [0, {DOMAIN_MAX:g}], got {self.g!r}")
+    if params.zeta != 0.0:
+        raise ValueError(f"zeta must be 0 for the Rabi ED, got {params.zeta!r}")
+    if params.n_atoms != 1:
+        raise ValueError(f"n_atoms must be 1 for the one-atom (Rabi) ED, got {params.n_atoms!r}")
+    for name in ("omega", "omega_a"):
+        if not DOMAIN_MIN <= getattr(params, name) <= DOMAIN_MAX:
+            raise ValueError(f"{name} must be in [{DOMAIN_MIN:g}, {DOMAIN_MAX:g}], "
+                             f"got {getattr(params, name)!r}")
+    g, _ = couplings(params, g)
+    if g.max(initial=0.0) > DOMAIN_MAX:
+        raise ValueError(f"g must be in [0, {DOMAIN_MAX:g}], got {float(g.max())!r}")
+    return g
 
 
 def _parity_diagonals(omega: float, omega_a: float, n: np.ndarray) -> np.ndarray:
@@ -484,15 +482,17 @@ def _parity_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
     return tuple(a.reshape(2, len(g)) for a in _lowest_eigenpairs(blocks, bracket))
 
 
-def smallest_eigenvalue(params: RabiParams, parity: int, n_max: int = 300) -> tuple[float, float]:
+def smallest_eigenvalue(params: ModelParams, parity: int, n_max: int = 300) -> tuple[float, float]:
     """Smallest eigenvalue of the parity block (+1 or -1) at n_max photons, and its residual.
 
     Returns (value, ||H v - E v||) from the kernel call of _ground_rows, so
     the smaller value of the two parities is ground_energy's, to the bit.
+    Not exported by the package; the benchmark's tracer (bench/tracing.py)
+    patches it by name.
     """
     if parity not in (-1, 1):
         raise ValueError("parity must be +1 or -1")
-    rows = _parity_rows(params.omega, params.omega_a, np.array([params.g]), n_max)
+    rows = _parity_rows(params.omega, params.omega_a, ed_couplings(params, params.g), n_max)
     return tuple(float(a[(1 - parity) // 2, 0]) for a in rows)
 
 
@@ -504,7 +504,7 @@ def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
     return np.where(odd, minus, plus), np.where(odd, -1, 1), np.where(odd, *residuals[::-1])
 
 
-def ground_energy(params: RabiParams, n_max: int = 300) -> tuple[float, int, float, float]:
+def ground_energy(params: ModelParams, n_max: int = 300) -> tuple[float, int, float, float]:
     """The ground state of _ground_rows at params.g, and its truncation gap.
 
     Returns (energy, parity, residual, truncation_gap): parity is the ground
@@ -513,25 +513,20 @@ def ground_energy(params: RabiParams, n_max: int = 300) -> tuple[float, int, flo
     second solve at half = max(2, n_max // 2).  Where no Sturm pass reads
     past row half + 1 the two solves see the same counts, and the gap is 0.
     """
-    g = np.array([params.g])
+    g = ed_couplings(params, params.g)
     energy, parity, residual = _ground_rows(params.omega, params.omega_a, g, n_max)
     half = _ground_rows(params.omega, params.omega_a, g, max(2, n_max // 2))[0]
     return float(energy[0]), int(parity[0]), float(residual[0]), float(abs(energy[0] - half[0]))
 
 
-def variational_energy(params: RabiParams) -> float:
-    """Coherent-state variational ground energy of the Rabi model.
+def _variational_energies(omega: float, omega_a: float, g: np.ndarray) -> np.ndarray:
+    """Coherent-state variational ground energy of the Rabi model at every g of an array.
 
     -omega_a/2 up to g_c = sqrt(omega*omega_a), then
     -(omega/4)*(g^2/omega^2 + omega_a^2/g^2); continuous at g_c.  Identical
     to the scaled cavity-model energy at its normal-branch minimum with
     zeta = 0, for any atom number.
     """
-    return float(_variational_energies(params.omega, params.omega_a, np.array([params.g]))[0])
-
-
-def _variational_energies(omega: float, omega_a: float, g: np.ndarray) -> np.ndarray:
-    """variational_energy at every g of an array."""
     energy = np.full(g.shape, -omega_a / 2.0)
     above = g > math.sqrt(omega * omega_a)
     g2 = g[above] ** 2
@@ -539,35 +534,20 @@ def _variational_energies(omega: float, omega_a: float, g: np.ndarray) -> np.nda
     return energy
 
 
-def _grid(g_values: Sequence[float]) -> np.ndarray:
-    """g_values as a float array, with the checks and messages of RabiParams.g.
-
-    The first point outside [0, DOMAIN_MAX] (not finite included) decides the message.
-    """
-    g = np.array(g_values, dtype=float).reshape(-1)
-    outside = ~((g >= 0.0) & (g <= DOMAIN_MAX))
-    if outside.any():
-        first = float(g[outside.argmax()])
-        if not math.isfinite(first):
-            raise ValueError("omega, omega_a and g must be finite")
-        raise ValueError(f"g must be in [0, {DOMAIN_MAX:g}], got {first!r}")
-    return g
-
-
-def compare_columns(params: RabiParams, g_values: Sequence[float], n_max: int = 300
+def compare_columns(params: ModelParams, g, n_max: int = 300
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Variational energy against exact diagonalization over a g grid, as columns.
 
     The arrays (g, energy_ed, energy_variational, deviation) in grid order;
     params.g is ignored.  deviation, variational minus ED, stays >= 0 up to the
     truncation and bisection error: the variational energy is an upper bound.
-    The grid is checked like RabiParams.g and solved in batches of
+    The grid is checked by ed_couplings and solved in batches of
     _BATCH_ENTRIES // (2 rows) points, rows = min(n_max + 1, tail +
     _GUESS_ROWS + 1) the rows the kernel first builds for the grid's tail
     (the tail is not needed where n_max + 1 rows fit); each row's numbers
     do not depend on the others.
     """
-    g = _grid(g_values)
+    g = ed_couplings(params, g)
     rows = n_max + 1
     if 2 * len(g) * rows > _BATCH_ENTRIES:
         rows = min(rows, _parity_tail(params.omega, params.omega_a, g, n_max)[3] + _GUESS_ROWS + 1)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,6 +59,7 @@ __all__ = [
     "PHASES",
     "COLUMN_PHASE",
     "param_rows",
+    "couplings",
     "is_minimum",
     "solve_ground",
     "ground_state",
@@ -146,6 +147,19 @@ def param_rows(params: ModelParams, g: np.ndarray, zeta=None) -> SimpleNamespace
     """
     return SimpleNamespace(omega=params.omega, omega_a=params.omega_a, omega_b=params.omega_b,
                            zeta=params.zeta if zeta is None else zeta, g=g)
+
+
+def couplings(params: ModelParams, g, zeta=None) -> tuple[np.ndarray, np.ndarray]:
+    """g and zeta (default params.zeta) as float vectors; ValueError unless all are finite, >= 0.
+
+    ModelParams checks the smallest and the largest of each: they bound every
+    other value, and both are NaN if any value is.  An empty axis passes.
+    """
+    g = np.asarray(g, dtype=float).reshape(-1)
+    zeta = np.asarray(params.zeta if zeta is None else zeta, dtype=float).reshape(-1)
+    for end in (np.min, np.max):
+        replace(params, g=float(end(g, initial=0.0)), zeta=float(end(zeta, initial=0.0)))
+    return g, zeta
 
 
 def _cubic_x(rows: SimpleNamespace, branch: SimpleNamespace, g2: np.ndarray) -> np.ndarray:

@@ -197,3 +197,61 @@ def gershgorin_bracket(diag, off):
     hi = diag.min(axis=0)
     return ((diag - radii).min(axis=0), hi, pivmin, dominant_tail(diag, radii, hi, pivmin),
             np.maximum((np.abs(diag) + radii).max(axis=0), 1.0))
+
+
+def braak_g(x, sign, delta, c):
+    """Braak's G_sign(x) of H/omega = a^dag a + c sigma_x (a + a^dag) + delta sigma_z, in mpmath.
+
+    G_+-(x) = sum_n K_n(x) (1 -+ delta/(x - n)) c^n, with K_0 = 1, K_1 = f_0,
+    n K_n = f_(n-1) K_(n-1) - K_(n-2) and f_n(x) = 2c + (n - x + delta^2/(x - n))/(2c)
+    (D. Braak, Phys. Rev. Lett. 107, 100401 (2011)).  Its zeros are the
+    regular eigenvalues x = E/omega + c^2 of one parity sector, without any
+    Fock truncation; it has poles at x = 0, 1, 2, ...  The terms fall about
+    like 2^-n, and the sum stops after three in a row below the working
+    precision.  Needs c > 0.
+    """
+    x, delta, c = mp.mpf(x), mp.mpf(delta), mp.mpf(c)
+
+    def f(n):
+        return 2 * c + (n - x + delta**2 / (x - n)) / (2 * c)
+
+    k_prev, k = mp.mpf(1), f(0)
+    total = (1 - sign * delta / x) + k * (1 - sign * delta / (x - 1)) * c
+    power, n, small = c, 1, 0
+    while small < 3:
+        n += 1
+        k_prev, k = k, (f(n - 1) * k - k_prev) / n
+        power *= c
+        term = k * (1 - sign * delta / (x - n)) * power
+        total += term
+        small = small + 1 if n > x and abs(term) <= mp.eps * abs(total) else 0
+    return total
+
+
+def braak_ground(omega, omega_a, g, guess):
+    """The zero x of Braak's G_- nearest the guess energy, and E = omega (x - c^2).
+
+    The package's H = omega a^dag a + (omega_a/2) sigma_z + (g/2) sigma_x (a + a^dag)
+    is omega times Braak's with delta = omega_a/(2 omega) and c = g/(2 omega).
+    Returns (E, x, delta, c) at 20 digits; mp.findroot (secant) starts at the
+    guess and 1e-9 above it.  That x is the lowest zero of either G is the
+    caller's to check, with braak_sign_changes.
+    """
+    with mp.workdps(20):
+        delta, c = mp.mpf(omega_a) / (2 * omega), mp.mpf(g) / (2 * omega)
+        start = mp.mpf(guess) / omega + c * c
+        x = mp.findroot(lambda v: braak_g(v, -1, delta, c), (start, start + mp.mpf("1e-9")))
+        return omega * (x - c * c), x, delta, c
+
+
+def braak_sign_changes(sign, delta, c, lo, hi, points=12):
+    """Grid cells of [lo, hi) where G_sign changes sign with no pole x = n inside: its zeros there.
+
+    G_sign is sampled at `points` equally spaced points from lo on; a sign
+    flip across a pole is not a zero.  Returns the cells (a, b), at 15 digits.
+    """
+    with mp.workdps(15):
+        xs = [lo + (hi - lo) * k / points for k in range(points)]
+        signs = [mp.sign(braak_g(x, sign, delta, c)) for x in xs]
+        return [(a, b) for a, b, sa, sb in zip(xs, xs[1:], signs, signs[1:])
+                if sa != sb and mp.floor(a) == mp.floor(b)]

@@ -22,7 +22,7 @@ from optodicke.model import (
     curvature,
     extremum_polynomial,
 )
-from optodicke.rabi import RabiParams, _block_columns, compare_columns, ground_energy
+from optodicke.rabi import _block_columns, compare_columns, ground_energy
 from optodicke.solver import PHASES, NotFound, critical_coupling, ground_state, turning_point
 
 import oracles
@@ -155,7 +155,7 @@ def test_rabi_cross_validation():
     grid = np.linspace(0.0, 3.0, 61)
     deviation = {}
     for omega in (1.0, 0.8, 1.2):
-        g, _, _, deviation[omega] = compare_columns(RabiParams(omega=omega), grid, n_max=300)
+        g, _, _, deviation[omega] = compare_columns(ModelParams(omega=omega), grid, n_max=300)
         assert np.all(deviation[omega] >= -1e-8)
 
     resonant = deviation[1.0]
@@ -185,13 +185,13 @@ def test_eigensolver_correctness():
         np.testing.assert_allclose(union, dense, atol=1e-12)
 
     for g in (0.5, 2.0):
-        _, _, residual, _ = ground_energy(RabiParams(g=g), 300)
+        _, _, residual, _ = ground_energy(ModelParams(g=g), 300)
         # the larger norm bound of the two parity blocks (both above 1 here)
         blocks = _block_columns(1.0, 1.0, np.array([g]), 300, 301)
         scale = oracles.gershgorin_bracket(*blocks)[4].max()
         assert residual <= 1e-10 * scale
 
-    energies = [ground_energy(RabiParams(g=3.0), n)[0] for n in (50, 100, 200, 300)]
+    energies = [ground_energy(ModelParams(g=3.0), n)[0] for n in (50, 100, 200, 300)]
     for a, b in zip(energies, energies[1:]):
         assert b <= a + 5e-12
     assert abs(energies[-1] - energies[-2]) <= 1e-8

@@ -224,6 +224,8 @@ class TestConfig:
             (["sweep", "--g", "1"], "g_min must be < g_max"),  # a bare number is no grid
             (["phase-diagram", "--g", "0:1:3", "--zeta", "1"], "zeta_min must be < zeta_max"),
             (["sweep", "--g", "0:1:3", "--omega-b", "-1"], "omega_b must be > 0"),
+            # unused by the ED, but checked by ModelParams as in every other command
+            (["rabi-compare", "--g", "0:1:3", "--omega-b", "-1"], "omega_b must be > 0"),
         ]:
             assert run(argv) == 2, argv
             assert message in capsys.readouterr().err, argv
@@ -392,10 +394,11 @@ class TestRabiCompare:
         assert "n_atoms must be a positive integer" in capsys.readouterr().err
 
     def test_many_atoms_rejected(self, capsys):
-        # the ED is that of one atom; it must not print the N = 1 table for N = 16
-        assert run(["rabi-compare", "--g", "0:1:3", "--n-atoms", "16"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "1 for the one-atom (Rabi) ED of rabi-compare, got 16" in err
+        # the ED is that of one atom; it must not print the N = 1 table for N = 2 or 16
+        for n_atoms in ("2", "16"):
+            assert run(["rabi-compare", "--g", "0:1:3", "--n-atoms", n_atoms]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"n_atoms must be 1 for the one-atom (Rabi) ED, got {n_atoms}" in err
 
 
 class TestSpClosure:
@@ -529,13 +532,13 @@ def test_huge_and_tiny_parameters(argv, code, message, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # the ED's domain, stated in RabiParams
+    # the ED's domain, stated in rabi.ed_couplings
     (["rabi-compare", "--g", "0:3:3", "--omega", "1e-300", "--n-max", "20"], "omega must be in"),
     (["rabi-compare", "--g", "1e300", "--n-max", "50"], "g must be in"),
     (["rabi-compare", "--g", "0:1e300:3", "--n-max", "50"], "g must be in"),
-    (["rabi-compare", "--g=-1:1:3", "--n-max", "50"], "g must be in"),
+    (["rabi-compare", "--g", "1:1.0000000000000002e50:3", "--n-max", "50"], "g must be in"),
     (["rabi-compare", "--g", "1", "--omega", "1e300", "--n-max", "50"], "omega must be in"),
-    (["rabi-compare", "--g", "1", "--omega-a", "1e300", "--n-max", "50"], "omega_a must be in"),
+    (["rabi-compare", "--g", "1", "--omega-a", "1e100", "--n-max", "50"], "omega_a must be in"),
     # omega_a**2 in the model's closed forms, stated in ModelParams
     (["roots", "--g", "1", "--omega-a", "1e300", "--zeta", "1"], "omega_a must be <= 1e+150"),
     (["sweep", "--g", "0:3:5", "--omega-a", "1e300", "--zeta", "1"], "omega_a must be <= 1e+150"),
@@ -565,6 +568,11 @@ def test_huge_and_tiny_parameters(argv, code, message, capsys):
       "1.4149466218321612e-36"], "outside the range of the closure coupling's closed form"),
     (["sp-closure", "--omega", "9.498801589929211e-140", "--omega-a", "1.3802052338300373e-287",
       "--width-tol", "5e-324"], "outside the range of the closure coupling's closed form"),
+    # ModelParams checks rabi-compare's input before the ED's domain does
+    (["rabi-compare", "--g", "1", "--omega-a", "1e300", "--n-max", "50"],
+     "omega_a must be <= 1e+150"),
+    (["rabi-compare", "--g=-1:1:3", "--n-max", "50"], "g must be >= 0"),
+    (["rabi-compare", "--g", "0:1:3", "--omega", "0"], "omega must be > 0"),
 ])
 def test_outside_the_domain(argv, message, capsys):
     with warnings.catch_warnings():
@@ -613,6 +621,21 @@ def test_bad_tol_curv_rejected(command, capsys):
     # rabi-compare does not use it either, but rejects it like every other command
     assert run([*command, "--tol-curv", "0"]) == 2
     assert "tol_curv must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--g", "0:3:7", "--zeta", "1"],
+                                  ["phase-diagram", "--g", "0:3:7", "--zeta", "0:1:3"]])
+def test_value_error_inside_the_solve_is_not_invalid_input(argv, monkeypatch, capsys):
+    # the grid's ends are checked before the solve, so an error raised by the
+    # solve itself propagates instead of being reported as the user's (exit 2)
+    def fail(*args, **kwargs):
+        raise ValueError("raised inside the solve")
+
+    monkeypatch.setattr(cli.diagram, "solve_ground", fail)
+    monkeypatch.setattr(cli.diagram, "critical_coupling", fail)
+    with pytest.raises(ValueError, match="raised inside the solve"):
+        run(argv)
+    assert "invalid input" not in capsys.readouterr().err
 
 
 def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from optodicke.rabi import (
     _eigenpair_residual,
     _radii,
     _sturm_count,
-    RabiParams,
+    _variational_energies,
     compare_columns,
+    ed_couplings,
     ground_energy,
     smallest_eigenvalue,
-    variational_energy,
 )
 from optodicke.solver import STABILITIES, find_roots
 
@@ -92,37 +93,48 @@ class TestBlocks:
     def test_validation(self):
         # fewer than 3 Fock states is no truncation of the Rabi model
         with pytest.raises(ValueError, match="n_max must be >= 2"):
-            ground_energy(RabiParams(g=1.0), 1)
+            ground_energy(ModelParams(g=1.0), 1)
         with pytest.raises(ValueError, match="n_max must be >= 2"):
-            compare_columns(RabiParams(), [1.0], n_max=1)
+            compare_columns(ModelParams(), [1.0], n_max=1)
 
     @pytest.mark.parametrize("field", ["omega", "omega_a", "g"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_params_rejected(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            RabiParams(**{field: value})
+        # ModelParams rejects a non-finite frequency, ed_couplings a non-finite g
+        fields, g = ({}, value) if field == "g" else ({field: value}, 1.0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ed_couplings(ModelParams(**fields), [g])
 
     @pytest.mark.parametrize("field, value", [
         ("omega", 0.0), ("omega", 1e-51), ("omega", 1e51), ("omega_a", 1e-300),
         ("omega_a", 1e300), ("g", -1e-300), ("g", 1.0000000000000002e50),
+        ("zeta", 1e-300), ("zeta", 1.0), ("n_atoms", 2),
     ])
     def test_outside_domain_rejected(self, field, value):
-        with pytest.raises(ValueError, match=rf"{field} must be in \[.*1e\+50\]"):
-            RabiParams(**{field: value})
+        # every entry of the ED checks its input with ModelParams and ed_couplings
+        fields, g = ({}, value) if field == "g" else ({field: value}, 1.0)
+        message = (rf"^{field} must be (> 0|>= 0|<= 1e\+150|in \[(0|1e-50), 1e\+50\]"
+                   r"|0 for the Rabi ED|1 for the one-atom \(Rabi\) ED),")
+        for solve in (lambda: ed_couplings(ModelParams(**fields), [g]),
+                      lambda: compare_columns(ModelParams(**fields), [0.0, g], n_max=10),
+                      lambda: ground_energy(ModelParams(**fields, g=g), 10),
+                      lambda: smallest_eigenvalue(ModelParams(**fields, g=g), 1, 10)):
+            with pytest.raises(ValueError, match=message):
+                solve()
 
     @pytest.mark.parametrize("omega", [rabi.DOMAIN_MIN, rabi.DOMAIN_MAX])
     @pytest.mark.parametrize("omega_a", [rabi.DOMAIN_MIN, rabi.DOMAIN_MAX])
     def test_domain_corners_solve(self, omega, omega_a):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, *columns = compare_columns(RabiParams(omega=omega, omega_a=omega_a),
+            _, *columns = compare_columns(ModelParams(omega=omega, omega_a=omega_a),
                                           [0.0, 1e-300, 1.0, rabi.DOMAIN_MAX], n_max=40)
         assert all(np.isfinite(c).all() for c in columns)
 
 
 class TestSmallestEigenvalue:
     def test_diagonal_block(self):
-        value, residual = smallest_eigenvalue(RabiParams(g=0.0), -1, 20)
+        value, residual = smallest_eigenvalue(ModelParams(g=0.0), -1, 20)
         assert value == pytest.approx(-0.5, abs=1e-12)
         diag, off = oracles.rabi_parity_block(1.0, 1.0, 0.0, 20, -1)
         assert residual <= 1e-10 * _scale(diag[:, None], off[:, None])[0]
@@ -135,7 +147,7 @@ class TestSmallestEigenvalue:
         assert values[0] == pytest.approx((1.0 - math.sqrt(5.0)) / 2.0, abs=1e-12)
 
     def test_matches_dense_oracle(self):
-        value, residual = smallest_eigenvalue(RabiParams(g=2.0), -1, 60)
+        value, residual = smallest_eigenvalue(ModelParams(g=2.0), -1, 60)
         assert value == pytest.approx(oracles.rabi_dense_ground(1.0, 1.0, 2.0, 60), abs=1e-10)
         diag, off = oracles.rabi_parity_block(1.0, 1.0, 2.0, 60, -1)
         assert residual <= 1e-10 * _scale(diag[:, None], off[:, None])[0]
@@ -144,7 +156,7 @@ class TestSmallestEigenvalue:
         (1.0, 1.0, 0.0, 2), (1.0, 1.0, 1.0, 3), (0.8, 1.0, 2.3, 40), (1.2, 0.7, 0.9, 25),
         (1.0, 1.0, 3.0, 300), (0.3, 2.0, 5.0, 120), (1.0, 1.0, 1e4, 50)])
     def test_each_parity_matches_its_dense_block(self, omega, omega_a, g, n_max):
-        params = RabiParams(omega=omega, omega_a=omega_a, g=g)
+        params = ModelParams(omega=omega, omega_a=omega_a, g=g)
         values = []
         for parity in (1, -1):
             value, residual = smallest_eigenvalue(params, parity, n_max)
@@ -159,39 +171,39 @@ class TestSmallestEigenvalue:
     def test_validation(self):
         for parity in (0, 2, -2):
             with pytest.raises(ValueError, match="parity"):
-                smallest_eigenvalue(RabiParams(g=1.0), parity, 10)
+                smallest_eigenvalue(ModelParams(g=1.0), parity, 10)
         for n_max in (1, 0, -3):
             with pytest.raises(ValueError, match="n_max must be >= 2"):
-                smallest_eigenvalue(RabiParams(g=1.0), 1, n_max)
+                smallest_eigenvalue(ModelParams(g=1.0), 1, n_max)
 
 
 class TestGroundEnergy:
     def test_decoupled(self):
-        energy, parity, _, _ = ground_energy(RabiParams(g=0.0), 50)
+        energy, parity, _, _ = ground_energy(ModelParams(g=0.0), 50)
         assert energy == pytest.approx(-0.5, abs=1e-12)
         assert parity == -1
 
     @pytest.mark.parametrize("omega,g", sorted(ED_REFERENCE))
     def test_frozen_dense_references(self, omega, g):
-        energy, _, residual, _ = ground_energy(RabiParams(omega=omega, g=g), 300)
+        energy, _, residual, _ = ground_energy(ModelParams(omega=omega, g=g), 300)
         assert energy == pytest.approx(ED_REFERENCE[(omega, g)], abs=1e-10)
         assert residual <= 1e-10 * max(abs(energy), 300.0 * omega + g * 20)
 
     def test_perturbative_bracket(self):
         # second-order perturbation (-0.625) and the variational bound (-0.5)
         # bracket the resonant g=1 answer
-        energy = ground_energy(RabiParams(g=1.0), 300)[0]
+        energy = ground_energy(ModelParams(g=1.0), 300)[0]
         assert -0.70 <= energy <= -0.55
         assert energy <= -0.5
 
     def test_monotone_in_truncation(self):
-        energies = [ground_energy(RabiParams(g=3.0), n)[0] for n in (50, 100, 200, 300)]
+        energies = [ground_energy(ModelParams(g=3.0), n)[0] for n in (50, 100, 200, 300)]
         for a, b in zip(energies, energies[1:]):
             assert b <= a + 5e-12
         assert abs(energies[-1] - energies[-2]) <= 1e-8
 
     def test_truncation_gap_reported(self):
-        result = ground_energy(RabiParams(g=2.0), 300)
+        result = ground_energy(ModelParams(g=2.0), 300)
         # the plain tuple (energy, parity, residual) of the n_max = 300 solve,
         # and the truncation gap to the n_max = 150 solve
         full, half = (rabi._ground_rows(1.0, 1.0, np.array([2.0]), n) for n in (300, 150))
@@ -201,20 +213,25 @@ class TestGroundEnergy:
         assert gap <= 1e-10
 
 
+def _variational(g, omega=1.0):
+    """The variational energy at one g, omega_a = 1."""
+    return float(_variational_energies(omega, 1.0, np.array([g]))[0])
+
+
 class TestVariationalEnergy:
     def test_flat_below_critical(self):
         for g in (0.0, 0.5, 1.0):
-            assert variational_energy(RabiParams(g=g)) == -0.5
+            assert _variational(g) == -0.5
 
     def test_closed_form_above(self):
-        assert variational_energy(RabiParams(g=1.5)) == pytest.approx(-0.67361, abs=1e-5)
-        assert variational_energy(RabiParams(g=2.0)) == -1.0625
+        assert _variational(1.5) == pytest.approx(-0.67361, abs=1e-5)
+        assert _variational(2.0) == -1.0625
 
     def test_continuous_at_critical(self):
         for omega in (0.8, 1.0, 1.2):
             g_c = math.sqrt(omega)
-            lo = variational_energy(RabiParams(omega=omega, g=g_c))
-            hi = variational_energy(RabiParams(omega=omega, g=g_c + 1e-12))
+            lo = _variational(g_c, omega)
+            hi = _variational(g_c + 1e-12, omega)
             assert lo == -0.5
             assert hi == pytest.approx(-0.5, abs=1e-11)
 
@@ -226,24 +243,24 @@ class TestVariationalEnergy:
             best = min((e for e, s in zip(pts.energy[0].tolist(), pts.stability[0].tolist())
                         if STABILITIES[s] is not None and STABILITIES[s].value != "unstable"),
                        default=None)
-            assert variational_energy(RabiParams(g=g)) == pytest.approx(best, abs=1e-12)
+            assert _variational(g) == pytest.approx(best, abs=1e-12)
 
 
 class TestCompareCurve:
     def test_bound_property_and_order(self):
-        g, ed, ev, dev = compare_columns(RabiParams(), np.linspace(0.0, 3.0, 31), n_max=300)
+        g, ed, ev, dev = compare_columns(ModelParams(), np.linspace(0.0, 3.0, 31), n_max=300)
         assert g.tolist() == sorted(g.tolist())
         assert np.all(dev >= -1e-8)
         assert np.array_equal(dev, ev - ed)
 
     def test_deviation_vanishes_at_weak_coupling(self):
-        dev = compare_columns(RabiParams(), [0.0, 0.05, 0.1], n_max=200)[3]
+        dev = compare_columns(ModelParams(), [0.0, 0.05, 0.1], n_max=200)[3]
         assert abs(dev[0]) <= 1e-10
         assert dev[0] <= dev[1] <= dev[2]
         assert dev[1] <= 5e-4
 
     def test_deep_coupling_regime(self):
-        devs = compare_columns(RabiParams(), np.linspace(2.0, 3.0, 11), n_max=300)[3].tolist()
+        devs = compare_columns(ModelParams(), np.linspace(2.0, 3.0, 11), n_max=300)[3].tolist()
         # frozen dense-oracle extremes: 0.085446 at g=2 down to 0.010123 at g=3
         assert devs[0] == pytest.approx(0.085446, abs=1e-5)
         assert devs[-1] == pytest.approx(0.010123, abs=1e-5)
@@ -251,7 +268,7 @@ class TestCompareCurve:
 
     def test_detuned_presets_keep_bound(self):
         for omega in (0.8, 1.2):
-            dev = compare_columns(RabiParams(omega=omega), np.linspace(0.0, 3.0, 16), n_max=300)[3]
+            dev = compare_columns(ModelParams(omega=omega), np.linspace(0.0, 3.0, 16), n_max=300)[3]
             assert np.all(dev >= -1e-8)
 
     @pytest.mark.parametrize("omega,omega_a", [(1.0, 1.0), (0.8, 1.0), (1.2, 1.0), (0.7, 1.3),
@@ -260,7 +277,7 @@ class TestCompareCurve:
         # numpy squares g with a multiply, Python's g**2 calls pow: same bits
         grid = np.concatenate([np.linspace(0.0, 3.0, 61), [math.sqrt(omega * omega_a), 1e-300,
                                                            1e4, rabi.DOMAIN_MAX]])
-        columns = compare_columns(RabiParams(omega=omega, omega_a=omega_a), grid, n_max=20)
+        columns = compare_columns(ModelParams(omega=omega, omega_a=omega_a), grid, n_max=20)
         g_c = math.sqrt(omega * omega_a)
         for g, (g_row, ed, ev_row, dev) in zip(grid.tolist(), zip(*(c.tolist() for c in columns))):
             ev = (-omega_a / 2.0 if g <= g_c
@@ -268,31 +285,63 @@ class TestCompareCurve:
             assert g_row == g and ev_row == ev
             assert dev == ev - ed
 
-    @pytest.mark.parametrize("grid", [[0.0, -1.0, math.nan], [1.0, math.nan, -1.0],
-                                      [math.inf], [2e50, 1.0], [0.0, -1e-300]])
-    def test_grid_checked_like_rabi_params(self, grid):
-        with pytest.raises(ValueError) as per_point:
-            for g in grid:
-                RabiParams(g=g)
-        with pytest.raises(ValueError) as column:
-            compare_columns(RabiParams(), grid, n_max=10)
-        assert str(column.value) == str(per_point.value)
+    @pytest.mark.parametrize("grid, message", [
+        ([0.0, -1.0, math.nan], "g must be finite, got nan"),
+        ([1.0, math.nan, -1.0], "g must be finite, got nan"),
+        ([math.inf], "g must be finite, got inf"),
+        ([2e50, 1.0], "g must be in [0, 1e+50], got 2e+50"),
+        ([0.0, -1e-300], "g must be >= 0, got -1e-300"),
+    ], ids=[f"grid{i}" for i in range(5)])
+    def test_grid_checked_at_its_ends(self, grid, message):
+        # the smallest and the largest g decide, as ModelParams and the ED's bound judge them
+        for solve in (ed_couplings, partial(compare_columns, n_max=10)):
+            with pytest.raises(ValueError) as error:
+                solve(ModelParams(), grid)
+            assert str(error.value) == message
 
     def test_empty_grid(self):
-        columns = compare_columns(RabiParams(), [], n_max=10)
+        columns = compare_columns(ModelParams(), [], n_max=10)
         assert len(columns) == 4 and all(c.shape == (0,) for c in columns)
 
     def test_row_type(self):
-        g, ed, ev, dev = compare_columns(RabiParams(), [1.0], n_max=100)
+        g, ed, ev, dev = compare_columns(ModelParams(), [1.0], n_max=100)
         assert all(c.dtype == np.float64 and c.shape == (1,) for c in (g, ed, ev, dev))
         assert ed[0] == pytest.approx(ED_REFERENCE[(1.0, 1.0)], abs=1e-8)
+
+
+def _braak_ground(omega, g, guess):
+    """Braak's exact ground energy, checked to be the lowest zero of either G on (-delta, 1)."""
+    energy, x, delta, c = oracles.braak_ground(omega, 1.0, g, guess)
+    # no pole below 1 but x = 0, and neither G changes sign on (-delta, x)
+    assert -delta < x < 1
+    assert not any(oracles.braak_sign_changes(sign, delta, c, -delta, x) for sign in (1, -1))
+    return float(energy)
+
+
+class TestBraakReferee:
+    """The ED against the zeros of Braak's G-function, which need no Fock truncation."""
+
+    @pytest.mark.parametrize("omega", [0.8, 1.0, 1.2])
+    def test_matches_the_exact_spectrum(self, omega):
+        # below, at and above g_c = sqrt(omega), and deep in the superradiant regime
+        for g in (0.5 * math.sqrt(omega), math.sqrt(omega), 2.0, 3.0):
+            energy = ground_energy(ModelParams(omega=omega, g=g), 300)[0]
+            assert abs(energy - _braak_ground(omega, g, energy)) <= 1e-12 * max(1.0, abs(energy))
+
+    @pytest.mark.parametrize("omega,g,n_max", [(1.0, 2.0, 8), (1.0, 3.0, 12), (0.8, 2.5, 16),
+                                               (1.2, 3.0, 10)])
+    def test_truncation_error_within_the_gap(self, omega, g, n_max):
+        # a truncated block's ground energy lies above the exact one (its
+        # error here is far above the bisection stop), by at most the gap
+        energy, _, _, gap = ground_energy(ModelParams(omega=omega, g=g), n_max)
+        assert 0.0 < energy - _braak_ground(omega, g, energy) <= gap
 
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("g,n_max", [(1e4, 50), (1e3, 300)])
     def test_strong_coupling_matches_dense_oracle(self, g, n_max):
         # an absolute 1e-12 stop is below the spacing of doubles here
-        energy = ground_energy(RabiParams(g=g), n_max)[0]
+        energy = ground_energy(ModelParams(g=g), n_max)[0]
         ref = oracles.rabi_dense_ground(1.0, 1.0, g, n_max)
         assert energy == pytest.approx(ref, rel=1e-12)
 
@@ -301,7 +350,7 @@ class TestBatchedKernel:
         # strong-coupling point gives the same row, to the bit
         grid = np.linspace(0.0, 3.0, 61)
         for omega in (1.0, 0.8, 1.2):
-            params = RabiParams(omega=omega)
+            params = ModelParams(omega=omega)
 
             def table(g_values):  # (4, len(g_values)): columns g, ED, variational, deviation
                 return np.stack(compare_columns(params, g_values, n_max=300))
@@ -318,14 +367,14 @@ class TestBatchedKernel:
     def test_long_grid_split_into_batches(self, monkeypatch):
         # 7 g points per batch: 9 batches, the last one short
         grid = np.linspace(0.0, 3.0, 61)
-        columns = {omega: compare_columns(RabiParams(omega=omega), grid, n_max=300)
+        columns = {omega: compare_columns(ModelParams(omega=omega), grid, n_max=300)
                    for omega in (1.0, 0.8, 1.2)}
         calls = _record_kernel_calls(monkeypatch)
         for omega, expected in columns.items():
             rows = rabi._parity_tail(omega, 1.0, grid, 300)[3] + rabi._GUESS_ROWS + 1
             monkeypatch.setattr(rabi, "_BATCH_ENTRIES", 7 * 2 * rows)
             calls.clear()
-            got = compare_columns(RabiParams(omega=omega), grid, n_max=300)
+            got = compare_columns(ModelParams(omega=omega), grid, n_max=300)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
             assert [width for width, _ in calls] == [14] * 8 + [10]
 
@@ -333,19 +382,19 @@ class TestBatchedKernel:
     def test_batches_by_rows_read(self, monkeypatch, n_max):
         # every pass stops near row 30, so the 61-point grid is one batch at any n_max
         calls = _record_kernel_calls(monkeypatch)
-        compare_columns(RabiParams(), np.linspace(0.0, 3.0, 61), n_max=n_max)
+        compare_columns(ModelParams(), np.linspace(0.0, 3.0, 61), n_max=n_max)
         assert [columns for columns, _ in calls] == [122]
 
     def test_strong_coupling_batches_stay_bounded(self, monkeypatch):
         # no row is dominant: each batch builds all n_max + 1 rows of its blocks
         calls = _record_kernel_calls(monkeypatch)
-        compare_columns(RabiParams(), np.linspace(0.0, 1e4, 61), n_max=3000)
+        compare_columns(ModelParams(), np.linspace(0.0, 1e4, 61), n_max=3000)
         assert len(calls) > 1 and sum(columns for columns, _ in calls) == 122
         assert all(columns * 3001 <= rabi._BATCH_ENTRIES for columns, _ in calls)
 
     def test_within_dense_oracle_over_grid(self):
         for omega in (0.8, 1.2):
-            g, ed, _, _ = compare_columns(RabiParams(omega=omega), np.linspace(0.0, 3.0, 7), 60)
+            g, ed, _, _ = compare_columns(ModelParams(omega=omega), np.linspace(0.0, 3.0, 7), 60)
             for g_row, ed_row in zip(g.tolist(), ed.tolist()):
                 ref = oracles.rabi_dense_ground(omega, 1.0, g_row, 60)
                 assert abs(ed_row - ref) <= 1e-10
@@ -435,7 +484,7 @@ class TestGuess:
             passes.clear()
             rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), n_max)
             assert len(passes) == 4
-        for n_max in (50, 25):  # the two solves of ground_energy(RabiParams(g=1e4), 50)
+        for n_max in (50, 25):  # the two solves of ground_energy(ModelParams(g=1e4), 50)
             passes.clear()
             rabi._ground_rows(1.0, 1.0, np.array([1e4]), n_max)
             assert len(passes) <= 8
@@ -596,19 +645,19 @@ class TestHalfBlocks:
         # no pass reads past row ~30 here, so half and full blocks count alike
         calls = _record_kernel_calls(monkeypatch)
         grid = np.linspace(0.0, 3.0, 61)
-        compare_columns(RabiParams(), grid, n_max=300)
+        compare_columns(ModelParams(), grid, n_max=300)
         assert [columns for columns, _ in calls] == [122]
         assert calls[0][1] <= 151
-        assert all(ground_energy(RabiParams(g=g), 300)[3] == 0.0 for g in grid)
+        assert all(ground_energy(ModelParams(g=g), 300)[3] == 0.0 for g in grid)
 
     @pytest.mark.parametrize("g,n_max", [(1e4, 50), (1e3, 300)])
     def test_gap_at_strong_coupling(self, monkeypatch, g, n_max):
         # the blocks are not dominant past half + 1; rabi-compare solves n_max alone
         calls = _record_kernel_calls(monkeypatch)
-        compare_columns(RabiParams(), [g], n_max=n_max)
+        compare_columns(ModelParams(), [g], n_max=n_max)
         assert [columns for columns, _ in calls] == [2]
         calls.clear()
-        gap = ground_energy(RabiParams(g=g), n_max)[3]
+        gap = ground_energy(ModelParams(g=g), n_max)[3]
         ref = abs(oracles.rabi_dense_ground(1.0, 1.0, g, n_max)
                   - oracles.rabi_dense_ground(1.0, 1.0, g, n_max // 2))
         assert [columns for columns, _ in calls] == [2, 2]
@@ -618,7 +667,7 @@ class TestHalfBlocks:
     def test_gap_from_second_call(self, monkeypatch, g, n_max):
         # dominant from half + 1 on, but a pass still reads past it
         calls = _record_kernel_calls(monkeypatch)
-        gap = ground_energy(RabiParams(g=g), n_max)[3]
+        gap = ground_energy(ModelParams(g=g), n_max)[3]
         ref = abs(oracles.rabi_dense_ground(1.0, 1.0, g, n_max)
                   - oracles.rabi_dense_ground(1.0, 1.0, g, n_max // 2))
         assert [columns for columns, _ in calls] == [2, 2]
@@ -628,7 +677,7 @@ class TestHalfBlocks:
     def test_zero_gap_means_same_brackets(self):
         # where the gap is reported 0 the dense gap is below the bisection stop
         for g in (0.0, 0.5, 1.0, 2.0, 3.0):
-            gap = ground_energy(RabiParams(g=g), 60)[3]
+            gap = ground_energy(ModelParams(g=g), 60)[3]
             assert gap == 0.0
             ref = abs(oracles.rabi_dense_ground(1.0, 1.0, g, 60)
                       - oracles.rabi_dense_ground(1.0, 1.0, g, 30))
