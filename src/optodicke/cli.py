@@ -4,16 +4,21 @@ Subcommands: roots | sweep | phase-diagram | turning-point | sp-closure |
 rabi-compare.  Data goes to stdout or --output as CSV or JSON, diagnostics
 to stderr.  Exit codes: 0 success, 2 invalid input, 3 solver failure.
 Numeric output is fixed at 9 significant digits and runs are deterministic,
-in one process.  OPTODICKE_WORKERS has no effect; sweep, phase-diagram and
-rabi-compare still reject a non-integer value.  Grid counts, phase-diagram
-cell counts and --n-max are capped (exit 2 above the cap).  A grid
-'min:max:count' is np.linspace(min, max, count); sweep and phase-diagram
-need one (not a bare number).  A command checks its grid's two ends before
-the solve, through ModelParams and, in rabi-compare, the ED's domain check:
-an invalid coupling is exit 2, and a ValueError raised by a solve is not
-taken for invalid input.  A command returns its
-columns, each a float array or (codes, table), and every distinct value or
-label is formatted once per output.
+in one process.  One argparse parser reads every input.  A --config file
+entry key: value is read as the flag --key-with-dashes=value (a string as
+itself, any other JSON value as its json.dumps text), placed before the
+command line's flags, so a flag overrides the file and a key that is no
+flag of the command is invalid input.  Before any command runs, _parse
+checks what all of them share: ModelParams (at g = zeta = 0), SolverConfig
+and OPTODICKE_WORKERS, which has no effect but must be an integer.  Grid
+counts, phase-diagram cell counts and --n-max are capped (exit 2 above the
+cap).  A grid 'min:max:count' is np.linspace(min, max, count); sweep and
+phase-diagram need one (not a bare number).  A command checks its g or zeta,
+or its grid's two ends, before the solve, through ModelParams and, in
+rabi-compare, the ED's domain check: an invalid coupling is exit 2, and a
+ValueError raised by a solve is not taken for invalid input.  A command
+returns its columns, each a float array or (codes, table), and every
+distinct value or label is formatted once per output.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
@@ -64,30 +69,21 @@ class ConfigError(Exception):
     """Invalid CLI/config input; mapped to exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    """Effective settings after merging defaults, config file and flags."""
-
-    omega: float = 1.0
-    omega_a: float = 1.0
-    omega_b: float = 10.0
-    n_atoms: int = 1
-    zeta: str = "0"
-    g: str = "0"
-    n_max: int = 300
-    width_tol: float = 1e-3
-    tol_curv: float = 1e-9
-    output: str = "-"
-    format: str = "csv"
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), whose ValueError (a rejected input) is raised as ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-_NUMERIC_KEYS = _CONFIG_KEYS - {"zeta", "g", "output", "format", "n_atoms", "n_max"}
-_INT_KEYS = {"n_atoms", "n_max"}
+def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """A JSON config file's entries as flags of the command's parser.
 
-
-def load_config(path: str) -> dict:
-    """Read a JSON config file; unknown keys and malformed values are rejected."""
+    key: value is --key-with-dashes=text, text the value itself if it is a
+    string and its json.dumps otherwise.  A key that no flag of the command
+    stores (config itself included) is rejected.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -97,30 +93,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    out: dict = {}
-    for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
+    keys = {a.dest for a in command._actions if a.option_strings} - {"help", "config"}
+    for key in raw:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r} in {path!r}")
-        out[key] = _coerce(key, value, where=f"{path}:{key}")
-    return out
-
-
-def _coerce(key: str, value, where: str):
-    try:
-        if key in _INT_KEYS:
-            if int(value) != float(value):
-                raise ValueError("not an integer")
-            return int(value)
-        if key in _NUMERIC_KEYS:
-            return float(value)
-        if key == "format":
-            text = str(value)
-            if text not in ("csv", "json"):
-                raise ValueError("format must be 'csv' or 'json'")
-            return text
-        return str(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
-        raise ConfigError(f"bad value for {where}: {exc}") from exc
+    return [f"--{key.replace('_', '-')}=" + (value if isinstance(value, str) else json.dumps(value))
+            for key, value in raw.items()]
 
 
 def _parse_scalar(text: str, name: str) -> float:
@@ -153,7 +131,7 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def _axis(cfg: RunConfig, lo: float, hi: float, count: int, name: str) -> np.ndarray:
+def _axis(params: ModelParams, lo: float, hi: float, count: int, name: str) -> np.ndarray:
     """The grid of a range from _parse_range, its two ends checked by ModelParams.
 
     A bare number (count 1) is no grid.  The grid lies between its ends, so
@@ -162,13 +140,16 @@ def _axis(cfg: RunConfig, lo: float, hi: float, count: int, name: str) -> np.nda
     if count < 2:
         raise ConfigError(f"{name}_min must be < {name}_max")
     for end in (lo, hi):
-        _model_params(cfg, **{"g": 0.0, "zeta": 0.0, name: end})
+        _checked(replace, params, **{name: end})
     return np.linspace(lo, hi, count)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then reused by every run."""
+    """The argument parser, built on first use and then reused by every run.
+
+    parser.commands maps each command name to its own parser.
+    """
     parser = argparse.ArgumentParser(
         prog="optodicke",
         description="Variational phases of atoms in an optomechanical cavity",
@@ -176,93 +157,83 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for flag, kw in (
         ("--omega", dict(type=float, help="cavity frequency (default 1)")),
-        ("--omega-a", dict(type=float, dest="omega_a", help="atomic frequency (default 1)")),
-        ("--omega-b", dict(type=float, dest="omega_b", help="oscillator frequency (default 10)")),
-        ("--n-atoms", dict(type=int, dest="n_atoms", help="atom count N (default 1)")),
-        ("--tol-curv", dict(type=float, dest="tol_curv")),
-        ("--config", dict(type=str, help="JSON config file; flags override it")),
-        ("--output", dict(type=str, short="-o", help="output path, '-' for stdout")),
-        ("--format", dict(type=str, choices=["csv", "json"])),
+        ("--omega-a", dict(type=float, default=1.0, help="atomic frequency (default 1)")),
+        ("--omega-b", dict(type=float, default=10.0, help="oscillator frequency (default 10)")),
+        ("--n-atoms", dict(type=int, default=1, help="atom count N (default 1)")),
+        ("--tol-curv", dict(type=float, default=1e-9)),
+        ("--config", dict(help="JSON config file; flags override it")),
+        ("--output", dict(short="-o", default="-", help="output path, '-' for stdout")),
+        ("--format", dict(choices=["csv", "json"], default="csv")),
     ):
         short = kw.pop("short", None)
-        names = (short, flag) if short else (flag,)
-        common.add_argument(*names, default=None, **kw)
+        common.add_argument(*((short, flag) if short else (flag,)), **kw)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", parents=[common],
                        help="stationary points of both branches at one (g, zeta)")
-    p.add_argument("--g", type=str, default=None)
-    p.add_argument("--zeta", type=str, default=None)
+    p.add_argument("--g", default="0")
+    p.add_argument("--zeta", default="0")
 
     p = sub.add_parser("sweep", parents=[common],
                        help="ground state and coexisting branches over a g grid")
-    p.add_argument("--g", type=str, default=None, help="grid min:max:count")
-    p.add_argument("--zeta", type=str, default=None)
+    p.add_argument("--g", default="0", help="grid min:max:count")
+    p.add_argument("--zeta", default="0")
 
     p = sub.add_parser("phase-diagram", parents=[common],
                        help="phase labels over a (g, zeta) grid, with boundaries")
-    p.add_argument("--g", type=str, default=None, help="grid min:max:count")
-    p.add_argument("--zeta", type=str, default=None, help="grid min:max:count")
+    p.add_argument("--g", default="0", help="grid min:max:count")
+    p.add_argument("--zeta", default="0", help="grid min:max:count")
 
     p = sub.add_parser("turning-point", parents=[common],
                        help="fold coupling g_t where the superradiant roots merge")
-    p.add_argument("--zeta", type=str, default=None)
+    p.add_argument("--zeta", default="0")
 
     p = sub.add_parser("sp-closure", parents=[common],
                        help="coupling zeta_star closing the superradiant window")
-    p.add_argument("--width-tol", type=float, dest="width_tol", default=None)
+    p.add_argument("--width-tol", type=float, default=1e-3)
 
     p = sub.add_parser("rabi-compare", parents=[common],
                        help="variational energy vs exact diagonalization (N=1, zeta=0)")
-    p.add_argument("--g", type=str, default=None, help="grid min:max:count")
-    p.add_argument("--n-max", type=int, dest="n_max", default=None)
-    p.add_argument("--detuning", type=str, choices=sorted(DETUNING_PRESETS),
-                   default=None, help="cavity-frequency preset; --omega overrides")
+    p.add_argument("--g", default="0", help="grid min:max:count")
+    p.add_argument("--n-max", type=int, default=300)
+    p.add_argument("--detuning", choices=sorted(DETUNING_PRESETS),
+                   help="cavity-frequency preset; --omega overrides")
 
     # argparse reads only -5 and -.5 forms as values; here every argument that
     # begins -<digit> or -.<digit>, such as the grid -1:3:5, is a value
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = re.compile(r"^-\.?\d")
+    parser.commands = sub.choices
     return parser
 
 
-def _effective(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config(args.config).items():
-            setattr(cfg, key, value)
-    if getattr(args, "detuning", None) is not None and getattr(args, "omega", None) is None:
-        args.omega = DETUNING_PRESETS[args.detuning]
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, _coerce(key, value, where=f"--{key.replace('_', '-')}"))
-    return cfg
+def _parse(argv) -> tuple[argparse.Namespace, ModelParams, SolverConfig]:
+    """The parsed flags, and the checked ModelParams (g = zeta = 0) and SolverConfig.
 
-
-def _model_params(cfg: RunConfig, g: float, zeta: float) -> ModelParams:
+    A --config file's entries go before the command line's flags, so a flag
+    overrides them.  The cavity frequency is the command line's --omega,
+    else its --detuning preset, else the file's omega, else its detuning.
+    """
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = flags = parser.parse_args(argv)
+    if args.config is not None:
+        at = argv.index(args.command) + 1
+        file_flags = _config_flags(args.config, parser.commands[args.command])
+        args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
+    omega = next((w for layer in (flags, args)
+                  for w in (layer.omega, DETUNING_PRESETS.get(getattr(layer, "detuning", None)))
+                  if w is not None), 1.0)
+    params = _checked(ModelParams, omega=omega, omega_a=args.omega_a, omega_b=args.omega_b,
+                      n_atoms=args.n_atoms)
+    config = _checked(SolverConfig, tol_curv=args.tol_curv)
+    workers = os.environ.get("OPTODICKE_WORKERS", "1") or "1"  # no effect, but checked
     try:
-        return ModelParams(omega=cfg.omega, omega_a=cfg.omega_a, omega_b=cfg.omega_b,
-                           g=g, zeta=zeta, n_atoms=cfg.n_atoms)
+        int(workers)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    try:
-        return SolverConfig(tol_curv=cfg.tol_curv)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _check_workers() -> None:
-    """OPTODICKE_WORKERS has no effect, but a non-integer value is invalid input."""
-    text = os.environ.get("OPTODICKE_WORKERS", "1") or "1"
-    try:
-        int(text)
-    except ValueError as exc:
-        raise ConfigError(f"OPTODICKE_WORKERS must be an integer, got {text!r}") from exc
+        raise ConfigError(f"OPTODICKE_WORKERS must be an integer, got {workers!r}") from exc
+    return args, params, config
 
 
 def _json_number(value: float) -> str:
@@ -300,33 +271,35 @@ def _fields(columns: list, json_text: bool = False) -> list[list[str]]:
     return out
 
 
-def _emit(cfg: RunConfig, fieldnames: list[str], columns: list) -> None:
-    """Write columns, one per field name, as CSV or JSON.
+def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list) -> None:
+    """Write columns, one per field name, as CSV or JSON (args.format) to args.output.
 
     A column is a float array (NaN where a value is absent) or (codes, table),
     formatted by _fields.  Absent values are empty CSV fields and JSON nulls.
-    The JSON text is that of json.dumps(payload, indent=2), written directly.
+    The JSON text is that of json.dumps(payload, indent=2), written directly:
+    each row fills one template of the field names.
     """
-    if cfg.format == "json":
-        keys = [f"      {json.dumps(name)}: " for name in fieldnames]
-        rows = ["    {\n" + ",\n".join(map(str.__add__, keys, row)) + "\n    }"
-                for row in zip(*_fields(columns, json_text=True))]
-        body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    if args.format == "json":
+        names = (json.dumps(name).replace("{", "{{").replace("}", "}}") for name in fieldnames)
+        row = "    {{\n" + ",\n".join(f"      {name}: {{}}" for name in names) + "\n    }}"
+        rows = ",\n".join(map(row.format, *_fields(columns, json_text=True)))
+        body = f"[\n{rows}\n  ]" if rows else "[]"
         text = f'{{\n  "units": {json.dumps(UNITS_NOTE)},\n  "rows": {body}\n}}\n'
     else:
         text = "\r\n".join([f"# {UNITS_NOTE}", ",".join(fieldnames),
                              *map(",".join, zip(*_fields(columns)))]) + "\r\n"
-    if cfg.output == "-":
+    if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _cmd_roots(cfg: RunConfig) -> tuple[list[str], list]:
-    params = _model_params(cfg, _parse_scalar(cfg.g, "g"), _parse_scalar(cfg.zeta, "zeta"))
+def _cmd_roots(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+    params = _checked(replace, params, g=_parse_scalar(args.g, "g"),
+                      zeta=_parse_scalar(args.zeta, "zeta"))
     parts = []  # per branch: its present points, as the columns below
-    for code, pts in enumerate(find_roots(params, _solver_config(cfg))):  # in SpinBranch order
+    for code, pts in enumerate(find_roots(params, config)):  # in SpinBranch order
         present = pts.stability[0] != ABSENT
         gamma_bar = np.sqrt(pts.x[0, present])
         parts.append([np.full(gamma_bar.size, code), gamma_bar,
@@ -342,12 +315,10 @@ _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_grou
     f"{kind}_{tag}" for tag in diagram.BRANCH_TAGS for kind in ("np", "eps", "stability")]
 
 
-def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list]:
-    g_range = _parse_range(cfg.g, "g")
-    params = _model_params(cfg, 0.0, _parse_scalar(cfg.zeta, "zeta"))
-    g = _axis(cfg, *g_range, "g")
-    _check_workers()
-    sweep = diagram.sweep_g(params, g, _solver_config(cfg))
+def _cmd_sweep(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+    g_range = _parse_range(args.g, "g")
+    params = _checked(replace, params, zeta=_parse_scalar(args.zeta, "zeta"))
+    sweep = diagram.sweep_g(params, _axis(params, *g_range, "g"), config)
     rows, k = np.arange(sweep.g.size), sweep.ground
     columns = [sweep.g, (sweep.phase, PHASES), sweep.n_p[rows, k],
                sweep.delta_n_a[rows, k], sweep.n_b[rows, k], sweep.energy[rows, k]]
@@ -359,16 +330,14 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[list[str], list]:
     return list(_SWEEP_FIELDS), columns
 
 
-def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list]:
-    g_range, zeta_range = _parse_range(cfg.g, "g"), _parse_range(cfg.zeta, "zeta")
+def _cmd_phase_diagram(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+    g_range, zeta_range = _parse_range(args.g, "g"), _parse_range(args.zeta, "zeta")
     g_steps, zeta_steps = g_range[2], zeta_range[2]
     if g_steps * zeta_steps > MAX_GRID_CELLS:
         raise ConfigError(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
                           f"the cap of {MAX_GRID_CELLS}")
-    params = _model_params(cfg, 0.0, 0.0)
-    g, zeta = _axis(cfg, *g_range, "g"), _axis(cfg, *zeta_range, "zeta")
-    _check_workers()
-    grid = diagram.phase_grid(params, g, zeta, _solver_config(cfg))
+    g, zeta = _axis(params, *g_range, "g"), _axis(params, *zeta_range, "zeta")
+    grid = diagram.phase_grid(params, g, zeta, config)
     # cells are in (zeta, g) order: code both axes by row and column, boundaries appended
     row, col = np.divmod(np.arange(grid.phase.size), g_steps)
     bound = np.arange(grid.boundary_g.size)
@@ -382,42 +351,32 @@ def _cmd_phase_diagram(cfg: RunConfig) -> tuple[list[str], list]:
     return ["kind", "zeta", "g", "phase", "phase_above"], columns
 
 
-def _cmd_turning_point(cfg: RunConfig) -> tuple[list[str], list]:
-    zeta = _parse_scalar(cfg.zeta, "zeta")
-    if zeta < 0.0:
-        raise ConfigError("zeta must be >= 0")
-    params = _model_params(cfg, 0.0, zeta)
-    _solver_config(cfg)  # unused by the closed form, but a bad --tol-curv is invalid input
-    g_t = turning_point(params, zeta=zeta)
+def _cmd_turning_point(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+    zeta = _parse_scalar(args.zeta, "zeta")
+    params = _checked(replace, params, zeta=zeta)
+    g_t = turning_point(params)
     if math.isinf(g_t):
         raise OutOfRange(f"zeta={zeta!r}: the fold coupling g_t exceeds the largest double")
     return ["zeta", "g_c", "g_t"], [np.array([v]) for v in (zeta, critical_coupling(params), g_t)]
 
 
-def _cmd_sp_closure(cfg: RunConfig) -> tuple[list[str], list]:
-    if not (math.isfinite(cfg.width_tol) and cfg.width_tol > 0.0):
-        raise ConfigError(f"--width-tol must be finite and > 0, got {cfg.width_tol!r}")
-    params = _model_params(cfg, 0.0, 0.0)
-    _solver_config(cfg)  # unused by the closed form, but a bad --tol-curv is invalid input
-    star = sp_closure(params, width_tol=cfg.width_tol)
-    row = (star, closure_estimate(params), cfg.width_tol, critical_coupling(params))
+def _cmd_sp_closure(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+    if not (math.isfinite(args.width_tol) and args.width_tol > 0.0):
+        raise ConfigError(f"--width-tol must be finite and > 0, got {args.width_tol!r}")
+    star = sp_closure(params, width_tol=args.width_tol)
+    row = (star, closure_estimate(params), args.width_tol, critical_coupling(params))
     return ["zeta_star", "zeta_estimate", "width_tol", "g_c"], [np.array([v]) for v in row]
 
 
-def _cmd_rabi_compare(cfg: RunConfig) -> tuple[list[str], list]:
+def _cmd_rabi_compare(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
     from . import rabi  # the ED: only this command loads it
 
-    if not 2 <= cfg.n_max <= MAX_N_MAX:
-        raise ConfigError(f"n_max must be in [2, {MAX_N_MAX}], got {cfg.n_max}")
-    _solver_config(cfg)  # unused by the ED, but a bad --tol-curv is invalid input
-    g_min, g_max, count = _parse_range(cfg.g, "g")
-    params = _model_params(cfg, 0.0, zeta=0.0)
-    try:  # the grid lies between its ends, so checking them checks every point
-        rabi.ed_couplings(params, [g_min, g_max])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _check_workers()
-    columns = rabi.compare_columns(params, np.linspace(g_min, g_max, count), n_max=cfg.n_max)
+    if not 2 <= args.n_max <= MAX_N_MAX:
+        raise ConfigError(f"n_max must be in [2, {MAX_N_MAX}], got {args.n_max}")
+    g_min, g_max, count = _parse_range(args.g, "g")
+    # the grid lies between its ends, so checking them checks every point
+    _checked(rabi.ed_couplings, params, [g_min, g_max])
+    columns = rabi.compare_columns(params, np.linspace(g_min, g_max, count), n_max=args.n_max)
     return ["g", "energy_ed", "energy_variational", "deviation"], list(columns)
 
 
@@ -433,15 +392,11 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     """Entry point returning the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args, params, config = _parse(argv)
+        fieldnames, columns = _COMMANDS[args.command](args, params, config)
+    except SystemExit as exc:  # argparse: a usage error, or --help
         return int(exc.code or 0)
-
-    try:
-        cfg = _effective(args)
-        fieldnames, columns = _COMMANDS[args.command](cfg)
     except (ConfigError, OutOfRange) as exc:
         print(f"optodicke: invalid input: {exc}", file=sys.stderr)
         return 2
@@ -450,7 +405,7 @@ def run(argv=None) -> int:
         return 3
 
     try:
-        _emit(cfg, fieldnames, columns)
+        _emit(args, fieldnames, columns)
     except OSError as exc:
         print(f"optodicke: cannot write output: {exc}", file=sys.stderr)
         return 2

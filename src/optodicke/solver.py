@@ -152,11 +152,13 @@ def param_rows(params: ModelParams, g: np.ndarray, zeta=None) -> SimpleNamespace
 def couplings(params: ModelParams, g, zeta=None) -> tuple[np.ndarray, np.ndarray]:
     """g and zeta (default params.zeta) as float vectors; ValueError unless all are finite, >= 0.
 
-    ModelParams checks the smallest and the largest of each: they bound every
-    other value, and both are NaN if any value is.  An empty axis passes.
+    Both are copies, so a result column built from them is not the caller's
+    array.  ModelParams checks the smallest and the largest of each: they
+    bound every other value, and both are NaN if any value is.  An empty axis
+    passes.
     """
-    g = np.asarray(g, dtype=float).reshape(-1)
-    zeta = np.asarray(params.zeta if zeta is None else zeta, dtype=float).reshape(-1)
+    g = np.array(g, dtype=float).reshape(-1)
+    zeta = np.array(params.zeta if zeta is None else zeta, dtype=float).reshape(-1)
     for end in (np.min, np.max):
         replace(params, g=float(end(g, initial=0.0)), zeta=float(end(zeta, initial=0.0)))
     return g, zeta

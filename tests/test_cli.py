@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, config handling, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -178,6 +179,73 @@ class TestConfig:
         cfg.write_text('{"n_atoms": 1e400}')
         assert run(["roots", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("argv, key", [
+        (["rabi-compare", "--g", "0:1:3", "--n-max", "10"], "zeta"),
+        (["sp-closure"], "zeta"),
+        (["turning-point", "--zeta", "1"], "g"),
+        (["sweep", "--g", "0:1:3"], "n_max"),
+        (["roots", "--g", "1"], "detuning"),
+        (["roots", "--g", "1"], "command"),
+        (["roots", "--g", "1"], "config"),
+        (["roots", "--g", "1"], "help"),
+        (["roots", "--g", "1"], "omega-b"),  # a key names the flag's dest, not the flag
+    ])
+    def test_key_the_command_has_no_flag_for_rejected(self, argv, key, tmp_path, capsys):
+        # an entry is read as its flag, so a key the command has no flag for is
+        # rejected, even one another command takes: no value is silently dropped
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1.0}))
+        assert run([*argv, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unknown config key {key!r}" in err
+
+    @pytest.mark.parametrize("entry, message", [
+        # a value that is no string is read as its JSON text
+        ({"n_atoms": 2.0}, "argument --n-atoms: invalid int value: '2.0'"),
+        ({"n_max": 40.0}, "argument --n-max: invalid int value: '40.0'"),
+        ({"omega": True}, "argument --omega: invalid float value: 'true'"),
+        ({"omega": None}, "argument --omega: invalid float value: 'null'"),
+        ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
+        ({"detuning": "green"}, "argument --detuning: invalid choice: 'green'"),
+    ])
+    def test_badly_typed_value_named_by_its_flag(self, entry, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        assert run(["rabi-compare", "--g", "0:1:3", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize("entries, flags, omega", [
+        ({"omega": 1.2}, ["--omega", "0.9"], "0.9"),  # a flag beats the file
+        ({"omega": 1.2}, ["--detuning", "red"], "0.8"),  # --detuning beats a file's omega
+        ({"detuning": "blue"}, ["--detuning", "red"], "0.8"),
+        ({"detuning": "red"}, [], "0.8"),
+        ({"detuning": "red"}, ["--omega", "1.1"], "1.1"),  # --omega beats --detuning
+        ({"omega": 1.1, "detuning": "red"}, [], "1.1"),  # in the file as on the command line
+        ({"omega": 1.1, "detuning": "red"}, ["--detuning", "blue"], "1.2"),
+    ])
+    def test_omega_precedence(self, entries, flags, omega, tmp_path, capsys):
+        argv = ["rabi-compare", "--g", "0:1.5:4", "--n-max", "20"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        got = _run_captured([*argv, "--config", str(cfg), *flags], capsys)
+        assert got == _run_captured([*argv, "--omega", omega], capsys) and got[0] == 0
+
+    def test_value_that_begins_with_a_dash(self, tmp_path, monkeypatch, capsys):
+        # an entry is one --flag=value token, so a value may look like a flag
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"output": "-x.csv", "zeta": "-1"}))
+        assert run(["turning-point", "--config", "cfg.json", "--zeta", "1"]) == 0
+        assert (tmp_path / "-x.csv").read_text().splitlines()[1] == "zeta,g_c,g_t"
+        assert run(["turning-point", "--config", "cfg.json"]) == 2
+        assert "zeta must be >= 0, got -1.0" in capsys.readouterr().err
+
+    def test_huge_integer_n_atoms_accepted(self, capsys):
+        # n_atoms stays an int (scaled quantities do not depend on it), never a float
+        argv = ["roots", "--g", "1.5", "--zeta", "1"]
+        huge = _run_captured([*argv, "--n-atoms", "1" + "0" * 400], capsys)
+        assert huge == _run_captured(argv, capsys) and huge[0] == 0
+
     def test_unknown_subcommand_exit_two(self):
         assert run(["frobnicate"]) == 2
 
@@ -202,6 +270,13 @@ class TestConfig:
         monkeypatch.setenv("OPTODICKE_WORKERS", "abc")
         assert run(["phase-diagram", "--g", "0:1:3", "--zeta", "0:1:2"]) == 2
         assert "OPTODICKE_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["roots", "--g", "1", "--zeta", "1"],
+                                      ["turning-point", "--zeta", "1"], ["sp-closure"]])
+    def test_bad_worker_count_rejected_by_every_command(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("OPTODICKE_WORKERS", "abc")
+        assert run(argv) == 2
+        assert "OPTODICKE_WORKERS must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["phase-diagram", "--g=-1:3:5", "--zeta", "0:1:2"],
@@ -573,6 +648,7 @@ def test_huge_and_tiny_parameters(argv, code, message, capsys):
      "omega_a must be <= 1e+150"),
     (["rabi-compare", "--g=-1:1:3", "--n-max", "50"], "g must be >= 0"),
     (["rabi-compare", "--g", "0:1:3", "--omega", "0"], "omega must be > 0"),
+    (["turning-point", "--zeta", "-0.3"], "zeta must be >= 0, got -0.3"),
 ])
 def test_outside_the_domain(argv, message, capsys):
     with warnings.catch_warnings():
@@ -742,7 +818,7 @@ def test_column_writer_matches_per_row_writer(data, fmt):
     fieldnames = [f"c{i}" for i in range(len(columns))]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit(cli.RunConfig(format=fmt), fieldnames, columns)
+        cli._emit(argparse.Namespace(format=fmt, output="-"), fieldnames, columns)
     assert out.getvalue() == _per_row_writer(fmt, fieldnames, _rows(columns))
 
 
@@ -757,9 +833,8 @@ _COMMAND_ARGV = [
 
 
 def _command_columns(argv):
-    args = cli._build_parser().parse_args(argv)
-    cfg = cli._effective(args)
-    return cfg, *cli._COMMANDS[args.command](cfg)
+    args, params, config = cli._parse(argv)
+    return args, *cli._COMMANDS[args.command](args, params, config)
 
 
 @pytest.mark.parametrize("argv", _COMMAND_ARGV)
@@ -811,13 +886,13 @@ def test_json_text_of_edge_values(capsys):
                 ["cell", "a \"quoted\" label", "é", None, "boundary", "unused"]),
                (np.array([2, 0, 0, 1, 1, 2, 3]), np.array([-0.0, math.nan, 1e-320, 5.0]))]
     names = ["x", "phase_above", "y"]
-    cli._emit(cli.RunConfig(format="json"), names, columns)
+    cli._emit(argparse.Namespace(format="json", output="-"), names, columns)
     text = capsys.readouterr().out
     assert text == _json_reference(names, columns)
     assert '"x": -0.0' in text and '"x": 3.0' in text and '"x": null' in text
     assert '"y": null' in text and '"phase_above": null' in text
     empty = [np.array([]), (np.array([], dtype=int), []), (np.array([], dtype=int), np.array([]))]
-    cli._emit(cli.RunConfig(format="json"), names, empty)
+    cli._emit(argparse.Namespace(format="json", output="-"), names, empty)
     assert capsys.readouterr().out == _json_reference(names, empty)
 
 
@@ -871,3 +946,42 @@ def test_fuzz_referee(command, data):
             except ValueError:  # a label or an absent value
                 continue
             assert math.isfinite(value), (argv, line)
+
+
+def _as_json_value(text):
+    """A flag's text as the JSON value a config file may hold for it."""
+    if text.isdigit():
+        return int(text)
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+@pytest.mark.parametrize("command", list(_FUZZ_FLAGS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_config_file_reads_as_its_flags(command, data, tmp_path_factory):
+    # any subset of a drawn argv's flags, moved into a config file (as a string
+    # or as a JSON number), gives the output of the all-flags run; --omega and
+    # --detuning stay on one side, since --detuning beats a file's omega
+    argv = data.draw(_FUZZ_ARGV[command], label="argv")
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    side = {flag: "--omega" if flag == "--detuning" else flag for flag in flags}
+    move = {key: data.draw(st.booleans(), label=f"move {key}")
+            for key in sorted(set(side.values()))}
+    moved = {flag for flag in flags if move[side[flag]]}
+    entries = {flag[2:].replace("-", "_"): _as_json_value(value)
+               if data.draw(st.booleans(), label=f"number {flag}") else value
+               for flag, value in flags.items() if flag in moved}
+    cfg = tmp_path_factory.getbasetemp() / f"fuzz-{command}.json"
+    cfg.write_text(json.dumps(entries))
+    kept = [x for flag, value in flags.items() if flag not in moved for x in (flag, value)]
+    results = []
+    for args in (argv, [command, "--config", str(cfg), *kept]):
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            results.append((run(args), out.getvalue()))
+    assert results[0] == results[1], (argv, entries)

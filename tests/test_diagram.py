@@ -510,3 +510,15 @@ class TestSweepReferee:
                      row[f"np_{tag}"], row[f"eps_{tag}"], row[f"stability_{tag}"])
                     for tag in BRANCH_TAGS if row[f"np_{tag}"]}
         assert printed == expected
+
+
+def test_result_columns_are_not_the_callers_arrays():
+    # a returned g or zeta column is a copy: editing it leaves the caller's input alone
+    from optodicke import rabi
+
+    g, zeta = np.linspace(0.0, 3.0, 7), np.linspace(0.0, 3.0, 4)
+    columns = (sweep_g(ModelParams(zeta=1.0), g).g, phase_grid(ModelParams(), g, zeta).g,
+               phase_grid(ModelParams(), g, zeta).zeta,
+               rabi.compare_columns(ModelParams(), g, n_max=20)[0])
+    for column, given in zip(columns, (g, g, zeta, g)):
+        assert np.array_equal(column, given) and not np.shares_memory(column, given)
