@@ -9,8 +9,8 @@ entry key: value is read as the flag --key-with-dashes=value (a string as
 itself, any other JSON value as its json.dumps text), placed before the
 command line's flags, so a flag overrides the file and a key that is no
 flag of the command is invalid input.  Before any command runs, _parse
-checks what all of them share: ModelParams (at g = zeta = 0), SolverConfig
-and OPTODICKE_WORKERS, which has no effect but must be an integer.  Grid
+checks what all of them share: ModelParams (at g = zeta = 0) and
+OPTODICKE_WORKERS, which has no effect but must be an integer.  Grid
 counts, phase-diagram cell counts and --n-max are capped (exit 2 above the
 cap).  A grid 'min:max:count' is np.linspace(min, max, count); sweep and
 phase-diagram need one (not a bare number).  A command checks its g or zeta,
@@ -42,7 +42,6 @@ from .solver import (
     PHASES,
     STABILITIES,
     OutOfRange,
-    SolverConfig,
     SolverError,
     closure_estimate,
     critical_coupling,
@@ -89,7 +88,7 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, long ints, deep nesting
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
@@ -160,7 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--omega-a", dict(type=float, default=1.0, help="atomic frequency (default 1)")),
         ("--omega-b", dict(type=float, default=10.0, help="oscillator frequency (default 10)")),
         ("--n-atoms", dict(type=int, default=1, help="atom count N (default 1)")),
-        ("--tol-curv", dict(type=float, default=1e-9)),
         ("--config", dict(help="JSON config file; flags override it")),
         ("--output", dict(short="-o", default="-", help="output path, '-' for stdout")),
         ("--format", dict(choices=["csv", "json"], default="csv")),
@@ -208,12 +206,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv) -> tuple[argparse.Namespace, ModelParams, SolverConfig]:
-    """The parsed flags, and the checked ModelParams (g = zeta = 0) and SolverConfig.
+def _parse(argv) -> tuple[argparse.Namespace, ModelParams]:
+    """The parsed flags, and the checked ModelParams (g = zeta = 0).
 
     A --config file's entries go before the command line's flags, so a flag
-    overrides them.  The cavity frequency is the command line's --omega,
-    else its --detuning preset, else the file's omega, else its detuning.
+    overrides them; a file value its flag rejects gets argparse's error and
+    a line naming the file.  The cavity frequency is the command line's
+    --omega, else its --detuning preset, else the file's omega, else its
+    detuning.
     """
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -221,19 +221,21 @@ def _parse(argv) -> tuple[argparse.Namespace, ModelParams, SolverConfig]:
     if args.config is not None:
         at = argv.index(args.command) + 1
         file_flags = _config_flags(args.config, parser.commands[args.command])
-        args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
+        try:
+            args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
+        except SystemExit as exc:  # the command line alone parsed: the file is at fault
+            raise ConfigError(f"the error above is in config file {args.config!r}") from exc
     omega = next((w for layer in (flags, args)
                   for w in (layer.omega, DETUNING_PRESETS.get(getattr(layer, "detuning", None)))
                   if w is not None), 1.0)
     params = _checked(ModelParams, omega=omega, omega_a=args.omega_a, omega_b=args.omega_b,
                       n_atoms=args.n_atoms)
-    config = _checked(SolverConfig, tol_curv=args.tol_curv)
     workers = os.environ.get("OPTODICKE_WORKERS", "1") or "1"  # no effect, but checked
     try:
         int(workers)
     except ValueError as exc:
         raise ConfigError(f"OPTODICKE_WORKERS must be an integer, got {workers!r}") from exc
-    return args, params, config
+    return args, params
 
 
 def _json_number(value: float) -> str:
@@ -295,11 +297,11 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list) -> Non
             fh.write(text)
 
 
-def _cmd_roots(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+def _cmd_roots(args, params: ModelParams) -> tuple[list[str], list]:
     params = _checked(replace, params, g=_parse_scalar(args.g, "g"),
                       zeta=_parse_scalar(args.zeta, "zeta"))
     parts = []  # per branch: its present points, as the columns below
-    for code, pts in enumerate(find_roots(params, config)):  # in SpinBranch order
+    for code, pts in enumerate(find_roots(params)):  # in SpinBranch order
         present = pts.stability[0] != ABSENT
         gamma_bar = np.sqrt(pts.x[0, present])
         parts.append([np.full(gamma_bar.size, code), gamma_bar,
@@ -315,10 +317,10 @@ _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_grou
     f"{kind}_{tag}" for tag in diagram.BRANCH_TAGS for kind in ("np", "eps", "stability")]
 
 
-def _cmd_sweep(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
     g_range = _parse_range(args.g, "g")
     params = _checked(replace, params, zeta=_parse_scalar(args.zeta, "zeta"))
-    sweep = diagram.sweep_g(params, _axis(params, *g_range, "g"), config)
+    sweep = diagram.sweep_g(params, _axis(params, *g_range, "g"))
     rows, k = np.arange(sweep.g.size), sweep.ground
     columns = [sweep.g, (sweep.phase, PHASES), sweep.n_p[rows, k],
                sweep.delta_n_a[rows, k], sweep.n_b[rows, k], sweep.energy[rows, k]]
@@ -330,14 +332,14 @@ def _cmd_sweep(args, params: ModelParams, config: SolverConfig) -> tuple[list[st
     return list(_SWEEP_FIELDS), columns
 
 
-def _cmd_phase_diagram(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+def _cmd_phase_diagram(args, params: ModelParams) -> tuple[list[str], list]:
     g_range, zeta_range = _parse_range(args.g, "g"), _parse_range(args.zeta, "zeta")
     g_steps, zeta_steps = g_range[2], zeta_range[2]
     if g_steps * zeta_steps > MAX_GRID_CELLS:
         raise ConfigError(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
                           f"the cap of {MAX_GRID_CELLS}")
     g, zeta = _axis(params, *g_range, "g"), _axis(params, *zeta_range, "zeta")
-    grid = diagram.phase_grid(params, g, zeta, config)
+    grid = diagram.phase_grid(params, g, zeta)
     # cells are in (zeta, g) order: code both axes by row and column, boundaries appended
     row, col = np.divmod(np.arange(grid.phase.size), g_steps)
     bound = np.arange(grid.boundary_g.size)
@@ -351,7 +353,7 @@ def _cmd_phase_diagram(args, params: ModelParams, config: SolverConfig) -> tuple
     return ["kind", "zeta", "g", "phase", "phase_above"], columns
 
 
-def _cmd_turning_point(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+def _cmd_turning_point(args, params: ModelParams) -> tuple[list[str], list]:
     zeta = _parse_scalar(args.zeta, "zeta")
     params = _checked(replace, params, zeta=zeta)
     g_t = turning_point(params)
@@ -360,7 +362,7 @@ def _cmd_turning_point(args, params: ModelParams, config: SolverConfig) -> tuple
     return ["zeta", "g_c", "g_t"], [np.array([v]) for v in (zeta, critical_coupling(params), g_t)]
 
 
-def _cmd_sp_closure(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+def _cmd_sp_closure(args, params: ModelParams) -> tuple[list[str], list]:
     if not (math.isfinite(args.width_tol) and args.width_tol > 0.0):
         raise ConfigError(f"--width-tol must be finite and > 0, got {args.width_tol!r}")
     star = sp_closure(params, width_tol=args.width_tol)
@@ -368,7 +370,7 @@ def _cmd_sp_closure(args, params: ModelParams, config: SolverConfig) -> tuple[li
     return ["zeta_star", "zeta_estimate", "width_tol", "g_c"], [np.array([v]) for v in row]
 
 
-def _cmd_rabi_compare(args, params: ModelParams, config: SolverConfig) -> tuple[list[str], list]:
+def _cmd_rabi_compare(args, params: ModelParams) -> tuple[list[str], list]:
     from . import rabi  # the ED: only this command loads it
 
     if not 2 <= args.n_max <= MAX_N_MAX:
@@ -393,8 +395,8 @@ _COMMANDS = {
 def run(argv=None) -> int:
     """Entry point returning the process exit code."""
     try:
-        args, params, config = _parse(argv)
-        fieldnames, columns = _COMMANDS[args.command](args, params, config)
+        args, params = _parse(argv)
+        fieldnames, columns = _COMMANDS[args.command](args, params)
     except SystemExit as exc:  # argparse: a usage error, or --help
         return int(exc.code or 0)
     except (ConfigError, OutOfRange) as exc:

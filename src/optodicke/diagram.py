@@ -21,10 +21,9 @@ import numpy as np
 from .model import ModelParams, SpinBranch, curvature, observable_terms
 from .solver import (
     COLUMN_PHASE,
-    DEFAULT_CONFIG,
+    MARGINAL_BAND,
     UNSTABLE,
     NotFound,
-    SolverConfig,
     couplings,
     critical_coupling,
     is_minimum,
@@ -95,14 +94,14 @@ class PhaseGrid:
     boundary_above: np.ndarray
 
 
-def sweep_g(params: ModelParams, g, config: SolverConfig | None = None) -> Sweep:
+def sweep_g(params: ModelParams, g) -> Sweep:
     """Ground state plus all coexisting branches at each coupling of g, as columns.
 
     params.g is ignored.  One branch_points call covers both branches on the
     whole grid, and solver.solve_ground picks every ground state by its one rule.
     """
     gs, _ = couplings(params, g)
-    ground, *points = solve_ground(params, gs, config)
+    ground, *points = solve_ground(params, gs)
     n_p, delta_n_a, n_b = observable_terms(param_rows(params, gs[:, None]), _COLUMN_BRANCH,
                                            np.sqrt(np.hstack([pts.x for pts in points])))
     stability = np.hstack([pts.stability for pts in points])
@@ -116,12 +115,12 @@ def sweep_g(params: ModelParams, g, config: SolverConfig | None = None) -> Sweep
                  stability=stability, source=source)
 
 
-def sweep_row(params: ModelParams, g: float, config: SolverConfig | None = None) -> Sweep:
+def sweep_row(params: ModelParams, g: float) -> Sweep:
     """The one-row Sweep at g.  A module global: callers look it up at call time."""
-    return sweep_g(params, [float(g)], config)
+    return sweep_g(params, [float(g)])
 
 
-def grid_row(params: ModelParams, gs: np.ndarray, zetas, config: SolverConfig | None = None
+def grid_row(params: ModelParams, gs: np.ndarray, zetas
              ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The labels of a block of zeta rows, shape (rows, g), and their exact boundaries.
 
@@ -136,7 +135,6 @@ def grid_row(params: ModelParams, gs: np.ndarray, zetas, config: SolverConfig | 
     g_t when leaving SP, otherwise at g_c with the label above SP whenever
     the window is open, even when it is narrower than the grid step.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
     g_c = critical_coupling(params)
     g_t = np.full(zetas.size, math.inf)
     for row, zeta in enumerate(zetas.tolist()):
@@ -152,10 +150,10 @@ def grid_row(params: ModelParams, gs: np.ndarray, zetas, config: SolverConfig | 
     # (a NaN curvature, marginal as in branch_points): find its band once, twice
     # as wide as the marginal band, then probe every (zeta, g) pair in it at once.
     with np.errstate(all="ignore"):
-        near = np.flatnonzero(np.abs(params.omega - gs * gs / params.omega_a) <= cfg.tol_curv)
+        near = np.flatnonzero(np.abs(params.omega - gs * gs / params.omega_a) <= MARGINAL_BAND)
         k, i = np.repeat(np.arange(zetas.size), near.size), np.tile(near, zetas.size)
         curv = curvature(param_rows(params, gs[i], zetas[k]), SpinBranch.NORMAL, 0.0)
-        marginal = ~(np.abs(curv) > cfg.tol_curv)
+        marginal = ~(np.abs(curv) > MARGINAL_BAND)
         k, i = k[marginal], i[marginal]
         minimum = is_minimum(params, SpinBranch.NORMAL, gs[i], np.zeros(i.size), zetas[k])
     index[k[minimum], i[minimum]] = 0
@@ -163,7 +161,7 @@ def grid_row(params: ModelParams, gs: np.ndarray, zetas, config: SolverConfig | 
     for row in np.flatnonzero(np.bincount(k)).tolist():  # np.unique would load numpy.ma
         cols = i[k == row]
         row_params = replace(params, zeta=float(zetas[row]))
-        index[row, cols] = COLUMN_PHASE[solve_ground(row_params, gs[cols], cfg)[0]]
+        index[row, cols] = COLUMN_PHASE[solve_ground(row_params, gs[cols])[0]]
 
     k, i = np.nonzero(index[:, :-1] != index[:, 1:])
     below, above = index[k, i], index[k, i + 1]
@@ -173,7 +171,7 @@ def grid_row(params: ModelParams, gs: np.ndarray, zetas, config: SolverConfig | 
     return index, (zetas[k], g_b, below, above)
 
 
-def phase_grid(params: ModelParams, g, zeta, config: SolverConfig | None = None) -> PhaseGrid:
+def phase_grid(params: ModelParams, g, zeta) -> PhaseGrid:
     """Label every cell of the grid g x zeta by its ground-state phase.
 
     params.g and params.zeta are ignored.  Cells are ordered by (zeta, g).
@@ -181,5 +179,5 @@ def phase_grid(params: ModelParams, g, zeta, config: SolverConfig | None = None)
     boundary (g_c or g_t) is one entry of the boundary columns.
     """
     gs, zetas = couplings(params, g, zeta)
-    index, boundaries = grid_row(params, gs, zetas, config)  # the module global: one pass
+    index, boundaries = grid_row(params, gs, zetas)  # the module global: one pass
     return PhaseGrid(gs, zetas, index.reshape(-1), *boundaries)

@@ -46,7 +46,6 @@ from .model import (
 )
 
 __all__ = [
-    "SolverConfig",
     "SolverError",
     "NotFound",
     "OutOfRange",
@@ -83,6 +82,8 @@ COLUMN_PHASE = np.array([0, 1, 1, 2])
 # A point's stability as an index into STABILITIES, ABSENT where there is no point.
 STABILITIES = (Stability.MARGINAL, Stability.STABLE, Stability.UNSTABLE, None)
 MARGINAL, STABLE, UNSTABLE, ABSENT = range(len(STABILITIES))
+# Half-width of the marginal band: a point with |curvature| <= MARGINAL_BAND is marginal.
+MARGINAL_BAND = 1e-9
 
 
 class SolverError(Exception):
@@ -99,20 +100,6 @@ class NotFound(SolverError):
 
 class OutOfRange(SolverError):
     """A stationary point, or the closure coupling, does not fit in doubles."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """tol_curv: half-width of the marginal-stability band on the curvature."""
-
-    tol_curv: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (self.tol_curv > 0.0 and math.isfinite(self.tol_curv)):
-            raise ValueError(f"tol_curv must be finite and > 0, got {self.tol_curv!r}")
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -213,7 +200,7 @@ def _cubic_x(rows: SimpleNamespace, branch: SimpleNamespace, g2: np.ndarray) -> 
     return x
 
 
-def _points(params: ModelParams, g: np.ndarray, sign: np.ndarray, cfg: SolverConfig) -> tuple:
+def _points(params: ModelParams, g: np.ndarray, sign: np.ndarray) -> tuple:
     """The root kernel: x, energy, curvature and stability at each row (g[i], sign[i]).
 
     Columns as in BranchPoints, 2 roots per row: at most 2 on the normal branch
@@ -245,13 +232,12 @@ def _points(params: ModelParams, g: np.ndarray, sign: np.ndarray, cfg: SolverCon
     bad = (present & ~fits).any(axis=1)
     if bad.any():
         raise OutOfRange(f"g={float(g[bad][0])!r}, zeta={params.zeta!r} {_OUT_OF_RANGE}")
-    stability = STABLE * (curv > cfg.tol_curv) + UNSTABLE * (curv < -cfg.tol_curv)
+    stability = STABLE * (curv > MARGINAL_BAND) + UNSTABLE * (curv < -MARGINAL_BAND)
     stability[~present] = ABSENT
     return x, energy, curv, stability
 
 
-def branch_points(params: ModelParams, g, config: SolverConfig | None = None
-                  ) -> tuple[BranchPoints, BranchPoints]:
+def branch_points(params: ModelParams, g) -> tuple[BranchPoints, BranchPoints]:
     """Every stationary point of both branches at each coupling of the array g.
 
     (normal, inverted), from one call of the root kernel over the normal rows
@@ -259,17 +245,15 @@ def branch_points(params: ModelParams, g, config: SolverConfig | None = None
     omega_a, omega_b and zeta, and params.g is ignored.  Raises OutOfRange
     where a point, its energy, curvature or phonon number does not fit in doubles.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
     g = np.asarray(g, dtype=float).reshape(-1)
-    columns = _points(params, np.tile(g, 2), np.repeat([-1.0, 1.0], g.size), cfg)
+    columns = _points(params, np.tile(g, 2), np.repeat([-1.0, 1.0], g.size))
     return (BranchPoints(SpinBranch.NORMAL, *(column[:g.size] for column in columns)),
             BranchPoints(SpinBranch.INVERTED, *(column[g.size:, :2] for column in columns)))
 
 
-def find_roots(params: ModelParams, config: SolverConfig | None = None
-               ) -> tuple[BranchPoints, BranchPoints]:
+def find_roots(params: ModelParams) -> tuple[BranchPoints, BranchPoints]:
     """Every stationary point of both branches at params.g: branch_points at [params.g]."""
-    return branch_points(params, [params.g], config)
+    return branch_points(params, [params.g])
 
 
 def is_minimum(params: ModelParams, branch: SpinBranch, g: np.ndarray,
@@ -298,19 +282,18 @@ def _minima(params: ModelParams, pts: BranchPoints, g: np.ndarray) -> np.ndarray
     return keep
 
 
-def solve_ground(params: ModelParams, g, config: SolverConfig | None = None
-                 ) -> tuple[np.ndarray, BranchPoints, BranchPoints]:
+def solve_ground(params: ModelParams, g) -> tuple[np.ndarray, BranchPoints, BranchPoints]:
     """The ground state's column at each coupling of g, and both branches' points.
 
     Columns: 0 the N- zero point, 1 and 2 the normal roots, 3 the N+ zero
     point (labelled by COLUMN_PHASE).  Candidates are the stable points and
     the marginal ones is_minimum confirms, but no normal root from the
     computed g_t up; the lowest energy wins, ties within 1e-12 going to the
-    smaller amplitude.  A g without candidates (omega <= tol_curv/2) raises
+    smaller amplitude.  A g without candidates (omega <= 5e-10) raises
     NotFound.  params.g is ignored.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
-    normal, inverted = branch_points(params, g, config)
+    normal, inverted = branch_points(params, g)
     # p decreases along the inverted branch, so its root is never a minimum
     candidate = np.hstack([_minima(params, normal, g), _minima(params, inverted, g)[:, :1]])
     with contextlib.suppress(NotFound):  # no fold at zeta = 0 or in a closed window
@@ -326,13 +309,12 @@ def solve_ground(params: ModelParams, g, config: SolverConfig | None = None
     return column, normal, inverted
 
 
-def ground_state(params: ModelParams, config: SolverConfig | None = None
-                 ) -> tuple[PhaseLabel, float, float, float, float]:
+def ground_state(params: ModelParams) -> tuple[PhaseLabel, float, float, float, float]:
     """The lowest local minimum at params.g: solve_ground at one g.
 
     Returns (phase, n_p, delta_n_a, n_b, energy), the sweep's ground columns at params.g.
     """
-    column, *points = solve_ground(params, [params.g], config)
+    column, *points = solve_ground(params, [params.g])
     k = int(column[0])
     pts, j = points[k // 3], k % 3  # columns 0-2 are the normal branch's, 3 is N+
     n_p, delta_n_a, n_b = observable_terms(params, pts.branch, math.sqrt(pts.x[0, j]))

@@ -274,9 +274,9 @@ class TestGridReferee:
         assert gs[1] == g_c and zetas[-1] == closure
         solved = []
 
-        def spy(params, g, config=None):
+        def spy(params, g):
             solved.append((params.zeta, g.tolist()))
-            return solve_ground(params, g, config)
+            return solve_ground(params, g)
 
         monkeypatch.setattr(diagram, "solve_ground", spy)
         grid = phase_grid(base, gs, zetas)

@@ -12,7 +12,6 @@ from optodicke.solver import (
     ABSENT,
     STABILITIES,
     NotFound,
-    SolverConfig,
     branch_points,
     closure_estimate,
     critical_coupling,
@@ -91,7 +90,7 @@ class TestZeroPhotonPoint:
     def test_bitwise_the_kernel_zero_point(self):
         # scalar and array powers differ in the last bit for some omega_a, so
         # the one-point call must be the array kernel's own column 0, bit for
-        # bit, for it to classify alike at |curvature| = tol_curv
+        # bit, for it to classify alike at the marginal band's edge
         rng = np.random.default_rng(8)
         gs = np.array([0.3, 0.7, 1.9])
         for omega_a in rng.uniform(0.3, 3.0, 400):
@@ -415,28 +414,20 @@ def test_critical_points_summary():
         turning_point(ModelParams(g=1.5, zeta=0.0))
 
 
-def test_solver_config_validation():
-    for bad in (0.0, -1e-9, math.inf, math.nan):
-        with pytest.raises(ValueError, match="tol_curv must be finite and > 0"):
-            SolverConfig(tol_curv=bad)
-    cfg = SolverConfig()
-    assert replace(cfg, tol_curv=1e-6).tol_curv == 1e-6
-    with pytest.raises(TypeError):  # the retired knobs are gone
-        SolverConfig(tol_root=1e-10)
-
-
-@pytest.mark.parametrize("g, curv", [(0.0, 2.0), (2.0, -6.0)])
-def test_stability_band_edges(g, curv):
+@pytest.mark.parametrize("omega, g, curv, beyond, far_g", [
+    (5e-10, 0.0, 1e-9, Stability.STABLE, 0.0),
+    (2.0**-30 - 5e-10, 2.0**-15, -1e-9, Stability.UNSTABLE, 2.0),
+], ids=["stable-side", "unstable-side"])
+def test_stability_band_edges(omega, g, curv, beyond, far_g):
     # the one stability rule, on branch_points' column: the N- zero point has
-    # curvature 2(omega - g^2/omega_a), exact in doubles here, and is marginal
-    # while |curvature| <= tol_curv, stable or unstable by its sign beyond
-    pts = branch_points(ModelParams(), [g], SolverConfig(tol_curv=abs(curv)))[0]
-    assert (pts.curvature[0, 0], STABILITIES[pts.stability[0, 0]]) == (curv, Stability.MARGINAL)
-    beyond = Stability.STABLE if curv > 0.0 else Stability.UNSTABLE
-    pts = branch_points(ModelParams(), [g],
-                        SolverConfig(tol_curv=float(np.nextafter(abs(curv), 0.0))))[0]
-    assert STABILITIES[pts.stability[0, 0]] is beyond
+    # curvature 2(omega - g^2/omega_a), exactly +-1e-9 here, and is marginal
+    # while |curvature| <= 1e-9, stable or unstable by its sign beyond
+    def stability(omega, g):
+        pts = branch_points(ModelParams(omega=omega), [g])[0]
+        return pts.curvature[0, 0], STABILITIES[pts.stability[0, 0]]
+
+    assert stability(omega, g) == (curv, Stability.MARGINAL)
+    assert stability(float(np.nextafter(omega, math.copysign(math.inf, curv))), g)[1] is beyond
     # far outside the band, and a curvature well inside it
-    assert STABILITIES[branch_points(ModelParams(), [g])[0].stability[0, 0]] is beyond
-    pts = branch_points(ModelParams(), [g], SolverConfig(tol_curv=2.0 * abs(curv)))[0]
-    assert STABILITIES[pts.stability[0, 0]] is Stability.MARGINAL
+    assert stability(1.0, far_g)[1] is beyond
+    assert stability(omega - curv / 4.0, g)[1] is Stability.MARGINAL
