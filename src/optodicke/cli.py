@@ -4,21 +4,21 @@ Subcommands: roots | sweep | phase-diagram | turning-point | sp-closure |
 rabi-compare.  Data goes to stdout or --output as CSV or JSON, diagnostics
 to stderr.  Exit codes: 0 success, 2 invalid input, 3 solver failure.
 Numeric output is fixed at 9 significant digits and runs are deterministic,
-in one process.  One argparse parser reads every input.  A --config file
-entry key: value is read as the flag --key-with-dashes=value (a string as
-itself, any other JSON value as its json.dumps text), placed before the
-command line's flags, so a flag overrides the file and a key that is no
-flag of the command is invalid input.  Before any command runs, _parse
-checks what all of them share: ModelParams (at g = zeta = 0) and
-OPTODICKE_WORKERS, which has no effect but must be an integer.  Grid
-counts, phase-diagram cell counts and --n-max are capped (exit 2 above the
-cap).  A grid 'min:max:count' is np.linspace(min, max, count); sweep and
-phase-diagram need one (not a bare number).  A command checks its g or zeta,
-or its grid's two ends, before the solve, through ModelParams and, in
-rabi-compare, the ED's domain check: an invalid coupling is exit 2, and a
-ValueError raised by a solve is not taken for invalid input.  A command
-returns its columns, each a float array or (codes, table), and every
-distinct value or label is formatted once per output.
+in one process.  One argparse parser reads and types every input: a --config
+file entry key: value is read as the flag --key-with-dashes=value (a string
+as itself, any other JSON value as its json.dumps text), placed before the
+command line's flags, so a flag overrides the file and a key that is no flag
+of the command is invalid input.  Before any command runs, _parse checks
+what all of them share: ModelParams (at g = zeta = 0) and OPTODICKE_WORKERS,
+which has no effect but must be an integer.  Grid counts, phase-diagram cell
+counts and --n-max are capped (exit 2 above the cap).  A grid
+'min:max:count' is np.linspace(min, max, count); sweep and phase-diagram
+need one (not a bare number).  Before the solve, a command checks its
+couplings, or its grid's two ends, through ModelParams and, in rabi-compare,
+the ED's domain check: an invalid coupling is exit 2, and a ValueError
+raised by a solve is not taken for invalid input.  A command returns its
+columns, each a float array or (codes, table), and every distinct value or
+label is formatted once per output.
 """
 
 from __future__ import annotations
@@ -100,38 +100,40 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
             for key, value in raw.items()]
 
 
-def _parse_scalar(text: str, name: str) -> float:
+def _grid(text: str) -> tuple[float, float, int]:
+    """argparse type of a grid 'min:max:count' as (min, max, count); a number v is (v, v, 1)."""
+    is_grid = _RANGE_SEP in text
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"--{name} expects a number, got {text!r}") from exc
-
-
-def _parse_range(text: str, name: str) -> tuple[float, float, int]:
-    """Inclusive grid 'min:max:count' as (min, max, count); a bare number is (v, v, 1)."""
-    if _RANGE_SEP not in text:
-        value = _parse_scalar(text, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"--{name} must be finite, got {text!r}")
-        return value, value, 1
-    parts = text.split(_RANGE_SEP)
-    if len(parts) != 3:
-        raise ConfigError(f"--{name} expects min:max:count, got {text!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"--{name} expects min:max:count, got {text!r}") from exc
+        lo, hi, count = text.split(_RANGE_SEP) if is_grid else (text, text, "1")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:  # also a grid of other than three parts
+        raise argparse.ArgumentTypeError(
+            f"expects min:max:count or a number, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"--{name}: grid ends must be finite, got {text!r}")
-    if count < 2 or not lo < hi:
-        raise ConfigError(f"--{name}: need min < max and count >= 2, got {text!r}")
+        raise argparse.ArgumentTypeError(f"grid ends must be finite, got {text!r}")
+    if is_grid and (count < 2 or not lo < hi):
+        raise argparse.ArgumentTypeError(f"need min < max and count >= 2, got {text!r}")
     if count > MAX_GRID_COUNT:
-        raise ConfigError(f"--{name}: count {count} exceeds the cap of {MAX_GRID_COUNT}")
+        raise argparse.ArgumentTypeError(f"count {count} exceeds the cap of {MAX_GRID_COUNT}")
     return lo, hi, count
 
 
+def _bounded(kind, valid, message: str):
+    """argparse type: kind(text), rejected with message.format(value) unless valid(value)."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+    return convert
+
+
 def _axis(params: ModelParams, lo: float, hi: float, count: int, name: str) -> np.ndarray:
-    """The grid of a range from _parse_range, its two ends checked by ModelParams.
+    """The grid of a range from _grid, its two ends checked by ModelParams.
 
     A bare number (count 1) is no grid.  The grid lies between its ends, so
     checking them checks every point.
@@ -170,31 +172,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", parents=[common],
                        help="stationary points of both branches at one (g, zeta)")
-    p.add_argument("--g", default="0")
-    p.add_argument("--zeta", default="0")
+    p.add_argument("--g", type=float, default=0.0, help="coupling, a number")
+    p.add_argument("--zeta", type=float, default=0.0, help="coupling, a number")
 
     p = sub.add_parser("sweep", parents=[common],
                        help="ground state and coexisting branches over a g grid")
-    p.add_argument("--g", default="0", help="grid min:max:count")
-    p.add_argument("--zeta", default="0")
+    p.add_argument("--g", type=_grid, default="0", help="grid min:max:count")
+    p.add_argument("--zeta", type=float, default=0.0, help="coupling, a number")
 
     p = sub.add_parser("phase-diagram", parents=[common],
                        help="phase labels over a (g, zeta) grid, with boundaries")
-    p.add_argument("--g", default="0", help="grid min:max:count")
-    p.add_argument("--zeta", default="0", help="grid min:max:count")
+    p.add_argument("--g", type=_grid, default="0", help="grid min:max:count")
+    p.add_argument("--zeta", type=_grid, default="0", help="grid min:max:count")
 
     p = sub.add_parser("turning-point", parents=[common],
                        help="fold coupling g_t where the superradiant roots merge")
-    p.add_argument("--zeta", default="0")
+    p.add_argument("--zeta", type=float, default=0.0, help="coupling, a number")
 
     p = sub.add_parser("sp-closure", parents=[common],
                        help="coupling zeta_star closing the superradiant window")
-    p.add_argument("--width-tol", type=float, default=1e-3)
+    p.add_argument("--width-tol", default=1e-3, type=_bounded(
+        float, lambda tol: math.isfinite(tol) and tol > 0.0,
+        "--width-tol must be finite and > 0, got {!r}"))
 
     p = sub.add_parser("rabi-compare", parents=[common],
                        help="variational energy vs exact diagonalization (N=1, zeta=0)")
-    p.add_argument("--g", default="0", help="grid min:max:count")
-    p.add_argument("--n-max", type=int, default=300)
+    p.add_argument("--g", type=_grid, default="0", help="a number, or grid min:max:count")
+    p.add_argument("--n-max", default=300, type=_bounded(
+        int, lambda n: 2 <= n <= MAX_N_MAX, f"n_max must be in [2, {MAX_N_MAX}], got {{}}"))
     p.add_argument("--detuning", choices=sorted(DETUNING_PRESETS),
                    help="cavity-frequency preset; --omega overrides")
 
@@ -298,8 +303,7 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list) -> Non
 
 
 def _cmd_roots(args, params: ModelParams) -> tuple[list[str], list]:
-    params = _checked(replace, params, g=_parse_scalar(args.g, "g"),
-                      zeta=_parse_scalar(args.zeta, "zeta"))
+    params = _checked(replace, params, g=args.g, zeta=args.zeta)
     parts = []  # per branch: its present points, as the columns below
     for code, pts in enumerate(find_roots(params)):  # in SpinBranch order
         present = pts.stability[0] != ABSENT
@@ -318,9 +322,8 @@ _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_grou
 
 
 def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
-    g_range = _parse_range(args.g, "g")
-    params = _checked(replace, params, zeta=_parse_scalar(args.zeta, "zeta"))
-    sweep = diagram.sweep_g(params, _axis(params, *g_range, "g"))
+    params = _checked(replace, params, zeta=args.zeta)
+    sweep = diagram.sweep_g(params, _axis(params, *args.g, "g"))
     rows, k = np.arange(sweep.g.size), sweep.ground
     columns = [sweep.g, (sweep.phase, PHASES), sweep.n_p[rows, k],
                sweep.delta_n_a[rows, k], sweep.n_b[rows, k], sweep.energy[rows, k]]
@@ -333,12 +336,11 @@ def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
 
 
 def _cmd_phase_diagram(args, params: ModelParams) -> tuple[list[str], list]:
-    g_range, zeta_range = _parse_range(args.g, "g"), _parse_range(args.zeta, "zeta")
-    g_steps, zeta_steps = g_range[2], zeta_range[2]
+    g_steps, zeta_steps = args.g[2], args.zeta[2]
     if g_steps * zeta_steps > MAX_GRID_CELLS:
         raise ConfigError(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
                           f"the cap of {MAX_GRID_CELLS}")
-    g, zeta = _axis(params, *g_range, "g"), _axis(params, *zeta_range, "zeta")
+    g, zeta = _axis(params, *args.g, "g"), _axis(params, *args.zeta, "zeta")
     grid = diagram.phase_grid(params, g, zeta)
     # cells are in (zeta, g) order: code both axes by row and column, boundaries appended
     row, col = np.divmod(np.arange(grid.phase.size), g_steps)
@@ -354,17 +356,15 @@ def _cmd_phase_diagram(args, params: ModelParams) -> tuple[list[str], list]:
 
 
 def _cmd_turning_point(args, params: ModelParams) -> tuple[list[str], list]:
-    zeta = _parse_scalar(args.zeta, "zeta")
-    params = _checked(replace, params, zeta=zeta)
+    params = _checked(replace, params, zeta=args.zeta)
     g_t = turning_point(params)
     if math.isinf(g_t):
-        raise OutOfRange(f"zeta={zeta!r}: the fold coupling g_t exceeds the largest double")
-    return ["zeta", "g_c", "g_t"], [np.array([v]) for v in (zeta, critical_coupling(params), g_t)]
+        raise OutOfRange(f"zeta={args.zeta!r}: the fold coupling g_t exceeds the largest double")
+    row = (args.zeta, critical_coupling(params), g_t)
+    return ["zeta", "g_c", "g_t"], [np.array([v]) for v in row]
 
 
 def _cmd_sp_closure(args, params: ModelParams) -> tuple[list[str], list]:
-    if not (math.isfinite(args.width_tol) and args.width_tol > 0.0):
-        raise ConfigError(f"--width-tol must be finite and > 0, got {args.width_tol!r}")
     star = sp_closure(params, width_tol=args.width_tol)
     row = (star, closure_estimate(params), args.width_tol, critical_coupling(params))
     return ["zeta_star", "zeta_estimate", "width_tol", "g_c"], [np.array([v]) for v in row]
@@ -373,9 +373,7 @@ def _cmd_sp_closure(args, params: ModelParams) -> tuple[list[str], list]:
 def _cmd_rabi_compare(args, params: ModelParams) -> tuple[list[str], list]:
     from . import rabi  # the ED: only this command loads it
 
-    if not 2 <= args.n_max <= MAX_N_MAX:
-        raise ConfigError(f"n_max must be in [2, {MAX_N_MAX}], got {args.n_max}")
-    g_min, g_max, count = _parse_range(args.g, "g")
+    g_min, g_max, count = args.g
     # the grid lies between its ends, so checking them checks every point
     _checked(rabi.ed_couplings, params, [g_min, g_max])
     columns = rabi.compare_columns(params, np.linspace(g_min, g_max, count), n_max=args.n_max)
@@ -408,7 +406,7 @@ def run(argv=None) -> int:
 
     try:
         _emit(args, fieldnames, columns)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path holding NUL or a lone surrogate
         print(f"optodicke: cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0

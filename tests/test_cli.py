@@ -24,6 +24,8 @@ from optodicke.model import ModelParams, PhaseLabel, Stability
 
 LINSPACE = np.linspace  # TestGridCaps replaces np.linspace
 
+RABI_ARGV = ["rabi-compare", "--g", "0:1:3"]
+
 # (flag, config key, value) of each knob that no command takes any more
 RETIRED_KNOBS = [
     ("--tol-root", "tol_root", "1e-10"), ("--scan-points", "scan_points", "2000"),
@@ -216,23 +218,59 @@ class TestConfig:
         out, err = capsys.readouterr()
         assert out == "" and f"unknown config key {key!r}" in err
 
-    @pytest.mark.parametrize("entry, message", [
+    @pytest.mark.parametrize("entry, message, argv", [
         # a value that is no string is read as its JSON text
-        ({"n_atoms": 2.0}, "argument --n-atoms: invalid int value: '2.0'"),
-        ({"n_max": 40.0}, "argument --n-max: invalid int value: '40.0'"),
-        ({"omega": True}, "argument --omega: invalid float value: 'true'"),
-        ({"omega": None}, "argument --omega: invalid float value: 'null'"),
-        ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
-        ({"detuning": "green"}, "argument --detuning: invalid choice: 'green'"),
+        ({"n_atoms": 2.0}, "argument --n-atoms: invalid int value: '2.0'", RABI_ARGV),
+        ({"n_max": 40.0}, "argument --n-max: invalid int value: '40.0'", RABI_ARGV),
+        ({"omega": True}, "argument --omega: invalid float value: 'true'", RABI_ARGV),
+        ({"omega": None}, "argument --omega: invalid float value: 'null'", RABI_ARGV),
+        ({"format": "xml"}, "argument --format: invalid choice: 'xml'", RABI_ARGV),
+        ({"detuning": "green"}, "argument --detuning: invalid choice: 'green'", RABI_ARGV),
+        # couplings, grids and bounded values are typed by their flags too
+        ({"g": "x"}, "argument --g: expects min:max:count or a number, got 'x'", ["sweep"]),
+        ({"zeta": "1:0:3"}, "argument --zeta: need min < max and count >= 2, got '1:0:3'",
+         ["phase-diagram", "--g", "0:1:3"]),
+        ({"g": "0:inf:3"}, "argument --g: grid ends must be finite, got '0:inf:3'",
+         ["rabi-compare"]),
+        ({"zeta": "abc"}, "argument --zeta: invalid float value: 'abc'", ["roots"]),
+        ({"zeta": "x"}, "argument --zeta: invalid float value: 'x'", ["turning-point"]),
+        ({"n_max": 1}, f"argument --n-max: n_max must be in [2, {cli.MAX_N_MAX}], got 1",
+         RABI_ARGV),
+        ({"width_tol": 0}, "argument --width-tol: --width-tol must be finite and > 0, got 0.0",
+         ["sp-closure"]),
     ])
-    def test_badly_typed_value_named_by_its_flag(self, entry, message, tmp_path, capsys):
+    def test_badly_typed_value_named_by_its_flag(self, entry, message, argv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entry))
-        assert run(["rabi-compare", "--g", "0:1:3", "--config", str(cfg)]) == 2
+        assert run([*argv, "--config", str(cfg)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err
         assert err.endswith(f"optodicke: invalid input: the error above is in config file "
                             f"{str(cfg)!r}\n")
+        # the same value on the command line gets the same message, and no file line
+        (key, value), = entry.items()
+        text = value if isinstance(value, str) else json.dumps(value)
+        assert run([*argv, f"--{key.replace('_', '-')}={text}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and "config file" not in err
+
+    def test_every_flag_value_is_typed_by_the_parser(self):
+        # a flag with neither type nor choices would leave its text to a command to parse
+        for command, parser in cli._build_parser().commands.items():
+            for action in parser._actions:
+                flag = action.option_strings[-1] if action.option_strings else None
+                if flag not in (None, "--help", "--config", "--output"):
+                    assert action.type is not None or action.choices, (command, flag)
+
+    @pytest.mark.parametrize("path", ["a\u0000b", "\ud800"], ids=["nul", "lone-surrogate"])
+    def test_unwritable_output_path(self, path, tmp_path, monkeypatch, capsys):
+        # only a config file can carry these: open() raises ValueError, not OSError
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"output": path}))
+        assert run(["turning-point", "--zeta", "1", "--config", "cfg.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("optodicke: cannot write output: ")
+        assert err.count("\n") == 1 and os.listdir(tmp_path) == ["cfg.json"]
 
     def test_bad_command_line_flag_does_not_name_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
