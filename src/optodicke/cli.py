@@ -36,9 +36,10 @@ from itertools import repeat
 import numpy as np
 
 from . import diagram
-from .model import ModelParams, SpinBranch, observable_terms
+from .model import ModelParams, SpinBranch
 from .solver import (
     ABSENT,
+    COLUMN_BRANCH,
     PHASES,
     STABILITIES,
     OutOfRange,
@@ -304,17 +305,13 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list) -> Non
 
 def _cmd_roots(args, params: ModelParams) -> tuple[list[str], list]:
     params = _checked(replace, params, g=args.g, zeta=args.zeta)
-    parts = []  # per branch: its present points, as the columns below
-    for code, pts in enumerate(find_roots(params)):  # in SpinBranch order
-        present = pts.stability[0] != ABSENT
-        gamma_bar = np.sqrt(pts.x[0, present])
-        parts.append([np.full(gamma_bar.size, code), gamma_bar,
-                      *observable_terms(params, pts.branch, gamma_bar), pts.energy[0, present],
-                      pts.curvature[0, present], pts.stability[0, present]])
+    pts = find_roots(params)
+    j = np.flatnonzero(pts.stability[0] != ABSENT)  # the present points, normal ones first
     names = ["branch", "gamma_bar", "np", "delta_na", "nb", "energy", "curvature", "stability"]
-    branch, *numbers, stability = map(np.concatenate, zip(*parts))
-    return names, [(branch, [b.name.lower() for b in SpinBranch]), *numbers,
-                   (stability, STABILITIES)]
+    return names, [(j, [SpinBranch(sign).name.lower() for sign in COLUMN_BRANCH]),
+                   np.sqrt(pts.x[0, j]), *(column[0, j] for column in (
+                       pts.n_p, pts.delta_n_a, pts.n_b, pts.energy, pts.curvature)),
+                   (pts.stability[0, j], STABILITIES)]
 
 
 _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_ground"] + [

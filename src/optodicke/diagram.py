@@ -3,7 +3,8 @@
 sweep_g(params, g) and phase_grid(params, g, zeta) take the couplings as
 float arrays, as solver.solve_ground does, and raise ValueError naming g or
 zeta if any coupling is negative or not finite.  A sweep solves all its g
-points, on both branches, in one array pass.  A phase grid needs only the
+points, on both branches, in one array pass, and its point columns are those
+of the one solver.BranchPoints table that solver.solve_ground returns.  A phase grid needs only the
 two closed-form boundaries of each zeta row, g_c and the fold g_t, and
 labels its cells by comparing g with them; its boundaries are those exact
 couplings, in four boundary columns.  No file I/O happens here, the CLI
@@ -14,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
-from .model import ModelParams, SpinBranch, curvature, observable_terms
+from .model import ModelParams, SpinBranch, curvature
 from .solver import (
     COLUMN_PHASE,
     MARGINAL_BAND,
@@ -49,16 +49,15 @@ BRANCH_TAGS = ("N-", "N+", "gs-", "gus-", "gus+")
 # root is the stable one (or marginal, tagged gs- as well).
 _COLUMN_TAGS = np.array([0, 2, 2, 1, 4])
 _NORMAL_ROOTS = np.array([0, 1, 1, 0, 0])
-# The branch of each point column of a Sweep, for the model's array forms.
-_COLUMN_BRANCH = SimpleNamespace(sign=np.repeat([branch.sign for branch in SpinBranch], [3, 2]))
 
 
 @dataclass(frozen=True, eq=False)
 class Sweep:
     """The columns of sweep_g, row i at coupling g[i].
 
-    Point columns: those of solver.solve_ground, then the inverted root; n_p,
-    delta_n_a, n_b and energy NaN where a point is absent.  stability is an
+    Point columns: those of solver.BranchPoints (the N- zero point, the two
+    normal roots, the N+ zero point, the inverted root; solver.COLUMN_BRANCH
+    gives their signs), n_p, delta_n_a, n_b and energy NaN where a point is absent.  stability is an
     index into solver.STABILITIES, solver.ABSENT where a point is absent.
     ground is the ground state's column and phase its index into
     solver.PHASES; source[:, t] is the column tagged BRANCH_TAGS[t], -1 if none.
@@ -101,18 +100,15 @@ def sweep_g(params: ModelParams, g) -> Sweep:
     whole grid, and solver.solve_ground picks every ground state by its one rule.
     """
     gs, _ = couplings(params, g)
-    ground, *points = solve_ground(params, gs)
-    n_p, delta_n_a, n_b = observable_terms(param_rows(params, gs[:, None]), _COLUMN_BRANCH,
-                                           np.sqrt(np.hstack([pts.x for pts in points])))
-    stability = np.hstack([pts.stability for pts in points])
-    tag = _COLUMN_TAGS + _NORMAL_ROOTS * (stability == UNSTABLE)
+    ground, pts = solve_ground(params, gs)
+    tag = _COLUMN_TAGS + _NORMAL_ROOTS * (pts.stability == UNSTABLE)
     source = np.full(tag.shape, -1)
     for j in range(tag.shape[1]):  # of two normal roots with one tag, the larger
-        i = np.flatnonzero(~np.isnan(n_p[:, j]))
+        i = np.flatnonzero(~np.isnan(pts.n_p[:, j]))
         source[i, tag[i, j]] = j
-    return Sweep(g=gs, phase=COLUMN_PHASE[ground], ground=ground, n_p=n_p, delta_n_a=delta_n_a,
-                 n_b=n_b, energy=np.hstack([pts.energy for pts in points]),
-                 stability=stability, source=source)
+    return Sweep(g=gs, phase=COLUMN_PHASE[ground], ground=ground, n_p=pts.n_p,
+                 delta_n_a=pts.delta_n_a, n_b=pts.n_b, energy=pts.energy,
+                 stability=pts.stability, source=source)
 
 
 def sweep_row(params: ModelParams, g: float) -> Sweep:

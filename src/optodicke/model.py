@@ -18,8 +18,10 @@ branch, the plus sign to the population-inverted branch.  All quantities are
 per atom and expressed in units of omega_a; none of them depends on N.
 
 Every function here is pure and accepts scalar or ndarray ``gamma_bar``.
-The solver's array kernel also passes parameters whose ``g`` is an ndarray
-column, one coupling per row, which broadcasts against ``gamma_bar``.
+A branch is a SpinBranch member or an array of its signs (-1 normal, +1
+inverted), one per column.  The solver's array kernel passes parameters whose
+``g`` is an ndarray column, one coupling per row, and a sign per point
+column, both broadcasting against ``gamma_bar``.
 observable_terms gives the per-atom observables (n_p, delta_n_a, n_b) and
 scs_angles the stationary angles (theta, rho_bar), as tuples of numbers or
 of columns shaped like gamma_bar.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
@@ -56,20 +58,16 @@ __all__ = [
 SQUARE_LIMIT = 1e150
 
 
-class SpinBranch(Enum):
-    """Pseudospin orientation of the collective atomic state.
+class SpinBranch(IntEnum):
+    """Pseudospin orientation of the collective atomic state, as its sign.
 
-    The enum value is the sign carried by the A/2 term of the scaled energy:
+    The member is the sign carried by the A/2 term of the scaled energy:
     NORMAL (all atoms following the lower dressed level) contributes -A/2,
     INVERTED (population inversion) contributes +A/2.
     """
 
     NORMAL = -1
     INVERTED = +1
-
-    @property
-    def sign(self) -> int:
-        return self.value
 
 
 class Stability(Enum):
@@ -144,7 +142,7 @@ def scaled_energy(params: ModelParams, branch: SpinBranch, gamma_bar):
     """Scaled variational energy eps of one branch at amplitude gamma_bar."""
     x = gamma_bar * gamma_bar
     quartic = params.omega * x - (params.zeta * params.zeta) * x * x / params.omega_b
-    return quartic + branch.sign * level_splitting(params, gamma_bar) / 2.0
+    return quartic + branch * level_splitting(params, gamma_bar) / 2.0
 
 
 def extremum_polynomial(params: ModelParams, branch: SpinBranch, gamma_bar):
@@ -157,14 +155,14 @@ def extremum_polynomial(params: ModelParams, branch: SpinBranch, gamma_bar):
     x = gamma_bar * gamma_bar
     A = level_splitting(params, gamma_bar)
     return (params.omega - 2.0 * (params.zeta * params.zeta) * x / params.omega_b
-            + branch.sign * (params.g * params.g) / A)
+            + branch * (params.g * params.g) / A)
 
 
 def extremum_polynomial_slope(params: ModelParams, branch: SpinBranch, gamma_bar):
     """dp/dgamma_bar, used for the Newton steps that polish the roots of p."""
     A = level_splitting(params, gamma_bar)
     return (-4.0 * (params.zeta * params.zeta) * gamma_bar / params.omega_b
-            - branch.sign * 4.0 * params.g**4 * gamma_bar / A**3)
+            - branch * 4.0 * params.g**4 * gamma_bar / A**3)
 
 
 def curvature(params: ModelParams, branch: SpinBranch, gamma_bar):
@@ -177,7 +175,7 @@ def curvature(params: ModelParams, branch: SpinBranch, gamma_bar):
     x = gamma_bar * gamma_bar
     A = level_splitting(params, gamma_bar)
     return 2.0 * (params.omega - 6.0 * (params.zeta * params.zeta) * x / params.omega_b
-                  + branch.sign * (params.g * params.g) * params.omega_a**2 / A**3)
+                  + branch * (params.g * params.g) * params.omega_a**2 / A**3)
 
 
 def scs_angles(params: ModelParams, gamma_bar):
@@ -199,7 +197,7 @@ def scs_angles(params: ModelParams, gamma_bar):
 def observable_terms(params: ModelParams, branch: SpinBranch, gamma_bar):
     """n_p, delta_n_a and n_b at amplitude gamma_bar (scalar or ndarray)."""
     n_p = gamma_bar * gamma_bar
-    delta_n_a = branch.sign * params.omega_a / (2.0 * level_splitting(params, gamma_bar))
+    delta_n_a = branch * params.omega_a / (2.0 * level_splitting(params, gamma_bar))
     n_b = params.zeta * n_p / params.omega_b
     return n_p, delta_n_a, n_b * n_b
 

@@ -1,8 +1,10 @@
 """Stationary points, phase boundaries and ground-state selection.
 
-Every stationary point has a closed form, evaluated by one array kernel over
-rows (g, sign), sign -1 on the normal branch and +1 on the inverted: one call of
-branch_points gives both branches at every g of an array, find_roots at one g.
+Every stationary point has a closed form, evaluated by one array kernel: one
+call of branch_points gives both branches at every g of an array as one
+BranchPoints table, find_roots at one g.  Its columns are the N- zero point,
+the two normal roots, the N+ zero point and the inverted root; COLUMN_BRANCH
+gives each column's sign, -1 on the normal branch and +1 on the inverted.
 With the dressed splitting A = sqrt(omega_a^2 + 4 g^2 x), x = gamma_bar^2, and
 c = zeta^2/(2 g^2 omega_b), multiplying p = 0 by A gives the depressed cubic
 
@@ -50,6 +52,7 @@ __all__ = [
     "NotFound",
     "OutOfRange",
     "BranchPoints",
+    "COLUMN_BRANCH",
     "STABILITIES",
     "ABSENT",
     "critical_coupling",
@@ -75,8 +78,10 @@ _OUT_OF_RANGE = ("is outside the supported range, where every stationary point a
                  "(at omega = omega_a = 1, omega_b = 10: about 1e-153 < zeta < 5e153, "
                  "with g < 1e77 at zeta = 0 and g < 1e115 at zeta = 1)")
 
+# The branch of each column of BranchPoints, as its sign.
+COLUMN_BRANCH = np.repeat([SpinBranch.NORMAL, SpinBranch.INVERTED], [3, 2])
 # Ground-state labels in the order they occur along g, and the label (an index
-# into PHASES) of each candidate column of solve_ground.
+# into PHASES) of each column of BranchPoints that can hold the ground state.
 PHASES = (PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.NP_NPLUS)
 COLUMN_PHASE = np.array([0, 1, 1, 2])
 # A point's stability as an index into STABILITIES, ABSENT where there is no point.
@@ -104,15 +109,19 @@ class OutOfRange(SolverError):
 
 @dataclass(frozen=True)
 class BranchPoints:
-    """Stationary points of one branch, row i at the i-th g of an array.
+    """Stationary points of both branches, row i at the i-th g of an array.
 
-    Column 0 is gamma_bar = 0, then the positive roots ascending (2 columns on
-    the normal branch, 1 on the inverted), x = gamma_bar^2 NaN where absent.
+    Columns: 0 the N- zero point, 1 and 2 the normal roots ascending, 3 the
+    N+ zero point, 4 the inverted root; COLUMN_BRANCH gives their signs.
+    x = gamma_bar^2 and the observables n_p, delta_n_a, n_b (those of
+    model.observable_terms) and energy are NaN where a point is absent.
     stability is an index into STABILITIES, ABSENT where a point is absent.
     """
 
-    branch: SpinBranch
     x: np.ndarray
+    n_p: np.ndarray
+    delta_n_a: np.ndarray
+    n_b: np.ndarray
     energy: np.ndarray
     curvature: np.ndarray
     stability: np.ndarray
@@ -151,10 +160,10 @@ def couplings(params: ModelParams, g, zeta=None) -> tuple[np.ndarray, np.ndarray
     return g, zeta
 
 
-def _cubic_x(rows: SimpleNamespace, branch: SimpleNamespace, g2: np.ndarray) -> np.ndarray:
+def _cubic_x(rows: SimpleNamespace, sign: np.ndarray, g2: np.ndarray) -> np.ndarray:
     """x of the roots of c*A^3 - b*A - q = 0 with A > omega_a (NaN if none), per g^2 > 0.
 
-    branch.sign is a column, each row's sign.  inf marks a row whose
+    sign is each row's branch.  inf marks a row whose
     coefficients do not fit in doubles.  The excess A - omega_a nearest 0 comes
     from the excesses' root product (omega*omega_a + q)/c (exactly 0 at g_c),
     unless another excess is within 1e-4 r of 0 too (next to the triple root
@@ -162,7 +171,7 @@ def _cubic_x(rows: SimpleNamespace, branch: SimpleNamespace, g2: np.ndarray) -> 
     """
     oa = rows.omega_a
     c = (rows.zeta * rows.zeta) / (2.0 * g2 * rows.omega_b)
-    q = branch.sign[:, 0] * g2
+    q = sign * g2
     b = rows.omega + c * oa * oa
     r = np.sqrt(b / (3.0 * c))
     arg = q / (2.0 * c * r**3)
@@ -183,7 +192,7 @@ def _cubic_x(rows: SimpleNamespace, branch: SimpleNamespace, g2: np.ndarray) -> 
     # Newton steps on p(x), dp/dx = (dp/dgamma_bar)/(2 gamma_bar), on present roots only.  A root
     # stops at the first step with slope 0, a result <= 0, or a larger |p| (from a double root).
     k, j = np.nonzero(~np.isnan(x))
-    at, sign = param_rows(rows, rows.g[k, 0]), SimpleNamespace(sign=branch.sign[k, 0])
+    at, sign = param_rows(rows, rows.g[k, 0]), sign[k]
     roots, active = x[k, j], np.ones(k.size, dtype=bool)
     gamma_bar = np.sqrt(roots)
     p = extremum_polynomial(at, sign, gamma_bar)
@@ -200,58 +209,60 @@ def _cubic_x(rows: SimpleNamespace, branch: SimpleNamespace, g2: np.ndarray) -> 
     return x
 
 
-def _points(params: ModelParams, g: np.ndarray, sign: np.ndarray) -> tuple:
-    """The root kernel: x, energy, curvature and stability at each row (g[i], sign[i]).
+def _points(params: ModelParams, g: np.ndarray) -> BranchPoints:
+    """The root kernel: the BranchPoints of the float vector g.
 
-    Columns as in BranchPoints, 2 roots per row: at most 2 on the normal branch
-    (A_2 < 0), and 1 on the inverted (A_1, A_2 < 0), whose second is NaN.
+    The cubic is solved once per row (g, sign), over the normal rows and then
+    the inverted ones: at most 2 roots on the normal branch (A_2 < 0), and 1
+    on the inverted (A_1, A_2 < 0).
     """
-    rows, branch = param_rows(params, g[:, None]), SimpleNamespace(sign=sign[:, None])
+    rows = param_rows(params, g[:, None])
     with np.errstate(all="ignore"):
-        g2 = g * g
         if params.zeta == 0.0:
-            x = np.full((g.size, 3), np.nan)
+            roots = np.full((2 * g.size, 3), np.nan)
             # a product, not **, so that a huge omega gives inf and OutOfRange
-            x[:, 0] = np.where((sign < 0.0) & (g > critical_coupling(params)), g2 / (4.0 * (
-                params.omega * params.omega)) - params.omega_a**2 / (4.0 * g2), np.nan)
+            roots[:g.size, 0] = np.where(g > critical_coupling(params), g * g / (4.0 * (
+                params.omega * params.omega)) - params.omega_a**2 / (4.0 * (g * g)), np.nan)
         else:
-            x = _cubic_x(rows, branch, g2)
-            x[g2 <= params.omega * params.omega_a * 2.0**-60] = [
+            g2 = np.tile(g * g, 2)
+            roots = _cubic_x(param_rows(params, np.tile(g, 2)[:, None]),
+                             np.repeat(list(SpinBranch), g.size), g2)
+            roots[g2 <= params.omega * params.omega_a * 2.0**-60] = [
                 np.float64(params.omega * params.omega_b) / (2.0 * params.zeta * params.zeta),
                 np.nan, np.nan]
-        x = np.hstack([np.zeros((g.size, 1)), np.sort(x, axis=1)[:, :2]])
-        x[sign > 0.0, 2] = np.nan
+        roots = np.sort(roots, axis=1)
+        zero = np.zeros((g.size, 1))
+        x = np.hstack([zero, roots[:g.size, :2], zero, roots[g.size:, :1]])
         gamma_bar = np.sqrt(x)
-        energy = scaled_energy(rows, branch, gamma_bar)
-        curv = curvature(rows, branch, gamma_bar)
-        n_b = params.zeta * (gamma_bar * gamma_bar) / params.omega_b  # as observable_terms does
-        fits = np.isfinite(energy) & np.isfinite(curv) & np.isfinite(x) & np.isfinite(n_b * n_b)
+        energy = scaled_energy(rows, COLUMN_BRANCH, gamma_bar)
+        curv = curvature(rows, COLUMN_BRANCH, gamma_bar)
+        n_p, delta_n_a, n_b = observable_terms(rows, COLUMN_BRANCH, gamma_bar)
+        fits = np.isfinite(energy) & np.isfinite(curv) & np.isfinite(x) & np.isfinite(n_b)
 
     present = ~np.isnan(x)
-    fits[:, 1:] &= x[:, 1:] > 0.0
-    bad = (present & ~fits).any(axis=1)
-    if bad.any():
-        raise OutOfRange(f"g={float(g[bad][0])!r}, zeta={params.zeta!r} {_OUT_OF_RANGE}")
+    fits[:, [1, 2, 4]] &= x[:, [1, 2, 4]] > 0.0  # a root, not a zero point
+    bad = np.stack([(present & ~fits)[:, COLUMN_BRANCH == branch].any(axis=1)
+                    for branch in SpinBranch])
+    if bad.any():  # the first bad g of the normal branch, else of the inverted
+        raise OutOfRange(f"g={float(g[np.nonzero(bad)[1][0]])!r}, zeta={params.zeta!r} "
+                         f"{_OUT_OF_RANGE}")
     stability = STABLE * (curv > MARGINAL_BAND) + UNSTABLE * (curv < -MARGINAL_BAND)
     stability[~present] = ABSENT
-    return x, energy, curv, stability
+    return BranchPoints(x, n_p, delta_n_a, n_b, energy, curv, stability)
 
 
-def branch_points(params: ModelParams, g) -> tuple[BranchPoints, BranchPoints]:
+def branch_points(params: ModelParams, g) -> BranchPoints:
     """Every stationary point of both branches at each coupling of the array g.
 
-    (normal, inverted), from one call of the root kernel over the normal rows
-    and then the inverted ones (see the module docstring); params fixes omega,
-    omega_a, omega_b and zeta, and params.g is ignored.  Raises OutOfRange
-    where a point, its energy, curvature or phonon number does not fit in doubles.
+    One call of the root kernel (see the module docstring); params fixes
+    omega, omega_a, omega_b and zeta, and params.g is ignored.  Raises
+    OutOfRange where a point, its energy, curvature or phonon number does not
+    fit in doubles.
     """
-    g = np.asarray(g, dtype=float).reshape(-1)
-    columns = _points(params, np.tile(g, 2), np.repeat([-1.0, 1.0], g.size))
-    return (BranchPoints(SpinBranch.NORMAL, *(column[:g.size] for column in columns)),
-            BranchPoints(SpinBranch.INVERTED, *(column[g.size:, :2] for column in columns)))
+    return _points(params, np.asarray(g, dtype=float).reshape(-1))
 
 
-def find_roots(params: ModelParams) -> tuple[BranchPoints, BranchPoints]:
+def find_roots(params: ModelParams) -> BranchPoints:
     """Every stationary point of both branches at params.g: branch_points at [params.g]."""
     return branch_points(params, [params.g])
 
@@ -262,8 +273,9 @@ def is_minimum(params: ModelParams, branch: SpinBranch, g: np.ndarray,
 
     The energy slope is 2*gamma_bar*p, so p's sign next to the point decides.
     At the fold p <= 0 on both sides (an inflection); at g = g_c the zero
-    point stays a minimum as long as p >= 0 just above it.  zeta, if given,
-    replaces params.zeta, as in param_rows.
+    point stays a minimum as long as p >= 0 just above it.  branch is a
+    SpinBranch or an array of signs, one per point; zeta, if given, replaces
+    params.zeta, as in param_rows.
     """
     rows = param_rows(params, g, zeta)
     h = 1e-6 * np.maximum(1.0, gamma_bar)
@@ -273,40 +285,31 @@ def is_minimum(params: ModelParams, branch: SpinBranch, g: np.ndarray,
     return ~(right < 0.0) & ~((gamma_bar > h) & (left > 0.0))
 
 
-def _minima(params: ModelParams, pts: BranchPoints, g: np.ndarray) -> np.ndarray:
-    """Stable points of a branch, and marginal ones that is_minimum confirms."""
-    keep = pts.stability == STABLE
-    i, j = np.nonzero(pts.stability == MARGINAL)
-    if i.size:
-        keep[i, j] = is_minimum(params, pts.branch, g[i], np.sqrt(pts.x[i, j]))
-    return keep
+def solve_ground(params: ModelParams, g) -> tuple[np.ndarray, BranchPoints]:
+    """The ground state's column at each coupling of g, and the points of branch_points.
 
-
-def solve_ground(params: ModelParams, g) -> tuple[np.ndarray, BranchPoints, BranchPoints]:
-    """The ground state's column at each coupling of g, and both branches' points.
-
-    Columns: 0 the N- zero point, 1 and 2 the normal roots, 3 the N+ zero
-    point (labelled by COLUMN_PHASE).  Candidates are the stable points and
-    the marginal ones is_minimum confirms, but no normal root from the
-    computed g_t up; the lowest energy wins, ties within 1e-12 going to the
-    smaller amplitude.  A g without candidates (omega <= 5e-10) raises
-    NotFound.  params.g is ignored.
+    The ground state is one of the columns 0 to 3, labelled by COLUMN_PHASE.
+    Candidates are the stable points and the marginal ones is_minimum
+    confirms, but no normal root from the computed g_t up; the lowest energy
+    wins, ties within 1e-12 going to the smaller amplitude.  A g without
+    candidates (omega <= 5e-10) raises NotFound.  params.g is ignored.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
-    normal, inverted = branch_points(params, g)
-    # p decreases along the inverted branch, so its root is never a minimum
-    candidate = np.hstack([_minima(params, normal, g), _minima(params, inverted, g)[:, :1]])
+    pts = branch_points(params, g)
+    candidate = pts.stability == STABLE
+    candidate[:, 4] = False  # p decreases along the inverted branch, so its root is never a minimum
+    i, j = np.nonzero(pts.stability[:, :4] == MARGINAL)
+    if i.size:
+        candidate[i, j] = is_minimum(params, COLUMN_BRANCH[j], g[i], np.sqrt(pts.x[i, j]))
     with contextlib.suppress(NotFound):  # no fold at zeta = 0 or in a closed window
         candidate[g >= turning_point(params), 1:3] = False
     none = ~candidate.any(axis=1)
     if none.any():
         raise NotFound(f"no local minimum of the energy at g={float(g[none][0])!r}, "
                        f"zeta={params.zeta!r}")
-    x = np.hstack([normal.x, inverted.x[:, :1]])
-    energy = np.hstack([normal.energy, inverted.energy[:, :1]])
-    e_min = np.where(candidate, energy, np.inf).min(axis=1, keepdims=True)
-    column = np.argmin(np.where(candidate & (energy <= e_min + 1e-12), x, np.inf), axis=1)
-    return column, normal, inverted
+    e_min = np.where(candidate, pts.energy, np.inf).min(axis=1, keepdims=True)
+    column = np.argmin(np.where(candidate & (pts.energy <= e_min + 1e-12), pts.x, np.inf), axis=1)
+    return column, pts
 
 
 def ground_state(params: ModelParams) -> tuple[PhaseLabel, float, float, float, float]:
@@ -314,11 +317,10 @@ def ground_state(params: ModelParams) -> tuple[PhaseLabel, float, float, float, 
 
     Returns (phase, n_p, delta_n_a, n_b, energy), the sweep's ground columns at params.g.
     """
-    column, *points = solve_ground(params, [params.g])
+    column, pts = solve_ground(params, [params.g])
     k = int(column[0])
-    pts, j = points[k // 3], k % 3  # columns 0-2 are the normal branch's, 3 is N+
-    n_p, delta_n_a, n_b = observable_terms(params, pts.branch, math.sqrt(pts.x[0, j]))
-    return (PHASES[COLUMN_PHASE[k]], *map(float, (n_p, delta_n_a, n_b, pts.energy[0, j])))
+    return (PHASES[COLUMN_PHASE[k]],
+            *(float(v[0, k]) for v in (pts.n_p, pts.delta_n_a, pts.n_b, pts.energy)))
 
 
 def _newton_down(step) -> float:

@@ -205,8 +205,8 @@ def test_derivative_consistency():
         g, z, gb = rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(1e-3, 3.0)
         branch = SpinBranch.NORMAL if rng.random() < 0.5 else SpinBranch.INVERTED
         p = ModelParams(omega=w, omega_a=wa, omega_b=wb, g=g, zeta=z)
-        d1 = oracles.fd_first(gb, branch.sign, g, z, w, wa, wb)
-        d2 = oracles.fd_second(gb, branch.sign, g, z, w, wa, wb)
+        d1 = oracles.fd_first(gb, int(branch), g, z, w, wa, wb)
+        d2 = oracles.fd_second(gb, int(branch), g, z, w, wa, wb)
         assert 2.0 * gb * float(extremum_polynomial(p, branch, gb)) == pytest.approx(
             d1, rel=1e-6, abs=1e-8)
         assert float(curvature(p, branch, gb)) == pytest.approx(d2, rel=1e-6, abs=1e-8)

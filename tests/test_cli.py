@@ -22,6 +22,8 @@ from optodicke import cli, rabi, solver
 from optodicke.cli import run
 from optodicke.model import ModelParams, PhaseLabel, Stability
 
+import oracles
+
 LINSPACE = np.linspace  # TestGridCaps replaces np.linspace
 
 RABI_ARGV = ["rabi-compare", "--g", "0:1:3"]
@@ -176,6 +178,20 @@ class TestConfig:
         assert run(["roots", "--config", str(cfg)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and f"config file {str(cfg)!r} is not valid JSON" in err
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("missing.json", None, "cannot read config file"),
+        (".", None, "cannot read config file"),  # the directory itself
+        ("list.json", "[1, 2]", "must hold a JSON object"),
+    ], ids=["missing", "directory", "not-an-object"])
+    def test_unreadable_or_non_object_config_rejected(self, name, content, message, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / name
+        if content is not None:
+            cfg.write_text(content)
+        assert run(["roots", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"config file {str(cfg)!r}" in err and message in err
 
     @pytest.mark.parametrize("flag, key, value", RETIRED_KNOBS)
     def test_retired_knobs_rejected(self, flag, key, value, tmp_path, capsys):
@@ -478,6 +494,27 @@ class TestJsonOutput:
         assert {r["branch"] for r in rows} == {"normal", "inverted"}
 
 
+@pytest.mark.parametrize("g, zeta", [(1.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.5, 0.0), (1.2, 4.0)],
+                         ids=["window", "at-g_c", "beyond-fold", "zeta-0", "closed-window"])
+def test_roots_rows_against_the_scan_oracle(g, zeta, capsys):
+    # the roots command's rows: the normal branch's before the inverted one's,
+    # each opening with its zero point, then its positive roots, those of the
+    # sign-scan oracle; each stability label is the sign of the curvature
+    assert run(["roots", "--g", repr(g), "--zeta", repr(zeta), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    branches = [row["branch"] for row in rows]
+    assert branches == sorted(branches, key=["normal", "inverted"].index)
+    for sign, name in ((-1, "normal"), (+1, "inverted")):
+        gamma_bar = [row["gamma_bar"] for row in rows if row["branch"] == name]
+        assert gamma_bar[:1] == [0.0] and 0.0 not in gamma_bar[1:], name
+        x = [value * value for value in gamma_bar[1:]]
+        assert x == pytest.approx(oracles.scan_roots(sign, g, zeta, 1.0, 1.0, 10.0), rel=1e-7)
+    for row in rows:
+        curv = row["curvature"]
+        assert row["stability"] == ("stable" if curv > 1e-9 else
+                                    "unstable" if curv < -1e-9 else "marginal"), row
+
+
 class TestRabiCompare:
     def test_bound_column(self, tmp_path):
         out = tmp_path / "rabi.csv"
@@ -771,8 +808,8 @@ def test_value_error_inside_the_solve_is_not_invalid_input(argv, monkeypatch, ca
 
 
 def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):
-    # Results are columns: one BranchPoints per branch for a whole sweep or a
-    # roots call, both from one call of the root kernel, and none for a phase
+    # Results are columns: one BranchPoints, both branches, for a whole sweep
+    # or a roots call, from one call of the root kernel, and none for a phase
     # diagram, whose cells are labelled from g_c and g_t
     built, kernel_calls = [], []
     branch_points_class, kernel = solver.BranchPoints, solver._points
@@ -788,9 +825,9 @@ def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):
     monkeypatch.setattr(solver, "BranchPoints", counting)
     monkeypatch.setattr(solver, "_points", counting_kernel)
     # g = 1 = g_c is a marginal row, and a marginal cell of every zeta row
-    for argv, count, calls in ((["sweep", "--g", "0:3:301", "--zeta", "1"], 2, 1),
+    for argv, count, calls in ((["sweep", "--g", "0:3:301", "--zeta", "1"], 1, 1),
                                (["phase-diagram", "--g", "0:3:61", "--zeta", "0:3:61"], 0, 0),
-                               (["roots", "--g", "1", "--zeta", "1"], 2, 1)):
+                               (["roots", "--g", "1", "--zeta", "1"], 1, 1)):
         built.clear()
         kernel_calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):

@@ -10,6 +10,7 @@ from optodicke.model import (
     SpinBranch,
     curvature,
     extremum_polynomial,
+    extremum_polynomial_slope,
     level_splitting,
     observable_terms,
     raw_amplitude,
@@ -128,8 +129,8 @@ def test_gradient_consistency_random_grid():
         g, z, gb = rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(1e-3, 3.0)
         branch = NORMAL if rng.random() < 0.5 else INVERTED
         p = ModelParams(omega=w, omega_a=wa, omega_b=wb, g=g, zeta=z)
-        d1 = oracles.fd_first(gb, branch.sign, g, z, w, wa, wb)
-        d2 = oracles.fd_second(gb, branch.sign, g, z, w, wa, wb)
+        d1 = oracles.fd_first(gb, int(branch), g, z, w, wa, wb)
+        d2 = oracles.fd_second(gb, int(branch), g, z, w, wa, wb)
         assert 2.0 * gb * extremum_polynomial(p, branch, gb) == pytest.approx(d1, rel=1e-6, abs=1e-8)
         assert curvature(p, branch, gb) == pytest.approx(d2, rel=1e-6, abs=1e-8)
 
@@ -221,3 +222,15 @@ class TestObservables:
 
 def test_tilt_ratio_matches_theta():
     assert tilt_ratio(REF, 0.4) == pytest.approx(math.tan(scs_angles(REF, 0.4)[0]), rel=1e-14)
+
+
+@pytest.mark.parametrize("function", [scaled_energy, extremum_polynomial,
+                                      extremum_polynomial_slope, curvature, observable_terms])
+def test_branch_member_and_sign_array_agree_bitwise(function):
+    # a SpinBranch is its sign: a member and an int array of its sign give the same bits
+    gamma_bar = np.linspace(0.0, 3.0, 31)
+    for branch in SpinBranch:
+        by_member = np.array(function(REF, branch, gamma_bar))
+        by_signs = np.array(function(REF, np.full(gamma_bar.size, int(branch)), gamma_bar))
+        assert by_member.tobytes() == by_signs.tobytes(), branch
+    assert (NORMAL, INVERTED) == (-1, +1)

@@ -239,8 +239,8 @@ class TestVariationalEnergy:
         # same number as the zeta=0 normal-branch minimum of the N-atom model
         for g in (0.4, 1.2, 2.0, 2.8):
             params = ModelParams(g=g, zeta=0.0, n_atoms=1)
-            pts = find_roots(params)[0]
-            best = min((e for e, s in zip(pts.energy[0].tolist(), pts.stability[0].tolist())
+            pts = find_roots(params)  # columns 0-2 are the normal branch
+            best = min((e for e, s in zip(pts.energy[0, :3].tolist(), pts.stability[0, :3].tolist())
                         if STABILITIES[s] is not None and STABILITIES[s].value != "unstable"),
                        default=None)
             assert _variational(g) == pytest.approx(best, abs=1e-12)

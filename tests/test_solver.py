@@ -1,22 +1,32 @@
 """Root finding, fold detection, closure coupling, ground-state selection."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from optodicke.model import ModelParams, PhaseLabel, SpinBranch, Stability, extremum_polynomial
+from optodicke.model import (
+    ModelParams,
+    PhaseLabel,
+    SpinBranch,
+    Stability,
+    extremum_polynomial,
+    observable_terms,
+)
 from optodicke.solver import (
     ABSENT,
+    COLUMN_BRANCH,
     STABILITIES,
+    BranchPoints,
     NotFound,
     branch_points,
     closure_estimate,
     critical_coupling,
     find_roots,
     ground_state,
+    param_rows,
     solve_ground,
     sp_closure,
     turning_point,
@@ -59,32 +69,48 @@ def members(column):
     return [STABILITIES[k] for k in column]
 
 
+def one_branch(pts, sign):
+    """The columns of one branch of a BranchPoints: its zero point, then its roots."""
+    keep = COLUMN_BRANCH == sign
+    return BranchPoints(*(getattr(pts, field.name)[:, keep] for field in fields(pts)))
+
+
+def normal_roots(params):
+    """The normal branch's columns of find_roots(params)."""
+    return one_branch(find_roots(params), SpinBranch.NORMAL)
+
+
+def inverted_roots(params):
+    """The inverted branch's columns of find_roots(params)."""
+    return one_branch(find_roots(params), SpinBranch.INVERTED)
+
+
 def no_roots(pts):
-    """Whether a one-row find_roots result has no positive root (only its zero point)."""
+    """Whether a one-row one_branch result has no positive root (only its zero point)."""
     return bool(np.isnan(pts.x[0, 1:]).all())
 
 
 class TestZeroPhotonPoint:
     # column 0 of find_roots is the zero point gamma_bar = 0
     def test_normal_below_critical(self):
-        pts = find_roots(ModelParams(g=0.8, zeta=1.0))[0]
+        pts = normal_roots(ModelParams(g=0.8, zeta=1.0))
         assert STABILITIES[pts.stability[0, 0]] is Stability.STABLE
         assert pts.energy[0, 0] == -0.5
         assert math.sqrt(pts.x[0, 0]) == 0.0
 
     def test_normal_above_critical(self):
-        pts = find_roots(ModelParams(g=1.5, zeta=1.0))[0]
+        pts = normal_roots(ModelParams(g=1.5, zeta=1.0))
         assert STABILITIES[pts.stability[0, 0]] is Stability.UNSTABLE
         assert pts.curvature[0, 0] == pytest.approx(2 * (1 - 2.25), rel=1e-15)
 
     def test_inverted_always_stable(self):
         for g in (0.0, 1.0, 3.0, 10.0):
-            pts = find_roots(ModelParams(g=g, zeta=2.0))[1]
+            pts = inverted_roots(ModelParams(g=g, zeta=2.0))
             assert STABILITIES[pts.stability[0, 0]] is Stability.STABLE
             assert pts.energy[0, 0] == +0.5
 
     def test_marginal_exactly_at_critical(self):
-        pts = find_roots(ModelParams(g=1.0, zeta=1.0))[0]
+        pts = normal_roots(ModelParams(g=1.0, zeta=1.0))
         assert STABILITIES[pts.stability[0, 0]] is Stability.MARGINAL
 
     def test_bitwise_the_kernel_zero_point(self):
@@ -95,23 +121,24 @@ class TestZeroPhotonPoint:
         gs = np.array([0.3, 0.7, 1.9])
         for omega_a in rng.uniform(0.3, 3.0, 400):
             params = ModelParams(omega_a=float(omega_a), g=0.7, zeta=0.5)
-            for pts, one in zip(branch_points(params, gs), find_roots(params)):
-                assert (one.energy[0, 0], one.curvature[0, 0], one.stability[0, 0]) == (
-                    pts.energy[1, 0], pts.curvature[1, 0], pts.stability[1, 0])
+            pts, one = branch_points(params, gs), find_roots(params)
+            for j in (0, 3):  # the N- and N+ zero points
+                assert (one.energy[0, j], one.curvature[0, j], one.stability[0, j]) == (
+                    pts.energy[1, j], pts.curvature[1, j], pts.stability[1, j])
 
 
 class TestFindRoots:
     # columns 1 on are the positive roots, ascending; x NaN and stability None where absent
     def test_dicke_limit_closed_form(self):
-        pts = find_roots(ModelParams(g=1.5, zeta=0.0))[0]
+        pts = normal_roots(ModelParams(g=1.5, zeta=0.0))
         assert members(pts.stability[0, 1:]) == [Stability.STABLE, None]
         assert pts.x[0, 1] == pytest.approx(0.45139, abs=1e-5)
-        assert no_roots(find_roots(ModelParams(g=0.9, zeta=0.0))[0])
-        assert no_roots(find_roots(ModelParams(g=1.5, zeta=0.0))[1])
-        assert no_roots(find_roots(ModelParams(g=1.0, zeta=0.0))[0])
+        assert no_roots(normal_roots(ModelParams(g=0.9, zeta=0.0)))
+        assert no_roots(inverted_roots(ModelParams(g=1.5, zeta=0.0)))
+        assert no_roots(normal_roots(ModelParams(g=1.0, zeta=0.0)))
 
     def test_two_roots_reference_point(self):
-        pts = find_roots(REF)[0]
+        pts = normal_roots(REF)
         assert members(pts.stability[0, 1:]) == [Stability.STABLE, Stability.UNSTABLE]
         assert pts.x[0, 1] == pytest.approx(0.622866850294, abs=1e-8)
         assert pts.x[0, 2] == pytest.approx(2.803420852626, abs=1e-8)
@@ -119,39 +146,40 @@ class TestFindRoots:
         assert pts.energy[0, 2] == pytest.approx(-0.543296049428, abs=1e-9)
 
     def test_single_unstable_root_below_critical(self):
-        pts = find_roots(ModelParams(g=0.8, zeta=1.0))[0]
+        pts = normal_roots(ModelParams(g=0.8, zeta=1.0))
         assert members(pts.stability[0, 1:]) == [Stability.UNSTABLE, None]
         assert pts.x[0, 1] == pytest.approx(4.051017519835, abs=1e-8)
 
     def test_inverted_root_beyond_normal_scan_bound(self):
         # the inverted-branch root lies past omega*omega_b/(2 zeta^2)
-        pts = find_roots(REF)[1]
+        pts = inverted_roots(REF)
         assert members(pts.stability[0, 1:]) == [Stability.UNSTABLE]
         assert pts.x[0, 1] == pytest.approx(6.462601185968, abs=1e-8)
         assert pts.x[0, 1] > REF.omega * REF.omega_b / (2 * REF.zeta**2)
 
     def test_no_normal_roots_beyond_fold(self):
-        assert no_roots(find_roots(ModelParams(g=2.0, zeta=1.0))[0])
-        pts = find_roots(ModelParams(g=2.0, zeta=1.0))[1]
+        assert no_roots(normal_roots(ModelParams(g=2.0, zeta=1.0)))
+        pts = inverted_roots(ModelParams(g=2.0, zeta=1.0))
         assert members(pts.stability[0, 1:]) == [Stability.UNSTABLE]
         assert pts.x[0, 1] == pytest.approx(6.895515378286, abs=1e-8)
 
     def test_both_branches_in_order(self):
-        # one call gives (normal, inverted); the inverted branch has one root column
-        normal, inverted = find_roots(REF)
-        assert (normal.branch, inverted.branch) == tuple(SpinBranch)
+        # one call gives the normal columns, then the inverted ones; the
+        # inverted branch has one root column
+        normal, inverted = (one_branch(find_roots(REF), sign) for sign in SpinBranch)
+        assert COLUMN_BRANCH.tolist() == [SpinBranch.NORMAL] * 3 + [SpinBranch.INVERTED] * 2
         assert normal.x.shape == (1, 3) and inverted.x.shape == (1, 2)
 
     def test_zero_point_always_reported(self):
-        pts = find_roots(REF)[0]
+        pts = normal_roots(REF)
         assert pts.x[0, 0] == 0.0
         assert STABILITIES[pts.stability[0, 0]] is Stability.UNSTABLE
 
     def test_residual_bound(self):
         # |p(root)| <= 10 * 1e-10 * |dp/dgamma| at every refined root
         for params in (REF, ModelParams(g=0.8, zeta=1.0), ModelParams(g=1.2, zeta=2.0)):
-            for pts in find_roots(params):
-                branch, x = pts.branch, pts.x[0, 1:]
+            for branch in SpinBranch:
+                x = one_branch(find_roots(params), branch).x[0, 1:]
                 for gb in np.sqrt(x[~np.isnan(x)]).tolist():
                     h = 1e-7
                     slope = (float(extremum_polynomial(params, branch, gb + h))
@@ -163,13 +191,13 @@ class TestFindRoots:
     def test_root_count_at_fold_edge(self, zeta):
         # 1e-9 either side of the fold: the stable/unstable pair, then nothing
         g_t = oracles.fold_gt(zeta)
-        below = find_roots(ModelParams(g=g_t - 1e-9, zeta=zeta))[0]
-        above = find_roots(ModelParams(g=g_t + 1e-9, zeta=zeta))[0]
+        below = normal_roots(ModelParams(g=g_t - 1e-9, zeta=zeta))
+        above = normal_roots(ModelParams(g=g_t + 1e-9, zeta=zeta))
         assert members(below.stability[0, 1:]) == [Stability.STABLE, Stability.UNSTABLE]
         assert no_roots(above)
 
     def test_certified_empty_beyond_fold(self):
-        assert no_roots(find_roots(ModelParams(g=GT_ORACLE[1.0] + 1e-4, zeta=1.0))[0])
+        assert no_roots(normal_roots(ModelParams(g=GT_ORACLE[1.0] + 1e-4, zeta=1.0)))
 
 
 class TestProductStateReferee:
@@ -189,21 +217,22 @@ class TestProductStateReferee:
         checked = []
         with mp.workdps(30):
             for zeta, g in cases:
-                for pts in find_roots(ModelParams(g=g, zeta=zeta)):
+                for branch in SpinBranch:
+                    pts = one_branch(find_roots(ModelParams(g=g, zeta=zeta)), branch)
                     for j in np.flatnonzero(pts.stability[0] != ABSENT).tolist():
                         x, energy = float(pts.x[0, j]), float(pts.energy[0, j])
                         gamma_bar = math.sqrt(x)
                         theta = math.atan(2.0 * g * gamma_bar / omega_a)
-                        if pts.branch is SpinBranch.INVERTED:
+                        if branch is SpinBranch.INVERTED:
                             theta += math.pi
                         (found, _, _), e, hess = oracles.product_stationary_point(
                             (gamma_bar, -zeta * x / omega_b, theta), g, zeta, omega, omega_a,
                             omega_b)
-                        where = (zeta, g, pts.branch, j)
+                        where = (zeta, g, branch, j)
                         assert float(found**2) == pytest.approx(x, rel=1e-12, abs=1e-30), where
                         assert float(e) == pytest.approx(energy, rel=1e-12, abs=1e-12), where
-                        assert (hess[2, 2] > 0) == (pts.branch is SpinBranch.NORMAL), where
-                        if pts.branch is SpinBranch.NORMAL:
+                        assert (hess[2, 2] > 0) == (branch is SpinBranch.NORMAL), where
+                        if branch is SpinBranch.NORMAL:
                             mode = min(mp.eigsy(hess)[0])
                         else:
                             rest = mp.matrix([[hess[1, 1], hess[1, 2]], [hess[2, 1], hess[2, 2]]])
@@ -228,8 +257,8 @@ def test_triple_root_at_critical_coupling_and_closure():
     # of p(0) as a root)
     base = ModelParams(omega=1.2)
     params = replace(base, g=critical_coupling(base), zeta=closure_estimate(base))
-    assert no_roots(find_roots(params)[0])
-    x_inv = find_roots(params)[1].x[0, 1:]
+    assert no_roots(normal_roots(params))
+    x_inv = inverted_roots(params).x[0, 1:]
     assert x_inv[~np.isnan(x_inv)].tolist() == pytest.approx(
         oracles.scan_roots(+1, params.g, params.zeta, 1.2, 1.0, 10.0), rel=1e-9)
     assert ground_state(params)[0] is PhaseLabel.NP_NMINUS
@@ -243,15 +272,30 @@ def test_brute_force_equivalence_grid():
     for g in gs:
         for z in zs:
             params = ModelParams(g=float(g), zeta=float(z))
-            for pts, sign in zip(find_roots(params), (-1, +1)):
+            both = find_roots(params)
+            for sign in (-1, +1):
+                pts = one_branch(both, sign)
                 expected = oracles.scan_roots(sign, float(g), float(z), 1.0, 1.0, 10.0)
                 x = pts.x[0, 1:]
                 got = np.sqrt(x[~np.isnan(x)]).tolist()
-                assert len(got) == len(expected), (g, z, pts.branch)
+                assert len(got) == len(expected), (g, z, sign)
                 for amplitude, x_ref in zip(got, expected):
                     assert amplitude == pytest.approx(math.sqrt(x_ref), abs=1e-6)
                 checked += 1
     assert checked == 5000
+
+
+@pytest.mark.parametrize("zeta", [0.0, 1.0])
+def test_observables_are_those_of_the_model(zeta):
+    # the table's n_p, delta_n_a and n_b are observable_terms at each column's
+    # sign and amplitude, bit for bit, on a sweep grid holding g_c and g_t
+    params = ModelParams(zeta=zeta)
+    gs = np.append(np.linspace(0.0, 3.0, 301), turning_point(params, zeta=1.0))
+    assert critical_coupling(params) in gs
+    pts = branch_points(params, gs)
+    want = observable_terms(param_rows(params, gs[:, None]), COLUMN_BRANCH, np.sqrt(pts.x))
+    for got, expected in zip((pts.n_p, pts.delta_n_a, pts.n_b), want):
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestTurningPoint:
@@ -280,8 +324,8 @@ class TestTurningPoint:
 
     def test_stable_count_flips_across_fold(self):
         g_t = turning_point(ModelParams(), zeta=1.0)
-        below = find_roots(ModelParams(g=g_t - 2e-6, zeta=1.0))[0]
-        above = find_roots(ModelParams(g=g_t + 2e-6, zeta=1.0))[0]
+        below = normal_roots(ModelParams(g=g_t - 2e-6, zeta=1.0))
+        above = normal_roots(ModelParams(g=g_t + 2e-6, zeta=1.0))
         assert members(below.stability[0, 1:]).count(Stability.STABLE) == 1
         assert members(above.stability[0, 1:]).count(Stability.STABLE) == 0
 
@@ -342,6 +386,11 @@ class TestClosure:
         width = oracles.fold_gt(star, omega, omega_a, omega_b) - critical_coupling(base)
         assert width == pytest.approx(width_tol, rel=1e-8)
 
+    @pytest.mark.parametrize("width_tol", [0.0, -1.0, math.nan])
+    def test_width_tol_must_be_positive(self, width_tol):
+        with pytest.raises(ValueError, match="width_tol must be > 0"):
+            sp_closure(ModelParams(), width_tol=width_tol)
+
     def test_grows_with_oscillator_frequency(self):
         stars = [sp_closure(ModelParams(omega_b=wb), width_tol=0.01) for wb in (10.0, 40.0, 90.0)]
         assert stars[0] < stars[1] < stars[2]
@@ -358,8 +407,8 @@ class TestGroundState:
         assert phase is PhaseLabel.NP_NMINUS
         assert energy == -0.5
         # the ground point is N-'s zero point, column 0 of solve_ground
-        column, normal, _ = solve_ground(params, [params.g])
-        assert column[0] == 0 and STABILITIES[normal.stability[0, 0]] is Stability.STABLE
+        column, pts = solve_ground(params, [params.g])
+        assert column[0] == 0 and STABILITIES[pts.stability[0, 0]] is Stability.STABLE
 
     def test_superradiant_phase(self):
         phase, n_p, _, _, energy = ground_state(REF)
@@ -395,8 +444,8 @@ class TestGroundState:
         phase, *_, energy = ground_state(params)
         assert phase is PhaseLabel.NP_NMINUS
         assert energy == -0.5
-        column, normal, _ = solve_ground(params, [params.g])
-        assert column[0] == 0 and STABILITIES[normal.stability[0, 0]] is Stability.MARGINAL
+        column, pts = solve_ground(params, [params.g])
+        assert column[0] == 0 and STABILITIES[pts.stability[0, 0]] is Stability.MARGINAL
 
     def test_dicke_reduction(self):
         # zeta = 0: single transition at g_c, superradiant forever after
@@ -423,7 +472,7 @@ def test_stability_band_edges(omega, g, curv, beyond, far_g):
     # curvature 2(omega - g^2/omega_a), exactly +-1e-9 here, and is marginal
     # while |curvature| <= 1e-9, stable or unstable by its sign beyond
     def stability(omega, g):
-        pts = branch_points(ModelParams(omega=omega), [g])[0]
+        pts = branch_points(ModelParams(omega=omega), [g])
         return pts.curvature[0, 0], STABILITIES[pts.stability[0, 0]]
 
     assert stability(omega, g) == (curv, Stability.MARGINAL)
