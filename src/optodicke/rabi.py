@@ -16,16 +16,22 @@ from a bracket read off the blocks' structure.  Each Sturm pass runs the
 LDL^T count recurrence once over n for all columns and 15 trial points per
 column, and ends early once the remaining rows are diagonally dominant.
 A column first bisects [Gershgorin lower bound, min(diag)] uniformly until
-its bracket is 1e-3 of its size; it then anchors a lattice of points on
-that bracket, with cells narrower than the stop of LAPACK dstebz,
-max(1e-12, 2*eps*max(|lo|, |hi|), pivmin), and every later trial point is a
-lattice point.  A Rayleigh-quotient guess from a few shifted inverse-iteration
-steps picks the next pass's points, nested around it (+-1, +-16, +-256, ...);
-a column that pass leaves wider than one cell goes on bisecting its lattice
-uniformly.  The result is the lattice cell whose Sturm counts hold the
-eigenvalue: the certificate of plain multisection, and independent of the
-guess and of the other columns, to the bit.  Only the leading rows that the
-passes, the guess and the residual read are built.
+its bracket is a 16th of its size (two passes on a grid up to g = 3); it
+then anchors a lattice of points on that bracket, with cells narrower than
+the stop of LAPACK dstebz, max(1e-12, 2*eps*max(|lo|, |hi|), pivmin), and
+every later trial point is a lattice point.  A Rayleigh-quotient guess
+from a few inverse-iteration steps shifted below the bracket picks the next
+pass's points: -2 to 2 cells around it, 16 and 256 cells above it, and
+32, 32^2, ... 32^8 cells below it, since the quotient lies above the
+eigenvalue up to rounding.  A guess far above the eigenvalue still moves
+the lower end to within 32 times that distance, so a column that pass
+leaves wider than 16 cells gets one more guess, shifted below its new
+lower end, and a ladder pass around it; a column left wider than one cell
+after that bisects its lattice uniformly.  The result is the lattice cell
+whose Sturm counts hold the eigenvalue: the certificate of plain
+multisection, and independent of the guess and of the other columns, to
+the bit.  Only the leading rows that the passes, the guess and the
+residual read are built.
 
 The eigenpair residual is checked on the guess vectors, taken on the rows
 up to 16 past the dominant tail, then by inverse iteration shifted just
@@ -41,7 +47,10 @@ dense matrix is formed: an oracle fully independent of the variational
 closed forms it is compared against.
 
 Every entry takes ModelParams, and ed_couplings is the whole check of its
-input: the ED is that of one atom at zeta = 0.
+input: the ED is that of one atom at zeta = 0.  Every entry solves in units
+of omega_a and scales energies and residuals back, so the kernel's absolute
+floors (the stop 1e-12, max(1, ...)) are relative to omega_a, and the ED's
+numbers scale with its frequencies.
 """
 
 from __future__ import annotations
@@ -65,10 +74,21 @@ __all__ = [
 _TRIALS = 15
 _NUMERATORS = np.arange(1, _TRIALS + 1)[:, None]
 _FRACTIONS = _NUMERATORS / (_TRIALS + 1)
-# Relative bracket width at which a column anchors its lattice and guesses,
-# and the lattice indices of its ladder pass around the guess.
-_COARSE = 1e-3
-_LADDER = np.array(sorted([0] + [s * 16**k for k in range(7) for s in (-1, 1)]))[:, None]
+# Relative bracket width at which a column anchors its lattice and guesses:
+# two coarse passes on the 61-point detuning grids (three at 1e-3).
+_COARSE = 1 / 16
+# Lattice indices of a ladder pass, relative to the cell of the guess theta.
+# theta is a Rayleigh quotient: at or above the eigenvalue up to rounding,
+# which reached about 10 cells either way at n_max 30000, and at g >~ 10 up
+# to about 2^40 cells above it, as the bracket a 16th wide leaves the shift
+# of the guess too far below the eigenvalue for _GUESS_STEPS steps to converge.
+# So most rungs lie below theta, reaching 32^8 = 2^40 of the at most 2^50
+# cells (see _lattice_depth).
+_LADDER = np.array([-32**k for k in range(8, 0, -1)] + list(range(-2, 3)) + [16, 256])[:, None]
+# Guesses per kernel call.  A second one, shifted below the lower end that
+# the first ladder pass left, makes 4 passes of the 10 or 11 that a 61-point
+# grid up to g = 30 (n_max 300 or 1000) takes with one guess.
+_GUESSES = 2
 # A bracket between finite doubles is one double wide after at most about
 # 2100 halvings.
 _MAX_SWEEPS = math.ceil(2100 / math.log2(_TRIALS + 1))
@@ -83,7 +103,7 @@ _INVERSE_STEPS = 3
 _GUESS_STEPS = 4
 _RESIDUAL_TOL = 1e-10
 # Rows past the dominant tail that the guess reads.  The ladder pass stops
-# about 12 rows past the tail, and 15 rows met the residual target on every
+# 10 to 12 rows past the tail, and 15 rows met the residual target on every
 # column of the 61-point detuning grids at n_max 300.
 _GUESS_ROWS = 16
 # Absolute stop of a bracket, the abstol of LAPACK dstebz.
@@ -188,6 +208,7 @@ def _sturm_count(blocks: _Blocks, x: np.ndarray, pivmin: np.ndarray,
     with the counts of the full recurrence; the pivots of row i and of every
     row after it are then non-negative.
     """
+    pivmin = np.broadcast_to(pivmin, x.shape).copy()  # same-shape operands: faster ufuncs
     negpiv = -pivmin
     diag, offdiag, off2 = blocks.diag, blocks.offdiag, blocks.off2
     q = diag[0] - x
@@ -206,7 +227,7 @@ def _sturm_count(blocks: _Blocks, x: np.ndarray, pivmin: np.ndarray,
         q -= x
         np.less(q, pivmin, out=negative[i])
         np.minimum(q, negpiv, out=q, where=negative[i])
-        if i + 1 >= tail and i + 1 < blocks.n and np.all(q >= offdiag[i]):
+        if i + 1 >= tail and i + 1 < blocks.n and (q >= offdiag[i]).all():
             return negative[:i + 1].sum(axis=0), i
     return negative.sum(axis=0), blocks.n
 
@@ -282,7 +303,9 @@ def _lattice_depth(lo: np.ndarray, hi: np.ndarray, pivmin: np.ndarray) -> np.nda
 
     S = max(_TOL, pivmin, 2 eps (max(|lo|, |hi|) - (hi - lo))) is at most the
     stop of any bracket inside [lo, hi], so each lattice cell, rounding of
-    its points included, meets the stop of its own ends.
+    its points included, meets the stop of its own ends.  A bracket at most
+    _COARSE max(1, |lo|, |hi|) wide gets K <= 50: below 2^62, so the int64
+    indices of its points and their products with _TRIALS do not overflow.
     """
     width = hi - lo
     span = np.maximum(np.abs(lo), np.abs(hi))
@@ -301,66 +324,79 @@ def _lowest_eigenpairs(blocks: _Blocks, bracket: tuple) -> tuple[np.ndarray, np.
     _TRIALS points per pass follow from its own state: coarse, uniform in
     [lo, hi] until hi - lo <= _COARSE max(1, |lo|, |hi|); then on the
     lattice anchored there, lo + (hi - lo) i 2^-K (K from _lattice_depth),
-    uniform in its index bracket (the fallback) except for one ladder pass,
+    uniform in its index bracket (the fallback) except in a ladder pass,
     floor(theta) + _LADDER.  theta is the Rayleigh quotient of _GUESS_STEPS
     inverse-iteration steps shifted below lo on the leading tail +
     _GUESS_ROWS rows, computed for every column at once when no moving
-    column is coarse.  A column stops at hi - lo <= max(_TOL, 2 eps
-    max(|lo|, |hi|), pivmin) or at one lattice cell, which is no wider; that
-    cell depends on the column's counts alone, not on theta or the batch.
+    column is coarse, and again, up to _GUESSES times, after a ladder pass
+    that leaves a moving column more than _TRIALS + 1 cells wide.  A
+    column stops at hi - lo <= max(_TOL, 2 eps max(|lo|, |hi|), pivmin) or
+    at one lattice cell, which is no wider; that cell depends on the
+    column's counts alone, not on theta or the batch.
     bracket is (lo, hi, pivmin, tail, scale) as _ground_bracket gives it.
     The residual cut reads up to twice the largest reach of a pass.
     """
     lo, hi, pivmin, tail, scale = bracket
     n, width = blocks.n, blocks.diag.shape[1]
     columns = np.arange(width)
+    floor = np.maximum(_TOL, pivmin)
     lattice = np.zeros(width, dtype=bool)
     anchor, cell = np.zeros(width), np.zeros(width)  # a and w 2^-K of each lattice
     # Index brackets on the lattice; index 0 is lo itself and 2^K stands for
     # hi, which no pass counts again, so lo and hi keep their own values.
     ilo, ihi = np.zeros(width, dtype=np.int64), np.zeros(width, dtype=np.int64)
-    vectors = None  # the guess vectors, once there are any
+    # A pass's trial points and their lattice indices in rows 1 to _TRIALS,
+    # each bracket's ends in rows 0 and _TRIALS + 1.
+    points = np.empty((_TRIALS + 2, width))
+    index = np.empty((_TRIALS + 2, width), dtype=np.int64)
+    trials, inner = points[1:-1], index[1:-1]
+    vectors = []  # the vectors of each guess
     reach = 0
     for _ in range(_MAX_SWEEPS):
-        stop = np.maximum(np.maximum(_TOL, pivmin),
-                          2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
-        moving = np.where(lattice, ihi - ilo > 1, hi - lo > stop)
+        span = np.maximum(np.abs(lo), np.abs(hi))
+        gap = hi - lo
+        moving = np.where(lattice, ihi - ilo > 1, gap > np.maximum(floor, 2.0 * _EPS * span))
         if not moving.any():
             break
-        enter = moving & ~lattice & (
-            hi - lo <= _COARSE * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+        coarse = moving & ~lattice
+        enter = coarse & (gap <= _COARSE * np.maximum(1.0, span))
         if enter.any():
             depth = _lattice_depth(lo[enter], hi[enter], pivmin[enter])
             anchor[enter] = lo[enter]
-            cell[enter] = np.ldexp(hi[enter] - lo[enter], -depth)
+            cell[enter] = np.ldexp(gap[enter], -depth)
             ilo[enter], ihi[enter] = 0, np.left_shift(1, depth)
             lattice |= enter
-        index = ilo + (ihi - ilo) * _NUMERATORS // (_TRIALS + 1)
-        if vectors is None and lattice.any() and not np.any(moving & ~lattice):
+            coarse &= ~enter
+        np.floor_divide((ihi - ilo) * _NUMERATORS, _TRIALS + 1, out=inner)
+        inner += ilo
+        if not coarse.any() and len(vectors) < _GUESSES and (
+                not vectors or (moving & (ihi - ilo > _TRIALS + 1)).any()):
             m = min(n, tail + _GUESS_ROWS)
             blocks.grow(m)
             theta, guess = _rayleigh_guess(blocks.diag[:m], blocks.offdiag[:m - 1],
                                            lo - _SHIFT * scale)
-            vectors = np.zeros((min(n, m + 1), width))  # row m: the coupling out of the guess
-            vectors[:m] = guess
+            vectors.append(np.zeros((min(n, m + 1), width)))  # row m: the coupling out
+            vectors[-1][:m] = guess
             # fmax and fmin drop a NaN guess for the bracket's lower end.
             at = np.fmin(np.fmax((theta[moving] - anchor[moving]) / cell[moving], ilo[moving]),
                          ihi[moving])
-            index[:, moving] = np.clip(np.floor(at).astype(np.int64) + _LADDER,
+            inner[:, moving] = np.clip(np.floor(at).astype(np.int64) + _LADDER,
                                        ilo[moving] + 1, ihi[moving] - 1)
-        points = np.where(lattice, anchor + cell * index, lo + (hi - lo) * _FRACTIONS)
-        counts, last = _sturm_count(blocks, points, pivmin, tail)
+        np.multiply(cell, inner, out=trials)
+        trials += anchor
+        if not lattice.all():
+            np.copyto(trials, lo + gap * _FRACTIONS, where=~lattice)
+        counts, last = _sturm_count(blocks, trials, pivmin, tail)
         reach = max(reach, last)
         # The first trial point with an eigenvalue below it is the new upper
-        # end, the point before it the new lower end.
+        # end, the point before it the new lower end; a column at rest keeps
+        # its ends (rows 0 and _TRIALS + 1).
         hit = counts >= 1
         first = np.where(hit.any(axis=0), hit.argmax(axis=0), _TRIALS)
-        points = np.concatenate([lo[None], points, hi[None]])
-        index = np.concatenate([ilo[None], index, ihi[None]])
-        lo = np.where(moving, points[first, columns], lo)
-        hi = np.where(moving, points[first + 1, columns], hi)
-        ilo = np.where(moving, index[first, columns], ilo)
-        ihi = np.where(moving, index[first + 1, columns], ihi)
+        points[0], points[-1], index[0], index[-1] = lo, hi, ilo, ihi
+        low, high = np.where(moving, first, 0), np.where(moving, first + 1, _TRIALS + 1)
+        lo, hi = points[low, columns], points[high, columns]
+        ilo, ihi = index[low, columns], index[high, columns]
     else:
         raise ConvergenceFailure(
             f"multisection exceeded {_MAX_SWEEPS} sweeps; block is malformed")
@@ -369,12 +405,13 @@ def _lowest_eigenpairs(blocks: _Blocks, bracket: tuple) -> tuple[np.ndarray, np.
 
 
 def _eigenpair_residual(blocks: _Blocks, values: np.ndarray, reach: int,
-                        vectors: np.ndarray | None, scale: np.ndarray) -> np.ndarray:
+                        vectors: list[np.ndarray] | None, scale: np.ndarray) -> np.ndarray:
     """Residuals ||T v - value v||, one per column's block, within 1e-10 times its scale.
 
-    vectors holds the leading rows of a unit vector per column, 0 in its
-    last row unless it has all n (None if no column took a guess); a column
-    whose vector meets the target keeps that residual.  The others run
+    vectors holds the vectors of each guess in turn (None or empty if there
+    was none): the leading rows of a unit vector per column, 0 in the last
+    row unless it has all n.  A column keeps the residual of the first of
+    its vectors that meets the target.  The others run
     inverse iteration on the leading m x m block, m = min(n, max(2, 2 reach)),
     shifted _SHIFT scale below the value, so that the shifted block is
     positive definite and its LDL^T solve needs no pivoting; the coupling
@@ -385,12 +422,12 @@ def _eigenpair_residual(blocks: _Blocks, values: np.ndarray, reach: int,
     """
     n, m = blocks.n, min(blocks.n, max(2, 2 * reach))
     residuals = np.full(len(values), np.inf)
-    if vectors is not None:
-        k = len(vectors)
+    for guess in vectors or ():
+        k = len(guess)
         blocks.grow(k)
         direct = np.sqrt(np.sum(np.square(_apply(blocks.diag[:k] - values,
-                                                 blocks.offdiag[:k - 1], vectors)), axis=0))
-        met = direct <= _RESIDUAL_TOL * scale
+                                                 blocks.offdiag[:k - 1], guess)), axis=0))
+        met = np.isinf(residuals) & (direct <= _RESIDUAL_TOL * scale)
         residuals[met] = direct[met]
     missing = np.flatnonzero(np.isinf(residuals))  # the columns without an accepted residual
     while missing.size:
@@ -468,6 +505,18 @@ def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, coupling, values: 
     return residuals
 
 
+def _in_units(params: ModelParams, g: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """omega, omega_a and g in units of omega_a, the unit every entry solves in.
+
+    The kernel's absolute floors (the stop _TOL, max(1, ...) in the
+    coarse phase and in scale) are then relative to omega_a, so the ED's
+    numbers scale with its frequencies.  A g that is positive but below
+    omega_a times the smallest double becomes 0 here; it would shift the
+    energy by about (g / omega_a)^2 omega_a, far below its rounding.
+    """
+    return params.omega / params.omega_a, 1.0, g / params.omega_a
+
+
 def _parity_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The arrays (value, residual) of the blocks at n_max of every g, from one kernel call.
@@ -492,8 +541,8 @@ def smallest_eigenvalue(params: ModelParams, parity: int, n_max: int = 300) -> t
     """
     if parity not in (-1, 1):
         raise ValueError("parity must be +1 or -1")
-    rows = _parity_rows(params.omega, params.omega_a, ed_couplings(params, params.g), n_max)
-    return tuple(float(a[(1 - parity) // 2, 0]) for a in rows)
+    rows = _parity_rows(*_in_units(params, ed_couplings(params, params.g)), n_max)
+    return tuple(float(a[(1 - parity) // 2, 0] * params.omega_a) for a in rows)
 
 
 def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
@@ -513,10 +562,12 @@ def ground_energy(params: ModelParams, n_max: int = 300) -> tuple[float, int, fl
     second solve at half = max(2, n_max // 2).  Where no Sturm pass reads
     past row half + 1 the two solves see the same counts, and the gap is 0.
     """
-    g = ed_couplings(params, params.g)
-    energy, parity, residual = _ground_rows(params.omega, params.omega_a, g, n_max)
-    half = _ground_rows(params.omega, params.omega_a, g, max(2, n_max // 2))[0]
-    return float(energy[0]), int(parity[0]), float(residual[0]), float(abs(energy[0] - half[0]))
+    omega, omega_a, g = _in_units(params, ed_couplings(params, params.g))
+    energy, parity, residual = _ground_rows(omega, omega_a, g, n_max)
+    half = _ground_rows(omega, omega_a, g, max(2, n_max // 2))[0]
+    unit = params.omega_a
+    return (float(energy[0] * unit), int(parity[0]), float(residual[0] * unit),
+            float(abs(energy[0] - half[0]) * unit))
 
 
 def _variational_energies(omega: float, omega_a: float, g: np.ndarray) -> np.ndarray:
@@ -548,12 +599,13 @@ def compare_columns(params: ModelParams, g, n_max: int = 300
     do not depend on the others.
     """
     g = ed_couplings(params, g)
+    omega, omega_a, scaled = _in_units(params, g)
     rows = n_max + 1
     if 2 * len(g) * rows > _BATCH_ENTRIES:
-        rows = min(rows, _parity_tail(params.omega, params.omega_a, g, n_max)[3] + _GUESS_ROWS + 1)
+        rows = min(rows, _parity_tail(omega, omega_a, scaled, n_max)[3] + _GUESS_ROWS + 1)
     step = max(1, _BATCH_ENTRIES // (2 * rows))
-    energy = np.concatenate(
-        [_ground_rows(params.omega, params.omega_a, g[start:start + step], n_max)[0]
+    energy = params.omega_a * np.concatenate(
+        [_ground_rows(omega, omega_a, scaled[start:start + step], n_max)[0]
          for start in range(0, len(g), step)] or [g])
     variational = _variational_energies(params.omega, params.omega_a, g)
     return g, energy, variational, variational - energy

@@ -241,11 +241,9 @@ def _points(params: ModelParams, g: np.ndarray) -> BranchPoints:
 
     present = ~np.isnan(x)
     fits[:, [1, 2, 4]] &= x[:, [1, 2, 4]] > 0.0  # a root, not a zero point
-    bad = np.stack([(present & ~fits)[:, COLUMN_BRANCH == branch].any(axis=1)
-                    for branch in SpinBranch])
-    if bad.any():  # the first bad g of the normal branch, else of the inverted
-        raise OutOfRange(f"g={float(g[np.nonzero(bad)[1][0]])!r}, zeta={params.zeta!r} "
-                         f"{_OUT_OF_RANGE}")
+    bad = (present & ~fits).any(axis=1)
+    if bad.any():  # the smallest g with a bad point on either branch
+        raise OutOfRange(f"g={float(g[bad].min())!r}, zeta={params.zeta!r} {_OUT_OF_RANGE}")
     stability = STABLE * (curv > MARGINAL_BAND) + UNSTABLE * (curv < -MARGINAL_BAND)
     stability[~present] = ABSENT
     return BranchPoints(x, n_p, delta_n_a, n_b, energy, curv, stability)

@@ -77,9 +77,8 @@ def test_install_and_unpatch():
     assert tracer.calls_under("solver.find_roots", "diagram.grid_row", 0, len(tracer.spans)) == 0
 
 
-def test_rabi_check_ed_work(monkeypatch):
-    # the four rabi_check operations at seed 1: their Sturm passes, and no
-    # column that needs inverse iteration
+def _ed_work(monkeypatch, ops: str) -> Counter:
+    """Sturm passes and inverse iterations of the rabi_check operations at seed 1."""
     monkeypatch.syspath_prepend(str(TRACING.parent))
     spec = importlib.util.spec_from_file_location("bench_workloads", TRACING.parent / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -88,9 +87,20 @@ def test_rabi_check_ed_work(monkeypatch):
     for name in ("_sturm_count", "_inverse_iteration"):
         monkeypatch.setattr(rabi, name, lambda *args, fn=getattr(rabi, name), name=name:
                             counts.update([name]) or fn(*args))
+    operations = getattr(workloads.RabiCheck(1, False), ops)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert [optodicke.cli.run(op) for op in workloads.RabiCheck(1, False).ops] == [0] * 4
-    assert counts == {"_sturm_count": 17}
+        assert [optodicke.cli.run(op) for op in operations] == [0] * 4
+    return counts
+
+
+def test_rabi_check_ed_work(monkeypatch):
+    # three Sturm passes per operation, and no column that needs inverse iteration
+    assert _ed_work(monkeypatch, "ops") == {"_sturm_count": 12}
+
+
+def test_rabi_check_pool_ed_work(monkeypatch):
+    # the same for the operations that wall_pool_s times
+    assert _ed_work(monkeypatch, "pool_ops") == {"_sturm_count": 12}
 
 
 def test_cli_import_starts_no_pool_machinery():

@@ -710,6 +710,16 @@ def test_huge_and_tiny_parameters(argv, code, message, capsys):
     assert message in (out if code == 0 else err)
 
 
+def test_out_of_range_names_the_smallest_failing_coupling(capsys):
+    # at zeta = 1e-76 the inverted root overflows from g = 4.5e77 on, the
+    # normal roots only at 8e77: the message names the smaller coupling
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sweep", "--g", "1e77:8e77:3", "--zeta", "1e-76"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("optodicke: invalid input: g=4.5e+77, zeta=1e-76 ")
+
+
 @pytest.mark.parametrize("argv, message", [
     # the ED's domain, stated in rabi.ed_couplings
     (["rabi-compare", "--g", "0:3:3", "--omega", "1e-300", "--n-max", "20"], "omega must be in"),

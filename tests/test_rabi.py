@@ -131,6 +131,52 @@ class TestBlocks:
                                           [0.0, 1e-300, 1.0, rabi.DOMAIN_MAX], n_max=40)
         assert all(np.isfinite(c).all() for c in columns)
 
+    @pytest.mark.parametrize("omega", [rabi.DOMAIN_MIN, 1.0, rabi.DOMAIN_MAX])
+    @pytest.mark.parametrize("omega_a", [rabi.DOMAIN_MIN, 1.0, rabi.DOMAIN_MAX])
+    def test_lattice_depth_fits_the_indices(self, monkeypatch, omega, omega_a):
+        # a bracket enters its lattice at most a 16th of max(1, |lo|, |hi|)
+        # wide, and a cell is about eps |lo| / 2 or 1e-12 / 2 wide: at most
+        # 2^50 cells, far inside the int64 indices
+        depths = []
+        depth = rabi._lattice_depth
+        monkeypatch.setattr(rabi, "_lattice_depth",
+                            lambda *args: depths.append(depth(*args)) or depths[-1])
+        compare_columns(ModelParams(omega=omega, omega_a=omega_a),
+                        [0.0, 1e-300, 1e-20, 1.0, 1e10, rabi.DOMAIN_MAX], n_max=40)
+        assert depths and max(d.max() for d in depths) <= 50
+
+    def test_energies_scale_with_the_frequencies(self):
+        # the ED solves in units of omega_a: scaling omega, omega_a and g by s
+        # scales every energy by s, and the variational bound holds at every s
+        rng = np.random.default_rng(2017)
+        for _ in range(12):
+            omega = 10.0 ** rng.uniform(-1.0, 1.0)
+            g = np.sort(rng.uniform(0.0, 4.0 * math.sqrt(omega), size=int(rng.integers(1, 12))))
+            n_max = int(rng.integers(10, 200))
+            energy = compare_columns(ModelParams(omega=omega), g, n_max=n_max)[1]
+            ground = ground_energy(ModelParams(omega=omega, g=g[-1]), n_max)
+            for s in (1e-40, 1e-20, 1e-6, 1e20, 1e40):
+                params = ModelParams(omega=omega * s, omega_a=s, g=g[-1] * s)
+                _, ed, _, deviation = compare_columns(params, g * s, n_max=n_max)
+                assert np.all(np.abs(ed / s - energy) <= 1e-12 * np.abs(energy))
+                assert np.all(deviation >= -1e-9 * np.abs(ed))
+                scaled = ground_energy(params, n_max)
+                assert scaled[0] / s == pytest.approx(ground[0], rel=1e-12)
+                assert scaled[1] == ground[1]
+                plus = smallest_eigenvalue(params, 1, n_max)[0]
+                assert plus / s == pytest.approx(
+                    smallest_eigenvalue(ModelParams(omega=omega, g=g[-1]), 1, n_max)[0], rel=1e-12)
+
+    def test_small_frequencies_give_the_energies_of_unit_frequencies(self):
+        # at omega = omega_a = 1e-20 the absolute stop 1e-12 used to swallow
+        # the spectrum, and the ED broke the variational bound with exit 0
+        _, ed, _, deviation = compare_columns(ModelParams(omega=1e-20, omega_a=1e-20),
+                                              np.linspace(0.0, 3e-20, 7), n_max=300)
+        unit = compare_columns(ModelParams(), np.linspace(0.0, 3.0, 7), n_max=300)[1]
+        assert ed[-1] == pytest.approx(-2.28790068e-20, rel=1e-9)
+        assert ed / 1e-20 == pytest.approx(unit, rel=1e-12)
+        assert np.all(deviation >= 0.0)
+
 
 class TestSmallestEigenvalue:
     def test_diagonal_block(self):
@@ -478,16 +524,36 @@ class TestGuess:
 
     def test_pass_counts(self, monkeypatch):
         # 11 and 13 passes with uniform multisection alone; rows built on
-        # demand add none
+        # demand add none.  Two coarse passes, then one ladder pass.
         passes = _record_sturm_passes(monkeypatch)
         for n_max in (300, 3000):
             passes.clear()
             rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), n_max)
-            assert len(passes) == 4
-        for n_max in (50, 25):  # the two solves of ground_energy(ModelParams(g=1e4), 50)
+            assert len(passes) == 3
+        # the two solves of ground_energy(ModelParams(g=1e4), 50): at n_max 25
+        # rounding puts one guess 2 to 16 cells below the eigenvalue, and a
+        # uniform pass over the 14 cells between the ladder's +2 and +16 rungs
+        # finds its cell
+        for n_max, count in ((50, 3), (25, 4)):
             passes.clear()
             rabi._ground_rows(1.0, 1.0, np.array([1e4]), n_max)
-            assert len(passes) <= 8
+            assert len(passes) == count
+
+    @pytest.mark.parametrize("omega,g_max,points,n_max,count", [
+        (1.0, 10.0, 61, 300, 4), (1.0, 30.0, 61, 1000, 4), (0.5, 30.0, 61, 300, 4),
+        (1.0, 60.0, 11, 3000, 5)])
+    def test_second_guess_at_strong_coupling(self, monkeypatch, omega, g_max, points, n_max,
+                                             count):
+        # a bracket a 16th of the eigenvalue wide leaves the first guess many
+        # cells above it; the ladder below the guess moves the lower end to
+        # within 32 times that distance, and the guess shifted there lands
+        passes = _record_sturm_passes(monkeypatch)
+        guesses = []
+        guess = rabi._rayleigh_guess
+        monkeypatch.setattr(rabi, "_rayleigh_guess",
+                            lambda *args: guesses.append(1) or guess(*args))
+        rabi._ground_rows(omega, 1.0, np.linspace(0.0, g_max, points), n_max)
+        assert (len(passes), len(guesses)) == (count, 2)
 
     @pytest.mark.parametrize("omega,g,n_max", _DETUNING_GRIDS)
     def test_no_pass_repeats_one_point(self, monkeypatch, omega, g, n_max):

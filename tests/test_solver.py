@@ -21,6 +21,7 @@ from optodicke.solver import (
     STABILITIES,
     BranchPoints,
     NotFound,
+    OutOfRange,
     branch_points,
     closure_estimate,
     critical_coupling,
@@ -480,3 +481,11 @@ def test_stability_band_edges(omega, g, curv, beyond, far_g):
     # far outside the band, and a curvature well inside it
     assert stability(1.0, far_g)[1] is beyond
     assert stability(omega - curv / 4.0, g)[1] is Stability.MARGINAL
+
+
+@pytest.mark.parametrize("g", [[1e77, 4.5e77, 8e77], [8e77, 4.5e77], [4.5e77, 8e77]])
+def test_out_of_range_names_the_smallest_failing_coupling(g):
+    # at zeta = 1e-76 the inverted root overflows from g = 4.5e77 on and the
+    # normal roots from 8e77 on; in any order, the message names 4.5e77
+    with pytest.raises(OutOfRange, match=r"^g=4\.5e\+77, zeta=1e-76 "):
+        branch_points(ModelParams(zeta=1e-76), g)
