@@ -14,9 +14,9 @@ which has no effect but must be an integer.  Grid counts, phase-diagram cell
 counts and --n-max are capped (exit 2 above the cap).  A grid
 'min:max:count' is np.linspace(min, max, count); sweep and phase-diagram
 need one (not a bare number).  Before the solve, a command checks its
-couplings, or its grid's two ends, through ModelParams and, in rabi-compare,
-the ED's domain check: an invalid coupling is exit 2, and a ValueError
-raised by a solve is not taken for invalid input.  A command returns its
+couplings, or its grid's two ends, through ModelParams (rabi-compare: inside
+rabi.compare_columns, by the ED's domain check): an invalid coupling is exit
+2, any other ValueError raised by a solve is not.  A command returns its
 columns, each a float array or (codes, table), and every distinct value or
 label is formatted once per output.
 """
@@ -370,10 +370,9 @@ def _cmd_sp_closure(args, params: ModelParams) -> tuple[list[str], list]:
 def _cmd_rabi_compare(args, params: ModelParams) -> tuple[list[str], list]:
     from . import rabi  # the ED: only this command loads it
 
-    g_min, g_max, count = args.g
-    # the grid lies between its ends, so checking them checks every point
-    _checked(rabi.ed_couplings, params, [g_min, g_max])
-    columns = rabi.compare_columns(params, np.linspace(g_min, g_max, count), n_max=args.n_max)
+    with np.errstate(all="ignore"):  # a grid wider than the largest double fails the ED's check
+        g = np.linspace(*args.g)
+    columns = _checked(rabi.compare_columns, params, g, n_max=args.n_max)  # its one check of g
     return ["g", "energy_ed", "energy_variational", "deviation"], list(columns)
 
 

@@ -4,30 +4,27 @@ sweep_g(params, g) and phase_grid(params, g, zeta) take the couplings as
 float arrays, as solver.solve_ground does, and raise ValueError naming g or
 zeta if any coupling is negative or not finite.  A sweep solves all its g
 points, on both branches, in one array pass, and its point columns are those
-of the one solver.BranchPoints table that solver.solve_ground returns.  A phase grid needs only the
-two closed-form boundaries of each zeta row, g_c and the fold g_t, and
-labels its cells by comparing g with them; its boundaries are those exact
-couplings, in four boundary columns.  No file I/O happens here, the CLI
-layer owns serialization.
+of the one solver.BranchPoints table that solver.solve_ground returns.  A
+phase grid needs only g_c, closure_estimate and the fold g_t of each zeta
+row: it labels its cells by solver.ground_phases, the phase rule of a sweep,
+and its boundaries are those exact couplings, in four boundary columns.  No
+file I/O happens here, the CLI layer owns serialization.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, SpinBranch, curvature
+from .model import ModelParams
 from .solver import (
     COLUMN_PHASE,
-    MARGINAL_BAND,
     UNSTABLE,
     NotFound,
     couplings,
     critical_coupling,
-    is_minimum,
-    param_rows,
+    ground_phases,
     solve_ground,
     turning_point,
 )
@@ -44,11 +41,10 @@ __all__ = [
 # superradiant root, and the unstable nonzero roots of either branch.
 BRANCH_TAGS = ("N-", "N+", "gs-", "gus-", "gus+")
 
-# BRANCH_TAGS index of each point column of a Sweep; an unstable normal root
-# takes the next tag, gus-.  p is concave on the normal branch, so its smaller
-# root is the stable one (or marginal, tagged gs- as well).
-_COLUMN_TAGS = np.array([0, 2, 2, 1, 4])
-_NORMAL_ROOTS = np.array([0, 1, 1, 0, 0])
+# BRANCH_TAGS index of each point column of a Sweep.  The smaller normal root
+# is gs- while it is stable, gus- otherwise (a lone root up to g_c); the larger
+# one is always unstable, so no two present columns share a tag.
+_COLUMN_TAGS = np.array([0, 2, 3, 1, 4])
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +97,9 @@ def sweep_g(params: ModelParams, g) -> Sweep:
     """
     gs, _ = couplings(params, g)
     ground, pts = solve_ground(params, gs)
-    tag = _COLUMN_TAGS + _NORMAL_ROOTS * (pts.stability == UNSTABLE)
-    source = np.full(tag.shape, -1)
-    for j in range(tag.shape[1]):  # of two normal roots with one tag, the larger
-        i = np.flatnonzero(~np.isnan(pts.n_p[:, j]))
-        source[i, tag[i, j]] = j
+    i, j = np.nonzero(~np.isnan(pts.n_p))
+    source = np.full((gs.size, len(BRANCH_TAGS)), -1)
+    source[i, _COLUMN_TAGS[j] + ((j == 1) & (pts.stability[i, j] == UNSTABLE))] = j
     return Sweep(g=gs, phase=COLUMN_PHASE[ground], ground=ground, n_p=pts.n_p,
                  delta_n_a=pts.delta_n_a, n_b=pts.n_b, energy=pts.energy,
                  stability=pts.stability, source=source)
@@ -122,42 +116,23 @@ def grid_row(params: ModelParams, gs: np.ndarray, zetas
 
     gs and zetas are float vectors; params.g and params.zeta are ignored.
 
-    Labels are indices into solver.PHASES: NP_Nminus below g_c, SP on
-    (g_c, g_t), NP_Nplus from g_t up; g_t is infinite at zeta = 0 and g_c
-    when the window is closed.  A cell where N- is marginal (such as one
-    exactly at g_c) takes solve_ground's label: N- where the slope probe shows
-    a minimum (its tie rule favours gamma_bar = 0), else from solving those
-    cells.  Each label change gives one boundary of PhaseGrid's columns: at
-    g_t when leaving SP, otherwise at g_c with the label above SP whenever
-    the window is open, even when it is narrower than the grid step.
+    Labels are indices into solver.PHASES, by solver.ground_phases: NP_Nminus
+    below g_c, SP on (g_c, g_t), NP_Nplus from g_t up, with g_t infinite at
+    zeta = 0 and g_c when the window is closed; a cell exactly at g_c is
+    NP_Nminus iff zeta <= closure_estimate.  No stationary point is solved.
+    Each label change gives one boundary of PhaseGrid's columns: at g_t when
+    leaving SP, otherwise at g_c with the label above SP whenever the window
+    is open, even when it is narrower than the grid step.
     """
     g_c = critical_coupling(params)
-    g_t = np.full(zetas.size, math.inf)
+    g_t = np.full(zetas.size, np.inf)
     for row, zeta in enumerate(zetas.tolist()):
         if zeta > 0.0:
             try:
                 g_t[row] = turning_point(params, zeta=zeta)
             except NotFound:
                 g_t[row] = g_c
-
-    index = np.where(gs < g_t[:, None], 1, 2)  # the label above g_c
-    index[:, gs < g_c] = 0
-    # The zero point's curvature depends on g alone, unless zeta^2 overflows
-    # (a NaN curvature, marginal as in branch_points): find its band once, twice
-    # as wide as the marginal band, then probe every (zeta, g) pair in it at once.
-    with np.errstate(all="ignore"):
-        near = np.flatnonzero(np.abs(params.omega - gs * gs / params.omega_a) <= MARGINAL_BAND)
-        k, i = np.repeat(np.arange(zetas.size), near.size), np.tile(near, zetas.size)
-        curv = curvature(param_rows(params, gs[i], zetas[k]), SpinBranch.NORMAL, 0.0)
-        marginal = ~(np.abs(curv) > MARGINAL_BAND)
-        k, i = k[marginal], i[marginal]
-        minimum = is_minimum(params, SpinBranch.NORMAL, gs[i], np.zeros(i.size), zetas[k])
-    index[k[minimum], i[minimum]] = 0
-    k, i = k[~minimum], i[~minimum]
-    for row in np.flatnonzero(np.bincount(k)).tolist():  # np.unique would load numpy.ma
-        cols = i[k == row]
-        row_params = replace(params, zeta=float(zetas[row]))
-        index[row, cols] = COLUMN_PHASE[solve_ground(row_params, gs[cols])[0]]
+    index = ground_phases(params, gs, zetas, g_t)
 
     k, i = np.nonzero(index[:, :-1] != index[:, 1:])
     below, above = index[k, i], index[k, i + 1]

@@ -21,13 +21,18 @@ The turning point g_t is the cubic's double root.  In u = g^2 it is the one
 positive root of the quartic 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4,
 k = zeta^2 omega_a^2/(2 omega_b), which a change of variable turns into
 (tau*t)^4 + t - 1 = 0, solved by monotone Newton steps, as is the cubic in t
-that gives the closure coupling zeta_star.  solve_ground picks the ground
-state of every g of an array by one rule; ground_state is its one-point call.
+that gives the closure coupling zeta_star.
+
+Labels follow from the shape of p (concave in x on the normal branch, decreasing
+on the inverted one), never from a tolerance: N- is stable below g_c, unstable
+above and marginal at g_c, N+ stable; the smaller normal root is stable if the
+larger exists or g > g_c, the larger and the inverted root unstable.  The phase
+(ground_phases) is NP_Nminus below g_c, SP on (g_c, g_t), NP_Nplus from g_t up;
+solve_ground picks every ground state by it, ground_state at one g.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -62,7 +67,7 @@ __all__ = [
     "COLUMN_PHASE",
     "param_rows",
     "couplings",
-    "is_minimum",
+    "ground_phases",
     "solve_ground",
     "ground_state",
     "turning_point",
@@ -84,11 +89,11 @@ COLUMN_BRANCH = np.repeat([SpinBranch.NORMAL, SpinBranch.INVERTED], [3, 2])
 # into PHASES) of each column of BranchPoints that can hold the ground state.
 PHASES = (PhaseLabel.NP_NMINUS, PhaseLabel.SP, PhaseLabel.NP_NPLUS)
 COLUMN_PHASE = np.array([0, 1, 1, 2])
+# The column holding the ground state of each phase: N-, the smaller normal root, N+.
+_PHASE_COLUMN = np.array([0, 1, 3])
 # A point's stability as an index into STABILITIES, ABSENT where there is no point.
 STABILITIES = (Stability.MARGINAL, Stability.STABLE, Stability.UNSTABLE, None)
 MARGINAL, STABLE, UNSTABLE, ABSENT = range(len(STABILITIES))
-# Half-width of the marginal band: a point with |curvature| <= MARGINAL_BAND is marginal.
-MARGINAL_BAND = 1e-9
 
 
 class SolverError(Exception):
@@ -115,7 +120,8 @@ class BranchPoints:
     N+ zero point, 4 the inverted root; COLUMN_BRANCH gives their signs.
     x = gamma_bar^2 and the observables n_p, delta_n_a, n_b (those of
     model.observable_terms) and energy are NaN where a point is absent.
-    stability is an index into STABILITIES, ABSENT where a point is absent.
+    stability (by the module docstring's rule, which reads no curvature) is
+    an index into STABILITIES, ABSENT where a point is absent.
     """
 
     x: np.ndarray
@@ -136,13 +142,10 @@ def critical_coupling(params: ModelParams) -> float:
     return math.sqrt(params.omega * params.omega_a)
 
 
-def param_rows(params: ModelParams, g: np.ndarray, zeta=None) -> SimpleNamespace:
-    """params with g replaced by an array of couplings, for the model's array forms.
-
-    zeta, if given, replaces params.zeta: a scalar, or an array that broadcasts with g.
-    """
+def param_rows(params: ModelParams, g: np.ndarray) -> SimpleNamespace:
+    """params with g replaced by an array of couplings, for the model's array forms."""
     return SimpleNamespace(omega=params.omega, omega_a=params.omega_a, omega_b=params.omega_b,
-                           zeta=params.zeta if zeta is None else zeta, g=g)
+                           zeta=params.zeta, g=g)
 
 
 def couplings(params: ModelParams, g, zeta=None) -> tuple[np.ndarray, np.ndarray]:
@@ -220,9 +223,12 @@ def _points(params: ModelParams, g: np.ndarray) -> BranchPoints:
     with np.errstate(all="ignore"):
         if params.zeta == 0.0:
             roots = np.full((2 * g.size, 3), np.nan)
-            # a product, not **, so that a huge omega gives inf and OutOfRange
-            roots[:g.size, 0] = np.where(g > critical_coupling(params), g * g / (4.0 * (
-                params.omega * params.omega)) - params.omega_a**2 / (4.0 * (g * g)), np.nan)
+            # products, not **: a huge omega gives inf and OutOfRange, and products scale
+            # exactly by powers of two.  Next to g_c, x can round to <= 0; g^2 - g_c^2 not.
+            w2, g2, g_c2 = params.omega * params.omega, g * g, params.omega * params.omega_a
+            x = g2 / (4.0 * w2) - params.omega_a * params.omega_a / (4.0 * g2)
+            x = np.where(x > 0.0, x, (g2 - g_c2) / (4.0 * w2) * (1.0 + g_c2 / g2))
+            roots[:g.size, 0] = np.where(g > critical_coupling(params), x, np.nan)
         else:
             g2 = np.tile(g * g, 2)
             roots = _cubic_x(param_rows(params, np.tile(g, 2)[:, None]),
@@ -244,7 +250,10 @@ def _points(params: ModelParams, g: np.ndarray) -> BranchPoints:
     bad = (present & ~fits).any(axis=1)
     if bad.any():  # the smallest g with a bad point on either branch
         raise OutOfRange(f"g={float(g[bad].min())!r}, zeta={params.zeta!r} {_OUT_OF_RANGE}")
-    stability = STABLE * (curv > MARGINAL_BAND) + UNSTABLE * (curv < -MARGINAL_BAND)
+    g_c = critical_coupling(params)
+    stability = np.tile([MARGINAL, STABLE, UNSTABLE, STABLE, UNSTABLE], (g.size, 1))
+    stability[:, 0] = np.select([g < g_c, g > g_c], [STABLE, UNSTABLE], MARGINAL)
+    stability[:, 1] = np.where(present[:, 2] | (g > g_c), STABLE, UNSTABLE)
     stability[~present] = ABSENT
     return BranchPoints(x, n_p, delta_n_a, n_b, energy, curv, stability)
 
@@ -265,53 +274,47 @@ def find_roots(params: ModelParams) -> BranchPoints:
     return branch_points(params, [params.g])
 
 
-def is_minimum(params: ModelParams, branch: SpinBranch, g: np.ndarray,
-               gamma_bar: np.ndarray, zeta=None) -> np.ndarray:
-    """Slope probe: whether each marginal stationary point (g[i], gamma_bar[i]) is a minimum.
+def ground_phases(params: ModelParams, g: np.ndarray, zeta: np.ndarray,
+                  g_t: np.ndarray) -> np.ndarray:
+    """The ground state's phase, an index into PHASES, at each zeta row and g.
 
-    The energy slope is 2*gamma_bar*p, so p's sign next to the point decides.
-    At the fold p <= 0 on both sides (an inflection); at g = g_c the zero
-    point stays a minimum as long as p >= 0 just above it.  branch is a
-    SpinBranch or an array of signs, one per point; zeta, if given, replaces
-    params.zeta, as in param_rows.
+    g and zeta are float vectors, g_t holds the fold of each zeta row: inf at
+    zeta = 0 and g_c where turning_point raises NotFound.  The phase is
+    NP_Nminus below g_c, SP on (g_c, g_t) and NP_Nplus from g_t up.  At g ==
+    g_c it is NP_Nminus iff zeta <= closure_estimate, the sign of the energy's
+    quartic coefficient omega^2/omega_a - zeta^2/omega_b.  Shape (zeta.size,
+    g.size); params.g and params.zeta are ignored.
     """
-    rows = param_rows(params, g, zeta)
-    h = 1e-6 * np.maximum(1.0, gamma_bar)
-    with np.errstate(all="ignore"):  # a term that overflows next to the point sets p's sign
-        right = extremum_polynomial(rows, branch, gamma_bar + h)
-        left = extremum_polynomial(rows, branch, gamma_bar - h)
-    return ~(right < 0.0) & ~((gamma_bar > h) & (left > 0.0))
+    g_c = critical_coupling(params)
+    index = np.where(g < g_t[:, None], 1, 2)
+    index[:, g < g_c] = 0
+    at_g_c = g == g_c
+    if at_g_c.any():
+        closure = closure_estimate(params) if zeta.any() else 0.0
+        index[np.ix_(zeta <= closure, at_g_c)] = 0
+    return index
 
 
 def solve_ground(params: ModelParams, g) -> tuple[np.ndarray, BranchPoints]:
     """The ground state's column at each coupling of g, and the points of branch_points.
 
-    The ground state is one of the columns 0 to 3, labelled by COLUMN_PHASE.
-    Candidates are the stable points and the marginal ones is_minimum
-    confirms, but no normal root from the computed g_t up; the lowest energy
-    wins, ties within 1e-12 going to the smaller amplitude.  A g without
-    candidates (omega <= 5e-10) raises NotFound.  params.g is ignored.
+    The column of the phase ground_phases gives (COLUMN_PHASE labels it back):
+    0 (N-), 1 (the smaller normal root) or 3 (N+), and 3 where that root is
+    absent, which it is only within rounding of g_t.  params.g is ignored.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
     pts = branch_points(params, g)
-    candidate = pts.stability == STABLE
-    candidate[:, 4] = False  # p decreases along the inverted branch, so its root is never a minimum
-    i, j = np.nonzero(pts.stability[:, :4] == MARGINAL)
-    if i.size:
-        candidate[i, j] = is_minimum(params, COLUMN_BRANCH[j], g[i], np.sqrt(pts.x[i, j]))
-    with contextlib.suppress(NotFound):  # no fold at zeta = 0 or in a closed window
-        candidate[g >= turning_point(params), 1:3] = False
-    none = ~candidate.any(axis=1)
-    if none.any():
-        raise NotFound(f"no local minimum of the energy at g={float(g[none][0])!r}, "
-                       f"zeta={params.zeta!r}")
-    e_min = np.where(candidate, pts.energy, np.inf).min(axis=1, keepdims=True)
-    column = np.argmin(np.where(candidate & (pts.energy <= e_min + 1e-12), pts.x, np.inf), axis=1)
+    try:
+        g_t = turning_point(params)
+    except NotFound:  # no fold at zeta = 0, or a closed window
+        g_t = math.inf if params.zeta == 0.0 else critical_coupling(params)
+    column = _PHASE_COLUMN[ground_phases(params, g, np.array([params.zeta]), np.array([g_t]))[0]]
+    column[np.isnan(pts.x[np.arange(g.size), column])] = 3
     return column, pts
 
 
 def ground_state(params: ModelParams) -> tuple[PhaseLabel, float, float, float, float]:
-    """The lowest local minimum at params.g: solve_ground at one g.
+    """The ground state at params.g: solve_ground at one g.
 
     Returns (phase, n_p, delta_n_a, n_b, energy), the sweep's ground columns at params.g.
     """
@@ -341,10 +344,11 @@ def turning_point(params: ModelParams, zeta: float | None = None) -> float:
     u = g_t^2 is the positive root of 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4
     with k = zeta^2 omega_a^2/(2 omega_b).  With sigma = zeta/sqrt(omega_b),
     u = (omega/(1.5 t))^3 / sigma^2 turns it into (tau*t)^4 + t - 1 = 0,
-    tau = (27/16)^(1/4) zeta/closure_estimate.  Nothing overflows: g_t is inf
-    only where it exceeds every double (closure_estimate raises OutOfRange
-    where omega_b*omega^2/omega_a does not fit in a double).  params.g is
-    ignored; zeta defaults to params.zeta.
+    tau = (27/16)^(1/4) zeta/closure_estimate, and g_t = w*sqrt(w*omega_b)/zeta,
+    w = omega/(1.5 t), exact under scaling by powers of two (w^1.5 is not).
+    Nothing overflows: g_t is inf only where it exceeds every double
+    (closure_estimate raises OutOfRange where omega_b*omega^2/omega_a does not
+    fit in a double).  params.g is ignored; zeta defaults to params.zeta.
 
     Raises NotFound for zeta = 0 (the superradiant region never closes) and
     when the fold is not a superradiant window: zeta >= closure_estimate,
@@ -359,7 +363,9 @@ def turning_point(params: ModelParams, zeta: float | None = None) -> float:
         root_wb = math.sqrt(params.omega_b)
         tau = (27.0 / 16.0) ** 0.25 * ratio  # t in (0, 1]; the left side is convex for t > 0
         t = _newton_down(lambda t: ((tau * t)**4 + t - 1.0, 4.0 * tau * (tau * t)**3 + 1.0))
-        g_t = (params.omega / (1.5 * t)) ** 1.5 * root_wb / z
+        w = params.omega / (1.5 * t)
+        w_b = w * params.omega_b
+        g_t = w * (math.sqrt(w_b) if _TINY <= w_b <= _HUGE else math.sqrt(w) * root_wb) / z
         if g_t > critical_coupling(params) and g_t * g_t > z / root_wb * params.omega_a**1.5:
             return g_t
     raise NotFound(f"no stable superradiant root above g_c at zeta={z!r}: "

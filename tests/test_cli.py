@@ -196,7 +196,7 @@ class TestConfig:
     @pytest.mark.parametrize("flag, key, value", RETIRED_KNOBS)
     def test_retired_knobs_rejected(self, flag, key, value, tmp_path, capsys):
         # the solver is closed form: no root tolerance, root scan or g_t
-        # tolerance, and its marginal band is a constant
+        # tolerance, and no marginal band
         assert run(["turning-point", "--zeta", "1", flag, value]) == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         cfg = tmp_path / "cfg.json"
@@ -681,12 +681,21 @@ def test_sweep_at_extreme_g_and_zeta(g, zeta, capsys):
 
 
 def test_phase_diagram_zeta_past_double_range(capsys):
-    # the cell at g_c fails the slope probe and goes to the solver, where zeta^2
-    # does not fit in a double
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["phase-diagram", "--g", "0:3:4", "--zeta", "3:1e200:2"]) == 2
-    assert "outside the supported range" in capsys.readouterr().err
+    # a phase diagram solves no stationary point, so a zeta whose square does not
+    # fit in a double is no error: g_c, g_t and closure_estimate all fit.  The exit
+    # code is the same whether a cell lands on g_c = 1 (the first grid) or not.
+    lines = []
+    for g in ("0:3:4", "0:3:5"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["phase-diagram", "--g", g, "--zeta", "3:1e200:2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines.append(out.splitlines())
+    # at g_c: N- below closure_estimate = sqrt(10), N+ past it
+    assert {"cell,3,1,NP_Nminus,", "cell,1e+200,1,NP_Nplus,"} <= set(lines[0])
+    assert lines[0][-2:] == lines[1][-2:] == ["boundary,3,1,NP_Nminus,SP",
+                                              "boundary,1e+200,1,NP_Nminus,NP_Nplus"]
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -695,11 +704,17 @@ def test_phase_diagram_zeta_past_double_range(capsys):
     # omega^2 overflows in the superradiant root above g_c
     (["sweep", "--g", "1e151:1e152:3", "--omega", "1e300"], 2, "outside the supported range"),
     (["phase-diagram", "--g", "0:1e300:3", "--zeta", "0:1:2"], 0, ""),
-    # omega below 5e-10 leaves no local minimum at g = 0
-    (["sweep", "--g", "0:3:5", "--omega", "1e-300", "--zeta", "1"], 3, "no local minimum"),
-    # the cell at g_c is marginal, and the slope probe's phonon term overflows next to it
+    # g = 0 < g_c = 1e-150: N- is a strict minimum, of curvature 2e-300, and the
+    # ground state; above g_c the window is closed (zeta > closure_estimate)
+    (["sweep", "--g", "0:3:5", "--omega", "1e-300", "--zeta", "1"], 0,
+     "0,NP_Nminus,0,-0.5,0,-0.5,0,-0.5,stable,"),
+    # the cell at g_c, past closure_estimate = 4.5e-13: N+, with no point solved
     (["phase-diagram", "--g", f"{2.0**248!r}:{2.0**249!r}:2", "--zeta", "1:10:2",
       "--omega", repr(2.0**496), "--omega-b", "5e-324"], 0, "cell,1,4.52312849e+74,NP_Nplus,"),
+    # the stationary points do not fit in doubles here (the sweep of
+    # test_outside_the_domain), but a phase diagram needs only g_c and g_t
+    (["phase-diagram", "--omega", "2.3773359643333753e-39", "--omega-a", "1e-150",
+      "--g", "0:1e50:3", "--zeta", "0:1e50:2"], 0, "cell,1e+50,5e+49,NP_Nplus,"),
 ])
 def test_huge_and_tiny_parameters(argv, code, message, capsys):
     # message is in stdout on success, in stderr otherwise
@@ -749,9 +764,9 @@ def test_out_of_range_names_the_smallest_failing_coupling(capsys):
      "g_t exceeds the largest double"),
     (["turning-point", "--zeta", "1e-310"], "g_t exceeds the largest double"),
     # zeta^2 overflows, and at g = 0 the zero point's curvature is 0/0 (g^2 over an
-    # A^3 = omega_a^3 that underflows): the marginal prefilter must not warn
-    (["phase-diagram", "--omega", "2.3773359643333753e-39", "--omega-a", "1e-150",
-      "--g", "0:1e50:3", "--zeta", "0:1e50:2"], "outside the supported range"),
+    # A^3 = omega_a^3 that underflows): the stationary points must not warn
+    (["sweep", "--omega", "2.3773359643333753e-39", "--omega-a", "1e-150",
+      "--g", "0:1e50:3", "--zeta", "1e50"], "outside the supported range"),
     # the closed form of zeta_star: its denominator underflows to 0, and g_c^2 underflows
     (["sp-closure", "--omega", "1.3713377659722352e-295", "--width-tol",
       "1.4149466218321612e-36"], "outside the range of the closure coupling's closed form"),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optodicke import diagram
+from optodicke import solver
 from optodicke.diagram import (
     BRANCH_TAGS,
     Sweep,
@@ -27,8 +27,8 @@ from optodicke.solver import (
     NotFound,
     closure_estimate,
     critical_coupling,
+    find_roots,
     ground_state,
-    solve_ground,
     turning_point,
 )
 
@@ -266,24 +266,22 @@ class TestGridReferee:
 
     def test_marginal_cells_of_every_row(self, monkeypatch):
         # g_c is the middle g of every zeta row, so each row has a marginal N- cell.
-        # At zeta exactly closure_estimate the slope probe finds no minimum there
-        # (the solver has an SP root of rounding size), and only that cell is solved.
+        # No stationary point is solved for a phase grid, and each of those cells is
+        # N- up to zeta = closure_estimate, that row included, as in ground_state.
         base = ModelParams(omega=0.75, omega_a=1.2964465672968557, omega_b=36.75)
         g_c, closure = critical_coupling(base), closure_estimate(base)
         gs, zetas = np.linspace(0.0, 2.0 * g_c, 3), np.linspace(0.0, closure, 5)
         assert gs[1] == g_c and zetas[-1] == closure
-        solved = []
 
-        def spy(params, g):
-            solved.append((params.zeta, g.tolist()))
-            return solve_ground(params, g)
+        def fail(*args):
+            raise AssertionError("a phase grid solves a stationary point")
 
-        monkeypatch.setattr(diagram, "solve_ground", spy)
-        grid = phase_grid(base, gs, zetas)
-        assert solved == [(closure, [g_c])]
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_points", fail)
+            grid = phase_grid(base, gs, zetas)
         for g, zeta, label in zip(*(c.tolist() for c in cells(grid)), grid.phase.tolist()):
             assert PHASES[label] is ground_state(replace(base, g=g, zeta=zeta))[0], (g, zeta)
-        assert PHASES[grid.phase[-2]] is PhaseLabel.SP
+        assert [PHASES[k] for k in grid.phase[1::3]] == [PhaseLabel.NP_NMINUS] * 5
 
     # omega = 2 puts g_c = sqrt(2) on a double whose square is not omega*omega_a
     @pytest.mark.parametrize("omega", [1.0, 2.0])
@@ -312,8 +310,8 @@ class TestGridReferee:
         assert gs[4] == g_t
         assert PHASES[index[4]] is PhaseLabel.NP_NPLUS
         assert g_b[below == SP].tolist() in ([g_t], [])
-        # The fold rule: no superradiant root is a ground-state candidate from
-        # the computed g_t up, so the solver agrees with the grid there too.
+        # The phase rule: NP_Nplus from the computed g_t up, so the solver
+        # agrees with the grid there too.
         def phase_at(g):
             return ground_state(ModelParams(g=g, zeta=zeta))[0]
 
@@ -397,8 +395,30 @@ class TestFoldRule:
                                       np.array(ground).view(np.int64)), (zeta, g)
                 (index,), _ = grid_row(base, gs, np.array([zeta]))
                 assert PHASES[index[1]] is want, (zeta, g)
-                if g != g_c:  # no superradiant root is a candidate from g_t up
+                if g != g_c:  # NP_Nplus from the computed g_t up
                     assert want is PhaseLabel.NP_NPLUS, zeta
+
+    @pytest.mark.parametrize("omega, omega_a, omega_b", [
+        (1.0, 1.0, 10.0), (2.0, 0.7, 25.0), (0.75, 1.2964465672968557, 36.75)])
+    def test_critical_coupling_at_and_past_closure(self, omega, omega_a, omega_b):
+        # At g == g_c, N- is marginal whatever zeta.  The phase is N- up to
+        # zeta = closure_estimate, that zeta included, and N+ one ulp above it, in
+        # ground_state, sweep_g and phase_grid alike.
+        base = ModelParams(omega=omega, omega_a=omega_a, omega_b=omega_b)
+        g_c, closure = critical_coupling(base), closure_estimate(base)
+        gs = np.linspace(0.0, 2.0 * g_c, 3)
+        zetas = np.array([math.nextafter(closure, 0.0), closure, math.nextafter(closure, math.inf)])
+        wants = [PhaseLabel.NP_NMINUS, PhaseLabel.NP_NMINUS, PhaseLabel.NP_NPLUS]
+        assert gs[1] == g_c
+        grid = phase_grid(base, gs, zetas)
+        for k, (zeta, want) in enumerate(zip(zetas.tolist(), wants)):
+            params = replace(base, g=g_c, zeta=zeta)
+            rows = sweep_g(params, gs)
+            assert STABILITIES[find_roots(params).stability[0, 0]] is Stability.MARGINAL
+            assert STABILITIES[rows.stability[1, 0]] is Stability.MARGINAL
+            assert ground_state(params)[0] is want, zeta
+            assert PHASES[rows.phase[1]] is want, zeta
+            assert PHASES[grid.phase[3 * k + 1]] is want, zeta
 
 
 class TestBoundaryTrace:
@@ -510,6 +530,89 @@ class TestSweepReferee:
                      row[f"np_{tag}"], row[f"eps_{tag}"], row[f"stability_{tag}"])
                     for tag in BRANCH_TAGS if row[f"np_{tag}"]}
         assert printed == expected
+
+
+def _scaled(params, s):
+    """params with omega, omega_a, omega_b and zeta multiplied by s."""
+    return replace(params, omega=params.omega * s, omega_a=params.omega_a * s,
+                   omega_b=params.omega_b * s, zeta=params.zeta * s)
+
+
+class TestScaleInvariance:
+    """Scaling omega, omega_a, omega_b, g and zeta by s moves no label; energies scale by s.
+
+    Every quantity is in units of omega_a, so no tolerance may decide a label.
+    A power of two scales every input exactly, and then every label and value
+    must be bit for bit those of s = 1.  Any other s rounds the inputs, so
+    labels are compared away from g_c and g_t, and values where rounding
+    cannot move them.
+    """
+
+    _FREQUENCY = st.floats(math.exp(-2.0), math.exp(2.0))
+    # zeta in units of closure_estimate: from 0.01 on, g_t < 100 g_c, where the points fit
+    _Z_UNIT = st.one_of(st.just(0.0), st.floats(0.01, 1.3))
+
+    @staticmethod
+    def _axes(base, z_unit, g_units):
+        """A g axis through 0, g_c and g_t, and zetas at 0, inside and at the closure edge."""
+        g_c, closure = critical_coupling(base), closure_estimate(base)
+        zetas = np.array([0.0, z_unit * closure, closure, math.nextafter(closure, math.inf)])
+        gs = [0.0, g_c, *(u * g_c for u in g_units)]
+        with contextlib.suppress(NotFound):
+            gs.append(turning_point(base, zeta=zetas[1]))
+        return np.array(gs), zetas
+
+    @staticmethod
+    def _edges(base, zeta):
+        """g_c and, where there is one, g_t of a zeta row."""
+        with contextlib.suppress(NotFound):
+            return critical_coupling(base), turning_point(base, zeta=zeta)
+        return (critical_coupling(base),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(omega=_FREQUENCY, omega_a=_FREQUENCY, omega_b=_FREQUENCY, z_unit=_Z_UNIT,
+           g_units=st.lists(st.floats(0.0, 3.0), max_size=6), k=st.integers(-130, 130))
+    def test_powers_of_two_are_bit_identical(self, omega, omega_a, omega_b, z_unit, g_units, k):
+        base = ModelParams(omega=omega, omega_a=omega_a, omega_b=omega_b)
+        s = 2.0**k
+        gs, zetas = self._axes(base, z_unit, g_units)
+        for zeta in zetas.tolist():
+            one = sweep_g(replace(base, zeta=zeta), gs)
+            other = sweep_g(_scaled(replace(base, zeta=zeta), s), gs * s)
+            for name in ("phase", "ground", "stability", "source", "n_p", "delta_n_a", "n_b"):
+                assert np.array_equal(getattr(one, name), getattr(other, name),
+                                      equal_nan=True), (zeta, name)
+            assert np.array_equal(one.energy * s, other.energy, equal_nan=True), zeta
+        grid = phase_grid(base, gs, zetas)
+        assert np.array_equal(grid.phase, phase_grid(_scaled(base, s), gs * s, zetas * s).phase)
+
+    @settings(max_examples=60, deadline=None)
+    @given(omega=_FREQUENCY, omega_a=_FREQUENCY, omega_b=_FREQUENCY, z_unit=_Z_UNIT,
+           g_units=st.lists(st.floats(0.0, 3.0), max_size=6), log_s=st.floats(-40.0, 40.0))
+    def test_any_scale_keeps_labels_off_the_edges(self, omega, omega_a, omega_b, z_unit,
+                                                   g_units, log_s):
+        base = ModelParams(omega=omega, omega_a=omega_a, omega_b=omega_b)
+        s = 10.0**log_s
+        gs, zetas = self._axes(base, z_unit, g_units)
+        grid = phase_grid(base, gs, zetas).phase.reshape(zetas.size, gs.size)
+        scaled_grid = phase_grid(_scaled(base, s), gs * s, zetas * s).phase.reshape(grid.shape)
+        for row, zeta in enumerate(zetas.tolist()):
+            distance = np.min([np.abs(gs - edge) for edge in self._edges(base, zeta)], axis=0)
+            off = distance > 1e-12 * critical_coupling(base)
+            one = sweep_g(replace(base, zeta=zeta), gs)
+            other = sweep_g(_scaled(replace(base, zeta=zeta), s), gs * s)
+            for name in ("phase", "ground", "stability", "source"):
+                assert np.array_equal(getattr(one, name)[off], getattr(other, name)[off]), (
+                    zeta, name)
+            assert np.array_equal(grid[row, off], scaled_grid[row, off]), zeta
+            # values: to rounding, where a relative step of 1e-15 in the inputs moves a
+            # root by far less than 1e-8 (1e-6 of g_c from g_c and g_t)
+            far = distance > 1e-6 * critical_coupling(base)
+            for name in ("n_p", "delta_n_a", "n_b"):
+                assert np.allclose(getattr(other, name)[far], getattr(one, name)[far],
+                                   rtol=1e-8, atol=0.0, equal_nan=True), (zeta, name)
+            assert np.allclose(other.energy[far] / s, one.energy[far], rtol=1e-8,
+                               atol=1e-12 * base.omega_a, equal_nan=True), zeta
 
 
 def test_result_columns_are_not_the_callers_arrays():

@@ -117,7 +117,7 @@ class TestZeroPhotonPoint:
     def test_bitwise_the_kernel_zero_point(self):
         # scalar and array powers differ in the last bit for some omega_a, so
         # the one-point call must be the array kernel's own column 0, bit for
-        # bit, for it to classify alike at the marginal band's edge
+        # bit, for its energy and curvature to print alike
         rng = np.random.default_rng(8)
         gs = np.array([0.3, 0.7, 1.9])
         for omega_a in rng.uniform(0.3, 3.0, 400):
@@ -137,6 +137,18 @@ class TestFindRoots:
         assert no_roots(normal_roots(ModelParams(g=0.9, zeta=0.0)))
         assert no_roots(inverted_roots(ModelParams(g=1.5, zeta=0.0)))
         assert no_roots(normal_roots(ModelParams(g=1.0, zeta=0.0)))
+
+    def test_dicke_root_next_to_critical_coupling(self):
+        # at zeta = 0 the closed form g^2/(4 omega^2) - omega_a^2/(4 g^2) rounds to
+        # <= 0 one ulp above g_c here; the root is still there, of rounding size
+        params = ModelParams(omega=0.13872968284453244, omega_a=0.1778540892305054)
+        gs = [critical_coupling(params)]
+        for _ in range(8):
+            gs.append(math.nextafter(gs[-1], math.inf))
+        pts = branch_points(params, gs)
+        assert np.isnan(pts.x[0, 1]) and (pts.x[1:, 1] > 0.0).all()
+        assert (pts.x[1:, 1] < 1e-14).all() and members(pts.stability[1:, 1]) == [
+            Stability.STABLE] * 8
 
     def test_two_roots_reference_point(self):
         pts = normal_roots(REF)
@@ -464,23 +476,18 @@ def test_critical_points_summary():
         turning_point(ModelParams(g=1.5, zeta=0.0))
 
 
-@pytest.mark.parametrize("omega, g, curv, beyond, far_g", [
-    (5e-10, 0.0, 1e-9, Stability.STABLE, 0.0),
-    (2.0**-30 - 5e-10, 2.0**-15, -1e-9, Stability.UNSTABLE, 2.0),
-], ids=["stable-side", "unstable-side"])
-def test_stability_band_edges(omega, g, curv, beyond, far_g):
-    # the one stability rule, on branch_points' column: the N- zero point has
-    # curvature 2(omega - g^2/omega_a), exactly +-1e-9 here, and is marginal
-    # while |curvature| <= 1e-9, stable or unstable by its sign beyond
-    def stability(omega, g):
-        pts = branch_points(ModelParams(omega=omega), [g])
-        return pts.curvature[0, 0], STABILITIES[pts.stability[0, 0]]
-
-    assert stability(omega, g) == (curv, Stability.MARGINAL)
-    assert stability(float(np.nextafter(omega, math.copysign(math.inf, curv))), g)[1] is beyond
-    # far outside the band, and a curvature well inside it
-    assert stability(1.0, far_g)[1] is beyond
-    assert stability(omega - curv / 4.0, g)[1] is Stability.MARGINAL
+@pytest.mark.parametrize("omega, g, want, sign", [
+    (5e-10, 0.0, Stability.STABLE, 1.0),
+    (2.0**-30 - 5e-10, 2.0**-15, Stability.UNSTABLE, -1.0),
+    (1e-300, 0.0, Stability.STABLE, 1.0),
+    (2.0**-30, 2.0**-15, Stability.MARGINAL, 0.0),
+], ids=["stable-side", "unstable-side", "tiny-omega", "at-g_c"])
+def test_zero_point_stability_is_g_against_g_c(omega, g, want, sign):
+    # N-'s label is g against g_c alone, not a band on its curvature
+    # 2(omega - g^2/omega_a): 1e-9, -1e-9 and 2e-300 are of the label's sign
+    pts = branch_points(ModelParams(omega=omega), [g])
+    assert STABILITIES[pts.stability[0, 0]] is want
+    assert np.sign(pts.curvature[0, 0]) == sign
 
 
 @pytest.mark.parametrize("g", [[1e77, 4.5e77, 8e77], [8e77, 4.5e77], [4.5e77, 8e77]])
