@@ -142,8 +142,9 @@ def _axis(params: ModelParams, lo: float, hi: float, count: int, name: str) -> n
     if count < 2:
         raise ConfigError(f"{name}_min must be < {name}_max")
     for end in (lo, hi):
-        _checked(replace, params, **{name: end})
-    return np.linspace(lo, hi, count)
+        _checked(ModelParams, **{**vars(params), name: end})
+    with np.errstate(all="ignore"):  # a grid wider than the largest double fails the solve's check
+        return np.linspace(lo, hi, count)
 
 
 @functools.cache
@@ -321,14 +322,14 @@ _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_grou
 def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
     params = _checked(replace, params, zeta=args.zeta)
     sweep = diagram.sweep_g(params, _axis(params, *args.g, "g"))
-    rows, k = np.arange(sweep.g.size), sweep.ground
-    columns = [sweep.g, (sweep.phase, PHASES), sweep.n_p[rows, k],
-               sweep.delta_n_a[rows, k], sweep.n_b[rows, k], sweep.energy[rows, k]]
-    for j in sweep.source.T:
-        found = j >= 0
-        columns += [np.where(found, sweep.n_p[rows, j], np.nan),
-                    np.where(found, sweep.energy[rows, j], np.nan),
-                    (np.where(found, sweep.stability[rows, j], ABSENT), STABILITIES)]
+    rows, k, j = np.arange(sweep.g.size), sweep.ground, sweep.source.T  # j: (tag, row)
+    columns = [sweep.g, (sweep.phase, PHASES), *(column[rows, k] for column in (
+        sweep.n_p, sweep.delta_n_a, sweep.n_b, sweep.energy))]
+    found = j >= 0
+    n_p, energy = (np.where(found, column[rows, j], np.nan) for column in (sweep.n_p, sweep.energy))
+    stability = np.where(found, sweep.stability[rows, j], ABSENT)
+    for tag in zip(n_p, energy, stability):
+        columns += [*tag[:2], (tag[2], STABILITIES)]
     return list(_SWEEP_FIELDS), columns
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .model import ModelParams
 from .solver import (
+    ABSENT,
     COLUMN_PHASE,
     UNSTABLE,
     NotFound,
@@ -41,10 +42,10 @@ __all__ = [
 # superradiant root, and the unstable nonzero roots of either branch.
 BRANCH_TAGS = ("N-", "N+", "gs-", "gus-", "gus+")
 
-# BRANCH_TAGS index of each point column of a Sweep.  The smaller normal root
-# is gs- while it is stable, gus- otherwise (a lone root up to g_c); the larger
-# one is always unstable, so no two present columns share a tag.
-_COLUMN_TAGS = np.array([0, 2, 3, 1, 4])
+# The point column of a Sweep that each of BRANCH_TAGS reads.  The smaller
+# normal root is gs- while it is stable, and gus- otherwise: a lone root up to
+# g_c, where the larger one, always unstable, is absent.
+_TAG_COLUMNS = np.array([0, 3, 1, 2, 4])
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +98,8 @@ def sweep_g(params: ModelParams, g) -> Sweep:
     """
     gs, _ = couplings(params, g)
     ground, pts = solve_ground(params, gs)
-    i, j = np.nonzero(~np.isnan(pts.n_p))
-    source = np.full((gs.size, len(BRANCH_TAGS)), -1)
-    source[i, _COLUMN_TAGS[j] + ((j == 1) & (pts.stability[i, j] == UNSTABLE))] = j
+    source = np.where(pts.stability[:, _TAG_COLUMNS] != ABSENT, _TAG_COLUMNS, -1)
+    source[pts.stability[:, 1] == UNSTABLE, 2:4] = [-1, 1]
     return Sweep(g=gs, phase=COLUMN_PHASE[ground], ground=ground, n_p=pts.n_p,
                  delta_n_a=pts.delta_n_a, n_b=pts.n_b, energy=pts.energy,
                  stability=pts.stability, source=source)

@@ -12,8 +12,9 @@ c = zeta^2/(2 g^2 omega_b), multiplying p = 0 by A gives the depressed cubic
 
 (+g^2 on the normal branch, -g^2 on the inverted one).  Its roots come from
 the trigonometric (or hyperbolic) cubic formula; a root is a positive
-stationary amplitude when A > omega_a, and x = (A - omega_a)(A + omega_a)/(4 g^2).
-Two Newton steps on p(x) polish each root.  At zeta = 0 the normal branch has
+stationary amplitude when A > omega_a, and x = (A - omega_a)(A + omega_a)/(4 g^2),
+unpolished (a relative error of a few ulps, about 1e-8 within 1e-8 of g_c or
+the fold, where the roots are ill-conditioned).  At zeta = 0 the normal branch has
 x = g^2/(4 omega^2) - omega_a^2/(4 g^2) above g_c and the inverted one none; for
 g^2 <= 2^-60 omega*omega_a both have x = omega*omega_b/(2 zeta^2), exact to rounding.
 
@@ -34,7 +35,7 @@ solve_ground picks every ground state by it, ground_state at one g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,8 +47,8 @@ from .model import (
     SpinBranch,
     Stability,
     curvature,
-    extremum_polynomial,
-    extremum_polynomial_slope,
+    extremum_polynomial,  # unused here: the benchmark's tracer (bench/tracing.py) wraps
+    extremum_polynomial_slope,  # both as attributes of this module
     observable_terms,
     scaled_energy,
 )
@@ -75,9 +76,10 @@ __all__ = [
     "closure_estimate",
 ]
 
-_NEWTON_STEPS = 2
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
-_THIRDS = np.array([2.0 * math.pi * k / 3.0 for k in range(3)])
+_THIRDS = np.array([2.0 * math.pi * k / 3.0 for k in range(3)])[:, None, None]
+# The sign of q = sign*g^2 in each row block of the cubic: normal, then inverted.
+_SIGNS = np.array([[float(SpinBranch.NORMAL)], [float(SpinBranch.INVERTED)]])
 _OUT_OF_RANGE = ("is outside the supported range, where every stationary point and its "
                  "phonon number fit in doubles "
                  "(at omega = omega_a = 1, omega_b = 10: about 1e-153 < zeta < 5e153, "
@@ -94,6 +96,9 @@ _PHASE_COLUMN = np.array([0, 1, 3])
 # A point's stability as an index into STABILITIES, ABSENT where there is no point.
 STABILITIES = (Stability.MARGINAL, Stability.STABLE, Stability.UNSTABLE, None)
 MARGINAL, STABLE, UNSTABLE, ABSENT = range(len(STABILITIES))
+# Each column's stability where g does not decide it (columns 0 and 1), and the zero points.
+_STABILITY = np.array([MARGINAL, STABLE, UNSTABLE, STABLE, UNSTABLE])
+_ZERO_POINT = np.array([True, False, False, True, False])
 
 
 class SolverError(Exception):
@@ -158,103 +163,92 @@ def couplings(params: ModelParams, g, zeta=None) -> tuple[np.ndarray, np.ndarray
     """
     g = np.array(g, dtype=float).reshape(-1)
     zeta = np.array(params.zeta if zeta is None else zeta, dtype=float).reshape(-1)
-    for end in (np.min, np.max):
-        replace(params, g=float(end(g, initial=0.0)), zeta=float(end(zeta, initial=0.0)))
+    for g_end, zeta_end in ((g.min(initial=0.0), zeta.min(initial=0.0)),
+                            (g.max(initial=0.0), zeta.max(initial=0.0))):
+        ModelParams(params.omega, params.omega_a, params.omega_b, float(g_end), float(zeta_end))
     return g, zeta
 
 
-def _cubic_x(rows: SimpleNamespace, sign: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """x of the roots of c*A^3 - b*A - q = 0 with A > omega_a (NaN if none), per g^2 > 0.
+def _cubic_x(params: ModelParams, g2: np.ndarray, at_g_c: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x of the two normal roots ascending and the inverted root, per g^2 > 0 (NaN if absent).
 
-    sign is each row's branch.  inf marks a row whose
-    coefficients do not fit in doubles.  The excess A - omega_a nearest 0 comes
-    from the excesses' root product (omega*omega_a + q)/c (exactly 0 at g_c),
-    unless another excess is within 1e-4 r of 0 too (next to the triple root
-    at g_c and closure).
+    A root is one of c*A^3 - b*A - q = 0 with A > omega_a; the normal rows
+    (q = -g^2) and the inverted rows (q = +g^2) are solved in one pass.  The formula orders the roots A_0 >= A_1 >= A_2, and A_2 <= -r:
+    the normal roots come from A_0 and A_1, the inverted one from A_0 (A_1 A_2
+    = g^2/(c A_0) > 0 there).  inf marks a row whose coefficients do not fit
+    in doubles.  The excess A - omega_a nearest 0 comes from the excesses'
+    root product (omega*omega_a + q)/c, unless another excess is within
+    1e-4 r of 0 too (next to the triple root at g_c and closure); on a normal
+    row at g_c (at_g_c: g == g_c, whose square may round off omega*omega_a)
+    it is exactly 0.
     """
-    oa = rows.omega_a
-    c = (rows.zeta * rows.zeta) / (2.0 * g2 * rows.omega_b)
-    q = sign * g2
-    b = rows.omega + c * oa * oa
+    oa = params.omega_a
+    c = (params.zeta * params.zeta) / (2.0 * g2 * params.omega_b)
+    b = params.omega + c * oa * oa
     r = np.sqrt(b / (3.0 * c))
-    arg = q / (2.0 * c * r**3)
-    if np.isinf(r**3).any():
-        arg = np.where(np.isinf(r**3), 1.5 * q / (b * r), arg)
-    ys = 2.0 * r[:, None] * np.cos(np.arccos(arg)[:, None] / 3.0 - _THIRDS) - oa
-    n = np.arange(g2.size)
-    i = np.argmin(np.abs(ys), axis=1)
-    y_j, y_k = ys[n, (i + 1) % 3], ys[n, (i + 2) % 3]
-    apart = np.minimum(np.abs(y_j), np.abs(y_k)) > 1e-4 * r
-    ys[n, i] = np.where(apart, (rows.omega * oa + q) / (c * (y_j * y_k)), ys[n, i])
-    one = ~(np.abs(arg) <= 1.0)
-    if one.any():
-        ys[one] = -np.inf
-        ys[one, 0] = np.copysign(2.0 * r * np.cosh(np.arccosh(np.abs(arg)) / 3.0), arg)[one] - oa
-    x = np.where(ys > 0.0, ys * (ys + 2.0 * oa) / (4.0 * g2[:, None]), np.nan)
-
-    # Newton steps on p(x), dp/dx = (dp/dgamma_bar)/(2 gamma_bar), on present roots only.  A root
-    # stops at the first step with slope 0, a result <= 0, or a larger |p| (from a double root).
-    k, j = np.nonzero(~np.isnan(x))
-    at, sign = param_rows(rows, rows.g[k, 0]), sign[k]
-    roots, active = x[k, j], np.ones(k.size, dtype=bool)
-    gamma_bar = np.sqrt(roots)
-    p = extremum_polynomial(at, sign, gamma_bar)
-    for _ in range(_NEWTON_STEPS):
-        dpdx = extremum_polynomial_slope(at, sign, gamma_bar) / (2.0 * gamma_bar)
-        x_next = roots - p / dpdx
-        p_next = extremum_polynomial(at, sign, np.sqrt(x_next))
-        active &= (dpdx != 0.0) & (x_next > 0.0) & (np.abs(p_next) <= np.abs(p))
-        roots, p = np.where(active, x_next, roots), np.where(active, p_next, p)
-        gamma_bar = np.sqrt(roots)
-    x[k, j] = roots
-
-    x[~((c > 0.0) & np.isfinite(2.0 * r)) | np.isnan(ys).any(axis=1)] = [np.inf, np.nan, np.nan]
-    return x
+    r3 = r**3
+    q = _SIGNS * g2
+    arg = q / (2.0 * c * r3)
+    if np.isinf(r3).any():
+        arg = np.where(np.isinf(r3), 1.5 * q / (b * r), arg)
+    y0, y1, y2 = 2.0 * r * np.cos(np.arccos(arg) / 3.0 - _THIRDS) - oa
+    a0, a1, a2 = np.abs(y0), np.abs(y1), np.abs(y2)
+    near_0, near_1 = (a0 <= a1) & (a0 <= a2), (a1 < a0) & (a1 <= a2)  # ties to the lower index
+    tol, excess_product = 1e-4 * r, params.omega * oa + q
+    y0, y1 = (np.where(near_0 & (np.minimum(a1, a2) > tol), excess_product / (c * (y1 * y2)), y0),
+              np.where(near_1 & (np.minimum(a2, a0) > tol), excess_product / (c * (y2 * y0)), y1))
+    y0[0, near_0[0] & at_g_c] = 0.0
+    y1[0, near_1[0] & at_g_c] = 0.0
+    one = ~(np.abs(arg) <= 1.0)  # one real root: the hyperbolic formula
+    y0 = np.where(one, np.copysign(2.0 * r * np.cosh(np.arccosh(np.abs(arg)) / 3.0), arg) - oa, y0)
+    y1 = np.where(one, -np.inf, y1)
+    y = np.concatenate([y0, y1[:1]])  # normal A_0, inverted A_0, normal A_1
+    x = np.where(y > 0.0, y * (y + 2.0 * oa) / (4.0 * g2), np.nan)
+    bad = ~((c > 0.0) & np.isfinite(2.0 * r)) | np.isnan(y0) | np.isnan(y1)
+    x[:2][bad] = np.inf
+    x[2][bad[0]] = np.nan
+    normal_0, inverted, normal_1 = x
+    return np.fmin(normal_0, normal_1), np.maximum(normal_0, normal_1), inverted
 
 
 def _points(params: ModelParams, g: np.ndarray) -> BranchPoints:
-    """The root kernel: the BranchPoints of the float vector g.
-
-    The cubic is solved once per row (g, sign), over the normal rows and then
-    the inverted ones: at most 2 roots on the normal branch (A_2 < 0), and 1
-    on the inverted (A_1, A_2 < 0).
-    """
-    rows = param_rows(params, g[:, None])
+    """The root kernel: the BranchPoints of the float vector g, in one array pass."""
+    g_c = critical_coupling(params)
+    x = np.zeros((g.size, 5))
     with np.errstate(all="ignore"):
         if params.zeta == 0.0:
-            roots = np.full((2 * g.size, 3), np.nan)
             # products, not **: a huge omega gives inf and OutOfRange, and products scale
             # exactly by powers of two.  Next to g_c, x can round to <= 0; g^2 - g_c^2 not.
             w2, g2, g_c2 = params.omega * params.omega, g * g, params.omega * params.omega_a
-            x = g2 / (4.0 * w2) - params.omega_a * params.omega_a / (4.0 * g2)
-            x = np.where(x > 0.0, x, (g2 - g_c2) / (4.0 * w2) * (1.0 + g_c2 / g2))
-            roots[:g.size, 0] = np.where(g > critical_coupling(params), x, np.nan)
+            root = g2 / (4.0 * w2) - params.omega_a * params.omega_a / (4.0 * g2)
+            root = np.where(root > 0.0, root, (g2 - g_c2) / (4.0 * w2) * (1.0 + g_c2 / g2))
+            x[:, 1] = np.where(g > g_c, root, np.nan)
+            x[:, 2] = x[:, 4] = np.nan
         else:
-            g2 = np.tile(g * g, 2)
-            roots = _cubic_x(param_rows(params, np.tile(g, 2)[:, None]),
-                             np.repeat(list(SpinBranch), g.size), g2)
-            roots[g2 <= params.omega * params.omega_a * 2.0**-60] = [
-                np.float64(params.omega * params.omega_b) / (2.0 * params.zeta * params.zeta),
-                np.nan, np.nan]
-        roots = np.sort(roots, axis=1)
-        zero = np.zeros((g.size, 1))
-        x = np.hstack([zero, roots[:g.size, :2], zero, roots[g.size:, :1]])
+            g2 = g * g
+            x[:, 1], x[:, 2], x[:, 4] = _cubic_x(params, g2, g == g_c)
+            tiny = g2 <= params.omega * params.omega_a * 2.0**-60
+            x[tiny, 1] = x[tiny, 4] = (np.float64(params.omega * params.omega_b)
+                                       / (2.0 * params.zeta * params.zeta))
+            x[tiny, 2] = np.nan
+        rows = param_rows(params, g[:, None])
         gamma_bar = np.sqrt(x)
         energy = scaled_energy(rows, COLUMN_BRANCH, gamma_bar)
         curv = curvature(rows, COLUMN_BRANCH, gamma_bar)
         n_p, delta_n_a, n_b = observable_terms(rows, COLUMN_BRANCH, gamma_bar)
-        fits = np.isfinite(energy) & np.isfinite(curv) & np.isfinite(x) & np.isfinite(n_b)
+        absent = np.isnan(x)
+        fits = (np.isfinite(energy) & np.isfinite(curv) & np.isfinite(x) & np.isfinite(n_b)
+                & ((x > 0.0) | _ZERO_POINT))  # a root, not a zero point
 
-    present = ~np.isnan(x)
-    fits[:, [1, 2, 4]] &= x[:, [1, 2, 4]] > 0.0  # a root, not a zero point
-    bad = (present & ~fits).any(axis=1)
+    bad = ~(fits | absent).all(axis=1)
     if bad.any():  # the smallest g with a bad point on either branch
         raise OutOfRange(f"g={float(g[bad].min())!r}, zeta={params.zeta!r} {_OUT_OF_RANGE}")
-    g_c = critical_coupling(params)
-    stability = np.tile([MARGINAL, STABLE, UNSTABLE, STABLE, UNSTABLE], (g.size, 1))
-    stability[:, 0] = np.select([g < g_c, g > g_c], [STABLE, UNSTABLE], MARGINAL)
-    stability[:, 1] = np.where(present[:, 2] | (g > g_c), STABLE, UNSTABLE)
-    stability[~present] = ABSENT
+    above = g > g_c
+    stability = np.where(absent, ABSENT, _STABILITY)
+    stability[:, 0] = np.where(above, UNSTABLE, np.where(g == g_c, MARGINAL, STABLE))
+    stability[:, 1] = np.where(absent[:, 1], ABSENT,
+                               np.where(above | ~absent[:, 2], STABLE, UNSTABLE))
     return BranchPoints(x, n_p, delta_n_a, n_b, energy, curv, stability)
 
 
@@ -286,13 +280,11 @@ def ground_phases(params: ModelParams, g: np.ndarray, zeta: np.ndarray,
     g.size); params.g and params.zeta are ignored.
     """
     g_c = critical_coupling(params)
-    index = np.where(g < g_t[:, None], 1, 2)
-    index[:, g < g_c] = 0
-    at_g_c = g == g_c
-    if at_g_c.any():
+    below, at_g_c = g < g_c, g == g_c
+    if at_g_c.any():  # only then is closure_estimate needed, which may raise OutOfRange
         closure = closure_estimate(params) if zeta.any() else 0.0
-        index[np.ix_(zeta <= closure, at_g_c)] = 0
-    return index
+        below = below | at_g_c & (zeta[:, None] <= closure)
+    return np.where(below, 0, np.where(g < g_t[:, None], 1, 2))
 
 
 def solve_ground(params: ModelParams, g) -> tuple[np.ndarray, BranchPoints]:

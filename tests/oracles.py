@@ -78,6 +78,24 @@ def p_of_x(x, sign, g, zeta, omega, omega_a, omega_b):
     return omega - 2.0 * zeta**2 * x / omega_b + sign * g * g / A
 
 
+def cubic_roots(sign, g, zeta, omega, omega_a, omega_b, dps=50):
+    """x of every positive root of p on one branch, ascending, at dps digits.
+
+    The roots A > omega_a of the depressed cubic c*A^3 - (omega + c*omega_a^2)*A
+    - sign*g^2 = 0, c = zeta^2/(2 g^2 omega_b) (p = 0 times A), found by
+    mp.polyroots from the exact values of the double inputs, so that the
+    reference is the root of the problem the doubles state; x = (A^2 -
+    omega_a^2)/(4 g^2).  Needs g > 0 and zeta > 0.
+    """
+    with mp.workdps(dps):
+        g, zeta, omega, omega_a, omega_b = (mp.mpf(v) for v in (g, zeta, omega, omega_a, omega_b))
+        c = zeta**2 / (2 * g**2 * omega_b)
+        roots = mp.polyroots([c, 0, -(omega + c * omega_a**2), -sign * g**2],
+                             maxsteps=200, extraprec=4 * dps)
+        found = [mp.re(a) for a in roots if abs(mp.im(a)) <= mp.mpf(10) ** (5 - dps) * abs(a)]
+        return sorted((a * a - omega_a**2) / (4 * g**2) for a in found if a > omega_a)
+
+
 def scan_roots(sign, g, zeta, omega, omega_a, omega_b, n_points=100_000):
     """Dense sign scan in x plus bisection; returns root x values."""
     top = omega + (g * g / omega_a if sign > 0 else 0.0)

@@ -77,20 +77,29 @@ def test_install_and_unpatch():
     assert tracer.calls_under("solver.find_roots", "diagram.grid_row", 0, len(tracer.spans)) == 0
 
 
-def _ed_work(monkeypatch, ops: str) -> Counter:
-    """Sturm passes and inverse iterations of the rabi_check operations at seed 1."""
+def _work(monkeypatch, module, names, operations) -> Counter:
+    """Calls of module's functions names while the CLI runs operations, each exiting 0."""
+    counts = Counter()
+    for name in names:
+        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name), name=name:
+                            counts.update([name]) or fn(*args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [optodicke.cli.run(op) for op in operations] == [0] * len(operations)
+    return counts
+
+
+def _workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(TRACING.parent))
     spec = importlib.util.spec_from_file_location("bench_workloads", TRACING.parent / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    rabi, counts = optodicke.rabi, Counter()
-    for name in ("_sturm_count", "_inverse_iteration"):
-        monkeypatch.setattr(rabi, name, lambda *args, fn=getattr(rabi, name), name=name:
-                            counts.update([name]) or fn(*args))
-    operations = getattr(workloads.RabiCheck(1, False), ops)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert [optodicke.cli.run(op) for op in operations] == [0] * 4
-    return counts
+    return workloads
+
+
+def _ed_work(monkeypatch, ops: str) -> Counter:
+    """Sturm passes and inverse iterations of the rabi_check operations at seed 1."""
+    operations = getattr(_workloads(monkeypatch).RabiCheck(1, False), ops)
+    return _work(monkeypatch, optodicke.rabi, ("_sturm_count", "_inverse_iteration"), operations)
 
 
 def test_rabi_check_ed_work(monkeypatch):
@@ -101,6 +110,17 @@ def test_rabi_check_ed_work(monkeypatch):
 def test_rabi_check_pool_ed_work(monkeypatch):
     # the same for the operations that wall_pool_s times
     assert _ed_work(monkeypatch, "pool_ops") == {"_sturm_count": 12}
+
+
+def test_paper_curves_kernel_work(monkeypatch):
+    # one pass of the root kernel per sweep, and no evaluation of p or its slope:
+    # the closed-form roots are not polished (the operations of both passes)
+    workloads = _workloads(monkeypatch).PaperCurves(1, False)
+    assert workloads.pool_ops == workloads.ops
+    names = ("extremum_polynomial", "extremum_polynomial_slope", "_points")
+    sweeps = sum(op[0] == "sweep" for op in workloads.ops)
+    assert sweeps == 5
+    assert _work(monkeypatch, optodicke.solver, names, workloads.ops) == {"_points": sweeps}
 
 
 def test_cli_import_starts_no_pool_machinery():

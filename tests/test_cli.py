@@ -515,6 +515,23 @@ def test_roots_rows_against_the_scan_oracle(g, zeta, capsys):
                                     "unstable" if curv < -1e-9 else "marginal"), row
 
 
+def test_no_twin_of_the_zero_point_at_critical_coupling(capsys):
+    # omega = 2 puts g_c = sqrt(2) on a double whose square rounds above
+    # omega*omega_a.  At g == g_c the zero point is marginal and its twin, an
+    # excess of rounding size, is no root: as at zeta = 0, and in the sweep row
+    flags = ["--zeta", "2.971977623041274", "--omega", "2", "--omega-b", "10"]
+    assert run(["roots", "--g", "1.4142135623730951", *flags]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+    assert [(row["branch"], row["stability"]) for row in rows] == [
+        ("normal", "marginal"), ("normal", "unstable"), ("inverted", "stable"),
+        ("inverted", "unstable")]
+    assert float(rows[1]["np"]) == pytest.approx(0.688314509, rel=1e-8)
+    assert run(["sweep", "--g", "0:2.8284271247461903:3", *flags]) == 0
+    row = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))[1]
+    assert row["g"] == "1.41421356" and row["stability_N-"] == "marginal"
+    assert row["np_gs-"] == "" and row["np_gus-"] == rows[1]["np"]
+
+
 class TestRabiCompare:
     def test_bound_column(self, tmp_path):
         out = tmp_path / "rabi.csv"
@@ -778,6 +795,8 @@ def test_out_of_range_names_the_smallest_failing_coupling(capsys):
     (["rabi-compare", "--g=-1:1:3", "--n-max", "50"], "g must be >= 0"),
     (["rabi-compare", "--g", "0:1:3", "--omega", "0"], "omega must be > 0"),
     (["turning-point", "--zeta", "-0.3"], "zeta must be >= 0, got -0.3"),
+    # a grid as wide as the largest double: its step overflows in np.linspace, silently
+    (["sweep", "--g", "0:1.7976931348623157e308:61"], "outside the supported range"),
 ])
 def test_outside_the_domain(argv, message, capsys):
     with warnings.catch_warnings():

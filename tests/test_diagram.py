@@ -473,10 +473,14 @@ class TestSweepReferee:
                 continue
             expected = oracles.scan_roots(sign, *args, n_points=20_000)
             if g == g_c:
-                # at g_c a root within rounding of the zero point is no root
+                # the scan finds the zero point's twin where g^2 rounds above
+                # omega*omega_a; the sweep, like the label, takes g as g_c exactly.  It
+                # keeps a root within rounding of 0 only at closure, where the small root
+                # merges with the zero point.
                 floor = 1e-6 * max([1.0, *expected])
-                got = [(x, s) for x, s in got if x > floor]
                 expected = [x for x in expected if x > floor]
+                if p.zeta == closure_estimate(p):
+                    got = [(x, s) for x, s in got if x > floor]
             assert len(got) == len(expected), (g, sign, got, expected)
             for (x, stability), x_ref in zip(got, expected):
                 assert x == pytest.approx(x_ref, rel=1e-6, abs=1e-12)

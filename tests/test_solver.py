@@ -263,6 +263,67 @@ class TestProductStateReferee:
         assert len(checked) == 54
 
 
+class TestRootPrecision:
+    """x of every root against the 50-digit roots of the cubic (oracles.cubic_roots).
+
+    No step polishes the closed form, so this pins its rounding: a few ulps at
+    generic parameters, and below 1e-7 next to g_c (where omega*omega_a - g^2
+    cancels) and just below the fold (where two roots merge).
+    """
+
+    @staticmethod
+    def _relative_error(params, g):
+        pts = branch_points(params, [g])
+        errors = []
+        for sign in SpinBranch:
+            x = one_branch(pts, sign).x[0, 1:]
+            got = x[~np.isnan(x)].tolist()
+            want = oracles.cubic_roots(sign, g, params.zeta, params.omega, params.omega_a,
+                                       params.omega_b)
+            assert len(got) == len(want), (params, g, sign, got, want)
+            errors += [float(abs(mp.mpf(a) - b) / b) for a, b in zip(got, want)]
+        return max(errors)
+
+    @staticmethod
+    def _cases(seed, count):
+        """Random parameters, zeta from inside the window to past closure, and the generator."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            omega, omega_a = rng.uniform(0.3, 3.0, 2).tolist()
+            base = ModelParams(omega=omega, omega_a=omega_a, omega_b=rng.uniform(1.0, 40.0))
+            yield replace(base, zeta=rng.uniform(0.05, 1.5) * closure_estimate(base)), rng
+
+    @staticmethod
+    def _fold(params):
+        try:
+            return turning_point(params)
+        except NotFound:  # the window is closed
+            return None
+
+    def test_generic_parameters(self):
+        checked = 0
+        for params, rng in self._cases(1, 80):
+            g_c, g_t = critical_coupling(params), self._fold(params)
+            g = rng.uniform(0.05, 4.0) * g_c
+            if abs(g / g_c - 1.0) > 1e-3 and (g_t is None or abs(g / g_t - 1.0) > 1e-3):
+                assert self._relative_error(params, g) <= 1e-14, (params, g)
+                checked += 1
+        assert checked >= 60
+
+    def test_next_to_critical_coupling_and_below_the_fold(self):
+        folds = 0
+        for params, rng in self._cases(2, 40):
+            g = critical_coupling(params) * (1.0 + rng.choice([-1.0, 1.0])
+                                             * 10.0 ** rng.uniform(-8.0, -3.0))
+            assert self._relative_error(params, g) <= 1e-7, (params, g)
+            g_t = self._fold(params)
+            if g_t is not None:
+                g = g_t * (1.0 - 10.0 ** rng.uniform(-9.0, -3.0))
+                assert self._relative_error(params, g) <= 1e-7, (params, g)
+                folds += 1
+        assert folds >= 20
+
+
 def test_triple_root_at_critical_coupling_and_closure():
     # g = g_c and zeta = closure_estimate: the normal-branch cubic has the
     # triple root A = omega_a, so two of its excesses are 0 at once
