@@ -143,7 +143,7 @@ def _axis(params: ModelParams, lo: float, hi: float, count: int, name: str) -> n
         raise ConfigError(f"{name}_min must be < {name}_max")
     for end in (lo, hi):
         _checked(ModelParams, **{**vars(params), name: end})
-    with np.errstate(all="ignore"):  # a grid wider than the largest double fails the solve's check
+    with np.errstate(all="ignore"):  # k*step may overflow at the last point, which is set to hi
         return np.linspace(lo, hi, count)
 
 
@@ -328,8 +328,8 @@ def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
     found = j >= 0
     n_p, energy = (np.where(found, column[rows, j], np.nan) for column in (sweep.n_p, sweep.energy))
     stability = np.where(found, sweep.stability[rows, j], ABSENT)
-    for tag in zip(n_p, energy, stability):
-        columns += [*tag[:2], (tag[2], STABILITIES)]
+    for tag_n_p, tag_energy, tag_stability in zip(n_p, energy, stability):
+        columns += [tag_n_p, tag_energy, (tag_stability, STABILITIES)]
     return list(_SWEEP_FIELDS), columns
 
 

@@ -159,7 +159,7 @@ def extremum_polynomial(params: ModelParams, branch: SpinBranch, gamma_bar):
 
 
 def extremum_polynomial_slope(params: ModelParams, branch: SpinBranch, gamma_bar):
-    """dp/dgamma_bar, used for the Newton steps that polish the roots of p."""
+    """dp/dgamma_bar; at a root of p its sign is that of the energy curvature."""
     A = level_splitting(params, gamma_bar)
     return (-4.0 * (params.zeta * params.zeta) * gamma_bar / params.omega_b
             - branch * 4.0 * params.g**4 * gamma_bar / A**3)

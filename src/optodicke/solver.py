@@ -13,10 +13,12 @@ c = zeta^2/(2 g^2 omega_b), multiplying p = 0 by A gives the depressed cubic
 (+g^2 on the normal branch, -g^2 on the inverted one).  Its roots come from
 the trigonometric (or hyperbolic) cubic formula; a root is a positive
 stationary amplitude when A > omega_a, and x = (A - omega_a)(A + omega_a)/(4 g^2),
-unpolished (a relative error of a few ulps, about 1e-8 within 1e-8 of g_c or
-the fold, where the roots are ill-conditioned).  At zeta = 0 the normal branch has
-x = g^2/(4 omega^2) - omega_a^2/(4 g^2) above g_c and the inverted one none; for
-g^2 <= 2^-60 omega*omega_a both have x = omega*omega_b/(2 zeta^2), exact to rounding.
+not polished further.  Against 50-digit roots (tests/test_solver.py,
+TestRootPrecision) its relative error is below 1e-14, and below 1e-7 next to
+g_c (where omega*omega_a - g^2 cancels) and the fold (where two roots merge).
+At zeta = 0 the normal branch has x = g^2/(4 omega^2) - omega_a^2/(4 g^2) above
+g_c and the inverted one none; for g^2 <= 2^-60 omega*omega_a both have
+x = omega*omega_b/(2 zeta^2), exact to rounding.
 
 The turning point g_t is the cubic's double root.  In u = g^2 it is the one
 positive root of the quartic 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4,
@@ -96,7 +98,8 @@ _PHASE_COLUMN = np.array([0, 1, 3])
 # A point's stability as an index into STABILITIES, ABSENT where there is no point.
 STABILITIES = (Stability.MARGINAL, Stability.STABLE, Stability.UNSTABLE, None)
 MARGINAL, STABLE, UNSTABLE, ABSENT = range(len(STABILITIES))
-# Each column's stability where g does not decide it (columns 0 and 1), and the zero points.
+# The stability of each column of BranchPoints (g decides those of columns 0 and 1),
+# and which columns are zero points.
 _STABILITY = np.array([MARGINAL, STABLE, UNSTABLE, STABLE, UNSTABLE])
 _ZERO_POINT = np.array([True, False, False, True, False])
 
@@ -174,14 +177,14 @@ def _cubic_x(params: ModelParams, g2: np.ndarray, at_g_c: np.ndarray
     """x of the two normal roots ascending and the inverted root, per g^2 > 0 (NaN if absent).
 
     A root is one of c*A^3 - b*A - q = 0 with A > omega_a; the normal rows
-    (q = -g^2) and the inverted rows (q = +g^2) are solved in one pass.  The formula orders the roots A_0 >= A_1 >= A_2, and A_2 <= -r:
-    the normal roots come from A_0 and A_1, the inverted one from A_0 (A_1 A_2
-    = g^2/(c A_0) > 0 there).  inf marks a row whose coefficients do not fit
-    in doubles.  The excess A - omega_a nearest 0 comes from the excesses'
-    root product (omega*omega_a + q)/c, unless another excess is within
-    1e-4 r of 0 too (next to the triple root at g_c and closure); on a normal
-    row at g_c (at_g_c: g == g_c, whose square may round off omega*omega_a)
-    it is exactly 0.
+    (q = -g^2) and the inverted rows (q = +g^2) are solved in one pass.  The
+    formula orders the roots A_0 >= A_1 >= A_2, and A_2 <= -r: the normal
+    roots come from A_0 and A_1, the inverted one from A_0 (A_1 A_2 =
+    g^2/(c A_0) > 0 there).  inf marks a row whose coefficients do not fit in
+    doubles.  The excess A - omega_a nearest 0 comes from the excesses' root
+    product (omega*omega_a + q)/c, unless another excess is within 1e-4 r of 0
+    too (next to the triple root at g_c and closure); on a normal row at g_c
+    (at_g_c: g == g_c, whose square may round off omega*omega_a) it is exactly 0.
     """
     oa = params.omega_a
     c = (params.zeta * params.zeta) / (2.0 * g2 * params.omega_b)
