@@ -183,8 +183,9 @@ def _cubic_x(params: ModelParams, g2: np.ndarray, at_g_c: np.ndarray
     g^2/(c A_0) > 0 there).  inf marks a row whose coefficients do not fit in
     doubles.  The excess A - omega_a nearest 0 comes from the excesses' root
     product (omega*omega_a + q)/c, unless another excess is within 1e-4 r of 0
-    too (next to the triple root at g_c and closure); on a normal row at g_c
-    (at_g_c: g == g_c, whose square may round off omega*omega_a) it is exactly 0.
+    too (next to the triple root at g_c and closure).  A normal row at g_c
+    (at_g_c: g == g_c, whose square may round off omega*omega_a) has the excess
+    0 exactly, the zero point, and its one root from the quadratic left.
     """
     oa = params.omega_a
     c = (params.zeta * params.zeta) / (2.0 * g2 * params.omega_b)
@@ -201,11 +202,15 @@ def _cubic_x(params: ModelParams, g2: np.ndarray, at_g_c: np.ndarray
     tol, excess_product = 1e-4 * r, params.omega * oa + q
     y0, y1 = (np.where(near_0 & (np.minimum(a1, a2) > tol), excess_product / (c * (y1 * y2)), y0),
               np.where(near_1 & (np.minimum(a2, a0) > tol), excess_product / (c * (y2 * y0)), y1))
-    y0[0, near_0[0] & at_g_c] = 0.0
-    y1[0, near_1[0] & at_g_c] = 0.0
     one = ~(np.abs(arg) <= 1.0)  # one real root: the hyperbolic formula
     y0 = np.where(one, np.copysign(2.0 * r * np.cosh(np.arccosh(np.abs(arg)) / 3.0), arg) - oa, y0)
     y1 = np.where(one, -np.inf, y1)
+    # At g_c the excess 0 divides out, and the others solve c y^2 + 3 c omega_a y + 2 c omega_a^2
+    # - omega = 0: one root is < -omega_a, the other > 0 exactly below closure.
+    c_c = c[at_g_c]
+    y0[0, at_g_c] = 2.0 * (params.omega - 2.0 * c_c * oa * oa) / (
+        3.0 * c_c * oa + np.sqrt(c_c * c_c * oa * oa + 4.0 * c_c * params.omega))
+    y1[0, at_g_c] = -np.inf
     y = np.concatenate([y0, y1[:1]])  # normal A_0, inverted A_0, normal A_1
     x = np.where(y > 0.0, y * (y + 2.0 * oa) / (4.0 * g2), np.nan)
     bad = ~((c > 0.0) & np.isfinite(2.0 * r)) | np.isnan(y0) | np.isnan(y1)

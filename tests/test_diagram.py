@@ -474,9 +474,9 @@ class TestSweepReferee:
             expected = oracles.scan_roots(sign, *args, n_points=20_000)
             if g == g_c:
                 # the scan finds the zero point's twin where g^2 rounds above
-                # omega*omega_a; the sweep, like the label, takes g as g_c exactly.  It
-                # keeps a root within rounding of 0 only at closure, where the small root
-                # merges with the zero point.
+                # omega*omega_a; the sweep, like the label, takes g as g_c exactly.  At
+                # zeta == closure_estimate, a rounded value, the small root is of rounding
+                # size or absent.
                 floor = 1e-6 * max([1.0, *expected])
                 expected = [x for x in expected if x > floor]
                 if p.zeta == closure_estimate(p):

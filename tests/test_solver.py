@@ -328,14 +328,15 @@ def test_triple_root_at_critical_coupling_and_closure():
     # g = g_c and zeta = closure_estimate: the normal-branch cubic has the
     # triple root A = omega_a, so two of its excesses are 0 at once
     # (p < 0 for every x > 0 there; the sign scan would report the rounding
-    # of p(0) as a root)
-    base = ModelParams(omega=1.2)
-    params = replace(base, g=critical_coupling(base), zeta=closure_estimate(base))
-    assert no_roots(normal_roots(params))
-    x_inv = inverted_roots(params).x[0, 1:]
-    assert x_inv[~np.isnan(x_inv)].tolist() == pytest.approx(
-        oracles.scan_roots(+1, params.g, params.zeta, 1.2, 1.0, 10.0), rel=1e-9)
-    assert ground_state(params)[0] is PhaseLabel.NP_NMINUS
+    # of p(0) as a root).  At omega = omega_b = 1 both couplings are exactly 1.
+    for omega, omega_b in ((1.2, 10.0), (1.0, 1.0)):
+        base = ModelParams(omega=omega, omega_b=omega_b)
+        params = replace(base, g=critical_coupling(base), zeta=closure_estimate(base))
+        assert no_roots(normal_roots(params)), params
+        x_inv = inverted_roots(params).x[0, 1:]
+        assert x_inv[~np.isnan(x_inv)].tolist() == pytest.approx(
+            oracles.scan_roots(+1, params.g, params.zeta, omega, 1.0, omega_b), rel=1e-9)
+        assert ground_state(params)[0] is PhaseLabel.NP_NMINUS
 
 
 def test_brute_force_equivalence_grid():
