@@ -795,7 +795,7 @@ def test_out_of_range_names_the_smallest_failing_coupling(capsys):
     (["rabi-compare", "--g=-1:1:3", "--n-max", "50"], "g must be >= 0"),
     (["rabi-compare", "--g", "0:1:3", "--omega", "0"], "omega must be > 0"),
     (["turning-point", "--zeta", "-0.3"], "zeta must be >= 0, got -0.3"),
-    # a grid as wide as the largest double: its step overflows in np.linspace, silently
+    # a grid up to the largest double: np.linspace's k*step overflows at its last point
     (["sweep", "--g", "0:1.7976931348623157e308:61"], "outside the supported range"),
 ])
 def test_outside_the_domain(argv, message, capsys):
