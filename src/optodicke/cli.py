@@ -17,8 +17,9 @@ need one (not a bare number).  Before the solve, a command checks its
 couplings, or its grid's two ends, through ModelParams (rabi-compare: inside
 rabi.compare_columns, by the ED's domain check): an invalid coupling is exit
 2, any other ValueError raised by a solve is not.  A command returns its
-columns, each a float array or (codes, table), and every distinct value or
-label is formatted once per output.
+columns, each a float array or (codes, table), and _emit writes them with
+one join over field texts that carry their separators: a label once per
+table entry, each distinct float once per set of separators.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import os
 import re
 import sys
 from dataclasses import replace
-from itertools import repeat
 
 import numpy as np
 
@@ -245,58 +245,83 @@ def _parse(argv) -> tuple[argparse.Namespace, ModelParams]:
     return args, params
 
 
-def _json_number(value: float) -> str:
-    """The JSON number json.dumps writes for a float, not NaN, at 9 significant digits."""
-    number = float(f"{value:.9g}")  # json.dumps writes a finite float as its repr
-    return repr(number) if math.isfinite(number) else json.dumps(number)
-
-
-def _fields(columns: list, json_text: bool = False) -> list[list[str]]:
-    """Each column as CSV fields, or as JSON values if json_text.
-
-    A column is a float array or (codes, table), whose i-th value is
-    table[codes[i]]; a table is a float array or a sequence of labels.  Each
-    table entry is written once.  Floats take 9 significant digits, NaN is
-    absent, and each distinct bit pattern over all float columns and tables
-    is formatted once; patterns, not values, so that -0.0 keeps its sign.  A
-    label is a string or an Enum member (written as its value); None is
-    absent: '' in CSV, null in JSON.
-    """
-    coded = [(slice(None), c) if isinstance(c, np.ndarray) else c for c in columns]
-    floats = [table for _, table in coded if isinstance(table, np.ndarray)]
-    stacked = np.concatenate(floats) if floats else np.empty(0)
-    _, first, inverse = np.unique(stacked.view(np.int64), return_index=True, return_inverse=True)
-    values, absent = stacked[first], "null" if json_text else ""
-    text = np.array(list(map(_json_number, values.tolist()) if json_text else
-                         map(float.__format__, values.tolist(), repeat(".9g"))), dtype=object)
-    text[np.isnan(values)] = absent
-    pieces = iter(np.split(text[inverse], np.cumsum([t.size for t in floats])[:-1]))
-    label = json.dumps if json_text else str
-    out = []
-    for codes, table in coded:
-        table = next(pieces) if isinstance(table, np.ndarray) else np.array(
-            [absent if v is None else label(getattr(v, "value", v)) for v in table], dtype=object)
-        out.append(table[codes].tolist())
-    return out
-
-
 def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list) -> None:
     """Write columns, one per field name, as CSV or JSON (args.format) to args.output.
 
     A column is a float array (NaN where a value is absent) or (codes, table),
-    formatted by _fields.  Absent values are empty CSV fields and JSON nulls.
-    The JSON text is that of json.dumps(payload, indent=2), written directly:
-    each row fills one template of the field names.
+    whose i-th value is table[codes[i]]; a table is a float array or a
+    sequence of labels: strings, Enum members (written as their values) and
+    None (absent).  Absent values are empty CSV fields and JSON nulls.  The
+    JSON text is that of json.dumps(payload, indent=2).
+
+    The text is one join over a (rows x columns) index matrix into a table
+    of entries, each a field's text with its column's separators: in CSV a
+    ',' after it, or CRLF in the last column; in JSON the indented key before
+    it and ',\n' or the row's closing brace after it.  A label is one entry
+    per table entry.  Floats take 9 significant digits (in JSON the repr of
+    that double, as json.dumps writes it).  Float columns of equal separators
+    share their entries: one %-format call writes the distinct bit patterns
+    they hold (patterns, not values, so that -0.0 keeps its sign).
     """
+    coded = [(slice(None), c) if isinstance(c, np.ndarray) else c for c in columns]
+    floats = [table for _, table in coded if isinstance(table, np.ndarray)]
+    stacked = np.concatenate(floats) if floats else np.empty(0)
+    bits, _, inverse = np.unique(stacked.view(np.int64), return_index=True, return_inverse=True)
+    values = numbers = bits.view(np.float64)
+    last = len(columns) - 1
     if args.format == "json":
-        names = (json.dumps(name).replace("{", "{{").replace("}", "}}") for name in fieldnames)
-        row = "    {{\n" + ",\n".join(f"      {name}: {{}}" for name in names) + "\n    }}"
-        rows = ",\n".join(map(row.format, *_fields(columns, json_text=True)))
-        body = f"[\n{rows}\n  ]" if rows else "[]"
-        text = f'{{\n  "units": {json.dumps(UNITS_NOTE)},\n  "rows": {body}\n}}\n'
+        keys = [f"      {json.dumps(name)}: " for name in fieldnames]
+        prefixes, seps = ["\n    {\n" + keys[0], *keys[1:]], [",\n"] * last + ["\n    },"]
+        head = f'{{\n  "units": {json.dumps(UNITS_NOTE)},\n  "rows": ['
+        row_sep, close, empty = ",", "\n  ]\n}\n", "]\n}\n"
+        absent, label, spec = "null", json.dumps, "%s"
+        # json.dumps writes the 9-digit double as its repr, or as Infinity
+        nines = list(map(float, ("%.9g\0" * values.size % tuple(values.tolist())).split("\0")[:-1]))
+        numbers = np.array(("%r\0" * values.size % tuple(nines)).split("\0")[:-1], dtype=object)
+        for i in np.flatnonzero(np.isinf(nines)).tolist():
+            numbers[i] = label(nines[i])
     else:
-        text = "\r\n".join([f"# {UNITS_NOTE}", ",".join(fieldnames),
-                             *map(",".join, zip(*_fields(columns)))]) + "\r\n"
+        prefixes, seps = [""] * len(columns), [","] * last + ["\r\n"]
+        head = f"# {UNITS_NOTE}\r\n{','.join(fieldnames)}\r\n"
+        row_sep = close = empty = absent = ""
+        label, spec = str, "%.9g"
+
+    # ids[j]: column j's index into its label entries, or into values for its
+    # float table; the float tables' indices go into entries group by group
+    entries, ids, groups, start = [], [], {}, 0
+    for j, (codes, table) in enumerate(coded):
+        if isinstance(table, np.ndarray):
+            ids.append(inverse[start:start + table.size])
+            start += table.size
+            groups.setdefault((prefixes[j], seps[j]), []).append(j)
+        else:
+            ids.append(codes + len(entries))
+            entries += [prefixes[j] + (absent if v is None else label(getattr(v, "value", v)))
+                        + seps[j] for v in table]
+    nan = (values != values).nonzero()[0].tolist()
+    at = np.empty(values.size, dtype=np.intp)  # the entry of each value in the current group
+    for (prefix, sep), members in groups.items():
+        used = np.zeros(values.size, dtype=bool)
+        for j in members:
+            used[ids[j]] = True
+        picked = used.nonzero()[0]
+        at[picked] = np.arange(len(entries), len(entries) + picked.size)
+        for j in members:
+            ids[j] = at[ids[j]][coded[j][0]]
+        template = prefix.replace("%", "%%") + spec + sep + "\0"
+        entries += (template * picked.size % tuple(numbers[picked].tolist())).split("\0")[:-1]
+        for i in nan:
+            if used[i]:
+                entries[at[i]] = prefix + absent + sep
+
+    # one join over the rows x columns cells; the frame joins as part of the first and last
+    if len(ids[0]):
+        cells = np.array(entries, dtype=object)[np.column_stack(ids).ravel()].tolist()
+        cells[0] = head + cells[0]
+        cells[-1] = cells[-1].removesuffix(row_sep) + close
+        text = "".join(cells)
+    else:
+        text = head + empty
     if args.output == "-":
         sys.stdout.write(text)
     else:

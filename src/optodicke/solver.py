@@ -14,8 +14,9 @@ c = zeta^2/(2 g^2 omega_b), multiplying p = 0 by A gives the depressed cubic
 the trigonometric (or hyperbolic) cubic formula; a root is a positive
 stationary amplitude when A > omega_a, and x = (A - omega_a)(A + omega_a)/(4 g^2),
 not polished further.  Against 50-digit roots (tests/test_solver.py,
-TestRootPrecision) its relative error is below 1e-14, and below 1e-7 next to
-g_c (where omega*omega_a - g^2 cancels) and the fold (where two roots merge).
+TestRootPrecision) its relative error is below 1e-14, below 1e-9 next to g_c
+(where omega*omega_a - g^2 cancels, so it is formed from exact products) and
+below 1e-7 next to the fold (where two roots merge).
 At zeta = 0 the normal branch has x = g^2/(4 omega^2) - omega_a^2/(4 g^2) above
 g_c and the inverted one none; for g^2 <= 2^-60 omega*omega_a both have
 x = omega*omega_b/(2 zeta^2), exact to rounding.
@@ -172,7 +173,20 @@ def couplings(params: ModelParams, g, zeta=None) -> tuple[np.ndarray, np.ndarray
     return g, zeta
 
 
-def _cubic_x(params: ModelParams, g2: np.ndarray, at_g_c: np.ndarray
+def _split(a):
+    """a as hi + lo exactly, each with at most 26 significant bits (Veltkamp)."""
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _product_error(a, b):
+    """a*b - fl(a*b) (Dekker), exact unless a or b is within 2^27 of overflow or a*b underflows."""
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return ((a_hi * b_hi - a * b) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _cubic_x(params: ModelParams, g: np.ndarray, g2: np.ndarray, at_g_c: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x of the two normal roots ascending and the inverted root, per g^2 > 0 (NaN if absent).
 
@@ -183,7 +197,9 @@ def _cubic_x(params: ModelParams, g2: np.ndarray, at_g_c: np.ndarray
     g^2/(c A_0) > 0 there).  inf marks a row whose coefficients do not fit in
     doubles.  The excess A - omega_a nearest 0 comes from the excesses' root
     product (omega*omega_a + q)/c, unless another excess is within 1e-4 r of 0
-    too (next to the triple root at g_c and closure).  A normal row at g_c
+    too (next to the triple root at g_c and closure); on the normal rows
+    omega*omega_a - g^2 is formed from the exact products (g2 = g*g rounded),
+    since it cancels next to g_c.  A normal row at g_c
     (at_g_c: g == g_c, whose square may round off omega*omega_a) has the excess
     0 exactly, the zero point, and its one root from the quadratic left.
     """
@@ -200,6 +216,8 @@ def _cubic_x(params: ModelParams, g2: np.ndarray, at_g_c: np.ndarray
     a0, a1, a2 = np.abs(y0), np.abs(y1), np.abs(y2)
     near_0, near_1 = (a0 <= a1) & (a0 <= a2), (a1 < a0) & (a1 <= a2)  # ties to the lower index
     tol, excess_product = 1e-4 * r, params.omega * oa + q
+    g_c2_error = _product_error(params.omega, oa)
+    excess_product[0] += (g_c2_error if math.isfinite(g_c2_error) else 0.0) - _product_error(g, g)
     y0, y1 = (np.where(near_0 & (np.minimum(a1, a2) > tol), excess_product / (c * (y1 * y2)), y0),
               np.where(near_1 & (np.minimum(a2, a0) > tol), excess_product / (c * (y2 * y0)), y1))
     one = ~(np.abs(arg) <= 1.0)  # one real root: the hyperbolic formula
@@ -235,7 +253,7 @@ def _points(params: ModelParams, g: np.ndarray) -> BranchPoints:
             x[:, 2] = x[:, 4] = np.nan
         else:
             g2 = g * g
-            x[:, 1], x[:, 2], x[:, 4] = _cubic_x(params, g2, g == g_c)
+            x[:, 1], x[:, 2], x[:, 4] = _cubic_x(params, g, g2, g == g_c)
             tiny = g2 <= params.omega * params.omega_a * 2.0**-60
             x[tiny, 1] = x[tiny, 4] = (np.float64(params.omega * params.omega_b)
                                        / (2.0 * params.zeta * params.zeta))

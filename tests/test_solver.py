@@ -267,8 +267,9 @@ class TestRootPrecision:
     """x of every root against the 50-digit roots of the cubic (oracles.cubic_roots).
 
     No step polishes the closed form, so this pins its rounding: a few ulps at
-    generic parameters, and below 1e-7 next to g_c (where omega*omega_a - g^2
-    cancels) and just below the fold (where two roots merge).
+    generic parameters, below 1e-9 next to g_c (where omega*omega_a - g^2
+    cancels, so it is formed from exact products) and below 1e-7 just below
+    the fold (where two roots merge).
     """
 
     @staticmethod
@@ -315,7 +316,7 @@ class TestRootPrecision:
         for params, rng in self._cases(2, 40):
             g = critical_coupling(params) * (1.0 + rng.choice([-1.0, 1.0])
                                              * 10.0 ** rng.uniform(-8.0, -3.0))
-            assert self._relative_error(params, g) <= 1e-7, (params, g)
+            assert self._relative_error(params, g) <= 1e-9, (params, g)
             g_t = self._fold(params)
             if g_t is not None:
                 g = g_t * (1.0 - 10.0 ** rng.uniform(-9.0, -3.0))
