@@ -15,11 +15,12 @@ counts and --n-max are capped (exit 2 above the cap).  A grid
 'min:max:count' is np.linspace(min, max, count); sweep and phase-diagram
 need one (not a bare number).  Before the solve, a command checks its
 couplings, or its grid's two ends, through ModelParams (rabi-compare: inside
-rabi.compare_columns, by the ED's domain check): an invalid coupling is exit
-2, any other ValueError raised by a solve is not.  A command returns its
-columns, each a float array or (codes, table), and _emit writes them with
-one join over field texts that carry their separators: a label once per
-table entry, each distinct float once per set of separators.
+rabi.compare_columns, by the ED's domain check).  Every input check, here or
+in the library, raises model.InvalidInput (a ValueError); run() maps it and
+OutOfRange to exit 2, and any other exception from a solve propagates.  A
+command returns its columns, each a float array or (codes, table), and _emit
+writes them with one join over field texts that carry their separators: a
+label once per table entry, each distinct float once per set of separators.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagram
-from .model import ModelParams, SpinBranch
+from .model import InvalidInput, ModelParams, SpinBranch
 from .solver import (
     ABSENT,
     COLUMN_BRANCH,
@@ -65,18 +66,6 @@ MAX_N_MAX = 100_000
 DETUNING_PRESETS = {"red": 0.8, "resonant": 1.0, "blue": 1.2}
 
 
-class ConfigError(Exception):
-    """Invalid CLI/config input; mapped to exit code 2."""
-
-
-def _checked(make, *args, **kwargs):
-    """make(*args, **kwargs), whose ValueError (a rejected input) is raised as ConfigError."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
     """A JSON config file's entries as flags of the command's parser.
 
@@ -88,15 +77,15 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+        raise InvalidInput(f"cannot read config file {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, long ints, deep nesting
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+        raise InvalidInput(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path!r} must hold a JSON object")
+        raise InvalidInput(f"config file {path!r} must hold a JSON object")
     keys = {a.dest for a in command._actions if a.option_strings} - {"help", "config"}
     for key in raw:
         if key not in keys:
-            raise ConfigError(f"unknown config key {key!r} in {path!r}")
+            raise InvalidInput(f"unknown config key {key!r} in {path!r}")
     return [f"--{key.replace('_', '-')}=" + (value if isinstance(value, str) else json.dumps(value))
             for key, value in raw.items()]
 
@@ -140,9 +129,9 @@ def _axis(params: ModelParams, lo: float, hi: float, count: int, name: str) -> n
     checking them checks every point.
     """
     if count < 2:
-        raise ConfigError(f"{name}_min must be < {name}_max")
+        raise InvalidInput(f"{name}_min must be < {name}_max")
     for end in (lo, hi):
-        _checked(ModelParams, **{**vars(params), name: end})
+        ModelParams(**{**vars(params), name: end})
     with np.errstate(all="ignore"):  # k*step may overflow at the last point, which is set to hi
         return np.linspace(lo, hi, count)
 
@@ -231,17 +220,17 @@ def _parse(argv) -> tuple[argparse.Namespace, ModelParams]:
         try:
             args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
         except SystemExit as exc:  # the command line alone parsed: the file is at fault
-            raise ConfigError(f"the error above is in config file {args.config!r}") from exc
+            raise InvalidInput(f"the error above is in config file {args.config!r}") from exc
     omega = next((w for layer in (flags, args)
                   for w in (layer.omega, DETUNING_PRESETS.get(getattr(layer, "detuning", None)))
                   if w is not None), 1.0)
-    params = _checked(ModelParams, omega=omega, omega_a=args.omega_a, omega_b=args.omega_b,
-                      n_atoms=args.n_atoms)
+    params = ModelParams(omega=omega, omega_a=args.omega_a, omega_b=args.omega_b,
+                         n_atoms=args.n_atoms)
     workers = os.environ.get("OPTODICKE_WORKERS", "1") or "1"  # no effect, but checked
     try:
         int(workers)
     except ValueError as exc:
-        raise ConfigError(f"OPTODICKE_WORKERS must be an integer, got {workers!r}") from exc
+        raise InvalidInput(f"OPTODICKE_WORKERS must be an integer, got {workers!r}") from exc
     return args, params
 
 
@@ -275,11 +264,8 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list) -> Non
         head = f'{{\n  "units": {json.dumps(UNITS_NOTE)},\n  "rows": ['
         row_sep, close, empty = ",", "\n  ]\n}\n", "]\n}\n"
         absent, label, spec = "null", json.dumps, "%s"
-        # json.dumps writes the 9-digit double as its repr, or as Infinity
         nines = list(map(float, ("%.9g\0" * values.size % tuple(values.tolist())).split("\0")[:-1]))
-        numbers = np.array(("%r\0" * values.size % tuple(nines)).split("\0")[:-1], dtype=object)
-        for i in np.flatnonzero(np.isinf(nines)).tolist():
-            numbers[i] = label(nines[i])
+        numbers = np.array(json.dumps(nines)[1:-1].split(", "), dtype=object)
     else:
         prefixes, seps = [""] * len(columns), [","] * last + ["\r\n"]
         head = f"# {UNITS_NOTE}\r\n{','.join(fieldnames)}\r\n"
@@ -330,7 +316,7 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list) -> Non
 
 
 def _cmd_roots(args, params: ModelParams) -> tuple[list[str], list]:
-    params = _checked(replace, params, g=args.g, zeta=args.zeta)
+    params = replace(params, g=args.g, zeta=args.zeta)
     pts = find_roots(params)
     j = np.flatnonzero(pts.stability[0] != ABSENT)  # the present points, normal ones first
     names = ["branch", "gamma_bar", "np", "delta_na", "nb", "energy", "curvature", "stability"]
@@ -345,7 +331,7 @@ _SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_grou
 
 
 def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
-    params = _checked(replace, params, zeta=args.zeta)
+    params = replace(params, zeta=args.zeta)
     sweep = diagram.sweep_g(params, _axis(params, *args.g, "g"))
     rows, k, j = np.arange(sweep.g.size), sweep.ground, sweep.source.T  # j: (tag, row)
     columns = [sweep.g, (sweep.phase, PHASES), *(column[rows, k] for column in (
@@ -361,8 +347,8 @@ def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
 def _cmd_phase_diagram(args, params: ModelParams) -> tuple[list[str], list]:
     g_steps, zeta_steps = args.g[2], args.zeta[2]
     if g_steps * zeta_steps > MAX_GRID_CELLS:
-        raise ConfigError(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
-                          f"the cap of {MAX_GRID_CELLS}")
+        raise InvalidInput(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
+                           f"the cap of {MAX_GRID_CELLS}")
     g, zeta = _axis(params, *args.g, "g"), _axis(params, *args.zeta, "zeta")
     grid = diagram.phase_grid(params, g, zeta)
     # cells are in (zeta, g) order: code both axes by row and column, boundaries appended
@@ -379,7 +365,7 @@ def _cmd_phase_diagram(args, params: ModelParams) -> tuple[list[str], list]:
 
 
 def _cmd_turning_point(args, params: ModelParams) -> tuple[list[str], list]:
-    params = _checked(replace, params, zeta=args.zeta)
+    params = replace(params, zeta=args.zeta)
     g_t = turning_point(params)
     if math.isinf(g_t):
         raise OutOfRange(f"zeta={args.zeta!r}: the fold coupling g_t exceeds the largest double")
@@ -398,7 +384,7 @@ def _cmd_rabi_compare(args, params: ModelParams) -> tuple[list[str], list]:
 
     with np.errstate(all="ignore"):  # a grid wider than the largest double fails the ED's check
         g = np.linspace(*args.g)
-    columns = _checked(rabi.compare_columns, params, g, n_max=args.n_max)  # its one check of g
+    columns = rabi.compare_columns(params, g, n_max=args.n_max)  # its one check of g
     return ["g", "energy_ed", "energy_variational", "deviation"], list(columns)
 
 
@@ -419,7 +405,7 @@ def run(argv=None) -> int:
         fieldnames, columns = _COMMANDS[args.command](args, params)
     except SystemExit as exc:  # argparse: a usage error, or --help
         return int(exc.code or 0)
-    except (ConfigError, OutOfRange) as exc:
+    except (InvalidInput, OutOfRange) as exc:
         print(f"optodicke: invalid input: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:  # NotFound, rabi.ConvergenceFailure

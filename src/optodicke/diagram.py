@@ -1,14 +1,15 @@
 """Parameter sweeps and phase-diagram grids, as numpy columns in grid order.
 
 sweep_g(params, g) and phase_grid(params, g, zeta) take the couplings as
-float arrays, as solver.solve_ground does, and raise ValueError naming g or
-zeta if any coupling is negative or not finite.  A sweep solves all its g
-points, on both branches, in one array pass, and its point columns are those
-of the one solver.BranchPoints table that solver.solve_ground returns.  A
-phase grid needs only g_c, closure_estimate and the fold g_t of each zeta
-row: it labels its cells by solver.ground_phases, the phase rule of a sweep,
-and its boundaries are those exact couplings, in four boundary columns.  No
-file I/O happens here, the CLI layer owns serialization.
+float arrays, as solver.solve_ground does, and raise model.InvalidInput (a
+ValueError) naming g or zeta if any coupling is negative or not finite.  A
+sweep solves all its g points, on both branches, in one array pass, and its
+point columns are those of the one solver.BranchPoints table that
+solver.solve_ground returns.  A phase grid needs only g_c, closure_estimate
+and the fold g_t of each zeta row: it labels its cells by
+solver.ground_phases, the phase rule of a sweep, and its boundaries are
+those exact couplings, in four boundary columns.  No file I/O happens here,
+the CLI layer owns serialization.
 """
 
 from __future__ import annotations

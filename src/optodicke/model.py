@@ -50,12 +50,17 @@ __all__ = [
     "observable_terms",
     "raw_amplitude",
     "SQUARE_LIMIT",
+    "InvalidInput",
 ]
 
 # Largest omega_a, and largest omega where the closure coupling
 # sqrt(omega_b*omega^2/omega_a) is formed: the closed forms square them with
 # Python's float power, which raises OverflowError from about 1.3e154 on.
 SQUARE_LIMIT = 1e150
+
+
+class InvalidInput(ValueError):
+    """An input outside the domain its check accepts; the CLI maps it to exit 2."""
 
 
 class SpinBranch(IntEnum):
@@ -112,19 +117,19 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("omega", "omega_a", "omega_b", "g", "zeta"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+                raise InvalidInput(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("omega", "omega_a", "omega_b"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+                raise InvalidInput(f"{name} must be > 0, got {getattr(self, name)!r}")
         if self.omega_a > SQUARE_LIMIT:
-            raise ValueError(f"omega_a must be <= {SQUARE_LIMIT:g}, where its square fits in "
-                             f"a double, got {self.omega_a!r}")
+            raise InvalidInput(f"omega_a must be <= {SQUARE_LIMIT:g}, where its square fits in "
+                               f"a double, got {self.omega_a!r}")
         if self.g < 0.0:
-            raise ValueError(f"g must be >= 0, got {self.g!r}")
+            raise InvalidInput(f"g must be >= 0, got {self.g!r}")
         if self.zeta < 0.0:
-            raise ValueError(f"zeta must be >= 0, got {self.zeta!r}")
+            raise InvalidInput(f"zeta must be >= 0, got {self.zeta!r}")
         if not (self.n_atoms >= 1 and self.n_atoms % 1 == 0):  # False for NaN and inf too
-            raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
+            raise InvalidInput(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
 
 
 def tilt_ratio(params: ModelParams, gamma_bar):
@@ -189,7 +194,7 @@ def scs_angles(params: ModelParams, gamma_bar):
     pseudospin branches (only the sign of the spin projection differs).
     """
     if np.any(np.asarray(gamma_bar) < 0.0):
-        raise ValueError("gamma_bar must be >= 0")
+        raise InvalidInput("gamma_bar must be >= 0")
     theta = np.arctan(tilt_ratio(params, gamma_bar))
     return theta, params.zeta * gamma_bar * gamma_bar / params.omega_b
 

@@ -60,7 +60,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import ModelParams
+from .model import InvalidInput, ModelParams
 from .solver import SolverError, couplings
 
 __all__ = [
@@ -123,7 +123,7 @@ class ConvergenceFailure(SolverError):
 
 
 def ed_couplings(params: ModelParams, g) -> np.ndarray:
-    """g as a float vector; ValueError unless params and every g lie in the ED's domain.
+    """g as a float vector; InvalidInput unless params and every g lie in the ED's domain.
 
     The domain: one atom, zeta = 0, omega and omega_a in [DOMAIN_MIN,
     DOMAIN_MAX] and g in [0, DOMAIN_MAX].  There every block entry and its
@@ -131,16 +131,16 @@ def ed_couplings(params: ModelParams, g) -> np.ndarray:
     checked by its smallest and largest value, through solver.couplings.
     """
     if params.zeta != 0.0:
-        raise ValueError(f"zeta must be 0 for the Rabi ED, got {params.zeta!r}")
+        raise InvalidInput(f"zeta must be 0 for the Rabi ED, got {params.zeta!r}")
     if params.n_atoms != 1:
-        raise ValueError(f"n_atoms must be 1 for the one-atom (Rabi) ED, got {params.n_atoms!r}")
+        raise InvalidInput(f"n_atoms must be 1 for the one-atom (Rabi) ED, got {params.n_atoms!r}")
     for name in ("omega", "omega_a"):
         if not DOMAIN_MIN <= getattr(params, name) <= DOMAIN_MAX:
-            raise ValueError(f"{name} must be in [{DOMAIN_MIN:g}, {DOMAIN_MAX:g}], "
-                             f"got {getattr(params, name)!r}")
+            raise InvalidInput(f"{name} must be in [{DOMAIN_MIN:g}, {DOMAIN_MAX:g}], "
+                               f"got {getattr(params, name)!r}")
     g, _ = couplings(params, g)
     if g.max(initial=0.0) > DOMAIN_MAX:
-        raise ValueError(f"g must be in [0, {DOMAIN_MAX:g}], got {float(g.max())!r}")
+        raise InvalidInput(f"g must be in [0, {DOMAIN_MAX:g}], got {float(g.max())!r}")
     return g
 
 
@@ -525,7 +525,7 @@ def _parity_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
     The kernel starts from _ground_bracket and builds only the rows it reads.
     """
     if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+        raise InvalidInput("n_max must be >= 2")
     bracket, blocks = _ground_bracket(omega, omega_a, g, n_max,
                                       *_parity_tail(omega, omega_a, g, n_max))
     return tuple(a.reshape(2, len(g)) for a in _lowest_eigenpairs(blocks, bracket))
@@ -540,7 +540,7 @@ def smallest_eigenvalue(params: ModelParams, parity: int, n_max: int = 300) -> t
     patches it by name.
     """
     if parity not in (-1, 1):
-        raise ValueError("parity must be +1 or -1")
+        raise InvalidInput("parity must be +1 or -1")
     rows = _parity_rows(*_in_units(params, ed_couplings(params, params.g)), n_max)
     return tuple(float(a[(1 - parity) // 2, 0] * params.omega_a) for a in rows)
 

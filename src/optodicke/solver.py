@@ -45,6 +45,7 @@ import numpy as np
 
 from .model import (
     SQUARE_LIMIT,
+    InvalidInput,
     ModelParams,
     PhaseLabel,
     SpinBranch,
@@ -158,7 +159,7 @@ def param_rows(params: ModelParams, g: np.ndarray) -> SimpleNamespace:
 
 
 def couplings(params: ModelParams, g, zeta=None) -> tuple[np.ndarray, np.ndarray]:
-    """g and zeta (default params.zeta) as float vectors; ValueError unless all are finite, >= 0.
+    """g and zeta (default params.zeta) as float vectors; InvalidInput unless all are finite, >= 0.
 
     Both are copies, so a result column built from them is not the caller's
     array.  ModelParams checks the smallest and the largest of each: they
@@ -422,7 +423,7 @@ def sp_closure(params: ModelParams, width_tol: float = 1e-3) -> float:
     elsewhere, and where closure_estimate overflows.
     """
     if not width_tol > 0.0:
-        raise ValueError("width_tol must be > 0")
+        raise InvalidInput("width_tol must be > 0")
     estimate = closure_estimate(params)  # first: it bounds omega, so omega^1.5 fits
     root_wb = math.sqrt(params.omega_b)
     g_top = critical_coupling(params) + width_tol

@@ -1,6 +1,10 @@
 """Compare the CLI's exit code, stdout and stderr between this checkout and another.
 
-    python tests/stdout_parity.py PARENT_CHECKOUT [--random 500] [--seed 0]
+    python tests/stdout_parity.py PARENT [--random 500] [--seed 0]
+
+PARENT is a checkout's directory, or else a git ref (such as HEAD~1) whose
+src/ is exported with git archive into a temporary directory, removed after
+the run.
 
 Runs, on both checkouts, each in one subprocess through optodicke.cli.run:
 - the benchmark's operations (bench/workloads.py, one-worker and pool
@@ -20,6 +24,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +125,14 @@ def run_checkout(checkout: Path, argvs: list[list[str]]) -> list[list]:
     return payload["results"]
 
 
+def export_src(ref: str, into: str) -> Path:
+    """into, holding the src/ of git ref ref, as git archive writes it."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"],
+                         stdout=subprocess.PIPE, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", into], input=tar, check=True)
+    return Path(into)
+
+
 def _first_difference(a: str, b: str) -> str:
     for i, (line_a, line_b) in enumerate(zip(a.splitlines(), b.splitlines())):
         if line_a != line_b:
@@ -129,14 +142,17 @@ def _first_difference(a: str, b: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="the checkout to compare with")
+    parser.add_argument("parent", help="the checkout to compare with, or a git ref")
     parser.add_argument("--random", type=int, default=500, help="random argument lists")
     parser.add_argument("--seed", type=int, default=0, help="seed of the random lists")
     args = parser.parse_args(argv)
 
     base = bench_argvs() + random_argvs(args.random, args.seed)
     argvs = [a + fmt for a in base for fmt in ([], ["--format", "json"])]
-    theirs, ours = run_checkout(args.parent, argvs), run_checkout(ROOT, argvs)
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(args.parent)
+        theirs = run_checkout(parent if parent.is_dir() else export_src(args.parent, tmp), argvs)
+    ours = run_checkout(ROOT, argvs)
     differ = 0
     for argv, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(argvs, theirs, ours):
         what = [name for name, a, b in (("exit code", code_a, code_b), ("stdout", out_a, out_b),

@@ -842,15 +842,26 @@ def test_closure_coupling_formed_without_its_square(capsys):
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--g", "0:3:7", "--zeta", "1"],
-                                  ["phase-diagram", "--g", "0:3:7", "--zeta", "0:1:3"]])
+                                  ["phase-diagram", "--g", "0:3:7", "--zeta", "0:1:3"],
+                                  ["roots", "--g", "1", "--zeta", "1"],
+                                  ["turning-point", "--zeta", "1"],
+                                  ["sp-closure"],
+                                  ["rabi-compare", "--g", "0:3:7"]])
 def test_value_error_inside_the_solve_is_not_invalid_input(argv, monkeypatch, capsys):
-    # the grid's ends are checked before the solve, so an error raised by the
-    # solve itself propagates instead of being reported as the user's (exit 2)
+    # inputs are checked before the solve, so an error raised by the solve
+    # itself propagates instead of being reported as the user's (exit 2)
     def fail(*args, **kwargs):
         raise ValueError("raised inside the solve")
 
-    monkeypatch.setattr(cli.diagram, "solve_ground", fail)
-    monkeypatch.setattr(cli.diagram, "critical_coupling", fail)
+    inside = {  # a call each command makes after its input checks
+        "roots": "optodicke.cli.find_roots",
+        "sweep": "optodicke.diagram.solve_ground",
+        "phase-diagram": "optodicke.diagram.critical_coupling",
+        "turning-point": "optodicke.cli.turning_point",
+        "sp-closure": "optodicke.cli.sp_closure",
+        "rabi-compare": "optodicke.rabi._ground_rows",
+    }
+    monkeypatch.setattr(inside[argv[0]], fail)
     with pytest.raises(ValueError, match="raised inside the solve"):
         run(argv)
     assert "invalid input" not in capsys.readouterr().err

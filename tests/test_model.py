@@ -1,11 +1,13 @@
 """Closed-form model functions: examples, identities, derivative consistency."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from optodicke.model import (
+    InvalidInput,
     ModelParams,
     SpinBranch,
     curvature,
@@ -18,6 +20,8 @@ from optodicke.model import (
     scs_angles,
     tilt_ratio,
 )
+from optodicke.rabi import _parity_rows, ed_couplings, smallest_eigenvalue
+from optodicke.solver import couplings, sp_closure
 
 import oracles
 
@@ -50,6 +54,39 @@ class TestParams:
     def test_raw_amplitude(self):
         p = ModelParams(n_atoms=16)
         assert raw_amplitude(p, 0.5) == 2.0
+
+
+@pytest.mark.parametrize("check, kwargs, message", [
+    (ModelParams, dict(omega=math.nan), "omega must be finite, got nan"),
+    (ModelParams, dict(omega=0.0), "omega must be > 0, got 0.0"),
+    (ModelParams, dict(omega_a=-1.0), "omega_a must be > 0, got -1.0"),
+    (ModelParams, dict(omega_a=1e300),
+     "omega_a must be <= 1e+150, where its square fits in a double, got 1e+300"),
+    (ModelParams, dict(omega_b=math.inf), "omega_b must be finite, got inf"),
+    (ModelParams, dict(g=-0.1), "g must be >= 0, got -0.1"),
+    (ModelParams, dict(zeta=-2.0), "zeta must be >= 0, got -2.0"),
+    (ModelParams, dict(n_atoms=0), "n_atoms must be a positive integer, got 0"),
+    (couplings, dict(params=ModelParams(), g=[0.0, -1.0]), "g must be >= 0, got -1.0"),
+    (couplings, dict(params=ModelParams(), g=1.0, zeta=[math.nan]),
+     "zeta must be finite, got nan"),
+    (ed_couplings, dict(params=ModelParams(zeta=1.0), g=1.0),
+     "zeta must be 0 for the Rabi ED, got 1.0"),
+    (ed_couplings, dict(params=ModelParams(n_atoms=2), g=1.0),
+     "n_atoms must be 1 for the one-atom (Rabi) ED, got 2"),
+    (ed_couplings, dict(params=ModelParams(omega=1e-60), g=1.0),
+     "omega must be in [1e-50, 1e+50], got 1e-60"),
+    (ed_couplings, dict(params=ModelParams(), g=[1e60]), "g must be in [0, 1e+50], got 1e+60"),
+    (sp_closure, dict(params=ModelParams(), width_tol=0), "width_tol must be > 0"),
+    (_parity_rows, dict(omega=1.0, omega_a=1.0, g=np.array([1.0]), n_max=1),
+     "n_max must be >= 2"),
+    (smallest_eigenvalue, dict(params=ModelParams(), parity=0), "parity must be +1 or -1"),
+    (scs_angles, dict(params=ModelParams(), gamma_bar=-0.5), "gamma_bar must be >= 0"),
+])
+def test_input_check_raises_invalid_input(check, kwargs, message):
+    # InvalidInput is a ValueError, so a caller that catches ValueError still does
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$") as error:
+        check(**kwargs)
+    assert isinstance(error.value, ValueError)
 
 
 class TestLevelSplitting:
