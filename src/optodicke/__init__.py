@@ -15,9 +15,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "model": ["ModelParams", "PhaseLabel", "SpinBranch", "Stability", "curvature",
-              "extremum_polynomial", "level_splitting", "scaled_energy", "scs_angles"],
-    "solver": ["NotFound", "SolverError", "closure_estimate", "critical_coupling",
-               "find_roots", "ground_state", "sp_closure", "turning_point"],
+              "extremum_polynomial", "level_splitting", "scaled_energy", "scs_angles",
+              "NotFound", "SolverError", "closure_estimate", "critical_coupling",
+              "sp_closure", "turning_point"],
+    "solver": ["find_roots", "ground_state"],
     "diagram": ["phase_grid", "sweep_g"],
     "rabi": ["ConvergenceFailure", "compare_columns", "ground_energy"],
 }

@@ -21,6 +21,10 @@ OutOfRange to exit 2, and any other exception from a solve propagates.  A
 command returns its columns, each a float array or (codes, table), and _emit
 writes them with one join over field texts that carry their separators: a
 label once per table entry, each distinct float once per set of separators.
+turning-point and sp-closure, from model's closed forms, return one row of
+Python floats instead: they, and importing this module, load no numpy.  The
+other commands import numpy, diagram and solver when they run, and
+find_roots (solver's, which roots calls) binds here on first use (PEP 562).
 """
 
 from __future__ import annotations
@@ -34,23 +38,8 @@ import re
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import diagram
-from .model import InvalidInput, ModelParams, SpinBranch
-from .solver import (
-    ABSENT,
-    COLUMN_BRANCH,
-    PHASES,
-    STABILITIES,
-    OutOfRange,
-    SolverError,
-    closure_estimate,
-    critical_coupling,
-    find_roots,
-    sp_closure,
-    turning_point,
-)
+from .model import (InvalidInput, ModelParams, OutOfRange, SolverError, SpinBranch,
+                    closure_estimate, critical_coupling, sp_closure, turning_point)
 
 UNITS_NOTE = "all quantities in units of omega_a"
 
@@ -122,12 +111,13 @@ def _bounded(kind, valid, message: str):
     return convert
 
 
-def _axis(params: ModelParams, lo: float, hi: float, count: int, name: str) -> np.ndarray:
-    """The grid of a range from _grid, its two ends checked by ModelParams.
+def _axis(params: ModelParams, lo: float, hi: float, count: int, name: str):
+    """The grid of a range from _grid (an ndarray), its two ends checked by ModelParams.
 
     A bare number (count 1) is no grid.  The grid lies between its ends, so
     checking them checks every point.
     """
+    import numpy as np
     if count < 2:
         raise InvalidInput(f"{name}_min must be < {name}_max")
     for end in (lo, hi):
@@ -234,8 +224,29 @@ def _parse(argv) -> tuple[argparse.Namespace, ModelParams]:
     return args, params
 
 
-def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list) -> None:
+def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list | tuple) -> None:
     """Write columns, one per field name, as CSV or JSON (args.format) to args.output.
+
+    columns is one row of Python floats (a tuple), written without numpy as
+    _columns_text writes one-element arrays, or a list for _columns_text.
+    """
+    if not isinstance(columns, tuple):
+        text = _columns_text(args.format, fieldnames, columns)
+    elif args.format == "json":
+        row = {name: None if v != v else float("%.9g" % v) for name, v in zip(fieldnames, columns)}
+        text = json.dumps({"units": UNITS_NOTE, "rows": [row]}, indent=2) + "\n"
+    else:
+        text = (f"# {UNITS_NOTE}\r\n{','.join(fieldnames)}\r\n"
+                + ",".join("" if v != v else "%.9g" % v for v in columns) + "\r\n")
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
+def _columns_text(fmt: str, fieldnames: list[str], columns: list) -> str:
+    """The CSV or JSON (fmt) text of columns, one per field name.
 
     A column is a float array (NaN where a value is absent) or (codes, table),
     whose i-th value is table[codes[i]]; a table is a float array or a
@@ -252,13 +263,14 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list) -> Non
     share their entries: one %-format call writes the distinct bit patterns
     they hold (patterns, not values, so that -0.0 keeps its sign).
     """
+    import numpy as np
     coded = [(slice(None), c) if isinstance(c, np.ndarray) else c for c in columns]
     floats = [table for _, table in coded if isinstance(table, np.ndarray)]
     stacked = np.concatenate(floats) if floats else np.empty(0)
     bits, _, inverse = np.unique(stacked.view(np.int64), return_index=True, return_inverse=True)
     values = numbers = bits.view(np.float64)
     last = len(columns) - 1
-    if args.format == "json":
+    if fmt == "json":
         keys = [f"      {json.dumps(name)}: " for name in fieldnames]
         prefixes, seps = ["\n    {\n" + keys[0], *keys[1:]], [",\n"] * last + ["\n    },"]
         head = f'{{\n  "units": {json.dumps(UNITS_NOTE)},\n  "rows": ['
@@ -300,24 +312,28 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list) -> Non
             if used[i]:
                 entries[at[i]] = prefix + absent + sep
 
+    if not len(ids[0]):
+        return head + empty
     # one join over the rows x columns cells; the frame joins as part of the first and last
-    if len(ids[0]):
-        cells = np.array(entries, dtype=object)[np.column_stack(ids).ravel()].tolist()
-        cells[0] = head + cells[0]
-        cells[-1] = cells[-1].removesuffix(row_sep) + close
-        text = "".join(cells)
-    else:
-        text = head + empty
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    cells = np.array(entries, dtype=object)[np.column_stack(ids).ravel()].tolist()
+    cells[0] = head + cells[0]
+    cells[-1] = cells[-1].removesuffix(row_sep) + close
+    return "".join(cells)
+
+
+def __getattr__(name: str):
+    if name == "find_roots":  # solver.find_roots, bound on first use: at import it loads numpy
+        from .solver import find_roots
+        globals()[name] = find_roots
+        return find_roots
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _cmd_roots(args, params: ModelParams) -> tuple[list[str], list]:
+    import numpy as np
+    from .solver import ABSENT, COLUMN_BRANCH, STABILITIES
     params = replace(params, g=args.g, zeta=args.zeta)
-    pts = find_roots(params)
+    pts = sys.modules[__name__].find_roots(params)  # at call time, where it may be replaced
     j = np.flatnonzero(pts.stability[0] != ABSENT)  # the present points, normal ones first
     names = ["branch", "gamma_bar", "np", "delta_na", "nb", "energy", "curvature", "stability"]
     return names, [(j, [SpinBranch(sign).name.lower() for sign in COLUMN_BRANCH]),
@@ -326,11 +342,10 @@ def _cmd_roots(args, params: ModelParams) -> tuple[list[str], list]:
                    (pts.stability[0, j], STABILITIES)]
 
 
-_SWEEP_FIELDS = ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_ground"] + [
-    f"{kind}_{tag}" for tag in diagram.BRANCH_TAGS for kind in ("np", "eps", "stability")]
-
-
 def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
+    import numpy as np
+    from . import diagram
+    from .solver import ABSENT, PHASES, STABILITIES
     params = replace(params, zeta=args.zeta)
     sweep = diagram.sweep_g(params, _axis(params, *args.g, "g"))
     rows, k, j = np.arange(sweep.g.size), sweep.ground, sweep.source.T  # j: (tag, row)
@@ -341,10 +356,15 @@ def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
     stability = np.where(found, sweep.stability[rows, j], ABSENT)
     for tag_n_p, tag_energy, tag_stability in zip(n_p, energy, stability):
         columns += [tag_n_p, tag_energy, (tag_stability, STABILITIES)]
-    return list(_SWEEP_FIELDS), columns
+    return ["g", "phase", "np_ground", "dna_ground", "nb_ground", "eps_ground"] + [
+        f"{kind}_{tag}" for tag in diagram.BRANCH_TAGS for kind in ("np", "eps", "stability")
+    ], columns
 
 
 def _cmd_phase_diagram(args, params: ModelParams) -> tuple[list[str], list]:
+    import numpy as np
+    from . import diagram
+    from .solver import PHASES
     g_steps, zeta_steps = args.g[2], args.zeta[2]
     if g_steps * zeta_steps > MAX_GRID_CELLS:
         raise InvalidInput(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
@@ -364,24 +384,23 @@ def _cmd_phase_diagram(args, params: ModelParams) -> tuple[list[str], list]:
     return ["kind", "zeta", "g", "phase", "phase_above"], columns
 
 
-def _cmd_turning_point(args, params: ModelParams) -> tuple[list[str], list]:
+def _cmd_turning_point(args, params: ModelParams) -> tuple[list[str], tuple[float, ...]]:
     params = replace(params, zeta=args.zeta)
     g_t = turning_point(params)
     if math.isinf(g_t):
         raise OutOfRange(f"zeta={args.zeta!r}: the fold coupling g_t exceeds the largest double")
-    row = (args.zeta, critical_coupling(params), g_t)
-    return ["zeta", "g_c", "g_t"], [np.array([v]) for v in row]
+    return ["zeta", "g_c", "g_t"], (args.zeta, critical_coupling(params), g_t)
 
 
-def _cmd_sp_closure(args, params: ModelParams) -> tuple[list[str], list]:
+def _cmd_sp_closure(args, params: ModelParams) -> tuple[list[str], tuple[float, ...]]:
     star = sp_closure(params, width_tol=args.width_tol)
-    row = (star, closure_estimate(params), args.width_tol, critical_coupling(params))
-    return ["zeta_star", "zeta_estimate", "width_tol", "g_c"], [np.array([v]) for v in row]
+    return (["zeta_star", "zeta_estimate", "width_tol", "g_c"],
+            (star, closure_estimate(params), args.width_tol, critical_coupling(params)))
 
 
 def _cmd_rabi_compare(args, params: ModelParams) -> tuple[list[str], list]:
+    import numpy as np
     from . import rabi  # the ED: only this command loads it
-
     with np.errstate(all="ignore"):  # a grid wider than the largest double fails the ED's check
         g = np.linspace(*args.g)
     columns = rabi.compare_columns(params, g, n_max=args.n_max)  # its one check of g

@@ -21,11 +21,10 @@ At zeta = 0 the normal branch has x = g^2/(4 omega^2) - omega_a^2/(4 g^2) above
 g_c and the inverted one none; for g^2 <= 2^-60 omega*omega_a both have
 x = omega*omega_b/(2 zeta^2), exact to rounding.
 
-The turning point g_t is the cubic's double root.  In u = g^2 it is the one
-positive root of the quartic 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4,
-k = zeta^2 omega_a^2/(2 omega_b), which a change of variable turns into
-(tau*t)^4 + t - 1 = 0, solved by monotone Newton steps, as is the cubic in t
-that gives the closure coupling zeta_star.
+The turning point g_t is the cubic's double root.  It, g_c and the closure
+coupling zeta_star are closed forms in model, which loads no numpy; solver
+re-exports them (critical_coupling, turning_point, closure_estimate,
+sp_closure) and the exceptions SolverError, NotFound and OutOfRange.
 
 Labels follow from the shape of p (concave in x on the normal branch, decreasing
 on the inverted one), never from a tolerance: N- is stable below g_c, unstable
@@ -43,18 +42,23 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import (
-    SQUARE_LIMIT,
-    InvalidInput,
+from .model import (  # the closed forms and exceptions, re-exported: see the docstring
     ModelParams,
+    NotFound,
+    OutOfRange,
     PhaseLabel,
+    SolverError,
     SpinBranch,
     Stability,
+    closure_estimate,
+    critical_coupling,
     curvature,
     extremum_polynomial,  # unused here: the benchmark's tracer (bench/tracing.py) wraps
     extremum_polynomial_slope,  # both as attributes of this module
     observable_terms,
     scaled_energy,
+    sp_closure,
+    turning_point,
 )
 
 __all__ = [
@@ -80,7 +84,6 @@ __all__ = [
     "closure_estimate",
 ]
 
-_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 _THIRDS = np.array([2.0 * math.pi * k / 3.0 for k in range(3)])[:, None, None]
 # The sign of q = sign*g^2 in each row block of the cubic: normal, then inverted.
 _SIGNS = np.array([[float(SpinBranch.NORMAL)], [float(SpinBranch.INVERTED)]])
@@ -106,20 +109,8 @@ _STABILITY = np.array([MARGINAL, STABLE, UNSTABLE, STABLE, UNSTABLE])
 _ZERO_POINT = np.array([True, False, False, True, False])
 
 
-class SolverError(Exception):
-    """Base class for solver failures."""
-
-
 class DegenerateBracket(SolverError):
     """Never raised.  Kept only because the benchmark's tracer (bench/tracing.py) reads it."""
-
-
-class NotFound(SolverError):
-    """The requested critical point does not exist in the search window."""
-
-
-class OutOfRange(SolverError):
-    """A stationary point, or the closure coupling, does not fit in doubles."""
 
 
 @dataclass(frozen=True)
@@ -141,15 +132,6 @@ class BranchPoints:
     energy: np.ndarray
     curvature: np.ndarray
     stability: np.ndarray
-
-
-def critical_coupling(params: ModelParams) -> float:
-    """Boundary g_c = sqrt(omega*omega_a) between NP(N-) and SP.
-
-    Independent of omega_b, zeta and N: the oscillator does not move the
-    normal-phase boundary.
-    """
-    return math.sqrt(params.omega * params.omega_a)
 
 
 def param_rows(params: ModelParams, g: np.ndarray) -> SimpleNamespace:
@@ -341,101 +323,3 @@ def ground_state(params: ModelParams) -> tuple[PhaseLabel, float, float, float, 
     k = int(column[0])
     return (PHASES[COLUMN_PHASE[k]],
             *(float(v[0, k]) for v in (pts.n_p, pts.delta_n_a, pts.n_b, pts.energy)))
-
-
-def _newton_down(step) -> float:
-    """The root below t = 1 of an increasing convex function; step(t) gives value and slope.
-
-    Newton steps from 1 decrease monotonically; they stop once t no longer falls.
-    """
-    t = 1.0
-    while True:
-        value, slope = step(t)
-        t_next = t - value / slope
-        if not t_next < t:
-            return t
-        t = t_next
-
-
-def turning_point(params: ModelParams, zeta: float | None = None) -> float:
-    """Fold coupling g_t where the stable and unstable SP roots merge.
-
-    u = g_t^2 is the positive root of 4(omega*u + k)^3 = (27 zeta^2/(2 omega_b)) u^4
-    with k = zeta^2 omega_a^2/(2 omega_b).  With sigma = zeta/sqrt(omega_b),
-    u = (omega/(1.5 t))^3 / sigma^2 turns it into (tau*t)^4 + t - 1 = 0,
-    tau = (27/16)^(1/4) zeta/closure_estimate, and g_t = w*sqrt(w*omega_b)/zeta,
-    w = omega/(1.5 t), exact under scaling by powers of two (w^1.5 is not).
-    Nothing overflows: g_t is inf only where it exceeds every double
-    (closure_estimate raises OutOfRange where omega_b*omega^2/omega_a does not
-    fit in a double).  params.g is ignored; zeta defaults to params.zeta.
-
-    Raises NotFound for zeta = 0 (the superradiant region never closes) and
-    when the fold is not a superradiant window: zeta >= closure_estimate,
-    g_t <= g_c, or the merged splitting A* = (g_t^4/sigma^2)^(1/3) <= omega_a.
-    """
-    z = params.zeta if zeta is None else zeta
-    if not z > 0.0:
-        raise NotFound("no turning point: the superradiant region is unbounded at zeta=0")
-    estimate = closure_estimate(params)
-    ratio = z / estimate if estimate > 0.0 else math.inf
-    if ratio < 1.0:
-        root_wb = math.sqrt(params.omega_b)
-        tau = (27.0 / 16.0) ** 0.25 * ratio  # t in (0, 1]; the left side is convex for t > 0
-        t = _newton_down(lambda t: ((tau * t)**4 + t - 1.0, 4.0 * tau * (tau * t)**3 + 1.0))
-        w = params.omega / (1.5 * t)
-        w_b = w * params.omega_b
-        g_t = w * (math.sqrt(w_b) if _TINY <= w_b <= _HUGE else math.sqrt(w) * root_wb) / z
-        if g_t > critical_coupling(params) and g_t * g_t > z / root_wb * params.omega_a**1.5:
-            return g_t
-    raise NotFound(f"no stable superradiant root above g_c at zeta={z!r}: "
-                   "the superradiant window is closed")
-
-
-def closure_estimate(params: ModelParams) -> float:
-    """Small-amplitude estimate of the closure coupling.
-
-    Expanding p on the normal branch to first order in gamma_bar^2 at g = g_c
-    gives the coefficient 2*(omega^2/omega_a - zeta^2/omega_b); the window
-    closes exactly where it changes sign, zeta = sqrt(omega_b/omega_a)*omega,
-    formed so that it overflows only where the estimate itself does not fit in
-    a double.  OutOfRange there, and where omega > SQUARE_LIMIT.
-    """
-    if params.omega <= SQUARE_LIMIT:
-        estimate = math.sqrt(params.omega_b / params.omega_a) * params.omega
-        if math.isfinite(estimate):
-            return estimate
-    raise OutOfRange(f"omega={params.omega!r}, omega_a={params.omega_a!r}, "
-                     f"omega_b={params.omega_b!r} is outside the range of the closure coupling "
-                     f"sqrt(omega_b/omega_a)*omega, which needs omega <= {SQUARE_LIMIT:g} and "
-                     "the coupling below the largest double")
-
-
-def sp_closure(params: ModelParams, width_tol: float = 1e-3) -> float:
-    """Smallest zeta whose superradiant window g_t - g_c is <= width_tol.
-
-    The window narrows as zeta grows, so g_t = G = g_c + width_tol there.  In
-    turning_point's t that is t^3 - t^2 + C^4 = 0, C = (27/16)^(1/4) sqrt(omega_b)
-    (omega/1.5)^(3/2) / (closure_estimate G), with its root in [2/3, 1] reached by
-    Newton steps from 1; zeta_star = sqrt(omega_b) (omega/(1.5 t))^(3/2) / G.  params.g
-    and params.zeta are ignored.  The closed form holds in doubles where g_c^2 = omega
-    omega_a and the numerator and denominator of C are normal doubles (C is then
-    (4/27)^(1/4) g_c/G to rounding) and zeta_star is positive and finite; OutOfRange
-    elsewhere, and where closure_estimate overflows.
-    """
-    if not width_tol > 0.0:
-        raise InvalidInput("width_tol must be > 0")
-    estimate = closure_estimate(params)  # first: it bounds omega, so omega^1.5 fits
-    root_wb = math.sqrt(params.omega_b)
-    g_top = critical_coupling(params) + width_tol
-    numerator = (27.0 / 16.0) ** 0.25 * root_wb * (params.omega / 1.5) ** 1.5
-    denominator = estimate * g_top
-    if all(_TINY <= x <= _HUGE for x in (params.omega * params.omega_a, numerator, denominator)):
-        c4 = (numerator / denominator)**4
-        t = _newton_down(lambda t: (t * t * (t - 1.0) + c4, t * (3.0 * t - 2.0)))
-        star = root_wb * (params.omega / (1.5 * t)) ** 1.5 / g_top
-        if star > 0.0 and math.isfinite(star):
-            return star
-    raise OutOfRange(f"omega={params.omega!r}, omega_a={params.omega_a!r}, "
-                     f"omega_b={params.omega_b!r}, width_tol={width_tol!r} is outside the range "
-                     "of the closure coupling's closed form: a term of it underflows to 0, "
-                     "becomes subnormal or overflows")

@@ -1,6 +1,6 @@
 """Compare the CLI's exit code, stdout and stderr between this checkout and another.
 
-    python tests/stdout_parity.py PARENT [--random 500] [--seed 0]
+    python tests/stdout_parity.py PARENT [--random 500] [--seed 0] [--fresh 0]
 
 PARENT is a checkout's directory, or else a git ref (such as HEAD~1) whose
 src/ is exported with git archive into a temporary directory, removed after
@@ -12,6 +12,11 @@ Runs, on both checkouts, each in one subprocess through optodicke.cli.run:
 - --random seeded random argument lists over every command, each in CSV and
   in JSON, drawn from the value ranges of tests/test_cli.py's
   test_fuzz_referee.
+With --fresh N, the first N of those argument lists also run each in its own
+python -m optodicke.cli process, on both checkouts: a fault that shows only on
+a command's first use in a process (a module it forgets to import, say) is
+hidden in-process, where an earlier command has loaded it already.  The
+checkout's src/ path in stderr is written as <src> there.
 Prints every argument list whose exit code, stdout or stderr differ, with
 its first differing line, and exits 1 if any does.  Not collected by pytest.
 """
@@ -116,13 +121,28 @@ def bench_argvs() -> list[list[str]]:
 def run_checkout(checkout: Path, argvs: list[list[str]]) -> list[list]:
     """[exit code, stdout, stderr] of each argument list, run with checkout's source."""
     src = checkout / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(argvs), env=env,
-                          capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(argvs),
+                          env=checkout_env(checkout), capture_output=True, text=True, check=True)
     payload = json.loads(done.stdout)
     if Path(payload["module"]).resolve().parent != (src / "optodicke").resolve():
         raise SystemExit(f"{checkout}: imported {payload['module']}, not its own source")
     return payload["results"]
+
+
+def checkout_env(checkout: Path) -> dict:
+    """The environment that runs the CLI from checkout's source."""
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"))
+
+
+def run_fresh(checkout: Path, argvs: list[list[str]]) -> list[list]:
+    """[exit code, stdout, stderr] of each argument list, each in a fresh CLI process."""
+    results = []
+    for argv in argvs:
+        done = subprocess.run([sys.executable, "-m", "optodicke.cli", *argv],
+                              env=checkout_env(checkout), capture_output=True)
+        err = done.stderr.decode("utf-8", "replace").replace(str(checkout / "src"), "<src>")
+        results.append([done.returncode, done.stdout.decode("utf-8", "replace"), err])
+    return results
 
 
 def export_src(ref: str, into: str) -> Path:
@@ -145,16 +165,21 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="the checkout to compare with, or a git ref")
     parser.add_argument("--random", type=int, default=500, help="random argument lists")
     parser.add_argument("--seed", type=int, default=0, help="seed of the random lists")
+    parser.add_argument("--fresh", type=int, default=0,
+                        help="argument lists also run each in a fresh process")
     args = parser.parse_args(argv)
 
     base = bench_argvs() + random_argvs(args.random, args.seed)
     argvs = [a + fmt for a in base for fmt in ([], ["--format", "json"])]
+    fresh = argvs[:args.fresh]
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(args.parent)
-        theirs = run_checkout(parent if parent.is_dir() else export_src(args.parent, tmp), argvs)
-    ours = run_checkout(ROOT, argvs)
+        parent = parent if parent.is_dir() else export_src(args.parent, tmp)
+        theirs = run_checkout(parent, argvs) + run_fresh(parent, fresh)
+    ours = run_checkout(ROOT, argvs) + run_fresh(ROOT, fresh)
     differ = 0
-    for argv, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(argvs, theirs, ours):
+    labels = [" ".join(a) for a in argvs] + [f"(fresh) {' '.join(a)}" for a in fresh]
+    for label, (code_a, out_a, err_a), (code_b, out_b, err_b) in zip(labels, theirs, ours):
         what = [name for name, a, b in (("exit code", code_a, code_b), ("stdout", out_a, out_b),
                                          ("stderr", err_a, err_b)) if a != b]
         if what:
@@ -162,9 +187,9 @@ def main(argv=None) -> int:
             detail = (f"{code_a} != {code_b}" if code_a != code_b else
                       _first_difference(out_a, out_b) if out_a != out_b else
                       _first_difference(err_a, err_b))
-            print(f"{' '.join(argv)}: {', '.join(what)} differ; {detail}")
-    print(f"{differ} of {len(argvs)} argument lists differ "
-          f"({len(argvs) - 2 * args.random} bench, {2 * args.random} random)")
+            print(f"{label}: {', '.join(what)} differ; {detail}")
+    print(f"{differ} of {len(labels)} runs differ ({len(argvs) - 2 * args.random} bench, "
+          f"{2 * args.random} random, {len(fresh)} of them again in fresh processes)")
     return 1 if differ else 0
 
 

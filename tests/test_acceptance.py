@@ -225,3 +225,25 @@ def test_determinism(tmp_path, monkeypatch):
         outputs.append((sweep_out.read_bytes(), rabi_out.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
     json.loads(outputs[0][1].decode("utf-8"))  # JSON output stays well-formed
+
+
+@criterion(11, "Rabi transition: ED photon number -> variational as omega/omega_a -> 0")
+def test_rabi_transition_in_the_classical_limit():
+    # A single atom has a true transition only for r = omega/omega_a -> 0, where
+    # mean field becomes exact (Hwang, Puebla and Plenio, PRL 115, 180404, 2015):
+    # r <a+a> -> max(0, (lambda^2 - lambda^-2)/4) at lambda = g/g_c.  <a+a> = dE/domega
+    # (Hellmann-Feynman) from central differences of the ED energies, g held fixed.
+    lam = np.array([0.5, 1.0, 1.5, 2.0])
+    variational = np.maximum(0.0, (lam**2 - lam**-2) / 4.0)
+    at_g_c = []
+    for r in (1.0, 0.1, 0.01):
+        g, h = lam * math.sqrt(r), 1e-4 * r
+        n_max = max(300, round(20.0 / r))
+        upper, lower = (compare_columns(ModelParams(omega=r + s), g, n_max=n_max)[1]
+                        for s in (h, -h))
+        scaled = r * (upper - lower) / (2.0 * h)
+        off = lam != 1.0
+        assert np.all(np.abs(scaled[off] - variational[off]) <= 0.3 * r), (r, scaled)
+        at_g_c.append(scaled[1])
+    # at lambda = 1 the scaled photon number falls with r (to 0.0847, 0.0204, 0.0066)
+    assert at_g_c[0] > at_g_c[1] > at_g_c[2] > 0.0

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optodicke import cli, rabi, solver
+from optodicke import cli, diagram, rabi, solver
 from optodicke.cli import run
 from optodicke.model import ModelParams, PhaseLabel, Stability
 
@@ -441,10 +441,10 @@ class TestGridCaps:
 
         monkeypatch.setattr(np, "linspace", axis)
         none, no_labels = np.empty(0), np.empty(0, dtype=int)
-        empty = cli.diagram.PhaseGrid(g=none, zeta=none, phase=no_labels, boundary_zeta=none,
-                                      boundary_g=none, boundary_below=no_labels,
-                                      boundary_above=no_labels)
-        monkeypatch.setattr(cli.diagram, "phase_grid", lambda params, g, zeta: empty)
+        empty = diagram.PhaseGrid(g=none, zeta=none, phase=no_labels, boundary_zeta=none,
+                                  boundary_g=none, boundary_below=no_labels,
+                                  boundary_above=no_labels)
+        monkeypatch.setattr(diagram, "phase_grid", lambda params, g, zeta: empty)
         assert run(["phase-diagram", "--g", f"0:3:{side}", "--zeta", f"0:3:{side}"]) == 0
 
 
@@ -928,7 +928,10 @@ def _per_row_writer(fmt, fieldnames, rows):
 
 def _rows(columns):
     """The rows of the columns' values, NaN as None; a coded column is decoded here,
-    as table[i] for each of its codes i, and an Enum label stands for its value."""
+    as table[i] for each of its codes i, and an Enum label stands for its value.
+    A tuple of Python floats is one row."""
+    if isinstance(columns, tuple):
+        return [[None if math.isnan(v) else v for v in columns]]
     values = []
     for column in columns:
         if isinstance(column, np.ndarray):
@@ -1007,9 +1010,14 @@ def test_csv_text_is_that_of_csv_writer(argv, capsys):
 @pytest.mark.parametrize("argv", _COMMAND_ARGV)
 def test_every_column_is_an_array_or_coded(argv):
     # no command builds a Python list of per-row values: a column is a float
-    # array or (codes, table), and only a table is a sequence of labels
+    # array or (codes, table), and only a table is a sequence of labels; the
+    # two scalar commands return their one row as a tuple of Python floats
     _, fieldnames, columns = _command_columns(argv)
     assert len(columns) == len(fieldnames)
+    if argv[0] in ("turning-point", "sp-closure"):
+        assert isinstance(columns, tuple) and {type(v) for v in columns} == {float}, argv
+        return
+    assert isinstance(columns, list), argv  # a tuple would be written as one row
     for column in columns:
         if isinstance(column, np.ndarray):
             assert column.dtype.kind == "f", argv
@@ -1018,6 +1026,34 @@ def test_every_column_is_an_array_or_coded(argv):
         codes, table = column
         assert isinstance(codes, np.ndarray) and codes.dtype.kind == "i", argv
         assert isinstance(table, (np.ndarray, list, tuple)), argv
+
+
+# Doubles at the edges of '%.9g' and of repr: signed zeros, the smallest
+# subnormal, the largest double, infinities, NaN (absent), each side of the
+# switch to exponent notation ('%.9g' at 1e9 and 1e-4, repr at 1e16 and 1e-4),
+# and 9-digit rounding carries.
+_ROW_EDGES = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, math.inf,
+              -math.inf, math.nan, 1e16, 9.99999999e15, math.nextafter(1e16, 0.0), 1e9,
+              999999999.0, 999999999.5, 1e-4, 9.99999999e-5, 1e-5, 9.999999995e-5, 9.999999995,
+              -9.999999995, 99999999.95, 0.1 + 0.2, 1.0, 3.0, 1e300, 2.5e-310)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_row_text_is_that_of_one_element_arrays(fmt, capsys):
+    # the scalar commands' row path writes no other text than the column path
+    names = [f"c{i}" for i in range(len(_ROW_EDGES))]
+    args = argparse.Namespace(format=fmt, output="-")
+    cli._emit(args, names, _ROW_EDGES)
+    row_text = capsys.readouterr().out
+    cli._emit(args, names, [np.array([v]) for v in _ROW_EDGES])
+    assert row_text == capsys.readouterr().out
+    assert row_text == _per_row_writer(fmt, names, _rows(_ROW_EDGES))
+    assert ("Infinity" in row_text) == (fmt == "json")
+    for value in _ROW_EDGES:  # each alone, which is the first and last field of its row
+        cli._emit(args, ["x"], (value,))
+        row_text = capsys.readouterr().out
+        cli._emit(args, ["x"], [np.array([value])])
+        assert row_text == capsys.readouterr().out, value
 
 
 def test_phase_diagram_peak_memory():

@@ -12,6 +12,9 @@ from fresh_interpreter import loaded_modules
 SUBMODULES = ("model", "solver", "diagram", "rabi", "cli")
 # numpy.random pulls in secrets, hashlib and hmac; numpy.ma comes with a plain np.unique.
 UNWANTED = ("numpy.random", "numpy.ma")
+# What the closed forms, and the commands that print them, run without.
+ARRAY_LAYERS = {"numpy", "optodicke.solver", "optodicke.diagram"}
+SCALAR_COMMANDS = ("turning-point", "sp-closure")
 
 COMMANDS = [
     ["roots", "--g", "1.5", "--zeta", "1"],
@@ -40,6 +43,36 @@ def test_command_loads_only_what_it_runs(argv):
     loaded = loaded_modules(argv=argv)
     assert not loaded & set(UNWANTED)
     assert ("optodicke.rabi" in loaded) == (argv[0] == "rabi-compare")
+    assert ("numpy" in loaded) == (argv[0] not in SCALAR_COMMANDS)
+
+
+# A run that must exit with a given code, stderr discarded.
+_EXITS = """
+import contextlib, io, optodicke.cli
+with contextlib.redirect_stderr(io.StringIO()):
+    assert optodicke.cli.run({argv!r}) == {code}
+"""
+
+
+@pytest.mark.parametrize("code", [
+    "import optodicke.cli",
+    "import optodicke\n"
+    "assert optodicke.turning_point(optodicke.ModelParams(zeta=1.0)) > 1.0",
+    _EXITS.format(argv=["turning-point", "--omega", "-1"], code=2),
+    _EXITS.format(argv=["sp-closure", "--omega", "-1"], code=2),
+    _EXITS.format(argv=["sp-closure", "--omega", "1e300"], code=2),  # OutOfRange
+    _EXITS.format(argv=["turning-point", "--zeta", "0"], code=3),  # NotFound
+], ids=["cli", "turning_point", "turning-point-exit-2", "sp-closure-exit-2",
+        "sp-closure-out-of-range", "turning-point-exit-3"])
+def test_closed_forms_load_no_array_layer(code):
+    assert not loaded_modules(code) & ARRAY_LAYERS
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [["turning-point", "--zeta", "1"], ["sp-closure"]],
+                         ids=SCALAR_COMMANDS)
+def test_scalar_command_loads_no_array_layer(argv, fmt):
+    assert not loaded_modules(argv=[*argv, "--format", fmt]) & ARRAY_LAYERS
 
 
 def test_names_resolve_to_their_submodule_objects():
