@@ -22,21 +22,19 @@ command returns its columns, each a float array or (codes, table), and _emit
 writes them with one join over field texts that carry their separators: a
 label once per table entry, each distinct float once per set of separators.
 turning-point and sp-closure, from model's closed forms, return one row of
-Python floats instead: they, and importing this module, load no numpy.  The
-other commands import numpy, diagram and solver when they run, and
-find_roots (solver's, which roots calls) binds here on first use (PEP 562).
+Python floats instead: they, and importing this module, load no numpy, and
+json loads only for JSON output or --config.  The other commands load numpy,
+diagram and solver as they run; find_roots binds here on first use (PEP 562).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import replace
 
 from .model import (InvalidInput, ModelParams, OutOfRange, SolverError, SpinBranch,
                     closure_estimate, critical_coupling, sp_closure, turning_point)
@@ -62,6 +60,7 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
     string and its json.dumps otherwise.  A key that no flag of the command
     stores (config itself included) is rejected.
     """
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -119,9 +118,9 @@ def _axis(params: ModelParams, lo: float, hi: float, count: int, name: str):
     """
     import numpy as np
     if count < 2:
-        raise InvalidInput(f"{name}_min must be < {name}_max")
+        raise InvalidInput(f"--{name} needs a grid min:max:count, got the number {lo!r}")
     for end in (lo, hi):
-        ModelParams(**{**vars(params), name: end})
+        params.replace(**{name: end})
     with np.errstate(all="ignore"):  # k*step may overflow at the last point, which is set to hi
         return np.linspace(lo, hi, count)
 
@@ -233,6 +232,7 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], columns: list | tuple
     if not isinstance(columns, tuple):
         text = _columns_text(args.format, fieldnames, columns)
     elif args.format == "json":
+        import json
         row = {name: None if v != v else float("%.9g" % v) for name, v in zip(fieldnames, columns)}
         text = json.dumps({"units": UNITS_NOTE, "rows": [row]}, indent=2) + "\n"
     else:
@@ -271,6 +271,7 @@ def _columns_text(fmt: str, fieldnames: list[str], columns: list) -> str:
     values = numbers = bits.view(np.float64)
     last = len(columns) - 1
     if fmt == "json":
+        import json
         keys = [f"      {json.dumps(name)}: " for name in fieldnames]
         prefixes, seps = ["\n    {\n" + keys[0], *keys[1:]], [",\n"] * last + ["\n    },"]
         head = f'{{\n  "units": {json.dumps(UNITS_NOTE)},\n  "rows": ['
@@ -332,7 +333,7 @@ def __getattr__(name: str):
 def _cmd_roots(args, params: ModelParams) -> tuple[list[str], list]:
     import numpy as np
     from .solver import ABSENT, COLUMN_BRANCH, STABILITIES
-    params = replace(params, g=args.g, zeta=args.zeta)
+    params = params.replace(g=args.g, zeta=args.zeta)
     pts = sys.modules[__name__].find_roots(params)  # at call time, where it may be replaced
     j = np.flatnonzero(pts.stability[0] != ABSENT)  # the present points, normal ones first
     names = ["branch", "gamma_bar", "np", "delta_na", "nb", "energy", "curvature", "stability"]
@@ -346,7 +347,7 @@ def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
     import numpy as np
     from . import diagram
     from .solver import ABSENT, PHASES, STABILITIES
-    params = replace(params, zeta=args.zeta)
+    params = params.replace(zeta=args.zeta)
     sweep = diagram.sweep_g(params, _axis(params, *args.g, "g"))
     rows, k, j = np.arange(sweep.g.size), sweep.ground, sweep.source.T  # j: (tag, row)
     columns = [sweep.g, (sweep.phase, PHASES), *(column[rows, k] for column in (
@@ -385,7 +386,7 @@ def _cmd_phase_diagram(args, params: ModelParams) -> tuple[list[str], list]:
 
 
 def _cmd_turning_point(args, params: ModelParams) -> tuple[list[str], tuple[float, ...]]:
-    params = replace(params, zeta=args.zeta)
+    params = params.replace(zeta=args.zeta)
     g_t = turning_point(params)
     if math.isinf(g_t):
         raise OutOfRange(f"zeta={args.zeta!r}: the fold coupling g_t exceeds the largest double")

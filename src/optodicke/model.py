@@ -20,21 +20,20 @@ per atom and expressed in units of omega_a; none of them depends on N.
 Every function of ``gamma_bar`` here is pure and accepts a scalar or an ndarray.
 A branch is a SpinBranch member or an array of its signs (-1 normal, +1
 inverted), one per column.  The solver's array kernel passes parameters whose
-``g`` is an ndarray column, one coupling per row, and a sign per point
-column, both broadcasting against ``gamma_bar``.
-observable_terms gives the per-atom observables (n_p, delta_n_a, n_b) and
-scs_angles the stationary angles (theta, rho_bar), as tuples of numbers or
-of columns shaped like gamma_bar.  The closed forms critical_coupling,
-turning_point, closure_estimate and sp_closure, and the SolverError, NotFound
-and OutOfRange they raise, live here (solver re-exports them) and need math
-alone: numpy loads only inside level_splitting and scs_angles.
+``g`` is an ndarray column, one coupling per row, and a sign per point column,
+both broadcasting against ``gamma_bar``.  observable_terms gives the per-atom
+observables (n_p, delta_n_a, n_b) and scs_angles the stationary angles (theta,
+rho_bar), as tuples of numbers or of columns shaped like gamma_bar.  The closed
+forms critical_coupling, turning_point, closure_estimate and sp_closure, and the
+SolverError, NotFound and OutOfRange they raise, live here (solver re-exports
+them) and need math alone (numpy loads only in level_splitting and scs_angles).
+ModelParams is a slotted immutable class; its replace(**changes) checks anew.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 __all__ = [
@@ -111,7 +110,6 @@ class PhaseLabel(Enum):
     NP_NPLUS = "NP_Nplus"
 
 
-@dataclass(frozen=True)
 class ModelParams:
     """Physical parameters, all frequencies in units of omega_a.
 
@@ -124,14 +122,15 @@ class ModelParams:
     n_atoms  : atom count N (>= 1); scaled quantities never depend on it
     """
 
-    omega: float = 1.0
-    omega_a: float = 1.0
-    omega_b: float = 10.0
-    g: float = 0.0
-    zeta: float = 0.0
-    n_atoms: int = 1
+    __slots__ = ("omega", "omega_a", "omega_b", "g", "zeta", "n_atoms")
 
-    def __post_init__(self) -> None:
+    def __init__(self, omega=1.0, omega_a=1.0, omega_b=10.0, g=0.0, zeta=0.0, n_atoms=1) -> None:
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "omega_a", omega_a)
+        object.__setattr__(self, "omega_b", omega_b)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "n_atoms", n_atoms)
         for name in ("omega", "omega_a", "omega_b", "g", "zeta"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInput(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -147,6 +146,29 @@ class ModelParams:
             raise InvalidInput(f"zeta must be >= 0, got {self.zeta!r}")
         if not (self.n_atoms >= 1 and self.n_atoms % 1 == 0):  # False for NaN and inf too
             raise InvalidInput(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
+
+    def _values(self) -> tuple:
+        return self.omega, self.omega_a, self.omega_b, self.g, self.zeta, self.n_atoms
+
+    def replace(self, **changes) -> ModelParams:
+        """A copy with the given fields changed, checked as every new instance is."""
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"ModelParams is immutable: cannot set or delete {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"ModelParams({', '.join(map('{}={!r}'.format, self.__slots__, self._values()))})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, and so its checks
+        return type(self), self._values()
 
 
 def tilt_ratio(params: ModelParams, gamma_bar):

@@ -377,8 +377,11 @@ class TestConfig:
             (["sweep", "--g", "2:1:3"], "need min < max and count >= 2"),
             (["phase-diagram", "--zeta", "1:0:3"], "need min < max and count >= 2"),
             (["phase-diagram", "--zeta", "0:1:1"], "need min < max and count >= 2"),
-            (["sweep", "--g", "1"], "g_min must be < g_max"),  # a bare number is no grid
-            (["phase-diagram", "--g", "0:1:3", "--zeta", "1"], "zeta_min must be < zeta_max"),
+            # a bare number is no grid
+            (["sweep", "--g", "1.5"], "--g needs a grid min:max:count, got the number 1.5"),
+            (["sweep"], "--g needs a grid min:max:count, got the number 0.0"),
+            (["phase-diagram", "--g", "0:1:3", "--zeta", "1"],
+             "--zeta needs a grid min:max:count, got the number 1.0"),
             (["sweep", "--g", "0:1:3", "--omega-b", "-1"], "omega_b must be > 0"),
             # unused by the ED, but checked by ModelParams as in every other command
             (["rabi-compare", "--g", "0:1:3", "--omega-b", "-1"], "omega_b must be > 0"),

@@ -4,7 +4,7 @@ import contextlib
 import csv
 import io
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -179,7 +179,7 @@ class TestPhaseGrid:
         assert np.array_equal(grid.g, gs) and np.array_equal(grid.zeta, zetas)
         for k, zeta in enumerate(grid.zeta.tolist()):
             for i, g in enumerate(grid.g.tolist()):
-                expected = ground_state(replace(params, g=g, zeta=zeta))[0]
+                expected = ground_state(params.replace(g=g, zeta=zeta))[0]
                 assert PHASES[grid.phase[k * grid.g.size + i]] is expected, (g, zeta)
 
     def test_boundaries_refined(self):
@@ -196,7 +196,7 @@ class TestPhaseGrid:
         params, gs, zetas = ModelParams(), np.linspace(0.3, 2.7, 9), np.linspace(0.7, 2.1, 3)
         grid = phase_grid(params, gs, zetas)
         for zeta, labels in zip(zetas, grid.phase.reshape(grid.zeta.size, -1)):
-            rows = sweep_g(replace(params, zeta=float(zeta)), np.linspace(0.3, 2.7, 9))
+            rows = sweep_g(params.replace(zeta=float(zeta)), np.linspace(0.3, 2.7, 9))
             assert labels.tolist() == rows.phase.tolist()
 
 
@@ -245,7 +245,7 @@ class TestGridReferee:
             row = slice(k * g_steps, (k + 1) * g_steps)
             zs, labels = [grid.zeta[k].item()] * g_steps, grid.phase[row].tolist()
             for g, zeta, label in zip(grid.g.tolist(), zs, labels):
-                params = replace(base, g=g, zeta=zeta)
+                params = base.replace(g=g, zeta=zeta)
                 assert PHASES[label] is ground_state(params)[0], (g, zeta)
             changes += [(zeta, lo, hi) for zeta, lo, hi in zip(zs, labels, labels[1:]) if lo != hi]
         bounds = list(zip(grid.boundary_zeta.tolist(), grid.boundary_g.tolist(),
@@ -280,7 +280,7 @@ class TestGridReferee:
             patch.setattr(solver, "_points", fail)
             grid = phase_grid(base, gs, zetas)
         for g, zeta, label in zip(*(c.tolist() for c in cells(grid)), grid.phase.tolist()):
-            assert PHASES[label] is ground_state(replace(base, g=g, zeta=zeta))[0], (g, zeta)
+            assert PHASES[label] is ground_state(base.replace(g=g, zeta=zeta))[0], (g, zeta)
         assert [PHASES[k] for k in grid.phase[1::3]] == [PhaseLabel.NP_NMINUS] * 5
 
     # omega = 2 puts g_c = sqrt(2) on a double whose square is not omega*omega_a
@@ -293,7 +293,7 @@ class TestGridReferee:
         gs = np.linspace(0.0, 2.0 * g_c, 3)
         (index,), (_, g_b, below, _) = grid_row(base, gs, np.array([zeta]))
         assert gs[1] == g_c
-        want = ground_state(replace(base, g=g_c, zeta=zeta))[0]
+        want = ground_state(base.replace(g=g_c, zeta=zeta))[0]
         assert PHASES[index[1]] is want
         if side < 0:
             assert want is PhaseLabel.NP_NMINUS
@@ -386,8 +386,8 @@ class TestFoldRule:
                 gs = np.linspace(0.0, 2.0 * g, 3)
                 assert gs[1] == g
                 # all five values of the one-point call are the sweep row's, bit for bit
-                want, *values = ground_state(replace(base, g=g, zeta=zeta))
-                rows = sweep_g(replace(base, zeta=zeta), gs)
+                want, *values = ground_state(base.replace(g=g, zeta=zeta))
+                rows = sweep_g(base.replace(zeta=zeta), gs)
                 assert PHASES[rows.phase[1]] is want, (zeta, g)
                 ground = [at_ground(rows, c)[1] for c in (rows.n_p, rows.delta_n_a, rows.n_b,
                                                          rows.energy)]
@@ -412,7 +412,7 @@ class TestFoldRule:
         assert gs[1] == g_c
         grid = phase_grid(base, gs, zetas)
         for k, (zeta, want) in enumerate(zip(zetas.tolist(), wants)):
-            params = replace(base, g=g_c, zeta=zeta)
+            params = base.replace(g=g_c, zeta=zeta)
             rows = sweep_g(params, gs)
             assert STABILITIES[find_roots(params).stability[0, 0]] is Stability.MARGINAL
             assert STABILITIES[rows.stability[1, 0]] is Stability.MARGINAL
@@ -500,9 +500,9 @@ class TestSweepReferee:
         g_c, closure = critical_coupling(base), closure_estimate(base)
         zeta = z_unit * closure
         g_t = turning_point(base, zeta=zeta)
-        runs = [(replace(base, zeta=z), np.linspace(0.0, 4.0 * g_c, 2**k + 1))
+        runs = [(base.replace(zeta=z), np.linspace(0.0, 4.0 * g_c, 2**k + 1))
                 for z in (0.0, zeta, closure * (1.0 + z_over))]
-        runs.append((replace(base, zeta=zeta),
+        runs.append((base.replace(zeta=zeta),
                      np.linspace(math.nextafter(g_t, 0.0), math.nextafter(g_t, math.inf), 3)))
         for params, gs in runs:
             sweep = sweep_g(params, gs)
@@ -538,8 +538,8 @@ class TestSweepReferee:
 
 def _scaled(params, s):
     """params with omega, omega_a, omega_b and zeta multiplied by s."""
-    return replace(params, omega=params.omega * s, omega_a=params.omega_a * s,
-                   omega_b=params.omega_b * s, zeta=params.zeta * s)
+    return params.replace(omega=params.omega * s, omega_a=params.omega_a * s,
+                          omega_b=params.omega_b * s, zeta=params.zeta * s)
 
 
 class TestScaleInvariance:
@@ -581,8 +581,8 @@ class TestScaleInvariance:
         s = 2.0**k
         gs, zetas = self._axes(base, z_unit, g_units)
         for zeta in zetas.tolist():
-            one = sweep_g(replace(base, zeta=zeta), gs)
-            other = sweep_g(_scaled(replace(base, zeta=zeta), s), gs * s)
+            one = sweep_g(base.replace(zeta=zeta), gs)
+            other = sweep_g(_scaled(base.replace(zeta=zeta), s), gs * s)
             for name in ("phase", "ground", "stability", "source", "n_p", "delta_n_a", "n_b"):
                 assert np.array_equal(getattr(one, name), getattr(other, name),
                                       equal_nan=True), (zeta, name)
@@ -603,8 +603,8 @@ class TestScaleInvariance:
         for row, zeta in enumerate(zetas.tolist()):
             distance = np.min([np.abs(gs - edge) for edge in self._edges(base, zeta)], axis=0)
             off = distance > 1e-12 * critical_coupling(base)
-            one = sweep_g(replace(base, zeta=zeta), gs)
-            other = sweep_g(_scaled(replace(base, zeta=zeta), s), gs * s)
+            one = sweep_g(base.replace(zeta=zeta), gs)
+            other = sweep_g(_scaled(base.replace(zeta=zeta), s), gs * s)
             for name in ("phase", "ground", "stability", "source"):
                 assert np.array_equal(getattr(one, name)[off], getattr(other, name)[off]), (
                     zeta, name)

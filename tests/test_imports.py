@@ -15,6 +15,9 @@ UNWANTED = ("numpy.random", "numpy.ma")
 # What the closed forms, and the commands that print them, run without.
 ARRAY_LAYERS = {"numpy", "optodicke.solver", "optodicke.diagram"}
 SCALAR_COMMANDS = ("turning-point", "sp-closure")
+# What the scalar path starts without: dataclasses pulls in inspect (with ast,
+# dis and tokenize), and json serves only JSON output and config files.
+STARTUP_UNWANTED = {"dataclasses", "inspect", "json"}
 
 COMMANDS = [
     ["roots", "--g", "1.5", "--zeta", "1"],
@@ -73,6 +76,33 @@ def test_closed_forms_load_no_array_layer(code):
                          ids=SCALAR_COMMANDS)
 def test_scalar_command_loads_no_array_layer(argv, fmt):
     assert not loaded_modules(argv=[*argv, "--format", fmt]) & ARRAY_LAYERS
+
+
+@pytest.mark.parametrize("code", [
+    "import optodicke.cli",
+    "import optodicke\nassert optodicke.ModelParams(zeta=1.0).zeta == 1.0",
+    _EXITS.format(argv=["turning-point", "--omega", "-1"], code=2),
+    _EXITS.format(argv=["sp-closure", "--omega", "-1"], code=2),
+], ids=["cli", "ModelParams", "turning-point-exit-2", "sp-closure-exit-2"])
+def test_scalar_path_loads_no_dataclasses_inspect_or_json(code):
+    assert not loaded_modules(code) & STARTUP_UNWANTED
+
+
+@pytest.mark.parametrize("argv", [["turning-point", "--zeta", "1"], ["sp-closure"]],
+                         ids=SCALAR_COMMANDS)
+def test_scalar_command_in_csv_loads_no_dataclasses_inspect_or_json(argv):
+    loaded = loaded_modules(argv=[*argv, "--format", "csv"])
+    assert "optodicke.model" in loaded
+    assert not loaded & STARTUP_UNWANTED
+
+
+def test_json_output_and_config_file_load_json(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"zeta": 1.0}', encoding="utf-8")
+    for argv in (["turning-point", "--zeta", "1", "--format", "json"],
+                 ["turning-point", "--config", str(config)],
+                 ["sweep", "--g", "0:3:11", "--format", "json"]):
+        assert "json" in loaded_modules(argv=argv), argv
 
 
 def test_names_resolve_to_their_submodule_objects():

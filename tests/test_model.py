@@ -1,6 +1,8 @@
 """Closed-form model functions: examples, identities, derivative consistency."""
 
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -35,21 +37,85 @@ EPS_S = -0.701017167434
 REF = ModelParams(omega=1.0, omega_a=1.0, omega_b=10.0, g=1.5, zeta=1.0)
 
 
+INVALID_FIELDS = [
+    dict(omega=0.0), dict(omega_a=-1.0), dict(omega_b=0.0),
+    dict(g=-0.1), dict(zeta=-2.0), dict(n_atoms=0), dict(n_atoms=1.5),
+    dict(n_atoms=math.inf), dict(n_atoms=-math.inf), dict(n_atoms=math.nan),
+    dict(g=math.nan), dict(g=math.inf), dict(zeta=math.nan), dict(zeta=math.inf),
+    dict(omega_b=math.inf), dict(omega_a=1.0000000000000002e150), dict(omega_a=1e300),
+]
+FIELDS = ("omega", "omega_a", "omega_b", "g", "zeta", "n_atoms")
+
+
 class TestParams:
     def test_defaults(self):
         p = ModelParams()
         assert (p.omega, p.omega_a, p.omega_b, p.n_atoms) == (1.0, 1.0, 10.0, 1)
+        assert (p.g, p.zeta) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("kw", [
-        dict(omega=0.0), dict(omega_a=-1.0), dict(omega_b=0.0),
-        dict(g=-0.1), dict(zeta=-2.0), dict(n_atoms=0), dict(n_atoms=1.5),
-        dict(n_atoms=math.inf), dict(n_atoms=-math.inf), dict(n_atoms=math.nan),
-        dict(g=math.nan), dict(g=math.inf), dict(zeta=math.nan), dict(zeta=math.inf),
-        dict(omega_b=math.inf), dict(omega_a=1.0000000000000002e150), dict(omega_a=1e300),
-    ])
+    def test_positional_and_keyword_construction_agree(self):
+        values = (2.0, 0.5, 5.0, 1.25, 0.75, 3)
+        by_position, by_keyword = ModelParams(*values), ModelParams(**dict(zip(FIELDS, values)))
+        for p in (by_position, by_keyword):
+            assert tuple(getattr(p, name) for name in FIELDS) == values
+        assert by_position == by_keyword
+        assert ModelParams(2.0, 0.5) == ModelParams(omega=2.0, omega_a=0.5)
+        with pytest.raises(TypeError):
+            ModelParams(*values, 4)
+        with pytest.raises(TypeError):
+            ModelParams(beta=1.0)
+
+    @pytest.mark.parametrize("kw", INVALID_FIELDS)
     def test_invalid(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             ModelParams(**kw)
+
+    @pytest.mark.parametrize("kw", INVALID_FIELDS)
+    def test_replace_checks_like_the_constructor(self, kw):
+        with pytest.raises(InvalidInput, match=next(iter(kw))):
+            ModelParams(g=1.0, zeta=1.0).replace(**kw)
+
+    def test_replace_changes_only_the_given_fields(self):
+        p = ModelParams(omega=2.0, g=1.0, n_atoms=4)
+        q = p.replace(zeta=0.5, g=1.5)
+        assert q == ModelParams(omega=2.0, g=1.5, zeta=0.5, n_atoms=4)
+        assert p == ModelParams(omega=2.0, g=1.0, n_atoms=4)
+        assert p.replace() == p and p.replace() is not p
+        with pytest.raises(TypeError):
+            p.replace(beta=1.0)
+
+    @pytest.mark.parametrize("name", [*FIELDS, "beta"])
+    def test_immutable(self, name):
+        p = ModelParams(g=1.0)
+        with pytest.raises(AttributeError):
+            setattr(p, name, 2.0)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+        assert p == ModelParams(g=1.0) and not hasattr(p, "beta")
+
+    def test_equality_and_hash_follow_the_fields(self):
+        p, same, other = (ModelParams(g=1.0, zeta=0.5), ModelParams(g=1.0, zeta=0.5),
+                          ModelParams(g=1.0))
+        assert p == same and hash(p) == hash(same) and len({p, same, other}) == 2
+        assert p != other
+        values = tuple(getattr(p, name) for name in FIELDS)
+        assert p != values and values != p
+        assert p.__eq__(values) is NotImplemented
+
+    def test_repr(self):
+        assert repr(ModelParams()) == ("ModelParams(omega=1.0, omega_a=1.0, omega_b=10.0, "
+                                       "g=0.0, zeta=0.0, n_atoms=1)")
+        assert repr(ModelParams(g=1.5, n_atoms=2)).endswith("g=1.5, zeta=0.0, n_atoms=2)")
+
+    @pytest.mark.parametrize("clone", [
+        *(lambda p, k=k: pickle.loads(pickle.dumps(p, protocol=k))
+          for k in range(pickle.HIGHEST_PROTOCOL + 1)),
+        copy.copy, copy.deepcopy,
+    ])
+    def test_pickle_and_copy_round_trip(self, clone):
+        p = ModelParams(omega=0.5, omega_b=3.0, g=1.25, zeta=0.75, n_atoms=7)
+        q = clone(p)
+        assert type(q) is ModelParams and q == p and repr(q) == repr(p)
 
     def test_raw_amplitude(self):
         p = ModelParams(n_atoms=16)

@@ -1,7 +1,7 @@
 """Root finding, fold detection, closure coupling, ground-state selection."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -292,7 +292,7 @@ class TestRootPrecision:
         for _ in range(count):
             omega, omega_a = rng.uniform(0.3, 3.0, 2).tolist()
             base = ModelParams(omega=omega, omega_a=omega_a, omega_b=rng.uniform(1.0, 40.0))
-            yield replace(base, zeta=rng.uniform(0.05, 1.5) * closure_estimate(base)), rng
+            yield base.replace(zeta=rng.uniform(0.05, 1.5) * closure_estimate(base)), rng
 
     @staticmethod
     def _fold(params):
@@ -332,7 +332,7 @@ def test_triple_root_at_critical_coupling_and_closure():
     # of p(0) as a root).  At omega = omega_b = 1 both couplings are exactly 1.
     for omega, omega_b in ((1.2, 10.0), (1.0, 1.0)):
         base = ModelParams(omega=omega, omega_b=omega_b)
-        params = replace(base, g=critical_coupling(base), zeta=closure_estimate(base))
+        params = base.replace(g=critical_coupling(base), zeta=closure_estimate(base))
         assert no_roots(normal_roots(params)), params
         x_inv = inverted_roots(params).x[0, 1:]
         assert x_inv[~np.isnan(x_inv)].tolist() == pytest.approx(
