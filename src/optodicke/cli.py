@@ -24,7 +24,8 @@ label once per table entry, each distinct float once per set of separators.
 turning-point and sp-closure, from model's closed forms, return one row of
 Python floats instead: they, and importing this module, load no numpy, and
 json loads only for JSON output or --config.  The other commands load numpy,
-diagram and solver as they run; find_roots binds here on first use (PEP 562).
+diagram and solver as they run.  find_roots binds here on first use (PEP 562),
+for the benchmark's tracer alone.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
             for key, value in raw.items()]
 
 
-def _grid(text: str) -> tuple[float, float, int]:
-    """argparse type of a grid 'min:max:count' as (min, max, count); a number v is (v, v, 1)."""
+def _grid(text: str) -> tuple[float, float, int, str]:
+    """argparse type: grid 'min:max:count' as (min, max, count, text), number v (v, v, 1, text)."""
     is_grid = _RANGE_SEP in text
     try:
         lo, hi, count = text.split(_RANGE_SEP) if is_grid else (text, text, "1")
@@ -93,7 +94,7 @@ def _grid(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"need min < max and count >= 2, got {text!r}")
     if count > MAX_GRID_COUNT:
         raise argparse.ArgumentTypeError(f"count {count} exceeds the cap of {MAX_GRID_COUNT}")
-    return lo, hi, count
+    return lo, hi, count, text
 
 
 def _bounded(kind, valid, message: str):
@@ -110,15 +111,16 @@ def _bounded(kind, valid, message: str):
     return convert
 
 
-def _axis(params: ModelParams, lo: float, hi: float, count: int, name: str):
-    """The grid of a range from _grid (an ndarray), its two ends checked by ModelParams.
+def _axis(params: ModelParams, grid: tuple, name: str):
+    """The ndarray of a grid from _grid, its two ends checked by ModelParams.
 
-    A bare number (count 1) is no grid.  The grid lies between its ends, so
-    checking them checks every point.
+    A bare number (count 1) is no grid; its text is quoted as given.  The
+    grid lies between its ends, so checking them checks every point.
     """
     import numpy as np
+    lo, hi, count, text = grid
     if count < 2:
-        raise InvalidInput(f"--{name} needs a grid min:max:count, got the number {lo!r}")
+        raise InvalidInput(f"--{name} needs a grid min:max:count, got the number {text!r}")
     for end in (lo, hi):
         params.replace(**{name: end})
     with np.errstate(all="ignore"):  # k*step may overflow at the last point, which is set to hi
@@ -323,7 +325,7 @@ def _columns_text(fmt: str, fieldnames: list[str], columns: list) -> str:
 
 
 def __getattr__(name: str):
-    if name == "find_roots":  # solver.find_roots, bound on first use: at import it loads numpy
+    if name == "find_roots":  # for the benchmark's tracer: at import it would load numpy
         from .solver import find_roots
         globals()[name] = find_roots
         return find_roots
@@ -332,15 +334,15 @@ def __getattr__(name: str):
 
 def _cmd_roots(args, params: ModelParams) -> tuple[list[str], list]:
     import numpy as np
-    from .solver import ABSENT, COLUMN_BRANCH, STABILITIES
+    from . import solver
     params = params.replace(g=args.g, zeta=args.zeta)
-    pts = sys.modules[__name__].find_roots(params)  # at call time, where it may be replaced
-    j = np.flatnonzero(pts.stability[0] != ABSENT)  # the present points, normal ones first
+    pts = solver.find_roots(params)  # at call time, where it may be replaced
+    j = np.flatnonzero(pts.stability[0] != solver.ABSENT)  # present points, normal ones first
     names = ["branch", "gamma_bar", "np", "delta_na", "nb", "energy", "curvature", "stability"]
-    return names, [(j, [SpinBranch(sign).name.lower() for sign in COLUMN_BRANCH]),
+    return names, [(j, [SpinBranch(sign).name.lower() for sign in solver.COLUMN_BRANCH]),
                    np.sqrt(pts.x[0, j]), *(column[0, j] for column in (
                        pts.n_p, pts.delta_n_a, pts.n_b, pts.energy, pts.curvature)),
-                   (pts.stability[0, j], STABILITIES)]
+                   (pts.stability[0, j], solver.STABILITIES)]
 
 
 def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
@@ -348,7 +350,7 @@ def _cmd_sweep(args, params: ModelParams) -> tuple[list[str], list]:
     from . import diagram
     from .solver import ABSENT, PHASES, STABILITIES
     params = params.replace(zeta=args.zeta)
-    sweep = diagram.sweep_g(params, _axis(params, *args.g, "g"))
+    sweep = diagram.sweep_g(params, _axis(params, args.g, "g"))
     rows, k, j = np.arange(sweep.g.size), sweep.ground, sweep.source.T  # j: (tag, row)
     columns = [sweep.g, (sweep.phase, PHASES), *(column[rows, k] for column in (
         sweep.n_p, sweep.delta_n_a, sweep.n_b, sweep.energy))]
@@ -370,7 +372,7 @@ def _cmd_phase_diagram(args, params: ModelParams) -> tuple[list[str], list]:
     if g_steps * zeta_steps > MAX_GRID_CELLS:
         raise InvalidInput(f"{g_steps} x {zeta_steps} = {g_steps * zeta_steps} cells exceed "
                            f"the cap of {MAX_GRID_CELLS}")
-    g, zeta = _axis(params, *args.g, "g"), _axis(params, *args.zeta, "zeta")
+    g, zeta = _axis(params, args.g, "g"), _axis(params, args.zeta, "zeta")
     grid = diagram.phase_grid(params, g, zeta)
     # cells are in (zeta, g) order: code both axes by row and column, boundaries appended
     row, col = np.divmod(np.arange(grid.phase.size), g_steps)
@@ -403,7 +405,7 @@ def _cmd_rabi_compare(args, params: ModelParams) -> tuple[list[str], list]:
     import numpy as np
     from . import rabi  # the ED: only this command loads it
     with np.errstate(all="ignore"):  # a grid wider than the largest double fails the ED's check
-        g = np.linspace(*args.g)
+        g = np.linspace(*args.g[:3])
     columns = rabi.compare_columns(params, g, n_max=args.n_max)  # its one check of g
     return ["g", "energy_ed", "energy_variational", "deviation"], list(columns)
 

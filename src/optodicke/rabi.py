@@ -5,10 +5,16 @@ reduces to the Rabi Hamiltonian
 
     H = omega*a^dag*a + (omega_a/2)*sigma_z + (g/2)*(a + a^dag)*sigma_x .
 
-H commutes with the parity operator sigma_z*(-1)^(a^dag a), so the truncated
-matrix splits into two symmetric tridiagonal blocks, one per parity sector:
+Every entry takes ModelParams, and ed_couplings is the whole check of its
+input: the ED is that of one atom at zeta = 0.  Every entry solves in units
+of omega_a (_in_units), where the kernel takes only omega and g, and scales
+energies and residuals back: the kernel's absolute floors (the stop 1e-12,
+max(1, ...)) are relative to omega_a, and the ED's numbers scale with its
+frequencies.  H commutes with the parity operator sigma_z*(-1)^(a^dag a),
+so the truncated matrix splits into two symmetric tridiagonal blocks, one
+per parity sector, in units of omega_a:
 
-    d_n = omega*n + parity*(omega_a/2)*(-1)^n,   t_n = (g/2)*sqrt(n+1) .
+    d_n = omega*n + parity*(-1)^n/2,   t_n = (g/2)*sqrt(n+1) .
 
 One batched kernel, with one entry (_parity_rows), finds the smallest
 eigenvalue of both parity blocks at every g of a grid, one block per column,
@@ -45,12 +51,6 @@ block, or of its leading rows, alternates in sign and overlaps the start by
 sum |u_n| >= 1 (at g = 0 the start overlaps every basis vector).  No
 dense matrix is formed: an oracle fully independent of the variational
 closed forms it is compared against.
-
-Every entry takes ModelParams, and ed_couplings is the whole check of its
-input: the ED is that of one atom at zeta = 0.  Every entry solves in units
-of omega_a and scales energies and residuals back, so the kernel's absolute
-floors (the stop 1e-12, max(1, ...)) are relative to omega_a, and the ED's
-numbers scale with its frequencies.
 """
 
 from __future__ import annotations
@@ -144,13 +144,13 @@ def ed_couplings(params: ModelParams, g) -> np.ndarray:
     return g
 
 
-def _parity_diagonals(omega: float, omega_a: float, n: np.ndarray) -> np.ndarray:
+def _parity_diagonals(omega: float, n: np.ndarray) -> np.ndarray:
     """Rows n of the +1 and the -1 block's diagonal, as the rows of (2, len(n))."""
     sign = 1.0 - 2.0 * (n % 2)  # (-1)^n
-    return np.stack([omega * n + parity * 0.5 * omega_a * sign for parity in (+1, -1)])
+    return np.stack([omega * n + parity * 0.5 * sign for parity in (+1, -1)])
 
 
-def _block_columns(omega: float, omega_a: float, g: np.ndarray, n_max: int,
+def _block_columns(omega: float, g: np.ndarray, n_max: int,
                    rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals (rows, 2 len(g)) and offdiagonals (min(rows, n_max), 2 len(g)).
 
@@ -160,7 +160,7 @@ def _block_columns(omega: float, omega_a: float, g: np.ndarray, n_max: int,
     """
     n = np.arange(rows)
     offdiag = np.sqrt(n[:n_max] + 1.0)[:, None] * (0.5 * np.asarray(g, dtype=float))
-    return (np.repeat(_parity_diagonals(omega, omega_a, n).T, len(g), axis=1),
+    return (np.repeat(_parity_diagonals(omega, n).T, len(g), axis=1),
             np.concatenate([offdiag, offdiag], axis=1))
 
 
@@ -247,55 +247,25 @@ def _dominant_tail(diag: np.ndarray, radii: np.ndarray, hi: np.ndarray,
     return int(weak[-1]) + 1 if weak.size else 0
 
 
-def _parity_tail(omega: float, omega_a: float, g: np.ndarray,
+def _parity_tail(omega: float, g: np.ndarray,
                  n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Rows n of the parity diagonals, those diagonals (2, len(n)), their minima hi, and the tail.
 
     d_i depends only on the parity, and t_i = sqrt(i + 1) g/2 grows with g,
     so the _dominant_tail of the blocks at n_max of a g grid is that of the
     largest g's two blocks: a row dominant there is dominant at every g.
-    Every row j >= max(4 omega_a / omega, 128 (g / omega)^2) is dominant by
-    about omega j / 2 (d_j - hi >= omega j - omega_a, r_j <= g sqrt(j + 1)
+    Every row j >= max(4 / omega, 128 (g / omega)^2) is dominant by
+    about omega j / 2 (d_j - hi >= omega j - 1, r_j <= g sqrt(j + 1)
     <= omega j / 8), so n is the rows below that, and n_max - 2 to n_max.
     """
     top = g.max(initial=0.0)
-    rows = min(n_max + 1, max(2, math.ceil(4.0 * omega_a / omega + 128.0 * (top / omega) ** 2)))
+    rows = min(n_max + 1, max(2, math.ceil(4.0 / omega + 128.0 * (top / omega) ** 2)))
     n = np.concatenate([np.arange(rows), np.arange(max(rows, n_max - 2), n_max + 1)])
-    diag = _parity_diagonals(omega, omega_a, n)
+    diag = _parity_diagonals(omega, n)
     hi = diag.min(axis=1)  # at row 0 or 1: d_(i+2) = d_i + 2 omega
     radii = _radii(np.sqrt(n[:min(rows, n_max)] + 1.0)[:, None] * (0.5 * top))[:rows]
     last = math.sqrt(n_max) * (0.5 * top)  # t_(n_max - 1)
     return n, diag, hi, _dominant_tail(diag[:, :rows].T, radii, hi, max(last * last, 1.0) * _TINY)
-
-
-def _ground_bracket(omega: float, omega_a: float, g: np.ndarray, n_max: int, n: np.ndarray,
-                    diag: np.ndarray, hi: np.ndarray, tail: int) -> tuple[tuple, _Blocks]:
-    """The kernel's bracket (lo, hi, pivmin, tail, scale) of the blocks at n_max, and their _Blocks.
-
-    [lo, hi] is [Gershgorin lower bound, min(diag)] of every column's block,
-    pivmin max_i t_i^2 times the smallest normal double and scale max(1,
-    max_i |d_i| + |t_(i-1)| + |t_i|), each to the bit as over all rows; n,
-    diag, hi and tail (see _dominant_tail) are those of _parity_tail.  pivmin comes from
-    t_(n_max - 1), as t_i grows with i.  A dominant row j has
-    d_j - r_j > hi >= lo, so lo is a minimum over the rows above the tail.
-    r_i grows with i up to n_max - 1, so the norm bound is attained at row
-    n_max or at a row whose |d_i| exceeds that of every later row below
-    n_max.  Below n_max - 2 that needs d_i < 0, as |d_(i+2)| >= d_i, so the
-    row is in n.  The blocks hold the rows the guess reads.
-    """
-    build = partial(_block_columns, omega, omega_a, g, n_max)
-    blocks = _Blocks(*build(min(n_max + 1, tail + _GUESS_ROWS + 1)), n_max + 1, build)
-    lo = np.min(blocks.diag[:tail] - _radii(blocks.offdiag[:tail])[:tail], axis=0)
-    size = np.abs(diag[:, :-1])
-    later = np.maximum.accumulate(size[:, ::-1], axis=1)[:, -2::-1]  # max |d_j|, j later in n
-    at = np.append(np.flatnonzero((size[:, :-1] > later).any(axis=0)), [len(n) - 2, len(n) - 1])
-    root = np.sqrt(np.stack([n[at], n[at] + 1]) + 0.0)  # sqrt(j + 1) of t_j, j = i - 1 and i
-    root[1, -1] = 0.0  # row n_max has no t_(n_max)
-    t = np.abs(root[:, :, None] * (0.5 * g))  # t[0, -1] is t_(n_max - 1)
-    bound = np.abs(np.repeat(diag[:, at].T, len(g), axis=1)) + np.tile(t[0] + t[1], 2)
-    pivmin = np.maximum(t[0, -1] * t[0, -1], 1.0) * _TINY
-    return (lo, np.repeat(hi, len(g)), np.tile(pivmin, 2), tail,
-            np.maximum(np.max(bound, axis=0), 1.0)), blocks
 
 
 def _lattice_depth(lo: np.ndarray, hi: np.ndarray, pivmin: np.ndarray) -> np.ndarray:
@@ -333,7 +303,7 @@ def _lowest_eigenpairs(blocks: _Blocks, bracket: tuple) -> tuple[np.ndarray, np.
     column stops at hi - lo <= max(_TOL, 2 eps max(|lo|, |hi|), pivmin) or
     at one lattice cell, which is no wider; that cell depends on the
     column's counts alone, not on theta or the batch.
-    bracket is (lo, hi, pivmin, tail, scale) as _ground_bracket gives it.
+    bracket is (lo, hi, pivmin, tail, scale) as _parity_rows reads it.
     The residual cut reads up to twice the largest reach of a pass.
     """
     lo, hi, pivmin, tail, scale = bracket
@@ -405,11 +375,11 @@ def _lowest_eigenpairs(blocks: _Blocks, bracket: tuple) -> tuple[np.ndarray, np.
 
 
 def _eigenpair_residual(blocks: _Blocks, values: np.ndarray, reach: int,
-                        vectors: list[np.ndarray] | None, scale: np.ndarray) -> np.ndarray:
+                        vectors: list[np.ndarray], scale: np.ndarray) -> np.ndarray:
     """Residuals ||T v - value v||, one per column's block, within 1e-10 times its scale.
 
-    vectors holds the vectors of each guess in turn (None or empty if there
-    was none): the leading rows of a unit vector per column, 0 in the last
+    vectors holds the vectors of each guess in turn (empty if there was
+    none): the leading rows of a unit vector per column, 0 in the last
     row unless it has all n.  A column keeps the residual of the first of
     its vectors that meets the target.  The others run
     inverse iteration on the leading m x m block, m = min(n, max(2, 2 reach)),
@@ -422,7 +392,7 @@ def _eigenpair_residual(blocks: _Blocks, values: np.ndarray, reach: int,
     """
     n, m = blocks.n, min(blocks.n, max(2, 2 * reach))
     residuals = np.full(len(values), np.inf)
-    for guess in vectors or ():
+    for guess in vectors:
         k = len(guess)
         blocks.grow(k)
         direct = np.sqrt(np.sum(np.square(_apply(blocks.diag[:k] - values,
@@ -505,8 +475,8 @@ def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, coupling, values: 
     return residuals
 
 
-def _in_units(params: ModelParams, g: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """omega, omega_a and g in units of omega_a, the unit every entry solves in.
+def _in_units(params: ModelParams, g: np.ndarray) -> tuple[float, np.ndarray]:
+    """omega and g in units of omega_a, the unit every entry solves in.
 
     The kernel's absolute floors (the stop _TOL, max(1, ...) in the
     coarse phase and in scale) are then relative to omega_a, so the ED's
@@ -514,20 +484,42 @@ def _in_units(params: ModelParams, g: np.ndarray) -> tuple[float, float, np.ndar
     omega_a times the smallest double becomes 0 here; it would shift the
     energy by about (g / omega_a)^2 omega_a, far below its rounding.
     """
-    return params.omega / params.omega_a, 1.0, g / params.omega_a
+    return params.omega / params.omega_a, g / params.omega_a
 
 
-def _parity_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _parity_rows(omega: float, g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The arrays (value, residual) of the blocks at n_max of every g, from one kernel call.
 
     Each has shape (2, len(g)): row 0 the +1 blocks and row 1 the -1 blocks.
-    The kernel starts from _ground_bracket and builds only the rows it reads.
+    The kernel's bracket (lo, hi, pivmin, tail, scale) is read off the
+    blocks' structure, each to the bit as over all rows: [lo, hi] is
+    [Gershgorin lower bound, min(diag)] of every column's block, pivmin
+    max_i t_i^2 times the smallest normal double and scale max(1, max_i
+    |d_i| + |t_(i-1)| + |t_i|); hi and the tail (see _dominant_tail) are
+    _parity_tail's.  pivmin comes from t_(n_max - 1), as t_i grows with i.
+    A dominant row j has d_j - r_j > hi >= lo, so lo is a minimum over the
+    rows above the tail.  r_i grows with i up to n_max - 1, so the norm
+    bound is attained at row n_max or at a row whose |d_i| exceeds that of
+    every later row below n_max.  Below n_max - 2 that needs d_i < 0, as
+    |d_(i+2)| >= d_i, so the row is in _parity_tail's n.  The kernel builds
+    only the rows it reads, at first those the guess reads.
     """
     if n_max < 2:
         raise InvalidInput("n_max must be >= 2")
-    bracket, blocks = _ground_bracket(omega, omega_a, g, n_max,
-                                      *_parity_tail(omega, omega_a, g, n_max))
+    n, diag, hi, tail = _parity_tail(omega, g, n_max)
+    build = partial(_block_columns, omega, g, n_max)
+    blocks = _Blocks(*build(min(n_max + 1, tail + _GUESS_ROWS + 1)), n_max + 1, build)
+    lo = np.min(blocks.diag[:tail] - _radii(blocks.offdiag[:tail])[:tail], axis=0)
+    size = np.abs(diag[:, :-1])
+    later = np.maximum.accumulate(size[:, ::-1], axis=1)[:, -2::-1]  # max |d_j|, j later in n
+    at = np.append(np.flatnonzero((size[:, :-1] > later).any(axis=0)), [len(n) - 2, len(n) - 1])
+    root = np.sqrt(np.stack([n[at], n[at] + 1]) + 0.0)  # sqrt(j + 1) of t_j, j = i - 1 and i
+    root[1, -1] = 0.0  # row n_max has no t_(n_max)
+    t = np.abs(root[:, :, None] * (0.5 * g))  # t[0, -1] is t_(n_max - 1)
+    bound = np.abs(np.repeat(diag[:, at].T, len(g), axis=1)) + np.tile(t[0] + t[1], 2)
+    pivmin = np.maximum(t[0, -1] * t[0, -1], 1.0) * _TINY
+    bracket = (lo, np.repeat(hi, len(g)), np.tile(pivmin, 2), tail,
+               np.maximum(np.max(bound, axis=0), 1.0))
     return tuple(a.reshape(2, len(g)) for a in _lowest_eigenpairs(blocks, bracket))
 
 
@@ -545,10 +537,10 @@ def smallest_eigenvalue(params: ModelParams, parity: int, n_max: int = 300) -> t
     return tuple(float(a[(1 - parity) // 2, 0] * params.omega_a) for a in rows)
 
 
-def _ground_rows(omega: float, omega_a: float, g: np.ndarray, n_max: int
+def _ground_rows(omega: float, g: np.ndarray, n_max: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arrays (energy, parity, residual) of the ground state at every g; ties go to +1."""
-    (plus, minus), residuals = _parity_rows(omega, omega_a, g, n_max)
+    (plus, minus), residuals = _parity_rows(omega, g, n_max)
     odd = minus < plus
     return np.where(odd, minus, plus), np.where(odd, -1, 1), np.where(odd, *residuals[::-1])
 
@@ -562,27 +554,12 @@ def ground_energy(params: ModelParams, n_max: int = 300) -> tuple[float, int, fl
     second solve at half = max(2, n_max // 2).  Where no Sturm pass reads
     past row half + 1 the two solves see the same counts, and the gap is 0.
     """
-    omega, omega_a, g = _in_units(params, ed_couplings(params, params.g))
-    energy, parity, residual = _ground_rows(omega, omega_a, g, n_max)
-    half = _ground_rows(omega, omega_a, g, max(2, n_max // 2))[0]
+    omega, g = _in_units(params, ed_couplings(params, params.g))
+    energy, parity, residual = _ground_rows(omega, g, n_max)
+    half = _ground_rows(omega, g, max(2, n_max // 2))[0]
     unit = params.omega_a
     return (float(energy[0] * unit), int(parity[0]), float(residual[0] * unit),
             float(abs(energy[0] - half[0]) * unit))
-
-
-def _variational_energies(omega: float, omega_a: float, g: np.ndarray) -> np.ndarray:
-    """Coherent-state variational ground energy of the Rabi model at every g of an array.
-
-    -omega_a/2 up to g_c = sqrt(omega*omega_a), then
-    -(omega/4)*(g^2/omega^2 + omega_a^2/g^2); continuous at g_c.  Identical
-    to the scaled cavity-model energy at its normal-branch minimum with
-    zeta = 0, for any atom number.
-    """
-    energy = np.full(g.shape, -omega_a / 2.0)
-    above = g > math.sqrt(omega * omega_a)
-    g2 = g[above] ** 2
-    energy[above] = -(omega / 4.0) * (g2 / omega**2 + omega_a**2 / g2)
-    return energy
 
 
 def compare_columns(params: ModelParams, g, n_max: int = 300
@@ -590,7 +567,11 @@ def compare_columns(params: ModelParams, g, n_max: int = 300
     """Variational energy against exact diagonalization over a g grid, as columns.
 
     The arrays (g, energy_ed, energy_variational, deviation) in grid order;
-    params.g is ignored.  deviation, variational minus ED, stays >= 0 up to the
+    params.g is ignored.  The coherent-state variational energy is -omega_a/2
+    up to g_c = sqrt(omega*omega_a), then -(omega/4)*(g^2/omega^2 +
+    omega_a^2/g^2); continuous at g_c, and identical to the scaled
+    cavity-model energy at its normal-branch minimum with zeta = 0, for any
+    atom number.  deviation, variational minus ED, stays >= 0 up to the
     truncation and bisection error: the variational energy is an upper bound.
     The grid is checked by ed_couplings and solved in batches of
     _BATCH_ENTRIES // (2 rows) points, rows = min(n_max + 1, tail +
@@ -599,13 +580,17 @@ def compare_columns(params: ModelParams, g, n_max: int = 300
     do not depend on the others.
     """
     g = ed_couplings(params, g)
-    omega, omega_a, scaled = _in_units(params, g)
+    ratio, scaled = _in_units(params, g)
     rows = n_max + 1
     if 2 * len(g) * rows > _BATCH_ENTRIES:
-        rows = min(rows, _parity_tail(omega, omega_a, scaled, n_max)[3] + _GUESS_ROWS + 1)
+        rows = min(rows, _parity_tail(ratio, scaled, n_max)[3] + _GUESS_ROWS + 1)
     step = max(1, _BATCH_ENTRIES // (2 * rows))
     energy = params.omega_a * np.concatenate(
-        [_ground_rows(omega, omega_a, scaled[start:start + step], n_max)[0]
+        [_ground_rows(ratio, scaled[start:start + step], n_max)[0]
          for start in range(0, len(g), step)] or [g])
-    variational = _variational_energies(params.omega, params.omega_a, g)
+    omega, omega_a = params.omega, params.omega_a
+    variational = np.full(g.shape, -omega_a / 2.0)
+    above = g > math.sqrt(omega * omega_a)
+    g2 = g[above] ** 2
+    variational[above] = -(omega / 4.0) * (g2 / omega**2 + omega_a**2 / g2)
     return g, energy, variational, variational - energy

@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the package.
 
 These deliberately avoid the package's own code paths: brute-force sign
-scans, closed-form fold conditions, dense matrix diagonalization, and
-extended-precision finite differences.
+scans, closed-form fold conditions, dense matrix diagonalization,
+extended-precision Sturm counts and finite differences.
 """
 
 import mpmath as mp
@@ -174,6 +174,27 @@ def rabi_parity_block(omega, omega_a, g, n_max, parity):
     """Diagonal d_n = omega n + parity (omega_a/2) (-1)^n and offdiagonal t_n = (g/2) sqrt(n+1)."""
     n = np.arange(n_max + 1, dtype=float)
     return omega * n + parity * 0.5 * omega_a * (-1.0) ** n, 0.5 * g * np.sqrt(n[1:])
+
+
+def count_at_or_below(diag, off, x, dps=150):
+    """Eigenvalues at or below x of the symmetric tridiagonal (diag, off), at dps digits.
+
+    Sylvester's inertia of T - x, from its LDL^T pivots q_i = d_i - x -
+    t_(i-1)^2 / q_(i-1) in mpmath, with no early stop: each pivot <= 0
+    counts.  A zero pivot stands for x raised by an infinitesimal, so the
+    pivot after it is +inf where its coupling is nonzero.  The counts are
+    those of a block whose entries moved by about 10^-dps of its norm:
+    at 150 digits far below 1e-12 for norms up to 1e110, where a dense
+    eigvalsh errs by eps times the norm.
+    """
+    with mp.workdps(dps):
+        x, q, count = mp.mpf(x), mp.inf, 0
+        for i, d in enumerate(diag):
+            t2 = mp.mpf(off[i - 1]) ** 2 if i else 0
+            q = (mp.mpf(d) - x if t2 == 0 or mp.isinf(q)
+                 else mp.inf if q == 0 else mp.mpf(d) - x - t2 / q)
+            count += q <= 0
+    return count
 
 
 def tridiagonal_dense(diag, off):

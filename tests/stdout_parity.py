@@ -9,9 +9,11 @@ the run.
 Runs, on both checkouts, each in one subprocess through optodicke.cli.run:
 - the benchmark's operations (bench/workloads.py, one-worker and pool
   passes) at seeds 1 to 10, each in CSV and in JSON;
+- FIXED, rabi-compare lists beyond the random ones' n_max <= 60, each in
+  CSV and in JSON;
 - --random seeded random argument lists over every command, each in CSV and
   in JSON, drawn from the value ranges of tests/test_cli.py's
-  test_fuzz_referee.
+  test_fuzz_referee; a grid flag gets a bare number one time in ten.
 With --fresh N, the first N of those argument lists also run each in its own
 python -m optodicke.cli process, on both checkouts: a fault that shows only on
 a command's first use in a process (a module it forgets to import, say) is
@@ -50,9 +52,20 @@ for argv in json.load(sys.stdin):
 json.dump({"module": cli.__file__, "results": results}, sys.stdout)
 """
 
+# The ED where neither the benchmark nor the random lists reach: a
+# strong-coupling grid that takes the second guess, the small-g grid whose
+# deviation is a difference of two numbers near -omega_a/2, and frequencies
+# far below 1.
+FIXED = [
+    ["rabi-compare", "--g", "0:30:61", "--n-max", "1000"],
+    ["rabi-compare", "--g", "0:0.003:4", "--detuning", "red"],
+    ["rabi-compare", "--g", "0:3e-40:61", "--omega", "1e-40", "--omega-a", "1e-40"],
+]
+
 # The value ranges of test_fuzz_referee: a number is 10**e for e uniform in
 # [-300, 300], or one of _SPECIAL; grids have two distinct sorted ends and 2
-# to 4 points; n_atoms is one of _N_ATOMS and n_max in [0, 60].
+# to 4 points; n_atoms is one of _N_ATOMS and n_max in [0, 60].  Here a grid
+# flag also gets a bare number, which sweep and phase-diagram reject.
 _SPECIAL = ["0", "1", "5e-324", "1e-300", "1e-150", "1e150", "1e300"]
 _N_ATOMS = ["0", "1", "2", "16"]
 _DETUNINGS = ["blue", "red", "resonant"]
@@ -77,6 +90,8 @@ def _number(rng: random.Random) -> str:
 
 def _value(rng: random.Random, command: str, flag: str) -> str:
     if (command, flag) in _GRIDS:
+        if rng.random() < 0.1:
+            return _number(rng)
         ends = set()
         while len(ends) < 2:
             ends.add(float(_number(rng)))
@@ -169,7 +184,7 @@ def main(argv=None) -> int:
                         help="argument lists also run each in a fresh process")
     args = parser.parse_args(argv)
 
-    base = bench_argvs() + random_argvs(args.random, args.seed)
+    base = bench_argvs() + FIXED + random_argvs(args.random, args.seed)
     argvs = [a + fmt for a in base for fmt in ([], ["--format", "json"])]
     fresh = argvs[:args.fresh]
     with tempfile.TemporaryDirectory() as tmp:
@@ -188,8 +203,9 @@ def main(argv=None) -> int:
                       _first_difference(out_a, out_b) if out_a != out_b else
                       _first_difference(err_a, err_b))
             print(f"{label}: {', '.join(what)} differ; {detail}")
-    print(f"{differ} of {len(labels)} runs differ ({len(argvs) - 2 * args.random} bench, "
-          f"{2 * args.random} random, {len(fresh)} of them again in fresh processes)")
+    fixed, random_runs = 2 * len(FIXED), 2 * args.random
+    print(f"{differ} of {len(labels)} runs differ ({len(argvs) - fixed - random_runs} bench, "
+          f"{fixed} fixed, {random_runs} random, {len(fresh)} of them again in fresh processes)")
     return 1 if differ else 0
 
 

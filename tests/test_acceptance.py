@@ -174,20 +174,27 @@ def test_rabi_cross_validation():
 
 @criterion(8, "eigensolver: parity blocks match dense spectra, residuals, truncation")
 def test_eigensolver_correctness():
+    # the kernel takes omega / omega_a, every other draw from the ED's whole
+    # [1e-100, 1e100], and g / omega_a; both spectra err by eps times the
+    # norm, at most 25 (a tolerance of 1e-12) where omega / omega_a is in [1/3, 3]
     rng = np.random.default_rng(8)
-    for _ in range(6):
-        omega, omega_a, g = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5), rng.uniform(0.0, 3.0)
+    for i in range(12):
+        omega, omega_a = ((10.0 ** rng.uniform(-100.0, 100.0), 1.0) if i % 2
+                          else rng.uniform(0.5, 1.5, size=2))
+        g = rng.uniform(0.0, 3.0) * math.sqrt(omega * omega_a)
         n_max = int(rng.integers(3, 9))
-        diag, off = _block_columns(omega, omega_a, np.array([g]), n_max, n_max + 1)
+        omega, g = omega / omega_a, g / omega_a
+        diag, off = _block_columns(omega, np.array([g]), n_max, n_max + 1)
         union = np.sort(np.concatenate([np.linalg.eigvalsh(oracles.tridiagonal_dense(
             diag[:, j], off[:, j])) for j in (0, 1)]))
-        dense = np.linalg.eigvalsh(oracles.rabi_dense(omega, omega_a, g, n_max))
-        np.testing.assert_allclose(union, dense, atol=1e-12)
+        matrix = oracles.rabi_dense(omega, 1.0, g, n_max)
+        norm = max(1.0, np.abs(matrix).sum(axis=1).max())
+        np.testing.assert_allclose(union, np.linalg.eigvalsh(matrix), rtol=0.0, atol=4e-14 * norm)
 
     for g in (0.5, 2.0):
         _, _, residual, _ = ground_energy(ModelParams(g=g), 300)
         # the larger norm bound of the two parity blocks (both above 1 here)
-        blocks = _block_columns(1.0, 1.0, np.array([g]), 300, 301)
+        blocks = _block_columns(1.0, np.array([g]), 300, 301)
         scale = oracles.gershgorin_bracket(*blocks)[4].max()
         assert residual <= 1e-10 * scale
 

@@ -377,11 +377,14 @@ class TestConfig:
             (["sweep", "--g", "2:1:3"], "need min < max and count >= 2"),
             (["phase-diagram", "--zeta", "1:0:3"], "need min < max and count >= 2"),
             (["phase-diagram", "--zeta", "0:1:1"], "need min < max and count >= 2"),
-            # a bare number is no grid
-            (["sweep", "--g", "1.5"], "--g needs a grid min:max:count, got the number 1.5"),
-            (["sweep"], "--g needs a grid min:max:count, got the number 0.0"),
+            # a bare number is no grid; its text is quoted as given
+            (["sweep", "--g", "1.5"], "--g needs a grid min:max:count, got the number '1.5'"),
+            (["sweep", "--g", "2"], "--g needs a grid min:max:count, got the number '2'"),
+            (["sweep"], "--g needs a grid min:max:count, got the number '0'"),
             (["phase-diagram", "--g", "0:1:3", "--zeta", "1"],
-             "--zeta needs a grid min:max:count, got the number 1.0"),
+             "--zeta needs a grid min:max:count, got the number '1'"),
+            (["phase-diagram", "--g", "1e0", "--zeta", "0:1:3"],
+             "--g needs a grid min:max:count, got the number '1e0'"),
             (["sweep", "--g", "0:1:3", "--omega-b", "-1"], "omega_b must be > 0"),
             # unused by the ED, but checked by ModelParams as in every other command
             (["rabi-compare", "--g", "0:1:3", "--omega-b", "-1"], "omega_b must be > 0"),
@@ -857,7 +860,7 @@ def test_value_error_inside_the_solve_is_not_invalid_input(argv, monkeypatch, ca
         raise ValueError("raised inside the solve")
 
     inside = {  # a call each command makes after its input checks
-        "roots": "optodicke.cli.find_roots",
+        "roots": "optodicke.solver.find_roots",
         "sweep": "optodicke.diagram.solve_ground",
         "phase-diagram": "optodicke.diagram.critical_coupling",
         "turning-point": "optodicke.cli.turning_point",
@@ -868,6 +871,17 @@ def test_value_error_inside_the_solve_is_not_invalid_input(argv, monkeypatch, ca
     with pytest.raises(ValueError, match="raised inside the solve"):
         run(argv)
     assert "invalid input" not in capsys.readouterr().err
+
+
+def test_roots_looks_up_solver_find_roots(monkeypatch, capsys):
+    # cli.find_roots binds on first read (for the benchmark's tracer), so a
+    # wrapper bound there can outlive the tracer; roots never reads it
+    def stale(params):
+        raise AssertionError("roots read cli.find_roots")
+
+    monkeypatch.setattr(cli, "find_roots", stale)
+    assert run(["roots", "--g", "1.5", "--zeta", "1"]) == 0
+    assert capsys.readouterr().out.startswith("# all quantities in units of omega_a")
 
 
 def test_sweep_and_phase_diagram_build_no_row_objects(monkeypatch):

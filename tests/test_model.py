@@ -143,7 +143,7 @@ class TestParams:
      "omega must be in [1e-50, 1e+50], got 1e-60"),
     (ed_couplings, dict(params=ModelParams(), g=[1e60]), "g must be in [0, 1e+50], got 1e+60"),
     (sp_closure, dict(params=ModelParams(), width_tol=0), "width_tol must be > 0"),
-    (_parity_rows, dict(omega=1.0, omega_a=1.0, g=np.array([1.0]), n_max=1),
+    (_parity_rows, dict(omega=1.0, g=np.array([1.0]), n_max=1),
      "n_max must be >= 2"),
     (smallest_eigenvalue, dict(params=ModelParams(), parity=0), "parity must be +1 or -1"),
     (scs_angles, dict(params=ModelParams(), gamma_bar=-0.5), "gamma_bar must be >= 0"),

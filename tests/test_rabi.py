@@ -19,7 +19,6 @@ from optodicke.rabi import (
     _eigenpair_residual,
     _radii,
     _sturm_count,
-    _variational_energies,
     compare_columns,
     ed_couplings,
     ground_energy,
@@ -53,21 +52,29 @@ def _whole(diag, off):
     return _Blocks(diag, off, len(diag), None)
 
 
-def _parity_columns(omega, omega_a, g, n_max):
-    """The +1 and the -1 block of g at n_max, each as (diag, offdiag), from _block_columns."""
-    diag, off = _block_columns(omega, omega_a, np.array([g]), n_max, n_max + 1)
+def _parity_columns(omega, g, n_max):
+    """The +1 and the -1 block of g at n_max, each as (diag, offdiag), from _block_columns.
+
+    omega and g are in units of omega_a, as the kernel takes them.
+    """
+    diag, off = _block_columns(omega, np.array([g]), n_max, n_max + 1)
     return [(diag[:, j], off[:, j]) for j in (0, 1)]
+
+
+def _ratio(rng, wide):
+    """omega / omega_a: 10^u with u uniform in the ED's [-100, 100] if wide, else in [0.15, 7]."""
+    return 10.0 ** rng.uniform(-100.0, 100.0) if wide else rng.uniform(0.15, 7.0)
 
 
 class TestBlocks:
     def test_hand_values(self):
-        (plus, _), (minus, minus_off) = _parity_columns(1.0, 1.0, 1.0, 3)
+        (plus, _), (minus, minus_off) = _parity_columns(1.0, 1.0, 3)
         np.testing.assert_allclose(minus, [-0.5, 1.5, 1.5, 3.5])
         np.testing.assert_allclose(minus_off, [0.5, 0.5 * math.sqrt(2), 0.5 * math.sqrt(3)])
         np.testing.assert_allclose(plus, [0.5, 0.5, 2.5, 2.5])
 
     def test_decoupled_limit(self):
-        (plus, plus_off), (minus, minus_off) = _parity_columns(1.0, 1.0, 0.0, 10)
+        (plus, plus_off), (minus, minus_off) = _parity_columns(1.0, 0.0, 10)
         assert np.all(plus_off == 0.0) and np.all(minus_off == 0.0)
         assert min(minus.min(), plus.min()) == -0.5
 
@@ -78,16 +85,17 @@ class TestBlocks:
         (1.0, 1.0, 0.0, 4),
     ])
     def test_spectrum_equals_dense_build(self, omega, omega_a, g, n_max):
-        # the package's blocks are the oracle's d_n and t_n, and their
-        # spectra together are the Kronecker-built matrix's
-        blocks = _parity_columns(omega, omega_a, g, n_max)
+        # the package's blocks, in units of omega_a, are the oracle's d_n and
+        # t_n, and their spectra together are the Kronecker-built matrix's
+        omega, g = omega / omega_a, g / omega_a
+        blocks = _parity_columns(omega, g, n_max)
         for (diag, off), parity in zip(blocks, (1, -1)):
-            want = oracles.rabi_parity_block(omega, omega_a, g, n_max, parity)
+            want = oracles.rabi_parity_block(omega, 1.0, g, n_max, parity)
             np.testing.assert_allclose(diag, want[0], rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(off, want[1], rtol=1e-15, atol=0.0)
         union = np.sort(np.concatenate([np.linalg.eigvalsh(oracles.tridiagonal_dense(*b))
                                         for b in blocks]))
-        dense = np.linalg.eigvalsh(oracles.rabi_dense(omega, omega_a, g, n_max))
+        dense = np.linalg.eigvalsh(oracles.rabi_dense(omega, 1.0, g, n_max))
         np.testing.assert_allclose(union, dense, atol=1e-12)
 
     def test_validation(self):
@@ -252,7 +260,7 @@ class TestGroundEnergy:
         result = ground_energy(ModelParams(g=2.0), 300)
         # the plain tuple (energy, parity, residual) of the n_max = 300 solve,
         # and the truncation gap to the n_max = 150 solve
-        full, half = (rabi._ground_rows(1.0, 1.0, np.array([2.0]), n) for n in (300, 150))
+        full, half = (rabi._ground_rows(1.0, np.array([2.0]), n) for n in (300, 150))
         assert result == (*(c[0] for c in full), abs(full[0][0] - half[0][0]))
         gap = result[3]
         assert gap >= 0.0
@@ -260,8 +268,8 @@ class TestGroundEnergy:
 
 
 def _variational(g, omega=1.0):
-    """The variational energy at one g, omega_a = 1."""
-    return float(_variational_energies(omega, 1.0, np.array([g]))[0])
+    """The variational energy at one g, omega_a = 1, from compare_columns."""
+    return float(compare_columns(ModelParams(omega=omega), [g], n_max=2)[2][0])
 
 
 class TestVariationalEnergy:
@@ -417,7 +425,7 @@ class TestBatchedKernel:
                    for omega in (1.0, 0.8, 1.2)}
         calls = _record_kernel_calls(monkeypatch)
         for omega, expected in columns.items():
-            rows = rabi._parity_tail(omega, 1.0, grid, 300)[3] + rabi._GUESS_ROWS + 1
+            rows = rabi._parity_tail(omega, grid, 300)[3] + rabi._GUESS_ROWS + 1
             monkeypatch.setattr(rabi, "_BATCH_ENTRIES", 7 * 2 * rows)
             calls.clear()
             got = compare_columns(ModelParams(omega=omega), grid, n_max=300)
@@ -447,7 +455,7 @@ class TestBatchedKernel:
 
     def test_exact_zero_pivot_counts_as_negative(self):
         # g = 1.5, parity -1: at x = -3/4 the second LDL^T pivot is exactly 0
-        _, (diag, off) = _parity_columns(1.0, 1.0, 1.5, 10)
+        _, (diag, off) = _parity_columns(1.0, 1.5, 10)
         count, reach = _sturm_count(_whole(diag[:, None], off[:, None]),
                                     np.array([[-0.75]]), np.array([np.finfo(float).tiny]), 11)
         below = np.sum(np.linalg.eigvalsh(oracles.tridiagonal_dense(diag, off)) < -0.75)
@@ -457,7 +465,7 @@ class TestBatchedKernel:
     def test_counts_match_dense_spectrum(self):
         # the pass ends early at the diagonally dominant tail; the counts must
         # still be those of the whole block at every point up to min(diag)
-        diag, off = _block_columns(1.0, 1.0, np.array([0.5, 1.5, 3.0]), 80, 81)
+        diag, off = _block_columns(1.0, np.array([0.5, 1.5, 3.0]), 80, 81)
         hi = diag.min(axis=0)
         lo = (diag - _radii(off)).min(axis=0)
         pivmin = np.max(off * off, axis=0, initial=1.0) * np.finfo(float).tiny
@@ -472,10 +480,10 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("error", [1e-6, -1e-6])
     def test_residual_rejects_wrong_eigenvalue(self, error):
-        diag, off = _block_columns(1.0, 1.0, np.array([2.0]), 60, 61)
+        diag, off = _block_columns(1.0, np.array([2.0]), 60, 61)
         diag, off = diag[:, :1], off[:, :1]
         exact = np.linalg.eigvalsh(oracles.tridiagonal_dense(diag[:, 0], off[:, 0]))[:1]
-        whole = (len(diag), None, _scale(diag, off))  # reach n: every row
+        whole = (len(diag), [], _scale(diag, off))  # reach n: every row
         assert _eigenpair_residual(_whole(diag, off), exact, *whole)[0] <= 1e-10
         with pytest.raises(ConvergenceFailure):
             _eigenpair_residual(_whole(diag, off), exact + error, *whole)
@@ -505,7 +513,7 @@ class TestGuess:
     @pytest.mark.parametrize("poor", ["below", "nan", "far"])
     def test_poor_guess_gives_the_same_bits(self, monkeypatch, omega, g, n_max, poor):
         passes = _record_sturm_passes(monkeypatch)
-        good = rabi._ground_rows(omega, 1.0, g, n_max)
+        good = rabi._ground_rows(omega, g, n_max)
         good_passes = len(passes)
         guess = rabi._rayleigh_guess
 
@@ -517,7 +525,7 @@ class TestGuess:
 
         monkeypatch.setattr(rabi, "_rayleigh_guess", poor_guess)
         passes.clear()
-        bad = rabi._ground_rows(omega, 1.0, g, n_max)
+        bad = rabi._ground_rows(omega, g, n_max)
         for a, b in zip(good, bad):
             assert np.array_equal(a[:, None].view(np.int64), b[:, None].view(np.int64))
         assert len(passes) > good_passes
@@ -528,7 +536,7 @@ class TestGuess:
         passes = _record_sturm_passes(monkeypatch)
         for n_max in (300, 3000):
             passes.clear()
-            rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), n_max)
+            rabi._ground_rows(1.0, np.linspace(0.0, 3.0, 61), n_max)
             assert len(passes) == 3
         # the two solves of ground_energy(ModelParams(g=1e4), 50): at n_max 25
         # rounding puts one guess 2 to 16 cells below the eigenvalue, and a
@@ -536,7 +544,7 @@ class TestGuess:
         # finds its cell
         for n_max, count in ((50, 3), (25, 4)):
             passes.clear()
-            rabi._ground_rows(1.0, 1.0, np.array([1e4]), n_max)
+            rabi._ground_rows(1.0, np.array([1e4]), n_max)
             assert len(passes) == count
 
     @pytest.mark.parametrize("omega,g_max,points,n_max,count", [
@@ -552,7 +560,7 @@ class TestGuess:
         guess = rabi._rayleigh_guess
         monkeypatch.setattr(rabi, "_rayleigh_guess",
                             lambda *args: guesses.append(1) or guess(*args))
-        rabi._ground_rows(omega, 1.0, np.linspace(0.0, g_max, points), n_max)
+        rabi._ground_rows(omega, np.linspace(0.0, g_max, points), n_max)
         assert (len(passes), len(guesses)) == (count, 2)
 
     @pytest.mark.parametrize("omega,g,n_max", _DETUNING_GRIDS)
@@ -561,7 +569,7 @@ class TestGuess:
         # counts lattice points, not 15 copies of its anchor; only the g = 0
         # columns, whose brackets are exact from the start, repeat one point
         passes = _record_sturm_passes(monkeypatch)
-        rabi._ground_rows(omega, 1.0, g, n_max)
+        rabi._ground_rows(omega, g, n_max)
         for x, _ in passes:
             assert np.flatnonzero((x == x[0]).all(axis=0)).tolist() == [0, len(g)]
 
@@ -572,7 +580,7 @@ class TestGuess:
         inverse = rabi._inverse_iteration
         monkeypatch.setattr(rabi, "_inverse_iteration",
                             lambda d, *args: calls.append(d.shape) or inverse(d, *args))
-        rabi._ground_rows(omega, 1.0, g, n_max)
+        rabi._ground_rows(omega, g, n_max)
         assert calls == []
 
     @pytest.mark.parametrize("omega,g,n_max", _DETUNING_GRIDS + [
@@ -583,8 +591,8 @@ class TestGuess:
         # certify, and that bracket meets the stop of its ends
         passes = _record_sturm_passes(monkeypatch)
         lo, hi, pivmin = oracles.gershgorin_bracket(
-            *_block_columns(omega, 1.0, g, n_max, n_max + 1))[:3]
-        values = rabi._parity_rows(omega, 1.0, g, n_max)[0].reshape(-1)
+            *_block_columns(omega, g, n_max, n_max + 1))[:3]
+        values = rabi._parity_rows(omega, g, n_max)[0].reshape(-1)
         for x, counts in passes:
             lo = np.maximum(lo, np.max(np.where(counts == 0, x, -np.inf), axis=0))
             hi = np.minimum(hi, np.min(np.where(counts >= 1, x, np.inf), axis=0))
@@ -594,17 +602,22 @@ class TestGuess:
         assert np.array_equal(0.5 * (lo + hi), values)
 
     def test_dense_value_within_the_stop(self):
+        # omega / omega_a over the ED's whole domain and g up to 4 g_c, in
+        # units of omega_a; there a dense eigvalsh errs by eps times norms up
+        # to 1e102, so 150-digit Sturm counts of the whole block are the
+        # referee: its smallest eigenvalue lies within the stop of the value
         rng = np.random.default_rng(20170)
-        for _ in range(40):
-            omega, omega_a = rng.uniform(0.3, 2.0, size=2)
+        for i in range(40):
+            omega = _ratio(rng, i % 2)
             n_max = int(rng.integers(2, 80))
-            g = rng.uniform(0.0, 4.0, size=3)
-            values = rabi._parity_rows(omega, omega_a, g, n_max)[0]
+            g = rng.uniform(0.0, 4.0, size=3) * math.sqrt(omega)
+            values = rabi._parity_rows(omega, g, n_max)[0]
             for parity, row in zip((1, -1), values):
                 for g_j, value in zip(g.tolist(), row.tolist()):
-                    block = oracles.rabi_parity_block(omega, omega_a, g_j, n_max, parity)
-                    dense = np.linalg.eigvalsh(oracles.tridiagonal_dense(*block))[0]
-                    assert abs(dense - value) <= max(1e-12, 2.0 * np.finfo(float).eps * abs(value))
+                    block = oracles.rabi_parity_block(omega, 1.0, g_j, n_max, parity)
+                    stop = max(1e-12, 2.0 * np.finfo(float).eps * abs(value))
+                    assert oracles.count_at_or_below(*block, value - stop) == 0
+                    assert oracles.count_at_or_below(*block, value + stop) >= 1
 
 
 class TestDominantTail:
@@ -614,10 +627,11 @@ class TestDominantTail:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_loop(self, seed):
         rng = np.random.default_rng(seed)
-        omega, omega_a = rng.uniform(0.2, 3.0, size=2)
+        omega = _ratio(rng, seed % 2)
         g = rng.uniform(0.0, [3.0, 3.0, 30.0, 1e4][seed % 4], size=int(rng.integers(1, 6)))
+        g *= math.sqrt(omega)
         n_max = int(rng.integers(2, 120))
-        diag, off = _block_columns(omega, omega_a, g, n_max, n_max + 1)
+        diag, off = _block_columns(omega, g, n_max, n_max + 1)
         radii = _radii(off)
         hi = diag.min(axis=0)
         pivmin = np.max(off * off, axis=0, initial=1.0) * np.finfo(float).tiny
@@ -652,22 +666,22 @@ class TestLeadingRows:
     def test_matches_the_whole_blocks(self, omega, omega_a, n_max, g, repeat, guess_rows):
         # the bracket passed to the kernel is the oracle's on all rows, and
         # building every row gives the same bits; a guess on the tail's rows
-        # alone makes the passes and the residual grow the rows
-        g = np.array(g + g[:1] if repeat else g)
+        # alone makes the passes and the residual grow the rows.  The kernel
+        # takes omega / omega_a, here anywhere from 1e-100 to 1e100
+        omega, g = omega / omega_a, np.array(g + g[:1] if repeat else g) / omega_a
         brackets = []
         kernel, columns = rabi._lowest_eigenpairs, rabi._block_columns
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rabi, "_GUESS_ROWS", guess_rows)
             patch.setattr(rabi, "_lowest_eigenpairs", lambda blocks, bracket: brackets.append(
                 bracket) or kernel(blocks, bracket))
-            rows = rabi._ground_rows(omega, omega_a, g, n_max)
-            patch.setattr(rabi, "_block_columns", lambda omega, omega_a, g, n_max, rows:
-                          columns(omega, omega_a, g, n_max, n_max + 1))
-            whole = rabi._ground_rows(omega, omega_a, g, n_max)
+            rows = rabi._ground_rows(omega, g, n_max)
+            patch.setattr(rabi, "_block_columns", lambda omega, g, n_max, rows:
+                          columns(omega, g, n_max, n_max + 1))
+            whole = rabi._ground_rows(omega, g, n_max)
         for a, b in zip(rows, whole):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
-        expected = oracles.gershgorin_bracket(
-            *_block_columns(omega, omega_a, g, n_max, n_max + 1))
+        expected = oracles.gershgorin_bracket(*_block_columns(omega, g, n_max, n_max + 1))
         assert brackets[0][3] == expected[3]
         for got, want in zip(brackets[0][:3] + brackets[0][4:], expected[:3] + expected[4:]):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -678,7 +692,7 @@ class TestLeadingRows:
         for n_max in (300, 3000, 30000):
             tracemalloc.start()
             try:
-                rabi._ground_rows(1.0, 1.0, np.linspace(0.0, 3.0, 61), n_max)
+                rabi._ground_rows(1.0, np.linspace(0.0, 3.0, 61), n_max)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -752,7 +766,7 @@ class TestHalfBlocks:
 
 class TestResidualCut:
     def _block(self, g, n_max):
-        diag, off = _block_columns(1.0, 1.0, np.array([g]), n_max, n_max + 1)
+        diag, off = _block_columns(1.0, np.array([g]), n_max, n_max + 1)
         diag, off = diag[:, :1], off[:, :1]
         exact = np.linalg.eigvalsh(oracles.tridiagonal_dense(diag[:, 0], off[:, 0]))[:1]
         return diag, off, exact
@@ -764,7 +778,7 @@ class TestResidualCut:
         monkeypatch.setattr(rabi, "_inverse_iteration",
                             lambda d, *args: rows.append(len(d)) or inverse(d, *args))
         scale = _scale(diag, off)
-        residual = _eigenpair_residual(_whole(diag, off), exact, 1, None, scale)
+        residual = _eigenpair_residual(_whole(diag, off), exact, 1, [], scale)
         assert rows[0] == 2 and rows == sorted(rows) and len(rows) >= 3
         assert rows[-1] < 301
         assert residual[0] <= 1e-10 * scale[0]
@@ -777,19 +791,19 @@ class TestResidualCut:
         assert lead[0] - exact[0] > 1e-5
         assert rabi._inverse_iteration(diag[:8], off[:7], 0.0, lead, np.ones(1))[0] <= 1e-10
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(_whole(diag, off), lead, 4, None, _scale(diag, off))
+            _eigenpair_residual(_whole(diag, off), lead, 4, [], _scale(diag, off))
 
     def test_cut_meets_the_target_of_the_whole_block(self):
         diag, off, exact = self._block(2.0, 300)
         scale = _scale(diag, off)
-        assert _eigenpair_residual(_whole(diag, off), exact, 20, None, scale)[0] <= 1e-10
-        assert _eigenpair_residual(_whole(diag, off), exact, len(diag), None, scale)[0] <= 1e-10
+        assert _eigenpair_residual(_whole(diag, off), exact, 20, [], scale)[0] <= 1e-10
+        assert _eigenpair_residual(_whole(diag, off), exact, len(diag), [], scale)[0] <= 1e-10
 
     @pytest.mark.parametrize("error", [1e-6, -1e-6])
     def test_wrong_eigenvalue_fails_at_every_reach(self, error):
         diag, off, exact = self._block(2.0, 60)
         with pytest.raises(ConvergenceFailure):
-            _eigenpair_residual(_whole(diag, off), exact + error, 3, None, _scale(diag, off))
+            _eigenpair_residual(_whole(diag, off), exact + error, 3, [], _scale(diag, off))
 
 
 def _start_vector(m):
@@ -827,7 +841,7 @@ class TestStartVector:
         g = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 3.0, 1e4])
         start = _start_vector(m)
         for omega in (0.8, 1.0, 1.2):
-            diag, off = _block_columns(omega, 1.0, g, n_max, n_max + 1)
+            diag, off = _block_columns(omega, g, n_max, n_max + 1)
             projections = [_ground_projection(diag[:m, j], off[:m - 1, j], start)
                            for j in range(diag.shape[1])]
             assert min(projections) >= 1.0 - 1e-9, omega
@@ -835,7 +849,7 @@ class TestStartVector:
     def test_degenerate_block_at_zero_coupling(self):
         # g = 0, omega = omega_a: the +1 block's d_0 = d_1 = 1/2, a 2-dimensional
         # lowest eigenspace, which the start meets in e_0 - e_1
-        diag, off = _block_columns(1.0, 1.0, np.array([0.0]), 50, 51)
+        diag, off = _block_columns(1.0, np.array([0.0]), 50, 51)
         assert diag[0, 0] == diag[1, 0] == 0.5
         projection = _ground_projection(diag[:, 0], off[:, 0], _start_vector(51))
         assert projection == pytest.approx(math.sqrt(2.0), rel=1e-12)
